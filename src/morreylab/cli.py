@@ -104,10 +104,6 @@ def _cmd_decompose(args) -> int:
     win = cfg.window
     q0 = _q0(cfg, win)
     f, g = _pair_at(cfg, 0, 0, win)
-    if "csv_f" in cfg.params:
-        f = from_csv(str(cfg.params["csv_f"]))
-    if "csv_g" in cfg.params:
-        g = from_csv(str(cfg.params["csv_g"]))
     if str(cfg.params.get("kind", "cz")) == "cz_alpha":
         d = cz_decompose_alpha(f, g, q0,
                                float(cfg.params.get("r1", 2.0)),

@@ -13,10 +13,11 @@ yields a forest with four exactly testable invariants:
 
 The threshold factor A = (4 * 18^n)^(1/t1 + 1/t2) is exactly what makes the
 measure bound work through the weak (1,1) bound of the maximal function.  A
-second variant weights the product by |Q|^(alpha/n).  Both run top-down with
-subtree pruning, so maximality holds by construction, and both stop when a
-level comes up empty (bounded data forces this; a safety cap of 64 * level
-span guards the loop and is reported if ever hit).
+second variant weights the product by |Q|^(alpha/n).  Both read one table of
+the functional per level and sweep cell masks top-down, stopping a cube when
+it crosses the threshold below no stopped ancestor, so maximality holds by
+construction; both stop when a level comes up empty (bounded data forces
+this; a safety cap of 64 * level span guards the loop and is reported if hit).
 
 Measures are integer cell counts times the cell volume, so the measure and
 partition invariants are exact, no tolerances.
@@ -29,10 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, Window, children
-from .field import LatticeFunction, Weight
-
-CellSet = frozenset
+from .dyadic import Cube, Window
+from .field import LatticeFunction, Weight, dilated_means
 
 
 @dataclass(frozen=True)
@@ -63,55 +62,58 @@ def _cells_of_cube(window: Window, q: Cube) -> frozenset:
     return frozenset(itertools.product(*ranges))
 
 
-def _dilated_slices(window: Window, q: Cube) -> tuple[slice, ...]:
-    """Cell slices of 3Q clipped to the window (3Q is always cell-aligned)."""
-    b = 1 << (q.level - window.level_min)
-    c = window.cells_per_axis
-    out = []
-    for m, a in zip(q.index, window.cell_index_lo):
-        lo = max((m - 1) * b - a, 0)
-        hi = min((m + 2) * b - a, c)
-        out.append(slice(lo, hi))
-    return tuple(out)
-
-
-def _product_functional(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float):
-    """(mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) with cached cube values."""
+def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float,
+                       alpha: float = None) -> dict[int, np.ndarray]:
+    """Per level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q,
+    times |Q|^(alpha/n) unless alpha is None; in cube-index order, as level_means."""
     window = f.window
+    n = window.dim
     pf = np.abs(f.values) ** t1
     pg = np.abs(g.values) ** t2
-    cache: dict[Cube, float] = {}
-
-    def value(q: Cube) -> float:
-        hit = cache.get(q)
-        if hit is None:
-            sl = _dilated_slices(window, q)
-            hit = float(pf[sl].mean()) ** (1.0 / t1) * float(pg[sl].mean()) ** (1.0 / t2)
-            cache[q] = hit
-        return hit
-
-    return value
+    tables = {}
+    for level in window.levels():
+        val = dilated_means(pf, window, level) ** (1.0 / t1) \
+            * dilated_means(pg, window, level) ** (1.0 / t2)
+        if alpha is not None:
+            val = (2.0 ** (level * n)) ** (alpha / n) * val
+        tables[level] = val
+    return tables
 
 
-def _decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube, functional,
-               gamma: float, factor: float) -> Decomposition:
-    window = f.window
+def _table_value(tables: dict, window: Window, q: Cube) -> float:
+    return float(tables[q.level][_offsets(window, q)])
+
+
+def _offsets(window: Window, q: Cube) -> tuple[int, ...]:
+    return tuple(m - a for m, a in zip(q.index, window.index_lo(q.level)))
+
+
+def _maximal_cubes(tables: dict, window: Window, q0: Cube, threshold: float) -> list[Cube]:
+    """Cubes inside q0 whose functional exceeds threshold and no ancestor's does."""
+    out: list[Cube] = []
+    open_ = np.zeros(tables[q0.level].shape, dtype=bool)  # under q0, no stopped ancestor
+    open_[_offsets(window, q0)] = True
+    for level in range(q0.level, window.level_min - 1, -1):
+        if level < q0.level:
+            for axis in range(window.dim):
+                open_ = np.repeat(open_, 2, axis=axis)
+        hit = open_ & (tables[level] > threshold)
+        lo = window.index_lo(level)
+        out.extend(Cube(level, tuple(int(i) + a for i, a in zip(at, lo)))
+                   for at in np.argwhere(hit))
+        open_ &= ~hit
+        if not open_.any():
+            break
+    return out
+
+
+def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decomposition:
     if not window.contains_cube(q0):
         raise ValueError(f"base cube {q0} not inside window")
+    gamma = _table_value(tables, window, q0)
     if gamma == 0.0:
         return Decomposition(base=q0, gamma=0.0, factor=factor,
                              e0=_cells_of_cube(window, q0))
-
-    def maximal_cubes(threshold: float) -> list[Cube]:
-        out: list[Cube] = []
-        stack = [q0]
-        while stack:
-            q = stack.pop()
-            if functional(q) > threshold:
-                out.append(q)
-            elif q.level > window.level_min:
-                stack.extend(reversed(children(q)))
-        return out
 
     span = max(1, window.level_max - window.level_min)
     cap = span * 64
@@ -120,7 +122,7 @@ def _decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube, functional,
     cap_hit = False
     k = 1
     while True:
-        cubes = maximal_cubes(gamma * factor ** k)
+        cubes = _maximal_cubes(tables, window, q0, gamma * factor ** k)
         if not cubes:
             break
         cubes.sort(key=lambda q: (q.level, q.index))
@@ -149,11 +151,8 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     window = f.window
     if g.window != window:
         raise ValueError("f and g must live on the same window")
-    if not window.contains_cube(q0):
-        raise ValueError(f"base cube {q0} not inside window")
-    functional = _product_functional(f, g, theta1, theta2)
     factor = (4.0 * 18.0 ** window.dim) ** (1.0 / theta1 + 1.0 / theta2)
-    return _decompose(f, g, q0, functional, functional(q0), factor)
+    return _decompose(window, q0, _functional_tables(f, g, theta1, theta2), factor)
 
 
 def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
@@ -167,15 +166,8 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     n = window.dim
     if not 0.0 <= alpha < n:
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
-    base = _product_functional(f, g, r1, r2)
-
-    def functional(q: Cube) -> float:
-        return q.volume ** (alpha / n) * base(q)
-
     factor = (4.0 * 18.0 ** n) ** (1.0 / r1 + 1.0 / r2)
-    if not window.contains_cube(q0):
-        raise ValueError(f"base cube {q0} not inside window")
-    return _decompose(f, g, q0, functional, functional(q0), factor)
+    return _decompose(window, q0, _functional_tables(f, g, r1, r2, alpha), factor)
 
 
 def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunction,
@@ -189,15 +181,8 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     regrouping.
     """
     bad: list[str] = []
-    base_fn = _product_functional(f, g, t1, t2)
+    tables = _functional_tables(f, g, t1, t2, alpha)
     n = window.dim
-
-    if alpha is None:
-        functional = base_fn
-    else:
-        def functional(q: Cube) -> float:
-            return q.volume ** (alpha / n) * base_fn(q)
-
     upper = 2.0 ** (n * (1.0 / t1 + 1.0 / t2))
     span = 1 << (d.base.level - window.level_min)
     base_cells = span ** n
@@ -214,7 +199,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     for k, cubes in d.levels.items():
         threshold = d.gamma * d.factor ** k
         for q, e_cells in zip(cubes, d.exceptional[k]):
-            val = functional(q)
+            val = _table_value(tables, f.window, q)
             if not val > threshold:
                 bad.append(f"sandwich lower: level {k} cube {q} value {val} <= {threshold}")
             if val > upper * threshold * (1.0 + 1e-12):
@@ -228,7 +213,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
                 bad.append(f"partition: E-cells of level {k} cube {q} overlap earlier sets")
             covered |= e_cells
             for anc in _strict_ancestors_within(q, d.base):
-                if functional(anc) > threshold:
+                if _table_value(tables, f.window, anc) > threshold:
                     bad.append(f"maximality: ancestor {anc} of level {k} cube {q} "
                                f"crosses the level-{k} threshold")
             if (k, q) in seen:

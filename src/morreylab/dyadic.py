@@ -299,8 +299,8 @@ def cubes_containing(x: Sequence[float], window: Window) -> list[Cube]:
 def nested_pairs(window: Window) -> Iterator[tuple[Cube, Cube]]:
     """Every pair (Q, Q') with Q a window cube and Q' an ancestor or Q itself.
 
-    Yields sum over Q of (1 + #ancestors) pairs; all two-weight constants
-    that sup over nested cube pairs iterate exactly this family.
+    Yields sum over Q of (1 + #ancestors) pairs, the family the two-weight
+    constants sup over (by block sweeps); tests enumerate it as the reference.
     """
     for q in window.all_cubes():
         yield q, q

@@ -68,17 +68,6 @@ class ExponentSet:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
 
-    def as_config(self) -> dict:
-        """Flat key-value view matching the harness config grammar."""
-        out = {"n": self.n, "alpha": self.alpha, "q1": self.q1, "q2": self.q2,
-               "q": self.q, "p": self.p, "r": self.r, "s": self.s, "t": self.t,
-               "regime": self.regime}
-        for key in ("a", "r1", "r2"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
-
 
 def solve_st(n: int, alpha: float, p: float, q: float, r: float) -> tuple[float, float]:
     """Solve 1/s = 1/p + 1/r - alpha/n and t/s = q/p for (s, t)."""

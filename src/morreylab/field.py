@@ -102,9 +102,6 @@ class LatticeFunction:
     def __abs__(self):
         return LatticeFunction(self.window, np.abs(self.values))
 
-    def restricted_to(self, q: Cube) -> np.ndarray:
-        return self.values[self.window.cell_offsets_of_cube(q)]
-
     def value_at(self, x: Sequence[float]) -> float:
         idx = self.window.cell_index_of_point(x)
         lo = self.window.cell_index_lo
@@ -177,12 +174,7 @@ def power_avg(f: LatticeFunction, box: Box, e: float) -> float:
     rejected (the mean would be infinite).
     """
     if e == math.inf:
-        weights = _axis_overlap_weights(f.window, box)
-        mask = np.ones(f.window.shape, dtype=bool)
-        for axis, w in enumerate(weights):
-            shape = [1] * f.window.dim
-            shape[axis] = f.window.cells_per_axis
-            mask &= (w > 0).reshape(shape)
+        mask = LatticeFunction.indicator(f.window, box).values > 0
         if not mask.any():
             raise EmptyIntersectionError(f"box {box.lo}..{box.hi} misses the window")
         return float(np.abs(f.values[mask]).max())
@@ -190,36 +182,65 @@ def power_avg(f: LatticeFunction, box: Box, e: float) -> float:
     if e == 0.0:
         raise ValueError("exponent e must be nonzero")
     av = np.abs(f.values)
-    if e < 0 and np.any(av == 0.0):
-        weights = _axis_overlap_weights(f.window, box)
-        touched = np.ones(f.window.shape, dtype=bool)
-        for axis, w in enumerate(weights):
-            shape = [1] * f.window.dim
-            shape[axis] = f.window.cells_per_axis
-            touched &= (w > 0).reshape(shape)
-        if np.any(touched & (av == 0.0)):
-            raise ValueError("negative exponent with vanishing values on the box")
+    if e < 0 and np.any((av == 0.0) & (LatticeFunction.indicator(f.window, box).values > 0)):
+        raise ValueError("negative exponent with vanishing values on the box")
     mean = cell_average(LatticeFunction(f.window, av ** e), box)
     return mean ** (1.0 / e)
 
 
-# -- exact cube means ----------------------------------------------------------
+# -- block reductions over all cubes of one level --------------------------------
 
 
-def cube_mean(values: np.ndarray, window: Window, q: Cube) -> float:
-    """Exact mean of cell values over a window cube (all cells equal volume)."""
-    return float(values[window.cell_offsets_of_cube(q)].mean())
+def _blocks(values: np.ndarray, window: Window, level: int):
+    """View with each axis split into (cubes of the level, entries per cube), and the inner axes."""
+    b = values.shape[0] // window.index_count(level)
+    interleaved = []
+    for c in values.shape:
+        interleaved.extend((c // b, b))
+    return values.reshape(tuple(interleaved)), tuple(range(1, 2 * values.ndim, 2))
 
 
 def level_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
     """Block means over all cubes of one level, in cube-index order."""
-    b = 1 << (level - window.level_min)
+    blocked, axes = _blocks(values, window, level)
+    return blocked.mean(axis=axes)
+
+
+def level_max(values: np.ndarray, window: Window, level: int) -> np.ndarray:
+    """Block maxima over all cubes of one level, in cube-index order.
+
+    values holds one entry per finest cell, or per cube of any finer level.
+    """
+    blocked, axes = _blocks(values, window, level)
+    return blocked.max(axis=axes)
+
+
+def level_power_means(values: np.ndarray, window: Window, level: int, e: float) -> np.ndarray:
+    """power_avg over all cubes Q of one level: (mean_Q values^e)^(1/e), values >= 0;
+    e = inf gives max_Q values."""
+    if e == math.inf:
+        return level_max(values, window, level)
+    return level_means(values ** e, window, level) ** (1.0 / e)
+
+
+def dilated_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
+    """Means over 3Q clipped to the window, for every cube Q of one level.
+
+    3Q is Q and its level neighbours, so its sum and its cell count add up the
+    3^n shifted block sums and block counts, zero-padded outside the window.
+    """
     n = window.dim
-    interleaved = []
-    for c in values.shape:
-        interleaved.extend((c // b, b))
-    blocked = values.reshape(tuple(interleaved))
-    return blocked.mean(axis=tuple(range(1, 2 * n, 2)))
+    c = window.index_count(level)
+    blocked, axes = _blocks(values, window, level)
+    sums = np.pad(blocked.sum(axis=axes), 1)
+    cells = np.pad(np.full((c,) * n, float(values.size // c ** n)), 1)
+    total = np.zeros((c,) * n)
+    count = np.zeros((c,) * n)
+    for shift in itertools.product(range(3), repeat=n):
+        at = tuple(slice(d, d + c) for d in shift)
+        total += sums[at]
+        count += cells[at]
+    return total / count
 
 
 def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:

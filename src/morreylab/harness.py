@@ -24,6 +24,8 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .field import (
     LatticeFunction,
     Weight,
     bmo_norm,
+    expand_level,
     from_csv,
     level_means,
     oscillation_ratio,
@@ -69,14 +72,14 @@ _STR_KEYS = {"experiment", "weight_v", "weight_w1", "weight_w2", "weight_w",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; raw pairs are echoed into reports."""
+    """Parsed experiment description (params read-only); raw pairs are echoed into reports."""
 
     experiment: str
     window: Window
     trials: int
     seed: int
     refinements: tuple[int, ...]
-    params: dict
+    params: Mapping
     raw: tuple
 
     def window_at(self, stage: int) -> Window:
@@ -149,7 +152,8 @@ def config_from_pairs(pairs) -> ExperimentConfig:
         raise ValidationError("trials must be >= 1")
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
     return ExperimentConfig(experiment=experiment, window=window, trials=trials,
-                            seed=seed, refinements=refinements, params=seen, raw=raw)
+                            seed=seed, refinements=refinements,
+                            params=MappingProxyType(seen), raw=raw)
 
 
 @dataclass
@@ -273,7 +277,8 @@ def _q0(cfg: ExperimentConfig, window: Window, key: str = "q0") -> Cube:
     return q
 
 
-def _exponent_set(cfg: ExperimentConfig, regime: str) -> ExponentSet:
+def _exponent_set(cfg: ExperimentConfig, regime: str, a: float = None) -> ExponentSet:
+    """The regime's exponent set from the config; a, when given, stands in for a missing key."""
     w = cfg.window
     e = build(
         regime,
@@ -283,7 +288,7 @@ def _exponent_set(cfg: ExperimentConfig, regime: str) -> ExponentSet:
         q2=_param(cfg, "q2"),
         p=_param(cfg, "p"),
         r=_param(cfg, "r", INF),
-        a=(float(cfg.params["a"]) if "a" in cfg.params else None),
+        a=(float(cfg.params["a"]) if "a" in cfg.params else a),
         r1=(float(cfg.params["r1"]) if "r1" in cfg.params else None),
         r2=(float(cfg.params["r2"]) if "r2" in cfg.params else None),
     )
@@ -294,15 +299,24 @@ def _exponent_set(cfg: ExperimentConfig, regime: str) -> ExponentSet:
 
 
 def _growth(summary_per_stage: list[dict]) -> tuple[list, dict]:
+    """Consecutive max-ratio growth factors and the stable/divergent flags.
+
+    A factor is inf when the max ratio turns infinite or leaves 0, nan when it
+    is infinite at both stages; neither counts as stable.
+    """
     maxima = [s["max_ratio"] for s in summary_per_stage]
     factors = []
     for a, b in zip(maxima, maxima[1:]):
-        if a in (0.0, INF) or b == INF:
-            factors.append(INF if b == INF and a != INF else 0.0)
+        if a == INF:
+            factors.append(math.nan if b == INF else 0.0)
+        elif b == INF or (a == 0.0 and b > 0.0):
+            factors.append(INF)
+        elif a == 0.0:
+            factors.append(0.0)
         else:
             factors.append(b / a)
     flags = {
-        "stable_lt_2": bool(factors) and all(f < 2.0 for f in factors) or not factors,
+        "stable_lt_2": all(f < 2.0 for f in factors),
         "divergent_ge_1p5": bool(factors) and all(f >= 1.5 for f in factors),
     }
     return factors, flags
@@ -458,18 +472,19 @@ def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
 def _run_strong_maximal(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     vector = cfg.experiment == "T29"
     bh_route = cfg.experiment == "COR_BH"
+    notes = {}
     if vector and "a" not in cfg.params:
         # the vector-weight condition never uses a; any admissible value works
         bound = min(_param(cfg, "q1") / _param(cfg, "r1", 2.0),
                     _param(cfg, "q2") / _param(cfg, "r2", 2.0))
-        cfg.params["a"] = 0.5 * (1.0 + bound)
-    e = _exponent_set(cfg, "T28")
+        notes["derived_a"] = 0.5 * (1.0 + bound)
+    e = _exponent_set(cfg, "T28", a=notes.get("derived_a"))
     if bh_route and e.alpha != 0.0:
         raise ValidationError(["COR_BH requires alpha = 0"])
     kind = (WeightConditionKind.C211 if vector
             else WeightConditionKind.CBH if bh_route
             else WeightConditionKind.C29)
-    notes = {"condition_kind": kind.value}
+    notes["condition_kind"] = kind.value
     rows = []
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
@@ -586,26 +601,19 @@ def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
 
 
 def _telescoping_defect(b: LatticeFunction) -> float:
-    """Worst violation of the ancestor-chain mean bound, 0 when it holds."""
-    from .dyadic import nested_pairs  # local import to keep module load light
+    """Worst violation of the ancestor-chain mean bound, 0 when it holds.
+
+    Each cell compares the means of its cubes on two levels: all nested pairs.
+    """
     win = b.window
     norm = bmo_norm(b)
     worst = 0.0
-    means = {lvl: level_means(b.values, win, lvl) for lvl in win.levels()}
-    for q, qp in nested_pairs(win):
-        k = qp.level - q.level
-        if k == 0:
-            continue
-        m_q = _cube_mean_from_table(means, win, q)
-        m_qp = _cube_mean_from_table(means, win, qp)
-        bound = k * (2.0 ** win.dim) * norm
-        worst = max(worst, abs(m_q - m_qp) - bound)
+    means = [expand_level(level_means(b.values, win, lvl), win, lvl) for lvl in win.levels()]
+    for i, m_q in enumerate(means):
+        for k, m_qp in enumerate(means[i + 1:], start=1):
+            bound = k * (2.0 ** win.dim) * norm
+            worst = max(worst, float(np.abs(m_q - m_qp).max()) - bound)
     return worst
-
-
-def _cube_mean_from_table(means: dict, win: Window, q: Cube) -> float:
-    off = tuple(m - a for m, a in zip(q.index, win.index_lo(q.level)))
-    return float(means[q.level][off])
 
 
 def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:

@@ -5,11 +5,11 @@ sup over cubes Q containing x of
 
     |Q|^(alpha/n) * (mean_Q |f|^r1)^(1/r1) * (mean_Q |g|^r2)^(1/r2).
 
-Dyadic mode enumerates the window's cube catalog (the default everywhere);
-centered mode uses cubes [x - r, x + r]^n over dyadic radii and exists so
-the pointwise domination of the bilinear maximal function is a literal test:
-a Holder split of the bilinear average on the centered cube is exact there
-and only there.
+Dyadic mode takes the sup over the window's cube catalog as block reductions
+(the default everywhere); centered mode uses cubes [x - r, x + r]^n over
+dyadic radii and exists so the pointwise domination of the bilinear maximal
+function is a literal test: a Holder split of the bilinear average on the
+centered cube is exact there and only there.
 
 The weighted variant additionally multiplies by a power average of a weight
 on Q while taking the f/g averages on the 3-fold dilate 3Q; it is the object
@@ -23,23 +23,18 @@ import math
 
 import numpy as np
 
-from .dyadic import Box, Window, cube_box, dilate3
+from .dyadic import Box
 from .field import (
     LatticeFunction,
     Weight,
     _axis_overlap_weights,
     _weighted_box_sum,
+    dilated_means,
     expand_level,
     level_means,
-    power_avg,
+    level_power_means,
 )
-from .operators import dyadic_radii
-
-
-def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
-    if f.window != g.window:
-        raise ValueError("f and g must live on the same window")
-    return f.window
+from .operators import _require_pair, dyadic_radii
 
 
 def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
@@ -118,13 +113,14 @@ def m_joint_weighted(f: LatticeFunction, g: LatticeFunction, v: Weight, alpha: f
     window = _require_pair(f, g)
     if v.window != window:
         raise ValueError("v must live on the window of f and g")
-    af, ag = abs(f), abs(g)
+    n = window.dim
+    fa = np.abs(f.values) ** rho1
+    ga = np.abs(g.values) ** rho2
     best = np.zeros(window.shape)
-    for q in window.all_cubes():
-        tq = dilate3(q)
-        val = q.volume ** (alpha / window.dim) \
-            * power_avg(af, tq, rho1) * power_avg(ag, tq, rho2) \
-            * power_avg(v, cube_box(q), w_exp)
-        sl = window.cell_offsets_of_cube(q)
-        np.maximum(best[sl], val, out=best[sl])
+    for level in window.levels():
+        val = (2.0 ** (level * n)) ** (alpha / n) \
+            * dilated_means(fa, window, level) ** (1.0 / rho1) \
+            * dilated_means(ga, window, level) ** (1.0 / rho2) \
+            * level_power_means(v.values, window, level, w_exp)
+        np.maximum(best, expand_level(val, window, level), out=best)
     return LatticeFunction(window, best)

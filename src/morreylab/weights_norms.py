@@ -16,9 +16,11 @@ enum picks the variant; two limiting conventions appear verbatim in the
 formulas: the v-average degenerates to max_Q v when t = 1, and the w-average
 to max_{Q'} 1/w_i when q_i = r_i.
 
-At desk scale every sup is an exhaustive enumeration (cube catalog or the
-ancestor-pair family); sups over pairs iterate ancestors only, since other
-pairs are never nested.
+Every sup is exact over the window's cube catalog and runs as field block
+reductions, one level at a time.  A pair term is a factor fixed by the levels
+(k, k') times an inner part on Q times an outer part on Q', so its sup is the
+max over Q' of factor * (block max of the inner part over Q in Q') * outer;
+float products by a positive factor are monotone, so this is exact.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import Cube, Window, ancestors, cube_box, nested_pairs
+from .dyadic import Cube, Window
 from .exponents import ExponentSet, conjugate, inv
-from .field import LatticeFunction, Weight, level_means, power_avg
+from .field import LatticeFunction, Weight, level_max, level_means, level_power_means
 
 INF = math.inf
 
@@ -77,12 +79,18 @@ def rhs_bilinear_morrey_from(f: LatticeFunction, g: LatticeFunction, w1: Weight,
                              p: float, q1: float, q2: float, q0: Cube) -> float:
     """Same sup restricted to cubes containing q0 (q0 and its ancestors)."""
     window = f.window
+    if not window.contains_cube(q0):
+        raise ValueError(f"cube {q0} not inside window")
+    df = (np.abs(f.values) * w1.values) ** q1
+    dg = (np.abs(g.values) * w2.values) ** q2
     best = 0.0
-    for q in [q0, *ancestors(q0, window)]:
-        box = cube_box(q)
-        t1 = power_avg(LatticeFunction(window, np.abs(f.values) * w1.values), box, q1)
-        t2 = power_avg(LatticeFunction(window, np.abs(g.values) * w2.values), box, q2)
-        best = max(best, q.volume ** (1.0 / p) * t1 * t2)
+    for level in range(q0.level, window.level_max + 1):
+        shift = level - q0.level
+        at = tuple((m >> shift) - a for m, a in zip(q0.index, window.index_lo(level)))
+        val = (2.0 ** (level * window.dim)) ** (1.0 / p) \
+            * level_means(df, window, level)[at] ** (1.0 / q1) \
+            * level_means(dg, window, level)[at] ** (1.0 / q2)
+        best = max(best, float(val))
     return best
 
 
@@ -169,14 +177,6 @@ def _need_a_in_q(e: ExponentSet) -> None:
         raise ValueError(f"need 1<a<min(q1,q2) (a={e.a}, q=({e.q1},{e.q2}))")
 
 
-def _dual_avg(w: Weight, window: Window, q: Cube, d: float) -> float:
-    """(mean_Q w^(-d))^(1/d) for d > 0; d = inf gives max_Q (1/w)."""
-    cells = w.values[window.cell_offsets_of_cube(q)]
-    if d == INF:
-        return 1.0 / float(cells.min())
-    return float((cells ** -d).mean()) ** (1.0 / d)
-
-
 def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weight,
                         w2: Weight, e: ExponentSet, window: Window) -> float:
     """Evaluate the selected weight constant over the window's cube pairs.
@@ -186,18 +186,18 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
     """
     _kind_check(kind, e)
     n = window.dim
+    inv1, inv2 = 1.0 / w1.values, 1.0 / w2.values
 
     if kind in (WeightConditionKind.C210, WeightConditionKind.C211):
         e1 = e.r1 / (e.q1 - e.r1)
         e2 = e.r2 / (e.q2 - e.r2)
         joint = (w1.values ** (e.s / e.q1)) * (w2.values ** (e.s / e.q2))
         best = 0.0
-        for q in window.all_cubes():
-            sl = window.cell_offsets_of_cube(q)
-            val = float(joint[sl].mean()) ** (1.0 / e.s) \
-                * _dual_avg(w1, window, q, e1) ** (1.0 / e.q1) \
-                * _dual_avg(w2, window, q, e2) ** (1.0 / e.q2)
-            best = max(best, val)
+        for level in window.levels():
+            val = level_means(joint, window, level) ** (1.0 / e.s) \
+                * level_power_means(inv1, window, level, e1) ** (1.0 / e.q1) \
+                * level_power_means(inv2, window, level, e2) ** (1.0 / e.q2)
+            best = max(best, float(val.max()))
         return best
 
     if v is None:
@@ -213,7 +213,7 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
     else:
         v_exp = e.t
 
-    # w-averages on the outer cube: (mean w_i^(-d_i))^(1/d_i)
+    # w-averages on the outer cube: (mean w_i^(-d_i))^(1/d_i), inf = max of 1/w_i
     if kind in (WeightConditionKind.C22, WeightConditionKind.C23, WeightConditionKind.C24):
         d1 = conjugate(e.q1 / e.a)
         d2 = conjugate(e.q2 / e.a)
@@ -235,16 +235,19 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
 
     with_qr = kind is not WeightConditionKind.CBH
 
+    outer1 = {level: level_power_means(inv1, window, level, d1) for level in window.levels()}
+    outer2 = {level: level_power_means(inv2, window, level, d2) for level in window.levels()}
     best = 0.0
-    for q, qp in nested_pairs(window):
-        ratio = 2.0 ** ((q.level - qp.level) * n)
-        term = ratio ** ratio_exp
-        if with_qr:
-            term *= qp.volume ** inv(e.r)
-        term *= power_avg(v, cube_box(q), v_exp)
-        term *= _dual_avg(w1, window, qp, d1)
-        term *= _dual_avg(w2, window, qp, d2)
-        best = max(best, term)
+    for k in window.levels():
+        inner = level_power_means(v.values, window, k, v_exp)
+        for kp in range(k, window.level_max + 1):
+            if kp > k:
+                inner = level_max(inner, window, kp)
+            term = (2.0 ** ((k - kp) * n)) ** ratio_exp
+            if with_qr:
+                term *= (2.0 ** (kp * n)) ** inv(e.r)
+            val = term * inner * outer1[kp] * outer2[kp]
+            best = max(best, float(val.max()))
     return best
 
 

@@ -1,0 +1,305 @@
+"""Differential tests: every block-reduction path against per-cube enumeration.
+
+The library evaluates its cube and cube-pair sups one level at a time with
+block reductions (field.level_means, level_max, level_power_means,
+dilated_means).  Each test here recomputes the same quantity cube by cube
+with the enumeration helpers (all_cubes, nested_pairs, power_avg, dilate3)
+on windows of both dimensions, every level span 0..3, shifted origins and
+1-3 top cubes per axis, with spiky data.  The czd oracle is the per-cube
+functional and stack walk the decompositions used before they were
+rebuilt on per-level tables.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from morreylab.czd import (
+    _functional_tables,
+    cz_decompose,
+    cz_decompose_alpha,
+    verify_decomposition,
+)
+from morreylab.dyadic import Cube, Window, ancestors, children, cube_box, dilate3, nested_pairs
+from morreylab.exponents import build
+from morreylab.field import (
+    LatticeFunction,
+    Weight,
+    dilated_means,
+    level_max,
+    level_power_means,
+    power_avg,
+)
+from morreylab.harness import _telescoping_defect
+from morreylab.maximal import m_joint_weighted
+from morreylab.weights_norms import (
+    WeightConditionKind,
+    rhs_bilinear_morrey_from,
+    two_weight_constant,
+)
+
+from test_weights_norms import _brute_pair_constant, _e_t21, _e_t22, _e_t27, _e_t28
+
+K = WeightConditionKind
+TOL = 1e-12
+
+
+def _windows(dim: int, count: int, seed: int) -> list[Window]:
+    """Seeded windows: level span 0..3, origin_offset in [-2, 1]^dim, top_count 1..3."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        span = i % 4
+        top = int(rng.integers(-1, 2))
+        out.append(Window(dim, top - span, top,
+                          origin_offset=tuple(int(v) for v in rng.integers(-2, 2, dim)),
+                          top_count=int(rng.integers(1, 4))))
+    return out
+
+
+WINDOWS = _windows(1, 8, 1) + _windows(2, 8, 2)
+
+
+def _spiky(window: Window, seed: int, lo=0.2, hi=3.0) -> np.ndarray:
+    """Uniform values with a few cells scaled up or down by 10^1..10^3."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(lo, hi, window.shape)
+    for _ in range(int(rng.integers(1, 4))):
+        cell = tuple(int(rng.integers(0, window.cells_per_axis)) for _ in range(window.dim))
+        vals[cell] *= 10.0 ** (rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 3.0))
+    return vals
+
+
+def _at(window: Window, q: Cube) -> tuple[int, ...]:
+    return tuple(m - a for m, a in zip(q.index, window.index_lo(q.level)))
+
+
+def _assert_rel(got: float, want: float, msg=""):
+    assert abs(got - want) <= TOL * abs(want), f"{got} != {want} {msg}"
+
+
+# -- field block reductions ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_block_reductions_match_per_cube_averages(window):
+    f = LatticeFunction(window, _spiky(window, 11))
+    for level in window.levels():
+        mx = level_max(f.values, window, level)
+        pm = level_power_means(f.values, window, level, 2.5)
+        dm = {e: dilated_means(f.values ** e, window, level) ** (1.0 / e) for e in (1.0, 2.5)}
+        for q in window.cubes_at_level(level):
+            at = _at(window, q)
+            assert mx[at] == power_avg(f, cube_box(q), math.inf)
+            _assert_rel(pm[at], power_avg(f, cube_box(q), 2.5), str(q))
+            for e, table in dm.items():
+                _assert_rel(table[at], power_avg(f, dilate3(q), e), f"3Q {q} e={e}")
+        for coarser in range(level + 1, window.level_max + 1):
+            stepped = level_max(mx, window, coarser)
+            assert np.array_equal(stepped, level_max(f.values, window, coarser))
+
+
+# -- weights_norms ------------------------------------------------------------------
+
+
+_KIND_SETS = ((K.C22, lambda: _e_t21(True)), (K.C23, lambda: _e_t21(False)),
+              (K.C24, _e_t22), (K.C27, _e_t27), (K.C29, _e_t28), (K.CBH, _e_t28),
+              (K.C210, _e_t28), (K.C211, _e_t28))
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_every_weight_kind_matches_brute_force(window):
+    assert {kind for kind, _ in _KIND_SETS} == set(K)
+    v, w1, w2 = (Weight(window, _spiky(window, 20 + i)) for i in range(3))
+    for kind, maker in _KIND_SETS:
+        e = maker()
+        got = two_weight_constant(kind, v, w1, w2, e, window)
+        _assert_rel(got, _brute_pair_constant(kind, v, w1, w2, e, window), kind.value)
+
+
+@pytest.mark.parametrize("window", WINDOWS[::3], ids=repr)
+def test_sup_conventions_match_brute_force(window):
+    # C23 at t = 1 takes max_Q v; C27 at q_i = r_i takes max_{Q'} 1/w_i
+    v, w1, w2 = (Weight(window, _spiky(window, 30 + i)) for i in range(3))
+    n = window.dim
+    e23 = build("T21", 1, 0.5, 1.2, 1.2, 1.6, 4.0, a=1.1)
+    e27 = build("T27", 1, 0.4, 2.0, 2.0, 1.2, 2.5, r1=2.0, r2=2.0)
+    best23 = best27 = 0.0
+    for q, qp in nested_pairs(window):
+        slq = window.cell_offsets_of_cube(q)
+        slp = window.cell_offsets_of_cube(qp)
+        ratio = 2.0 ** ((q.level - qp.level) * n)
+        best23 = max(best23, ratio ** ((1 - e23.a * e23.s) / (e23.a * e23.s))
+                     * qp.volume ** (1 / e23.r) * v.values[slq].max()
+                     * _dual(w1.values[slp], e23.q1 / e23.a)
+                     * _dual(w2.values[slp], e23.q2 / e23.a))
+        best27 = max(best27, ratio ** (1 / e27.s) * qp.volume ** (1 / e27.r)
+                     * (v.values[slq] ** e27.t).mean() ** (1 / e27.t)
+                     / w1.values[slp].min() / w2.values[slp].min())
+    _assert_rel(two_weight_constant(K.C23, v, w1, w2, e23, window), best23, "C23 t=1")
+    _assert_rel(two_weight_constant(K.C27, v, w1, w2, e27, window), best27, "C27 q=r")
+
+
+def _dual(cells: np.ndarray, x: float) -> float:
+    """(mean cells^(-x'))^(1/x') with x' the Holder conjugate of x."""
+    d = x / (x - 1.0)
+    return float((cells ** -d).mean()) ** (1.0 / d)
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_rhs_from_matches_ancestor_enumeration(window):
+    f = LatticeFunction(window, _spiky(window, 40))
+    g = LatticeFunction(window, _spiky(window, 41))
+    w1 = Weight(window, _spiky(window, 42))
+    w2 = Weight(window, _spiky(window, 43))
+    fw = LatticeFunction(window, np.abs(f.values) * w1.values)
+    gw = LatticeFunction(window, np.abs(g.values) * w2.values)
+    for level in window.levels():
+        cubes = list(window.cubes_at_level(level))
+        q0 = cubes[(7 * level) % len(cubes)]
+        want = max(q.volume ** (1.0 / 2.2) * power_avg(fw, cube_box(q), 4.0)
+                   * power_avg(gw, cube_box(q), 3.0) for q in [q0, *ancestors(q0, window)])
+        got = rhs_bilinear_morrey_from(f, g, w1, w2, 2.2, 4.0, 3.0, q0)
+        _assert_rel(got, want, str(q0))
+
+
+# -- maximal and harness ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_joint_weighted_matches_enumeration(window):
+    f = LatticeFunction(window, _spiky(window, 50))
+    g = LatticeFunction(window, _spiky(window, 51))
+    v = Weight(window, _spiky(window, 52))
+    for w_exp in (2.5, math.inf):
+        out = m_joint_weighted(f, g, v, 0.3, (1.5, 3.0), w_exp)
+        brute = np.zeros(window.shape)
+        for q in window.all_cubes():
+            val = q.volume ** (0.3 / window.dim) \
+                * power_avg(f, dilate3(q), 1.5) * power_avg(g, dilate3(q), 3.0) \
+                * power_avg(v, cube_box(q), w_exp)
+            sl = window.cell_offsets_of_cube(q)
+            brute[sl] = np.maximum(brute[sl], val)
+        assert np.all(np.abs(out.values - brute) <= TOL * brute), w_exp
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_telescoping_defect_matches_pair_enumeration(window, monkeypatch):
+    # the bound always holds, so the defect is 0; with a zero norm it is the
+    # largest gap between nested cube means, which tests every pair
+    from morreylab import harness
+    b = LatticeFunction(window, np.log(_spiky(window, 60)))
+    for norm in (harness.bmo_norm(b), 0.0):
+        monkeypatch.setattr(harness, "bmo_norm", lambda _: norm)
+        worst = 0.0
+        for q, qp in nested_pairs(window):
+            k = qp.level - q.level
+            if k:
+                mq = float(b.values[window.cell_offsets_of_cube(q)].mean())
+                mqp = float(b.values[window.cell_offsets_of_cube(qp)].mean())
+                worst = max(worst, abs(mq - mqp) - k * (2.0 ** window.dim) * norm)
+        assert abs(_telescoping_defect(b) - worst) <= TOL * max(1.0, abs(worst))
+        assert (worst > 0.0) == (norm == 0.0 and window.level_min < window.level_max)
+
+
+# -- czd: the per-cube functional and stack walk as the oracle ------------------------
+
+
+def _oracle_dilated_slices(window: Window, q: Cube) -> tuple[slice, ...]:
+    b = 1 << (q.level - window.level_min)
+    c = window.cells_per_axis
+    return tuple(slice(max((m - 1) * b - a, 0), min((m + 2) * b - a, c))
+                 for m, a in zip(q.index, window.cell_index_lo))
+
+
+def _oracle_functional(f, g, t1, t2, alpha=None):
+    window = f.window
+    pf = np.abs(f.values) ** t1
+    pg = np.abs(g.values) ** t2
+
+    def value(q: Cube) -> float:
+        sl = _oracle_dilated_slices(window, q)
+        val = float(pf[sl].mean()) ** (1.0 / t1) * float(pg[sl].mean()) ** (1.0 / t2)
+        return val if alpha is None else q.volume ** (alpha / window.dim) * val
+
+    return value
+
+
+def _oracle_levels(functional, window: Window, q0: Cube, factor: float) -> dict:
+    gamma = functional(q0)
+    if gamma == 0.0:
+        return {}
+    levels = {}
+    cap = max(1, window.level_max - window.level_min) * 64
+    k = 1
+    while True:
+        threshold = gamma * factor ** k
+        out, stack = [], [q0]
+        while stack:
+            q = stack.pop()
+            if functional(q) > threshold:
+                out.append(q)
+            elif q.level > window.level_min:
+                stack.extend(reversed(children(q)))
+        if not out:
+            return levels
+        levels[k] = tuple(sorted(out, key=lambda q: (q.level, q.index)))
+        if k >= cap:
+            return levels
+        k += 1
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_functional_tables_match_per_cube_functional(window):
+    f = LatticeFunction(window, _spiky(window, 70, lo=0.0))
+    g = LatticeFunction(window, _spiky(window, 71))
+    for t1, t2, alpha in ((2.0, 2.0, None), (1.5, 3.0, 0.7)):
+        tables = _functional_tables(f, g, t1, t2, alpha)
+        oracle = _oracle_functional(f, g, t1, t2, alpha)
+        for q in window.all_cubes():
+            _assert_rel(float(tables[q.level][_at(window, q)]), oracle(q), str(q))
+
+
+def _co_spiked(window: Window, q0: Cube, seed: int, spikes: int):
+    """Uniform pair with co-located spikes inside q0, which drive nonempty forests."""
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(0.05, 1.0, window.shape)
+    g = rng.uniform(0.05, 1.0, window.shape)
+    sl = window.cell_offsets_of_cube(q0)
+    for _ in range(spikes):
+        cell = tuple(int(rng.integers(s.start, s.stop)) for s in sl)
+        size = 10.0 ** rng.uniform(4.0, 6.0)
+        f[cell] *= size
+        g[cell] *= size
+    return LatticeFunction(window, f), LatticeFunction(window, g)
+
+
+# A cube can stop only if 3Q0 holds more than 4 * 18^n times the cells of 3Q,
+# whatever the exponents, so 2-D forests need a 128 x 128 window and a
+# second forest level needs 3Q0 of more than 3 * 72^2 cells in 1-D.
+_FOREST_CASES = (
+    (Window(1, -14, 0), Cube(-1, (0,)), 1),
+    (Window(1, -9, 0), Cube(0, (0,)), 4),
+    (Window(1, -9, 0), Cube(-2, (-3,)), 4),
+    (Window(1, -8, -1, origin_offset=(-2,), top_count=3), Cube(-1, (-1,)), 4),
+    (Window(2, -6, 0), Cube(0, (-1, 0)), 1),
+)
+
+
+@pytest.mark.parametrize("window,q0,trials", _FOREST_CASES, ids=repr)
+def test_forests_match_stack_walk(window, q0, trials):
+    nonempty = 0
+    for seed in range(trials):
+        f, g = _co_spiked(window, q0, 80 + seed, spikes=1 + seed)
+        for t1, t2, alpha in ((2.0, 2.0, None), (1.5, 3.0, 0.2)):
+            if alpha is None:
+                d = cz_decompose(f, g, q0, t1, t2)
+            else:
+                d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
+            oracle = _oracle_functional(f, g, t1, t2, alpha)
+            assert d.levels == _oracle_levels(oracle, window, q0, d.factor)
+            _assert_rel(d.gamma, oracle(q0))
+            assert verify_decomposition(d, f, g, window, t1, t2, alpha=alpha) == []
+            nonempty += bool(d.levels)
+    assert nonempty

@@ -231,3 +231,54 @@ def test_csv_weight_requires_matching_window(tmp_path):
     # refining the window invalidates a fixed-window CSV weight
     with pytest.raises(ValidationError):
         run_experiment(config_from_pairs(pairs + [("refinements", "0,1")]))
+
+
+def _stages(*maxima):
+    return [{"max_ratio": m} for m in maxima]
+
+
+def test_growth_from_zero_to_positive_is_infinite_and_unstable():
+    from morreylab.harness import _growth
+    factors, flags = _growth(_stages(0.0, 3.0))
+    assert factors == [math.inf]
+    assert flags == {"stable_lt_2": False, "divergent_ge_1p5": True}
+
+
+def test_growth_between_infinite_stages_is_nan_and_unstable(tmp_path):
+    from morreylab.harness import _growth
+    factors, flags = _growth(_stages(math.inf, math.inf, math.inf))
+    assert len(factors) == 2 and all(math.isnan(f) for f in factors)
+    assert flags == {"stable_lt_2": False, "divergent_ge_1p5": False}
+    rep = Report("T25", _COLUMNS, [], {"growth_factors": factors})
+    _, json_path = emit_report(rep, tmp_path / "nan")
+    assert json.loads(open(json_path).read())["growth_factors"] == ["nan", "nan"]
+
+
+def test_growth_zero_to_zero_and_finite_factors():
+    from morreylab.harness import _growth
+    assert _growth(_stages(0.0, 0.0)) == ([0.0], {"stable_lt_2": True,
+                                                   "divergent_ge_1p5": False})
+    assert _growth(_stages(2.0, 3.0, 1.5))[0] == [1.5, 0.5]
+    assert _growth(_stages(2.0))[1]["stable_lt_2"] is True
+
+
+T29_PAIRS = [
+    ("experiment", "T29"), ("dim", "1"), ("level_min", "-3"), ("level_max", "0"),
+    ("alpha", "0.4"), ("q1", "4"), ("q2", "4"), ("p", "2.2"), ("r", "2.5"),
+    ("r1", "2"), ("r2", "2"), ("weight_u1", "pow:0.1"), ("weight_u2", "pow:-0.1"),
+    ("trials", "2"), ("seed", "3"),
+]
+
+
+def test_t29_run_leaves_config_unchanged(tmp_path):
+    cfg = config_from_pairs(T29_PAIRS)
+    before = dict(cfg.params)
+    first = run_experiment(cfg)
+    assert dict(cfg.params) == before and "a" not in cfg.params
+    assert_close(first.summary["notes"]["derived_a"], 0.5 * (1.0 + 4.0 / 2.0))
+    paths = [emit_report(run_experiment(cfg) if i else first, tmp_path / f"r{i}")
+             for i in range(2)]
+    for a, b in zip(*paths):
+        assert open(a, "rb").read() == open(b, "rb").read()
+    with pytest.raises(TypeError):
+        cfg.params["a"] = 1.5
