@@ -16,12 +16,13 @@ import sys
 
 from .czd import cz_decompose, cz_decompose_alpha, decomposition_to_json
 from .errors import ValidationError
-from .exponents import INF, build, validate
 from .field import from_csv
 from .harness import (
+    _exponent_set,
     _make_weight,
     _pair_at,
     _q0,
+    _weight,
     config_from_pairs,
     emit_report,
     parse_config,
@@ -76,25 +77,10 @@ def _cmd_weight_const(args) -> int:
     kind = WeightConditionKind(args.kind)
     win = cfg.window
     regime = {"C22": "T21", "C23": "T21", "C24": "T22"}.get(args.kind, "T28")
-    e = build(
-        regime,
-        n=win.dim,
-        alpha=float(cfg.params.get("alpha", 0.0)),
-        q1=float(cfg.params["q1"]),
-        q2=float(cfg.params["q2"]),
-        p=float(cfg.params["p"]),
-        r=float(cfg.params.get("r", INF)),
-        a=(float(cfg.params["a"]) if "a" in cfg.params else None),
-        r1=(float(cfg.params["r1"]) if "r1" in cfg.params else None),
-        r2=(float(cfg.params["r2"]) if "r2" in cfg.params else None),
-    )
-    violations = validate(e)
-    if violations:
-        raise ValidationError(violations)
-    v = (_make_weight(cfg.params["weight_v"], win)
-         if "weight_v" in cfg.params else None)
-    w1 = _make_weight(cfg.params.get("weight_w1", cfg.params.get("weight_u1", "const:1")), win)
-    w2 = _make_weight(cfg.params.get("weight_w2", cfg.params.get("weight_u2", "const:1")), win)
+    e = _exponent_set(cfg, regime)
+    v = _weight(cfg, "v", win) if "weight_v" in cfg.params else None
+    w1 = _weight(cfg, "w1", win, cfg.params.get("weight_u1", "const:1"))
+    w2 = _weight(cfg, "w2", win, cfg.params.get("weight_u2", "const:1"))
     print(repr(two_weight_constant(kind, v, w1, w2, e, win)))
     return EXIT_OK
 

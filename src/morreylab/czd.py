@@ -19,19 +19,20 @@ it crosses the threshold below no stopped ancestor, so maximality holds by
 construction; both stop when a level comes up empty (bounded data forces
 this; a safety cap of 64 * level span guards the loop and is reported if hit).
 
-Measures are integer cell counts times the cell volume, so the measure and
-partition invariants are exact, no tolerances.
+Every cell set is a boolean mask over the finest cells of one cube: E_0
+over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
+counts of True cells (times the cell volume), so the measure and partition
+invariants need no tolerances.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, Window
-from .field import LatticeFunction, Weight, dilated_means
+from .dyadic import Cube, Window, ancestors
+from .field import LatticeFunction, Weight, dilated_means, expand_level
 
 
 @dataclass(frozen=True)
@@ -41,25 +42,16 @@ class Decomposition:
     base: Cube
     gamma: float
     factor: float
-    levels: dict = field(default_factory=dict)        # k -> tuple of maximal Cubes
-    exceptional: dict = field(default_factory=dict)   # k -> tuple of cell-index frozensets
-    e0: frozenset = frozenset()                       # cells of Q0 \ D_1
+    levels: dict = field(default_factory=dict)       # k -> cubes Q_j^k in (level, index) order
+    exceptional: dict = field(default_factory=dict)  # k -> one bool mask per Q_j^k, over its cells
+    # E_0 = Q0 \ D_1 as a bool mask over Q0's cells; E_j^k = Q_j^k \ D_{k+1} likewise
+    e0: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     cap_hit: bool = False
-
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else 0
 
     def all_stopping_cubes(self):
         for k in sorted(self.levels):
             for q in self.levels[k]:
                 yield k, q
-
-
-def _cells_of_cube(window: Window, q: Cube) -> frozenset:
-    """Absolute finest-cell index vectors covered by a window cube."""
-    b = 1 << (q.level - window.level_min)
-    ranges = [range(m * b, (m + 1) * b) for m in q.index]
-    return frozenset(itertools.product(*ranges))
 
 
 def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float,
@@ -88,9 +80,12 @@ def _offsets(window: Window, q: Cube) -> tuple[int, ...]:
     return tuple(m - a for m, a in zip(q.index, window.index_lo(q.level)))
 
 
-def _maximal_cubes(tables: dict, window: Window, q0: Cube, threshold: float) -> list[Cube]:
-    """Cubes inside q0 whose functional exceeds threshold and no ancestor's does."""
-    out: list[Cube] = []
+def _maximal_cubes(tables: dict, window: Window, q0: Cube,
+                   threshold: float) -> tuple[list[Cube], np.ndarray]:
+    """Cubes inside q0 whose functional exceeds threshold and no ancestor's does,
+    in (level, index) order, and the cell mask of their union D_k."""
+    per_level: list[list[Cube]] = []
+    union = np.zeros(window.shape, dtype=bool)
     open_ = np.zeros(tables[q0.level].shape, dtype=bool)  # under q0, no stopped ancestor
     open_[_offsets(window, q0)] = True
     for level in range(q0.level, window.level_min - 1, -1):
@@ -98,49 +93,45 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube, threshold: float) -> 
             for axis in range(window.dim):
                 open_ = np.repeat(open_, 2, axis=axis)
         hit = open_ & (tables[level] > threshold)
-        lo = window.index_lo(level)
-        out.extend(Cube(level, tuple(int(i) + a for i, a in zip(at, lo)))
-                   for at in np.argwhere(hit))
+        if hit.any():
+            lo = window.index_lo(level)
+            per_level.append([Cube(level, tuple(int(i) + a for i, a in zip(at, lo)))
+                              for at in np.argwhere(hit)])
+            union |= expand_level(hit, window, level)
         open_ &= ~hit
         if not open_.any():
             break
-    return out
+    return [q for cubes in reversed(per_level) for q in cubes], union
 
 
 def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decomposition:
     if not window.contains_cube(q0):
         raise ValueError(f"base cube {q0} not inside window")
     gamma = _table_value(tables, window, q0)
-    if gamma == 0.0:
-        return Decomposition(base=q0, gamma=0.0, factor=factor,
-                             e0=_cells_of_cube(window, q0))
-
     span = max(1, window.level_max - window.level_min)
     cap = span * 64
     levels: dict[int, tuple[Cube, ...]] = {}
-    cells_by_level: dict[int, frozenset] = {}
+    d_cells: dict[int, np.ndarray] = {}  # k -> cell mask of D_k
     cap_hit = False
     k = 1
-    while True:
-        cubes = _maximal_cubes(tables, window, q0, gamma * factor ** k)
+    while gamma != 0.0:  # gamma = 0 leaves the trivial forest, E_0 = Q0
+        cubes, d_cells[k] = _maximal_cubes(tables, window, q0, gamma * factor ** k)
         if not cubes:
             break
-        cubes.sort(key=lambda q: (q.level, q.index))
         levels[k] = tuple(cubes)
-        cells_by_level[k] = frozenset().union(*(_cells_of_cube(window, q) for q in cubes))
         if k >= cap:
             cap_hit = True
             break
         k += 1
 
-    q0_cells = _cells_of_cube(window, q0)
-    e0 = q0_cells - cells_by_level.get(1, frozenset())
-    exceptional: dict[int, tuple] = {}
-    for k, cubes in levels.items():
-        nxt = cells_by_level.get(k + 1, frozenset())
-        exceptional[k] = tuple(_cells_of_cube(window, q) - nxt for q in cubes)
+    empty = np.zeros(window.shape, dtype=bool)
+
+    def outside(q: Cube, k: int) -> np.ndarray:
+        return ~d_cells.get(k, empty)[window.cell_offsets_of_cube(q)]
+
+    exceptional = {k: tuple(outside(q, k + 1) for q in cubes) for k, cubes in levels.items()}
     return Decomposition(base=q0, gamma=gamma, factor=factor, levels=levels,
-                         exceptional=exceptional, e0=e0, cap_hit=cap_hit)
+                         exceptional=exceptional, e0=outside(q0, 1), cap_hit=cap_hit)
 
 
 def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
@@ -186,19 +177,22 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     upper = 2.0 ** (n * (1.0 / t1 + 1.0 / t2))
     span = 1 << (d.base.level - window.level_min)
     base_cells = span ** n
+    e0_cells = int(d.e0.sum())
 
     if d.gamma == 0.0:
         if d.levels:
             bad.append("trivial decomposition has stopping levels")
-        if len(d.e0) != base_cells:
+        if e0_cells != base_cells:
             bad.append("trivial decomposition must have E0 = Q0")
         return bad
 
     seen: set = set()
-    covered = set(d.e0)
+    base = window.cell_offsets_of_cube(d.base)
+    covered = np.zeros(window.shape, dtype=bool)
+    covered[base] = d.e0
     for k, cubes in d.levels.items():
         threshold = d.gamma * d.factor ** k
-        for q, e_cells in zip(cubes, d.exceptional[k]):
+        for q, e in zip(cubes, d.exceptional[k]):
             val = _table_value(tables, f.window, q)
             if not val > threshold:
                 bad.append(f"sandwich lower: level {k} cube {q} value {val} <= {threshold}")
@@ -206,32 +200,28 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
                 bad.append(f"sandwich upper: level {k} cube {q} value {val} > "
                            f"{upper * threshold}")
             q_cells = 1 << ((q.level - window.level_min) * n)
-            if q_cells > 2 * len(e_cells):
+            e_cells = int(e.sum())
+            if q_cells > 2 * e_cells:
                 bad.append(f"measure: level {k} cube {q} has |Q|={q_cells} cells "
-                           f"> 2|E|={2 * len(e_cells)}")
-            if e_cells & covered:
+                           f"> 2|E|={2 * e_cells}")
+            slq = window.cell_offsets_of_cube(q)
+            if (covered[slq] & e).any():
                 bad.append(f"partition: E-cells of level {k} cube {q} overlap earlier sets")
-            covered |= e_cells
-            for anc in _strict_ancestors_within(q, d.base):
+            covered[slq] |= e
+            for anc in ancestors(q, window)[:d.base.level - q.level]:
                 if _table_value(tables, f.window, anc) > threshold:
                     bad.append(f"maximality: ancestor {anc} of level {k} cube {q} "
                                f"crosses the level-{k} threshold")
             if (k, q) in seen:
                 bad.append(f"duplicate stopping cube {q} at level {k}")
             seen.add((k, q))
-    if covered != _cells_of_cube(window, d.base):
+    q0_cells = np.zeros(window.shape, dtype=bool)
+    q0_cells[base] = True
+    if not np.array_equal(covered, q0_cells):
         bad.append("partition: E0 and the E_j^k do not tile Q0")
-    if base_cells > 2 * len(d.e0):
-        bad.append(f"measure: |Q0|={base_cells} cells > 2|E0|={2 * len(d.e0)}")
+    if base_cells > 2 * e0_cells:
+        bad.append(f"measure: |Q0|={base_cells} cells > 2|E0|={2 * e0_cells}")
     return bad
-
-
-def _strict_ancestors_within(q: Cube, base: Cube):
-    from .dyadic import parent
-    cur = q
-    while cur.level < base.level:
-        cur = parent(cur)
-        yield cur
 
 
 def decomposition_to_json(d: Decomposition, window: Window) -> dict:
@@ -240,14 +230,18 @@ def decomposition_to_json(d: Decomposition, window: Window) -> dict:
     Each cube entry carries its own exceptional cells; e_cells at the top
     level is E_0.
     """
+    def cell_list(mask: np.ndarray, q: Cube) -> list:
+        first = np.array(q.index) << (q.level - window.level_min)
+        return (np.argwhere(mask) + first).tolist()
+
     levels = []
     for k in sorted(d.levels):
         cubes = []
-        for q, cells in zip(d.levels[k], d.exceptional[k]):
+        for q, e in zip(d.levels[k], d.exceptional[k]):
             cubes.append({
                 "level": q.level,
                 "index": list(q.index),
-                "e_cells": sorted(list(c) for c in cells),
+                "e_cells": cell_list(e, q),
             })
         levels.append({"k": k, "cubes": cubes})
     return {
@@ -255,7 +249,7 @@ def decomposition_to_json(d: Decomposition, window: Window) -> dict:
         "factor": d.factor,
         "base": {"level": d.base.level, "index": list(d.base.index)},
         "levels": levels,
-        "e_cells": sorted(list(c) for c in d.e0),
+        "e_cells": cell_list(d.e0, d.base),
         "cap_hit": d.cap_hit,
         "window": {
             "dim": window.dim,

@@ -102,11 +102,6 @@ class LatticeFunction:
     def __abs__(self):
         return LatticeFunction(self.window, np.abs(self.values))
 
-    def value_at(self, x: Sequence[float]) -> float:
-        idx = self.window.cell_index_of_point(x)
-        lo = self.window.cell_index_lo
-        return float(self.values[tuple(m - a for m, a in zip(idx, lo))])
-
 
 class Weight(LatticeFunction):
     """Strictly positive lattice function.
@@ -118,9 +113,6 @@ class Weight(LatticeFunction):
         super().__init__(window, values)
         if not np.all(self.values > 0):
             raise ValueError("weight values must be strictly positive")
-
-    def pow(self, e: float) -> "Weight":
-        return Weight(self.window, self.values ** float(e))
 
     def __mul__(self, other):
         out = super().__mul__(other)

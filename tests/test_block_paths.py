@@ -10,6 +10,7 @@ functional and stack walk the decompositions used before they were
 rebuilt on per-level tables.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from morreylab.czd import (
     _functional_tables,
     cz_decompose,
     cz_decompose_alpha,
+    decomposition_to_json,
     verify_decomposition,
 )
 from morreylab.dyadic import Cube, Window, ancestors, children, cube_box, dilate3, nested_pairs
@@ -303,3 +305,50 @@ def test_forests_match_stack_walk(window, q0, trials):
             assert verify_decomposition(d, f, g, window, t1, t2, alpha=alpha) == []
             nonempty += bool(d.levels)
     assert nonempty
+
+
+# -- czd: exceptional cell sets as frozensets of index tuples, the oracle of the masks -----
+
+
+def _oracle_cells_of_cube(window: Window, q: Cube) -> frozenset:
+    b = 1 << (q.level - window.level_min)
+    return frozenset(itertools.product(*(range(m * b, (m + 1) * b) for m in q.index)))
+
+
+def _assert_json_cells_match_frozensets(d, window: Window):
+    """E_0 and every E_j^k of the JSON view against frozenset differences of the cubes."""
+    by_level = {k: frozenset().union(*(_oracle_cells_of_cube(window, q) for q in cubes))
+                for k, cubes in d.levels.items()}
+    e0 = _oracle_cells_of_cube(window, d.base) - by_level.get(1, frozenset())
+    levels = [[sorted(list(c) for c in _oracle_cells_of_cube(window, q)
+                      - by_level.get(k + 1, frozenset()))
+               for q in d.levels[k]]
+              for k in sorted(d.levels)]
+    view = decomposition_to_json(d, window)
+    assert view["e_cells"] == sorted(list(c) for c in e0)
+    assert [[c["e_cells"] for c in lv["cubes"]] for lv in view["levels"]] == levels
+
+
+@pytest.mark.parametrize("window,q0,trials", _FOREST_CASES, ids=repr)
+def test_exceptional_masks_match_frozenset_cells(window, q0, trials):
+    zero = LatticeFunction(window, np.zeros(window.shape))
+    for seed in range(trials):
+        f, g = _co_spiked(window, q0, 80 + seed, spikes=1 + seed)
+        for d in (cz_decompose(f, g, q0, 2.0, 2.0),
+                  cz_decompose_alpha(f, g, q0, 1.5, 3.0, 0.2),
+                  cz_decompose(zero, g, q0, 2.0, 2.0)):
+            _assert_json_cells_match_frozensets(d, window)
+
+
+def test_mixed_level_forest_matches_oracles():
+    # Two unequal spikes stop at different dyadic levels for the same k.
+    window, q0 = Window(1, -12, 0), Cube(-1, (0,))
+    vals = np.full(window.shape, 0.01)
+    vals[window.n_cells // 2 + 100] = 1e4
+    vals[window.n_cells // 2 + 1500] = 3e3
+    f = LatticeFunction(window, vals)
+    d = cz_decompose(f, f, q0, 2.0, 2.0)
+    assert len({q.level for q in d.levels[1]}) == 2
+    assert d.levels == _oracle_levels(_oracle_functional(f, f, 2.0, 2.0), window, q0, d.factor)
+    _assert_json_cells_match_frozensets(d, window)
+    assert verify_decomposition(d, f, f, window, 2.0, 2.0) == []

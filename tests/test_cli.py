@@ -117,6 +117,19 @@ weight_w2 = pow:0.1
     assert_close(printed, expect)
 
 
+def test_weight_const_missing_key_is_validation_failure(tmp_path, capsys):
+    cfg = _write(tmp_path, "wc.cfg", """
+experiment = T28
+dim = 1
+level_min = -2
+level_max = 0
+q2 = 4
+p = 2.2
+""")
+    assert cli.main(["weight-const", "C29", cfg]) == 2
+    assert "'q1'" in capsys.readouterr().err
+
+
 def test_decompose_subcommand(tmp_path):
     cfg = _write(tmp_path, "dec.cfg", """
 experiment = CZ_INV

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from morreylab.czd import (
     necessity_pair,
     verify_decomposition,
 )
-from morreylab.dyadic import Cube, Window
+from morreylab.dyadic import Cube, Window, children
 from morreylab.exponents import build
 from morreylab.field import LatticeFunction, Weight
 from morreylab.maximal import m_alpha_r
@@ -39,7 +40,7 @@ def test_constant_inputs_give_no_stopping_cubes():
     assert_close(d.gamma, 1.0)
     assert_close(d.factor, 72.0)  # (4 * 18)^(1/2 + 1/2) in dimension 1
     assert d.levels == {}
-    assert len(d.e0) == 16  # all cells of Q0
+    assert int(d.e0.sum()) == 16  # all cells of Q0
     assert verify_decomposition(d, one, one, w, 2.0, 2.0) == []
 
 
@@ -49,7 +50,7 @@ def test_zero_input_trivial_decomposition():
     one = LatticeFunction.constant(w, 1.0)
     d = cz_decompose(zero, one, Cube(-1, (0,)), 2.0, 2.0)
     assert d.gamma == 0.0 and d.levels == {}
-    assert len(d.e0) == 8
+    assert int(d.e0.sum()) == 8
 
 
 def test_spike_produces_one_level_with_invariants():
@@ -77,6 +78,52 @@ def test_two_level_forest_on_deep_window():
         assert any(q1.contains_cube(q2) for q1 in d.levels[1])
 
 
+def _two_level_forest():
+    """The two-level forest of test_two_level_forest_on_deep_window, for tampering."""
+    w = Window(1, -14, 0)
+    vals = np.full(w.shape, 0.01)
+    vals[w.n_cells // 2 + 1234] = 1e6
+    f = LatticeFunction(w, vals)
+    d = cz_decompose(f, f, Cube(-1, (0,)), 2.0, 2.0)
+    assert sorted(d.levels) == [1, 2]
+    return w, f, d
+
+
+def _violations(d, w, f) -> list[str]:
+    return verify_decomposition(d, f, f, w, 2.0, 2.0)
+
+
+def test_verify_reports_untiled_e0():
+    w, f, d = _two_level_forest()
+    assert _violations(d, w, f) == []
+    e0 = d.e0.copy()
+    e0[np.argmax(e0)] = False
+    bad = _violations(dataclasses.replace(d, e0=e0), w, f)
+    assert any("do not tile" in msg for msg in bad), bad
+
+
+def test_verify_reports_overlapping_exceptional_sets():
+    w, f, d = _two_level_forest()
+    j = next(j for j, q1 in enumerate(d.levels[1])
+             if any(q1.contains_cube(q2) for q2 in d.levels[2]))
+    level1 = list(d.exceptional[1])
+    level1[j] = np.ones_like(level1[j])
+    bad = _violations(dataclasses.replace(d, exceptional={**d.exceptional, 1: tuple(level1)}),
+                      w, f)
+    assert any("overlap" in msg for msg in bad), bad
+
+
+def test_verify_reports_non_maximal_cube():
+    w, f, d = _two_level_forest()
+    child = children(d.levels[1][0])[0]
+    cells = 1 << (child.level - w.level_min)
+    tampered = dataclasses.replace(
+        d, levels={**d.levels, 1: d.levels[1] + (child,)},
+        exceptional={**d.exceptional, 1: d.exceptional[1] + (np.zeros(cells, dtype=bool),)})
+    bad = _violations(tampered, w, f)
+    assert any(msg.startswith("maximality") for msg in bad), bad
+
+
 def test_alpha_zero_reduces_to_plain_variant():
     w = Window(1, -8, 0)
     f, g = _co_spiked(w, 5)
@@ -84,7 +131,7 @@ def test_alpha_zero_reduces_to_plain_variant():
     a = cz_decompose(f, g, q0, 2.0, 2.0)
     b = cz_decompose_alpha(f, g, q0, 2.0, 2.0, 0.0)
     assert a.levels == b.levels
-    assert a.e0 == b.e0
+    assert np.array_equal(a.e0, b.e0)
     assert_close(a.gamma, b.gamma)
     assert_close(a.factor, b.factor)
 
@@ -97,7 +144,7 @@ def test_alpha_variant_unit_base_cube():
     d = cz_decompose_alpha(one, one, q0, 2.0, 2.0, 0.7)
     assert_close(d.gamma, 1.0)
     assert d.levels == {}
-    assert len(d.e0) == 32
+    assert int(d.e0.sum()) == 32
 
 
 def test_alpha_variant_invariants_on_spiky_inputs():
