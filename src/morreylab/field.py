@@ -15,6 +15,14 @@ the origin cell dyadically to a configurable depth (the integrand is singular
 only at the origin, which is always a cell corner).  The uncontrolled error
 of the midpoint leaves is O(2^(-depth*(gamma+n))) for the origin cell; the
 value is reported, not assumed, by the accuracy tests.
+
+The rule is defined by a per-box corner recursion, but it runs as arrays:
+every cell that misses the origin takes a fixed-depth tensor midpoint rule,
+evaluated for the whole window in one pass (_midpoint_rule), and only the
+chain of sub-boxes touching the origin recurses (_avg_abs_power_box), one
+array call per level.  Both repeat the recursion's floating-point operations
+in its order, so the cell values are bit-identical to it by construction;
+tests/test_quadrature.py keeps the recursion as the oracle.
 """
 
 from __future__ import annotations
@@ -267,52 +275,158 @@ def _integral_abs_power_1d(a: float, b: float, gamma: float) -> float:
 _REG_DEPTH = 3  # dyadic tensor-midpoint depth for boxes away from the singularity
 
 
-def _avg_abs_power_box(lo: Sequence[float], hi: Sequence[float], gamma: float, depth: int) -> float:
-    """Average of |x|^gamma over the box, corner-refining at the origin.
+def _fold(sub: Callable[[tuple[int, ...]], np.ndarray], n: int) -> np.ndarray:
+    """Average sub-box values into their parent boxes.
 
-    n = 1 uses the closed-form antiderivative (exact).  n >= 2 splits the box
-    dyadically: the chain of sub-boxes touching the origin keeps the full
-    depth budget, the rest are capped at _REG_DEPTH, and exhausted budgets
-    fall back to the midpoint value.  The uncontrolled remainder sits in the
-    innermost corner box of volume 2^(-n*depth) times the cell.
+    sub(corner) gives the values of the sub-boxes at one corner (0 or 1 per
+    axis).  The 2^n corners are added in itertools.product order starting
+    from 0.0, then divided by 2^n, as the per-box recursion adds them.
+    """
+    total = 0.0
+    for corner in itertools.product((0, 1), repeat=n):
+        total += sub(corner)  # a new array on the first corner, in place after it
+    total /= 2 ** n
+    return total
+
+
+def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
+    """_fold on a grid whose boxes were each halved along every axis."""
+    blocked = vals.reshape(tuple(x for c in vals.shape for x in (c // 2, 2)))
+    return _fold(lambda corner: blocked[tuple(x for bit in corner for x in (slice(None), bit))], n)
+
+
+def _powers(coords: Sequence[np.ndarray], gamma: float) -> np.ndarray:
+    """|c|^gamma on the grid of the per-axis coordinates, |c|^2 added in axis order.
+
+    The power is Python's float pow (C pow), one row of Python floats at a
+    time: np.power is not bit-equal to C pow on every platform (it is not
+    with AVX-512), and the per-box recursion uses C pow.
+    """
+    n = len(coords)
+    r = 0.0
+    for axis, c in enumerate(coords):
+        c = c.reshape((1,) * axis + (-1,) + (1,) * (n - 1 - axis))
+        r = r + c * c
+    np.sqrt(r, out=r)
+    return np.fromiter((x ** gamma for row in r.reshape(len(r), -1) for x in row.tolist()),
+                       float, r.size).reshape(r.shape)
+
+
+def _distinct_abs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |c| in order of appearance, and the position of each |c| among them.
+
+    np.unique would do the same in sorted order, but its sort pulls in code
+    that adds about 0.3 MB to the resident size of a run; the axes are short.
+    """
+    index: dict[float, int] = {}
+    positions = [index.setdefault(abs(v), len(index)) for v in c.tolist()]
+    return np.array(list(index)), np.array(positions)
+
+
+def _midpoint_rule(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
+                   depth: int) -> np.ndarray:
+    """Dyadic tensor midpoint rule for |x|^gamma on a grid of boxes.
+
+    Axis i of the grid has the box edges lo[i], hi[i]; the result holds one
+    average per box, in grid order.  The arithmetic is that of the per-box
+    recursion, operation for operation, so the values are bit-identical to
+    it: each box is halved depth times along each axis by (a + b) / 2.0, at
+    every leaf midpoint c the value is sqrt(c_0^2 + ... + c_{n-1}^2)^gamma
+    with the squares added in axis order, and _fold averages the levels back.
+    (The recursion adds the squares with sum(), which CPython 3.12 made
+    compensated; that can move the last bit of a 3-D leaf, never a 2-D one.)
+    Since c^2 = |c|^2 exactly, the powers are taken once per distinct tuple
+    of per-axis |c| (a quarter of the leaves of a 2-D window centred at the
+    origin), and the first fold gathers its corners from them, so no array
+    holds every leaf.  A leaf midpoint at the origin would raise
+    ZeroDivisionError for gamma < 0; the origin is a corner of every box the
+    callers pass, so no leaf midpoint is.
     """
     n = len(lo)
-    if n == 1:
-        return _integral_abs_power_1d(lo[0], hi[0], gamma) / (hi[0] - lo[0])
-    touches_origin = all(a <= 0.0 <= b for a, b in zip(lo, hi))
-    if touches_origin and gamma <= -n:
+    distinct, inverse = [], []
+    for a, b in zip(lo, hi):
+        a = np.asarray(a, dtype=float).reshape(-1, 1)
+        b = np.asarray(b, dtype=float).reshape(-1, 1)
+        for _ in range(depth):  # leaf index = box * 2^depth + halving bits, first halving highest
+            m = (a + b) / 2.0
+            a, b = np.stack((a, m), -1).reshape(len(a), -1), np.stack((m, b), -1).reshape(len(b), -1)
+        u, inv = _distinct_abs(((a + b) / 2.0).ravel())
+        distinct.append(u)
+        inverse.append(inv)
+    powers = _powers(distinct, gamma)
+    if depth <= 0:
+        return powers[np.ix_(*inverse)]
+    vals = _fold(lambda corner: powers[np.ix_(*(inv[bit::2] for inv, bit in zip(inverse, corner)))], n)
+    for _ in range(depth - 1):
+        vals = _fold_halves(vals, n)
+    return vals
+
+
+def _touching(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]]) -> list[list[int]]:
+    """Per axis of a grid of boxes, the positions of the edges [a, b] with a <= 0 <= b."""
+    return [[k for k, (a, b) in enumerate(zip(al, ah)) if a <= 0.0 <= b] for al, ah in zip(lo, hi)]
+
+
+def _select(lo, hi, positions):
+    """The sub-grid of the boxes at the given per-axis positions, as its (lo, hi) edges."""
+    return ([[al[k] for k in ks] for al, ks in zip(lo, positions)],
+            [[ah[k] for k in ks] for ah, ks in zip(hi, positions)])
+
+
+def _avg_abs_power_box(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
+                       depth: int) -> np.ndarray:
+    """Averages of |x|^gamma over a grid of boxes that all touch the origin, n >= 2.
+
+    The grid is given as in _midpoint_rule (the cells of a window that touch
+    the origin form one).  Each box is split dyadically: the chain of
+    sub-boxes touching the origin keeps the full depth budget and recurses,
+    the other sub-boxes get _midpoint_rule at depth min(budget, _REG_DEPTH),
+    and an exhausted budget falls back to the midpoint value.  One level of
+    the chain is one _midpoint_rule call on every sub-box of the grid (the
+    values of the touching ones are then replaced) and one _fold.  The
+    uncontrolled remainder sits in the innermost corner box of volume
+    2^(-n*depth) times the box.
+    """
+    n = len(lo)
+    if gamma <= -n:
         raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
     if depth <= 0:
-        center = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-        r = math.sqrt(sum(c * c for c in center))
-        if r == 0.0:
-            raise ValueError("origin-centered box needs positive depth")
-        return r ** gamma
-    total = 0.0
-    mids = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-    for corner in itertools.product((0, 1), repeat=n):
-        slo = tuple(lo[i] if corner[i] == 0 else mids[i] for i in range(n))
-        shi = tuple(mids[i] if corner[i] == 0 else hi[i] for i in range(n))
-        sub_touches = all(a <= 0.0 <= b for a, b in zip(slo, shi))
-        sub_depth = depth - 1 if sub_touches else min(depth - 1, _REG_DEPTH)
-        total += _avg_abs_power_box(slo, shi, gamma, sub_depth)
-    return total / (2 ** n)
+        return _midpoint_rule(lo, hi, gamma, 0)
+    sub_lo, sub_hi = [], []
+    for box_lo, box_hi in zip(lo, hi):
+        mids = [(a + b) / 2.0 for a, b in zip(box_lo, box_hi)]
+        sub_lo.append([x for a, m in zip(box_lo, mids) for x in (a, m)])
+        sub_hi.append([x for m, b in zip(mids, box_hi) for x in (m, b)])
+    vals = _midpoint_rule(sub_lo, sub_hi, gamma, min(depth - 1, _REG_DEPTH))
+    near = _touching(sub_lo, sub_hi)
+    vals[np.ix_(*near)] = _avg_abs_power_box(*_select(sub_lo, sub_hi, near), gamma, depth - 1)
+    return _fold_halves(vals, n)
 
 
 def abs_power_cell_averages(gamma: float, window: Window, depth: int = 12) -> np.ndarray:
-    """Cell-average array of |x|^gamma over every finest cell of the window."""
+    """Cell-average array of |x|^gamma over every finest cell of the window.
+
+    n = 1 uses the closed-form antiderivative (exact), cell by cell.  n >= 2
+    runs _midpoint_rule at depth min(depth, _REG_DEPTH) on the grid of all
+    cells in one array pass, then overwrites the at most 2^n cells that touch
+    the origin with their _avg_abs_power_box recursion at the full depth.
+    The values are bit-identical to a corner recursion run cell by cell.
+    """
     n = window.dim
     if gamma <= -n and window.contains_point((0.0,) * n):
         raise ValueError(f"gamma must be > -n = {-n} when the window touches 0")
     h = window.cell_side
-    lo_idx = window.cell_index_lo
-    vals = np.empty(window.shape)
-    for off in np.ndindex(window.shape):
-        cell_lo = tuple((a + o) * h for a, o in zip(lo_idx, off))
-        cell_hi = tuple(v + h for v in cell_lo)
-        touches = all(a <= 0.0 <= b for a, b in zip(cell_lo, cell_hi))
-        d = depth if touches else (0 if n == 1 else min(depth, _REG_DEPTH))
-        vals[off] = _avg_abs_power_box(cell_lo, cell_hi, gamma, d)
+    lo = [[(a + k) * h for k in range(window.cells_per_axis)] for a in window.cell_index_lo]
+    hi = [[v + h for v in axis] for axis in lo]
+    if n == 1:
+        return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a) for a, b in zip(lo[0], hi[0])])
+    near = _touching(lo, hi)
+    at_origin = None
+    if all(near):
+        at_origin = _avg_abs_power_box(*_select(lo, hi, near), gamma, depth)
+    vals = _midpoint_rule(lo, hi, gamma, min(depth, _REG_DEPTH))
+    if at_origin is not None:
+        vals[np.ix_(*near)] = at_origin
     return vals
 
 

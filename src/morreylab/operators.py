@@ -22,6 +22,7 @@ keeps results deterministic.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,10 @@ import numpy as np
 from .dyadic import Box, Window
 from .field import LatticeFunction, _axis_overlap_weights, _weighted_box_sum, abs_power_cell_averages
 
-_KERNEL_CACHE: dict = {}
+# Least recently used kernels are dropped beyond this many, so a long sweep
+# over alphas or windows holds a bounded number of kernel arrays.
+_KERNEL_CACHE_SIZE = 8
+_KERNEL_CACHE: OrderedDict = OrderedDict()
 
 
 def kernel_cell_averages(alpha: float, window: Window, depth: int = 12) -> np.ndarray:
@@ -40,6 +44,10 @@ def kernel_cell_averages(alpha: float, window: Window, depth: int = 12) -> np.nd
         hit = abs_power_cell_averages(alpha - window.dim, window, depth)
         hit.setflags(write=False)
         _KERNEL_CACHE[key] = hit
+        if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
+            _KERNEL_CACHE.popitem(last=False)
+    else:
+        _KERNEL_CACHE.move_to_end(key)
     return hit
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +150,14 @@ seed = 12
     assert cli.main(["decompose", cfg, "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert {"gamma", "factor", "levels", "e_cells"} <= set(doc)
+
+
+def test_python_dash_m_runs_a_shipped_config(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "t27"
+    proc = subprocess.run([sys.executable, "-m", "morreylab", "run",
+                           str(root / "configs" / "t27_weak_type.cfg"), "--out", str(out)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.with_suffix(".json").read_text())["experiment"] == "T27_necessity"

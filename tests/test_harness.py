@@ -152,6 +152,18 @@ def test_bh_domination_experiment_tight():
     assert all(r["lhs"] <= 1e-12 for r in rep.rows)
 
 
+def test_bh_domination_tolerance_is_relative():
+    # Trial 0 of seed 18 has a spike: BH exceeds the centered maximal operator
+    # by 1.5e-10 in absolute terms, which is 7.7e-16 of the values compared.
+    pairs = [
+        ("experiment", "BH_DOM"), ("dim", "1"), ("level_min", "-3"),
+        ("level_max", "0"), ("trials", "1"), ("seed", "18"),
+    ]
+    rep = run_experiment(config_from_pairs(pairs))
+    assert rep.summary["invariant_violations"] == 0
+    assert 0.0 < rep.rows[0]["lhs"] <= 1e-15
+
+
 def test_cz_experiment_counts_violations():
     pairs = [
         ("experiment", "CZ_INV"), ("dim", "1"), ("level_min", "-5"), ("level_max", "0"),

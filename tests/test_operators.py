@@ -1,8 +1,10 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from morreylab import operators
 from morreylab.dyadic import Box, Window
 from morreylab.field import LatticeFunction
 from morreylab.maximal import m_alpha_r
@@ -233,3 +235,21 @@ def test_kernel_cache_reuse(sym_window):
     k2 = kernel_cell_averages(0.5, sym_window)
     assert k1 is k2
     assert not k1.flags.writeable
+
+
+def test_kernel_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(operators, "_KERNEL_CACHE", OrderedDict())
+    size = operators._KERNEL_CACHE_SIZE
+    win = Window(2, -2, 0)
+    first = kernel_cell_averages(0.5, win)
+    first_values = first.copy()
+    kept = kernel_cell_averages(0.25, win)
+    for i in range(2 * size):
+        kernel_cell_averages(0.5 + 0.01 * (i + 1), win, depth=4)
+        assert kernel_cell_averages(0.25, win) is kept  # used every time: never evicted
+        assert len(operators._KERNEL_CACHE) <= size
+    assert len(operators._KERNEL_CACHE) == size
+    again = kernel_cell_averages(0.5, win)
+    assert again is not first  # evicted, so recomputed
+    assert np.array_equal(again, first_values)
+    assert kernel_cell_averages(0.5, win) is again
