@@ -4,12 +4,12 @@ The package discretizes the standard dyadic grid of R^n to a finite window of
 levels, represents functions as piecewise constants on the finest cells, and
 provides:
 
-* bilinear/multilinear fractional integral operators and their iterated
-  commutators with BMO symbols, by singularity-aware quadrature;
+* the bilinear fractional integral operator and its iterated commutators
+  with BMO symbols, by singularity-aware quadrature;
 * dyadic and centered bilinear maximal operators, including weighted
   auxiliary variants;
-* Morrey norms, a weak-type functional, Muckenhoupt/reverse-Holder machinery,
-  and the full family of multi-weight constants used by two-weight bounds;
+* Morrey norms, a weak-type functional, Muckenhoupt constants, and the full
+  family of multi-weight constants used by two-weight bounds;
 * constructive stopping-time (Calderon-Zygmund) decompositions;
 * a CLI harness (`morreylab`) that estimates best constants of the weighted
   inequalities over seeded random inputs and emits CSV/JSON reports.
@@ -24,7 +24,6 @@ from .dyadic import (
     ancestors,
     children,
     cube_box,
-    cubes_containing,
     dilate3,
     nested_pairs,
     parent,
@@ -32,13 +31,8 @@ from .dyadic import (
 from .errors import InvariantViolation, MorreyLabError, ValidationError
 from .exponents import (
     ExponentSet,
-    Infeasible,
-    ThetaWitness,
-    VarthetaWitness,
     build,
-    check_witness,
     default_holder_pair,
-    feasible_auxiliary_indices,
     solve_st,
     validate,
 )
@@ -47,22 +41,19 @@ from .field import (
     Weight,
     bmo_norm,
     cell_average,
-    cube_average,
     from_csv,
-    lambda_avg,
     oscillation_ratio,
     power_avg,
     power_weight,
     to_csv,
 )
-from .maximal import m_alpha_r, m_joint_weighted, m_theta
+from .maximal import m_alpha_r, m_joint_weighted
 from .operators import (
     CommutatorSpec,
     bh_maximal,
     bilinear_fractional,
     bt_alpha,
     commutator_iterated,
-    multilinear_fractional,
 )
 from .czd import (
     Decomposition,
@@ -77,7 +68,6 @@ from .weights_norms import (
     ap_constant,
     lemma39_check,
     morrey_norm,
-    rh_constant,
     rhs_bilinear_morrey,
     two_weight_constant,
     weak_morrey_functional,
@@ -87,23 +77,18 @@ from .harness import ExperimentConfig, Report, emit_report, parse_config, run_ex
 from ._version import __version__  # noqa: E402
 
 __all__ = [
-    "check_witness",
     "build",
-    "VarthetaWitness",
-    "ThetaWitness",
     "verify_decomposition",
     "decomposition_to_json",
     "to_csv",
     "oscillation_ratio",
     "from_csv",
-    "cube_average",
     "Box",
     "CommutatorSpec",
     "Cube",
     "Decomposition",
     "ExperimentConfig",
     "ExponentSet",
-    "Infeasible",
     "InvariantViolation",
     "LatticeFunction",
     "MorreyLabError",
@@ -122,27 +107,21 @@ __all__ = [
     "children",
     "commutator_iterated",
     "cube_box",
-    "cubes_containing",
     "cz_decompose",
     "cz_decompose_alpha",
     "default_holder_pair",
     "dilate3",
     "emit_report",
-    "feasible_auxiliary_indices",
-    "lambda_avg",
     "lemma39_check",
     "m_alpha_r",
     "m_joint_weighted",
-    "m_theta",
     "morrey_norm",
-    "multilinear_fractional",
     "necessity_pair",
     "nested_pairs",
     "parent",
     "parse_config",
     "power_avg",
     "power_weight",
-    "rh_constant",
     "rhs_bilinear_morrey",
     "run_experiment",
     "solve_st",

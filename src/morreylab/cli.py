@@ -18,6 +18,7 @@ from .czd import cz_decompose, cz_decompose_alpha, decomposition_to_json
 from .errors import ValidationError
 from .field import from_csv
 from .harness import (
+    ExperimentConfig,
     _exponent_set,
     _make_weight,
     _pair_at,

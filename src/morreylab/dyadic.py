@@ -278,24 +278,6 @@ def dilate3(q: Cube) -> Box:
     return Box(lo, hi)
 
 
-def cubes_containing(x: Sequence[float], window: Window) -> list[Cube]:
-    """One window cube per level containing x, finest first (nested chain)."""
-    if not window.contains_point(x):
-        raise ValueError(f"point {tuple(x)} outside window box")
-    out = []
-    for level in window.levels():
-        s = 2.0 ** level
-        lo = window.index_lo(level)
-        cnt = window.index_count(level)
-        idx = []
-        for xi, a in zip(x, lo):
-            m = int(xi // s)
-            m = min(max(m, a), a + cnt - 1)
-            idx.append(m)
-        out.append(Cube(level, tuple(idx)))
-    return out
-
-
 def nested_pairs(window: Window) -> Iterator[tuple[Cube, Cube]]:
     """Every pair (Q, Q') with Q a window cube and Q' an ancestor or Q itself.
 

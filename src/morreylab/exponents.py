@@ -13,18 +13,13 @@ Regimes:
   SW   power-weight (Stein-Weiss type) inequality
 
 r = inf is the admissible sentinel everywhere; 1/r evaluates to 0.
-
-feasible_auxiliary_indices picks the auxiliary Holder exponents the t <= 1
-and t > 1 bounding routes thread through their maximal operators.  Only
-existence matters, so the search is deterministic midpoint selection on each
-feasible interval, and an Infeasible result names the first empty interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 INF = math.inf
 _TOL = 1e-12
@@ -210,218 +205,3 @@ def validate(e: ExponentSet) -> list[str]:
              f"r>n/(n-alpha) (r={e.r}, n/(n-alpha)={e.n / (e.n - e.alpha)})")
     return v
 
-
-# -- auxiliary index selection ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThetaWitness:
-    """Auxiliary indices for the t <= 1 bounding route."""
-
-    theta1: float
-    theta2: float
-    theta3: float
-    theta4: float
-    theta5: float
-    a_star: float
-
-
-@dataclass(frozen=True)
-class VarthetaWitness:
-    """Auxiliary indices for the t > 1 bounding route."""
-
-    vartheta1: float
-    vartheta2: float
-    vartheta3: float
-    vartheta4: float
-    vartheta5: float
-    a_star: float
-    big_l: float
-    e: float
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """Named empty interval found during auxiliary-index selection."""
-
-    interval: str
-    lo: float
-    hi: float
-
-    def __str__(self) -> str:
-        return f"infeasible: {self.interval} interval ({self.lo}, {self.hi}] is empty"
-
-
-Witness = Union[ThetaWitness, VarthetaWitness]
-
-
-def _midpoint(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
-
-def feasible_auxiliary_indices(e: ExponentSet) -> Union[Witness, Infeasible]:
-    """Deterministic witness for the auxiliary-index constraints of the regime.
-
-    T21 returns a ThetaWitness, T22 a VarthetaWitness.  Each index is the
-    midpoint of its feasible interval, derived in closed form from the
-    conjugate-exponent inequalities the bounding routes need:
-
-        x * conjugate(Q / (c * x)) <= conjugate(Q / a)   iff   x <= Q / (Q - a + c)
-
-    (Q the relevant q_i, c the inner multiplier).  The search never
-    optimizes; only existence is needed.
-    """
-    if e.regime == "T21":
-        a = e.a if e.a is not None else 0.0
-        if not a > 1.0:
-            return Infeasible("theta3 in (1, a]", 1.0, a)
-        if not (a < min(e.q1, e.q2)):
-            return Infeasible("a in (1, min(q1,q2))", 1.0, min(e.q1, e.q2))
-        theta3 = _midpoint(1.0, a)
-        a_star = _midpoint(1.0, a)
-        ub1 = e.q1 / (e.q1 - a + a_star)
-        ub2 = e.q2 / (e.q2 - a + a_star)
-        if ub1 <= 1.0:
-            return Infeasible("theta1 in (1, q1/(q1-a+a*)]", 1.0, ub1)
-        if ub2 <= 1.0:
-            return Infeasible("theta2 in (1, q2/(q2-a+a*)]", 1.0, ub2)
-        ub4 = e.q1 / (e.q1 - a + 1.0)
-        ub5 = e.q2 / (e.q2 - a + 1.0)
-        if ub4 <= 1.0:
-            return Infeasible("theta4 in (1, q1/(q1-a+1)]", 1.0, ub4)
-        if ub5 <= 1.0:
-            return Infeasible("theta5 in (1, q2/(q2-a+1)]", 1.0, ub5)
-        return ThetaWitness(
-            theta1=_midpoint(1.0, ub1),
-            theta2=_midpoint(1.0, ub2),
-            theta3=theta3,
-            theta4=_midpoint(1.0, ub4),
-            theta5=_midpoint(1.0, ub5),
-            a_star=a_star,
-        )
-
-    if e.regime == "T22":
-        a = e.a if e.a is not None else 0.0
-        if not a > 1.0:
-            return Infeasible("L in (1, a]", 1.0, a)
-        if not 1.0 < e.t:
-            return Infeasible("t in (1, r)", 1.0, e.r)
-        if not e.t < e.r:
-            return Infeasible("e in (t, r)", e.t, e.r)
-        big_l = _midpoint(1.0, a)
-        e_hi = min(e.r, big_l * e.t)
-        if e_hi <= e.t:
-            return Infeasible("e in (t, min(r, L*t))", e.t, e_hi)
-        ee = _midpoint(e.t, e_hi) if e_hi != INF else e.t * (1.0 + big_l) / 2.0
-        th3_hi = min(big_l * e.t / ee, conjugate(e.t) / conjugate(ee), a)
-        if th3_hi <= 1.0:
-            return Infeasible("vartheta3 in (1, min(Lt/e, t'/e', a))", 1.0, th3_hi)
-        vartheta3 = _midpoint(1.0, th3_hi)
-        # a_* must leave room for r_i-inflated indices: a_* < a - q_i/r_i'
-        if e.r1 is None or e.r2 is None:
-            return Infeasible("a_star (r_i missing)", 0.0, 0.0)
-        astar_hi = min(a, a - e.q1 / conjugate(e.r1), a - e.q2 / conjugate(e.r2))
-        if astar_hi <= 1.0:
-            return Infeasible("a_star in (1, min(a, a - q_i/r_i'))", 1.0, astar_hi)
-        a_star = _midpoint(1.0, astar_hi)
-        out = []
-        for name, ri, qi, cmult in (
-            ("vartheta1*r1", e.r1, e.q1, a_star),
-            ("vartheta2*r2", e.r2, e.q2, a_star),
-            ("vartheta4*r1", e.r1, e.q1, 1.0),
-            ("vartheta5*r2", e.r2, e.q2, 1.0),
-        ):
-            if ri is None:
-                return Infeasible(f"{name} (r_i missing)", 0.0, 0.0)
-            hi = qi / (qi - a + cmult)
-            if hi <= ri:
-                return Infeasible(f"{name} in (r_i, q_i/(q_i-a+{cmult})]", ri, hi)
-            out.append(_midpoint(ri, hi) / ri)
-        return VarthetaWitness(
-            vartheta1=out[0],
-            vartheta2=out[1],
-            vartheta3=vartheta3,
-            vartheta4=out[2],
-            vartheta5=out[3],
-            a_star=a_star,
-            big_l=big_l,
-            e=ee,
-        )
-
-    raise ValueError(f"auxiliary indices are defined only for T21/T22, not {e.regime}")
-
-
-def check_witness(e: ExponentSet, w: Witness) -> list[str]:
-    """Independently recheck every inequality a witness must satisfy."""
-    v: list[str] = []
-
-    def need(ok: bool, msg: str):
-        if not ok:
-            v.append(msg)
-
-    a = e.a
-    if isinstance(w, ThetaWitness):
-        need(1 < w.theta1 < e.q1, f"theta1 in (1,q1) ({w.theta1})")
-        need(1 < w.theta2 < e.q2, f"theta2 in (1,q2) ({w.theta2})")
-        need(1 < w.theta4 < e.q1, f"theta4 in (1,q1) ({w.theta4})")
-        need(1 < w.theta5 < e.q2, f"theta5 in (1,q2) ({w.theta5})")
-        need(w.theta3 > 1, f"theta3>1 ({w.theta3})")
-        need(w.a_star > 1, f"a*>1 ({w.a_star})")
-        need(w.a_star * w.theta1 < e.q1, f"a**theta1<q1 ({w.a_star * w.theta1})")
-        need(w.a_star * w.theta2 < e.q2, f"a**theta2<q2 ({w.a_star * w.theta2})")
-        terms = {
-            "theta3": w.theta3,
-            "q1-term(a*)": e.q1 / conjugate(w.theta1 * conjugate(e.q1 / (w.a_star * w.theta1))),
-            "q2-term(a*)": e.q2 / conjugate(w.theta2 * conjugate(e.q2 / (w.a_star * w.theta2))),
-            "q1-term": e.q1 / conjugate(w.theta4 * conjugate(e.q1 / w.theta4)),
-            "q2-term": e.q2 / conjugate(w.theta5 * conjugate(e.q2 / w.theta5)),
-        }
-        for name, val in terms.items():
-            need(a is not None and a >= val - _TOL, f"a>={name} (a={a}, {name}={val})")
-        # the conjugate-domination bounds the routes consume
-        need(w.theta1 * conjugate(e.q1 / (w.a_star * w.theta1)) <= conjugate(e.q1 / a) + _TOL,
-             "theta1*(q1/(a* theta1))' <= (q1/a)'")
-        need(w.theta4 * conjugate(e.q1 / w.theta4) <= conjugate(e.q1 / a) + _TOL,
-             "theta4*(q1/theta4)' <= (q1/a)'")
-        need(w.theta2 * conjugate(e.q2 / (w.a_star * w.theta2)) <= conjugate(e.q2 / a) + _TOL,
-             "theta2*(q2/(a* theta2))' <= (q2/a)'")
-        need(w.theta5 * conjugate(e.q2 / w.theta5) <= conjugate(e.q2 / a) + _TOL,
-             "theta5*(q2/theta5)' <= (q2/a)'")
-        return v
-
-    if isinstance(w, VarthetaWitness):
-        x1, x2 = w.vartheta1 * e.r1, w.vartheta2 * e.r2
-        x4, x5 = w.vartheta4 * e.r1, w.vartheta5 * e.r2
-        need(e.r1 < x1 < e.q1, f"vt1*r1 in (r1,q1) ({x1})")
-        need(e.r2 < x2 < e.q2, f"vt2*r2 in (r2,q2) ({x2})")
-        need(e.r1 < x4 < e.q1, f"vt4*r1 in (r1,q1) ({x4})")
-        need(e.r2 < x5 < e.q2, f"vt5*r2 in (r2,q2) ({x5})")
-        need(w.vartheta3 > 1, f"vartheta3>1 ({w.vartheta3})")
-        need(w.big_l > 1, f"L>1 ({w.big_l})")
-        need(e.t < w.e < e.r, f"e in (t,r) ({w.e})")
-        need(w.e * w.vartheta3 < w.big_l * e.t + _TOL, "e*vt3 < L*t")
-        need(conjugate(w.e) * w.vartheta3 < conjugate(e.t) + _TOL, "e'*vt3 < t'")
-        need(w.a_star > 1, f"a*>1 ({w.a_star})")
-        need(w.a_star * x1 < e.q1, f"a**vt1*r1<q1 ({w.a_star * x1})")
-        need(w.a_star * x2 < e.q2, f"a**vt2*r2<q2 ({w.a_star * x2})")
-        terms = {
-            "vartheta3": w.vartheta3,
-            "L": w.big_l,
-            "q1-term(a*)": e.q1 / conjugate(x1 * conjugate(e.q1 / (w.a_star * x1))),
-            "q2-term(a*)": e.q2 / conjugate(x2 * conjugate(e.q2 / (w.a_star * x2))),
-            "q1-term": e.q1 / conjugate(x4 * conjugate(e.q1 / x4)),
-            "q2-term": e.q2 / conjugate(x5 * conjugate(e.q2 / x5)),
-        }
-        for name, val in terms.items():
-            need(a is not None and a >= val - _TOL, f"a>={name} (a={a}, {name}={val})")
-        need(x1 * conjugate(e.q1 / (w.a_star * x1)) <= conjugate(e.q1 / a) + _TOL,
-             "vt1r1*(q1/(a* vt1r1))' <= (q1/a)'")
-        need(x4 * conjugate(e.q1 / x4) <= conjugate(e.q1 / a) + _TOL,
-             "vt4r1*(q1/vt4r1)' <= (q1/a)'")
-        need(x2 * conjugate(e.q2 / (w.a_star * x2)) <= conjugate(e.q2 / a) + _TOL,
-             "vt2r2*(q2/(a* vt2r2))' <= (q2/a)'")
-        need(x5 * conjugate(e.q2 / x5) <= conjugate(e.q2 / a) + _TOL,
-             "vt5r2*(q2/vt5r2)' <= (q2/a)'")
-        return v
-
-    raise TypeError(f"unknown witness type {type(w)!r}")

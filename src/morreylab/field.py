@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import Box, Cube, Window, cube_box, dilate3
+from .dyadic import Box, Window
 from .errors import EmptyIntersectionError
 
 
@@ -442,6 +442,18 @@ def power_weight(gamma: float, window: Window, depth: int = 12) -> Weight:
 # -- BMO ------------------------------------------------------------------------
 
 
+def _oscillation_sup(b: LatticeFunction, e: float) -> float:
+    """sup over window cubes Q of (mean_Q |b - mean_Q b|^e)^(1/e)."""
+    w = b.window
+    best = 0.0
+    for level in w.levels():
+        means = level_means(b.values, w, level)
+        centered = np.abs(b.values - expand_level(means, w, level)) ** e
+        osc = level_means(centered, w, level) ** (1.0 / e)
+        best = max(best, float(osc.max()))
+    return best
+
+
 def bmo_norm(b: LatticeFunction) -> float:
     """Dyadic BMO norm: sup over window cubes of mean |b - mean_Q(b)| on Q.
 
@@ -449,14 +461,7 @@ def bmo_norm(b: LatticeFunction) -> float:
     is comparable up to a dimensional constant, and every invariant in the
     package is stated against this dyadic norm.
     """
-    w = b.window
-    best = 0.0
-    for level in w.levels():
-        means = level_means(b.values, w, level)
-        centered = np.abs(b.values - expand_level(means, w, level))
-        osc = level_means(centered, w, level)
-        best = max(best, float(osc.max()))
-    return best
+    return _oscillation_sup(b, 1.0)
 
 
 def oscillation_ratio(b: LatticeFunction, e: float) -> float:
@@ -468,24 +473,7 @@ def oscillation_ratio(b: LatticeFunction, e: float) -> float:
     norm = bmo_norm(b)
     if norm == 0.0:
         return 0.0
-    w = b.window
-    best = 0.0
-    for level in w.levels():
-        means = level_means(b.values, w, level)
-        centered = np.abs(b.values - expand_level(means, w, level)) ** e
-        osc = level_means(centered, w, level) ** (1.0 / e)
-        best = max(best, float(osc.max()))
-    return best / norm
-
-
-def lambda_avg(b: LatticeFunction, q: Cube) -> float:
-    """Mean of b over the 3-fold dilate of the cube (clipped to the window)."""
-    return cell_average(b, dilate3(q))
-
-
-def cube_average(f: LatticeFunction, q: Cube) -> float:
-    """Exact mean of f over a window cube."""
-    return cell_average(f, cube_box(q))
+    return _oscillation_sup(b, e) / norm
 
 
 # -- CSV interchange -------------------------------------------------------------

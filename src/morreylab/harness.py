@@ -252,6 +252,14 @@ def _weight(cfg: ExperimentConfig, role: str, window: Window, default: str = "co
                         depth=int(cfg.params.get("depth", 12)))
 
 
+def _weights(cfg: ExperimentConfig, window: Window, *roles: str) -> list[Weight]:
+    """The weights of the roles; roles with equal specs share one (immutable) Weight."""
+    specs = [cfg.params.get(f"weight_{role}", "const:1") for role in roles]
+    depth = int(cfg.params.get("depth", 12))
+    built = {spec: _make_weight(spec, window, depth=depth) for spec in dict.fromkeys(specs)}
+    return [built[spec] for spec in specs]
+
+
 def _times(f: LatticeFunction, w: Weight) -> LatticeFunction:
     return LatticeFunction(f.window, f.values * w.values)
 
@@ -366,9 +374,7 @@ def _run_two_weight_bilinear(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     rows = []
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        v = _weight(cfg, "v", win)
-        w1 = _weight(cfg, "w1", win)
-        w2 = _weight(cfg, "w2", win)
+        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
         const = two_weight_constant(kind, v, w1, w2, e, win)
         for trial in range(cfg.trials):
             f, g = _pair_at(cfg, trial, stage, win)
@@ -435,9 +441,7 @@ def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     extremal_checks = []
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        v = _weight(cfg, "v", win)
-        w1 = _weight(cfg, "w1", win)
-        w2 = _weight(cfg, "w2", win)
+        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
         q0 = _q0(cfg, win)
         const = two_weight_constant(WeightConditionKind.C27, v, w1, w2, e, win)
 
@@ -489,16 +493,13 @@ def _run_strong_maximal(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
         if vector:
-            u1 = _weight(cfg, "u1", win)
-            u2 = _weight(cfg, "u2", win)
+            u1, u2 = _weights(cfg, win, "u1", "u2")
             v = Weight(win, u1.values ** (1.0 / e.q1) * u2.values ** (1.0 / e.q2))
             w1 = Weight(win, u1.values ** (1.0 / e.q1))
             w2 = Weight(win, u2.values ** (1.0 / e.q2))
             const = two_weight_constant(kind, None, u1, u2, e, win)
         else:
-            v = _weight(cfg, "v", win)
-            w1 = _weight(cfg, "w1", win)
-            w2 = _weight(cfg, "w2", win)
+            v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
             const = two_weight_constant(kind, v, w1, w2, e, win)
         for trial in range(cfg.trials):
             f, g = _pair_at(cfg, trial, stage, win)
@@ -673,8 +674,7 @@ def _run_lemma39(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     per_stage = {}
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        w1 = _weight(cfg, "w1", win)
-        w2 = _weight(cfg, "w2", win)
+        w1, w2 = _weights(cfg, win, "w1", "w2")
         rep = lemma39_check(w1, w2, q1, q2, t_hat)
         per_stage[f"stage_{stage}"] = {"joint": rep.joint_const, **rep.memberships}
         worst = max(rep.memberships.values())

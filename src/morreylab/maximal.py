@@ -83,19 +83,6 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
     raise ValueError(f"mode must be 'dyadic' or 'centered'; got {mode!r}")
 
 
-def m_theta(f: LatticeFunction, theta: float) -> LatticeFunction:
-    """Dyadic maximal function of L^theta cube averages; theta = 1 is Hardy-Littlewood."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive; got {theta}")
-    window = f.window
-    fa = np.abs(f.values) ** theta
-    best = np.zeros(window.shape)
-    for level in window.levels():
-        val = level_means(fa, window, level) ** (1.0 / theta)
-        np.maximum(best, expand_level(val, window, level), out=best)
-    return LatticeFunction(window, best)
-
-
 def m_joint_weighted(f: LatticeFunction, g: LatticeFunction, v: Weight, alpha: float,
                      rhos: tuple[float, float], w_exp: float) -> LatticeFunction:
     """Weighted auxiliary maximal operator.

@@ -76,70 +76,6 @@ def _shift_slices(window: Window, pads, j_off, sign: int):
     return tuple(out)
 
 
-def bilinear_fractional(f: LatticeFunction, g: LatticeFunction, alpha: float,
-                        depth: int = 12) -> LatticeFunction:
-    """Bilinear fractional integral of order alpha, evaluated at cell centers."""
-    window = _require_pair(f, g)
-    n = window.dim
-    if not 0.0 < alpha < n:
-        raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
-    kern = kernel_cell_averages(alpha, window, depth)
-    fpad, pads = _padded(f.values, window)
-    gpad, _ = _padded(g.values, window)
-    out = np.zeros(window.shape)
-    for j_off in np.ndindex(window.shape):
-        out += kern[j_off] * fpad[_shift_slices(window, pads, j_off, -1)] \
-            * gpad[_shift_slices(window, pads, j_off, +1)]
-    return LatticeFunction(window, out * window.cell_volume)
-
-
-def multilinear_fractional(fs, thetas, alpha: float, depth: int = 12) -> LatticeFunction:
-    """k-linear fractional integral with translation speeds theta_j != 0.
-
-    Arguments x - theta_j * y_c generally miss the lattice corners, so each
-    factor is looked up in the cell containing the translated point (half-open
-    convention); theta = (1, -1) reproduces bilinear_fractional cell for cell.
-    """
-    if not fs:
-        raise ValueError("need at least one input function")
-    window = fs[0].window
-    for fk in fs[1:]:
-        if fk.window != window:
-            raise ValueError("all inputs must live on the same window")
-    thetas = [float(t) for t in thetas]
-    if len(thetas) != len(fs):
-        raise ValueError("thetas must match inputs")
-    if any(t == 0.0 for t in thetas):
-        raise ValueError("translation speeds must be nonzero")
-    n = window.dim
-    if not 0.0 < alpha < n:
-        raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
-    kern = kernel_cell_averages(alpha, window, depth)
-    c = window.cells_per_axis
-    mlo = window.cell_index_lo
-    j_centers = [np.arange(c) + m + 0.5 for m in mlo]  # per-axis, units of cell side
-    out = np.empty(window.shape)
-    for i_off in np.ndindex(window.shape):
-        acc = kern.copy()
-        for fk, th in zip(fs, thetas):
-            axis_offs = []
-            axis_masks = []
-            for ax in range(n):
-                xi = i_off[ax] + mlo[ax] + 0.5
-                cell = np.floor(xi - th * j_centers[ax]).astype(int) - mlo[ax]
-                ok = (cell >= 0) & (cell < c)
-                axis_offs.append(np.where(ok, cell, 0))
-                axis_masks.append(ok)
-            vals = fk.values[np.ix_(*axis_offs)].copy()
-            for ax, ok in enumerate(axis_masks):
-                shape = [1] * n
-                shape[ax] = c
-                vals *= ok.reshape(shape)
-            acc *= vals
-        out[i_off] = acc.sum()
-    return LatticeFunction(window, out * window.cell_volume)
-
-
 @dataclass(frozen=True)
 class CommutatorSpec:
     """Symbols and slot choices for an iterated commutator.
@@ -175,11 +111,16 @@ class CommutatorSpec:
         return sum(1 for b in self.beta_vec if b == 1)
 
 
-def commutator_iterated(spec: CommutatorSpec, f: LatticeFunction, g: LatticeFunction,
-                        alpha: float, depth: int = 12) -> LatticeFunction:
-    """Iterated commutator of the bilinear fractional integral with BMO symbols."""
+def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int,
+                 symbols: tuple) -> LatticeFunction:
+    """The kernel-weighted correlation shared by the operators below.
+
+    Sums kern(y_c) f(x - y_c) g(x + y_c) over the kernel cells y_c, each term
+    times b(x) - b(x - y_c) (slot 1) or b(x) - b(x + y_c) (slot 2) for every
+    (b, slot) in symbols; no symbols gives the plain bilinear integral.
+    """
     window = _require_pair(f, g)
-    if spec.order and spec.b_vec[0].window != window:
+    if symbols and symbols[0][0].window != window:
         raise ValueError("symbols must live on the window of f and g")
     n = window.dim
     if not 0.0 < alpha < n:
@@ -187,16 +128,28 @@ def commutator_iterated(spec: CommutatorSpec, f: LatticeFunction, g: LatticeFunc
     kern = kernel_cell_averages(alpha, window, depth)
     fpad, pads = _padded(f.values, window)
     gpad, _ = _padded(g.values, window)
-    bpads = [_padded(b.values, window)[0] for b in spec.b_vec]
+    bpads = [(b.values, _padded(b.values, window)[0], slot) for b, slot in symbols]
     out = np.zeros(window.shape)
     for j_off in np.ndindex(window.shape):
         fsl = _shift_slices(window, pads, j_off, -1)
         gsl = _shift_slices(window, pads, j_off, +1)
         term = kern[j_off] * fpad[fsl] * gpad[gsl]
-        for b, beta, bpad in zip(spec.b_vec, spec.beta_vec, bpads):
-            term = term * (b.values - bpad[fsl if beta == 1 else gsl])
+        for b, bpad, slot in bpads:
+            term = term * (b - bpad[fsl if slot == 1 else gsl])
         out += term
     return LatticeFunction(window, out * window.cell_volume)
+
+
+def bilinear_fractional(f: LatticeFunction, g: LatticeFunction, alpha: float,
+                        depth: int = 12) -> LatticeFunction:
+    """Bilinear fractional integral of order alpha, evaluated at cell centers."""
+    return _correlation(f, g, alpha, depth, ())
+
+
+def commutator_iterated(spec: CommutatorSpec, f: LatticeFunction, g: LatticeFunction,
+                        alpha: float, depth: int = 12) -> LatticeFunction:
+    """Iterated commutator of the bilinear fractional integral with BMO symbols."""
+    return _correlation(f, g, alpha, depth, tuple(zip(spec.b_vec, spec.beta_vec)))
 
 
 def bt_alpha(f: LatticeFunction, g: LatticeFunction, alpha: float,

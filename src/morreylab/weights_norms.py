@@ -14,7 +14,9 @@ of a volume-ratio power, an optional |Q'|^(1/r), a power average of v on Q,
 and dual-exponent power averages of w1, w2 on Q'.  The WeightConditionKind
 enum picks the variant; two limiting conventions appear verbatim in the
 formulas: the v-average degenerates to max_Q v when t = 1, and the w-average
-to max_{Q'} 1/w_i when q_i = r_i.
+to max_{Q'} 1/w_i when q_i = r_i.  The vector kind C211, the Muckenhoupt
+constant ap_constant and the joint constant of lemma39_check are sups over
+single cubes instead.
 
 Every sup is exact over the window's cube catalog and runs as field block
 reductions, one level at a time.  A pair term is a factor fixed by the levels
@@ -127,7 +129,6 @@ class WeightConditionKind(Enum):
     C24   ratio^(1/(as)),      |Q'|^(1/r), v-avg exponent at         (t > 1)
     C27   ratio^(1/s),         |Q'|^(1/r), v-avg exponent t, w-exp r_i (q_i/r_i)'
     C29   like C27 with w-exp r_i (q_i/(a r_i))'
-    C210  single-cube constant in the two weights u1, u2 (alias of C211)
     C211  single-cube constant in the two weights u1, u2
     CBH   like C29 without the |Q'|^(1/r) factor
     """
@@ -137,7 +138,6 @@ class WeightConditionKind(Enum):
     C24 = "C24"
     C27 = "C27"
     C29 = "C29"
-    C210 = "C210"
     C211 = "C211"
     CBH = "CBH"
 
@@ -167,7 +167,7 @@ def _kind_check(kind: WeightConditionKind, e: ExponentSet) -> None:
             raise ValueError(f"{kind.value} needs 0<r_i<q_i (r=({e.r1},{e.r2}))")
         if e.a is None or not 1 < e.a < min(e.q1 / e.r1, e.q2 / e.r2):
             raise ValueError(f"{kind.value} needs 1<a<min(q_i/r_i) (a={e.a})")
-    elif kind in (WeightConditionKind.C210, WeightConditionKind.C211):
+    elif kind is WeightConditionKind.C211:
         if e.r1 is None or e.r2 is None or not (0 < e.r1 < e.q1 and 0 < e.r2 < e.q2):
             raise ValueError(f"{kind.value} needs 0<r_i<q_i (r=({e.r1},{e.r2}))")
 
@@ -181,14 +181,14 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
                         w2: Weight, e: ExponentSet, window: Window) -> float:
     """Evaluate the selected weight constant over the window's cube pairs.
 
-    v may be None only for the single-cube kinds C210/C211, which involve the
-    pair (w1, w2) alone.
+    v may be None only for the single-cube kind C211, which involves the pair
+    (w1, w2) alone.
     """
     _kind_check(kind, e)
     n = window.dim
     inv1, inv2 = 1.0 / w1.values, 1.0 / w2.values
 
-    if kind in (WeightConditionKind.C210, WeightConditionKind.C211):
+    if kind is WeightConditionKind.C211:
         e1 = e.r1 / (e.q1 - e.r1)
         e2 = e.r2 / (e.q2 - e.r2)
         joint = (w1.values ** (e.s / e.q1)) * (w2.values ** (e.s / e.q2))
@@ -261,20 +261,6 @@ def ap_constant(w: Weight, p: float) -> float:
     for level in window.levels():
         val = level_means(w.values, window, level) \
             * level_means(dual, window, level) ** (p - 1.0)
-        best = max(best, float(val.max()))
-    return best
-
-
-def rh_constant(w: Weight, nu: float) -> float:
-    """Reverse-Holder constant sup_Q (mean_Q w^nu)^(1/nu) / mean_Q w."""
-    if nu <= 1:
-        raise ValueError(f"nu must exceed 1; got {nu}")
-    window = w.window
-    powed = w.values ** nu
-    best = 0.0
-    for level in window.levels():
-        val = level_means(powed, window, level) ** (1.0 / nu) \
-            / level_means(w.values, window, level)
         best = max(best, float(val.max()))
     return best
 

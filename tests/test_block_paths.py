@@ -107,7 +107,7 @@ def test_block_reductions_match_per_cube_averages(window):
 
 _KIND_SETS = ((K.C22, lambda: _e_t21(True)), (K.C23, lambda: _e_t21(False)),
               (K.C24, _e_t22), (K.C27, _e_t27), (K.C29, _e_t28), (K.CBH, _e_t28),
-              (K.C210, _e_t28), (K.C211, _e_t28))
+              (K.C211, _e_t28))
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=repr)

@@ -12,7 +12,6 @@ from morreylab.dyadic import (
     ancestors,
     children,
     cube_box,
-    cubes_containing,
     dilate3,
     nested_pairs,
     parent,
@@ -90,27 +89,11 @@ def test_dilate3_volume_scaling(level, index):
     assert_close(dilate3(q).volume, 3 ** q.dim * q.volume)
 
 
-def test_cubes_containing_point(unit_window):
-    chain = cubes_containing((0.3,), unit_window)
-    assert [(c.level, c.index) for c in chain] == [(-2, (1,)), (-1, (0,)), (0, (0,))]
-    assert len(chain) == unit_window.level_max - unit_window.level_min + 1
-
-
 def test_cell_boundary_belongs_to_right_cell(unit_window):
     # half-open convention: the boundary point starts the next cell
-    chain = cubes_containing((0.5,), unit_window)
-    assert chain[0] == Cube(-2, (2,))
-
-
-def test_cubes_containing_matches_membership_filter():
-    w = Window(2, -2, 0)
-    rng = np.random.default_rng(42)
-    box = w.box
-    for _ in range(100):
-        x = tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lo, box.hi))
-        got = set(cubes_containing(x, w))
-        want = {q for q in w.all_cubes() if q.contains_point(x)}
-        assert got == want
+    assert unit_window.cell_index_of_point((0.5,)) == (2,)
+    assert Cube(-2, (2,)).contains_point((0.5,))
+    assert not Cube(-2, (1,)).contains_point((0.5,))
 
 
 def test_nested_pairs_two_level_example():

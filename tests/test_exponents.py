@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 from morreylab.exponents import (
     INF,
     ExponentSet,
-    Infeasible,
-    ThetaWitness,
-    VarthetaWitness,
     build,
-    check_witness,
     conjugate,
     default_holder_pair,
-    feasible_auxiliary_indices,
     solve_st,
     validate,
 )
@@ -107,79 +102,6 @@ def test_solver_output_revalidates(q1_half, alpha_frac, p_scale):
     assert identity_msgs == []
 
 
-def test_theta_witness_exists_and_rechecks():
-    e = build("T21", 1, 0.5, 1.2, 1.2, 0.7, 3.0, a=1.1)
-    w = feasible_auxiliary_indices(e)
-    assert isinstance(w, ThetaWitness)
-    assert check_witness(e, w) == []
-
-
-def test_theta_witness_random_parameters():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        q1, q2 = rng.uniform(1.1, 6.0, 2)
-        a = rng.uniform(1.0 + 1e-6, min(q1, q2) - 1e-9)
-        e = ExponentSet(n=1, alpha=0.5, q1=q1, q2=q2, q=1.0 / (1 / q1 + 1 / q2),
-                        p=1.0, r=INF, s=1.0, t=1.0, regime="T21", a=a)
-        w = feasible_auxiliary_indices(e)
-        assert isinstance(w, ThetaWitness), (q1, q2, a)
-        assert check_witness(e, w) == []
-
-
-def test_theta_infeasible_at_a_equal_one():
-    e = ExponentSet(n=1, alpha=0.5, q1=4.0, q2=4.0, q=2.0, p=1.0, r=INF,
-                    s=1.0, t=1.0, regime="T21", a=1.0)
-    res = feasible_auxiliary_indices(e)
-    assert isinstance(res, Infeasible)
-    assert "theta3" in res.interval
-
-
-def test_vartheta_witness_when_a_large_enough():
-    # the t>1 route needs a > 1 + q_i/r_i'; here 1 + 3/2 = 2.5 < a = 2.75 < 3
-    e = build("T22", 1, 0.5, 3.0, 3.0, 1.8, 4.0, a=2.75, r1=2.0, r2=2.0)
-    assert validate(e) == []
-    w = feasible_auxiliary_indices(e)
-    assert isinstance(w, VarthetaWitness)
-    assert check_witness(e, w) == []
-
-
-def test_vartheta_infeasible_for_small_a():
-    e = _t22_reference()  # a = 2, q = 3, r_i = 2: interval empty
-    res = feasible_auxiliary_indices(e)
-    assert isinstance(res, Infeasible)
-    assert "vartheta" in res.interval or "a_star" in res.interval
-
-
-def test_vartheta_random_feasible_band():
-    rng = np.random.default_rng(11)
-    found = 0
-    for _ in range(80):
-        q1 = rng.uniform(2.6, 3.9)
-        q2 = rng.uniform(2.6, 3.9)
-        r1 = rng.uniform(1.7, 2.3)
-        r2 = r1 / (r1 - 1.0)
-        if not (r1 < q1 and r2 < q2):
-            continue
-        lo = 1.0 + max(q1 / conjugate(r1), q2 / conjugate(r2))
-        hi = min(q1, q2)
-        if lo >= hi:
-            continue
-        a = rng.uniform(lo + 1e-6, hi - 1e-9)
-        q = 1.0 / (1.0 / q1 + 1.0 / q2)
-        p = q * 1.05
-        alpha = 0.5
-        if 1.0 / p + 0.25 - alpha <= 1e-9:
-            continue
-        e = build("T22", 1, alpha, q1, q2, p, 4.0, a=a, r1=r1, r2=r2)
-        if validate(e):
-            continue
-        w = feasible_auxiliary_indices(e)
-        if isinstance(w, VarthetaWitness):
-            found += 1
-            assert check_witness(e, w) == []
-    assert found >= 10
-
-
 def test_exponent_set_rejects_unknown_regime():
     with pytest.raises(ValueError):
         ExponentSet(n=1, alpha=0.5, q1=2, q2=2, q=1, p=1, r=INF, s=1, t=1, regime="nope")
@@ -189,9 +111,3 @@ def test_build_t27_weak_identity():
     e = build("T27", 1, 0.4, 4.0, 4.0, 2.2, 2.5, r1=2.0, r2=2.0)
     assert validate(e) == []
     assert_close(1.0 / e.t, 1.0 / e.q + 1.0 / e.r - e.alpha / e.n)
-
-
-def test_feasible_indices_wrong_regime():
-    e = build("T27", 1, 0.4, 4.0, 4.0, 2.2, 2.5, r1=2.0, r2=2.0)
-    with pytest.raises(ValueError):
-        feasible_auxiliary_indices(e)

@@ -12,9 +12,7 @@ from morreylab.field import (
     Weight,
     bmo_norm,
     cell_average,
-    cube_average,
     from_csv,
-    lambda_avg,
     oscillation_ratio,
     power_avg,
     power_weight,
@@ -179,7 +177,7 @@ def test_ancestor_mean_telescoping_bound(sym_window):
         gap = qp.level - q.level
         if gap == 0:
             continue
-        diff = abs(cube_average(b, q) - cube_average(b, qp))
+        diff = abs(cell_average(b, cube_box(q)) - cell_average(b, cube_box(qp)))
         assert diff <= gap * 2 ** sym_window.dim * norm + 1e-12
 
 
@@ -190,25 +188,6 @@ def test_oscillation_ratio_finite_nondecreasing():
     assert r1 == 1.0
     assert math.isfinite(r4)
     assert r1 <= r2 + 1e-12 <= r4 + 2e-12
-
-
-def test_lambda_avg_constant(sym_window):
-    b = LatticeFunction.constant(sym_window, 4.5)
-    assert_close(lambda_avg(b, Cube(-2, (1,))), 4.5)
-
-
-def test_lambda_avg_linear_symmetry():
-    win = Window(1, -4, 0)
-    b = LatticeFunction.from_callable(win, lambda x: 2.0 * x + 0.25)
-    q = Cube(-3, (0,))  # 3Q = [-1/8, 1/4) well inside
-    assert_close(lambda_avg(b, q), 2.0 * q.center[0] + 0.25)
-
-
-def test_lambda_avg_is_clipped_cell_average(sym_window):
-    from morreylab.dyadic import dilate3
-    b = random_lattice(sym_window, 3)
-    q = Cube(-1, (1,))  # 3Q sticks out of [-1,1)
-    assert_close(lambda_avg(b, q), cell_average(b, dilate3(q)))
 
 
 def test_csv_round_trip(tmp_path, sym_window):
@@ -251,5 +230,4 @@ def test_cube_average_matches_block_mean(sym_window):
     f = random_lattice(sym_window, 8)
     q = Cube(-2, (-1,))
     sl = sym_window.cell_offsets_of_cube(q)
-    assert_close(cube_average(f, q), f.values[sl].mean())
     assert_close(cell_average(f, cube_box(q)), f.values[sl].mean())

@@ -5,7 +5,7 @@ import pytest
 
 from morreylab.dyadic import Cube, Window, cube_box, dilate3
 from morreylab.field import LatticeFunction, Weight, power_avg
-from morreylab.maximal import m_alpha_r, m_joint_weighted, m_theta
+from morreylab.maximal import m_alpha_r, m_joint_weighted
 from morreylab.operators import bh_maximal
 
 from conftest import assert_close, random_lattice, random_weight
@@ -83,28 +83,6 @@ def test_alpha_monotone_large_cubes():
     lo = m_alpha_r(f, g, 0.2, (2.0, 2.0))
     hi = m_alpha_r(f, g, 0.8, (2.0, 2.0))
     assert np.all(hi.values >= lo.values - 1e-12)
-
-
-def test_m_theta_constant(sym_window):
-    c = LatticeFunction.constant(sym_window, 2.5)
-    assert np.allclose(m_theta(c, 1.0).values, 2.5)
-
-
-def test_m_theta_dominates_function(sym_window):
-    f = random_lattice(sym_window, 9)
-    out = m_theta(f, 1.5)
-    assert np.all(out.values >= np.abs(f.values) - 1e-12)
-
-
-def test_m_theta_hardy_littlewood_oracle():
-    w = Window(1, -3, 0)
-    f = random_lattice(w, 10)
-    out = m_theta(f, 1.0)
-    brute = np.zeros(w.shape)
-    for q in w.all_cubes():
-        sl = w.cell_offsets_of_cube(q)
-        brute[sl] = np.maximum(brute[sl], np.abs(f.values[sl]).mean())
-    assert np.max(np.abs(out.values - brute)) <= 1e-12
 
 
 def test_joint_weighted_unit_weight_reduces_to_dilated_variant():

@@ -13,10 +13,10 @@ from morreylab.operators import (
     bilinear_fractional,
     commutator_iterated,
     kernel_cell_averages,
-    multilinear_fractional,
 )
 
 from conftest import random_lattice
+from multilinear import multilinear_fractional
 
 
 @pytest.fixture

@@ -16,10 +16,10 @@ from morreylab.operators import (
     commutator_iterated,
     dyadic_radii,
     kernel_cell_averages,
-    multilinear_fractional,
 )
 
 from conftest import assert_close, random_lattice
+from multilinear import multilinear_fractional
 
 
 def _value_near_zero(out):

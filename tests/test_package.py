@@ -1,0 +1,52 @@
+"""Package-level checks: the public name list and the annotations of every module."""
+
+import importlib
+import inspect
+import pkgutil
+import typing
+
+import morreylab
+
+
+def _modules():
+    for info in pkgutil.iter_modules(morreylab.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            yield importlib.import_module(f"morreylab.{info.name}")
+
+
+def _annotated(module):
+    """Every function, class and method the module defines, with a qualified name."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_all_is_unique_and_resolves():
+    names = morreylab.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(morreylab, n)] == []
+    star: dict = {}
+    exec("from morreylab import *", star)
+    assert set(names) <= set(star)
+
+
+def test_every_annotation_resolves():
+    broken = []
+    for module in _modules():
+        for name, obj in _annotated(module):
+            try:
+                typing.get_type_hints(obj)
+            except Exception as exc:  # collect every failure, not just the first
+                broken.append(f"{module.__name__}.{name}: {exc!r}")
+    assert broken == []

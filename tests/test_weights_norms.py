@@ -11,7 +11,6 @@ from morreylab.weights_norms import (
     ap_constant,
     lemma39_check,
     morrey_norm,
-    rh_constant,
     rhs_bilinear_morrey,
     rhs_bilinear_morrey_from,
     two_weight_constant,
@@ -194,7 +193,6 @@ def _e_t28():
 def test_unit_weights_c211_is_one(sym_window):
     u = Weight.constant(sym_window, 1.0)
     assert_close(two_weight_constant(K.C211, None, u, u, _e_t28(), sym_window), 1.0)
-    assert_close(two_weight_constant(K.C210, None, u, u, _e_t28(), sym_window), 1.0)
 
 
 def test_unit_weights_pair_kinds_are_volume_powers(sym_window):
@@ -275,7 +273,7 @@ def test_t1_sup_convention_in_c23():
 def _brute_pair_constant(kind, v, w1, w2, e, window):
     """Independent re-evaluation with raw loops."""
     n = window.dim
-    if kind in (K.C210, K.C211):
+    if kind is K.C211:
         e1 = e.r1 / (e.q1 - e.r1)
         e2 = e.r2 / (e.q2 - e.r2)
         best = 0.0
@@ -420,20 +418,6 @@ def test_ap_inverse_square_diverges():
 def test_ap_requires_p_above_one(sym_window):
     with pytest.raises(ValueError):
         ap_constant(Weight.constant(sym_window, 1.0), 1.0)
-
-
-def test_rh_constant_unit_and_two_valued():
-    w = Window(1, -1, -1, origin_offset=(0,), top_count=2)
-    assert_close(rh_constant(Weight.constant(w, 3.0), 2.0), 1.0)
-    w2 = Window(1, -1, 0, origin_offset=(0,), top_count=1)
-    wt = Weight(w2, np.array([1.0, 4.0]))
-    assert_close(rh_constant(wt, 2.0), math.sqrt(8.5) / 2.5)
-
-
-def test_rh_at_least_one(sym_window):
-    for seed in range(5):
-        wt = random_weight(sym_window, 700 + seed)
-        assert rh_constant(wt, 2.0) >= 1.0 - 1e-12
 
 
 def test_lemma39_unit_weights(sym_window):
