@@ -96,6 +96,26 @@ def test_cell_boundary_belongs_to_right_cell(unit_window):
     assert not Cube(-2, (1,)).contains_point((0.5,))
 
 
+def test_cell_and_ancestors_of_point(unit_window):
+    # the cubes containing x are the cell holding x and that cell's ancestors
+    cell = Cube(unit_window.level_min, unit_window.cell_index_of_point((0.3,)))
+    chain = [cell] + ancestors(cell, unit_window)
+    assert [(c.level, c.index) for c in chain] == [(-2, (1,)), (-1, (0,)), (0, (0,))]
+    assert len(chain) == unit_window.level_max - unit_window.level_min + 1
+
+
+def test_cell_and_ancestors_match_membership_filter():
+    w = Window(2, -2, 0)
+    rng = np.random.default_rng(42)
+    box = w.box
+    for _ in range(100):
+        x = tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lo, box.hi))
+        cell = Cube(w.level_min, w.cell_index_of_point(x))
+        got = {cell, *ancestors(cell, w)}
+        want = {q for q in w.all_cubes() if q.contains_point(x)}
+        assert got == want
+
+
 def test_nested_pairs_two_level_example():
     w = Window(1, -1, 0, origin_offset=(0,), top_count=1)
     pairs = {((q.level, q.index), (p.level, p.index)) for q, p in nested_pairs(w)}

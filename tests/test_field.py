@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab.dyadic import Box, Cube, Window, cube_box, nested_pairs
+from morreylab.dyadic import Box, Cube, Window, cube_box, dilate3, nested_pairs
 from morreylab.errors import EmptyIntersectionError
 from morreylab.field import (
     LatticeFunction,
@@ -52,6 +52,34 @@ def test_cell_average_linear_and_monotone(sym_window):
     assert_close(lhs, 2.0 * cell_average(f, box) + 3.0 * cell_average(g, box))
     bigger = LatticeFunction(sym_window, f.values + 0.5)
     assert cell_average(bigger, box) > cell_average(f, box)
+
+
+def test_cell_average_dilate3_linear_is_center_value():
+    win = Window(1, -4, 0)
+    b = LatticeFunction.from_callable(win, lambda x: 2.0 * x + 0.25)
+    q = Cube(-3, (0,))  # 3Q = [-1/8, 1/4) well inside
+    assert_close(cell_average(b, dilate3(q)), 2.0 * q.center[0] + 0.25)
+
+
+@pytest.mark.parametrize("window, cube", [
+    (Window(1, -4, 0), Cube(-1, (1,))),        # 3Q sticks out of [-1, 1) above
+    (Window(1, -4, 0), Cube(-2, (-4,))),       # ... and below
+    (Window(2, -3, 0), Cube(-1, (-2, 1))),     # a corner cube in 2-D
+])
+def test_cell_average_clipped_dilate3_is_mean_of_covered_cells(window, cube):
+    # 3Q lies on the level-k lattice, so its clip is a union of whole cells
+    b = random_lattice(window, 3)
+    box = dilate3(cube)
+    inside = np.ones(window.shape, dtype=bool)
+    for axis in range(window.dim):
+        lo = window.cell_index_lo[axis]
+        centers = (np.arange(window.shape[axis]) + lo + 0.5) * window.cell_side
+        keep = (centers > box.lo[axis]) & (centers < box.hi[axis])
+        shape = [1] * window.dim
+        shape[axis] = -1
+        inside &= keep.reshape(shape)
+    assert inside.any() and not inside.all()
+    assert_close(cell_average(b, box), b.values[inside].mean())
 
 
 def test_cell_average_empty_intersection(sym_window):
@@ -188,6 +216,35 @@ def test_oscillation_ratio_finite_nondecreasing():
     assert r1 == 1.0
     assert math.isfinite(r4)
     assert r1 <= r2 + 1e-12 <= r4 + 2e-12
+
+
+def _brute_oscillation(b, e):
+    """sup over window cubes of (mean_Q |b - mean_Q b|^e)^(1/e), cube by cube."""
+    w = b.window
+    best = 0.0
+    for q in w.all_cubes():
+        block = b.values[w.cell_offsets_of_cube(q)]
+        best = max(best, float((np.abs(block - block.mean()) ** e).mean() ** (1.0 / e)))
+    return best
+
+
+def _ramp_plus_noise(window, seed):
+    """A ramp along every axis plus noise: the top cubes oscillate most."""
+    ramp = 4.0 * np.indices(window.shape).sum(axis=0) / window.shape[0]
+    return LatticeFunction(window, ramp + random_lattice(window, seed, lo=-0.25, hi=0.25).values)
+
+
+@pytest.mark.parametrize("window", [Window(1, -5, 0), Window(2, -3, 0)])
+def test_bmo_norm_matches_cube_by_cube_oracle(window):
+    b = _ramp_plus_noise(window, 31)
+    assert_close(bmo_norm(b), _brute_oscillation(b, 1.0))
+
+
+@pytest.mark.parametrize("e", [2.0, 4.0])
+def test_oscillation_ratio_matches_cube_by_cube_oracle(e):
+    win = Window(2, -3, 0)
+    b = _ramp_plus_noise(win, 32)
+    assert_close(oscillation_ratio(b, e), _brute_oscillation(b, e) / _brute_oscillation(b, 1.0))
 
 
 def test_csv_round_trip(tmp_path, sym_window):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from morreylab.errors import ValidationError
+from morreylab.field import power_weight
 from morreylab.harness import (
     Report,
     _COLUMNS,
     _ratio,
+    _weights,
     config_from_pairs,
     emit_report,
     parse_config,
@@ -45,6 +47,23 @@ def test_parse_config_grammar():
     assert cfg.refinements == (0, 1, 2)
     assert cfg.params["r"] == math.inf
     assert cfg.params["weight_w"] == "pow:0.5"
+
+
+def test_equal_weight_specs_share_one_weight():
+    cfg = config_from_pairs(T25_PAIRS + [("weight_w1", "pow:0.5"), ("weight_w2", "pow:0.5"),
+                                         ("depth", "3")])
+    v, w, w1, w2 = _weights(cfg, cfg.window, "v", "w", "w1", "w2")
+    assert w is w1 is w2
+    assert np.array_equal(w.values, power_weight(0.5, cfg.window, depth=3).values)
+    assert np.all(v.values == 1.0)  # an absent role is const:1
+
+
+def test_distinct_weight_specs_build_distinct_weights():
+    cfg = config_from_pairs(T25_PAIRS + [("weight_w1", "const:2"), ("depth", "3")])
+    w, w1, u = _weights(cfg, cfg.window, "w", "w1", "u")
+    assert w is not w1 and w1 is not u
+    assert np.all(w1.values == 2.0) and np.all(u.values == 1.0)
+    assert np.array_equal(w.values, power_weight(0.5, cfg.window, depth=3).values)
 
 
 def test_parse_config_errors():

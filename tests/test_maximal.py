@@ -85,6 +85,25 @@ def test_alpha_monotone_large_cubes():
     assert np.all(hi.values >= lo.values - 1e-12)
 
 
+def test_alpha_zero_unit_partner_dominates_function(sym_window):
+    # the finest cube through each cell is the cell itself
+    f = random_lattice(sym_window, 9)
+    one = LatticeFunction.constant(sym_window, 1.0)
+    out = m_alpha_r(f, one, 0.0, (1.5, 2.0))
+    assert np.all(out.values >= np.abs(f.values) - 1e-12)
+
+
+def test_alpha_zero_unit_partner_is_hardy_littlewood():
+    w = Window(1, -3, 0)
+    f = random_lattice(w, 10)
+    out = m_alpha_r(f, LatticeFunction.constant(w, 1.0), 0.0, (1.0, 1.0))
+    brute = np.zeros(w.shape)
+    for q in w.all_cubes():
+        sl = w.cell_offsets_of_cube(q)
+        brute[sl] = np.maximum(brute[sl], np.abs(f.values[sl]).mean())
+    assert np.max(np.abs(out.values - brute)) <= 1e-12
+
+
 def test_joint_weighted_unit_weight_reduces_to_dilated_variant():
     w = Window(1, -3, 0)
     f = random_lattice(w, 11)

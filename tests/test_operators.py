@@ -160,6 +160,22 @@ def test_commutator_order_zero_is_plain_operator(sym_window):
     assert np.array_equal(out.values, bilinear_fractional(f, g, 0.5).values)
 
 
+@pytest.mark.parametrize("window", [
+    Window(1, -4, 0, origin_offset=(-1,)),
+    Window(1, -4, 0, origin_offset=(0,), top_count=1),
+    Window(1, -4, 0, origin_offset=(-3,), top_count=1),
+    Window(2, -2, 0, origin_offset=(-1, -1)),
+    Window(2, -2, 0, origin_offset=(0, -1), top_count=1),
+    Window(2, -2, 0, origin_offset=(-2, 1), top_count=1),
+])
+def test_bilinear_is_bitwise_order_zero_commutator(window):
+    f = random_lattice(window, 18)
+    g = random_lattice(window, 19)
+    alpha = 0.5 * window.dim
+    out = commutator_iterated(CommutatorSpec((), ()), f, g, alpha, depth=4)
+    assert np.array_equal(out.values, bilinear_fractional(f, g, alpha, depth=4).values)
+
+
 @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
 def test_commutator_permutation_invariance(sym_window, perm):
     f = random_lattice(sym_window, 16)
