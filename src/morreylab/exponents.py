@@ -10,7 +10,6 @@ Regimes:
   T22  bilinear two-weight bound, t > 1
   T27  weak-type characterization of the fractional maximal operator
   T28  strong-type maximal bound
-  SW   power-weight (Stein-Weiss type) inequality
 
 r = inf is the admissible sentinel everywhere; 1/r evaluates to 0.
 """
@@ -24,7 +23,7 @@ from typing import Optional
 INF = math.inf
 _TOL = 1e-12
 
-REGIMES = ("T21", "T22", "T27", "T28", "SW")
+REGIMES = ("T21", "T22", "T27", "T28")
 
 
 def inv(x: float) -> float:
@@ -198,10 +197,5 @@ def validate(e: ExponentSet) -> list[str]:
                 bound = min(e.q1 / e.r1, e.q2 / e.r2)
                 need(1 < e.a < bound,
                      f"1<a<min(q1/r1,q2/r2) (a={e.a}, min={bound})")
-    elif e.regime == "SW":
-        need(0 < e.alpha < e.n, f"0<alpha<n (alpha={e.alpha})")
-        need(e.t > 1 and _le(e.t, e.s), f"1<t<=s (t={e.t}, s={e.s})")
-        need(e.r == INF or e.r > e.n / (e.n - e.alpha) - _TOL,
-             f"r>n/(n-alpha) (r={e.r}, n/(n-alpha)={e.n / (e.n - e.alpha)})")
     return v
 

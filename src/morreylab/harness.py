@@ -8,6 +8,19 @@ theory, so acceptance is finiteness and stability of empirical ratios: a
 growth study re-runs the same coarse-drawn inputs on windows refined by one
 (or more) levels and summarizes the max-ratio growth factor per refinement.
 
+Runners are grouped by the shape of their inequality:
+
+- strong type, |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2): one
+  runner for T21-T24 (bilinear integral and its commutators), T28/T29
+  (dyadic maximal operator) and COR_BH (bilinear maximal function); the
+  exponent regime fixes the weight constant;
+- maximal control (T25/T26): Morrey norms of the integral or commutator
+  against those of the maximal operator;
+- weak type (T27_*): the weak Morrey functional on a base cube;
+- power weights (SW101), with its balance identity recorded;
+- invariant checks (JN, CZ_INV, BH_DOM, L39), whose rows also count
+  violations.
+
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
@@ -37,11 +50,11 @@ from .exponents import INF, ExponentSet, build, validate
 from .field import (
     LatticeFunction,
     Weight,
+    _oscillation_sup,
     bmo_norm,
     expand_level,
     from_csv,
     level_means,
-    oscillation_ratio,
     power_weight,
 )
 from .maximal import m_alpha_r
@@ -357,34 +370,71 @@ def _commutator_spec(cfg: ExperimentConfig, symbols) -> CommutatorSpec:
     return CommutatorSpec(tuple(symbols), tuple(pattern))
 
 
-def _run_two_weight_bilinear(cfg: ExperimentConfig) -> tuple[list, dict, int]:
-    commutator = cfg.experiment in ("T23", "T24")
-    regime = "T21" if cfg.experiment in ("T21", "T23") else "T22"
-    e = _exponent_set(cfg, regime)
+def _integral(cfg: ExperimentConfig, trial: int, stage: int, window: Window,
+              f: LatticeFunction, g: LatticeFunction, alpha: float,
+              n_sym: int) -> tuple[LatticeFunction, float]:
+    """The bilinear integral of (f, g) with BMO factor 1, or for n_sym > 0 the iterated
+    commutator over the trial's drawn symbols with the product of their BMO norms."""
+    if not n_sym:
+        return bilinear_fractional(f, g, alpha), 1.0
+    spec = _commutator_spec(cfg, _symbols_at(cfg, trial, stage, window, n_sym))
+    return commutator_iterated(spec, f, g, alpha), math.prod(bmo_norm(b) for b in spec.b_vec)
+
+
+# The strong-type bounds |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2):
+# experiment -> (exponent regime, operator T).  The regime fixes the constant.
+_STRONG_TYPE = {
+    "T21": ("T21", "bilinear"),
+    "T22": ("T22", "bilinear"),
+    "T23": ("T21", "commutator"),
+    "T24": ("T22", "commutator"),
+    "T28": ("T28", "m_alpha_r"),
+    "T29": ("T28", "m_alpha_r"),
+    "COR_BH": ("T28", "bh_maximal"),
+}
+
+
+def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+    regime, operator = _STRONG_TYPE[cfg.experiment]
+    vector = cfg.experiment == "T29"
     notes = {}
-    if commutator and regime == "T21" and e.t < 0.5:
-        raise ValidationError(
-            [f"commutator case needs 1/2<=t<=1 (t={e.t}); the plain case allows 0<t<=1"])
+    if vector and "a" not in cfg.params:
+        # the vector-weight condition never uses a; any admissible value works
+        bound = min(_param(cfg, "q1") / _param(cfg, "r1", 2.0),
+                    _param(cfg, "q2") / _param(cfg, "r2", 2.0))
+        notes["derived_a"] = 0.5 * (1.0 + bound)
+    e = _exponent_set(cfg, regime, a=notes.get("derived_a"))
+    if operator == "bh_maximal" and e.alpha != 0.0:
+        raise ValidationError(["COR_BH requires alpha = 0"])
     if regime == "T21":
         kind = WeightConditionKind.C22 if e.s < 1.0 else WeightConditionKind.C23
-    else:
+    elif regime == "T22":
         kind = WeightConditionKind.C24
+    else:
+        kind = (WeightConditionKind.C211 if vector
+                else WeightConditionKind.CBH if operator == "bh_maximal"
+                else WeightConditionKind.C29)
     notes["condition_kind"] = kind.value
-    n_sym = int(cfg.params.get("n_symbols", 2)) if commutator else 0
+    n_sym = int(cfg.params.get("n_symbols", 2)) if operator == "commutator" else 0
     rows = []
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-        const = two_weight_constant(kind, v, w1, w2, e, win)
+        if vector:
+            u1, u2 = _weights(cfg, win, "u1", "u2")
+            w1, w2 = Weight(win, u1.values ** (1.0 / e.q1)), Weight(win, u2.values ** (1.0 / e.q2))
+            v = Weight(win, w1.values * w2.values)
+            const = two_weight_constant(kind, None, u1, u2, e, win)
+        else:
+            v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
+            const = two_weight_constant(kind, v, w1, w2, e, win)
         for trial in range(cfg.trials):
             f, g = _pair_at(cfg, trial, stage, win)
-            if commutator:
-                spec = _commutator_spec(cfg, _symbols_at(cfg, trial, stage, win, n_sym))
-                out = commutator_iterated(spec, f, g, e.alpha)
-                bmo = math.prod(bmo_norm(b) for b in spec.b_vec)
+            if operator == "m_alpha_r":
+                out, bmo = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"), 1.0
+            elif operator == "bh_maximal":
+                out, bmo = bh_maximal(f, g), 1.0
             else:
-                out = bilinear_fractional(f, g, e.alpha)
-                bmo = 1.0
+                out, bmo = _integral(cfg, trial, stage, win, f, g, e.alpha, n_sym)
             lhs = morrey_norm(_times(out, v), e.s, e.t)
             rhs = bmo * const * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
             rows.append(_row(stage, win, trial, lhs, rhs, "random"))
@@ -419,13 +469,7 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         w = _weight(cfg, "w", win)
         for trial in range(cfg.trials):
             f, g = _pair_at(cfg, trial, stage, win)
-            if commutator:
-                spec = _commutator_spec(cfg, _symbols_at(cfg, trial, stage, win, n_sym))
-                out = commutator_iterated(spec, f, g, alpha)
-                bmo = math.prod(bmo_norm(b) for b in spec.b_vec)
-            else:
-                out = bilinear_fractional(f, g, alpha)
-                bmo = 1.0
+            out, bmo = _integral(cfg, trial, stage, win, f, g, alpha, n_sym)
             lhs = morrey_norm(out, mp, mq, w)
             rhs = bmo * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
             rows.append(_row(stage, win, trial, lhs, rhs, "random"))
@@ -471,46 +515,6 @@ def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     if necessity:
         notes["extremal_checks"] = extremal_checks
     return rows, notes, violations
-
-
-def _run_strong_maximal(cfg: ExperimentConfig) -> tuple[list, dict, int]:
-    vector = cfg.experiment == "T29"
-    bh_route = cfg.experiment == "COR_BH"
-    notes = {}
-    if vector and "a" not in cfg.params:
-        # the vector-weight condition never uses a; any admissible value works
-        bound = min(_param(cfg, "q1") / _param(cfg, "r1", 2.0),
-                    _param(cfg, "q2") / _param(cfg, "r2", 2.0))
-        notes["derived_a"] = 0.5 * (1.0 + bound)
-    e = _exponent_set(cfg, "T28", a=notes.get("derived_a"))
-    if bh_route and e.alpha != 0.0:
-        raise ValidationError(["COR_BH requires alpha = 0"])
-    kind = (WeightConditionKind.C211 if vector
-            else WeightConditionKind.CBH if bh_route
-            else WeightConditionKind.C29)
-    notes["condition_kind"] = kind.value
-    rows = []
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        if vector:
-            u1, u2 = _weights(cfg, win, "u1", "u2")
-            v = Weight(win, u1.values ** (1.0 / e.q1) * u2.values ** (1.0 / e.q2))
-            w1 = Weight(win, u1.values ** (1.0 / e.q1))
-            w2 = Weight(win, u2.values ** (1.0 / e.q2))
-            const = two_weight_constant(kind, None, u1, u2, e, win)
-        else:
-            v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-            const = two_weight_constant(kind, v, w1, w2, e, win)
-        for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, stage, win)
-            if bh_route:
-                out = bh_maximal(f, g)
-            else:
-                out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
-            lhs = morrey_norm(_times(out, v), e.s, e.t)
-            rhs = const * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
-            rows.append(_row(stage, win, trial, lhs, rhs, "random"))
-    return rows, notes, 0
 
 
 def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
@@ -565,6 +569,16 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     return rows, notes, 0
 
 
+def _oscillation_ratios(b: LatticeFunction, exponents) -> tuple[float, dict]:
+    """The BMO norm of b and its oscillation ratios at the exponents, from one norm sweep;
+    the ratio at e = 1 is the norm over itself."""
+    norm = bmo_norm(b)
+    if norm == 0.0:
+        return norm, {ee: 0.0 for ee in exponents}
+    return norm, {ee: (norm if ee == 1.0 else _oscillation_sup(b, ee)) / norm
+                  for ee in exponents}
+
+
 def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     exponents = (1.0, 2.0, 4.0)
     rows = []
@@ -574,26 +588,25 @@ def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         win = cfg.window_at(stage)
         b_log = LatticeFunction.from_callable(
             win, lambda *x: math.log(math.sqrt(sum(v * v for v in x))))
-        ratios = {ee: oscillation_ratio(b_log, ee) for ee in exponents}
+        norm, ratios = _oscillation_ratios(b_log, exponents)
         notes["log_symbol"][f"stage_{stage}"] = {f"e{int(ee)}": ratios[ee] for ee in exponents}
         if not all(math.isfinite(v) for v in ratios.values()):
             violations += 1
         if not (ratios[1.0] <= ratios[2.0] + 1e-12 and ratios[2.0] <= ratios[4.0] + 1e-12):
             violations += 1
-        tele = _telescoping_defect(b_log)
+        tele = _telescoping_defect(b_log, norm)
         if tele > 1e-12:
             violations += 1
         for trial in range(cfg.trials):
             if trial == 0:
-                b = b_log
-                label = "log_abs"
+                b_ratios, label = ratios, "log_abs"
             else:
                 rng = _rng(cfg, 3, trial)
                 b = LatticeFunction(win, _refine_values(
                     rng.uniform(-1.0, 1.0, cfg.window.shape), stage))
+                _, b_ratios = _oscillation_ratios(b, (1.0, 4.0))
                 label = "random"
-            lo = oscillation_ratio(b, 1.0)
-            hi = oscillation_ratio(b, 4.0)
+            lo, hi = b_ratios[1.0], b_ratios[4.0]
             rows.append(_row(stage, win, trial, hi, max(lo, 1e-300), label))
             if hi + 1e-12 < lo:
                 violations += 1
@@ -601,13 +614,12 @@ def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     return rows, notes, violations
 
 
-def _telescoping_defect(b: LatticeFunction) -> float:
-    """Worst violation of the ancestor-chain mean bound, 0 when it holds.
+def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
+    """Worst violation of the ancestor-chain mean bound for b of BMO norm norm, 0 when it holds.
 
     Each cell compares the means of its cubes on two levels: all nested pairs.
     """
     win = b.window
-    norm = bmo_norm(b)
     worst = 0.0
     means = [expand_level(level_means(b.values, win, lvl), win, lvl) for lvl in win.levels()]
     for i, m_q in enumerate(means):
@@ -684,17 +696,17 @@ def _run_lemma39(cfg: ExperimentConfig) -> tuple[list, dict, int]:
 
 
 _RUNNERS = {
-    "T21": _run_two_weight_bilinear,
-    "T22": _run_two_weight_bilinear,
-    "T23": _run_two_weight_bilinear,
-    "T24": _run_two_weight_bilinear,
+    "T21": _run_strong_type,
+    "T22": _run_strong_type,
+    "T23": _run_strong_type,
+    "T24": _run_strong_type,
     "T25": _run_maximal_control,
     "T26": _run_maximal_control,
     "T27_sufficiency": _run_weak_type,
     "T27_necessity": _run_weak_type,
-    "T28": _run_strong_maximal,
-    "T29": _run_strong_maximal,
-    "COR_BH": _run_strong_maximal,
+    "T28": _run_strong_type,
+    "T29": _run_strong_type,
+    "COR_BH": _run_strong_type,
     "SW101": _run_stein_weiss,
     "JN": _run_john_nirenberg,
     "CZ_INV": _run_cz_invariants,

@@ -66,16 +66,6 @@ def _padded(values: np.ndarray, window: Window) -> tuple[np.ndarray, tuple[int, 
     return out, pads
 
 
-def _shift_slices(window: Window, pads, j_off, sign: int):
-    """Slices selecting f(x - y_cj) (sign=-1) or g(x + y_cj) (sign=+1) per output cell."""
-    c = window.cells_per_axis
-    out = []
-    for p, j, m in zip(pads, j_off, window.cell_index_lo):
-        start = p - j - m if sign < 0 else p + j + m + 1
-        out.append(slice(start, start + c))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CommutatorSpec:
     """Symbols and slot choices for an iterated commutator.
@@ -129,10 +119,16 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
     fpad, pads = _padded(f.values, window)
     gpad, _ = _padded(g.values, window)
     bpads = [(b.values, _padded(b.values, window)[0], slot) for b, slot in symbols]
+    # per axis and kernel offset j, the padded slices of f(x - y_cj) and g(x + y_cj)
+    c = window.cells_per_axis
+    f_axes = [[slice(p - j - m, p - j - m + c) for j in range(c)]
+              for p, m in zip(pads, window.cell_index_lo)]
+    g_axes = [[slice(p + j + m + 1, p + j + m + 1 + c) for j in range(c)]
+              for p, m in zip(pads, window.cell_index_lo)]
     out = np.zeros(window.shape)
     for j_off in np.ndindex(window.shape):
-        fsl = _shift_slices(window, pads, j_off, -1)
-        gsl = _shift_slices(window, pads, j_off, +1)
+        fsl = tuple(axis[j] for axis, j in zip(f_axes, j_off))
+        gsl = tuple(axis[j] for axis, j in zip(g_axes, j_off))
         term = kern[j_off] * fpad[fsl] * gpad[gsl]
         for b, bpad, slot in bpads:
             term = term * (b - bpad[fsl if slot == 1 else gsl])

@@ -142,10 +142,6 @@ class WeightConditionKind(Enum):
     CBH = "CBH"
 
 
-_PAIR_KINDS = {WeightConditionKind.C22, WeightConditionKind.C23, WeightConditionKind.C24,
-               WeightConditionKind.C27, WeightConditionKind.C29, WeightConditionKind.CBH}
-
-
 def _kind_check(kind: WeightConditionKind, e: ExponentSet) -> None:
     if kind is WeightConditionKind.C22:
         if not (0 < e.t <= 1 and e.s < 1):

@@ -161,3 +161,16 @@ def test_python_dash_m_runs_a_shipped_config(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.with_suffix(".json").read_text())["experiment"] == "T27_necessity"
+
+
+@pytest.mark.parametrize("text", [
+    "experiment = T23\nalpha = 0.5\nq1 = 1.8\nq2 = 1.8\np = 1.5\nr = 2.1\na = 1.5\n"
+    "n_symbols = 2\nbeta_pattern = 1,2,1\ntrials = 2\n",
+    "experiment = COR_BH\nalpha = 0.4\nq1 = 4\nq2 = 4\np = 2.2\nr = inf\na = 1.5\n"
+    "r1 = 2\nr2 = 2\ntrials = 2\n",
+], ids=["T23_beta_pattern_length", "COR_BH_alpha"])
+def test_run_strong_type_bad_parameters_exit_2(tmp_path, capsys, text):
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "validation failure" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()

@@ -236,6 +236,31 @@ def test_jn_experiment_ratios():
     assert all(math.isfinite(v) for v in log_stats.values())
 
 
+
+def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
+    # per stage: the log symbol's norm and its e = 2, 4 sweeps (trial 0 reuses
+    # them), then one norm and one e = 4 sweep per random symbol
+    import sys
+    from morreylab import field
+    original = field._oscillation_sup
+    sweeps = []
+
+    def counted(b, e):
+        sweeps.append(e)
+        return original(b, e)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("morreylab") and getattr(module, "_oscillation_sup", None) is original:
+            monkeypatch.setattr(module, "_oscillation_sup", counted)
+    pairs = [
+        ("experiment", "JN"), ("dim", "2"), ("level_min", "-3"), ("level_max", "0"),
+        ("trials", "6"), ("seed", "42"), ("refinements", "0,1"),
+    ]
+    rep = run_experiment(config_from_pairs(pairs))
+    assert rep.summary["invariant_violations"] == 0
+    assert len(sweeps) == 2 * (3 + 2 * 5)
+    assert sorted(sweeps).count(1.0) == 2 * 6
+
 def test_l39_experiment_stable():
     pairs = [
         ("experiment", "L39"), ("dim", "1"), ("level_min", "-4"), ("level_max", "0"),
@@ -313,3 +338,25 @@ def test_t29_run_leaves_config_unchanged(tmp_path):
         assert open(a, "rb").read() == open(b, "rb").read()
     with pytest.raises(TypeError):
         cfg.params["a"] = 1.5
+
+
+T23_PAIRS = [
+    ("experiment", "T23"), ("dim", "1"), ("level_min", "-3"), ("level_max", "0"),
+    ("alpha", "0.5"), ("q1", "1.8"), ("q2", "1.8"), ("p", "1.5"), ("r", "2.1"),
+    ("a", "1.5"), ("n_symbols", "2"), ("beta_pattern", "1,2,1"), ("trials", "2"),
+]
+
+COR_BH_PAIRS = [
+    ("experiment", "COR_BH"), ("dim", "1"), ("level_min", "-3"), ("level_max", "0"),
+    ("alpha", "0.4"), ("q1", "4"), ("q2", "4"), ("p", "2.2"), ("r", "inf"),
+    ("a", "1.5"), ("r1", "2"), ("r2", "2"), ("trials", "2"),
+]
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (T23_PAIRS, "beta_pattern length must equal n_symbols"),
+    (COR_BH_PAIRS, "COR_BH requires alpha = 0"),
+])
+def test_strong_type_refuses_bad_parameters(pairs, message):
+    with pytest.raises(ValidationError, match=message):
+        run_experiment(config_from_pairs(pairs))
