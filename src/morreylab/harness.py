@@ -442,7 +442,6 @@ def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
 
 
 def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
-    commutator = cfg.experiment == "T26"
     mp = _param(cfg, "p")
     mq = _param(cfg, "q")
     alpha = _param(cfg, "alpha")
@@ -453,7 +452,7 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     if abs(1.0 / r1 + 1.0 / r2 - 1.0) > 1e-9:
         raise ValidationError([f"(r1, r2) must be a Holder pair; got ({r1}, {r2})"])
     notes = {"morrey_weight_convention": "integrand |f|^q * w, Lebesgue normalizer |Q|"}
-    if commutator:
+    if cfg.experiment == "T26":
         vt1 = _param(cfg, "vartheta1", 1.25)
         vt2 = _param(cfg, "vartheta2", 1.25)
         if vt1 <= 1 or vt2 <= 1:
