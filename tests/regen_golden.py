@@ -48,7 +48,7 @@ def platform_fingerprint() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
-    except Exception:  # the build info layout is not a stable numpy API
+    except (TypeError, KeyError, AttributeError):  # the build info is no stable numpy API
         blas = "unknown"
     return {
         "python": f"{platform.python_implementation()} {platform.python_version()}",

@@ -259,7 +259,7 @@ def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
     rep = run_experiment(config_from_pairs(pairs))
     assert rep.summary["invariant_violations"] == 0
     assert len(sweeps) == 2 * (3 + 2 * 5)
-    assert sorted(sweeps).count(1.0) == 2 * 6
+    assert sweeps.count(1.0) == 2 * 6
 
 def test_l39_experiment_stable():
     pairs = [
