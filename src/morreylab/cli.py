@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .czd import cz_decompose, cz_decompose_alpha, decomposition_to_json
+from .czd import cz_decompose, cz_decompose_alpha, decomposition_to_json, verify_decomposition
 from .errors import ValidationError
 from .field import from_csv
 from .harness import (
@@ -92,19 +92,26 @@ def _cmd_decompose(args) -> int:
     q0 = _q0(cfg, win)
     f, g = _pair_at(cfg, 0, 0, win)
     if str(cfg.params.get("kind", "cz")) == "cz_alpha":
-        d = cz_decompose_alpha(f, g, q0,
-                               float(cfg.params.get("r1", 2.0)),
-                               float(cfg.params.get("r2", 2.0)),
-                               float(cfg.params.get("alpha", 0.5)))
+        t1 = float(cfg.params.get("r1", 2.0))
+        t2 = float(cfg.params.get("r2", 2.0))
+        alpha = float(cfg.params.get("alpha", 0.5))
+        d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
     else:
-        d = cz_decompose(f, g, q0,
-                         float(cfg.params.get("theta1", 2.0)),
-                         float(cfg.params.get("theta2", 2.0)))
+        t1 = float(cfg.params.get("theta1", 2.0))
+        t2 = float(cfg.params.get("theta2", 2.0))
+        alpha = None
+        d = cz_decompose(f, g, q0, t1, t2)
     with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(decomposition_to_json(d, win), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")
+    bad = verify_decomposition(d, f, g, win, t1, t2, alpha=alpha)
+    if bad:
+        print(f"invariant violations: {len(bad)}", file=sys.stderr)
+        for msg in bad:
+            print(msg, file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
 """Golden reports: what they cover, how they are produced, and their regeneration.
 
-``tests/golden/`` holds the CSV and JSON report of every ``configs/*.cfg``
-plus the stdout of ``morreylab weight-const`` for the kinds in
-``WEIGHT_CONST``, and ``platform.json``, the fingerprint of the platform
+``tests/golden/`` holds the CSV and JSON report of every ``configs/*.cfg``,
+the stdout of ``morreylab weight-const`` for the kinds in ``WEIGHT_CONST``,
+the JSON that ``morreylab decompose`` writes for ``DECOMPOSE_CONFIG`` (an
+empty forest), the forests of both stopping-time decompositions on
+``SPIKED_1D`` (non-empty ones), and ``platform.json``, the fingerprint of the platform
 that produced them (bit-level results depend on the Python and numpy
 versions, the BLAS build and the SIMD features numpy dispatches to).
 ``test_golden.py`` compares fresh outputs against them.
@@ -34,6 +36,16 @@ PLATFORM_FILE = "platform.json"
 WEIGHT_CONST = ("C29", "C211")
 WEIGHT_CONST_CONFIG = "t28_strong_maximal.cfg"
 
+# `morreylab decompose --json` output kept for this config
+DECOMPOSE_CONFIG = "czd_decompose.cfg"
+
+# A uniform background on [0, 1) at level_min -14 with co-located spikes in
+# f and g, ((cell index,), factor); the stopping cubes of both
+# decompositions of Q0 = [0, 1) cluster around the spikes.
+SPIKED_1D = {"level_min": -14, "seed": 0, "alpha": 0.1,
+             "spikes": (((9000,), 1e6), ((3000,), 1e5), ((12000,), 3e4))}
+SPIKED_1D_NAME = "czd_spiked_1d.json"
+
 
 def platform_fingerprint() -> dict:
     import numpy as np
@@ -59,9 +71,45 @@ def platform_fingerprint() -> dict:
     }
 
 
+def spiked_forests() -> dict:
+    """decomposition_to_json of cz_decompose (theta1 = theta2 = 2) and of
+    cz_decompose_alpha (r1 = r2 = 2, SPIKED_1D's alpha) on the spiked input."""
+    import numpy as np
+
+    from morreylab.czd import cz_decompose, cz_decompose_alpha, decomposition_to_json
+    from morreylab.dyadic import Cube, Window
+    from morreylab.field import LatticeFunction
+
+    window = Window(1, SPIKED_1D["level_min"], 0)
+    rng = np.random.default_rng(SPIKED_1D["seed"])
+    fv = rng.uniform(0.05, 1.0, window.shape)
+    gv = rng.uniform(0.05, 1.0, window.shape)
+    for index, size in SPIKED_1D["spikes"]:
+        cell = tuple(i - lo for i, lo in zip(index, window.cell_index_lo))
+        fv[cell] *= size
+        gv[cell] *= size
+    f, g = LatticeFunction(window, fv), LatticeFunction(window, gv)
+    q0 = Cube(0, (0,))
+    return {
+        "cz": decomposition_to_json(cz_decompose(f, g, q0, 2.0, 2.0), window),
+        "cz_alpha": decomposition_to_json(
+            cz_decompose_alpha(f, g, q0, 2.0, 2.0, SPIKED_1D["alpha"]), window),
+    }
+
+
+def _cli(argv: list[str]) -> str:
+    from morreylab import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"morreylab {' '.join(argv[:2])} exited {code}")
+    return buf.getvalue()
+
+
 def produce(out_dir: Path) -> list[str]:
     """Write every golden output into out_dir; returns the file names."""
-    from morreylab import cli
     from morreylab.harness import emit_report, parse_config, run_experiment
 
     names = []
@@ -70,14 +118,17 @@ def produce(out_dir: Path) -> list[str]:
         emit_report(report, out_dir / path.stem)
         names += [path.stem + ".csv", path.stem + ".json"]
     for kind in WEIGHT_CONST:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(["weight-const", kind, str(CONFIGS / WEIGHT_CONST_CONFIG)])
-        if code != 0:
-            raise RuntimeError(f"weight-const {kind} exited {code}")
         name = f"weight_const_{kind}.txt"
-        (out_dir / name).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+        text = _cli(["weight-const", kind, str(CONFIGS / WEIGHT_CONST_CONFIG)])
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
         names.append(name)
+    name = f"decompose_{Path(DECOMPOSE_CONFIG).stem}.json"
+    _cli(["decompose", str(CONFIGS / DECOMPOSE_CONFIG), "--json", str(out_dir / name)])
+    names.append(name)
+    # compact: the exceptional sets list about 16 000 cells per forest
+    (out_dir / SPIKED_1D_NAME).write_text(
+        json.dumps(spiked_forests(), sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    names.append(SPIKED_1D_NAME)
     return names
 
 

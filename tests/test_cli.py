@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -150,6 +151,34 @@ seed = 12
     assert cli.main(["decompose", cfg, "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert {"gamma", "factor", "levels", "e_cells"} <= set(doc)
+
+
+@pytest.mark.parametrize("kind", ["cz", "cz_alpha"])
+def test_decompose_exits_3_on_a_violated_invariant(tmp_path, capsys, monkeypatch, kind):
+    cfg = _write(tmp_path, "dec.cfg", f"""
+experiment = CZ_INV
+kind = {kind}
+dim = 1
+level_min = -5
+level_max = 0
+q0_level = -1
+q0_index = 0
+seed = 12
+""")
+    make = "cz_decompose_alpha" if kind == "cz_alpha" else "cz_decompose"
+    honest = getattr(cli, make)
+
+    def tampered(*args):
+        d = honest(*args)
+        e0 = d.e0.copy()
+        e0[0] = not e0[0]
+        return dataclasses.replace(d, e0=e0)
+
+    monkeypatch.setattr(cli, make, tampered)
+    out = tmp_path / "dec.json"
+    assert cli.main(["decompose", cfg, "--json", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violations" in err and "partition" in err
 
 
 def test_python_dash_m_runs_a_shipped_config(tmp_path):

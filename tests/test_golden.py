@@ -1,4 +1,5 @@
-"""Every shipped config's report and the weight-const outputs against tests/golden/.
+"""Every shipped config's report, the weight-const and decompose outputs and two
+non-empty stopping-time forests against tests/golden/.
 
 On the platform that produced the goldens (same Python, numpy, BLAS and
 CPU features, see regen_golden.platform_fingerprint) the comparison is
@@ -15,7 +16,7 @@ import warnings
 
 import pytest
 
-from regen_golden import GOLDEN, PLATFORM_FILE, platform_fingerprint, produce
+from regen_golden import GOLDEN, PLATFORM_FILE, SPIKED_1D_NAME, platform_fingerprint, produce
 
 RTOL = 1e-12
 
@@ -138,6 +139,15 @@ def test_output_matches_golden(name, fresh, rtol):
     if rtol == 0.0:
         pytest.fail(f"{name}: {diff or 'bytes differ, values equal (formatting)'}")
     assert diff is None, f"{name}: {diff} (rtol {rtol})"
+
+
+def test_spiked_forests_are_not_empty():
+    # the decompose config's forest is empty; these goldens pin real stopping cubes
+    forests = json.loads((GOLDEN / SPIKED_1D_NAME).read_text(encoding="utf-8"))
+    assert sorted(forests) == ["cz", "cz_alpha"]
+    for doc in forests.values():
+        assert doc["levels"] and not doc["cap_hit"]
+        assert all(level["cubes"] for level in doc["levels"])
 
 
 @pytest.mark.parametrize("name, got, want, where", [
