@@ -11,6 +11,16 @@ dyadic radii and exists so the pointwise domination of the bilinear maximal
 function is a literal test: a Holder split of the bilinear average on the
 centered cube is exact there and only there.
 
+Centered cubes are whole-array window sums.  The cube of radius h/2 (h the
+cell side) is the centre cell; the cube of radius K h (K = 2^i) covers, per
+axis, the cells at offset |d| < K whole and the two at |d| = K half.  On an
+array zero-padded past the largest K, the sums W_k[m] = sum_{|d| <= k} a[m + d]
+double as W_{2k+1}[m] = W_k[m - k - 1] + a[m] + W_k[m + k + 1] from W_0 = a,
+which reaches every k = K - 1, and the cube sum along the axis is
+W_{K-1}[m] + (a[m - K] + a[m + K]) / 2.  The weights are separable, so one
+such pass per axis gives the n-D sum.  Every term added is nonnegative:
+differences of prefix sums would cancel badly on spiky inputs.
+
 The weighted variant additionally multiplies by a power average of a weight
 on Q while taking the f/g averages on the 3-fold dilate 3Q; it is the object
 the stopping-time estimates actually bound.  All averages over 3Q or centered
@@ -23,18 +33,46 @@ import math
 
 import numpy as np
 
-from .dyadic import Box
 from .field import (
     LatticeFunction,
     Weight,
-    _axis_overlap_weights,
-    _weighted_box_sum,
     dilated_means,
     expand_level,
     level_means,
     level_power_means,
 )
 from .operators import _require_pair, dyadic_radii
+
+
+def _shifted(x: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """y[m] = x[m - s] along axis, zero where m - s falls outside x."""
+    y = np.zeros_like(x)
+    dst = [slice(None)] * x.ndim
+    src = [slice(None)] * x.ndim
+    dst[axis], src[axis] = (slice(s, None), slice(None, -s)) if s > 0 \
+        else (slice(None, s), slice(-s, None))
+    y[tuple(dst)] = x[tuple(src)]
+    return y
+
+
+def _axis_window_sums(a: np.ndarray, axis: int, ks):
+    """Yield, for each K in ks (increasing powers of two), the sum along axis of
+    a[m + d] over |d| < K plus half of a[m - K] and a[m + K]; a must be zero
+    within max(ks) of both ends of the axis."""
+    w, k = a, 0  # w[m] = sum of a[m + d] over |d| <= k
+    for big_k in ks:
+        while k < big_k - 1:
+            w = _shifted(w, k + 1, axis) + a + _shifted(w, -k - 1, axis)
+            k = 2 * k + 1
+        yield w + 0.5 * (_shifted(a, big_k, axis) + _shifted(a, -big_k, axis))
+
+
+def _cube_sums(a: np.ndarray, ks):
+    """Yield the centered cube sums of a for each K in ks, one axis pass at a time."""
+    for big_k, b in zip(ks, _axis_window_sums(a, 0, ks)):
+        for axis in range(1, a.ndim):
+            b = next(_axis_window_sums(b, axis, (big_k,)))
+        yield b
 
 
 def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
@@ -61,25 +99,18 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
         radii = dyadic_radii(window)
         fa = np.abs(f.values) ** r1
         ga = np.abs(g.values) ** r2
-        out = np.empty(window.shape)
-        lo = window.cell_index_lo
-        for off in np.ndindex(window.shape):
-            x = window.cell_center(tuple(o + a for o, a in zip(off, lo)))
-            best = 0.0
-            for r in radii:
-                box = Box(tuple(xi - r for xi in x), tuple(xi + r for xi in x))
-                weights = _axis_overlap_weights(window, box)
-                vol = 1.0
-                for w in weights:
-                    vol *= float(w.sum())
-                if vol <= 0.0:
-                    continue
-                mf = _weighted_box_sum(fa, weights) / vol
-                mg = _weighted_box_sum(ga, weights) / vol
-                val = (2.0 * r) ** alpha * mf ** (1.0 / r1) * mg ** (1.0 / r2)
-                best = max(best, val)
-            out[off] = best
-        return LatticeFunction(window, out)
+        best = (2.0 * radii[0]) ** alpha * fa ** (1.0 / r1) * ga ** (1.0 / r2)
+        ks = [1 << i for i in range(len(radii) - 1)]  # radii[1:] / h
+        pad = ks[-1] + 1
+        core = tuple(slice(pad, pad + c) for c in window.shape)
+        sums = zip(*(_cube_sums(np.pad(a, pad), ks)
+                     for a in (fa, ga, np.ones(window.shape))))
+        for r, (sf, sg, vol) in zip(radii[1:], sums):
+            vol = vol[core]
+            val = (2.0 * r) ** alpha * (sf[core] / vol) ** (1.0 / r1) \
+                * (sg[core] / vol) ** (1.0 / r2)
+            np.maximum(best, val, out=best)
+        return LatticeFunction(window, best)
     raise ValueError(f"mode must be 'dyadic' or 'centered'; got {mode!r}")
 
 

@@ -22,13 +22,14 @@ keeps results deterministic.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import Box, Window
-from .field import LatticeFunction, _axis_overlap_weights, _weighted_box_sum, abs_power_cell_averages
+from .dyadic import Window
+from .field import LatticeFunction, abs_power_cell_averages
 
 # Least recently used kernels are dropped beyond this many, so a long sweep
 # over alphas or windows holds a bounded number of kernel arrays.
@@ -163,21 +164,15 @@ def dyadic_radii(window: Window) -> list[float]:
     return [2.0 ** j for j in range(window.level_min - 1, window.level_max + 1)]
 
 
-def _reflected(values: np.ndarray, m_off) -> np.ndarray:
-    """Array R with R[k] = values[2*m - k] (zero outside), in offset coordinates."""
-    shape = values.shape
-    out = np.zeros(shape)
-    dst = []
-    src = []
-    for ax, c in enumerate(shape):
-        lo = max(0, 2 * m_off[ax] - (c - 1))
-        hi = min(c - 1, 2 * m_off[ax])
-        if lo > hi:
-            return out
-        dst.append(slice(lo, hi + 1))
-        src.append(slice(2 * m_off[ax] - hi, 2 * m_off[ax] - lo + 1))
-    block = values[tuple(src)]
-    out[tuple(dst)] = np.flip(block, axis=tuple(range(values.ndim)))
+def _shell(s: int, n: int) -> list[tuple[int, ...]]:
+    """Offset vectors d in Z^n with |d|_inf = s, in lexicographic order."""
+    if n == 1:
+        return [(-s,), (s,)] if s else [(0,)]
+    out = []
+    for d0 in range(-s, s + 1):
+        rest = itertools.product(range(-s, s + 1), repeat=n - 1) if abs(d0) == s \
+            else _shell(s, n - 1)
+        out += [(d0, *d) for d in rest]
     return out
 
 
@@ -185,25 +180,42 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     """Bilinear maximal function over dyadic radii.
 
     Per cell center x the value is the max over r in dyadic_radii of the
-    average of |f(x - y) g(x + y)| over y in [-r, r]^n, computed by exact
-    cell sums after substituting u = x - y (x + y = 2x - u then lies in a
-    reflected cell).  The normalizer is the full (2r)^n with out-of-window
-    samples contributing 0; the true sup over all r > 0 is within a factor
-    2^n of this dyadic sup for nonnegative integrands (reported, not assumed).
+    average of |f(x - y) g(x + y)| over y in [-r, r]^n.  Cell centers sit on
+    the lattice, so y = d h (h the cell side, d an integer offset vector)
+    makes the integrand the whole-array shifted product
+    A_d[m] = |f[m - d]| |g[m + d]|.  The box of radius h/2 is the centre
+    cell, A_0.  The box of radius K h (K = 2^i) holds every offset with
+    |d|_inf < K whole and each offset on the shell |d|_inf = K with weight
+    1/2 per axis where |d_i| = K.  So one pass over the shells in order of
+    |d|_inf computes each A_d once: a running sum of the inner shells plus
+    the weighted shell K gives the sum at radius K.  Every term added is
+    nonnegative, so spiky inputs lose nothing to cancellation.  Offsets with
+    |d|_inf > (c - 1) // 2 (c cells per axis) put x - y or x + y outside the
+    window for every x and are skipped.
+
+    The normalizer is the full (2r)^n with out-of-window samples
+    contributing 0; the true sup over all r > 0 is within a factor 2^n of
+    this dyadic sup for nonnegative integrands (reported, not assumed).
     """
     window = _require_pair(f, g)
     n = window.dim
-    h = window.cell_side
-    radii = dyadic_radii(window)
-    out = np.zeros(window.shape)
-    for m_off in np.ndindex(window.shape):
-        prod = np.abs(f.values * _reflected(g.values, m_off))
-        x = window.cell_center(tuple(o + a for o, a in zip(m_off, window.cell_index_lo)))
-        best = 0.0
-        for r in radii:
-            box = Box(tuple(xi - r for xi in x), tuple(xi + r for xi in x))
-            weights = _axis_overlap_weights(window, box)
-            val = _weighted_box_sum(prod, weights) / (2.0 * r) ** n
-            best = max(best, val)
-        out[m_off] = best
-    return LatticeFunction(window, out)
+    c = window.cells_per_axis
+    fpad = np.pad(np.abs(f.values), c)
+    gpad = np.pad(np.abs(g.values), c)
+    faces = [1 << i for i in range(window.level_max - window.level_min + 1)]  # radii / h
+    best = np.abs(f.values) * np.abs(g.values)
+    inner = best.copy()  # sum of A_d over |d|_inf < s
+    for s in range(1, (c - 1) // 2 + 1):
+        box = inner.copy() if s in faces else None  # the sum at radius s h
+        for d in _shell(s, n):
+            a = fpad[tuple(slice(c - di, 2 * c - di) for di in d)] \
+                * gpad[tuple(slice(c + di, 2 * c + di) for di in d)]
+            inner += a
+            if box is not None:
+                box += a * 0.5 ** sum(abs(di) == s for di in d)
+        if box is not None:
+            np.maximum(best, box / (2.0 * s) ** n, out=best)
+    for k in faces:
+        if k > (c - 1) // 2:
+            np.maximum(best, inner / (2.0 * k) ** n, out=best)
+    return LatticeFunction(window, best)

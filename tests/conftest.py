@@ -3,6 +3,10 @@ import pytest
 
 from morreylab.dyadic import Window
 from morreylab.field import LatticeFunction, Weight
+from morreylab.maximal import m_alpha_r
+from morreylab.operators import bh_maximal
+
+import oracles
 
 
 def close(a, b, tol=1e-12):
@@ -33,3 +37,15 @@ def random_lattice(window: Window, seed: int, lo=0.05, hi=1.0) -> LatticeFunctio
 def random_weight(window: Window, seed: int, lo=0.2, hi=3.0) -> Weight:
     rng = np.random.default_rng(seed)
     return Weight(window, rng.uniform(lo, hi, window.shape))
+
+
+def _centered_fast(f, g, alpha, pair):
+    return m_alpha_r(f, g, alpha, pair, "centered")
+
+
+@pytest.fixture(params=["fast", "oracle"])
+def centered_ops(request):
+    """(bh_maximal, centered m_alpha_r(f, g, alpha, pair)): the library's sums or the loops."""
+    if request.param == "fast":
+        return bh_maximal, _centered_fast
+    return oracles.bh_maximal, oracles.m_alpha_r_centered

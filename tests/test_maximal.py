@@ -6,7 +6,6 @@ import pytest
 from morreylab.dyadic import Cube, Window, cube_box, dilate3
 from morreylab.field import LatticeFunction, Weight, power_avg
 from morreylab.maximal import m_alpha_r, m_joint_weighted
-from morreylab.operators import bh_maximal
 
 from conftest import assert_close, random_lattice, random_weight
 
@@ -152,10 +151,11 @@ def test_joint_weighted_matches_enumeration_two_levels():
     assert np.max(np.abs(out.values - brute)) <= 1e-12
 
 
-def test_centered_mode_dominates_bh_many_pairs(sym_window):
+def test_centered_mode_dominates_bh_many_pairs(sym_window, centered_ops):
+    bh_op, centered_op = centered_ops
     f = random_lattice(sym_window, 19)
     g = random_lattice(sym_window, 20)
-    bh = bh_maximal(f, g)
+    bh = bh_op(f, g)
     for pair in ((2.0, 2.0), (4.0, 4.0 / 3.0), (1.25, 5.0)):
-        m = m_alpha_r(f, g, 0.0, pair, "centered")
+        m = centered_op(f, g, 0.0, pair)
         assert np.max(bh.values - m.values) <= 1e-12

@@ -6,10 +6,9 @@ import pytest
 from morreylab.czd import cz_decompose, verify_decomposition
 from morreylab.dyadic import Cube, Window
 from morreylab.field import LatticeFunction, Weight
-from morreylab.maximal import m_alpha_r, m_joint_weighted
+from morreylab.maximal import m_joint_weighted
 from morreylab.operators import (
     CommutatorSpec,
-    bh_maximal,
     bilinear_fractional,
     commutator_iterated,
     kernel_cell_averages,
@@ -60,14 +59,15 @@ def test_commutator_constants_vanish_2d(win2):
     assert np.max(np.abs(out.values)) <= 1e-12
 
 
-def test_bh_dominated_2d(win2):
+def test_bh_dominated_2d(win2, centered_ops):
+    bh_op, centered_op = centered_ops
     f = random_lattice(win2, 7)
     g = random_lattice(win2, 8)
-    bh = bh_maximal(f, g)
-    m = m_alpha_r(f, g, 0.0, (2.0, 2.0), "centered")
+    bh = bh_op(f, g)
+    m = centered_op(f, g, 0.0, (2.0, 2.0))
     assert np.max(bh.values - m.values) <= 1e-12
     one = LatticeFunction.constant(win2, 1.0)
-    assert np.all(bh_maximal(one, one).values == 1.0)
+    assert np.all(bh_op(one, one).values == 1.0)
 
 
 def test_joint_weighted_runs_2d(win2):

@@ -7,7 +7,6 @@ import pytest
 from morreylab import operators
 from morreylab.dyadic import Box, Window
 from morreylab.field import LatticeFunction
-from morreylab.maximal import m_alpha_r
 from morreylab.operators import (
     CommutatorSpec,
     bh_maximal,
@@ -216,27 +215,30 @@ def test_bt_alpha_benchmark():
     assert abs(val - 4.0) / 4.0 < 0.02
 
 
-def test_bh_constant_inputs():
+def test_bh_constant_inputs(centered_ops):
+    bh_op, _ = centered_ops
     w = Window(1, -3, 0)
     one = LatticeFunction.constant(w, 1.0)
-    out = bh_maximal(one, one)
+    out = bh_op(one, one)
     assert np.all(out.values == 1.0)
 
 
-def test_bh_single_cell_hand_value():
+def test_bh_single_cell_hand_value(centered_ops):
     # x = 1/2, r = 1/2: the average of chi(x-y) chi(x+y) over [-1/2,1/2] is 1
+    bh_op, _ = centered_ops
     w = Window(1, 0, 0, origin_offset=(0,), top_count=1)
     one = LatticeFunction.constant(w, 1.0)
-    out = bh_maximal(one, one)
+    out = bh_op(one, one)
     assert out.values[0] == 1.0
 
 
-def test_bh_dominated_by_centered_maximal(sym_window):
+def test_bh_dominated_by_centered_maximal(sym_window, centered_ops):
+    bh_op, centered_op = centered_ops
     f = random_lattice(sym_window, 30)
     g = random_lattice(sym_window, 31)
-    bh = bh_maximal(f, g)
+    bh = bh_op(f, g)
     for pair in ((2.0, 2.0), (1.5, 3.0)):
-        m = m_alpha_r(f, g, 0.0, pair, "centered")
+        m = centered_op(f, g, 0.0, pair)
         assert np.max(bh.values - m.values) <= 1e-12
 
 
