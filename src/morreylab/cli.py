@@ -5,7 +5,8 @@
   morreylab weight-const <kind> <config-file>
   morreylab decompose <config-file> --json PATH
 
-Exit codes: 0 success, 2 validation failure, 3 invariant violation.
+Exit codes: 0 success, 2 validation failure, 3 invariant violation (a run's
+report counts some, or the decomposition fails verify_decomposition).
 """
 
 from __future__ import annotations

@@ -202,11 +202,11 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     c = window.cells_per_axis
     fpad = np.pad(np.abs(f.values), c)
     gpad = np.pad(np.abs(g.values), c)
-    faces = [1 << i for i in range(window.level_max - window.level_min + 1)]  # radii / h
+    ks = [1 << i for i in range(len(dyadic_radii(window)) - 1)]  # dyadic_radii[1:] / h
     best = np.abs(f.values) * np.abs(g.values)
     inner = best.copy()  # sum of A_d over |d|_inf < s
     for s in range(1, (c - 1) // 2 + 1):
-        box = inner.copy() if s in faces else None  # the sum at radius s h
+        box = inner.copy() if s in ks else None  # the sum at radius s h
         for d in _shell(s, n):
             a = fpad[tuple(slice(c - di, 2 * c - di) for di in d)] \
                 * gpad[tuple(slice(c + di, 2 * c + di) for di in d)]
@@ -215,7 +215,7 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
                 box += a * 0.5 ** sum(abs(di) == s for di in d)
         if box is not None:
             np.maximum(best, box / (2.0 * s) ** n, out=best)
-    for k in faces:
+    for k in ks:  # the shells past (c - 1) // 2 are empty
         if k > (c - 1) // 2:
             np.maximum(best, inner / (2.0 * k) ** n, out=best)
     return LatticeFunction(window, best)

@@ -82,10 +82,3 @@ def test_largest_windows_with_a_1e8_spike(window, cell):
         want = oracles.m_alpha_r_centered(f, g, 0.0, exponents).values
         assert _relative_gap(got, want) <= RTOL
 
-
-def test_shell_sums_skip_only_empty_offsets():
-    # a window of one or two cells per axis has no offset d != 0 with both
-    # x - y and x + y inside it, so every radius sees the centre cell alone
-    for window in (Window(1, 0, 0, top_count=1), Window(2, -1, 0, top_count=1)):
-        f, g = _spiked_pair(window, 3, (0,) * window.dim, 1.0)
-        assert np.array_equal(bh_maximal(f, g).values, oracles.bh_maximal(f, g).values)
