@@ -165,9 +165,9 @@ def dyadic_radii(window: Window) -> list[float]:
 
 
 def _shell(s: int, n: int) -> list[tuple[int, ...]]:
-    """Offset vectors d in Z^n with |d|_inf = s, in lexicographic order."""
+    """Offset vectors d in Z^n with |d|_inf = s >= 1, in lexicographic order."""
     if n == 1:
-        return [(-s,), (s,)] if s else [(0,)]
+        return [(-s,), (s,)]
     out = []
     for d0 in range(-s, s + 1):
         rest = itertools.product(range(-s, s + 1), repeat=n - 1) if abs(d0) == s \

@@ -4,9 +4,10 @@
 the stdout of ``morreylab weight-const`` for the kinds in ``WEIGHT_CONST``,
 the JSON that ``morreylab decompose`` writes for ``DECOMPOSE_CONFIG`` (an
 empty forest), the forests of both stopping-time decompositions on
-``SPIKED_1D`` (non-empty ones), and ``platform.json``, the fingerprint of the platform
-that produced them (bit-level results depend on the Python and numpy
-versions, the BLAS build and the SIMD features numpy dispatches to).
+``SPIKED_1D`` (non-empty ones), and ``platform.json``, the fingerprint of
+the platform that produced them (bit-level results depend on the Python
+and numpy versions, the BLAS build and the SIMD features numpy dispatches
+to).
 ``test_golden.py`` compares fresh outputs against them.
 
 A change that moves numbers on purpose regenerates them with
