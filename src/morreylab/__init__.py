@@ -17,18 +17,8 @@ provides:
 Everything is deterministic: fixed seeds reproduce reports byte for byte.
 """
 
-from .dyadic import (
-    Box,
-    Cube,
-    Window,
-    ancestors,
-    children,
-    cube_box,
-    dilate3,
-    nested_pairs,
-    parent,
-)
-from .errors import InvariantViolation, MorreyLabError, ValidationError
+from .dyadic import Cube, Window, ancestors, parent
+from .errors import MorreyLabError, ValidationError
 from .exponents import (
     ExponentSet,
     build,
@@ -40,10 +30,8 @@ from .field import (
     LatticeFunction,
     Weight,
     bmo_norm,
-    cell_average,
     from_csv,
     oscillation_ratio,
-    power_avg,
     power_weight,
     to_csv,
 )
@@ -83,13 +71,11 @@ __all__ = [
     "to_csv",
     "oscillation_ratio",
     "from_csv",
-    "Box",
     "CommutatorSpec",
     "Cube",
     "Decomposition",
     "ExperimentConfig",
     "ExponentSet",
-    "InvariantViolation",
     "LatticeFunction",
     "MorreyLabError",
     "Report",
@@ -103,24 +89,18 @@ __all__ = [
     "bilinear_fractional",
     "bmo_norm",
     "bt_alpha",
-    "cell_average",
-    "children",
     "commutator_iterated",
-    "cube_box",
     "cz_decompose",
     "cz_decompose_alpha",
     "default_holder_pair",
-    "dilate3",
     "emit_report",
     "lemma39_check",
     "m_alpha_r",
     "m_joint_weighted",
     "morrey_norm",
     "necessity_pair",
-    "nested_pairs",
     "parent",
     "parse_config",
-    "power_avg",
     "power_weight",
     "rhs_bilinear_morrey",
     "run_experiment",

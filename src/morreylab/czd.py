@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import Cube, Window, ancestors
-from .field import LatticeFunction, Weight, dilated_means, expand_level
+from .field import LatticeFunction, Weight, _require_pair, dilated_means, expand_level
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,7 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     """Stopping-time decomposition driven by the unweighted average product."""
     if theta1 <= 1 or theta2 <= 1:
         raise ValueError("theta1 and theta2 must exceed 1")
-    window = f.window
-    if g.window != window:
-        raise ValueError("f and g must live on the same window")
+    window = _require_pair(f, g)
     factor = (4.0 * 18.0 ** window.dim) ** (1.0 / theta1 + 1.0 / theta2)
     return _decompose(window, q0, _functional_tables(f, g, theta1, theta2), factor)
 
@@ -151,9 +149,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     """Variant whose threshold functional carries the volume factor |Q|^(alpha/n)."""
     if abs(1.0 / r1 + 1.0 / r2 - 1.0) > 1e-9:
         raise ValueError(f"(r1, r2) must be a Holder pair; got ({r1}, {r2})")
-    window = f.window
-    if g.window != window:
-        raise ValueError("f and g must live on the same window")
+    window = _require_pair(f, g)
     n = window.dim
     if not 0.0 <= alpha < n:
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
@@ -170,6 +166,11 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     variant.  Measure and partition checks are exact integer cell arithmetic;
     the sandwich upper bound allows a 1e-12 relative slack for float
     regrouping.
+
+    The functional tables are rebuilt from (f, g) rather than taken from the
+    decomposition: `morreylab decompose` and CZ_INV use this as a recheck
+    independent of whatever built the forest, at the cost of one more table
+    pass per call.
     """
     bad: list[str] = []
     tables = _functional_tables(f, g, t1, t2, alpha)

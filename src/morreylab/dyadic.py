@@ -63,38 +63,6 @@ class Cube:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned half-open box [lo, hi); not necessarily dyadic."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-        if len(self.lo) != len(self.hi):
-            raise ValueError("box lo/hi dimension mismatch")
-        if any(a >= b for a, b in zip(self.lo, self.hi)):
-            raise ValueError(f"degenerate box {self.lo}..{self.hi}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @property
-    def volume(self) -> float:
-        v = 1.0
-        for a, b in zip(self.lo, self.hi):
-            v *= b - a
-        return v
-
-
-def cube_box(q: Cube) -> Box:
-    s = q.side
-    return Box(q.lower, tuple((m + 1) * s for m in q.index))
-
-
-@dataclass(frozen=True)
 class Window:
     """Truncated dyadic grid: levels level_min..level_max over a top block.
 
@@ -151,13 +119,6 @@ class Window:
     def cell_volume(self) -> float:
         return 2.0 ** (self.level_min * self.dim)
 
-    @property
-    def box(self) -> Box:
-        top = 2.0 ** self.level_max
-        lo = tuple(o * top for o in self.origin_offset)
-        hi = tuple((o + self.top_count) * top for o in self.origin_offset)
-        return Box(lo, hi)
-
     def levels(self) -> range:
         return range(self.level_min, self.level_max + 1)
 
@@ -176,8 +137,9 @@ class Window:
     # -- membership ---------------------------------------------------------
 
     def contains_point(self, x: Sequence[float]) -> bool:
-        b = self.box
-        return all(a <= xi < c for a, xi, c in zip(b.lo, x, b.hi))
+        top = 2.0 ** self.level_max
+        return all(o * top <= xi < (o + self.top_count) * top
+                   for o, xi in zip(self.origin_offset, x))
 
     def contains_cube(self, q: Cube) -> bool:
         if q.dim != self.dim or not self.level_min <= q.level <= self.level_max:
@@ -195,10 +157,6 @@ class Window:
         cnt = self.index_count(level)
         for idx in itertools.product(*(range(a, a + cnt) for a in lo)):
             yield Cube(level, idx)
-
-    def all_cubes(self) -> Iterator[Cube]:
-        for level in self.levels():
-            yield from self.cubes_at_level(level)
 
     def n_cubes(self) -> int:
         total = 0
@@ -236,14 +194,6 @@ class Window:
 # -- cube relations ----------------------------------------------------------
 
 
-def children(q: Cube) -> list[Cube]:
-    """The 2^n cubes of level-1 partitioning the cube."""
-    out = []
-    for delta in itertools.product((0, 1), repeat=q.dim):
-        out.append(Cube(q.level - 1, tuple(2 * m + d for m, d in zip(q.index, delta))))
-    return out
-
-
 def parent(q: Cube) -> Cube:
     # python floor-division handles negative indices correctly
     return Cube(q.level + 1, tuple(m >> 1 for m in q.index))
@@ -263,28 +213,3 @@ def ancestors(q: Cube, window: Window) -> list[Cube]:
         cur = parent(cur)
         chain.append(cur)
     return chain
-
-
-def dilate3(q: Cube) -> Box:
-    """Concentric 3-fold dilate: same center, side 3 * 2^level.
-
-    The result is a box, not a dyadic cube; averages over it are taken over
-    its intersection with the window, normalized by the intersection volume.
-    The corners land on the level-k lattice: 3Q = [(m-1)*s, (m+2)*s) per axis.
-    """
-    s = q.side
-    lo = tuple((m - 1) * s for m in q.index)
-    hi = tuple((m + 2) * s for m in q.index)
-    return Box(lo, hi)
-
-
-def nested_pairs(window: Window) -> Iterator[tuple[Cube, Cube]]:
-    """Every pair (Q, Q') with Q a window cube and Q' an ancestor or Q itself.
-
-    Yields sum over Q of (1 + #ancestors) pairs, the family the two-weight
-    constants sup over (by block sweeps); tests enumerate it as the reference.
-    """
-    for q in window.all_cubes():
-        yield q, q
-        for anc in ancestors(q, window):
-            yield q, anc

@@ -2,8 +2,8 @@
 
 ValueError subclasses are used for mathematical precondition failures so the
 functions stay pythonic; ValidationError aggregates config/exponent-set
-violations (CLI exit code 2); InvariantViolation marks a verified-property
-failure detected by the harness (CLI exit code 3).
+violations (CLI exit code 2).  A verified invariant that does not hold is
+not an exception: runs and `decompose` count the violations and exit 3.
 """
 
 
@@ -22,11 +22,3 @@ class ValidationError(MorreyLabError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class InvariantViolation(MorreyLabError):
-    """A property the harness verifies empirically did not hold."""
-
-
-class EmptyIntersectionError(ValueError, MorreyLabError):
-    """A box average was requested over a region disjoint from the window."""

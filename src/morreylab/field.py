@@ -1,12 +1,10 @@
-"""Piecewise-constant lattice functions, exact cell averaging, power weights.
+"""Piecewise-constant lattice functions, block reductions, power weights.
 
 A LatticeFunction holds one value per finest cell of a Window and is constant
 on each cell, so every average over a cell-aligned region is an exact finite
-sum.  Averages over non-aligned boxes (dilated cubes, centered cubes) are
-still exact: the overlap of a box with each cell is a product of interval
-lengths, and the integral is the overlap-weighted sum of cell values.  Boxes
-are clipped to the window and the clipped volume is the normalizer, so
-averages near the boundary never touch undefined data.
+sum.  The block reductions below take such sums for all cubes of one level
+at once (means, power means, maxima, and means over the 3-fold dilates 3Q
+clipped to the window, with the clipped cell count as the normalizer).
 
 Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: closed-form antiderivatives in one
@@ -34,8 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import Box, Window
-from .errors import EmptyIntersectionError
+from .dyadic import Window
 
 
 class LatticeFunction:
@@ -71,18 +68,6 @@ class LatticeFunction:
         for off in np.ndindex(window.shape):
             center = window.cell_center(tuple(o + a for o, a in zip(off, lo)))
             vals[off] = fn(*center)
-        return cls(window, vals)
-
-    @classmethod
-    def indicator(cls, window: Window, box: Box) -> "LatticeFunction":
-        """Exact discretization of the box indicator (cell overlap fractions)."""
-        weights = _axis_overlap_weights(window, box)
-        vals = np.ones(window.shape)
-        h = window.cell_side
-        for axis, w in enumerate(weights):
-            shape = [1] * window.dim
-            shape[axis] = window.cells_per_axis
-            vals = vals * (w / h).reshape(shape)
         return cls(window, vals)
 
     # -- arithmetic (cellwise) -----------------------------------------------
@@ -129,63 +114,11 @@ class Weight(LatticeFunction):
     __rmul__ = __mul__
 
 
-# -- box/cell overlap machinery -----------------------------------------------
-
-
-def _axis_overlap_weights(window: Window, box: Box) -> list[np.ndarray]:
-    """Per-axis overlap lengths of the box with every cell (clipped to window)."""
-    if box.dim != window.dim:
-        raise ValueError("box dimension mismatch")
-    h = window.cell_side
-    c = window.cells_per_axis
-    out = []
-    for axis in range(window.dim):
-        a0 = window.cell_index_lo[axis]
-        edges = (np.arange(a0, a0 + c + 1)) * h
-        lo = np.maximum(edges[:-1], box.lo[axis])
-        hi = np.minimum(edges[1:], box.hi[axis])
-        out.append(np.maximum(hi - lo, 0.0))
-    return out
-
-
-def _weighted_box_sum(values: np.ndarray, weights: list[np.ndarray]) -> float:
-    """sum_cells values * prod_axis overlap, via sequential axis contraction."""
-    acc = values
-    for w in weights:
-        acc = np.tensordot(w, acc, axes=(0, 0))
-    return float(acc)
-
-
-def cell_average(f: LatticeFunction, box: Box) -> float:
-    """Exact volume-weighted mean of f over box intersected with the window."""
-    weights = _axis_overlap_weights(f.window, box)
-    vol = 1.0
-    for w in weights:
-        vol *= float(w.sum())
-    if vol <= 0.0:
-        raise EmptyIntersectionError(f"box {box.lo}..{box.hi} misses the window")
-    return _weighted_box_sum(f.values, weights) / vol
-
-
-def power_avg(f: LatticeFunction, box: Box, e: float) -> float:
-    """(mean over box of |f|^e)^(1/e); e = inf gives the max over touched cells.
-
-    e must be nonzero.  Negative e with a vanishing cell value on the box is
-    rejected (the mean would be infinite).
-    """
-    if e == math.inf:
-        mask = LatticeFunction.indicator(f.window, box).values > 0
-        if not mask.any():
-            raise EmptyIntersectionError(f"box {box.lo}..{box.hi} misses the window")
-        return float(np.abs(f.values[mask]).max())
-    e = float(e)
-    if e == 0.0:
-        raise ValueError("exponent e must be nonzero")
-    av = np.abs(f.values)
-    if e < 0 and np.any((av == 0.0) & (LatticeFunction.indicator(f.window, box).values > 0)):
-        raise ValueError("negative exponent with vanishing values on the box")
-    mean = cell_average(LatticeFunction(f.window, av ** e), box)
-    return mean ** (1.0 / e)
+def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
+    """The common window of f and g; raises if they live on different windows."""
+    if f.window != g.window:
+        raise ValueError("f and g must live on the same window")
+    return f.window
 
 
 # -- block reductions over all cubes of one level --------------------------------
@@ -216,7 +149,7 @@ def level_max(values: np.ndarray, window: Window, level: int) -> np.ndarray:
 
 
 def level_power_means(values: np.ndarray, window: Window, level: int, e: float) -> np.ndarray:
-    """power_avg over all cubes Q of one level: (mean_Q values^e)^(1/e), values >= 0;
+    """(mean_Q values^e)^(1/e) over all cubes Q of one level, values >= 0;
     e = inf gives max_Q values."""
     if e == math.inf:
         return level_max(values, window, level)

@@ -36,12 +36,13 @@ import numpy as np
 from .field import (
     LatticeFunction,
     Weight,
+    _require_pair,
     dilated_means,
     expand_level,
     level_means,
     level_power_means,
 )
-from .operators import _require_pair, dyadic_radii
+from .operators import dyadic_radii
 
 
 def _shifted(x: np.ndarray, s: int, axis: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import Window
-from .field import LatticeFunction, abs_power_cell_averages
+from .field import LatticeFunction, _require_pair, abs_power_cell_averages
 
 # Least recently used kernels are dropped beyond this many, so a long sweep
 # over alphas or windows holds a bounded number of kernel arrays.
@@ -50,12 +50,6 @@ def kernel_cell_averages(alpha: float, window: Window, depth: int = 12) -> np.nd
     else:
         _KERNEL_CACHE.move_to_end(key)
     return hit
-
-
-def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
-    if f.window != g.window:
-        raise ValueError("f and g must live on the same window")
-    return f.window
 
 
 def _padded(values: np.ndarray, window: Window) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -1,17 +1,129 @@
-"""Per-cell, per-radius box loops: the differential oracles of the centered operators.
+"""Brute-force oracles: the enumerations, box averages and loops that the
+library's block reductions, shell sums and window sums are checked against.
 
-These are the loop forms of morreylab.operators.bh_maximal and of the
-centered mode of morreylab.maximal.m_alpha_r.  Each cell and each radius
-builds the box [x - r, x + r]^n, takes its exact per-axis overlap with every
-cell and contracts the values against those weights, so they share no code
-with the shell sums and window sums they check.
+A box is a (lo, hi) pair of per-axis bounds, half-open and not necessarily
+dyadic.  The average of a lattice function over a box is an exact finite sum:
+the overlap of the box with each cell is a product of interval lengths, and
+the integral is the overlap-weighted sum of cell values.  Boxes are clipped
+to the window and the clipped volume is the normalizer.
+
+bh_maximal and m_alpha_r_centered are the per-cell, per-radius loop forms of
+morreylab.operators.bh_maximal and of the centered mode of
+morreylab.maximal.m_alpha_r; they share no code with the sums they check.
+multilinear_fractional looks every factor up cell by cell at the translated
+point, a second construction of bilinear_fractional.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from morreylab.dyadic import Box
-from morreylab.field import LatticeFunction, _axis_overlap_weights, _weighted_box_sum
-from morreylab.operators import _require_pair, dyadic_radii
+from morreylab.dyadic import Cube, Window, ancestors
+from morreylab.field import LatticeFunction, _require_pair
+from morreylab.operators import dyadic_radii, kernel_cell_averages
+
+
+# -- cube enumeration -------------------------------------------------------------
+
+
+def all_cubes(window: Window):
+    """Every window cube, level by level from level_min, in index order."""
+    for level in window.levels():
+        yield from window.cubes_at_level(level)
+
+
+def children(q: Cube) -> list[Cube]:
+    """The 2^n cubes of level - 1 that partition q."""
+    return [Cube(q.level - 1, tuple(2 * m + d for m, d in zip(q.index, delta)))
+            for delta in itertools.product((0, 1), repeat=q.dim)]
+
+
+def nested_pairs(window: Window):
+    """Every (Q, Q') with Q a window cube and Q' = Q or an ancestor of Q in the window."""
+    for q in all_cubes(window):
+        yield q, q
+        for anc in ancestors(q, window):
+            yield q, anc
+
+
+# -- boxes and exact box averages ---------------------------------------------------
+
+
+def cube_box(q: Cube):
+    s = q.side
+    return q.lower, tuple((m + 1) * s for m in q.index)
+
+
+def dilate3(q: Cube):
+    """3Q, with q's centre and side 3 * 2^level: [(m - 1) s, (m + 2) s) per axis."""
+    s = q.side
+    return tuple((m - 1) * s for m in q.index), tuple((m + 2) * s for m in q.index)
+
+
+def window_box(window: Window):
+    top = 2.0 ** window.level_max
+    return (tuple(o * top for o in window.origin_offset),
+            tuple((o + window.top_count) * top for o in window.origin_offset))
+
+
+def box_volume(box) -> float:
+    return math.prod(b - a for a, b in zip(*box))
+
+
+def axis_overlap_weights(window: Window, box) -> list[np.ndarray]:
+    """Per axis, the overlap length of the box with every cell of the window."""
+    h = window.cell_side
+    out = []
+    for a0, lo, hi in zip(window.cell_index_lo, *box):
+        edges = np.arange(a0, a0 + window.cells_per_axis + 1) * h
+        out.append(np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0))
+    return out
+
+
+def weighted_box_sum(values: np.ndarray, weights: list[np.ndarray]) -> float:
+    """The sum over cells of values times the overlaps, contracted one axis at a time."""
+    acc = values
+    for w in weights:
+        acc = np.tensordot(w, acc, axes=(0, 0))
+    return float(acc)
+
+
+def indicator(window: Window, box) -> LatticeFunction:
+    """The box indicator, exactly: each cell holds the fraction of it the box covers."""
+    vals = np.ones(window.shape)
+    for axis, w in enumerate(axis_overlap_weights(window, box)):
+        shape = [1] * window.dim
+        shape[axis] = window.cells_per_axis
+        vals = vals * (w / window.cell_side).reshape(shape)
+    return LatticeFunction(window, vals)
+
+
+def cell_average(f: LatticeFunction, box) -> float:
+    """Volume-weighted mean of f over the box clipped to the window."""
+    weights = axis_overlap_weights(f.window, box)
+    vol = math.prod(float(w.sum()) for w in weights)
+    if vol <= 0.0:
+        raise ValueError(f"box {box} misses the window")
+    return weighted_box_sum(f.values, weights) / vol
+
+
+def power_avg(f: LatticeFunction, box, e: float) -> float:
+    """(mean over the box of |f|^e)^(1/e); e = inf gives the max over the cells it touches."""
+    touched = indicator(f.window, box).values > 0
+    if e == math.inf:
+        if not touched.any():
+            raise ValueError(f"box {box} misses the window")
+        return float(np.abs(f.values[touched]).max())
+    if e == 0.0:
+        raise ValueError("exponent e must be nonzero")
+    av = np.abs(f.values)
+    if e < 0 and np.any((av == 0.0) & touched):
+        raise ValueError("negative exponent with vanishing values on the box")
+    return cell_average(LatticeFunction(f.window, av ** float(e)), box) ** (1.0 / e)
+
+
+# -- loop operators ---------------------------------------------------------------
 
 
 def _reflected(values: np.ndarray, m_off) -> np.ndarray:
@@ -51,9 +163,8 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
         x = window.cell_center(tuple(o + a for o, a in zip(m_off, window.cell_index_lo)))
         best = 0.0
         for r in radii:
-            box = Box(tuple(xi - r for xi in x), tuple(xi + r for xi in x))
-            weights = _axis_overlap_weights(window, box)
-            val = _weighted_box_sum(prod, weights) / (2.0 * r) ** n
+            box = tuple(xi - r for xi in x), tuple(xi + r for xi in x)
+            val = weighted_box_sum(prod, axis_overlap_weights(window, box)) / (2.0 * r) ** n
             best = max(best, val)
         out[m_off] = best
     return LatticeFunction(window, out)
@@ -82,16 +193,63 @@ def m_alpha_r_centered(f: LatticeFunction, g: LatticeFunction, alpha: float,
         x = window.cell_center(tuple(o + a for o, a in zip(off, lo)))
         best = 0.0
         for r in radii:
-            box = Box(tuple(xi - r for xi in x), tuple(xi + r for xi in x))
-            weights = _axis_overlap_weights(window, box)
+            box = tuple(xi - r for xi in x), tuple(xi + r for xi in x)
+            weights = axis_overlap_weights(window, box)
             vol = 1.0
             for w in weights:
                 vol *= float(w.sum())
             if vol <= 0.0:
                 continue
-            mf = _weighted_box_sum(fa, weights) / vol
-            mg = _weighted_box_sum(ga, weights) / vol
+            mf = weighted_box_sum(fa, weights) / vol
+            mg = weighted_box_sum(ga, weights) / vol
             val = (2.0 * r) ** alpha * mf ** (1.0 / r1) * mg ** (1.0 / r2)
             best = max(best, val)
         out[off] = best
     return LatticeFunction(window, out)
+
+
+def multilinear_fractional(fs, thetas, alpha: float, depth: int = 12) -> LatticeFunction:
+    """k-linear fractional integral with translation speeds theta_j != 0.
+
+    Arguments x - theta_j * y_c generally miss the lattice corners, so each
+    factor is looked up in the cell containing the translated point (half-open
+    convention); theta = (1, -1) reproduces bilinear_fractional cell for cell.
+    """
+    if not fs:
+        raise ValueError("need at least one input function")
+    window = fs[0].window
+    for fk in fs[1:]:
+        if fk.window != window:
+            raise ValueError("all inputs must live on the same window")
+    thetas = [float(t) for t in thetas]
+    if len(thetas) != len(fs):
+        raise ValueError("thetas must match inputs")
+    if any(t == 0.0 for t in thetas):
+        raise ValueError("translation speeds must be nonzero")
+    n = window.dim
+    if not 0.0 < alpha < n:
+        raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
+    kern = kernel_cell_averages(alpha, window, depth)
+    c = window.cells_per_axis
+    mlo = window.cell_index_lo
+    j_centers = [np.arange(c) + m + 0.5 for m in mlo]  # per-axis, units of cell side
+    out = np.empty(window.shape)
+    for i_off in np.ndindex(window.shape):
+        acc = kern.copy()
+        for fk, th in zip(fs, thetas):
+            axis_offs = []
+            axis_masks = []
+            for ax in range(n):
+                xi = i_off[ax] + mlo[ax] + 0.5
+                cell = np.floor(xi - th * j_centers[ax]).astype(int) - mlo[ax]
+                ok = (cell >= 0) & (cell < c)
+                axis_offs.append(np.where(ok, cell, 0))
+                axis_masks.append(ok)
+            vals = fk.values[np.ix_(*axis_offs)].copy()
+            for ax, ok in enumerate(axis_masks):
+                shape = [1] * n
+                shape[ax] = c
+                vals *= ok.reshape(shape)
+            acc *= vals
+        out[i_off] = acc.sum()
+    return LatticeFunction(window, out * window.cell_volume)

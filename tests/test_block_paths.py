@@ -3,7 +3,8 @@
 The library evaluates its cube and cube-pair sups one level at a time with
 block reductions (field.level_means, level_max, level_power_means,
 dilated_means).  Each test here recomputes the same quantity cube by cube
-with the enumeration helpers (all_cubes, nested_pairs, power_avg, dilate3)
+with the enumeration helpers of tests/oracles.py (all_cubes, nested_pairs,
+power_avg, dilate3)
 on windows of both dimensions, every level span 0..3, shifted origins and
 1-3 top cubes per axis, with spiky data.  The czd oracle is the per-cube
 functional and stack walk the decompositions used before they were
@@ -23,7 +24,7 @@ from morreylab.czd import (
     decomposition_to_json,
     verify_decomposition,
 )
-from morreylab.dyadic import Cube, Window, ancestors, children, cube_box, dilate3, nested_pairs
+from morreylab.dyadic import Cube, Window, ancestors
 from morreylab.exponents import build
 from morreylab.field import (
     LatticeFunction,
@@ -32,7 +33,6 @@ from morreylab.field import (
     dilated_means,
     level_max,
     level_power_means,
-    power_avg,
 )
 from morreylab.harness import _telescoping_defect
 from morreylab.maximal import m_joint_weighted
@@ -42,6 +42,7 @@ from morreylab.weights_norms import (
     two_weight_constant,
 )
 
+from oracles import all_cubes, children, cube_box, dilate3, nested_pairs, power_avg
 from test_weights_norms import _brute_pair_constant, _e_t21, _e_t22, _e_t27, _e_t28
 
 K = WeightConditionKind
@@ -178,7 +179,7 @@ def test_joint_weighted_matches_enumeration(window):
     for w_exp in (2.5, math.inf):
         out = m_joint_weighted(f, g, v, 0.3, (1.5, 3.0), w_exp)
         brute = np.zeros(window.shape)
-        for q in window.all_cubes():
+        for q in all_cubes(window):
             val = q.volume ** (0.3 / window.dim) \
                 * power_avg(f, dilate3(q), 1.5) * power_avg(g, dilate3(q), 3.0) \
                 * power_avg(v, cube_box(q), w_exp)
@@ -258,7 +259,7 @@ def test_functional_tables_match_per_cube_functional(window):
     for t1, t2, alpha in ((2.0, 2.0, None), (1.5, 3.0, 0.7)):
         tables = _functional_tables(f, g, t1, t2, alpha)
         oracle = _oracle_functional(f, g, t1, t2, alpha)
-        for q in window.all_cubes():
+        for q in all_cubes(window):
             _assert_rel(float(tables[q.level][_at(window, q)]), oracle(q), str(q))
 
 

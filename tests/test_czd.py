@@ -12,12 +12,13 @@ from morreylab.czd import (
     necessity_pair,
     verify_decomposition,
 )
-from morreylab.dyadic import Cube, Window, children
+from morreylab.dyadic import Cube, Window
 from morreylab.exponents import build
 from morreylab.field import LatticeFunction, Weight
 from morreylab.maximal import m_alpha_r
 
 from conftest import assert_close, random_weight
+from oracles import children
 
 
 def _co_spiked(window: Window, seed: int, strength: float = 1e5):
@@ -124,6 +125,23 @@ def test_verify_reports_non_maximal_cube():
     assert any(msg.startswith("maximality") for msg in bad), bad
 
 
+def test_verify_reports_raised_gamma_below_sandwich():
+    w, f, d = _two_level_forest()
+    bad = _violations(dataclasses.replace(d, gamma=2.0 * d.gamma), w, f)
+    assert any(msg.startswith("sandwich lower") for msg in bad), bad
+
+
+def test_verify_reports_shrunken_exceptional_set():
+    w, f, d = _two_level_forest()
+    level1 = list(d.exceptional[1])
+    single = np.zeros_like(level1[0])
+    single[np.argmax(level1[0])] = True
+    level1[0] = single
+    bad = _violations(dataclasses.replace(d, exceptional={**d.exceptional, 1: tuple(level1)}),
+                      w, f)
+    assert any(msg.startswith("measure") for msg in bad), bad
+
+
 def test_alpha_zero_reduces_to_plain_variant():
     w = Window(1, -8, 0)
     f, g = _co_spiked(w, 5)
@@ -166,6 +184,15 @@ def test_holder_pair_required():
         cz_decompose_alpha(one, one, Cube(-1, (0,)), 2.0, 3.0, 0.5)
     with pytest.raises(ValueError):
         cz_decompose(one, one, Cube(-1, (0,)), 1.0, 2.0)
+
+
+def test_inputs_must_share_a_window():
+    one = LatticeFunction.constant(Window(1, -3, 0), 1.0)
+    other = LatticeFunction.constant(Window(1, -4, 0), 1.0)
+    with pytest.raises(ValueError, match="same window"):
+        cz_decompose(one, other, Cube(-1, (0,)), 2.0, 2.0)
+    with pytest.raises(ValueError, match="same window"):
+        cz_decompose_alpha(one, other, Cube(-1, (0,)), 2.0, 2.0, 0.5)
 
 
 def test_base_cube_must_be_inside():

@@ -5,19 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab.dyadic import (
-    Box,
-    Cube,
-    Window,
-    ancestors,
-    children,
-    cube_box,
-    dilate3,
-    nested_pairs,
-    parent,
-)
+from morreylab.dyadic import Cube, Window, ancestors, parent
 
 from conftest import assert_close
+from oracles import all_cubes, box_volume, children, cube_box, dilate3, nested_pairs, window_box
 
 
 def test_children_bisect_interval():
@@ -36,7 +27,7 @@ def test_grandchildren_tile_unit_interval():
     # applying children twice yields 4 disjoint cubes covering [0,1)
     grand = [g for c in children(Cube(0, (0,))) for g in children(c)]
     assert len(grand) == 4
-    boxes = sorted((cube_box(g).lo[0], cube_box(g).hi[0]) for g in grand)
+    boxes = sorted((lo, hi) for (lo,), (hi,) in map(cube_box, grand))
     assert boxes == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
     total = sum(hi - lo for lo, hi in boxes)
     assert total == 1.0
@@ -66,27 +57,26 @@ def test_ancestors_outside_window_raises(unit_window):
 
 def test_ancestor_chain_lengths_sum_matches_direct_count():
     w = Window(1, -3, 0)
-    total = sum(len(ancestors(q, w)) for q in w.all_cubes())
+    total = sum(len(ancestors(q, w)) for q in all_cubes(w))
     direct = sum((w.level_max - lvl) * w.index_count(lvl) ** w.dim for lvl in w.levels())
     assert total == direct
 
 
 def test_dilate3_unit_interval():
-    b = dilate3(Cube(0, (0,)))
-    assert b.lo == (-1.0,) and b.hi == (2.0,)
+    assert dilate3(Cube(0, (0,))) == ((-1.0,), (2.0,))
 
 
 def test_dilate3_keeps_center_and_triples_side():
     q = Cube(-1, (1,))
-    b = dilate3(q)
-    assert_close((b.lo[0] + b.hi[0]) / 2, q.center[0])
-    assert_close(b.hi[0] - b.lo[0], 3 * q.side)
+    (lo,), (hi,) = dilate3(q)
+    assert_close((lo + hi) / 2, q.center[0])
+    assert_close(hi - lo, 3 * q.side)
 
 
 @given(st.integers(-6, 4), st.lists(st.integers(-20, 20), min_size=1, max_size=3))
 def test_dilate3_volume_scaling(level, index):
     q = Cube(level, tuple(index))
-    assert_close(dilate3(q).volume, 3 ** q.dim * q.volume)
+    assert_close(box_volume(dilate3(q)), 3 ** q.dim * q.volume)
 
 
 def test_cell_boundary_belongs_to_right_cell(unit_window):
@@ -107,12 +97,11 @@ def test_cell_and_ancestors_of_point(unit_window):
 def test_cell_and_ancestors_match_membership_filter():
     w = Window(2, -2, 0)
     rng = np.random.default_rng(42)
-    box = w.box
     for _ in range(100):
-        x = tuple(rng.uniform(lo, hi) for lo, hi in zip(box.lo, box.hi))
+        x = tuple(rng.uniform(lo, hi) for lo, hi in zip(*window_box(w)))
         cell = Cube(w.level_min, w.cell_index_of_point(x))
         got = {cell, *ancestors(cell, w)}
-        want = {q for q in w.all_cubes() if q.contains_point(x)}
+        want = {q for q in all_cubes(w) if q.contains_point(x)}
         assert got == want
 
 
@@ -146,7 +135,7 @@ def test_levels_tile_window_box():
     w = Window(2, -2, 0)
     for lvl in w.levels():
         cubes = list(w.cubes_at_level(lvl))
-        assert_close(sum(q.volume for q in cubes), w.box.volume)
+        assert_close(sum(q.volume for q in cubes), box_volume(window_box(w)))
         assert len({q.index for q in cubes}) == len(cubes)
 
 
@@ -154,9 +143,9 @@ def test_levels_tile_window_box():
 @given(st.integers(-4, 2), st.integers(-8, 8), st.integers(-4, 2), st.integers(-8, 8))
 def test_nesting_trichotomy(l1, m1, l2, m2):
     a, b = Cube(l1, (m1,)), Cube(l2, (m2,))
-    ba, bb = cube_box(a), cube_box(b)
-    inter_lo = max(ba.lo[0], bb.lo[0])
-    inter_hi = min(ba.hi[0], bb.hi[0])
+    ((a_lo,), (a_hi,)), ((b_lo,), (b_hi,)) = cube_box(a), cube_box(b)
+    inter_lo = max(a_lo, b_lo)
+    inter_hi = min(a_hi, b_hi)
     disjoint = inter_lo >= inter_hi
     assert disjoint or a == b or a.contains_cube(b) or b.contains_cube(a)
 
@@ -174,8 +163,9 @@ def test_window_validation():
 
 def test_default_window_surrounds_origin():
     w = Window(2, -1, 0)
-    assert w.box.lo == (-1.0, -1.0) and w.box.hi == (1.0, 1.0)
-    assert w.contains_point((0.0, 0.0))
+    assert window_box(w) == ((-1.0, -1.0), (1.0, 1.0))
+    assert w.contains_point((0.0, 0.0)) and w.contains_point((-1.0, -1.0))
+    assert not w.contains_point((1.0, 0.0)) and not w.contains_point((0.0, -1.5))
     assert w.n_cells == 16
 
 
@@ -190,10 +180,3 @@ def test_cell_offsets_cover_cube():
         idx = tuple(o + a for o, a in zip(off, w.cell_index_lo))
         center = w.cell_center(idx)
         assert q.contains_point(center)
-
-
-def test_box_validation():
-    with pytest.raises(ValueError):
-        Box((0.0,), (0.0,))
-    with pytest.raises(ValueError):
-        Box((0.0, 0.0), (1.0,))

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from morreylab.dyadic import Cube, Window, cube_box, dilate3
-from morreylab.field import LatticeFunction, Weight, power_avg
+from morreylab.dyadic import Cube, Window
+from morreylab.field import LatticeFunction, Weight
 from morreylab.maximal import m_alpha_r, m_joint_weighted
 
 from conftest import assert_close, random_lattice, random_weight
+from oracles import all_cubes, cube_box, dilate3, power_avg
 
 
 def _brute_dyadic(f, g, alpha, r1, r2):
     """Exhaustive max over the full cube list, per cell."""
     w = f.window
     out = np.zeros(w.shape)
-    for q in w.all_cubes():
+    for q in all_cubes(w):
         sl = w.cell_offsets_of_cube(q)
         val = q.volume ** (alpha / w.dim) \
             * (np.abs(f.values[sl]) ** r1).mean() ** (1.0 / r1) \
@@ -97,7 +98,7 @@ def test_alpha_zero_unit_partner_is_hardy_littlewood():
     f = random_lattice(w, 10)
     out = m_alpha_r(f, LatticeFunction.constant(w, 1.0), 0.0, (1.0, 1.0))
     brute = np.zeros(w.shape)
-    for q in w.all_cubes():
+    for q in all_cubes(w):
         sl = w.cell_offsets_of_cube(q)
         brute[sl] = np.maximum(brute[sl], np.abs(f.values[sl]).mean())
     assert np.max(np.abs(out.values - brute)) <= 1e-12
@@ -110,7 +111,7 @@ def test_joint_weighted_unit_weight_reduces_to_dilated_variant():
     v = Weight.constant(w, 1.0)
     out = m_joint_weighted(f, g, v, 0.5, (2.0, 2.0), 3.0)
     brute = np.zeros(w.shape)
-    for q in w.all_cubes():
+    for q in all_cubes(w):
         val = q.volume ** 0.5 \
             * power_avg(f, dilate3(q), 2.0) * power_avg(g, dilate3(q), 2.0)
         sl = w.cell_offsets_of_cube(q)
@@ -125,7 +126,7 @@ def test_joint_weighted_sup_convention():
     v = random_weight(w, 15)
     out = m_joint_weighted(f, g, v, 0.3, (2.0, 2.0), math.inf)
     brute = np.zeros(w.shape)
-    for q in w.all_cubes():
+    for q in all_cubes(w):
         sl = w.cell_offsets_of_cube(q)
         val = q.volume ** 0.3 \
             * power_avg(f, dilate3(q), 2.0) * power_avg(g, dilate3(q), 2.0) \
@@ -142,7 +143,7 @@ def test_joint_weighted_matches_enumeration_two_levels():
     w_exp = 2.5
     out = m_joint_weighted(f, g, v, 0.4, (1.5, 3.0), w_exp)
     brute = np.zeros(w.shape)
-    for q in w.all_cubes():
+    for q in all_cubes(w):
         sl = w.cell_offsets_of_cube(q)
         val = q.volume ** 0.4 \
             * power_avg(f, dilate3(q), 1.5) * power_avg(g, dilate3(q), 3.0) \

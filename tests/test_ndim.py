@@ -15,7 +15,7 @@ from morreylab.operators import (
 )
 
 from conftest import random_lattice
-from multilinear import multilinear_fractional
+from oracles import multilinear_fractional
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from morreylab import operators
-from morreylab.dyadic import Box, Window
+from morreylab.dyadic import Window
 from morreylab.field import LatticeFunction
 from morreylab.operators import (
     CommutatorSpec,
@@ -18,7 +18,7 @@ from morreylab.operators import (
 )
 
 from conftest import assert_close, random_lattice
-from multilinear import multilinear_fractional
+from oracles import multilinear_fractional
 
 
 def _value_near_zero(out):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morreylab.dyadic import Box, Cube, Window, nested_pairs
+from morreylab.dyadic import Cube, Window
 from morreylab.exponents import INF, build, conjugate
 from morreylab.field import LatticeFunction, Weight, power_weight
 from morreylab.weights_norms import (
@@ -18,6 +18,7 @@ from morreylab.weights_norms import (
 )
 
 from conftest import assert_close, random_lattice, random_weight
+from oracles import all_cubes, indicator, nested_pairs
 
 K = WeightConditionKind
 
@@ -41,7 +42,7 @@ def test_morrey_constant_unit_top_cube():
 
 def test_morrey_half_indicator_hand_value():
     w = Window(1, -1, 0, origin_offset=(0,), top_count=1)
-    chi = LatticeFunction.indicator(w, Box((0.0,), (0.5,)))
+    chi = indicator(w, ((0.0,), (0.5,)))
     # attained both at [0,1/2) (value 1/2 * 1) and [0,1) (1 * 1/2)
     assert_close(morrey_norm(chi, 1.0, 1.0), 0.5)
 
@@ -66,7 +67,7 @@ def test_morrey_matches_exhaustive_oracle():
     wt = random_weight(w, 5)
     p, q = 2.5, 1.5
     best = 0.0
-    for cube in w.all_cubes():
+    for cube in all_cubes(w):
         sl = w.cell_offsets_of_cube(cube)
         best = max(best, cube.volume ** (1 / p)
                    * ((np.abs(f.values[sl]) ** q * wt.values[sl]).mean()) ** (1 / q))
@@ -97,7 +98,7 @@ def test_rhs_bilinear_matches_oracle():
     w2 = random_weight(w, 12)
     p, q1, q2 = 1.8, 3.0, 4.0
     best = 0.0
-    for cube in w.all_cubes():
+    for cube in all_cubes(w):
         sl = w.cell_offsets_of_cube(cube)
         best = max(best, cube.volume ** (1 / p)
                    * ((np.abs(f.values[sl]) * w1.values[sl]) ** q1).mean() ** (1 / q1)
@@ -277,7 +278,7 @@ def _brute_pair_constant(kind, v, w1, w2, e, window):
         e1 = e.r1 / (e.q1 - e.r1)
         e2 = e.r2 / (e.q2 - e.r2)
         best = 0.0
-        for q in window.all_cubes():
+        for q in all_cubes(window):
             sl = window.cell_offsets_of_cube(q)
             val = ((w1.values[sl] ** (e.s / e.q1) * w2.values[sl] ** (e.s / e.q2)).mean()
                    ) ** (1 / e.s)
