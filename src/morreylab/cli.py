@@ -24,6 +24,7 @@ from .harness import (
     _make_weight,
     _pair_at,
     _q0,
+    _stopping_params,
     _weight,
     config_from_pairs,
     emit_report,
@@ -92,15 +93,12 @@ def _cmd_decompose(args) -> int:
     win = cfg.window
     q0 = _q0(cfg, win)
     f, g = _pair_at(cfg, 0, 0, win)
+    (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
     if str(cfg.params.get("kind", "cz")) == "cz_alpha":
-        t1 = float(cfg.params.get("r1", 2.0))
-        t2 = float(cfg.params.get("r2", 2.0))
-        alpha = float(cfg.params.get("alpha", 0.5))
+        t1, t2 = r1, r2
         d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
     else:
-        t1 = float(cfg.params.get("theta1", 2.0))
-        t2 = float(cfg.params.get("theta2", 2.0))
-        alpha = None
+        t1, t2, alpha = theta1, theta2, None
         d = cz_decompose(f, g, q0, t1, t2)
     with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(decomposition_to_json(d, win), fh, indent=2, sort_keys=True)

@@ -62,14 +62,13 @@ def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: fl
     n = window.dim
     pf = np.abs(f.values) ** t1
     pg = np.abs(g.values) ** t2
-    tables = {}
-    for level in window.levels():
+
+    def table(level):  # |Q|^(alpha/n) multiplies last: the forest goldens fix this float order
         val = dilated_means(pf, window, level) ** (1.0 / t1) \
             * dilated_means(pg, window, level) ** (1.0 / t2)
-        if alpha is not None:
-            val = (2.0 ** (level * n)) ** (alpha / n) * val
-        tables[level] = val
-    return tables
+        return val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
+
+    return {level: table(level) for level in window.levels()}
 
 
 def _table_value(tables: dict, window: Window, q: Cube) -> float:

@@ -5,6 +5,8 @@ on each cell, so every average over a cell-aligned region is an exact finite
 sum.  The block reductions below take such sums for all cubes of one level
 at once (means, power means, maxima, and means over the 3-fold dilates 3Q
 clipped to the window, with the clipped cell count as the normalizer).
+Every sup over the window's dyadic cubes folds such per-level tables with
+level_sup (one number) or pointwise_level_sup (one sup per cell).
 
 Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: closed-form antiderivatives in one
@@ -70,31 +72,6 @@ class LatticeFunction:
             vals[off] = fn(*center)
         return cls(window, vals)
 
-    # -- arithmetic (cellwise) -----------------------------------------------
-
-    def _binary(self, other, op):
-        if isinstance(other, LatticeFunction):
-            if other.window != self.window:
-                raise ValueError("window mismatch")
-            return LatticeFunction(self.window, op(self.values, other.values))
-        return LatticeFunction(self.window, op(self.values, float(other)))
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __abs__(self):
-        return LatticeFunction(self.window, np.abs(self.values))
-
 
 class Weight(LatticeFunction):
     """Strictly positive lattice function.
@@ -106,12 +83,6 @@ class Weight(LatticeFunction):
         super().__init__(window, values)
         if not np.all(self.values > 0):
             raise ValueError("weight values must be strictly positive")
-
-    def __mul__(self, other):
-        out = super().__mul__(other)
-        return Weight(out.window, out.values) if np.all(out.values > 0) else out
-
-    __rmul__ = __mul__
 
 
 def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
@@ -183,6 +154,22 @@ def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:
     for axis in range(window.dim):
         out = np.repeat(out, b, axis=axis)
     return out
+
+
+def level_sup(window: Window, table: Callable[[int], np.ndarray]) -> float:
+    """sup over the window's cubes of table(level), one value per cube as in level_means; >= 0.0."""
+    best = 0.0
+    for level in window.levels():
+        best = max(best, float(table(level).max()))
+    return best
+
+
+def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Per finest cell, the sup of table(level) (as in level_sup) over the cubes containing it."""
+    best = np.zeros(window.shape)
+    for level in window.levels():
+        np.maximum(best, expand_level(table(level), window, level), out=best)
+    return best
 
 
 # -- |x|^gamma cell averages ---------------------------------------------------
@@ -378,13 +365,13 @@ def power_weight(gamma: float, window: Window, depth: int = 12) -> Weight:
 def _oscillation_sup(b: LatticeFunction, e: float) -> float:
     """sup over window cubes Q of (mean_Q |b - mean_Q b|^e)^(1/e)."""
     w = b.window
-    best = 0.0
-    for level in w.levels():
+
+    def osc(level):
         means = level_means(b.values, w, level)
         centered = np.abs(b.values - expand_level(means, w, level)) ** e
-        osc = level_means(centered, w, level) ** (1.0 / e)
-        best = max(best, float(osc.max()))
-    return best
+        return level_means(centered, w, level) ** (1.0 / e)
+
+    return level_sup(w, osc)
 
 
 def bmo_norm(b: LatticeFunction) -> float:

@@ -555,10 +555,11 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     depth = int(cfg.params.get("depth", 12))
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        # the target weight |x|^(-beta) multiplies the output pointwise
-        wl = power_weight(-beta, win, depth) if beta != 0 else Weight.constant(win, 1.0)
-        v1 = power_weight(gamma1, win, depth) if gamma1 != 0 else Weight.constant(win, 1.0)
-        v2 = power_weight(gamma2, win, depth) if gamma2 != 0 else Weight.constant(win, 1.0)
+        # the target weight |x|^(-beta) multiplies the output; equal exponents share a Weight
+        exps = (-beta, gamma1, gamma2)
+        built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
+                 for x in dict.fromkeys(exps)}
+        wl, v1, v2 = (built[x] for x in exps)
         for trial in range(cfg.trials):
             f, g = _pair_at(cfg, trial, stage, win)
             out = bt_alpha(f, g, alpha, depth)
@@ -628,12 +629,14 @@ def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
     return worst
 
 
+def _stopping_params(cfg: ExperimentConfig) -> tuple[tuple[float, float], tuple[float, float, float]]:
+    """(theta1, theta2) of cz_decompose and (r1, r2, alpha) of cz_decompose_alpha, with defaults."""
+    return ((_param(cfg, "theta1", 2.0), _param(cfg, "theta2", 2.0)),
+            (_param(cfg, "r1", 2.0), _param(cfg, "r2", 2.0), _param(cfg, "alpha", 0.5)))
+
+
 def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:
-    theta1 = _param(cfg, "theta1", 2.0)
-    theta2 = _param(cfg, "theta2", 2.0)
-    r1 = _param(cfg, "r1", 2.0)
-    r2 = _param(cfg, "r2", 2.0)
-    alpha = _param(cfg, "alpha", 0.5)
+    (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
     rows = []
     violations = 0
     for stage in cfg.refinements:

@@ -38,9 +38,9 @@ from .field import (
     Weight,
     _require_pair,
     dilated_means,
-    expand_level,
     level_means,
     level_power_means,
+    pointwise_level_sup,
 )
 from .operators import dyadic_radii
 
@@ -85,21 +85,15 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
     window = _require_pair(f, g)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0; got {alpha}")
-    n = window.dim
+    fa = np.abs(f.values) ** r1
+    ga = np.abs(g.values) ** r2
     if mode == "dyadic":
-        fa = np.abs(f.values) ** r1
-        ga = np.abs(g.values) ** r2
-        best = np.zeros(window.shape)
-        for level in window.levels():
-            val = (2.0 ** (level * alpha)) \
-                * level_means(fa, window, level) ** (1.0 / r1) \
-                * level_means(ga, window, level) ** (1.0 / r2)
-            np.maximum(best, expand_level(val, window, level), out=best)
-        return LatticeFunction(window, best)
+        return LatticeFunction(window, pointwise_level_sup(
+            window, lambda level: (2.0 ** (level * alpha))
+            * level_means(fa, window, level) ** (1.0 / r1)
+            * level_means(ga, window, level) ** (1.0 / r2)))
     if mode == "centered":
         radii = dyadic_radii(window)
-        fa = np.abs(f.values) ** r1
-        ga = np.abs(g.values) ** r2
         best = (2.0 * radii[0]) ** alpha * fa ** (1.0 / r1) * ga ** (1.0 / r2)
         ks = [1 << i for i in range(len(radii) - 1)]  # radii[1:] / h
         pad = ks[-1] + 1
@@ -135,11 +129,8 @@ def m_joint_weighted(f: LatticeFunction, g: LatticeFunction, v: Weight, alpha: f
     n = window.dim
     fa = np.abs(f.values) ** rho1
     ga = np.abs(g.values) ** rho2
-    best = np.zeros(window.shape)
-    for level in window.levels():
-        val = (2.0 ** (level * n)) ** (alpha / n) \
-            * dilated_means(fa, window, level) ** (1.0 / rho1) \
-            * dilated_means(ga, window, level) ** (1.0 / rho2) \
-            * level_power_means(v.values, window, level, w_exp)
-        np.maximum(best, expand_level(val, window, level), out=best)
-    return LatticeFunction(window, best)
+    return LatticeFunction(window, pointwise_level_sup(
+        window, lambda level: (2.0 ** (level * n)) ** (alpha / n)
+        * dilated_means(fa, window, level) ** (1.0 / rho1)
+        * dilated_means(ga, window, level) ** (1.0 / rho2)
+        * level_power_means(v.values, window, level, w_exp)))

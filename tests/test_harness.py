@@ -217,6 +217,25 @@ def test_sw_balance_recorded_not_enforced():
     assert rep.summary["notes"]["hypothesis"]["balance_identity"] is False
 
 
+def test_sw_equal_exponents_build_one_power_weight(monkeypatch):
+    from morreylab import harness
+    calls = []
+
+    def counted(gamma, window, depth=12):
+        calls.append(gamma)
+        return power_weight(gamma, window, depth)
+
+    monkeypatch.setattr(harness, "power_weight", counted)
+    pairs = [
+        ("experiment", "SW101"), ("dim", "1"), ("level_min", "-3"), ("level_max", "0"),
+        ("alpha", "0.5"), ("beta", "0"), ("gamma1", "0.2"), ("gamma2", "0.2"),
+        ("q1", "3"), ("q2", "3"), ("p1", "3.6"), ("p2", "3.6"), ("r", "inf"),
+        ("trials", "1"), ("seed", "0"), ("refinements", "0"),
+    ]
+    run_experiment(config_from_pairs(pairs))
+    assert calls == [0.2]
+
+
 def test_growth_flags_present():
     cfg = config_from_pairs(T25_PAIRS)
     rep = run_experiment(cfg)
