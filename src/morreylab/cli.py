@@ -79,8 +79,7 @@ def _cmd_weight_const(args) -> int:
     cfg = _load_config(args.config)
     kind = WeightConditionKind(args.kind)
     win = cfg.window
-    regime = {"C22": "T21", "C23": "T21", "C24": "T22"}.get(args.kind, "T28")
-    e = _exponent_set(cfg, regime)
+    e = _exponent_set(cfg, kind)
     v = _weight(cfg, "v", win) if "weight_v" in cfg.params else None
     w1 = _weight(cfg, "w1", win, cfg.params.get("weight_u1", "const:1"))
     w2 = _weight(cfg, "w2", win, cfg.params.get("weight_u2", "const:1"))
@@ -94,7 +93,10 @@ def _cmd_decompose(args) -> int:
     q0 = _q0(cfg, win)
     f, g = _pair_at(cfg, 0, 0, win)
     (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
-    if str(cfg.params.get("kind", "cz")) == "cz_alpha":
+    variant = cfg.params.get("kind", "cz")
+    if variant not in ("cz", "cz_alpha"):
+        raise ValidationError(f"unknown decompose kind {variant!r}; expected 'cz' or 'cz_alpha'")
+    if variant == "cz_alpha":
         t1, t2 = r1, r2
         d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
     else:

@@ -136,66 +136,46 @@ def validate(e: ExponentSet) -> list[str]:
     need(e.r == INF or e.r > 0, f"r>0 or r=inf (r={e.r})")
 
     inv_s = 1.0 / e.p + inv(e.r) - e.alpha / e.n
-    if e.regime in ("T21", "T22", "T28"):
-        need(_close(1.0 / e.s, inv_s),
-             f"1/s=1/p+1/r-alpha/n (1/s={1.0 / e.s}, rhs={inv_s})")
-        need(_close(e.t / e.s, e.q / e.p),
-             f"t/s=q/p (t/s={e.t / e.s}, q/p={e.q / e.p})")
+    need(_close(1.0 / e.s, inv_s), f"1/s=1/p+1/r-alpha/n (1/s={1.0 / e.s}, rhs={inv_s})")
     if e.regime == "T27":
-        need(_close(1.0 / e.s, inv_s),
-             f"1/s=1/p+1/r-alpha/n (1/s={1.0 / e.s}, rhs={inv_s})")
         inv_t = 1.0 / e.q + inv(e.r) - e.alpha / e.n
-        need(_close(1.0 / e.t, inv_t),
-             f"1/t=1/q+1/r-alpha/n (1/t={1.0 / e.t}, rhs={inv_t})")
+        need(_close(1.0 / e.t, inv_t), f"1/t=1/q+1/r-alpha/n (1/t={1.0 / e.t}, rhs={inv_t})")
+    else:
+        need(_close(e.t / e.s, e.q / e.p), f"t/s=q/p (t/s={e.t / e.s}, q/p={e.q / e.p})")
 
-    if e.regime == "T21":
+    if e.regime in ("T21", "T22"):
         need(0 < e.alpha, f"0<alpha (alpha={e.alpha})")
+        need(_le(e.t, e.s), f"t<=s (t={e.t}, s={e.s})")
+        need(e.alpha / e.n > inv(e.r), f"alpha/n>1/r (alpha/n={e.alpha / e.n}, 1/r={inv(e.r)})")
+        need(e.a is not None and 1 < e.a < min(e.q1, e.q2),
+             f"1<a<min(q1,q2) (a={e.a}, min={min(e.q1, e.q2)})")
+    else:
+        need(e.t > 0 and _le(e.t, e.s), f"0<t<=s (t={e.t}, s={e.s})")
+        need(e.alpha / e.n >= inv(e.r) - _TOL,
+             f"alpha/n>=1/r (alpha/n={e.alpha / e.n}, 1/r={inv(e.r)})")
+    if e.regime == "T21":
         need(1 < e.q1 < INF and 1 < e.q2 < INF, f"1<q1,q2<inf (q1={e.q1}, q2={e.q2})")
         need(e.t > 0 and _le(e.t, 1.0), f"0<t<=1 (t={e.t})")
-        need(_le(e.t, e.s), f"t<=s (t={e.t}, s={e.s})")
-        need(e.alpha / e.n > inv(e.r), f"alpha/n>1/r (alpha/n={e.alpha / e.n}, 1/r={inv(e.r)})")
-        need(e.a is not None and 1 < e.a < min(e.q1, e.q2),
-             f"1<a<min(q1,q2) (a={e.a}, min={min(e.q1, e.q2)})")
-    elif e.regime == "T22":
-        need(0 < e.alpha, f"0<alpha (alpha={e.alpha})")
-        need(1 < e.t, f"1<t (t={e.t})")
-        need(_le(e.t, e.s), f"t<=s (t={e.t}, s={e.s})")
-        need(e.s < e.r, f"s<r (s={e.s}, r={e.r})")
-        need(e.alpha / e.n > inv(e.r), f"alpha/n>1/r (alpha/n={e.alpha / e.n}, 1/r={inv(e.r)})")
-        need(e.a is not None and 1 < e.a < min(e.q1, e.q2),
-             f"1<a<min(q1,q2) (a={e.a}, min={min(e.q1, e.q2)})")
-        if e.r1 is None or e.r2 is None:
-            v.append("r1,r2 required (got None)")
-        else:
-            need(_close(1.0 / e.r1 + 1.0 / e.r2, 1.0),
-                 f"1/r1+1/r2=1 (sum={1.0 / e.r1 + 1.0 / e.r2})")
-            need(1 < e.r1 < e.q1, f"1<r1<q1 (r1={e.r1}, q1={e.q1})")
-            need(1 < e.r2 < e.q2, f"1<r2<q2 (r2={e.r2}, q2={e.q2})")
-    elif e.regime == "T27":
-        need(e.t > 0 and _le(e.t, e.s), f"0<t<=s (t={e.t}, s={e.s})")
-        need(e.s < e.r, f"s<r (s={e.s}, r={e.r})")
-        need(e.alpha / e.n >= inv(e.r) - _TOL,
-             f"alpha/n>=1/r (alpha/n={e.alpha / e.n}, 1/r={inv(e.r)})")
-        if e.r1 is None or e.r2 is None:
-            v.append("r1,r2 required (got None)")
-        else:
-            need(0 < e.r1 <= e.q1, f"0<r1<=q1 (r1={e.r1}, q1={e.q1})")
-            need(0 < e.r2 <= e.q2, f"0<r2<=q2 (r2={e.r2}, q2={e.q2})")
-    elif e.regime == "T28":
-        need(e.t > 0 and _le(e.t, e.s), f"0<t<=s (t={e.t}, s={e.s})")
-        need(e.s < e.r, f"s<r (s={e.s}, r={e.r})")
-        need(e.alpha / e.n >= inv(e.r) - _TOL,
-             f"alpha/n>=1/r (alpha/n={e.alpha / e.n}, 1/r={inv(e.r)})")
-        if e.r1 is None or e.r2 is None:
-            v.append("r1,r2 required (got None)")
-        else:
-            need(0 < e.r1 < e.q1, f"0<r1<q1 (r1={e.r1}, q1={e.q1})")
-            need(0 < e.r2 < e.q2, f"0<r2<q2 (r2={e.r2}, q2={e.q2})")
-            if e.a is None:
-                v.append("a required (got None)")
-            else:
-                bound = min(e.q1 / e.r1, e.q2 / e.r2)
-                need(1 < e.a < bound,
-                     f"1<a<min(q1/r1,q2/r2) (a={e.a}, min={bound})")
-    return v
+        return v
 
+    if e.regime == "T22":
+        need(1 < e.t, f"1<t (t={e.t})")
+    need(e.s < e.r, f"s<r (s={e.s}, r={e.r})")
+    if e.r1 is None or e.r2 is None:
+        v.append("r1,r2 required (got None)")
+    elif e.regime == "T22":
+        need(_close(1.0 / e.r1 + 1.0 / e.r2, 1.0), f"1/r1+1/r2=1 (sum={1.0 / e.r1 + 1.0 / e.r2})")
+        need(1 < e.r1 < e.q1, f"1<r1<q1 (r1={e.r1}, q1={e.q1})")
+        need(1 < e.r2 < e.q2, f"1<r2<q2 (r2={e.r2}, q2={e.q2})")
+    elif e.regime == "T27":
+        need(0 < e.r1 <= e.q1, f"0<r1<=q1 (r1={e.r1}, q1={e.q1})")
+        need(0 < e.r2 <= e.q2, f"0<r2<=q2 (r2={e.r2}, q2={e.q2})")
+    else:
+        need(0 < e.r1 < e.q1, f"0<r1<q1 (r1={e.r1}, q1={e.q1})")
+        need(0 < e.r2 < e.q2, f"0<r2<q2 (r2={e.r2}, q2={e.q2})")
+        if e.a is None:
+            v.append("a required (got None)")
+        else:
+            bound = min(e.q1 / e.r1, e.q2 / e.r2)
+            need(1 < e.a < bound, f"1<a<min(q1/r1,q2/r2) (a={e.a}, min={bound})")
+    return v

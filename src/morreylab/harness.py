@@ -13,7 +13,7 @@ Runners are grouped by the shape of their inequality:
 - strong type, |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2): one
   runner for T21-T24 (bilinear integral and its commutators), T28/T29
   (dyadic maximal operator) and COR_BH (bilinear maximal function); the
-  exponent regime fixes the weight constant;
+  weight condition of the constant fixes the exponent regime;
 - maximal control (T25/T26): Morrey norms of the integral or commutator
   against those of the maximal operator;
 - weak type (T27_*): the weak Morrey functional on a base cube;
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -46,7 +46,7 @@ from ._version import __version__ as _VERSION
 from .czd import cz_decompose, cz_decompose_alpha, necessity_pair, verify_decomposition
 from .dyadic import Cube, Window
 from .errors import ValidationError
-from .exponents import INF, ExponentSet, build, validate
+from .exponents import INF, ExponentSet, build, solve_st, solve_weak_t, validate
 from .field import (
     LatticeFunction,
     Weight,
@@ -260,16 +260,19 @@ def _make_weight(spec: str, window: Window, depth: int = 12) -> Weight:
     raise ValidationError(f"unknown weight spec {spec!r} (use pow:<g>, const:<c>, csv:<path>)")
 
 
+def _depth(cfg: ExperimentConfig) -> int:
+    """The quadrature depth of the power weights and the kernel averages."""
+    return int(cfg.params.get("depth", 12))
+
+
 def _weight(cfg: ExperimentConfig, role: str, window: Window, default: str = "const:1") -> Weight:
-    return _make_weight(cfg.params.get(f"weight_{role}", default), window,
-                        depth=int(cfg.params.get("depth", 12)))
+    return _make_weight(cfg.params.get(f"weight_{role}", default), window, depth=_depth(cfg))
 
 
 def _weights(cfg: ExperimentConfig, window: Window, *roles: str) -> list[Weight]:
     """The weights of the roles; roles with equal specs share one (immutable) Weight."""
     specs = [cfg.params.get(f"weight_{role}", "const:1") for role in roles]
-    depth = int(cfg.params.get("depth", 12))
-    built = {spec: _make_weight(spec, window, depth=depth) for spec in dict.fromkeys(specs)}
+    built = {spec: _make_weight(spec, window, depth=_depth(cfg)) for spec in dict.fromkeys(specs)}
     return [built[spec] for spec in specs]
 
 
@@ -298,21 +301,24 @@ def _q0(cfg: ExperimentConfig, window: Window, key: str = "q0") -> Cube:
     return q
 
 
-def _exponent_set(cfg: ExperimentConfig, regime: str, a: float = None) -> ExponentSet:
-    """The regime's exponent set from the config; a, when given, stands in for a missing key."""
-    w = cfg.window
+def _exponent_set(cfg: ExperimentConfig, kind: WeightConditionKind) -> ExponentSet:
+    """The exponent set of the kind's regime from the config.  C211 never uses a, but its
+    T28 set needs one: a missing a becomes the midpoint of (1, min(q_i/r_i)) of the built
+    r_i (validate reports a missing or zero r_i)."""
     e = build(
-        regime,
-        n=w.dim,
-        alpha=_param(cfg, "alpha", 0.0 if regime in ("T27", "T28") else None),
+        kind.regime,
+        n=cfg.window.dim,
+        alpha=_param(cfg, "alpha", 0.0 if kind.regime in ("T27", "T28") else None),
         q1=_param(cfg, "q1"),
         q2=_param(cfg, "q2"),
         p=_param(cfg, "p"),
         r=_param(cfg, "r", INF),
-        a=(float(cfg.params["a"]) if "a" in cfg.params else a),
+        a=(float(cfg.params["a"]) if "a" in cfg.params else None),
         r1=(float(cfg.params["r1"]) if "r1" in cfg.params else None),
         r2=(float(cfg.params["r2"]) if "r2" in cfg.params else None),
     )
+    if kind is WeightConditionKind.C211 and e.a is None and e.r1 and e.r2:
+        e = replace(e, a=0.5 * (1.0 + min(e.q1 / e.r1, e.q2 / e.r2)))
     violations = validate(e)
     if violations:
         raise ValidationError(violations)
@@ -376,45 +382,36 @@ def _integral(cfg: ExperimentConfig, trial: int, stage: int, window: Window,
     """The bilinear integral of (f, g) with BMO factor 1, or for n_sym > 0 the iterated
     commutator over the trial's drawn symbols with the product of their BMO norms."""
     if not n_sym:
-        return bilinear_fractional(f, g, alpha), 1.0
+        return bilinear_fractional(f, g, alpha, _depth(cfg)), 1.0
     spec = _commutator_spec(cfg, _symbols_at(cfg, trial, stage, window, n_sym))
-    return commutator_iterated(spec, f, g, alpha), math.prod(bmo_norm(b) for b in spec.b_vec)
+    return (commutator_iterated(spec, f, g, alpha, _depth(cfg)),
+            math.prod(bmo_norm(b) for b in spec.b_vec))
 
 
 # The strong-type bounds |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2):
-# experiment -> (exponent regime, operator T).  The regime fixes the constant.
+# experiment -> (operator T, weight condition of C); the condition fixes the regime.
 _STRONG_TYPE = {
-    "T21": ("T21", "bilinear"),
-    "T22": ("T22", "bilinear"),
-    "T23": ("T21", "commutator"),
-    "T24": ("T22", "commutator"),
-    "T28": ("T28", "m_alpha_r"),
-    "T29": ("T28", "m_alpha_r"),
-    "COR_BH": ("T28", "bh_maximal"),
+    "T21": ("bilinear", WeightConditionKind.C22),
+    "T22": ("bilinear", WeightConditionKind.C24),
+    "T23": ("commutator", WeightConditionKind.C22),
+    "T24": ("commutator", WeightConditionKind.C24),
+    "T28": ("m_alpha_r", WeightConditionKind.C29),
+    "T29": ("m_alpha_r", WeightConditionKind.C211),
+    "COR_BH": ("bh_maximal", WeightConditionKind.CBH),
 }
 
 
 def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
-    regime, operator = _STRONG_TYPE[cfg.experiment]
-    vector = cfg.experiment == "T29"
-    notes = {}
-    if vector and "a" not in cfg.params:
-        # the vector-weight condition never uses a; any admissible value works
-        bound = min(_param(cfg, "q1") / _param(cfg, "r1", 2.0),
-                    _param(cfg, "q2") / _param(cfg, "r2", 2.0))
-        notes["derived_a"] = 0.5 * (1.0 + bound)
-    e = _exponent_set(cfg, regime, a=notes.get("derived_a"))
+    operator, kind = _STRONG_TYPE[cfg.experiment]
+    vector = kind is WeightConditionKind.C211
+    e = _exponent_set(cfg, kind)
     if operator == "bh_maximal" and e.alpha != 0.0:
         raise ValidationError(["COR_BH requires alpha = 0"])
-    if regime == "T21":
-        kind = WeightConditionKind.C22 if e.s < 1.0 else WeightConditionKind.C23
-    elif regime == "T22":
-        kind = WeightConditionKind.C24
-    else:
-        kind = (WeightConditionKind.C211 if vector
-                else WeightConditionKind.CBH if operator == "bh_maximal"
-                else WeightConditionKind.C29)
-    notes["condition_kind"] = kind.value
+    if kind is WeightConditionKind.C22 and e.s >= 1.0:
+        kind = WeightConditionKind.C23
+    notes = {"condition_kind": kind.value}
+    if vector and "a" not in cfg.params:
+        notes["derived_a"] = e.a
     n_sym = int(cfg.params.get("n_symbols", 2)) if operator == "commutator" else 0
     rows = []
     for stage in cfg.refinements:
@@ -477,7 +474,7 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
 
 def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     necessity = cfg.experiment == "T27_necessity"
-    e = _exponent_set(cfg, "T27")
+    e = _exponent_set(cfg, WeightConditionKind.C27)
     notes = {"condition_kind": WeightConditionKind.C27.value}
     rows = []
     violations = 0
@@ -532,11 +529,11 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     q = 1.0 / (1.0 / q1 + 1.0 / q2)
     p = 1.0 / (1.0 / p1 + 1.0 / p2)
     order = n - alpha  # the operator acts at fractional order n - alpha
-    inv_s = 1.0 / p + (0.0 if r == INF else 1.0 / r) - order / n
-    inv_t = 1.0 / q + (0.0 if r == INF else 1.0 / r) - order / n
-    if inv_s <= 0 or inv_t <= 0:
-        raise ValidationError([f"s or t undefined (1/s={inv_s}, 1/t={inv_t})"])
-    s, t = 1.0 / inv_s, 1.0 / inv_t
+    try:
+        s, _ = solve_st(n, order, p, q, r)
+        t = solve_weak_t(n, order, q, r)
+    except ValueError as exc:
+        raise ValidationError([str(exc)]) from exc
     if not (t > 1 and t <= s * (1.0 + 1e-12)):
         raise ValidationError([f"need 1<t<=s (t={t}, s={s})"])
     balance = alpha + beta + gamma1 + gamma2 - (n + n / t - n / q)
@@ -552,7 +549,7 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
              "hypothesis": hypothesis,
              "hypothesis_satisfied": all(hypothesis.values())}
     rows = []
-    depth = int(cfg.params.get("depth", 12))
+    depth = _depth(cfg)
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
         # the target weight |x|^(-beta) multiplies the output; equal exponents share a Weight

@@ -12,11 +12,11 @@ flag the convention.
 The two-weight constants are sups over nested cube pairs (Q, Q') of a product
 of a volume-ratio power, an optional |Q'|^(1/r), a power average of v on Q,
 and dual-exponent power averages of w1, w2 on Q'.  The WeightConditionKind
-enum picks the variant; two limiting conventions appear verbatim in the
-formulas: the v-average degenerates to max_Q v when t = 1, and the w-average
-to max_{Q'} 1/w_i when q_i = r_i.  The vector kind C211, the Muckenhoupt
-constant ap_constant and the joint constant of lemma39_check are sups over
-single cubes instead.
+enum picks the variant and names the exponent regime it is defined on; two
+limiting conventions appear verbatim in the formulas: the v-average
+degenerates to max_Q v when t = 1, and the w-average to max_{Q'} 1/w_i when
+q_i = r_i.  The vector kind C211, the Muckenhoupt constant ap_constant and
+the joint constant of lemma39_check are sups over single cubes instead.
 
 Every sup is exact over the window's cube catalog and runs as field block
 reductions, one level at a time.  A pair term is a factor fixed by the levels
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import Cube, Window
-from .exponents import ExponentSet, conjugate, inv
+from .exponents import ExponentSet, conjugate, inv, validate
 from .field import LatticeFunction, Weight, level_max, level_means, level_power_means, level_sup
 
 INF = math.inf
@@ -117,13 +117,15 @@ def weak_morrey_functional(F: LatticeFunction, v: Weight, t: float, s: float,
 class WeightConditionKind(Enum):
     """Formula variants for the nested-pair weight constants.
 
-    C22   ratio^((1-s)/(as)),  |Q'|^(1/r), v-avg exponent at/(1-t)   (t <= 1, s < 1)
-    C23   ratio^((1-as)/(as)), |Q'|^(1/r), v-avg exponent at/(1-t)   (t <= 1, s >= 1)
-    C24   ratio^(1/(as)),      |Q'|^(1/r), v-avg exponent at         (t > 1)
-    C27   ratio^(1/s),         |Q'|^(1/r), v-avg exponent t, w-exp r_i (q_i/r_i)'
-    C29   like C27 with w-exp r_i (q_i/(a r_i))'
-    C211  single-cube constant in the two weights u1, u2
-    CBH   like C29 without the |Q'|^(1/r) factor
+    Each kind is defined on the exponent sets of one regime (`regime`):
+
+    C22   T21  ratio^((1-s)/(as)),  |Q'|^(1/r), v-avg exponent at/(1-t)   (s < 1)
+    C23   T21  ratio^((1-as)/(as)), |Q'|^(1/r), v-avg exponent at/(1-t)   (s >= 1)
+    C24   T22  ratio^(1/(as)),      |Q'|^(1/r), v-avg exponent at
+    C27   T27  ratio^(1/s),         |Q'|^(1/r), v-avg exponent t, w-exp r_i (q_i/r_i)'
+    C29   T28  like C27 with w-exp r_i (q_i/(a r_i))'
+    C211  T28  single-cube constant in the two weights u1, u2
+    CBH   T28  like C29 without the |Q'|^(1/r) factor
     """
 
     C22 = "C22"
@@ -134,46 +136,51 @@ class WeightConditionKind(Enum):
     C211 = "C211"
     CBH = "CBH"
 
+    @property
+    def regime(self) -> str:
+        """The exponent regime whose sets the condition is defined on."""
+        return _REGIMES[self.value]
 
-def _kind_check(kind: WeightConditionKind, e: ExponentSet) -> None:
+
+_REGIMES = {"C22": "T21", "C23": "T21", "C24": "T22", "C27": "T27",
+            "C29": "T28", "C211": "T28", "CBH": "T28"}
+
+
+def _pair_exponents(kind: WeightConditionKind, e: ExponentSet) -> tuple[float, float, float, float]:
+    """(ratio_exp, v_exp, d1, d2) of a pair kind: the volume-ratio power, the v-average
+    exponent on Q (inf = max of v) and the exponents d_i of the w-averages
+    (mean_{Q'} w_i^(-d_i))^(1/d_i) (inf = max of 1/w_i)."""
+    if kind is WeightConditionKind.C27:
+        return (1.0 / e.s, e.t,
+                INF if e.q1 == e.r1 else e.r1 * conjugate(e.q1 / e.r1),
+                INF if e.q2 == e.r2 else e.r2 * conjugate(e.q2 / e.r2))
+    if kind.regime == "T28":  # C29, CBH
+        return (1.0 / e.s, e.t,
+                e.r1 * conjugate(e.q1 / (e.a * e.r1)), e.r2 * conjugate(e.q2 / (e.a * e.r2)))
+    d1, d2 = conjugate(e.q1 / e.a), conjugate(e.q2 / e.a)
+    if kind is WeightConditionKind.C24:
+        return 1.0 / (e.a * e.s), e.a * e.t, d1, d2
+    v_exp = INF if abs(e.t - 1.0) <= 1e-12 else e.a * e.t / (1.0 - e.t)
     if kind is WeightConditionKind.C22:
-        if not (0 < e.t <= 1 and e.s < 1):
-            raise ValueError(f"{kind.value} needs 0<t<=1 and s<1 (t={e.t}, s={e.s})")
-        _need_a_in_q(e)
-    elif kind is WeightConditionKind.C23:
-        if not (0 < e.t <= 1 and e.s >= 1):
-            raise ValueError(f"{kind.value} needs 0<t<=1 and s>=1 (t={e.t}, s={e.s})")
-        _need_a_in_q(e)
-    elif kind is WeightConditionKind.C24:
-        if not e.t > 1:
-            raise ValueError(f"{kind.value} needs t>1 (t={e.t})")
-        _need_a_in_q(e)
-    elif kind is WeightConditionKind.C27:
-        if e.r1 is None or e.r2 is None or not (0 < e.r1 <= e.q1 and 0 < e.r2 <= e.q2):
-            raise ValueError(f"{kind.value} needs 0<r_i<=q_i (r=({e.r1},{e.r2}))")
-    elif kind in (WeightConditionKind.C29, WeightConditionKind.CBH):
-        if e.r1 is None or e.r2 is None or not (0 < e.r1 < e.q1 and 0 < e.r2 < e.q2):
-            raise ValueError(f"{kind.value} needs 0<r_i<q_i (r=({e.r1},{e.r2}))")
-        if e.a is None or not 1 < e.a < min(e.q1 / e.r1, e.q2 / e.r2):
-            raise ValueError(f"{kind.value} needs 1<a<min(q_i/r_i) (a={e.a})")
-    elif kind is WeightConditionKind.C211:
-        if e.r1 is None or e.r2 is None or not (0 < e.r1 < e.q1 and 0 < e.r2 < e.q2):
-            raise ValueError(f"{kind.value} needs 0<r_i<q_i (r=({e.r1},{e.r2}))")
-
-
-def _need_a_in_q(e: ExponentSet) -> None:
-    if e.a is None or not 1 < e.a < min(e.q1, e.q2):
-        raise ValueError(f"need 1<a<min(q1,q2) (a={e.a}, q=({e.q1},{e.q2}))")
+        return (1.0 - e.s) / (e.a * e.s), v_exp, d1, d2
+    return (1.0 - e.a * e.s) / (e.a * e.s), v_exp, d1, d2
 
 
 def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weight,
                         w2: Weight, e: ExponentSet, window: Window) -> float:
     """Evaluate the selected weight constant over the window's cube pairs.
 
-    v may be None only for the single-cube kind C211, which involves the pair
-    (w1, w2) alone.
+    e must be an admissible set of the kind's regime; of the two T21 kinds,
+    C22 takes the sets with s < 1 and C23 those with s >= 1.  v may be None
+    only for the single-cube kind C211, which involves the pair (w1, w2) alone.
     """
-    _kind_check(kind, e)
+    if e.regime != kind.regime:
+        raise ValueError(f"{kind.value} needs a {kind.regime} exponent set (got {e.regime})")
+    violations = validate(e)
+    if violations:
+        raise ValueError(f"{kind.value}: inadmissible {e.regime} set: {'; '.join(violations)}")
+    if kind.regime == "T21" and (e.s < 1.0) != (kind is WeightConditionKind.C22):
+        raise ValueError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
     n = window.dim
     inv1, inv2 = 1.0 / w1.values, 1.0 / w2.values
 
@@ -190,34 +197,7 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
     if v.window != window or w1.window != window or w2.window != window:
         raise ValueError("weights must live on the given window")
 
-    # v-average on the inner cube: (mean_Q v^v_exp)^(1/v_exp), inf = max on Q
-    if kind in (WeightConditionKind.C22, WeightConditionKind.C23):
-        v_exp = INF if abs(e.t - 1.0) <= 1e-12 else e.a * e.t / (1.0 - e.t)
-    elif kind is WeightConditionKind.C24:
-        v_exp = e.a * e.t
-    else:
-        v_exp = e.t
-
-    # w-averages on the outer cube: (mean w_i^(-d_i))^(1/d_i), inf = max of 1/w_i
-    if kind in (WeightConditionKind.C22, WeightConditionKind.C23, WeightConditionKind.C24):
-        d1 = conjugate(e.q1 / e.a)
-        d2 = conjugate(e.q2 / e.a)
-    elif kind is WeightConditionKind.C27:
-        d1 = INF if e.q1 == e.r1 else e.r1 * conjugate(e.q1 / e.r1)
-        d2 = INF if e.q2 == e.r2 else e.r2 * conjugate(e.q2 / e.r2)
-    else:  # C29, CBH
-        d1 = e.r1 * conjugate(e.q1 / (e.a * e.r1))
-        d2 = e.r2 * conjugate(e.q2 / (e.a * e.r2))
-
-    if kind is WeightConditionKind.C22:
-        ratio_exp = (1.0 - e.s) / (e.a * e.s)
-    elif kind is WeightConditionKind.C23:
-        ratio_exp = (1.0 - e.a * e.s) / (e.a * e.s)
-    elif kind is WeightConditionKind.C24:
-        ratio_exp = 1.0 / (e.a * e.s)
-    else:
-        ratio_exp = 1.0 / e.s
-
+    ratio_exp, v_exp, d1, d2 = _pair_exponents(kind, e)
     with_qr = kind is not WeightConditionKind.CBH
 
     outer1 = {level: level_power_means(inv1, window, level, d1) for level in window.levels()}

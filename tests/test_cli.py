@@ -8,15 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morreylab import cli
+from morreylab import cli, harness
 from morreylab.dyadic import Window
 from morreylab.exponents import build
 from morreylab.field import LatticeFunction, Weight, to_csv
-from morreylab.harness import Report, _COLUMNS
+from morreylab.harness import Report, _COLUMNS, config_from_pairs, run_experiment
 from morreylab.weights_norms import WeightConditionKind, morrey_norm, two_weight_constant
 
 from conftest import assert_close, random_lattice
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 T25_CONFIG = """
 experiment = T25
@@ -135,6 +136,24 @@ p = 2.2
     assert "'q1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,config", [("C27", "t27_weak_type.cfg"),
+                                         ("C211", "t29_vector_weight.cfg")])
+def test_weight_const_prints_the_runners_constant(kind, config, capsys, monkeypatch):
+    path = str(CONFIGS / config)
+    assert cli.main(["weight-const", kind, path]) == 0
+    printed = capsys.readouterr().out.strip()
+    consts = []
+
+    def recording(*args):
+        consts.append(two_weight_constant(*args))
+        return consts[-1]
+
+    monkeypatch.setattr(harness, "two_weight_constant", recording)
+    raw = dict(cli._load_config(path).raw, trials="2", refinements="0")
+    run_experiment(config_from_pairs(sorted(raw.items())))
+    assert consts[0] > 0.0 and printed == repr(consts[0])
+
+
 def test_decompose_subcommand(tmp_path):
     cfg = _write(tmp_path, "dec.cfg", """
 experiment = CZ_INV
@@ -151,6 +170,23 @@ seed = 12
     assert cli.main(["decompose", cfg, "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert {"gamma", "factor", "levels", "e_cells"} <= set(doc)
+
+
+def test_decompose_rejects_an_unknown_kind(tmp_path, capsys):
+    cfg = _write(tmp_path, "dec.cfg", """
+experiment = CZ_INV
+kind = cz-alpha
+dim = 1
+level_min = -5
+level_max = 0
+q0_level = -1
+q0_index = 0
+seed = 12
+""")
+    out = tmp_path / "dec.json"
+    assert cli.main(["decompose", cfg, "--json", str(out)]) == 2
+    assert "'cz-alpha'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["cz", "cz_alpha"])

@@ -236,6 +236,37 @@ def test_sw_equal_exponents_build_one_power_weight(monkeypatch):
     assert calls == [0.2]
 
 
+def test_depth_sets_the_kernel_of_the_integral():
+    # 2-D: the 1-D kernel averages are closed form and ignore the depth
+    from morreylab.exponents import build
+    from morreylab.harness import _pair_at
+    from morreylab.operators import bilinear_fractional
+    from morreylab.weights_norms import morrey_norm
+    pairs = [
+        ("experiment", "T21"), ("dim", "2"), ("level_min", "-2"), ("level_max", "0"),
+        ("alpha", "1"), ("q1", "1.8"), ("q2", "1.8"), ("p", "1.5"), ("r", "2.1"),
+        ("a", "1.5"), ("trials", "1"), ("seed", "0"), ("refinements", "0"),
+    ]
+    cfg = config_from_pairs(pairs + [("depth", "2")])
+    e = build("T21", 2, 1.0, 1.8, 1.8, 1.5, 2.1, a=1.5)
+    f, g = _pair_at(cfg, 0, 0, cfg.window)
+    lhs = {depth: morrey_norm(bilinear_fractional(f, g, 1.0, depth), e.s, e.t)
+           for depth in (2, 12)}
+    assert lhs[2] != lhs[12]
+    assert run_experiment(cfg).rows[0]["lhs"] == lhs[2]
+    assert run_experiment(config_from_pairs(pairs)).rows[0]["lhs"] == lhs[12]
+
+
+def test_t29_derives_a_from_the_built_holder_pair():
+    # without r1, r2 keys the T28 set takes the Holder pair (q1/q, q2/q) = (3, 1.5)
+    pairs = [
+        ("experiment", "T29"), ("alpha", "0.4"), ("q1", "4"), ("q2", "2"), ("p", "2.2"),
+        ("r", "2.5"), ("weight_u1", "pow:0.1"), ("trials", "1"), ("seed", "0"),
+    ]
+    rep = run_experiment(config_from_pairs(pairs))
+    assert rep.summary["notes"]["derived_a"] == 0.5 * (1.0 + min(4.0 / 3.0, 2.0 / 1.5))
+
+
 def test_growth_flags_present():
     cfg = config_from_pairs(T25_PAIRS)
     rep = run_experiment(cfg)

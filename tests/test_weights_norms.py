@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -387,6 +388,23 @@ def test_kind_preconditions():
         two_weight_constant(K.C24, u, u, u, _e_t21(True), w)  # t <= 1
     with pytest.raises(ValueError):
         two_weight_constant(K.C27, None, u, u, _e_t27(), w)  # v required
+    with pytest.raises(ValueError, match="s>=1"):
+        two_weight_constant(K.C23, u, u, u, _e_t21(True), w)  # s < 1
+    with pytest.raises(ValueError, match="a required"):
+        two_weight_constant(K.C211, None, u, u, dataclasses.replace(_e_t28(), a=None), w)
+
+
+def test_each_kind_takes_only_sets_of_its_regime():
+    assert {kind: kind.regime for kind in K} == {
+        K.C22: "T21", K.C23: "T21", K.C24: "T22", K.C27: "T27",
+        K.C29: "T28", K.C211: "T28", K.CBH: "T28"}
+    w = Window(1, -1, 0)
+    u = Weight.constant(w, 1.0)
+    for kind in K:
+        for e in (_e_t21(True), _e_t21(False), _e_t22(), _e_t27(), _e_t28()):
+            if e.regime != kind.regime:
+                with pytest.raises(ValueError, match=f"needs a {kind.regime} exponent set"):
+                    two_weight_constant(kind, u, u, u, e, w)
 
 
 # -- Muckenhoupt / reverse-Holder ----------------------------------------------------
