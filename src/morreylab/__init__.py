@@ -6,8 +6,7 @@ provides:
 
 * the bilinear fractional integral operator and its iterated commutators
   with BMO symbols, by singularity-aware quadrature;
-* dyadic and centered bilinear maximal operators, including weighted
-  auxiliary variants;
+* dyadic and centered bilinear maximal operators;
 * Morrey norms, a weak-type functional, Muckenhoupt constants, and the full
   family of multi-weight constants used by two-weight bounds;
 * constructive stopping-time (Calderon-Zygmund) decompositions;
@@ -35,7 +34,7 @@ from .field import (
     power_weight,
     to_csv,
 )
-from .maximal import m_alpha_r, m_joint_weighted
+from .maximal import m_alpha_r
 from .operators import (
     CommutatorSpec,
     bh_maximal,
@@ -96,7 +95,6 @@ __all__ = [
     "emit_report",
     "lemma39_check",
     "m_alpha_r",
-    "m_joint_weighted",
     "morrey_norm",
     "necessity_pair",
     "parent",

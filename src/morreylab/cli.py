@@ -91,7 +91,7 @@ def _cmd_decompose(args) -> int:
     cfg = _load_config(args.config)
     win = cfg.window
     q0 = _q0(cfg, win)
-    f, g = _pair_at(cfg, 0, 0, win)
+    f, g = _pair_at(cfg, 0, win)
     (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
     variant = cfg.params.get("kind", "cz")
     if variant not in ("cz", "cz_alpha"):

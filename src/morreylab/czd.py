@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import Cube, Window, ancestors
-from .field import LatticeFunction, Weight, _require_pair, dilated_means, expand_level
+from .field import (
+    LatticeFunction,
+    Weight,
+    _require_pair,
+    _require_unbatched,
+    dilated_means,
+    expand_level,
+)
 
 
 @dataclass(frozen=True)
@@ -48,16 +55,12 @@ class Decomposition:
     e0: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     cap_hit: bool = False
 
-    def all_stopping_cubes(self):
-        for k in sorted(self.levels):
-            for q in self.levels[k]:
-                yield k, q
-
 
 def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float,
                        alpha: float = None) -> dict[int, np.ndarray]:
     """Per level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q,
     times |Q|^(alpha/n) unless alpha is None; in cube-index order, as level_means."""
+    _require_unbatched(f, g)
     window = f.window
     n = window.dim
     pf = np.abs(f.values) ** t1
@@ -268,6 +271,7 @@ def necessity_pair(w1: Weight, w2: Weight, qp: Cube, e) -> tuple[LatticeFunction
     matched threshold lambda = 1/2 |Q'|^(alpha/n) (mean f^r1)^(1/r1)
     (mean g^r2)^(1/r2).  Requires r_i < q_i strictly.
     """
+    _require_unbatched(w1, w2)
     window = w1.window
     if w2.window != window:
         raise ValueError("w1 and w2 must live on the same window")

@@ -8,6 +8,14 @@ clipped to the window, with the clipped cell count as the normalizer).
 Every sup over the window's dyadic cubes folds such per-level tables with
 level_sup (one number) or pointwise_level_sup (one sup per cell).
 
+A LatticeFunction may also hold a batch of functions on one window: values
+of shape (*batch, *window.shape).  The block reductions, expand_level and
+both level folds read the trailing window.dim axes only, and every step is
+elementwise across the batch, so each entry of a batched result is bit for
+bit the result of its unbatched call.  Weights are never batched; they
+broadcast against a batch.  Functions that take a single lattice function
+reject a batch through _require_unbatched.
+
 Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: closed-form antiderivatives in one
 dimension; in higher dimensions a corner-refined midpoint rule that splits
@@ -30,6 +38,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,14 +47,16 @@ from .dyadic import Window
 
 
 class LatticeFunction:
-    """Function constant on each finest cell of a window."""
+    """Function constant on each finest cell of a window, or a batch of them:
+    values has shape window.shape, or (*batch, *window.shape)."""
 
     __slots__ = ("window", "values")
 
     def __init__(self, window: Window, values):
         arr = np.asarray(values, dtype=float)
-        if arr.shape != window.shape:
-            raise ValueError(f"values shape {arr.shape} != window shape {window.shape}")
+        if arr.shape[arr.ndim - window.dim:] != window.shape:
+            raise ValueError(f"values shape {arr.shape} does not end in the window shape "
+                             f"{window.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("lattice function values must be finite")
         arr = arr.copy()
@@ -81,8 +92,17 @@ class Weight(LatticeFunction):
 
     def __init__(self, window: Window, values):
         super().__init__(window, values)
+        _require_unbatched(self)
         if not np.all(self.values > 0):
             raise ValueError("weight values must be strictly positive")
+
+
+def _require_unbatched(*fs: LatticeFunction) -> None:
+    """Raise unless each argument holds one function, not a batch."""
+    for f in fs:
+        if f.values.ndim != f.window.dim:
+            raise ValueError(f"expected one lattice function, got a batch of shape "
+                             f"{f.values.shape[:f.values.ndim - f.window.dim]}")
 
 
 def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
@@ -96,12 +116,14 @@ def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
 
 
 def _blocks(values: np.ndarray, window: Window, level: int):
-    """View with each axis split into (cubes of the level, entries per cube), and the inner axes."""
-    b = values.shape[0] // window.index_count(level)
-    interleaved = []
-    for c in values.shape:
+    """View with each trailing window axis split into (cubes of the level, entries per cube),
+    and the inner axes; leading batch axes stay as they are."""
+    lead = values.ndim - window.dim
+    b = values.shape[-1] // window.index_count(level)
+    interleaved = list(values.shape[:lead])
+    for c in values.shape[lead:]:
         interleaved.extend((c // b, b))
-    return values.reshape(tuple(interleaved)), tuple(range(1, 2 * values.ndim, 2))
+    return values.reshape(tuple(interleaved)), tuple(range(lead + 1, lead + 2 * window.dim, 2))
 
 
 def level_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
@@ -127,48 +149,80 @@ def level_power_means(values: np.ndarray, window: Window, level: int, e: float) 
     return level_means(values ** e, window, level) ** (1.0 / e)
 
 
-def dilated_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
-    """Means over 3Q clipped to the window, for every cube Q of one level.
-
-    3Q is Q and its level neighbours, so its sum and its cell count add up the
-    3^n shifted block sums and block counts, zero-padded outside the window.
-    """
+def _dilated_sums(values: np.ndarray, window: Window, level: int) -> np.ndarray:
+    """Sums over 3Q clipped to the window, for every cube Q of one level; values holds
+    one entry per finest cell.  3Q is Q and its level neighbours, so the sum adds up
+    the 3^n shifted block sums, taken in a frame of zeros one cube wide."""
     n = window.dim
     c = window.index_count(level)
     blocked, axes = _blocks(values, window, level)
-    sums = np.pad(blocked.sum(axis=axes), 1)
-    cells = np.pad(np.full((c,) * n, float(values.size // c ** n)), 1)
+    sums = np.zeros((c + 2,) * n)
+    blocked.sum(axis=axes, out=sums[(slice(1, -1),) * n])
     total = np.zeros((c,) * n)
-    count = np.zeros((c,) * n)
     for shift in itertools.product(range(3), repeat=n):
-        at = tuple(slice(d, d + c) for d in shift)
-        total += sums[at]
-        count += cells[at]
-    return total / count
+        total += sums[tuple(slice(d, d + c) for d in shift)]
+    return total
+
+
+# Least recently used 3Q cell counts are dropped beyond this many (window, level) keys.
+_DILATED_CELLS_SIZE = 64
+_DILATED_CELLS: OrderedDict = OrderedDict()
+
+
+def _dilated_cells(window: Window, level: int) -> np.ndarray:
+    """The finest cells in 3Q clipped to the window, as _dilated_sums; cached, since
+    they do not depend on the data."""
+    key = (window, level)
+    hit = _DILATED_CELLS.get(key)
+    if hit is None:
+        hit = _dilated_sums(np.ones(window.shape), window, level)
+        hit.setflags(write=False)
+        _DILATED_CELLS[key] = hit
+        if len(_DILATED_CELLS) > _DILATED_CELLS_SIZE:
+            _DILATED_CELLS.popitem(last=False)
+    else:
+        _DILATED_CELLS.move_to_end(key)
+    return hit
+
+
+def dilated_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
+    """Means over 3Q clipped to the window, for every cube Q of one level; values holds
+    one entry per finest cell."""
+    return _dilated_sums(values, window, level) / _dilated_cells(window, level)
 
 
 def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:
     """Inverse of level_means' shape: repeat each cube value over its cells."""
     b = 1 << (level - window.level_min)
     out = values
-    for axis in range(window.dim):
+    for axis in range(-window.dim, 0):
         out = np.repeat(out, b, axis=axis)
     return out
 
 
-def level_sup(window: Window, table: Callable[[int], np.ndarray]) -> float:
-    """sup over the window's cubes of table(level), one value per cube as in level_means; >= 0.0."""
+def level_sup(window: Window, table: Callable[[int], np.ndarray]):
+    """sup over the window's cubes of table(level), one value per cube as in level_means; >= 0.0.
+
+    A float, or for a batched table one sup per batch entry (an array of the batch shape).
+    """
     best = 0.0
     for level in window.levels():
-        best = max(best, float(table(level).max()))
+        t = table(level)
+        if t.ndim == window.dim:
+            best = max(best, float(t.max()))
+        else:  # fmax, like max(), keeps best where the table holds a nan
+            best = np.fmax(best, t.max(axis=tuple(range(-window.dim, 0))))
     return best
 
 
 def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> np.ndarray:
     """Per finest cell, the sup of table(level) (as in level_sup) over the cubes containing it."""
-    best = np.zeros(window.shape)
+    best = None
     for level in window.levels():
-        np.maximum(best, expand_level(table(level), window, level), out=best)
+        t = expand_level(table(level), window, level)
+        if best is None:
+            best = np.zeros(t.shape)
+        np.maximum(best, t, out=best)
     return best
 
 
@@ -390,6 +444,7 @@ def oscillation_ratio(b: LatticeFunction, e: float) -> float:
     John-Nirenberg predicts this stays bounded in e; the value is reported for
     empirical checks, it is not clamped.
     """
+    _require_unbatched(b)
     norm = bmo_norm(b)
     if norm == 0.0:
         return 0.0
@@ -401,6 +456,7 @@ def oscillation_ratio(b: LatticeFunction, e: float) -> float:
 
 def to_csv(f: LatticeFunction, path) -> None:
     """Write header row level_min,level_max,dim then one row per cell index...,value."""
+    _require_unbatched(f)
     w = f.window
     lo = w.cell_index_lo
     with open(path, "w", newline="", encoding="utf-8") as fh:

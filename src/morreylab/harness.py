@@ -24,7 +24,9 @@ Runners are grouped by the shape of their inequality:
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
-Trials are independent; rows are assembled in trial-index order.
+Each trial draws from its own streams and the strong-type, maximal-control
+and power-weight runners take them in batched chunks (_stage_chunks), so
+the rows, in trial-index order, do not depend on the chunking.
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed; see docs/config.md for the grammar and docs/
@@ -208,40 +210,44 @@ def _rng(cfg: ExperimentConfig, *streams: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, *streams])
 
 
-def _draw_values(rng: np.random.Generator, window: Window, spikes: bool = True) -> np.ndarray:
+def _draw_values(rng: np.random.Generator, window: Window) -> np.ndarray:
     vals = rng.uniform(0.05, 1.0, window.shape)
-    if spikes and rng.random() < 0.25:
+    if rng.random() < 0.25:
         for _ in range(int(rng.integers(1, 4))):
             idx = tuple(int(rng.integers(0, window.cells_per_axis)) for _ in range(window.dim))
             vals[idx] *= 10.0 ** rng.uniform(1.0, 3.0)
     return vals
 
 
-def _refine_values(vals: np.ndarray, stage: int) -> np.ndarray:
-    out = vals
-    for axis in range(vals.ndim):
-        out = np.repeat(out, 1 << stage, axis=axis)
-    return out
-
-
-def _pair_at(cfg: ExperimentConfig, trial: int, stage: int,
-             window: Window) -> tuple[LatticeFunction, LatticeFunction]:
-    """Trial inputs drawn on the base window and prolonged to the stage window."""
+def _drawn(cfg: ExperimentConfig, trial: int, n_sym: int = 0) -> list[np.ndarray]:
+    """The trial's f and g, then n_sym BMO symbols, drawn on the base window."""
     rng = _rng(cfg, 1, trial)
-    f0 = _draw_values(rng, cfg.window)
-    g0 = _draw_values(rng, cfg.window)
-    return (LatticeFunction(window, _refine_values(f0, stage)),
-            LatticeFunction(window, _refine_values(g0, stage)))
+    out = [_draw_values(rng, cfg.window), _draw_values(rng, cfg.window)]
+    rng = _rng(cfg, 2, trial) if n_sym else None
+    return out + [rng.uniform(-1.0, 1.0, cfg.window.shape) for _ in range(n_sym)]
 
 
-def _symbols_at(cfg: ExperimentConfig, trial: int, stage: int, window: Window,
-                count: int) -> list[LatticeFunction]:
-    rng = _rng(cfg, 2, trial)
-    out = []
-    for _ in range(count):
-        b0 = rng.uniform(-1.0, 1.0, cfg.window.shape)
-        out.append(LatticeFunction(window, _refine_values(b0, stage)))
-    return out
+def _pair_at(cfg: ExperimentConfig, trial: int,
+             window: Window) -> tuple[LatticeFunction, LatticeFunction]:
+    """Trial inputs drawn on the base window and prolonged to window, a refinement of it."""
+    return tuple(LatticeFunction(window, expand_level(v, window, cfg.window.level_min))
+                 for v in _drawn(cfg, trial))
+
+
+# Cells per batched array of a stage chunk: larger chunks take fewer Python-level
+# steps per trial, but raise the peak resident size of a run.
+_BATCH_CELLS = 1 << 14
+
+
+def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0):
+    """Yield (trials, f, g, symbols) per chunk of at most _BATCH_CELLS cells per array:
+    f, g and each symbol batch the chunk's trials as _pair_at and _drawn draw them."""
+    per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window.level_min
+    for start in range(0, cfg.trials, per):
+        trials = range(start, min(start + per, cfg.trials))
+        f, g, *symbols = (LatticeFunction(window, expand_level(np.stack(v), window, base))
+                          for v in zip(*(_drawn(cfg, t, n_sym) for t in trials)))
+        yield trials, f, g, symbols
 
 
 def _make_weight(spec: str, window: Window, depth: int = 12) -> Weight:
@@ -367,25 +373,21 @@ def _stage_summaries(rows: list) -> list[dict]:
 # -- experiment runners ---------------------------------------------------------
 
 
-def _commutator_spec(cfg: ExperimentConfig, symbols) -> CommutatorSpec:
-    pattern = cfg.params.get("beta_pattern")
-    if pattern is None:
-        pattern = tuple(1 if i % 2 == 0 else 2 for i in range(len(symbols)))
+def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, alpha: float,
+                symbols: list) -> LatticeFunction:
+    """B_alpha(f, g), or with symbols its iterated commutator, slots from beta_pattern
+    (default 1, 2, 1, ...)."""
+    if not symbols:
+        return bilinear_fractional(f, g, alpha, _depth(cfg))
+    pattern = cfg.params.get("beta_pattern", tuple(1 + i % 2 for i in range(len(symbols))))
     if len(pattern) != len(symbols):
         raise ValidationError("beta_pattern length must equal n_symbols")
-    return CommutatorSpec(tuple(symbols), tuple(pattern))
+    return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, _depth(cfg))
 
 
-def _integral(cfg: ExperimentConfig, trial: int, stage: int, window: Window,
-              f: LatticeFunction, g: LatticeFunction, alpha: float,
-              n_sym: int) -> tuple[LatticeFunction, float]:
-    """The bilinear integral of (f, g) with BMO factor 1, or for n_sym > 0 the iterated
-    commutator over the trial's drawn symbols with the product of their BMO norms."""
-    if not n_sym:
-        return bilinear_fractional(f, g, alpha, _depth(cfg)), 1.0
-    spec = _commutator_spec(cfg, _symbols_at(cfg, trial, stage, window, n_sym))
-    return (commutator_iterated(spec, f, g, alpha, _depth(cfg)),
-            math.prod(bmo_norm(b) for b in spec.b_vec))
+def _rows(stage: int, window: Window, trials: range, lhs, rhs) -> list[dict]:
+    """The rows of a chunk of random trials from its batched lhs and rhs."""
+    return [_row(stage, window, t, lo, hi, "random") for t, lo, hi in zip(trials, lhs, rhs)]
 
 
 # The strong-type bounds |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2):
@@ -424,17 +426,17 @@ def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         else:
             v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
             const = two_weight_constant(kind, v, w1, w2, e, win)
-        for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, stage, win)
+        for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
             if operator == "m_alpha_r":
-                out, bmo = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"), 1.0
+                out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
             elif operator == "bh_maximal":
-                out, bmo = bh_maximal(f, g), 1.0
+                out = bh_maximal(f, g)
             else:
-                out, bmo = _integral(cfg, trial, stage, win, f, g, e.alpha, n_sym)
+                out = _fractional(cfg, f, g, e.alpha, symbols)
             lhs = morrey_norm(_times(out, v), e.s, e.t)
-            rhs = bmo * const * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
-            rows.append(_row(stage, win, trial, lhs, rhs, "random"))
+            rhs = math.prod(map(bmo_norm, symbols)) * const \
+                * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
+            rows += _rows(stage, win, trials, lhs, rhs)
     return rows, notes, 0
 
 
@@ -463,12 +465,11 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
         w = _weight(cfg, "w", win)
-        for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, stage, win)
-            out, bmo = _integral(cfg, trial, stage, win, f, g, alpha, n_sym)
-            lhs = morrey_norm(out, mp, mq, w)
-            rhs = bmo * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
-            rows.append(_row(stage, win, trial, lhs, rhs, "random"))
+        for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
+            lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
+            rhs = math.prod(map(bmo_norm, symbols)) \
+                * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
+            rows += _rows(stage, win, trials, lhs, rhs)
     return rows, notes, 0
 
 
@@ -496,7 +497,7 @@ def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         # the extremal pair takes the last trial slot so rows = trials x refinements
         n_random = cfg.trials - 1 if necessity else cfg.trials
         for trial in range(n_random):
-            one(_pair_at(cfg, trial, stage, win), trial, "random")
+            one(_pair_at(cfg, trial, win), trial, "random")
         if necessity:
             qp = _q0(cfg, win, key="qprime") if "qprime_level" in cfg.params else q0
             f, g, lam = necessity_pair(w1, w2, qp, e)
@@ -557,12 +558,10 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
                  for x in dict.fromkeys(exps)}
         wl, v1, v2 = (built[x] for x in exps)
-        for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, stage, win)
-            out = bt_alpha(f, g, alpha, depth)
-            lhs = morrey_norm(_times(out, wl), s, t)
+        for trials, f, g, _ in _stage_chunks(cfg, win):
+            lhs = morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t)
             rhs = morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
-            rows.append(_row(stage, win, trial, lhs, rhs, "random"))
+            rows += _rows(stage, win, trials, lhs, rhs)
     return rows, notes, 0
 
 
@@ -599,8 +598,8 @@ def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
                 b_ratios, label = ratios, "log_abs"
             else:
                 rng = _rng(cfg, 3, trial)
-                b = LatticeFunction(win, _refine_values(
-                    rng.uniform(-1.0, 1.0, cfg.window.shape), stage))
+                b = LatticeFunction(win, expand_level(
+                    rng.uniform(-1.0, 1.0, cfg.window.shape), win, cfg.window.level_min))
                 _, b_ratios = _oscillation_ratios(b, (1.0, 4.0))
                 label = "random"
             lo, hi = b_ratios[1.0], b_ratios[4.0]
@@ -640,7 +639,7 @@ def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         win = cfg.window_at(stage)
         q0 = _q0(cfg, win)
         for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, stage, win)
+            f, g = _pair_at(cfg, trial, win)
             bad = []
             d = cz_decompose(f, g, q0, theta1, theta2)
             bad += verify_decomposition(d, f, g, win, theta1, theta2, alpha=None)
@@ -661,7 +660,7 @@ def _run_bh_domination(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
         for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, stage, win)
+            f, g = _pair_at(cfg, trial, win)
             bh = bh_maximal(f, g)
             worst = 0.0
             for pair in _BH_PAIRS:

@@ -1,4 +1,4 @@
-"""Dyadic and centered bilinear maximal operators and weighted variants.
+"""Dyadic and centered bilinear maximal operators.
 
 The two-function maximal operator of order alpha takes, at each point x, the
 sup over cubes Q containing x of
@@ -6,10 +6,11 @@ sup over cubes Q containing x of
     |Q|^(alpha/n) * (mean_Q |f|^r1)^(1/r1) * (mean_Q |g|^r2)^(1/r2).
 
 Dyadic mode takes the sup over the window's cube catalog as block reductions
-(the default everywhere); centered mode uses cubes [x - r, x + r]^n over
-dyadic radii and exists so the pointwise domination of the bilinear maximal
-function is a literal test: a Holder split of the bilinear average on the
-centered cube is exact there and only there.
+(the default everywhere) and takes a batch of inputs (see field); centered
+mode uses cubes [x - r, x + r]^n over dyadic radii and exists so the
+pointwise domination of the bilinear maximal function is a literal test: a
+Holder split of the bilinear average on the centered cube is exact there and
+only there.
 
 Centered cubes are whole-array window sums.  The cube of radius h/2 (h the
 cell side) is the centre cell; the cube of radius K h (K = 2^i) covers, per
@@ -19,27 +20,19 @@ double as W_{2k+1}[m] = W_k[m - k - 1] + a[m] + W_k[m + k + 1] from W_0 = a,
 which reaches every k = K - 1, and the cube sum along the axis is
 W_{K-1}[m] + (a[m - K] + a[m + K]) / 2.  The weights are separable, so one
 such pass per axis gives the n-D sum.  Every term added is nonnegative:
-differences of prefix sums would cancel badly on spiky inputs.
-
-The weighted variant additionally multiplies by a power average of a weight
-on Q while taking the f/g averages on the 3-fold dilate 3Q; it is the object
-the stopping-time estimates actually bound.  All averages over 3Q or centered
-cubes are clipped to the window with renormalized volume.
+differences of prefix sums would cancel badly on spiky inputs.  Averages
+over centered cubes are clipped to the window with renormalized volume.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .field import (
     LatticeFunction,
-    Weight,
     _require_pair,
-    dilated_means,
+    _require_unbatched,
     level_means,
-    level_power_means,
     pointwise_level_sup,
 )
 from .operators import dyadic_radii
@@ -93,6 +86,7 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
             * level_means(fa, window, level) ** (1.0 / r1)
             * level_means(ga, window, level) ** (1.0 / r2)))
     if mode == "centered":
+        _require_unbatched(f, g)
         radii = dyadic_radii(window)
         best = (2.0 * radii[0]) ** alpha * fa ** (1.0 / r1) * ga ** (1.0 / r2)
         ks = [1 << i for i in range(len(radii) - 1)]  # radii[1:] / h
@@ -107,30 +101,3 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
             np.maximum(best, val, out=best)
         return LatticeFunction(window, best)
     raise ValueError(f"mode must be 'dyadic' or 'centered'; got {mode!r}")
-
-
-def m_joint_weighted(f: LatticeFunction, g: LatticeFunction, v: Weight, alpha: float,
-                     rhos: tuple[float, float], w_exp: float) -> LatticeFunction:
-    """Weighted auxiliary maximal operator.
-
-    sup over dyadic Q containing x of
-      |Q|^(alpha/n) * (mean_{3Q} |f|^rho1)^(1/rho1) * (mean_{3Q} |g|^rho2)^(1/rho2)
-                    * (mean_Q v^w_exp)^(1/w_exp),
-    with w_exp = inf meaning the max of v on Q (the t = 1 convention).
-    """
-    rho1, rho2 = float(rhos[0]), float(rhos[1])
-    if rho1 <= 0 or rho2 <= 0:
-        raise ValueError(f"rho1, rho2 must be positive; got ({rho1}, {rho2})")
-    if w_exp != math.inf and w_exp <= 0:
-        raise ValueError(f"weight exponent must be positive or inf; got {w_exp}")
-    window = _require_pair(f, g)
-    if v.window != window:
-        raise ValueError("v must live on the window of f and g")
-    n = window.dim
-    fa = np.abs(f.values) ** rho1
-    ga = np.abs(g.values) ** rho2
-    return LatticeFunction(window, pointwise_level_sup(
-        window, lambda level: (2.0 ** (level * n)) ** (alpha / n)
-        * dilated_means(fa, window, level) ** (1.0 / rho1)
-        * dilated_means(ga, window, level) ** (1.0 / rho2)
-        * level_power_means(v.values, window, level, w_exp)))

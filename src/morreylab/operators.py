@@ -16,6 +16,15 @@ whole operator is a kernel-weighted correlation of the two cell arrays.
 Samples falling outside the window contribute 0 (inputs are treated as
 compactly supported on the window).
 
+The correlation runs over an offset plan, built once per window and cached:
+for each kernel cell y_c, the band of output cells x whose samples x - y_c
+and x + y_c both fall inside the window, as one slice of the output and one
+of each input.  Outside its band a term is an exact zero, and the running
+sum starts at +0.0, so leaving those terms out changes no bit of the
+result.  Every operator here takes a batch of inputs (values of shape
+(*batch, *window.shape), see field) through the same plan, with the same
+float operations per batch entry; the plan's slices index the trailing axes.
+
 Per-cell outputs are independent; a fixed summation order within each cell
 keeps results deterministic.
 """
@@ -52,13 +61,42 @@ def kernel_cell_averages(alpha: float, window: Window, depth: int = 12) -> np.nd
     return hit
 
 
-def _padded(values: np.ndarray, window: Window) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Zero-pad so every shifted/reflected index used below stays in range."""
-    c = window.cells_per_axis
-    pads = tuple(c + abs(m) + 1 for m in window.cell_index_lo)
-    out = np.zeros(tuple(2 * p + c for p in pads))
-    out[tuple(slice(p, p + c) for p in pads)] = values
-    return out, pads
+# Least recently used offset plans are dropped beyond this many windows.
+_PLAN_CACHE_SIZE = 8
+_PLAN_CACHE: OrderedDict = OrderedDict()
+
+
+def _axis_bands(c: int, m: int) -> list:
+    """Per kernel offset j along one axis (kernel cell index j + m), the slices of
+    the output cells x, of f at x - y and of g at x + y, or None if no x has both
+    samples inside the window: f reads cell x - j - m, g reads cell x + j + m + 1."""
+    bands = []
+    for j in range(c):
+        d = j + m
+        lo, hi = max(0, d, -d - 1), min(c, c + d, c - 1 - d)
+        bands.append((slice(lo, hi), slice(lo - d, hi - d), slice(lo + d + 1, hi + d + 1))
+                     if lo < hi else None)
+    return bands
+
+
+def _offset_plan(window: Window) -> tuple:
+    """The (kernel index, out slice, f slice, g slice) of every kernel offset with a
+    non-empty band, in np.ndindex order; each slice leads with ... for batch axes."""
+    plan = _PLAN_CACHE.get(window)
+    if plan is None:
+        axes = [_axis_bands(window.cells_per_axis, m) for m in window.cell_index_lo]
+        plan = []
+        for j_off in np.ndindex(window.shape):
+            bands = [axis[j] for axis, j in zip(axes, j_off)]
+            if all(bands):
+                plan.append((j_off, *((Ellipsis, *sl) for sl in zip(*bands))))
+        plan = tuple(plan)
+        _PLAN_CACHE[window] = plan
+        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
+            _PLAN_CACHE.popitem(last=False)
+    else:
+        _PLAN_CACHE.move_to_end(window)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -102,7 +140,8 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
 
     Sums kern(y_c) f(x - y_c) g(x + y_c) over the kernel cells y_c, each term
     times b(x) - b(x - y_c) (slot 1) or b(x) - b(x + y_c) (slot 2) for every
-    (b, slot) in symbols; no symbols gives the plain bilinear integral.
+    (b, slot) in symbols; no symbols gives the plain bilinear integral.  f, g
+    and the symbols may be batched; their batch shapes broadcast.
     """
     window = _require_pair(f, g)
     if symbols and symbols[0][0].window != window:
@@ -111,23 +150,14 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
     if not 0.0 < alpha < n:
         raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
     kern = kernel_cell_averages(alpha, window, depth)
-    fpad, pads = _padded(f.values, window)
-    gpad, _ = _padded(g.values, window)
-    bpads = [(b.values, _padded(b.values, window)[0], slot) for b, slot in symbols]
-    # per axis and kernel offset j, the padded slices of f(x - y_cj) and g(x + y_cj)
-    c = window.cells_per_axis
-    f_axes = [[slice(p - j - m, p - j - m + c) for j in range(c)]
-              for p, m in zip(pads, window.cell_index_lo)]
-    g_axes = [[slice(p + j + m + 1, p + j + m + 1 + c) for j in range(c)]
-              for p, m in zip(pads, window.cell_index_lo)]
-    out = np.zeros(window.shape)
-    for j_off in np.ndindex(window.shape):
-        fsl = tuple(axis[j] for axis, j in zip(f_axes, j_off))
-        gsl = tuple(axis[j] for axis, j in zip(g_axes, j_off))
-        term = kern[j_off] * fpad[fsl] * gpad[gsl]
-        for b, bpad, slot in bpads:
-            term = term * (b - bpad[fsl if slot == 1 else gsl])
-        out += term
+    fv, gv = f.values, g.values
+    bvs = [(b.values, slot) for b, slot in symbols]
+    out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape, *(b.shape for b, _ in bvs)))
+    for j_off, osl, fsl, gsl in _offset_plan(window):
+        term = kern[j_off] * fv[fsl] * gv[gsl]
+        for b, slot in bvs:
+            term = term * (b[osl] - b[fsl if slot == 1 else gsl])
+        out[osl] += term
     return LatticeFunction(window, out * window.cell_volume)
 
 
@@ -190,20 +220,21 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     The normalizer is the full (2r)^n with out-of-window samples
     contributing 0; the true sup over all r > 0 is within a factor 2^n of
     this dyadic sup for nonnegative integrands (reported, not assumed).
+    Batched inputs are padded along the trailing window axes only.
     """
     window = _require_pair(f, g)
     n = window.dim
     c = window.cells_per_axis
-    fpad = np.pad(np.abs(f.values), c)
-    gpad = np.pad(np.abs(g.values), c)
+    fpad, gpad = (np.pad(np.abs(v), [(0, 0)] * (v.ndim - n) + [(c, c)] * n)
+                  for v in (f.values, g.values))
     ks = [1 << i for i in range(len(dyadic_radii(window)) - 1)]  # dyadic_radii[1:] / h
     best = np.abs(f.values) * np.abs(g.values)
     inner = best.copy()  # sum of A_d over |d|_inf < s
     for s in range(1, (c - 1) // 2 + 1):
         box = inner.copy() if s in ks else None  # the sum at radius s h
         for d in _shell(s, n):
-            a = fpad[tuple(slice(c - di, 2 * c - di) for di in d)] \
-                * gpad[tuple(slice(c + di, 2 * c + di) for di in d)]
+            a = fpad[(Ellipsis, *(slice(c - di, 2 * c - di) for di in d))] \
+                * gpad[(Ellipsis, *(slice(c + di, 2 * c + di) for di in d))]
             inner += a
             if box is not None:
                 box += a * 0.5 ** sum(abs(di) == s for di in d)

@@ -36,13 +36,22 @@ import numpy as np
 
 from .dyadic import Cube, Window
 from .exponents import ExponentSet, conjugate, inv, validate
-from .field import LatticeFunction, Weight, level_max, level_means, level_power_means, level_sup
+from .field import (
+    LatticeFunction,
+    Weight,
+    _require_unbatched,
+    level_max,
+    level_means,
+    level_power_means,
+    level_sup,
+)
 
 INF = math.inf
 
 
 def morrey_norm(f: LatticeFunction, p: float, q: float, w: Optional[Weight] = None) -> float:
-    """Morrey norm with exponents (p, q); optional weight density w."""
+    """Morrey norm with exponents (p, q); optional weight density w.
+    A batched f gives one norm per batch entry (see field.level_sup)."""
     if not (q > 0 and q <= p * (1.0 + 1e-12)):
         raise ValueError(f"need 0 < q <= p; got q={q}, p={p}")
     window = f.window
@@ -57,7 +66,8 @@ def morrey_norm(f: LatticeFunction, p: float, q: float, w: Optional[Weight] = No
 
 def rhs_bilinear_morrey(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: Weight,
                         p: float, q1: float, q2: float) -> float:
-    """sup over cubes of |Q|^(1/p) (mean_Q (|f| w1)^q1)^(1/q1) (mean_Q (|g| w2)^q2)^(1/q2)."""
+    """sup over cubes of |Q|^(1/p) (mean_Q (|f| w1)^q1)^(1/q1) (mean_Q (|g| w2)^q2)^(1/q2);
+    one sup per batch entry for batched f and g."""
     window = f.window
     if any(x.window != window for x in (g, w1, w2)):
         raise ValueError("all inputs must live on the same window")
@@ -71,6 +81,7 @@ def rhs_bilinear_morrey(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: 
 def rhs_bilinear_morrey_from(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: Weight,
                              p: float, q1: float, q2: float, q0: Cube) -> float:
     """Same sup restricted to cubes containing q0 (q0 and its ancestors)."""
+    _require_unbatched(f, g)
     window = f.window
     if not window.contains_cube(q0):
         raise ValueError(f"cube {q0} not inside window")
@@ -99,6 +110,7 @@ def weak_morrey_functional(F: LatticeFunction, v: Weight, t: float, s: float,
     """
     if t <= 0 or s <= 0:
         raise ValueError("t and s must be positive")
+    _require_unbatched(F)
     window = F.window
     if v.window != window:
         raise ValueError("v must live on the window of F")

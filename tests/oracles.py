@@ -11,7 +11,10 @@ bh_maximal and m_alpha_r_centered are the per-cell, per-radius loop forms of
 morreylab.operators.bh_maximal and of the centered mode of
 morreylab.maximal.m_alpha_r; they share no code with the sums they check.
 multilinear_fractional looks every factor up cell by cell at the translated
-point, a second construction of bilinear_fractional.
+point, a second construction of bilinear_fractional.  correlation is the
+kernel-offset loop that morreylab.operators._correlation replaced with its
+band-limited offset plan: every offset over whole zero-padded arrays, so it
+adds the exact-zero terms the plan leaves out.
 """
 
 import itertools
@@ -252,4 +255,35 @@ def multilinear_fractional(fs, thetas, alpha: float, depth: int = 12) -> Lattice
                 vals *= ok.reshape(shape)
             acc *= vals
         out[i_off] = acc.sum()
+    return LatticeFunction(window, out * window.cell_volume)
+
+
+def correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int = 12,
+                symbols=()) -> LatticeFunction:
+    """kern(y_c) f(x - y_c) g(x + y_c), times b(x) - b(x -+ y_c) per (b, slot) in symbols,
+    summed over every kernel cell y_c in np.ndindex order on zero-padded arrays."""
+    window = _require_pair(f, g)
+    kern = kernel_cell_averages(alpha, window, depth)
+    c = window.cells_per_axis
+    pads = tuple(c + abs(m) + 1 for m in window.cell_index_lo)
+
+    def padded(values):
+        out = np.zeros(tuple(2 * p + c for p in pads))
+        out[tuple(slice(p, p + c) for p in pads)] = values
+        return out
+
+    fpad, gpad = padded(f.values), padded(g.values)
+    bpads = [(b.values, padded(b.values), slot) for b, slot in symbols]
+    f_axes = [[slice(p - j - m, p - j - m + c) for j in range(c)]
+              for p, m in zip(pads, window.cell_index_lo)]
+    g_axes = [[slice(p + j + m + 1, p + j + m + 1 + c) for j in range(c)]
+              for p, m in zip(pads, window.cell_index_lo)]
+    out = np.zeros(window.shape)
+    for j_off in np.ndindex(window.shape):
+        fsl = tuple(axis[j] for axis, j in zip(f_axes, j_off))
+        gsl = tuple(axis[j] for axis, j in zip(g_axes, j_off))
+        term = kern[j_off] * fpad[fsl] * gpad[gsl]
+        for b, bpad, slot in bpads:
+            term = term * (b - bpad[fsl if slot == 1 else gsl])
+        out += term
     return LatticeFunction(window, out * window.cell_volume)

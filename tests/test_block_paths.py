@@ -35,7 +35,6 @@ from morreylab.field import (
     level_power_means,
 )
 from morreylab.harness import _telescoping_defect
-from morreylab.maximal import m_joint_weighted
 from morreylab.weights_norms import (
     WeightConditionKind,
     rhs_bilinear_morrey_from,
@@ -169,23 +168,6 @@ def test_rhs_from_matches_ancestor_enumeration(window):
 
 
 # -- maximal and harness ------------------------------------------------------------
-
-
-@pytest.mark.parametrize("window", WINDOWS, ids=repr)
-def test_joint_weighted_matches_enumeration(window):
-    f = LatticeFunction(window, _spiky(window, 50))
-    g = LatticeFunction(window, _spiky(window, 51))
-    v = Weight(window, _spiky(window, 52))
-    for w_exp in (2.5, math.inf):
-        out = m_joint_weighted(f, g, v, 0.3, (1.5, 3.0), w_exp)
-        brute = np.zeros(window.shape)
-        for q in all_cubes(window):
-            val = q.volume ** (0.3 / window.dim) \
-                * power_avg(f, dilate3(q), 1.5) * power_avg(g, dilate3(q), 3.0) \
-                * power_avg(v, cube_box(q), w_exp)
-            sl = window.cell_offsets_of_cube(q)
-            brute[sl] = np.maximum(brute[sl], val)
-        assert np.all(np.abs(out.values - brute) <= TOL * brute), w_exp
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=repr)

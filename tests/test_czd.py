@@ -62,8 +62,8 @@ def test_spike_produces_one_level_with_invariants():
     assert d.levels, "co-located spike should cross the first threshold"
     assert verify_decomposition(d, f, g, w, 2.0, 2.0) == []
     # stopping cubes nest under the base
-    for k, q in d.all_stopping_cubes():
-        assert q0.contains_cube(q)
+    for cubes in d.levels.values():
+        assert all(q0.contains_cube(q) for q in cubes)
 
 
 def test_two_level_forest_on_deep_window():

@@ -249,7 +249,7 @@ def test_depth_sets_the_kernel_of_the_integral():
     ]
     cfg = config_from_pairs(pairs + [("depth", "2")])
     e = build("T21", 2, 1.0, 1.8, 1.8, 1.5, 2.1, a=1.5)
-    f, g = _pair_at(cfg, 0, 0, cfg.window)
+    f, g = _pair_at(cfg, 0, cfg.window)
     lhs = {depth: morrey_norm(bilinear_fractional(f, g, 1.0, depth), e.s, e.t)
            for depth in (2, 12)}
     assert lhs[2] != lhs[12]

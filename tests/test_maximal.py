@@ -1,14 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from morreylab.dyadic import Cube, Window
-from morreylab.field import LatticeFunction, Weight
-from morreylab.maximal import m_alpha_r, m_joint_weighted
+from morreylab.field import LatticeFunction
+from morreylab.maximal import m_alpha_r
 
-from conftest import assert_close, random_lattice, random_weight
-from oracles import all_cubes, cube_box, dilate3, power_avg
+from conftest import assert_close, random_lattice
+from oracles import all_cubes
 
 
 def _brute_dyadic(f, g, alpha, r1, r2):
@@ -101,54 +99,6 @@ def test_alpha_zero_unit_partner_is_hardy_littlewood():
     for q in all_cubes(w):
         sl = w.cell_offsets_of_cube(q)
         brute[sl] = np.maximum(brute[sl], np.abs(f.values[sl]).mean())
-    assert np.max(np.abs(out.values - brute)) <= 1e-12
-
-
-def test_joint_weighted_unit_weight_reduces_to_dilated_variant():
-    w = Window(1, -3, 0)
-    f = random_lattice(w, 11)
-    g = random_lattice(w, 12)
-    v = Weight.constant(w, 1.0)
-    out = m_joint_weighted(f, g, v, 0.5, (2.0, 2.0), 3.0)
-    brute = np.zeros(w.shape)
-    for q in all_cubes(w):
-        val = q.volume ** 0.5 \
-            * power_avg(f, dilate3(q), 2.0) * power_avg(g, dilate3(q), 2.0)
-        sl = w.cell_offsets_of_cube(q)
-        brute[sl] = np.maximum(brute[sl], val)
-    assert np.max(np.abs(out.values - brute)) <= 1e-12
-
-
-def test_joint_weighted_sup_convention():
-    w = Window(1, -2, 0)
-    f = random_lattice(w, 13)
-    g = random_lattice(w, 14)
-    v = random_weight(w, 15)
-    out = m_joint_weighted(f, g, v, 0.3, (2.0, 2.0), math.inf)
-    brute = np.zeros(w.shape)
-    for q in all_cubes(w):
-        sl = w.cell_offsets_of_cube(q)
-        val = q.volume ** 0.3 \
-            * power_avg(f, dilate3(q), 2.0) * power_avg(g, dilate3(q), 2.0) \
-            * v.values[sl].max()
-        brute[sl] = np.maximum(brute[sl], val)
-    assert np.max(np.abs(out.values - brute)) <= 1e-12
-
-
-def test_joint_weighted_matches_enumeration_two_levels():
-    w = Window(1, -1, 0)
-    f = random_lattice(w, 16)
-    g = random_lattice(w, 17)
-    v = random_weight(w, 18)
-    w_exp = 2.5
-    out = m_joint_weighted(f, g, v, 0.4, (1.5, 3.0), w_exp)
-    brute = np.zeros(w.shape)
-    for q in all_cubes(w):
-        sl = w.cell_offsets_of_cube(q)
-        val = q.volume ** 0.4 \
-            * power_avg(f, dilate3(q), 1.5) * power_avg(g, dilate3(q), 3.0) \
-            * (v.values[sl] ** w_exp).mean() ** (1.0 / w_exp)
-        brute[sl] = np.maximum(brute[sl], val)
     assert np.max(np.abs(out.values - brute)) <= 1e-12
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from morreylab.czd import cz_decompose, verify_decomposition
 from morreylab.dyadic import Cube, Window
-from morreylab.field import LatticeFunction, Weight
-from morreylab.maximal import m_joint_weighted
+from morreylab.field import LatticeFunction
 from morreylab.operators import (
     CommutatorSpec,
     bilinear_fractional,
@@ -68,18 +67,6 @@ def test_bh_dominated_2d(win2, centered_ops):
     assert np.max(bh.values - m.values) <= 1e-12
     one = LatticeFunction.constant(win2, 1.0)
     assert np.all(bh_op(one, one).values == 1.0)
-
-
-def test_joint_weighted_runs_2d(win2):
-    f = random_lattice(win2, 9)
-    g = random_lattice(win2, 10)
-    v = Weight(win2, np.random.default_rng(11).uniform(0.5, 2.0, win2.shape))
-    out = m_joint_weighted(f, g, v, 0.5, (2.0, 2.0), 3.0)
-    assert np.all(out.values > 0.0)
-    with pytest.raises(ValueError):
-        m_joint_weighted(f, g, v, 0.5, (0.0, 2.0), 3.0)
-    with pytest.raises(ValueError):
-        m_joint_weighted(f, g, v, 0.5, (2.0, 2.0), -1.0)
 
 
 def test_cz_invariants_2d():
