@@ -1,4 +1,4 @@
-"""Dyadic grids, cubes, and enumeration over a truncated window.
+"""Dyadic grids, cubes, and the truncated window of a finite cube catalog.
 
 A dyadic cube of level k is 2^k * (m + [0,1)^n) with m an integer vector.
 Cubes are half-open, so cubes of one level tile space exactly and two dyadic
@@ -14,9 +14,8 @@ tolerance-based.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -148,15 +147,7 @@ class Window:
         cnt = self.index_count(q.level)
         return all(a <= m < a + cnt for m, a in zip(q.index, lo))
 
-    # -- enumeration --------------------------------------------------------
-
-    def cubes_at_level(self, level: int) -> Iterator[Cube]:
-        if not self.level_min <= level <= self.level_max:
-            raise ValueError(f"level {level} outside window levels")
-        lo = self.index_lo(level)
-        cnt = self.index_count(level)
-        for idx in itertools.product(*(range(a, a + cnt) for a in lo)):
-            yield Cube(level, idx)
+    # -- counting -----------------------------------------------------------
 
     def n_cubes(self) -> int:
         total = 0
@@ -173,18 +164,6 @@ class Window:
         b = 1 << (q.level - self.level_min)
         lo = self.cell_index_lo
         return tuple(slice((m * b) - a, (m + 1) * b - a) for m, a in zip(q.index, lo))
-
-    def cell_index_of_point(self, x: Sequence[float]) -> tuple[int, ...]:
-        if not self.contains_point(x):
-            raise ValueError(f"point {tuple(x)} outside window box")
-        h = self.cell_side
-        # floor is exact: window membership bounds the index range
-        idx = []
-        for xi, a in zip(x, self.cell_index_lo):
-            m = int(xi // h)
-            m = min(max(m, a), a + self.cells_per_axis - 1)
-            idx.append(m)
-        return tuple(idx)
 
     def cell_center(self, cell_index: Sequence[int]) -> tuple[float, ...]:
         h = self.cell_side

@@ -14,7 +14,9 @@ both level folds read the trailing window.dim axes only, and every step is
 elementwise across the batch, so each entry of a batched result is bit for
 bit the result of its unbatched call.  Weights are never batched; they
 broadcast against a batch.  Functions that take a single lattice function
-reject a batch through _require_unbatched.
+(oscillation_ratio, to_csv and Weight here; weak_morrey_functional,
+rhs_bilinear_morrey_from and the czd entry points elsewhere) reject a batch
+through _require_unbatched.
 
 Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: closed-form antiderivatives in one
@@ -36,9 +38,9 @@ tests/test_quadrature.py keeps the recursion as the oracle.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,25 +166,13 @@ def _dilated_sums(values: np.ndarray, window: Window, level: int) -> np.ndarray:
     return total
 
 
-# Least recently used 3Q cell counts are dropped beyond this many (window, level) keys.
-_DILATED_CELLS_SIZE = 64
-_DILATED_CELLS: OrderedDict = OrderedDict()
-
-
+@functools.lru_cache(maxsize=64)
 def _dilated_cells(window: Window, level: int) -> np.ndarray:
-    """The finest cells in 3Q clipped to the window, as _dilated_sums; cached, since
-    they do not depend on the data."""
-    key = (window, level)
-    hit = _DILATED_CELLS.get(key)
-    if hit is None:
-        hit = _dilated_sums(np.ones(window.shape), window, level)
-        hit.setflags(write=False)
-        _DILATED_CELLS[key] = hit
-        if len(_DILATED_CELLS) > _DILATED_CELLS_SIZE:
-            _DILATED_CELLS.popitem(last=False)
-    else:
-        _DILATED_CELLS.move_to_end(key)
-    return hit
+    """The finest cells in 3Q clipped to the window, as _dilated_sums, read-only;
+    cached, since they do not depend on the data."""
+    counts = _dilated_sums(np.ones(window.shape), window, level)
+    counts.setflags(write=False)
+    return counts
 
 
 def dilated_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:

@@ -24,9 +24,10 @@ Runners are grouped by the shape of their inequality:
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
-Each trial draws from its own streams and the strong-type, maximal-control
-and power-weight runners take them in batched chunks (_stage_chunks), so
-the rows, in trial-index order, do not depend on the chunking.
+Each trial draws from its own streams and the strong-type, maximal-control,
+power-weight and BH domination runners take them in batched chunks
+(_stage_chunks), so the rows, in trial-index order, do not depend on the
+chunking.
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed; see docs/config.md for the grammar and docs/
@@ -161,8 +162,9 @@ def config_from_pairs(pairs) -> ExperimentConfig:
     if isinstance(refinements, (int, float)):
         refinements = (int(refinements),)
     refinements = tuple(int(r) for r in refinements)
-    if not refinements or any(r < 0 for r in refinements):
-        raise ValidationError(f"refinements must be nonnegative level decrements; got {refinements}")
+    if not refinements or any(r < 0 for r in refinements) or len(set(refinements)) < len(refinements):
+        raise ValidationError(
+            f"refinements must be distinct nonnegative level decrements; got {refinements}")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
@@ -269,6 +271,15 @@ def _make_weight(spec: str, window: Window, depth: int = 12) -> Weight:
 def _depth(cfg: ExperimentConfig) -> int:
     """The quadrature depth of the power weights and the kernel averages."""
     return int(cfg.params.get("depth", 12))
+
+
+def _n_symbols(cfg: ExperimentConfig) -> int:
+    """The number of BMO symbols of a commutator experiment; a run with none would be
+    the plain bilinear integral under the commutator's name."""
+    n = int(cfg.params.get("n_symbols", 2))
+    if n < 1:
+        raise ValidationError(f"n_symbols must be >= 1; got {n}")
+    return n
 
 
 def _weight(cfg: ExperimentConfig, role: str, window: Window, default: str = "const:1") -> Weight:
@@ -414,7 +425,7 @@ def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     notes = {"condition_kind": kind.value}
     if vector and "a" not in cfg.params:
         notes["derived_a"] = e.a
-    n_sym = int(cfg.params.get("n_symbols", 2)) if operator == "commutator" else 0
+    n_sym = _n_symbols(cfg) if operator == "commutator" else 0
     rows = []
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
@@ -457,7 +468,7 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         if vt1 <= 1 or vt2 <= 1:
             raise ValidationError(["vartheta1, vartheta2 must exceed 1"])
         pair = (vt1 * r1, vt2 * r2)
-        n_sym = int(cfg.params.get("n_symbols", 2))
+        n_sym = _n_symbols(cfg)
     else:
         pair = (r1, r2)
         n_sym = 0
@@ -659,19 +670,18 @@ def _run_bh_domination(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     violations = 0
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, win)
-            bh = bh_maximal(f, g)
-            worst = 0.0
+        cells = tuple(range(-win.dim, 0))
+        for trials, f, g, _ in _stage_chunks(cfg, win):
+            bh = bh_maximal(f, g).values
+            worst = np.zeros(len(trials))
             for pair in _BH_PAIRS:
-                m = m_alpha_r(f, g, 0.0, pair, "centered")
+                m = m_alpha_r(f, g, 0.0, pair, "centered").values
                 # relative excess: spiky inputs put the rounding of both sides far above 1e-12
-                scale = np.maximum(np.abs(bh.values), np.abs(m.values))
-                excess = np.divide(bh.values - m.values, scale, out=np.zeros_like(scale), where=scale > 0)
-                worst = max(worst, float(excess.max()))
-            rows.append(_row(stage, win, trial, worst, tol, "random"))
-            if worst > tol:
-                violations += 1
+                scale = np.maximum(np.abs(bh), np.abs(m))
+                excess = np.divide(bh - m, scale, out=np.zeros_like(scale), where=scale > 0)
+                worst = np.maximum(worst, excess.max(axis=cells))
+            rows += _rows(stage, win, trials, worst, [tol] * len(trials))
+            violations += int((worst > tol).sum())
     return rows, {"pairs": _BH_PAIRS, "tolerance": tol}, violations
 
 

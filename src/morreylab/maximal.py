@@ -6,11 +6,11 @@ sup over cubes Q containing x of
     |Q|^(alpha/n) * (mean_Q |f|^r1)^(1/r1) * (mean_Q |g|^r2)^(1/r2).
 
 Dyadic mode takes the sup over the window's cube catalog as block reductions
-(the default everywhere) and takes a batch of inputs (see field); centered
-mode uses cubes [x - r, x + r]^n over dyadic radii and exists so the
-pointwise domination of the bilinear maximal function is a literal test: a
-Holder split of the bilinear average on the centered cube is exact there and
-only there.
+(the default everywhere); centered mode uses cubes [x - r, x + r]^n over
+dyadic radii and exists so the pointwise domination of the bilinear maximal
+function is a literal test: a Holder split of the bilinear average on the
+centered cube is exact there and only there.  Both modes take a batch of
+inputs (see field).
 
 Centered cubes are whole-array window sums.  The cube of radius h/2 (h the
 cell side) is the centre cell; the cube of radius K h (K = 2^i) covers, per
@@ -19,9 +19,10 @@ array zero-padded past the largest K, the sums W_k[m] = sum_{|d| <= k} a[m + d]
 double as W_{2k+1}[m] = W_k[m - k - 1] + a[m] + W_k[m + k + 1] from W_0 = a,
 which reaches every k = K - 1, and the cube sum along the axis is
 W_{K-1}[m] + (a[m - K] + a[m + K]) / 2.  The weights are separable, so one
-such pass per axis gives the n-D sum.  Every term added is nonnegative:
-differences of prefix sums would cancel badly on spiky inputs.  Averages
-over centered cubes are clipped to the window with renormalized volume.
+such pass per trailing axis gives the n-D sum.  Every term added is
+nonnegative: differences of prefix sums would cancel badly on spiky inputs.
+Averages over centered cubes are clipped to the window with renormalized
+volume.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .field import (
     LatticeFunction,
     _require_pair,
-    _require_unbatched,
     level_means,
     pointwise_level_sup,
 )
@@ -61,10 +61,12 @@ def _axis_window_sums(a: np.ndarray, axis: int, ks):
         yield w + 0.5 * (_shifted(a, big_k, axis) + _shifted(a, -big_k, axis))
 
 
-def _cube_sums(a: np.ndarray, ks):
-    """Yield the centered cube sums of a for each K in ks, one axis pass at a time."""
-    for big_k, b in zip(ks, _axis_window_sums(a, 0, ks)):
-        for axis in range(1, a.ndim):
+def _cube_sums(a: np.ndarray, ks, n: int):
+    """Yield the centered cube sums of a over its trailing n axes for each K in ks,
+    one axis pass at a time."""
+    first = a.ndim - n
+    for big_k, b in zip(ks, _axis_window_sums(a, first, ks)):
+        for axis in range(first + 1, a.ndim):
             b = next(_axis_window_sums(b, axis, (big_k,)))
         yield b
 
@@ -86,13 +88,12 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
             * level_means(fa, window, level) ** (1.0 / r1)
             * level_means(ga, window, level) ** (1.0 / r2)))
     if mode == "centered":
-        _require_unbatched(f, g)
         radii = dyadic_radii(window)
         best = (2.0 * radii[0]) ** alpha * fa ** (1.0 / r1) * ga ** (1.0 / r2)
         ks = [1 << i for i in range(len(radii) - 1)]  # radii[1:] / h
-        pad = ks[-1] + 1
-        core = tuple(slice(pad, pad + c) for c in window.shape)
-        sums = zip(*(_cube_sums(np.pad(a, pad), ks)
+        pad, n = ks[-1] + 1, window.dim
+        core = (Ellipsis, *(slice(pad, pad + c) for c in window.shape))
+        sums = zip(*(_cube_sums(np.pad(a, [(0, 0)] * (a.ndim - n) + [(pad, pad)] * n), ks, n)
                      for a in (fa, ga, np.ones(window.shape))))
         for r, (sf, sg, vol) in zip(radii[1:], sums):
             vol = vol[core]

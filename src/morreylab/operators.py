@@ -31,8 +31,8 @@ keeps results deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,30 +40,13 @@ import numpy as np
 from .dyadic import Window
 from .field import LatticeFunction, _require_pair, abs_power_cell_averages
 
-# Least recently used kernels are dropped beyond this many, so a long sweep
-# over alphas or windows holds a bounded number of kernel arrays.
-_KERNEL_CACHE_SIZE = 8
-_KERNEL_CACHE: OrderedDict = OrderedDict()
-
-
+# Bounded, so a long sweep over alphas or windows holds at most 8 kernel arrays.
+@functools.lru_cache(maxsize=8)
 def kernel_cell_averages(alpha: float, window: Window, depth: int = 12) -> np.ndarray:
-    """Per-cell averages of |y|^(alpha - n); cached per (alpha, window, depth)."""
-    key = (float(alpha), window, int(depth))
-    hit = _KERNEL_CACHE.get(key)
-    if hit is None:
-        hit = abs_power_cell_averages(alpha - window.dim, window, depth)
-        hit.setflags(write=False)
-        _KERNEL_CACHE[key] = hit
-        if len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
-            _KERNEL_CACHE.popitem(last=False)
-    else:
-        _KERNEL_CACHE.move_to_end(key)
-    return hit
-
-
-# Least recently used offset plans are dropped beyond this many windows.
-_PLAN_CACHE_SIZE = 8
-_PLAN_CACHE: OrderedDict = OrderedDict()
+    """Per-cell averages of |y|^(alpha - n); cached per (alpha, window, depth), read-only."""
+    kern = abs_power_cell_averages(alpha - window.dim, window, depth)
+    kern.setflags(write=False)
+    return kern
 
 
 def _axis_bands(c: int, m: int) -> list:
@@ -79,24 +62,17 @@ def _axis_bands(c: int, m: int) -> list:
     return bands
 
 
+@functools.lru_cache(maxsize=8)
 def _offset_plan(window: Window) -> tuple:
     """The (kernel index, out slice, f slice, g slice) of every kernel offset with a
     non-empty band, in np.ndindex order; each slice leads with ... for batch axes."""
-    plan = _PLAN_CACHE.get(window)
-    if plan is None:
-        axes = [_axis_bands(window.cells_per_axis, m) for m in window.cell_index_lo]
-        plan = []
-        for j_off in np.ndindex(window.shape):
-            bands = [axis[j] for axis, j in zip(axes, j_off)]
-            if all(bands):
-                plan.append((j_off, *((Ellipsis, *sl) for sl in zip(*bands))))
-        plan = tuple(plan)
-        _PLAN_CACHE[window] = plan
-        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-            _PLAN_CACHE.popitem(last=False)
-    else:
-        _PLAN_CACHE.move_to_end(window)
-    return plan
+    axes = [_axis_bands(window.cells_per_axis, m) for m in window.cell_index_lo]
+    plan = []
+    for j_off in np.ndindex(window.shape):
+        bands = [axis[j] for axis, j in zip(axes, j_off)]
+        if all(bands):
+            plan.append((j_off, *((Ellipsis, *sl) for sl in zip(*bands))))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -123,15 +99,6 @@ class CommutatorSpec:
         wins = {b.window for b in self.b_vec}
         if len(wins) > 1:
             raise ValueError("all symbols must live on the same window")
-
-    @property
-    def order(self) -> int:
-        return len(self.b_vec)
-
-    @property
-    def m(self) -> int:
-        """Number of first-slot symbols."""
-        return sum(1 for b in self.beta_vec if b == 1)
 
 
 def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int,

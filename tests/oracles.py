@@ -30,10 +30,30 @@ from morreylab.operators import dyadic_radii, kernel_cell_averages
 # -- cube enumeration -------------------------------------------------------------
 
 
+def cubes_at_level(window: Window, level: int):
+    """The window cubes of one level, in index order."""
+    if not window.level_min <= level <= window.level_max:
+        raise ValueError(f"level {level} outside window levels")
+    lo = window.index_lo(level)
+    cnt = window.index_count(level)
+    for idx in itertools.product(*(range(a, a + cnt) for a in lo)):
+        yield Cube(level, idx)
+
+
 def all_cubes(window: Window):
     """Every window cube, level by level from level_min, in index order."""
     for level in window.levels():
-        yield from window.cubes_at_level(level)
+        yield from cubes_at_level(window, level)
+
+
+def cell_index_of_point(window: Window, x) -> tuple[int, ...]:
+    """The index of the finest window cell that holds the point x."""
+    if not window.contains_point(x):
+        raise ValueError(f"point {tuple(x)} outside window box")
+    h = window.cell_side
+    # floor is exact: window membership bounds the index range
+    lo, c = window.cell_index_lo, window.cells_per_axis
+    return tuple(min(max(int(xi // h), a), a + c - 1) for xi, a in zip(x, lo))
 
 
 def children(q: Cube) -> list[Cube]:

@@ -9,7 +9,6 @@ stage chunks must give the same rows however the trials are split, and
 the functions that take one lattice function must refuse a batch.
 """
 
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -92,14 +91,17 @@ def test_plan_matches_padded_loop(case, frac, slots):
     assert_bitwise(got.values, oracles.correlation(f, g, alpha, DEPTH, symbols).values)
 
 
-def test_plan_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(operators, "_PLAN_CACHE", OrderedDict())
-    size = operators._PLAN_CACHE_SIZE
-    kept = operators._offset_plan(Window(1, -2, 0))
+def test_plan_is_a_bounded_lru():
+    offset_plan = operators._offset_plan
+    offset_plan.cache_clear()
+    size = offset_plan.cache_info().maxsize
+    assert size == 8
+    kept = offset_plan(Window(1, -2, 0))
     for i in range(2 * size):
-        operators._offset_plan(Window(1, -2, 0, origin_offset=(i,)))
-        assert operators._offset_plan(Window(1, -2, 0)) is kept
-        assert len(operators._PLAN_CACHE) <= size
+        offset_plan(Window(1, -2, 0, origin_offset=(i,)))
+        assert offset_plan(Window(1, -2, 0)) is kept  # used every time: never evicted
+        assert offset_plan.cache_info().currsize <= size
+    assert offset_plan.cache_info().currsize == size
 
 
 def test_plan_leaves_out_empty_bands():
@@ -123,7 +125,8 @@ def test_batched_operators_match_per_entry(case, frac):
     for op in (lambda a, b: bilinear_fractional(a, b, alpha, DEPTH),
                lambda a, b: bt_alpha(a, b, alpha, DEPTH),
                bh_maximal,
-               lambda a, b: m_alpha_r(a, b, alpha, (1.5, 3.0), "dyadic")):
+               lambda a, b: m_alpha_r(a, b, alpha, (1.5, 3.0), "dyadic"),
+               lambda a, b: m_alpha_r(a, b, alpha, (1.5, 3.0), "centered")):
         assert_bitwise(op(f, g).values, [op(a, b).values for a, b in pairs])
 
 
@@ -175,13 +178,15 @@ def _config(name: str, **overrides):
     return harness.parse_config("\n".join(keep + [f"{k} = {v}" for k, v in overrides.items()]))
 
 
-@pytest.mark.parametrize("name", [
-    "t21_two_weight.cfg", "t24_commutator_2d.cfg", "t25_maximal_control.cfg",
-    "t26_commutator_control.cfg", "sw101_power_weight.cfg", "cor_bh_maximal.cfg",
-    "t29_vector_weight.cfg",
+@pytest.mark.parametrize("name, extra", [
+    *(pytest.param(name, {}, id=name) for name in (
+        "t21_two_weight.cfg", "t24_commutator_2d.cfg", "t25_maximal_control.cfg",
+        "t26_commutator_control.cfg", "sw101_power_weight.cfg", "cor_bh_maximal.cfg",
+        "t29_vector_weight.cfg", "bh_domination.cfg")),
+    pytest.param("bh_domination.cfg", {"dim": 2, "level_min": -2}, id="bh_domination.cfg-2d"),
 ])
-def test_rows_do_not_depend_on_the_chunking(monkeypatch, name):
-    cfg = _config(name, trials=7, refinements="0,1")
+def test_rows_do_not_depend_on_the_chunking(monkeypatch, name, extra):
+    cfg = _config(name, trials=7, refinements="0,1", **extra)
     want = harness.run_experiment(cfg).rows
     for cells, sizes in ((1, [1] * 7), (3 * cfg.window.n_cells, [3, 3, 1]), (1 << 40, [7])):
         monkeypatch.setattr(harness, "_BATCH_CELLS", cells)
@@ -203,7 +208,6 @@ _SINGLE = {
     "weak_morrey_functional": lambda F: weak_morrey_functional(F, _ONE, 1.5, 2.0, _Q0),
     "rhs_bilinear_morrey_from": lambda F: rhs_bilinear_morrey_from(
         F, F, _ONE, _ONE, 2.2, 4.0, 3.0, _Q0),
-    "m_alpha_r_centered": lambda F: m_alpha_r(F, F, 0.5, (2.0, 2.0), "centered"),
     "cz_decompose": lambda F: czd.cz_decompose(F, F, _Q0, 2.0, 2.0),
     "cz_decompose_alpha": lambda F: czd.cz_decompose_alpha(F, F, _Q0, 2.0, 2.0, 0.5),
     "verify_decomposition": lambda F: czd.verify_decomposition(
@@ -236,15 +240,19 @@ def test_lattice_function_shape_must_end_in_the_window_shape():
 # -- dilated means ------------------------------------------------------------------------
 
 
-def test_dilated_cell_counts_are_a_bounded_cache(monkeypatch):
-    monkeypatch.setattr(field, "_DILATED_CELLS", OrderedDict())
+def test_dilated_cell_counts_are_a_bounded_cache():
+    cells = field._dilated_cells
+    cells.cache_clear()
+    size = cells.cache_info().maxsize
+    assert size == 64
     window = Window(2, -2, 0, origin_offset=(0, -2), top_count=3)
-    counts = field._dilated_cells(window, -1)
+    counts = cells(window, -1)
     assert not counts.flags.writeable
     # per axis 6 cubes of side 1/2: the two end cubes see 2 of their 3 neighbours
     axis = np.array([2, 3, 3, 3, 3, 2]) * 2.0
     assert np.array_equal(counts, np.outer(axis, axis))
-    for i in range(2 * field._DILATED_CELLS_SIZE):
-        field._dilated_cells(Window(1, -1, 0, origin_offset=(i,)), 0)
-        assert field._dilated_cells(window, -1) is counts  # used every time: never evicted
-        assert len(field._DILATED_CELLS) <= field._DILATED_CELLS_SIZE
+    for i in range(2 * size):
+        cells(Window(1, -1, 0, origin_offset=(i,)), 0)
+        assert cells(window, -1) is counts  # used every time: never evicted
+        assert cells.cache_info().currsize <= size
+    assert cells.cache_info().currsize == size

@@ -41,7 +41,7 @@ from morreylab.weights_norms import (
     two_weight_constant,
 )
 
-from oracles import all_cubes, children, cube_box, dilate3, nested_pairs, power_avg
+from oracles import all_cubes, children, cube_box, cubes_at_level, dilate3, nested_pairs, power_avg
 from test_weights_norms import _brute_pair_constant, _e_t21, _e_t22, _e_t27, _e_t28
 
 K = WeightConditionKind
@@ -92,7 +92,7 @@ def test_block_reductions_match_per_cube_averages(window):
         mx = level_max(f.values, window, level)
         pm = level_power_means(f.values, window, level, 2.5)
         dm = {e: dilated_means(f.values ** e, window, level) ** (1.0 / e) for e in (1.0, 2.5)}
-        for q in window.cubes_at_level(level):
+        for q in cubes_at_level(window, level):
             at = _at(window, q)
             assert mx[at] == power_avg(f, cube_box(q), math.inf)
             _assert_rel(pm[at], power_avg(f, cube_box(q), 2.5), str(q))
@@ -159,7 +159,7 @@ def test_rhs_from_matches_ancestor_enumeration(window):
     fw = LatticeFunction(window, np.abs(f.values) * w1.values)
     gw = LatticeFunction(window, np.abs(g.values) * w2.values)
     for level in window.levels():
-        cubes = list(window.cubes_at_level(level))
+        cubes = list(cubes_at_level(window, level))
         q0 = cubes[(7 * level) % len(cubes)]
         want = max(q.volume ** (1.0 / 2.2) * power_avg(fw, cube_box(q), 4.0)
                    * power_avg(gw, cube_box(q), 3.0) for q in [q0, *ancestors(q0, window)])

@@ -239,3 +239,21 @@ def test_run_strong_type_bad_parameters_exit_2(tmp_path, capsys, text):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "validation failure" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
+
+
+def test_run_repeated_refinement_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.cfg", T25_CONFIG + "refinements = 0,0\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "refinements" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["t23_commutator.cfg", "t26_commutator_control.cfg"])
+@pytest.mark.parametrize("n_symbols", [0, -1])
+def test_run_without_a_symbol_exit_2(tmp_path, capsys, name, n_symbols):
+    keep = [line for line in (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+            if line.split("=", 1)[0].strip() != "n_symbols"]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(keep + [f"n_symbols = {n_symbols}", ""]))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "n_symbols" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()

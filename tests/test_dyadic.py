@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 from morreylab.dyadic import Cube, Window, ancestors, parent
 
 from conftest import assert_close
-from oracles import all_cubes, box_volume, children, cube_box, dilate3, nested_pairs, window_box
+from oracles import (
+    all_cubes,
+    box_volume,
+    cell_index_of_point,
+    children,
+    cube_box,
+    cubes_at_level,
+    dilate3,
+    nested_pairs,
+    window_box,
+)
 
 
 def test_children_bisect_interval():
@@ -81,14 +91,14 @@ def test_dilate3_volume_scaling(level, index):
 
 def test_cell_boundary_belongs_to_right_cell(unit_window):
     # half-open convention: the boundary point starts the next cell
-    assert unit_window.cell_index_of_point((0.5,)) == (2,)
+    assert cell_index_of_point(unit_window, (0.5,)) == (2,)
     assert Cube(-2, (2,)).contains_point((0.5,))
     assert not Cube(-2, (1,)).contains_point((0.5,))
 
 
 def test_cell_and_ancestors_of_point(unit_window):
     # the cubes containing x are the cell holding x and that cell's ancestors
-    cell = Cube(unit_window.level_min, unit_window.cell_index_of_point((0.3,)))
+    cell = Cube(unit_window.level_min, cell_index_of_point(unit_window, (0.3,)))
     chain = [cell] + ancestors(cell, unit_window)
     assert [(c.level, c.index) for c in chain] == [(-2, (1,)), (-1, (0,)), (0, (0,))]
     assert len(chain) == unit_window.level_max - unit_window.level_min + 1
@@ -99,7 +109,7 @@ def test_cell_and_ancestors_match_membership_filter():
     rng = np.random.default_rng(42)
     for _ in range(100):
         x = tuple(rng.uniform(lo, hi) for lo, hi in zip(*window_box(w)))
-        cell = Cube(w.level_min, w.cell_index_of_point(x))
+        cell = Cube(w.level_min, cell_index_of_point(w, x))
         got = {cell, *ancestors(cell, w)}
         want = {q for q in all_cubes(w) if q.contains_point(x)}
         assert got == want
@@ -134,7 +144,7 @@ def test_nested_pairs_are_setwise_nested():
 def test_levels_tile_window_box():
     w = Window(2, -2, 0)
     for lvl in w.levels():
-        cubes = list(w.cubes_at_level(lvl))
+        cubes = list(cubes_at_level(w, lvl))
         assert_close(sum(q.volume for q in cubes), box_volume(window_box(w)))
         assert len({q.index for q in cubes}) == len(cubes)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_determinism_byte_identical(tmp_path):
     p1 = emit_report(run_experiment(cfg), tmp_path / "a")
     p2 = emit_report(run_experiment(cfg), tmp_path / "b")
     for f1, f2 in zip(p1, p2):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
 
 def test_seed_changes_rows(tmp_path):
@@ -128,9 +129,9 @@ def test_empty_report_emission(tmp_path):
     rep = Report(experiment="T25", columns=_COLUMNS, rows=[],
                  summary={"max_ratio": 0.0, "rows": 0})
     csv_path, json_path = emit_report(rep, tmp_path / "empty")
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines == [",".join(_COLUMNS)]
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert doc["rows"] == 0
 
 
@@ -138,10 +139,10 @@ def test_summary_max_matches_csv_column(tmp_path):
     cfg = config_from_pairs(T25_PAIRS)
     rep = run_experiment(cfg)
     csv_path, json_path = emit_report(rep, tmp_path / "r")
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     idx = lines[0].split(",").index("ratio")
     col_max = max(float(row.split(",")[idx]) for row in lines[1:])
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text(encoding="utf-8"))
     assert_close(doc["max_ratio"], col_max)
 
 
@@ -357,7 +358,7 @@ def test_growth_between_infinite_stages_is_nan_and_unstable(tmp_path):
     assert flags == {"stable_lt_2": False, "divergent_ge_1p5": False}
     rep = Report("T25", _COLUMNS, [], {"growth_factors": factors})
     _, json_path = emit_report(rep, tmp_path / "nan")
-    assert json.loads(open(json_path).read())["growth_factors"] == ["nan", "nan"]
+    assert json.loads(Path(json_path).read_text(encoding="utf-8"))["growth_factors"] == ["nan", "nan"]
 
 
 def test_growth_zero_to_zero_and_finite_factors():
@@ -385,7 +386,7 @@ def test_t29_run_leaves_config_unchanged(tmp_path):
     paths = [emit_report(run_experiment(cfg) if i else first, tmp_path / f"r{i}")
              for i in range(2)]
     for a, b in zip(*paths):
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
     with pytest.raises(TypeError):
         cfg.params["a"] = 1.5
 

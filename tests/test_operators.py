@@ -1,10 +1,8 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from morreylab import operators
 from morreylab.dyadic import Window
 from morreylab.field import LatticeFunction
 from morreylab.operators import (
@@ -18,12 +16,12 @@ from morreylab.operators import (
 )
 
 from conftest import assert_close, random_lattice
-from oracles import multilinear_fractional
+from oracles import cell_index_of_point, multilinear_fractional
 
 
 def _value_near_zero(out):
     w = out.window
-    off = tuple(m - a for m, a in zip(w.cell_index_of_point((0.0,) * w.dim), w.cell_index_lo))
+    off = tuple(m - a for m, a in zip(cell_index_of_point(w, (0.0,) * w.dim), w.cell_index_lo))
     return float(out.values[off])
 
 
@@ -196,7 +194,7 @@ def test_commutator_spec_validation(sym_window):
     with pytest.raises(ValueError):
         CommutatorSpec((b,), (3,))
     spec = CommutatorSpec((b, b, b), (1, 2, 1))
-    assert spec.m == 2 and spec.order == 3
+    assert spec.beta_vec == (1, 2, 1) and len(spec.b_vec) == 3
 
 
 def test_bt_alpha_is_complementary_order(sym_window):
@@ -255,9 +253,10 @@ def test_kernel_cache_reuse(sym_window):
     assert not k1.flags.writeable
 
 
-def test_kernel_cache_is_a_bounded_lru(monkeypatch):
-    monkeypatch.setattr(operators, "_KERNEL_CACHE", OrderedDict())
-    size = operators._KERNEL_CACHE_SIZE
+def test_kernel_cache_is_a_bounded_lru():
+    kernel_cell_averages.cache_clear()
+    size = kernel_cell_averages.cache_info().maxsize
+    assert size == 8
     win = Window(2, -2, 0)
     first = kernel_cell_averages(0.5, win)
     first_values = first.copy()
@@ -265,8 +264,8 @@ def test_kernel_cache_is_a_bounded_lru(monkeypatch):
     for i in range(2 * size):
         kernel_cell_averages(0.5 + 0.01 * (i + 1), win, depth=4)
         assert kernel_cell_averages(0.25, win) is kept  # used every time: never evicted
-        assert len(operators._KERNEL_CACHE) <= size
-    assert len(operators._KERNEL_CACHE) == size
+        assert kernel_cell_averages.cache_info().currsize <= size
+    assert kernel_cell_averages.cache_info().currsize == size
     again = kernel_cell_averages(0.5, win)
     assert again is not first  # evicted, so recomputed
     assert np.array_equal(again, first_values)
