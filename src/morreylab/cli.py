@@ -15,17 +15,17 @@ import argparse
 import json
 import sys
 
-from .czd import cz_decompose, cz_decompose_alpha, decomposition_to_json, verify_decomposition
+from .czd import decomposition_to_json
 from .errors import ValidationError
 from .field import from_csv
 from .harness import (
     ExperimentConfig,
+    _decompose,
+    _depth,
     _exponent_set,
     _make_weight,
     _pair_at,
     _q0,
-    _stopping_params,
-    _weight,
     config_from_pairs,
     emit_report,
     parse_config,
@@ -80,9 +80,10 @@ def _cmd_weight_const(args) -> int:
     kind = WeightConditionKind(args.kind)
     win = cfg.window
     e = _exponent_set(cfg, kind)
-    v = _weight(cfg, "v", win) if "weight_v" in cfg.params else None
-    w1 = _weight(cfg, "w1", win, cfg.params.get("weight_u1", "const:1"))
-    w2 = _weight(cfg, "w2", win, cfg.params.get("weight_u2", "const:1"))
+    params, depth = cfg.params, _depth(cfg)
+    v = _make_weight(params["weight_v"], win, depth) if "weight_v" in params else None
+    w1 = _make_weight(params.get("weight_w1", params.get("weight_u1", "const:1")), win, depth)
+    w2 = _make_weight(params.get("weight_w2", params.get("weight_u2", "const:1")), win, depth)
     print(repr(two_weight_constant(kind, v, w1, w2, e, win)))
     return EXIT_OK
 
@@ -92,22 +93,12 @@ def _cmd_decompose(args) -> int:
     win = cfg.window
     q0 = _q0(cfg, win)
     f, g = _pair_at(cfg, 0, win)
-    (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
-    variant = cfg.params.get("kind", "cz")
-    if variant not in ("cz", "cz_alpha"):
-        raise ValidationError(f"unknown decompose kind {variant!r}; expected 'cz' or 'cz_alpha'")
-    if variant == "cz_alpha":
-        t1, t2 = r1, r2
-        d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
-    else:
-        t1, t2, alpha = theta1, theta2, None
-        d = cz_decompose(f, g, q0, t1, t2)
+    d, bad = _decompose(cfg, cfg.params.get("kind", "cz"), f, g, q0)
     with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(decomposition_to_json(d, win), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")
-    bad = verify_decomposition(d, f, g, win, t1, t2, alpha=alpha)
     if bad:
         print(f"invariant violations: {len(bad)}", file=sys.stderr)
         for msg in bad:
@@ -149,10 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -35,8 +35,8 @@ from .dyadic import Cube, Window, ancestors
 from .field import (
     LatticeFunction,
     Weight,
-    _require_pair,
     _require_unbatched,
+    _same_window,
     dilated_means,
     expand_level,
 )
@@ -141,7 +141,7 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     """Stopping-time decomposition driven by the unweighted average product."""
     if theta1 <= 1 or theta2 <= 1:
         raise ValueError("theta1 and theta2 must exceed 1")
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     factor = (4.0 * 18.0 ** window.dim) ** (1.0 / theta1 + 1.0 / theta2)
     return _decompose(window, q0, _functional_tables(f, g, theta1, theta2), factor)
 
@@ -151,7 +151,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     """Variant whose threshold functional carries the volume factor |Q|^(alpha/n)."""
     if abs(1.0 / r1 + 1.0 / r2 - 1.0) > 1e-9:
         raise ValueError(f"(r1, r2) must be a Holder pair; got ({r1}, {r2})")
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     n = window.dim
     if not 0.0 <= alpha < n:
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
@@ -272,9 +272,7 @@ def necessity_pair(w1: Weight, w2: Weight, qp: Cube, e) -> tuple[LatticeFunction
     (mean g^r2)^(1/r2).  Requires r_i < q_i strictly.
     """
     _require_unbatched(w1, w2)
-    window = w1.window
-    if w2.window != window:
-        raise ValueError("w1 and w2 must live on the same window")
+    window = _same_window(w1, w2)
     if not window.contains_cube(qp):
         raise ValueError(f"cube {qp} not inside window")
     if e.r1 is None or e.r2 is None or e.r1 >= e.q1 or e.r2 >= e.q2:

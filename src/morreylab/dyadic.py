@@ -33,32 +33,8 @@ class Cube:
         return len(self.index)
 
     @property
-    def side(self) -> float:
-        return 2.0 ** self.level
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (self.level * self.dim)
-
-    @property
-    def lower(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple(m * s for m in self.index)
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        s = self.side
-        return tuple((m + 0.5) * s for m in self.index)
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        s = self.side
-        return all(m * s <= xi < (m + 1) * s for m, xi in zip(self.index, x))
-
-    def contains_cube(self, other: "Cube") -> bool:
-        if other.level > self.level:
-            return False
-        shift = self.level - other.level
-        return all((m >> shift) == p for m, p in zip(other.index, self.index))
 
 
 @dataclass(frozen=True)

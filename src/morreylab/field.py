@@ -16,7 +16,8 @@ bit the result of its unbatched call.  Weights are never batched; they
 broadcast against a batch.  Functions that take a single lattice function
 (oscillation_ratio, to_csv and Weight here; weak_morrey_functional,
 rhs_bilinear_morrey_from and the czd entry points elsewhere) reject a batch
-through _require_unbatched.
+through _require_unbatched.  Every entry point that takes several lattice
+functions or weights checks that they share one window through _same_window.
 
 Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: closed-form antiderivatives in one
@@ -41,11 +42,14 @@ import csv
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dyadic import Window
+
+# Corner-refinement depth of the power-weight and kernel quadratures unless a caller sets one.
+DEFAULT_DEPTH = 12
 
 
 class LatticeFunction:
@@ -107,10 +111,10 @@ def _require_unbatched(*fs: LatticeFunction) -> None:
                              f"{f.values.shape[:f.values.ndim - f.window.dim]}")
 
 
-def _require_pair(f: LatticeFunction, g: LatticeFunction) -> Window:
-    """The common window of f and g; raises if they live on different windows."""
-    if f.window != g.window:
-        raise ValueError("f and g must live on the same window")
+def _same_window(f: LatticeFunction, *others: Optional[LatticeFunction]) -> Window:
+    """The window of f; raises unless every other argument that is not None lives on it."""
+    if any(x is not None and x.window != f.window for x in others):
+        raise ValueError("inputs must live on the same window")
     return f.window
 
 
@@ -196,13 +200,9 @@ def level_sup(window: Window, table: Callable[[int], np.ndarray]):
     A float, or for a batched table one sup per batch entry (an array of the batch shape).
     """
     best = 0.0
-    for level in window.levels():
-        t = table(level)
-        if t.ndim == window.dim:
-            best = max(best, float(t.max()))
-        else:  # fmax, like max(), keeps best where the table holds a nan
-            best = np.fmax(best, t.max(axis=tuple(range(-window.dim, 0))))
-    return best
+    for level in window.levels():  # fmax, like max(), keeps best where the table holds a nan
+        best = np.fmax(best, table(level).max(axis=tuple(range(-window.dim, 0))))
+    return best if np.ndim(best) else float(best)
 
 
 def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> np.ndarray:
@@ -367,7 +367,7 @@ def _avg_abs_power_box(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[floa
     return _fold_halves(vals, n)
 
 
-def abs_power_cell_averages(gamma: float, window: Window, depth: int = 12) -> np.ndarray:
+def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> np.ndarray:
     """Cell-average array of |x|^gamma over every finest cell of the window.
 
     n = 1 uses the closed-form antiderivative (exact), cell by cell.  n >= 2
@@ -394,7 +394,7 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = 12) -> np
     return vals
 
 
-def power_weight(gamma: float, window: Window, depth: int = 12) -> Weight:
+def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
     """Weight whose cell values are accurate averages of |x|^gamma.
 
     Requires gamma > -dim whenever the window touches the origin (otherwise

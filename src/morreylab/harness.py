@@ -46,11 +46,12 @@ from typing import Mapping
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .czd import cz_decompose, cz_decompose_alpha, necessity_pair, verify_decomposition
+from .czd import Decomposition, cz_decompose, cz_decompose_alpha, necessity_pair, verify_decomposition
 from .dyadic import Cube, Window
 from .errors import ValidationError
 from .exponents import INF, ExponentSet, build, solve_st, solve_weak_t, validate
 from .field import (
+    DEFAULT_DEPTH,
     LatticeFunction,
     Weight,
     _oscillation_sup,
@@ -72,18 +73,15 @@ from .weights_norms import (
     weak_morrey_functional,
 )
 
-EXPERIMENTS = (
-    "T21", "T22", "T23", "T24", "T25", "T26",
-    "T27_sufficiency", "T27_necessity", "T28", "T29",
-    "COR_BH", "SW101", "JN", "CZ_INV", "BH_DOM", "L39",
-)
-
 _INT_KEYS = {"dim", "level_min", "level_max", "top_count", "trials", "seed",
              "n_symbols", "q0_level", "qprime_level", "depth"}
 _INT_TUPLE_KEYS = {"origin_offset", "refinements", "q0_index", "qprime_index",
                    "beta_pattern"}
 _STR_KEYS = {"experiment", "weight_v", "weight_w1", "weight_w2", "weight_w",
              "weight_u1", "weight_u2", "kind"}
+_FLOAT_KEYS = {"alpha", "q1", "q2", "p", "r", "a", "r1", "r2", "q", "beta", "gamma1", "gamma2",
+               "p1", "p2", "vartheta1", "vartheta2", "theta1", "theta2", "t_hat"}
+_KEYS = _INT_KEYS | _INT_TUPLE_KEYS | _STR_KEYS | _FLOAT_KEYS
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,8 @@ def parse_config(text: str) -> ExperimentConfig:
 def config_from_pairs(pairs) -> ExperimentConfig:
     seen: dict[str, object] = {}
     for key, val in pairs:
+        if key not in _KEYS:
+            raise ValidationError(f"unknown key {key!r}")
         if key in seen:
             raise ValidationError(f"duplicate key {key!r}")
         seen[key] = _parse_value(key, val) if isinstance(val, str) else val
@@ -252,7 +252,7 @@ def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0):
         yield trials, f, g, symbols
 
 
-def _make_weight(spec: str, window: Window, depth: int = 12) -> Weight:
+def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
     kind, _, arg = str(spec).partition(":")
     if kind == "pow":
         return power_weight(float(arg), window, depth=depth)
@@ -270,7 +270,7 @@ def _make_weight(spec: str, window: Window, depth: int = 12) -> Weight:
 
 def _depth(cfg: ExperimentConfig) -> int:
     """The quadrature depth of the power weights and the kernel averages."""
-    return int(cfg.params.get("depth", 12))
+    return int(cfg.params.get("depth", DEFAULT_DEPTH))
 
 
 def _n_symbols(cfg: ExperimentConfig) -> int:
@@ -280,10 +280,6 @@ def _n_symbols(cfg: ExperimentConfig) -> int:
     if n < 1:
         raise ValidationError(f"n_symbols must be >= 1; got {n}")
     return n
-
-
-def _weight(cfg: ExperimentConfig, role: str, window: Window, default: str = "const:1") -> Weight:
-    return _make_weight(cfg.params.get(f"weight_{role}", default), window, depth=_depth(cfg))
 
 
 def _weights(cfg: ExperimentConfig, window: Window, *roles: str) -> list[Weight]:
@@ -475,7 +471,7 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     rows = []
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        w = _weight(cfg, "w", win)
+        [w] = _weights(cfg, win, "w")
         for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
             lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
             rhs = math.prod(map(bmo_norm, symbols)) \
@@ -642,8 +638,24 @@ def _stopping_params(cfg: ExperimentConfig) -> tuple[tuple[float, float], tuple[
             (_param(cfg, "r1", 2.0), _param(cfg, "r2", 2.0), _param(cfg, "alpha", 0.5)))
 
 
-def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _decompose(cfg: ExperimentConfig, kind: str, f: LatticeFunction, g: LatticeFunction,
+               q0: Cube) -> tuple[Decomposition, list[str]]:
+    """The stopping-time forest of kind ('cz' or 'cz_alpha') at the config's parameters,
+    and its verify_decomposition violations."""
     (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
+    if kind == "cz":
+        t1, t2, alpha = theta1, theta2, None
+        d = cz_decompose(f, g, q0, t1, t2)
+    elif kind == "cz_alpha":
+        t1, t2 = r1, r2
+        d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
+    else:
+        raise ValidationError(f"unknown decompose kind {kind!r}; expected 'cz' or 'cz_alpha'")
+    return d, verify_decomposition(d, f, g, f.window, t1, t2, alpha=alpha)
+
+
+def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+    theta, alpha_variant = _stopping_params(cfg)
     rows = []
     violations = 0
     for stage in cfg.refinements:
@@ -651,14 +663,10 @@ def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         q0 = _q0(cfg, win)
         for trial in range(cfg.trials):
             f, g = _pair_at(cfg, trial, win)
-            bad = []
-            d = cz_decompose(f, g, q0, theta1, theta2)
-            bad += verify_decomposition(d, f, g, win, theta1, theta2, alpha=None)
-            da = cz_decompose_alpha(f, g, q0, r1, r2, alpha)
-            bad += verify_decomposition(da, f, g, win, r1, r2, alpha=alpha)
+            bad = _decompose(cfg, "cz", f, g, q0)[1] + _decompose(cfg, "cz_alpha", f, g, q0)[1]
             rows.append(_row(stage, win, trial, float(len(bad)), 1.0, "spiky"))
             violations += len(bad)
-    return rows, {"theta": (theta1, theta2), "alpha_variant": (r1, r2, alpha)}, violations
+    return rows, {"theta": theta, "alpha_variant": alpha_variant}, violations
 
 
 _BH_PAIRS = ((2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0 / 3.0), (1.25, 5.0))
@@ -721,6 +729,8 @@ _RUNNERS = {
     "BH_DOM": _run_bh_domination,
     "L39": _run_lemma39,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

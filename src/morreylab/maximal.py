@@ -31,7 +31,7 @@ import numpy as np
 
 from .field import (
     LatticeFunction,
-    _require_pair,
+    _same_window,
     level_means,
     pointwise_level_sup,
 )
@@ -77,7 +77,7 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
     r1, r2 = float(pair[0]), float(pair[1])
     if r1 <= 0 or r2 <= 0:
         raise ValueError(f"r1, r2 must be positive; got ({r1}, {r2})")
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0; got {alpha}")
     fa = np.abs(f.values) ** r1

@@ -16,14 +16,16 @@ whole operator is a kernel-weighted correlation of the two cell arrays.
 Samples falling outside the window contribute 0 (inputs are treated as
 compactly supported on the window).
 
-The correlation runs over an offset plan, built once per window and cached:
-for each kernel cell y_c, the band of output cells x whose samples x - y_c
-and x + y_c both fall inside the window, as one slice of the output and one
-of each input.  Outside its band a term is an exact zero, and the running
-sum starts at +0.0, so leaving those terms out changes no bit of the
-result.  Every operator here takes a batch of inputs (values of shape
-(*batch, *window.shape), see field) through the same plan, with the same
-float operations per batch entry; the plan's slices index the trailing axes.
+The correlation runs over an offset plan, built once per (alpha, window,
+depth) and cached: for each kernel cell y_c, the kernel average on it and
+the band of output cells x whose samples x - y_c and x + y_c both fall
+inside the window, as one slice of the output and one of each input.  The
+plan is the only cache here, so the kernel quadrature runs once per plan.
+Outside its band a term is an exact zero, and the running sum starts at
++0.0, so leaving those terms out changes no bit of the result.  Every
+operator here takes a batch of inputs (values of shape (*batch,
+*window.shape), see field) through the same plan, with the same float
+operations per batch entry; the plan's slices index the trailing axes.
 
 Per-cell outputs are independent; a fixed summation order within each cell
 keeps results deterministic.
@@ -38,15 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import Window
-from .field import LatticeFunction, _require_pair, abs_power_cell_averages
+from .field import DEFAULT_DEPTH, LatticeFunction, _same_window, abs_power_cell_averages
 
-# Bounded, so a long sweep over alphas or windows holds at most 8 kernel arrays.
-@functools.lru_cache(maxsize=8)
-def kernel_cell_averages(alpha: float, window: Window, depth: int = 12) -> np.ndarray:
-    """Per-cell averages of |y|^(alpha - n); cached per (alpha, window, depth), read-only."""
-    kern = abs_power_cell_averages(alpha - window.dim, window, depth)
-    kern.setflags(write=False)
-    return kern
+
+def kernel_cell_averages(alpha: float, window: Window, depth: int = DEFAULT_DEPTH) -> np.ndarray:
+    """Per-cell averages of |y|^(alpha - n) over the window's cells."""
+    return abs_power_cell_averages(alpha - window.dim, window, depth)
 
 
 def _axis_bands(c: int, m: int) -> list:
@@ -62,16 +61,18 @@ def _axis_bands(c: int, m: int) -> list:
     return bands
 
 
+# Bounded, so a long sweep over alphas or windows holds at most 8 plans.
 @functools.lru_cache(maxsize=8)
-def _offset_plan(window: Window) -> tuple:
-    """The (kernel index, out slice, f slice, g slice) of every kernel offset with a
+def _offset_plan(alpha: float, window: Window, depth: int) -> tuple:
+    """The (kernel value, out slice, f slice, g slice) of every kernel offset with a
     non-empty band, in np.ndindex order; each slice leads with ... for batch axes."""
+    kern = kernel_cell_averages(alpha, window, depth)
     axes = [_axis_bands(window.cells_per_axis, m) for m in window.cell_index_lo]
     plan = []
     for j_off in np.ndindex(window.shape):
         bands = [axis[j] for axis, j in zip(axes, j_off)]
         if all(bands):
-            plan.append((j_off, *((Ellipsis, *sl) for sl in zip(*bands))))
+            plan.append((kern[j_off], *((Ellipsis, *sl) for sl in zip(*bands))))
     return tuple(plan)
 
 
@@ -96,9 +97,8 @@ class CommutatorSpec:
             raise ValueError("b_vec and beta_vec must have equal length")
         if any(b not in (1, 2) for b in self.beta_vec):
             raise ValueError("slot markers must be 1 or 2")
-        wins = {b.window for b in self.b_vec}
-        if len(wins) > 1:
-            raise ValueError("all symbols must live on the same window")
+        if self.b_vec:
+            _same_window(*self.b_vec)
 
 
 def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int,
@@ -110,18 +110,15 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
     (b, slot) in symbols; no symbols gives the plain bilinear integral.  f, g
     and the symbols may be batched; their batch shapes broadcast.
     """
-    window = _require_pair(f, g)
-    if symbols and symbols[0][0].window != window:
-        raise ValueError("symbols must live on the window of f and g")
+    window = _same_window(f, g, *(b for b, _ in symbols))
     n = window.dim
     if not 0.0 < alpha < n:
         raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
-    kern = kernel_cell_averages(alpha, window, depth)
     fv, gv = f.values, g.values
     bvs = [(b.values, slot) for b, slot in symbols]
     out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape, *(b.shape for b, _ in bvs)))
-    for j_off, osl, fsl, gsl in _offset_plan(window):
-        term = kern[j_off] * fv[fsl] * gv[gsl]
+    for kern, osl, fsl, gsl in _offset_plan(alpha, window, depth):
+        term = kern * fv[fsl] * gv[gsl]
         for b, slot in bvs:
             term = term * (b[osl] - b[fsl if slot == 1 else gsl])
         out[osl] += term
@@ -129,21 +126,21 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
 
 
 def bilinear_fractional(f: LatticeFunction, g: LatticeFunction, alpha: float,
-                        depth: int = 12) -> LatticeFunction:
+                        depth: int = DEFAULT_DEPTH) -> LatticeFunction:
     """Bilinear fractional integral of order alpha, evaluated at cell centers."""
     return _correlation(f, g, alpha, depth, ())
 
 
 def commutator_iterated(spec: CommutatorSpec, f: LatticeFunction, g: LatticeFunction,
-                        alpha: float, depth: int = 12) -> LatticeFunction:
+                        alpha: float, depth: int = DEFAULT_DEPTH) -> LatticeFunction:
     """Iterated commutator of the bilinear fractional integral with BMO symbols."""
     return _correlation(f, g, alpha, depth, tuple(zip(spec.b_vec, spec.beta_vec)))
 
 
 def bt_alpha(f: LatticeFunction, g: LatticeFunction, alpha: float,
-             depth: int = 12) -> LatticeFunction:
+             depth: int = DEFAULT_DEPTH) -> LatticeFunction:
     """Power-weight companion operator: the order-(n - alpha) bilinear integral."""
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     n = window.dim
     if not 0.0 < alpha < n:
         raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
@@ -189,7 +186,7 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     this dyadic sup for nonnegative integrands (reported, not assumed).
     Batched inputs are padded along the trailing window axes only.
     """
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     n = window.dim
     c = window.cells_per_axis
     fpad, gpad = (np.pad(np.abs(v), [(0, 0)] * (v.ndim - n) + [(c, c)] * n)

@@ -23,6 +23,10 @@ reductions, one level at a time.  A pair term is a factor fixed by the levels
 (k, k') times an inner part on Q times an outer part on Q', so its sup is the
 max over Q' of factor * (block max of the inner part over Q in Q') * outer;
 float products by a positive factor are monotone, so this is exact.
+
+Every entry point checks that its functions and weights share one window
+through field._same_window, except two_weight_constant, which compares its
+weights with its window argument.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .field import (
     LatticeFunction,
     Weight,
     _require_unbatched,
+    _same_window,
     level_max,
     level_means,
     level_power_means,
@@ -54,11 +59,9 @@ def morrey_norm(f: LatticeFunction, p: float, q: float, w: Optional[Weight] = No
     A batched f gives one norm per batch entry (see field.level_sup)."""
     if not (q > 0 and q <= p * (1.0 + 1e-12)):
         raise ValueError(f"need 0 < q <= p; got q={q}, p={p}")
-    window = f.window
+    window = _same_window(f, w)
     dens = np.abs(f.values) ** q
     if w is not None:
-        if w.window != window:
-            raise ValueError("weight must live on the window of f")
         dens = dens * w.values
     return level_sup(window, lambda level: (2.0 ** (level * window.dim)) ** (1.0 / p)
                      * level_means(dens, window, level) ** (1.0 / q))
@@ -68,9 +71,7 @@ def rhs_bilinear_morrey(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: 
                         p: float, q1: float, q2: float) -> float:
     """sup over cubes of |Q|^(1/p) (mean_Q (|f| w1)^q1)^(1/q1) (mean_Q (|g| w2)^q2)^(1/q2);
     one sup per batch entry for batched f and g."""
-    window = f.window
-    if any(x.window != window for x in (g, w1, w2)):
-        raise ValueError("all inputs must live on the same window")
+    window = _same_window(f, g, w1, w2)
     df = (np.abs(f.values) * w1.values) ** q1
     dg = (np.abs(g.values) * w2.values) ** q2
     return level_sup(window, lambda level: (2.0 ** (level * window.dim)) ** (1.0 / p)
@@ -82,7 +83,7 @@ def rhs_bilinear_morrey_from(f: LatticeFunction, g: LatticeFunction, w1: Weight,
                              p: float, q1: float, q2: float, q0: Cube) -> float:
     """Same sup restricted to cubes containing q0 (q0 and its ancestors)."""
     _require_unbatched(f, g)
-    window = f.window
+    window = _same_window(f, g, w1, w2)
     if not window.contains_cube(q0):
         raise ValueError(f"cube {q0} not inside window")
     df = (np.abs(f.values) * w1.values) ** q1
@@ -111,9 +112,7 @@ def weak_morrey_functional(F: LatticeFunction, v: Weight, t: float, s: float,
     if t <= 0 or s <= 0:
         raise ValueError("t and s must be positive")
     _require_unbatched(F)
-    window = F.window
-    if v.window != window:
-        raise ValueError("v must live on the window of F")
+    window = _same_window(F, v)
     sl = window.cell_offsets_of_cube(q0)
     fv = F.values[sl].ravel()
     vt = (v.values[sl].ravel() ** t) * window.cell_volume
@@ -193,6 +192,8 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
         raise ValueError(f"{kind.value}: inadmissible {e.regime} set: {'; '.join(violations)}")
     if kind.regime == "T21" and (e.s < 1.0) != (kind is WeightConditionKind.C22):
         raise ValueError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
+    if any(x is not None and x.window != window for x in (v, w1, w2)):
+        raise ValueError("weights must live on the given window")
     n = window.dim
     inv1, inv2 = 1.0 / w1.values, 1.0 / w2.values
 
@@ -206,8 +207,6 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
 
     if v is None:
         raise ValueError(f"{kind.value} requires the weight v")
-    if v.window != window or w1.window != window or w2.window != window:
-        raise ValueError("weights must live on the given window")
 
     ratio_exp, v_exp, d1, d2 = _pair_exponents(kind, e)
     with_qr = kind is not WeightConditionKind.CBH
@@ -250,9 +249,7 @@ class JointWeightReport:
 def lemma39_check(w1: Weight, w2: Weight, q1: float, q2: float, t_hat: float) -> JointWeightReport:
     """Joint constant sup_Q (mean (w1 w2)^t_hat)^(1/t_hat) prod (mean w_i^(-q_i'))^(1/q_i')
     together with the three Muckenhoupt constants of its characterization."""
-    window = w1.window
-    if w2.window != window:
-        raise ValueError("w1 and w2 must live on the same window")
+    window = _same_window(w1, w2)
     q = 1.0 / (1.0 / q1 + 1.0 / q2)
     if t_hat < q:
         raise ValueError(f"t_hat must be >= q = {q}; got {t_hat}")

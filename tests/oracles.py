@@ -23,8 +23,34 @@ import math
 import numpy as np
 
 from morreylab.dyadic import Cube, Window, ancestors
-from morreylab.field import LatticeFunction, _require_pair
+from morreylab.field import LatticeFunction, _same_window
 from morreylab.operators import dyadic_radii, kernel_cell_averages
+
+
+# -- cube geometry ------------------------------------------------------------------
+
+
+def cube_side(q: Cube) -> float:
+    return 2.0 ** q.level
+
+
+def cube_center(q: Cube) -> tuple[float, ...]:
+    s = cube_side(q)
+    return tuple((m + 0.5) * s for m in q.index)
+
+
+def cube_contains_point(q: Cube, x) -> bool:
+    """Half-open membership: x lies in 2^level * (index + [0, 1)^n)."""
+    s = cube_side(q)
+    return all(m * s <= xi < (m + 1) * s for m, xi in zip(q.index, x))
+
+
+def cube_contains_cube(q: Cube, other: Cube) -> bool:
+    """Whether other is q or one of its dyadic descendants."""
+    if other.level > q.level:
+        return False
+    shift = q.level - other.level
+    return all((m >> shift) == p for m, p in zip(other.index, q.index))
 
 
 # -- cube enumeration -------------------------------------------------------------
@@ -74,13 +100,13 @@ def nested_pairs(window: Window):
 
 
 def cube_box(q: Cube):
-    s = q.side
-    return q.lower, tuple((m + 1) * s for m in q.index)
+    s = cube_side(q)
+    return tuple(m * s for m in q.index), tuple((m + 1) * s for m in q.index)
 
 
 def dilate3(q: Cube):
     """3Q, with q's centre and side 3 * 2^level: [(m - 1) s, (m + 2) s) per axis."""
-    s = q.side
+    s = cube_side(q)
     return tuple((m - 1) * s for m in q.index), tuple((m + 2) * s for m in q.index)
 
 
@@ -177,7 +203,7 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     samples contributing 0; the true sup over all r > 0 is within a factor
     2^n of this dyadic sup for nonnegative integrands (reported, not assumed).
     """
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     n = window.dim
     radii = dyadic_radii(window)
     out = np.zeros(window.shape)
@@ -204,7 +230,7 @@ def m_alpha_r_centered(f: LatticeFunction, g: LatticeFunction, alpha: float,
     r1, r2 = float(pair[0]), float(pair[1])
     if r1 <= 0 or r2 <= 0:
         raise ValueError(f"r1, r2 must be positive; got ({r1}, {r2})")
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0; got {alpha}")
     radii = dyadic_radii(window)
@@ -282,7 +308,7 @@ def correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int
                 symbols=()) -> LatticeFunction:
     """kern(y_c) f(x - y_c) g(x + y_c), times b(x) - b(x -+ y_c) per (b, slot) in symbols,
     summed over every kernel cell y_c in np.ndindex order on zero-padded arrays."""
-    window = _require_pair(f, g)
+    window = _same_window(f, g)
     kern = kernel_cell_averages(alpha, window, depth)
     c = window.cells_per_axis
     pads = tuple(c + abs(m) + 1 for m in window.cell_index_lo)

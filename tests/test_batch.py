@@ -96,20 +96,30 @@ def test_plan_is_a_bounded_lru():
     offset_plan.cache_clear()
     size = offset_plan.cache_info().maxsize
     assert size == 8
-    kept = offset_plan(Window(1, -2, 0))
+    win = Window(2, -2, 0)
+    first = offset_plan(0.5, win, DEPTH)
+    kept = offset_plan(0.25, win, DEPTH)
     for i in range(2 * size):
-        offset_plan(Window(1, -2, 0, origin_offset=(i,)))
-        assert offset_plan(Window(1, -2, 0)) is kept  # used every time: never evicted
+        if i % 2:
+            offset_plan(0.5 + 0.01 * i, win, DEPTH)
+        else:
+            offset_plan(0.5, Window(2, -2, 0, origin_offset=(i, 0)), DEPTH)
+        assert offset_plan(0.25, win, DEPTH) is kept  # used every time: never evicted
         assert offset_plan.cache_info().currsize <= size
     assert offset_plan.cache_info().currsize == size
+    again = offset_plan(0.5, win, DEPTH)
+    assert again is not first  # evicted, so rebuilt
+    assert again == first  # the same kernel values and slices
+    assert offset_plan(0.5, win, DEPTH) is again
 
 
 def test_plan_leaves_out_empty_bands():
     # c = 4 cells from the origin: only kernel cells 0 and 1 have x - y and x + y
     # both inside for some x
-    plan = operators._offset_plan(Window(1, -2, 0, origin_offset=(0,), top_count=1))
-    assert [j for j, *_ in plan] == [(0,), (1,)]
-    assert len(operators._offset_plan(Window(2, -2, 0))) == 8 ** 2
+    win = Window(1, -2, 0, origin_offset=(0,), top_count=1)
+    plan = operators._offset_plan(0.5, win, DEPTH)
+    assert [k for k, *_ in plan] == list(operators.kernel_cell_averages(0.5, win, DEPTH)[:2])
+    assert len(operators._offset_plan(0.5, Window(2, -2, 0), DEPTH)) == 8 ** 2
 
 
 # -- batched against one call per entry ---------------------------------------------

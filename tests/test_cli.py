@@ -202,7 +202,7 @@ q0_index = 0
 seed = 12
 """)
     make = "cz_decompose_alpha" if kind == "cz_alpha" else "cz_decompose"
-    honest = getattr(cli, make)
+    honest = getattr(harness, make)
 
     def tampered(*args):
         d = honest(*args)
@@ -210,7 +210,7 @@ seed = 12
         e0[0] = not e0[0]
         return dataclasses.replace(d, e0=e0)
 
-    monkeypatch.setattr(cli, make, tampered)
+    monkeypatch.setattr(harness, make, tampered)
     out = tmp_path / "dec.json"
     assert cli.main(["decompose", cfg, "--json", str(out)]) == 3
     err = capsys.readouterr().err
@@ -238,6 +238,15 @@ def test_run_strong_type_bad_parameters_exit_2(tmp_path, capsys, text):
     cfg = _write(tmp_path, "bad.cfg", text)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "validation failure" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_run_unknown_key_exit_2(tmp_path, capsys):
+    # a misspelt key would otherwise fall back to its default: here 20 trials per stage
+    text = (CONFIGS / "t21_two_weight.cfg").read_text(encoding="utf-8")
+    cfg = _write(tmp_path, "typo.cfg", text.replace("trials = 20", "trails = 3"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "unknown key 'trails'" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
 
 

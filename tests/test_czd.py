@@ -16,9 +16,17 @@ from morreylab.dyadic import Cube, Window
 from morreylab.exponents import build
 from morreylab.field import LatticeFunction, Weight
 from morreylab.maximal import m_alpha_r
+from morreylab.operators import CommutatorSpec, commutator_iterated
+from morreylab.weights_norms import (
+    WeightConditionKind,
+    lemma39_check,
+    morrey_norm,
+    rhs_bilinear_morrey_from,
+    two_weight_constant,
+)
 
 from conftest import assert_close, random_weight
-from oracles import children
+from oracles import children, cube_contains_cube
 
 
 def _co_spiked(window: Window, seed: int, strength: float = 1e5):
@@ -63,7 +71,7 @@ def test_spike_produces_one_level_with_invariants():
     assert verify_decomposition(d, f, g, w, 2.0, 2.0) == []
     # stopping cubes nest under the base
     for cubes in d.levels.values():
-        assert all(q0.contains_cube(q) for q in cubes)
+        assert all(cube_contains_cube(q0, q) for q in cubes)
 
 
 def test_two_level_forest_on_deep_window():
@@ -76,7 +84,7 @@ def test_two_level_forest_on_deep_window():
     assert verify_decomposition(d, f, f, w, 2.0, 2.0) == []
     # level k+1 cubes each sit inside a level k cube
     for q2 in d.levels[2]:
-        assert any(q1.contains_cube(q2) for q1 in d.levels[1])
+        assert any(cube_contains_cube(q1, q2) for q1 in d.levels[1])
 
 
 def _two_level_forest():
@@ -106,7 +114,7 @@ def test_verify_reports_untiled_e0():
 def test_verify_reports_overlapping_exceptional_sets():
     w, f, d = _two_level_forest()
     j = next(j for j, q1 in enumerate(d.levels[1])
-             if any(q1.contains_cube(q2) for q2 in d.levels[2]))
+             if any(cube_contains_cube(q1, q2) for q2 in d.levels[2]))
     level1 = list(d.exceptional[1])
     level1[j] = np.ones_like(level1[j])
     bad = _violations(dataclasses.replace(d, exceptional={**d.exceptional, 1: tuple(level1)}),
@@ -186,13 +194,27 @@ def test_holder_pair_required():
         cz_decompose(one, one, Cube(-1, (0,)), 1.0, 2.0)
 
 
-def test_inputs_must_share_a_window():
-    one = LatticeFunction.constant(Window(1, -3, 0), 1.0)
-    other = LatticeFunction.constant(Window(1, -4, 0), 1.0)
-    with pytest.raises(ValueError, match="same window"):
-        cz_decompose(one, other, Cube(-1, (0,)), 2.0, 2.0)
-    with pytest.raises(ValueError, match="same window"):
-        cz_decompose_alpha(one, other, Cube(-1, (0,)), 2.0, 2.0, 0.5)
+_ONE = LatticeFunction.constant(Window(1, -3, 0), 1.0)
+_FINER = LatticeFunction.constant(Window(1, -4, 0), 1.0)
+_UNIT = Weight.constant(Window(1, -3, 0), 1.0)
+_SHIFTED = Weight.constant(Window(1, -3, 0, origin_offset=(0,)), 1.0)  # same shape, moved
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cz_decompose(_ONE, _FINER, Cube(-1, (0,)), 2.0, 2.0),
+    lambda: cz_decompose_alpha(_ONE, _FINER, Cube(-1, (0,)), 2.0, 2.0, 0.5),
+    lambda: rhs_bilinear_morrey_from(_ONE, _ONE, _SHIFTED, _SHIFTED, 2.2, 4.0, 4.0,
+                                     Cube(-1, (0,))),
+    lambda: two_weight_constant(WeightConditionKind.C211, None, _SHIFTED, _SHIFTED,
+                                build("T28", 1, 0.4, 4.0, 4.0, 2.2, 2.5, a=1.5, r1=2.0, r2=2.0),
+                                _ONE.window),
+    lambda: morrey_norm(_ONE, 2.0, 1.5, _SHIFTED),
+    lambda: lemma39_check(_UNIT, _SHIFTED, 2.0, 2.0, 1.5),
+    lambda: commutator_iterated(CommutatorSpec((_FINER,), (1,)), _ONE, _ONE, 0.5),
+], ids=["cz", "cz_alpha", "rhs_from", "C211", "morrey_norm", "lemma39", "commutator_symbol"])
+def test_inputs_must_share_a_window(call):
+    with pytest.raises(ValueError, match="(same|given) window"):
+        call()
 
 
 def test_base_cube_must_be_inside():

@@ -14,6 +14,10 @@ from oracles import (
     cell_index_of_point,
     children,
     cube_box,
+    cube_center,
+    cube_contains_cube,
+    cube_contains_point,
+    cube_side,
     cubes_at_level,
     dilate3,
     nested_pairs,
@@ -47,7 +51,7 @@ def test_children_partition_parent_volume():
     q = Cube(3, (-2, 5))
     kids = children(q)
     assert sum(k.volume for k in kids) == q.volume
-    assert all(q.contains_cube(k) for k in kids)
+    assert all(cube_contains_cube(q, k) for k in kids)
     assert all(parent(k) == q for k in kids)
 
 
@@ -79,8 +83,8 @@ def test_dilate3_unit_interval():
 def test_dilate3_keeps_center_and_triples_side():
     q = Cube(-1, (1,))
     (lo,), (hi,) = dilate3(q)
-    assert_close((lo + hi) / 2, q.center[0])
-    assert_close(hi - lo, 3 * q.side)
+    assert_close((lo + hi) / 2, cube_center(q)[0])
+    assert_close(hi - lo, 3 * cube_side(q))
 
 
 @given(st.integers(-6, 4), st.lists(st.integers(-20, 20), min_size=1, max_size=3))
@@ -92,8 +96,8 @@ def test_dilate3_volume_scaling(level, index):
 def test_cell_boundary_belongs_to_right_cell(unit_window):
     # half-open convention: the boundary point starts the next cell
     assert cell_index_of_point(unit_window, (0.5,)) == (2,)
-    assert Cube(-2, (2,)).contains_point((0.5,))
-    assert not Cube(-2, (1,)).contains_point((0.5,))
+    assert cube_contains_point(Cube(-2, (2,)), (0.5,))
+    assert not cube_contains_point(Cube(-2, (1,)), (0.5,))
 
 
 def test_cell_and_ancestors_of_point(unit_window):
@@ -111,7 +115,7 @@ def test_cell_and_ancestors_match_membership_filter():
         x = tuple(rng.uniform(lo, hi) for lo, hi in zip(*window_box(w)))
         cell = Cube(w.level_min, cell_index_of_point(w, x))
         got = {cell, *ancestors(cell, w)}
-        want = {q for q in all_cubes(w) if q.contains_point(x)}
+        want = {q for q in all_cubes(w) if cube_contains_point(q, x)}
         assert got == want
 
 
@@ -138,7 +142,7 @@ def test_nested_pairs_single_level_only_diagonal():
 def test_nested_pairs_are_setwise_nested():
     w = Window(2, -1, 0)
     for q, p in nested_pairs(w):
-        assert p.contains_cube(q)
+        assert cube_contains_cube(p, q)
 
 
 def test_levels_tile_window_box():
@@ -157,7 +161,7 @@ def test_nesting_trichotomy(l1, m1, l2, m2):
     inter_lo = max(a_lo, b_lo)
     inter_hi = min(a_hi, b_hi)
     disjoint = inter_lo >= inter_hi
-    assert disjoint or a == b or a.contains_cube(b) or b.contains_cube(a)
+    assert disjoint or a == b or cube_contains_cube(a, b) or cube_contains_cube(b, a)
 
 
 def test_window_validation():
@@ -189,4 +193,4 @@ def test_cell_offsets_cover_cube():
     for off in itertools.product(*(range(s.start, s.stop) for s in sl)):
         idx = tuple(o + a for o, a in zip(off, w.cell_index_lo))
         center = w.cell_center(idx)
-        assert q.contains_point(center)
+        assert cube_contains_point(q, center)

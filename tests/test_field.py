@@ -21,6 +21,7 @@ from oracles import (
     all_cubes,
     cell_average,
     cube_box,
+    cube_center,
     dilate3,
     indicator,
     nested_pairs,
@@ -65,7 +66,7 @@ def test_cell_average_dilate3_linear_is_center_value():
     win = Window(1, -4, 0)
     b = LatticeFunction.from_callable(win, lambda x: 2.0 * x + 0.25)
     q = Cube(-3, (0,))  # 3Q = [-1/8, 1/4) well inside
-    assert_close(cell_average(b, dilate3(q)), 2.0 * q.center[0] + 0.25)
+    assert_close(cell_average(b, dilate3(q)), 2.0 * cube_center(q)[0] + 0.25)
 
 
 @pytest.mark.parametrize("window, cube", [

@@ -76,6 +76,8 @@ def test_parse_config_errors():
         parse_config("dim = 1\n")  # missing experiment
     with pytest.raises(ValidationError):
         parse_config("experiment = T25\nexperiment = T25\n")
+    with pytest.raises(ValidationError, match="unknown key 'trails'"):
+        parse_config("experiment = T21\ntrails = 3\n")  # a typo of trials
 
 
 def test_ratio_conventions():

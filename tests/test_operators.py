@@ -12,7 +12,6 @@ from morreylab.operators import (
     bt_alpha,
     commutator_iterated,
     dyadic_radii,
-    kernel_cell_averages,
 )
 
 from conftest import assert_close, random_lattice
@@ -244,29 +243,3 @@ def test_dyadic_radii_span(sym_window):
     radii = dyadic_radii(sym_window)
     assert radii[0] == 2.0 ** (sym_window.level_min - 1)
     assert radii[-1] == 2.0 ** sym_window.level_max
-
-
-def test_kernel_cache_reuse(sym_window):
-    k1 = kernel_cell_averages(0.5, sym_window)
-    k2 = kernel_cell_averages(0.5, sym_window)
-    assert k1 is k2
-    assert not k1.flags.writeable
-
-
-def test_kernel_cache_is_a_bounded_lru():
-    kernel_cell_averages.cache_clear()
-    size = kernel_cell_averages.cache_info().maxsize
-    assert size == 8
-    win = Window(2, -2, 0)
-    first = kernel_cell_averages(0.5, win)
-    first_values = first.copy()
-    kept = kernel_cell_averages(0.25, win)
-    for i in range(2 * size):
-        kernel_cell_averages(0.5 + 0.01 * (i + 1), win, depth=4)
-        assert kernel_cell_averages(0.25, win) is kept  # used every time: never evicted
-        assert kernel_cell_averages.cache_info().currsize <= size
-    assert kernel_cell_averages.cache_info().currsize == size
-    again = kernel_cell_averages(0.5, win)
-    assert again is not first  # evicted, so recomputed
-    assert np.array_equal(again, first_values)
-    assert kernel_cell_averages(0.5, win) is again
