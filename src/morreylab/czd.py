@@ -14,10 +14,12 @@ yields a forest with four exactly testable invariants:
 The threshold factor A = (4 * 18^n)^(1/t1 + 1/t2) is exactly what makes the
 measure bound work through the weak (1,1) bound of the maximal function.  A
 second variant weights the product by |Q|^(alpha/n).  Both read one table of
-the functional per level and sweep cell masks top-down, stopping a cube when
-it crosses the threshold below no stopped ancestor, so maximality holds by
-construction; both stop when a level comes up empty (bounded data forces
-this; a safety cap of 64 * level span guards the loop and is reported if hit).
+the functional per level of Q0's subtree (the cubes inside Q0, whose 3Q reach
+at most one cube beyond it, so no other cell is read) and sweep cell masks
+top-down, stopping a cube when it crosses the threshold below no stopped
+ancestor, so maximality holds by construction; both stop when a level comes
+up empty (bounded data forces this; a safety cap of 64 * level span guards
+the loop and is reported if hit).
 
 Every cell set is a boolean mask over the finest cells of one cube: E_0
 over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
@@ -56,30 +58,31 @@ class Decomposition:
     cap_hit: bool = False
 
 
-def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float,
+def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float, q0: Cube,
                        alpha: float = None) -> dict[int, np.ndarray]:
-    """Per level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q,
-    times |Q|^(alpha/n) unless alpha is None; in cube-index order, as level_means."""
+    """Per level from level_min to q0.level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2)
+    of every cube Q inside q0, times |Q|^(alpha/n) unless alpha is None; in cube-index order
+    from q0's first subcube of the level, as dilated_means.  Raises unless q0 is a window cube,
+    before any table is built."""
     _require_unbatched(f, g)
     window = f.window
+    if not window.contains_cube(q0):
+        raise ValueError(f"base cube {q0} not inside window")
     n = window.dim
-    pf = np.abs(f.values) ** t1
-    pg = np.abs(g.values) ** t2
+    powers = np.stack((np.abs(f.values) ** t1, np.abs(g.values) ** t2))
 
     def table(level):  # |Q|^(alpha/n) multiplies last: the forest goldens fix this float order
-        val = dilated_means(pf, window, level) ** (1.0 / t1) \
-            * dilated_means(pg, window, level) ** (1.0 / t2)
+        mf, mg = dilated_means(powers, window, level, q0)
+        val = mf ** (1.0 / t1) * mg ** (1.0 / t2)
         return val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
 
-    return {level: table(level) for level in window.levels()}
+    return {level: table(level) for level in range(window.level_min, q0.level + 1)}
 
 
-def _table_value(tables: dict, window: Window, q: Cube) -> float:
-    return float(tables[q.level][_offsets(window, q)])
-
-
-def _offsets(window: Window, q: Cube) -> tuple[int, ...]:
-    return tuple(m - a for m, a in zip(q.index, window.index_lo(q.level)))
+def _table_value(tables: dict, q0: Cube, q: Cube) -> float:
+    """The table entry of a window cube q inside q0."""
+    return float(tables[q.level][tuple(m - (a << (q0.level - q.level))
+                                       for m, a in zip(q.index, q0.index))])
 
 
 def _maximal_cubes(tables: dict, window: Window, q0: Cube,
@@ -88,18 +91,18 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube,
     in (level, index) order, and the cell mask of their union D_k."""
     per_level: list[list[Cube]] = []
     union = np.zeros(window.shape, dtype=bool)
-    open_ = np.zeros(tables[q0.level].shape, dtype=bool)  # under q0, no stopped ancestor
-    open_[_offsets(window, q0)] = True
+    q0_cells = window.cell_offsets_of_cube(q0)
+    open_ = np.ones((1,) * window.dim, dtype=bool)  # cubes of q0 with no stopped ancestor
     for level in range(q0.level, window.level_min - 1, -1):
         if level < q0.level:
             for axis in range(window.dim):
                 open_ = np.repeat(open_, 2, axis=axis)
         hit = open_ & (tables[level] > threshold)
         if hit.any():
-            lo = window.index_lo(level)
-            per_level.append([Cube(level, tuple(int(i) + a for i, a in zip(at, lo)))
+            first = [m << (q0.level - level) for m in q0.index]
+            per_level.append([Cube(level, tuple(int(i) + a for i, a in zip(at, first)))
                               for at in np.argwhere(hit)])
-            union |= expand_level(hit, window, level)
+            union[q0_cells] |= expand_level(hit, window, level)
         open_ &= ~hit
         if not open_.any():
             break
@@ -107,9 +110,7 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube,
 
 
 def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decomposition:
-    if not window.contains_cube(q0):
-        raise ValueError(f"base cube {q0} not inside window")
-    gamma = _table_value(tables, window, q0)
+    gamma = _table_value(tables, q0, q0)
     span = max(1, window.level_max - window.level_min)
     cap = span * 64
     levels: dict[int, tuple[Cube, ...]] = {}
@@ -143,7 +144,7 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
         raise ValueError("theta1 and theta2 must exceed 1")
     window = _same_window(f, g)
     factor = (4.0 * 18.0 ** window.dim) ** (1.0 / theta1 + 1.0 / theta2)
-    return _decompose(window, q0, _functional_tables(f, g, theta1, theta2), factor)
+    return _decompose(window, q0, _functional_tables(f, g, theta1, theta2, q0), factor)
 
 
 def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
@@ -156,7 +157,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     if not 0.0 <= alpha < n:
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
     factor = (4.0 * 18.0 ** n) ** (1.0 / r1 + 1.0 / r2)
-    return _decompose(window, q0, _functional_tables(f, g, r1, r2, alpha), factor)
+    return _decompose(window, q0, _functional_tables(f, g, r1, r2, q0, alpha), factor)
 
 
 def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunction,
@@ -172,10 +173,17 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     The functional tables are rebuilt from (f, g) rather than taken from the
     decomposition: `morreylab decompose` and CZ_INV use this as a recheck
     independent of whatever built the forest, at the cost of one more table
-    pass per call.
+    pass per call.  f, g and the forest must live on window.  A stopping cube
+    that is not a window cube inside Q0 is reported, and then nothing else is
+    checked: the tables hold Q0's subtree only.
     """
-    bad: list[str] = []
-    tables = _functional_tables(f, g, t1, t2, alpha)
+    if _same_window(f, g) != window:
+        raise ValueError("inputs must live on the given window")
+    tables = _functional_tables(f, g, t1, t2, d.base, alpha)
+    bad = [f"containment: level {k} cube {q} not inside Q0"
+           for k, cubes in d.levels.items() for q in cubes if not _inside(window, d.base, q)]
+    if bad:
+        return bad
     n = window.dim
     upper = 2.0 ** (n * (1.0 / t1 + 1.0 / t2))
     span = 1 << (d.base.level - window.level_min)
@@ -196,7 +204,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     for k, cubes in d.levels.items():
         threshold = d.gamma * d.factor ** k
         for q, e in zip(cubes, d.exceptional[k]):
-            val = _table_value(tables, f.window, q)
+            val = _table_value(tables, d.base, q)
             if not val > threshold:
                 bad.append(f"sandwich lower: level {k} cube {q} value {val} <= {threshold}")
             if val > upper * threshold * (1.0 + 1e-12):
@@ -212,7 +220,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
                 bad.append(f"partition: E-cells of level {k} cube {q} overlap earlier sets")
             covered[slq] |= e
             for anc in ancestors(q, window)[:d.base.level - q.level]:
-                if _table_value(tables, f.window, anc) > threshold:
+                if _table_value(tables, d.base, anc) > threshold:
                     bad.append(f"maximality: ancestor {anc} of level {k} cube {q} "
                                f"crosses the level-{k} threshold")
             if (k, q) in seen:
@@ -225,6 +233,12 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     if base_cells > 2 * e0_cells:
         bad.append(f"measure: |Q0|={base_cells} cells > 2|E0|={2 * e0_cells}")
     return bad
+
+
+def _inside(window: Window, q0: Cube, q: Cube) -> bool:
+    """Whether q is a window cube inside the window cube q0."""
+    return (q.dim == q0.dim and window.level_min <= q.level <= q0.level
+            and all(m >> (q0.level - q.level) == a for m, a in zip(q.index, q0.index)))
 
 
 def decomposition_to_json(d: Decomposition, window: Window) -> dict:

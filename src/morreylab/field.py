@@ -3,8 +3,9 @@
 A LatticeFunction holds one value per finest cell of a Window and is constant
 on each cell, so every average over a cell-aligned region is an exact finite
 sum.  The block reductions below take such sums for all cubes of one level
-at once (means, power means, maxima, and means over the 3-fold dilates 3Q
-clipped to the window, with the clipped cell count as the normalizer).
+at once (means, power means, maxima), or for all cubes of one level inside
+a given cube (means over the 3-fold dilates 3Q clipped to the window, with
+the clipped cell count as the normalizer).
 Every sup over the window's dyadic cubes folds such per-level tables with
 level_sup (one number) or pointwise_level_sup (one sup per cell).
 
@@ -39,14 +40,13 @@ tests/test_quadrature.py keeps the recursion as the oracle.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dyadic import Window
+from .dyadic import Cube, Window
 
 # Corner-refinement depth of the power-weight and kernel quadratures unless a caller sets one.
 DEFAULT_DEPTH = 12
@@ -124,12 +124,17 @@ def _same_window(f: LatticeFunction, *others: Optional[LatticeFunction]) -> Wind
 def _blocks(values: np.ndarray, window: Window, level: int):
     """View with each trailing window axis split into (cubes of the level, entries per cube),
     and the inner axes; leading batch axes stay as they are."""
-    lead = values.ndim - window.dim
-    b = values.shape[-1] // window.index_count(level)
+    return _split(values, window.dim, values.shape[-1] // window.index_count(level))
+
+
+def _split(values: np.ndarray, n: int, b: int):
+    """_blocks for cubes of b entries per axis over the trailing n axes (a copy if values is a
+    strided slice)."""
+    lead = values.ndim - n
     interleaved = list(values.shape[:lead])
     for c in values.shape[lead:]:
         interleaved.extend((c // b, b))
-    return values.reshape(tuple(interleaved)), tuple(range(lead + 1, lead + 2 * window.dim, 2))
+    return values.reshape(tuple(interleaved)), tuple(range(lead + 1, lead + 2 * n, 2))
 
 
 def level_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
@@ -155,34 +160,46 @@ def level_power_means(values: np.ndarray, window: Window, level: int, e: float) 
     return level_means(values ** e, window, level) ** (1.0 / e)
 
 
-def _dilated_sums(values: np.ndarray, window: Window, level: int) -> np.ndarray:
-    """Sums over 3Q clipped to the window, for every cube Q of one level; values holds
-    one entry per finest cell.  3Q is Q and its level neighbours, so the sum adds up
-    the 3^n shifted block sums, taken in a frame of zeros one cube wide."""
-    n = window.dim
+def _dilated_cell_counts(window: Window, level: int, first: Sequence[int], k: int) -> np.ndarray:
+    """The finest cells in 3Q clipped to the window, for the k^n cubes Q of one level whose
+    offsets from the level's first cube start at first: b (min(x + 2, c) - max(x - 1, 0)) per
+    axis at offset x, for c cubes of b cells per axis, multiplied out.  Exact integers, as floats
+    (every product stays far below 2^53)."""
     c = window.index_count(level)
-    blocked, axes = _blocks(values, window, level)
-    sums = np.zeros((c + 2,) * n)
-    blocked.sum(axis=axes, out=sums[(slice(1, -1),) * n])
-    total = np.zeros((c,) * n)
-    for shift in itertools.product(range(3), repeat=n):
-        total += sums[tuple(slice(d, d + c) for d in shift)]
-    return total
-
-
-@functools.lru_cache(maxsize=64)
-def _dilated_cells(window: Window, level: int) -> np.ndarray:
-    """The finest cells in 3Q clipped to the window, as _dilated_sums, read-only;
-    cached, since they do not depend on the data."""
-    counts = _dilated_sums(np.ones(window.shape), window, level)
-    counts.setflags(write=False)
+    b = 1 << (level - window.level_min)
+    counts = np.ones(())
+    for x0 in first:
+        counts = np.multiply.outer(counts, [b * (min(x + 2, c) - max(x - 1, 0))
+                                            for x in range(x0, x0 + k)])
     return counts
 
 
-def dilated_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
-    """Means over 3Q clipped to the window, for every cube Q of one level; values holds
-    one entry per finest cell."""
-    return _dilated_sums(values, window, level) / _dilated_cells(window, level)
+def dilated_means(values: np.ndarray, window: Window, level: int, q0: Cube) -> np.ndarray:
+    """Means over 3Q clipped to the window, for every cube Q of one level inside the window
+    cube q0 (level <= q0.level), in cube-index order from q0's first subcube; values holds one
+    entry per finest cell, with leading batch axes.
+
+    3Q is Q and its level neighbours, so each sum adds up the 3^n shifted block sums (in
+    itertools.product order, from 0.0) over q0's cubes and a frame one cube wide, whose cubes
+    outside the window add 0.0.  Only the cells of that frame are read.
+    """
+    n = window.dim
+    k = 1 << (q0.level - level)
+    c = window.index_count(level)
+    b = 1 << (level - window.level_min)
+    first = [m * k - a for m, a in zip(q0.index, window.index_lo(level))]
+    lo = [max(x - 1, 0) for x in first]
+    hi = [min(x + k + 1, c) for x in first]
+    blocked, axes = _split(values[(...,) + tuple(slice(l * b, h * b) for l, h in zip(lo, hi))],
+                           n, b)
+    batch = values.shape[:values.ndim - n]
+    sums = np.zeros(batch + (k + 2,) * n)
+    blocked.sum(axis=axes, out=sums[(...,) + tuple(slice(l - x + 1, h - x + 1)
+                                                   for l, h, x in zip(lo, hi, first))])
+    total = np.zeros(batch + (k,) * n)
+    for shift in itertools.product([slice(d, d + k) for d in range(3)], repeat=n):
+        total += sums[(..., *shift)]
+    return total / _dilated_cell_counts(window, level, first, k)
 
 
 def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:

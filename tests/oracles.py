@@ -7,6 +7,11 @@ the overlap of the box with each cell is a product of interval lengths, and
 the integral is the overlap-weighted sum of cell values.  Boxes are clipped
 to the window and the clipped volume is the normalizer.
 
+dilated_sums and dilated_means are the whole-window form of
+morreylab.field.dilated_means, which reads only one cube's subtree and its
+frame: the same float operations for every cube of the level, so the
+Q0-local means must equal a slice of these bit for bit.
+
 bh_maximal and m_alpha_r_centered are the per-cell, per-radius loop forms of
 morreylab.operators.bh_maximal and of the centered mode of
 morreylab.maximal.m_alpha_r; they share no code with the sums they check.
@@ -23,7 +28,7 @@ import math
 import numpy as np
 
 from morreylab.dyadic import Cube, Window, ancestors
-from morreylab.field import LatticeFunction, _same_window
+from morreylab.field import LatticeFunction, _blocks, _same_window
 from morreylab.operators import dyadic_radii, kernel_cell_averages
 
 
@@ -170,6 +175,45 @@ def power_avg(f: LatticeFunction, box, e: float) -> float:
     if e < 0 and np.any((av == 0.0) & touched):
         raise ValueError("negative exponent with vanishing values on the box")
     return cell_average(LatticeFunction(f.window, av ** float(e)), box) ** (1.0 / e)
+
+
+def dilated_sums(values: np.ndarray, window: Window, level: int) -> np.ndarray:
+    """Sums over 3Q clipped to the window, for every cube Q of one level; values holds
+    one entry per finest cell.  3Q is Q and its level neighbours, so the sum adds up
+    the 3^n shifted block sums, taken in a frame of zeros one cube wide."""
+    n = window.dim
+    c = window.index_count(level)
+    blocked, axes = _blocks(values, window, level)
+    sums = np.zeros((c + 2,) * n)
+    blocked.sum(axis=axes, out=sums[(slice(1, -1),) * n])
+    total = np.zeros((c,) * n)
+    for shift in itertools.product(range(3), repeat=n):
+        total += sums[tuple(slice(d, d + c) for d in shift)]
+    return total
+
+
+def dilated_means(values: np.ndarray, window: Window, level: int) -> np.ndarray:
+    """Means over 3Q clipped to the window, for every cube Q of one level, in cube-index
+    order; the cell counts are dilated_sums of ones."""
+    return dilated_sums(values, window, level) / dilated_sums(np.ones(window.shape), window, level)
+
+
+def functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float,
+                      alpha: float = None) -> dict[int, np.ndarray]:
+    """morreylab.czd's stopping-time tables over the whole window: per level,
+    (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q, times
+    |Q|^(alpha/n) unless alpha is None, in the float order of the library."""
+    window = _same_window(f, g)
+    n = window.dim
+    pf = np.abs(f.values) ** t1
+    pg = np.abs(g.values) ** t2
+
+    def table(level):
+        val = dilated_means(pf, window, level) ** (1.0 / t1) \
+            * dilated_means(pg, window, level) ** (1.0 / t2)
+        return val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
+
+    return {level: table(level) for level in window.levels()}
 
 
 # -- loop operators ---------------------------------------------------------------

@@ -250,19 +250,14 @@ def test_lattice_function_shape_must_end_in_the_window_shape():
 # -- dilated means ------------------------------------------------------------------------
 
 
-def test_dilated_cell_counts_are_a_bounded_cache():
-    cells = field._dilated_cells
-    cells.cache_clear()
-    size = cells.cache_info().maxsize
-    assert size == 64
+def test_dilated_cell_counts_are_clipped_outer_products():
     window = Window(2, -2, 0, origin_offset=(0, -2), top_count=3)
-    counts = cells(window, -1)
-    assert not counts.flags.writeable
     # per axis 6 cubes of side 1/2: the two end cubes see 2 of their 3 neighbours
     axis = np.array([2, 3, 3, 3, 3, 2]) * 2.0
-    assert np.array_equal(counts, np.outer(axis, axis))
-    for i in range(2 * size):
-        cells(Window(1, -1, 0, origin_offset=(i,)), 0)
-        assert cells(window, -1) is counts  # used every time: never evicted
-        assert cells.cache_info().currsize <= size
-    assert cells.cache_info().currsize == size
+    counts = field._dilated_cell_counts(window, -1, (0, 0), 6)
+    assert counts.dtype == float and np.array_equal(counts, np.outer(axis, axis))
+    # the subcubes of one top cube, from offsets (2, 4): the second axis ends at the window edge
+    assert np.array_equal(field._dilated_cell_counts(window, -1, (2, 4), 2),
+                          np.outer(axis[2:4], axis[4:6]))
+    assert np.array_equal(field._dilated_cell_counts(window, -2, (0, 0), 12),
+                          oracles.dilated_sums(np.ones(window.shape), window, -2))

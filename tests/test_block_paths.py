@@ -8,7 +8,9 @@ power_avg, dilate3)
 on windows of both dimensions, every level span 0..3, shifted origins and
 1-3 top cubes per axis, with spiky data.  The czd oracle is the per-cube
 functional and stack walk the decompositions used before they were
-rebuilt on per-level tables.
+rebuilt on per-level tables.  dilated_means and the czd tables cover one
+cube's subtree only; they must equal a slice of the whole-window
+oracles.dilated_means and oracles.functional_tables bit for bit.
 """
 
 import itertools
@@ -41,7 +43,9 @@ from morreylab.weights_norms import (
     two_weight_constant,
 )
 
-from oracles import all_cubes, children, cube_box, cubes_at_level, dilate3, nested_pairs, power_avg
+import oracles
+from oracles import (all_cubes, children, cube_box, cube_contains_cube, cubes_at_level, dilate3,
+                     nested_pairs, power_avg)
 from test_weights_norms import _brute_pair_constant, _e_t21, _e_t22, _e_t27, _e_t28
 
 K = WeightConditionKind
@@ -78,6 +82,16 @@ def _at(window: Window, q: Cube) -> tuple[int, ...]:
     return tuple(m - a for m, a in zip(q.index, window.index_lo(q.level)))
 
 
+def _in(q0: Cube, q: Cube) -> tuple[int, ...]:
+    """The offsets of q inside q0, from q0's first subcube of q's level."""
+    return tuple(m - (a << (q0.level - q.level)) for m, a in zip(q.index, q0.index))
+
+
+def _top(window: Window, q: Cube) -> Cube:
+    """The top-level window cube that contains q."""
+    return Cube(window.level_max, tuple(m >> (window.level_max - q.level) for m in q.index))
+
+
 def _assert_rel(got: float, want: float, msg=""):
     assert abs(got - want) <= TOL * abs(want), f"{got} != {want} {msg}"
 
@@ -88,16 +102,19 @@ def _assert_rel(got: float, want: float, msg=""):
 @pytest.mark.parametrize("window", WINDOWS, ids=repr)
 def test_block_reductions_match_per_cube_averages(window):
     f = LatticeFunction(window, _spiky(window, 11))
+    tops = list(cubes_at_level(window, window.level_max))
     for level in window.levels():
         mx = level_max(f.values, window, level)
         pm = level_power_means(f.values, window, level, 2.5)
-        dm = {e: dilated_means(f.values ** e, window, level) ** (1.0 / e) for e in (1.0, 2.5)}
+        dm = {(e, top): dilated_means(f.values ** e, window, level, top) ** (1.0 / e)
+              for e in (1.0, 2.5) for top in tops}
         for q in cubes_at_level(window, level):
             at = _at(window, q)
+            top = _top(window, q)
             assert mx[at] == power_avg(f, cube_box(q), math.inf)
             _assert_rel(pm[at], power_avg(f, cube_box(q), 2.5), str(q))
-            for e, table in dm.items():
-                _assert_rel(table[at], power_avg(f, dilate3(q), e), f"3Q {q} e={e}")
+            for e in (1.0, 2.5):
+                _assert_rel(dm[e, top][_in(top, q)], power_avg(f, dilate3(q), e), f"3Q {q} e={e}")
         for coarser in range(level + 1, window.level_max + 1):
             stepped = level_max(mx, window, coarser)
             assert np.array_equal(stepped, level_max(f.values, window, coarser))
@@ -239,10 +256,42 @@ def test_functional_tables_match_per_cube_functional(window):
     f = LatticeFunction(window, _spiky(window, 70, lo=0.0))
     g = LatticeFunction(window, _spiky(window, 71))
     for t1, t2, alpha in ((2.0, 2.0, None), (1.5, 3.0, 0.7)):
-        tables = _functional_tables(f, g, t1, t2, alpha)
         oracle = _oracle_functional(f, g, t1, t2, alpha)
-        for q in all_cubes(window):
-            _assert_rel(float(tables[q.level][_at(window, q)]), oracle(q), str(q))
+        for top in cubes_at_level(window, window.level_max):
+            tables = _functional_tables(f, g, t1, t2, top, alpha)
+            for q in all_cubes(window):
+                if cube_contains_cube(top, q):
+                    _assert_rel(float(tables[q.level][_in(top, q)]), oracle(q), str(q))
+
+
+def _q0_slice(table: np.ndarray, window: Window, q0: Cube, level: int) -> np.ndarray:
+    """The entries of a whole-window table of one level that belong to the cubes inside q0."""
+    k = 1 << (q0.level - level)
+    return table[tuple(slice(m * k - a, m * k - a + k)
+                       for m, a in zip(q0.index, window.index_lo(level)))]
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=repr)
+def test_q0_local_tables_are_slices_of_the_whole_window_oracle(window):
+    # Every Q0, window corners and edges included: the frame cubes outside the window add 0.0.
+    f = LatticeFunction(window, _spiky(window, 72, lo=0.0))
+    g = LatticeFunction(window, _spiky(window, 73))
+    pair = np.stack((f.values, g.values))
+    whole = {level: [oracles.dilated_means(v, window, level) for v in pair]
+             for level in window.levels()}
+    keys = [(t1, t2, alpha) for t1, t2 in ((2.0, 2.0), (1.5, 3.0)) for alpha in (None, 0.7)]
+    whole_tables = {key: oracles.functional_tables(f, g, *key) for key in keys}
+    for q0 in all_cubes(window):
+        subtree = range(window.level_min, q0.level + 1)
+        for level in subtree:
+            means = dilated_means(pair, window, level, q0)
+            for i in range(2):
+                assert np.array_equal(means[i], _q0_slice(whole[level][i], window, q0, level))
+        for key in keys:
+            tables = _functional_tables(f, g, key[0], key[1], q0, key[2])
+            assert list(tables) == list(subtree)
+            for level, table in tables.items():
+                assert np.array_equal(table, _q0_slice(whole_tables[key][level], window, q0, level))
 
 
 def _co_spiked(window: Window, q0: Cube, seed: int, spikes: int):

@@ -102,6 +102,27 @@ def _violations(d, w, f) -> list[str]:
     return verify_decomposition(d, f, f, w, 2.0, 2.0)
 
 
+def test_verify_reports_stopping_cubes_outside_q0():
+    # The tables hold Q0's subtree only: a cube outside Q0 must be reported, not read
+    # at a wrapped offset.  Mirrored about 0, a stopping cube of the forest over [0, 1/2)
+    # lies in [-1/2, 0), where f has the mirrored spike.
+    w = Window(1, -14, 0)
+    vals = np.full(w.shape, 0.01)
+    spike = w.n_cells // 2 + 1234
+    vals[spike] = vals[w.n_cells - 1 - spike] = 1e6
+    f = LatticeFunction(w, vals)
+    d = cz_decompose(f, f, Cube(-1, (0,)), 2.0, 2.0)
+    assert _violations(d, w, f) == [] and d.levels
+    mirrored = tuple(Cube(q.level, (-1 - q.index[0],)) for q in d.levels[1])
+    above = Cube(0, (0,))  # Q0's parent
+    bad = dataclasses.replace(
+        d, levels={**d.levels, 1: d.levels[1] + mirrored + (above,)},
+        exceptional={**d.exceptional, 1: d.exceptional[1] + tuple(e[::-1] for e in d.exceptional[1])
+                     + (np.ones(1 << 14, dtype=bool),)})
+    assert _violations(bad, w, f) == [f"containment: level 1 cube {q} not inside Q0"
+                                      for q in mirrored + (above,)]
+
+
 def test_verify_reports_untiled_e0():
     w, f, d = _two_level_forest()
     assert _violations(d, w, f) == []
@@ -198,6 +219,14 @@ _ONE = LatticeFunction.constant(Window(1, -3, 0), 1.0)
 _FINER = LatticeFunction.constant(Window(1, -4, 0), 1.0)
 _UNIT = Weight.constant(Window(1, -3, 0), 1.0)
 _SHIFTED = Weight.constant(Window(1, -3, 0, origin_offset=(0,)), 1.0)  # same shape, moved
+_F9 = LatticeFunction.constant(Window(1, -9, 0), 1.0)
+_G9_SHIFTED = LatticeFunction.constant(Window(1, -9, 0, origin_offset=(0,)), 1.0)
+
+
+def _verify_on(g, window):
+    """verify_decomposition of f's forest over [0, 1/2), with g and window as given."""
+    return verify_decomposition(cz_decompose(_F9, _F9, Cube(-1, (0,)), 2.0, 2.0), _F9, g, window,
+                                2.0, 2.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -211,7 +240,10 @@ _SHIFTED = Weight.constant(Window(1, -3, 0, origin_offset=(0,)), 1.0)  # same sh
     lambda: morrey_norm(_ONE, 2.0, 1.5, _SHIFTED),
     lambda: lemma39_check(_UNIT, _SHIFTED, 2.0, 2.0, 1.5),
     lambda: commutator_iterated(CommutatorSpec((_FINER,), (1,)), _ONE, _ONE, 0.5),
-], ids=["cz", "cz_alpha", "rhs_from", "C211", "morrey_norm", "lemma39", "commutator_symbol"])
+    lambda: _verify_on(_G9_SHIFTED, _F9.window),
+    lambda: _verify_on(_F9, _G9_SHIFTED.window),
+], ids=["cz", "cz_alpha", "rhs_from", "C211", "morrey_norm", "lemma39", "commutator_symbol",
+        "verify_g", "verify_window"])
 def test_inputs_must_share_a_window(call):
     with pytest.raises(ValueError, match="(same|given) window"):
         call()
