@@ -85,6 +85,12 @@ def _table_value(tables: dict, q0: Cube, q: Cube) -> float:
                                        for m, a in zip(q.index, q0.index))])
 
 
+def _inside(window: Window, q0: Cube, q: Cube) -> bool:
+    """Whether q is a window cube inside the window cube q0."""
+    return (q.dim == q0.dim and window.level_min <= q.level <= q0.level
+            and all(m >> (q0.level - q.level) == a for m, a in zip(q.index, q0.index)))
+
+
 def _maximal_cubes(tables: dict, window: Window, q0: Cube,
                    threshold: float) -> tuple[list[Cube], np.ndarray]:
     """Cubes inside q0 whose functional exceeds threshold and no ancestor's does,
@@ -233,12 +239,6 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     if base_cells > 2 * e0_cells:
         bad.append(f"measure: |Q0|={base_cells} cells > 2|E0|={2 * e0_cells}")
     return bad
-
-
-def _inside(window: Window, q0: Cube, q: Cube) -> bool:
-    """Whether q is a window cube inside the window cube q0."""
-    return (q.dim == q0.dim and window.level_min <= q.level <= q0.level
-            and all(m >> (q0.level - q.level) == a for m, a in zip(q.index, q0.index)))
 
 
 def decomposition_to_json(d: Decomposition, window: Window) -> dict:
