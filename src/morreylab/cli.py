@@ -12,7 +12,6 @@ report counts some, or the decomposition fails verify_decomposition).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .czd import decomposition_to_json
@@ -26,6 +25,7 @@ from .harness import (
     _make_weight,
     _pair_at,
     _q0,
+    _write_json,
     config_from_pairs,
     emit_report,
     parse_config,
@@ -94,9 +94,7 @@ def _cmd_decompose(args) -> int:
     q0 = _q0(cfg, win)
     f, g = _pair_at(cfg, 0, win)
     d, bad = _decompose(cfg, cfg.params.get("kind", "cz"), f, g, q0)
-    with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(decomposition_to_json(d, win), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(decomposition_to_json(d, win), args.json)
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")
     if bad:

@@ -29,7 +29,7 @@ invariants need no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,6 +115,11 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube,
     return [q for cubes in reversed(per_level) for q in cubes], union
 
 
+def _threshold_factor(n: int, t1: float, t2: float) -> float:
+    """The ratio A = (4 * 18^n)^(1/t1 + 1/t2) between consecutive stopping thresholds."""
+    return (4.0 * 18.0 ** n) ** (1.0 / t1 + 1.0 / t2)
+
+
 def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decomposition:
     gamma = _table_value(tables, q0, q0)
     span = max(1, window.level_max - window.level_min)
@@ -149,7 +154,7 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     if theta1 <= 1 or theta2 <= 1:
         raise ValueError("theta1 and theta2 must exceed 1")
     window = _same_window(f, g)
-    factor = (4.0 * 18.0 ** window.dim) ** (1.0 / theta1 + 1.0 / theta2)
+    factor = _threshold_factor(window.dim, theta1, theta2)
     return _decompose(window, q0, _functional_tables(f, g, theta1, theta2, q0), factor)
 
 
@@ -162,7 +167,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     n = window.dim
     if not 0.0 <= alpha < n:
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
-    factor = (4.0 * 18.0 ** n) ** (1.0 / r1 + 1.0 / r2)
+    factor = _threshold_factor(n, r1, r2)
     return _decompose(window, q0, _functional_tables(f, g, r1, r2, q0, alpha), factor)
 
 
@@ -268,13 +273,7 @@ def decomposition_to_json(d: Decomposition, window: Window) -> dict:
         "levels": levels,
         "e_cells": cell_list(d.e0, d.base),
         "cap_hit": d.cap_hit,
-        "window": {
-            "dim": window.dim,
-            "level_min": window.level_min,
-            "level_max": window.level_max,
-            "origin_offset": list(window.origin_offset),
-            "top_count": window.top_count,
-        },
+        "window": asdict(window),
     }
 
 

@@ -32,7 +32,7 @@ The rule is defined by a per-box corner recursion, but it runs as arrays:
 every cell that misses the origin takes a fixed-depth tensor midpoint rule,
 evaluated for the whole window in one pass (_midpoint_rule), and only the
 chain of sub-boxes touching the origin recurses (_avg_abs_power_box), one
-array call per level.  Both repeat the recursion's floating-point operations
+_grid_averages call per level.  Both repeat the recursion's floating-point operations
 in its order, so the cell values are bit-identical to it by construction;
 tests/test_quadrature.py keeps the recursion as the oracle.
 """
@@ -354,6 +354,18 @@ def _select(lo, hi, positions):
             [[ah[k] for k in ks] for ah, ks in zip(hi, positions)])
 
 
+def _grid_averages(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
+                   depth: int) -> np.ndarray:
+    """Averages of |x|^gamma over a grid of boxes (given as in _midpoint_rule), n >= 2:
+    _midpoint_rule at depth min(depth, _REG_DEPTH) on every box, then the boxes that touch
+    the origin overwritten by their _avg_abs_power_box recursion at the full depth."""
+    vals = _midpoint_rule(lo, hi, gamma, min(depth, _REG_DEPTH))
+    near = _touching(lo, hi)
+    if all(near):
+        vals[np.ix_(*near)] = _avg_abs_power_box(*_select(lo, hi, near), gamma, depth)
+    return vals
+
+
 def _avg_abs_power_box(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
                        depth: int) -> np.ndarray:
     """Averages of |x|^gamma over a grid of boxes that all touch the origin, n >= 2.
@@ -363,10 +375,9 @@ def _avg_abs_power_box(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[floa
     sub-boxes touching the origin keeps the full depth budget and recurses,
     the other sub-boxes get _midpoint_rule at depth min(budget, _REG_DEPTH),
     and an exhausted budget falls back to the midpoint value.  One level of
-    the chain is one _midpoint_rule call on every sub-box of the grid (the
-    values of the touching ones are then replaced) and one _fold.  The
-    uncontrolled remainder sits in the innermost corner box of volume
-    2^(-n*depth) times the box.
+    the chain is one _grid_averages call on every sub-box of the grid at
+    depth - 1 and one _fold.  The uncontrolled remainder sits in the
+    innermost corner box of volume 2^(-n*depth) times the box.
     """
     n = len(lo)
     if gamma <= -n:
@@ -378,20 +389,17 @@ def _avg_abs_power_box(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[floa
         mids = [(a + b) / 2.0 for a, b in zip(box_lo, box_hi)]
         sub_lo.append([x for a, m in zip(box_lo, mids) for x in (a, m)])
         sub_hi.append([x for m, b in zip(mids, box_hi) for x in (m, b)])
-    vals = _midpoint_rule(sub_lo, sub_hi, gamma, min(depth - 1, _REG_DEPTH))
-    near = _touching(sub_lo, sub_hi)
-    vals[np.ix_(*near)] = _avg_abs_power_box(*_select(sub_lo, sub_hi, near), gamma, depth - 1)
-    return _fold_halves(vals, n)
+    return _fold_halves(_grid_averages(sub_lo, sub_hi, gamma, depth - 1), n)
 
 
 def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> np.ndarray:
     """Cell-average array of |x|^gamma over every finest cell of the window.
 
     n = 1 uses the closed-form antiderivative (exact), cell by cell.  n >= 2
-    runs _midpoint_rule at depth min(depth, _REG_DEPTH) on the grid of all
-    cells in one array pass, then overwrites the at most 2^n cells that touch
-    the origin with their _avg_abs_power_box recursion at the full depth.
-    The values are bit-identical to a corner recursion run cell by cell.
+    runs _grid_averages on the grid of all cells: one _midpoint_rule array
+    pass, and the full-depth recursion for the at most 2^n cells that touch
+    the origin.  The values are bit-identical to a corner recursion run cell
+    by cell.
     """
     n = window.dim
     if gamma <= -n and window.contains_point((0.0,) * n):
@@ -401,14 +409,7 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
     hi = [[v + h for v in axis] for axis in lo]
     if n == 1:
         return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a) for a, b in zip(lo[0], hi[0])])
-    near = _touching(lo, hi)
-    at_origin = None
-    if all(near):
-        at_origin = _avg_abs_power_box(*_select(lo, hi, near), gamma, depth)
-    vals = _midpoint_rule(lo, hi, gamma, min(depth, _REG_DEPTH))
-    if at_origin is not None:
-        vals[np.ix_(*near)] = at_origin
-    return vals
+    return _grid_averages(lo, hi, gamma, depth)
 
 
 def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:

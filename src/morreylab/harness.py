@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -97,9 +97,7 @@ class ExperimentConfig:
     raw: tuple
 
     def window_at(self, stage: int) -> Window:
-        w = self.window
-        return Window(w.dim, w.level_min - stage, w.level_max,
-                      origin_offset=w.origin_offset, top_count=w.top_count)
+        return replace(self.window, level_min=self.window.level_min - stage)
 
 
 def _parse_value(key: str, text: str):
@@ -744,13 +742,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         "seed": cfg.seed,
         "trials": cfg.trials,
         "refinements": list(cfg.refinements),
-        "window": {
-            "dim": cfg.window.dim,
-            "level_min": cfg.window.level_min,
-            "level_max": cfg.window.level_max,
-            "origin_offset": list(cfg.window.origin_offset),
-            "top_count": cfg.window.top_count,
-        },
+        "window": asdict(cfg.window),
         "config": {k: v for k, v in cfg.raw},
         "per_refinement": stages,
         "growth_factors": factors,
@@ -788,6 +780,14 @@ def _json_safe(obj):
     return str(obj)
 
 
+def _write_json(obj, path) -> None:
+    """Write obj through _json_safe as sorted, indented JSON with a final newline;
+    byte-stable for equal objects."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_json_safe(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def emit_report(report: Report, path) -> tuple[str, str]:
     """Write <path>.csv (rows) and <path>.json (summary); byte-stable per seed."""
     path = str(path)
@@ -801,7 +801,5 @@ def emit_report(report: Report, path) -> tuple[str, str]:
         lines.append(",".join(cells))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(report.summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report.summary, json_path)
     return csv_path, json_path

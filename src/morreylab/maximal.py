@@ -38,27 +38,18 @@ from .field import (
 from .operators import dyadic_radii
 
 
-def _shifted(x: np.ndarray, s: int, axis: int) -> np.ndarray:
-    """y[m] = x[m - s] along axis, zero where m - s falls outside x."""
-    y = np.zeros_like(x)
-    dst = [slice(None)] * x.ndim
-    src = [slice(None)] * x.ndim
-    dst[axis], src[axis] = (slice(s, None), slice(None, -s)) if s > 0 \
-        else (slice(None, s), slice(-s, None))
-    y[tuple(dst)] = x[tuple(src)]
-    return y
-
-
 def _axis_window_sums(a: np.ndarray, axis: int, ks):
     """Yield, for each K in ks (increasing powers of two), the sum along axis of
     a[m + d] over |d| < K plus half of a[m - K] and a[m + K]; a must be zero
-    within max(ks) of both ends of the axis."""
+    within max(ks) + 1 of both ends of the axis.  Then every entry np.roll wraps
+    around is a +0.0 of that padding: w reaches k cells past a, is shifted by
+    k + 1, and 2k + 1 <= max(ks)."""
     w, k = a, 0  # w[m] = sum of a[m + d] over |d| <= k
     for big_k in ks:
         while k < big_k - 1:
-            w = _shifted(w, k + 1, axis) + a + _shifted(w, -k - 1, axis)
+            w = np.roll(w, k + 1, axis) + a + np.roll(w, -k - 1, axis)
             k = 2 * k + 1
-        yield w + 0.5 * (_shifted(a, big_k, axis) + _shifted(a, -big_k, axis))
+        yield w + 0.5 * (np.roll(a, big_k, axis) + np.roll(a, -big_k, axis))
 
 
 def _cube_sums(a: np.ndarray, ks, n: int):

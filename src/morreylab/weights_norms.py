@@ -25,8 +25,8 @@ max over Q' of factor * (block max of the inner part over Q in Q') * outer;
 float products by a positive factor are monotone, so this is exact.
 
 Every entry point checks that its functions and weights share one window
-through field._same_window, except two_weight_constant, which compares its
-weights with its window argument.
+through field._same_window; two_weight_constant then also compares that
+window with its window argument.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def two_weight_constant(kind: WeightConditionKind, v: Optional[Weight], w1: Weig
         raise ValueError(f"{kind.value}: inadmissible {e.regime} set: {'; '.join(violations)}")
     if kind.regime == "T21" and (e.s < 1.0) != (kind is WeightConditionKind.C22):
         raise ValueError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
-    if any(x is not None and x.window != window for x in (v, w1, w2)):
+    if _same_window(w1, v, w2) != window:
         raise ValueError("weights must live on the given window")
     n = window.dim
     inv1, inv2 = 1.0 / w1.values, 1.0 / w2.values
