@@ -14,12 +14,16 @@ Translated sample points x +- y_c land exactly on lattice corners when x and
 y_c are both cell centers, so the scheme reduces to index shifts and the
 whole operator is a kernel-weighted correlation of the two cell arrays.
 Samples falling outside the window contribute 0 (inputs are treated as
-compactly supported on the window).
+compactly supported on the window).  For a window of c cells per axis the
+only kernel cells with a nonzero term are those with |y_i| < c h / 2, so the
+kernel runs over the centred block of 2 ceil(c/2) cells per axis, wherever
+the window sits: the operator commutes with translations of the window by
+whole cells.  For the default window the block is the window's own cells.
 
-The correlation runs over an offset plan, built once per (alpha, window,
-depth) and cached: for each kernel cell y_c, the kernel average on it and
-the band of output cells x whose samples x - y_c and x + y_c both fall
-inside the window, as one slice of the output and one of each input.  The
+The correlation runs over an offset plan, built once per (alpha, dim, c,
+level_min, depth) and cached: for each kernel cell y_c, the kernel average
+on it and the band of output cells x whose samples x - y_c and x + y_c both
+fall inside the window, as one slice of the output and one of each input.  The
 plan is the only cache here, so the kernel quadrature runs once per plan.
 Outside its band a term is an exact zero, and the running sum starts at
 +0.0, so leaving those terms out changes no bit of the result.  Every
@@ -48,31 +52,40 @@ def kernel_cell_averages(alpha: float, window: Window, depth: int = DEFAULT_DEPT
     return abs_power_cell_averages(alpha - window.dim, window, depth)
 
 
-def _axis_bands(c: int, m: int) -> list:
-    """Per kernel offset j along one axis (kernel cell index j + m), the slices of
-    the output cells x, of f at x - y and of g at x + y, or None if no x has both
-    samples inside the window: f reads cell x - j - m, g reads cell x + j + m + 1."""
+def _kernel_block(dim: int, c: int, level_min: int) -> Window:
+    """The kernel cells of a window of c cells per axis at level_min: the centred
+    block of cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis."""
+    half = (c + 1) // 2
+    return Window(dim, level_min, level_min, origin_offset=(-half,) * dim, top_count=2 * half)
+
+
+def _axis_bands(c: int) -> list:
+    """Per kernel cell index d = -ceil(c/2) .. ceil(c/2) - 1 along one axis, the
+    slices of the output cells x, of f at x - y and of g at x + y, or None if no x
+    has both samples inside the c cells: f reads cell x - d, g reads cell x + d + 1."""
+    half = (c + 1) // 2
     bands = []
-    for j in range(c):
-        d = j + m
+    for d in range(-half, half):
         lo, hi = max(0, d, -d - 1), min(c, c + d, c - 1 - d)
         bands.append((slice(lo, hi), slice(lo - d, hi - d), slice(lo + d + 1, hi + d + 1))
                      if lo < hi else None)
     return bands
 
 
-# Bounded, so a long sweep over alphas or windows holds at most 8 plans.
+# Bounded, so a long sweep over alphas or window sizes holds at most 8 plans.
 @functools.lru_cache(maxsize=8)
-def _offset_plan(alpha: float, window: Window, depth: int) -> tuple:
-    """The (kernel value, out slice, f slice, g slice) of every kernel offset with a
-    non-empty band, in np.ndindex order; each slice leads with ... for batch axes."""
-    kern = kernel_cell_averages(alpha, window, depth)
-    axes = [_axis_bands(window.cells_per_axis, m) for m in window.cell_index_lo]
+def _offset_plan(alpha: float, dim: int, c: int, level_min: int, depth: int) -> tuple:
+    """The (kernel value, out slice, f slice, g slice) of every kernel cell of
+    _kernel_block with a non-empty band, in np.ndindex order; each slice leads with
+    ... for batch axes.  Windows that differ only in position share one plan."""
+    block = _kernel_block(dim, c, level_min)
+    kern = kernel_cell_averages(alpha, block, depth)
+    bands = _axis_bands(c)
     plan = []
-    for j_off in np.ndindex(window.shape):
-        bands = [axis[j] for axis, j in zip(axes, j_off)]
-        if all(bands):
-            plan.append((kern[j_off], *((Ellipsis, *sl) for sl in zip(*bands))))
+    for j_off in np.ndindex(block.shape):
+        per_axis = [bands[j] for j in j_off]
+        if all(per_axis):
+            plan.append((kern[j_off], *((Ellipsis, *sl) for sl in zip(*per_axis))))
     return tuple(plan)
 
 
@@ -117,7 +130,8 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
     fv, gv = f.values, g.values
     bvs = [(b.values, slot) for b, slot in symbols]
     out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape, *(b.shape for b, _ in bvs)))
-    for kern, osl, fsl, gsl in _offset_plan(alpha, window, depth):
+    for kern, osl, fsl, gsl in _offset_plan(alpha, n, window.cells_per_axis, window.level_min,
+                                            depth):
         term = kern * fv[fsl] * gv[gsl]
         for b, slot in bvs:
             term = term * (b[osl] - b[fsl if slot == 1 else gsl])

@@ -19,7 +19,10 @@ multilinear_fractional looks every factor up cell by cell at the translated
 point, a second construction of bilinear_fractional.  correlation is the
 kernel-offset loop that morreylab.operators._correlation replaced with its
 band-limited offset plan: every offset over whole zero-padded arrays, so it
-adds the exact-zero terms the plan leaves out.
+adds the exact-zero terms the plan leaves out.  Both take their kernel cells
+from kernel_window: for c cells per axis, the 2 ceil(c/2) cells per axis
+centred on the origin, which hold every y with |y_i| < c h / 2 wherever the
+window sits.
 """
 
 import itertools
@@ -301,6 +304,13 @@ def m_alpha_r_centered(f: LatticeFunction, g: LatticeFunction, alpha: float,
     return LatticeFunction(window, out)
 
 
+def kernel_window(window: Window) -> Window:
+    """The kernel cells of window: cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis."""
+    half = (window.cells_per_axis + 1) // 2
+    return Window(window.dim, window.level_min, window.level_min,
+                  origin_offset=(-half,) * window.dim, top_count=2 * half)
+
+
 def multilinear_fractional(fs, thetas, alpha: float, depth: int = 12) -> LatticeFunction:
     """k-linear fractional integral with translation speeds theta_j != 0.
 
@@ -322,10 +332,11 @@ def multilinear_fractional(fs, thetas, alpha: float, depth: int = 12) -> Lattice
     n = window.dim
     if not 0.0 < alpha < n:
         raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
-    kern = kernel_cell_averages(alpha, window, depth)
-    c = window.cells_per_axis
+    kwin = kernel_window(window)
+    kern = kernel_cell_averages(alpha, kwin, depth)
+    c, k = window.cells_per_axis, kwin.cells_per_axis
     mlo = window.cell_index_lo
-    j_centers = [np.arange(c) + m + 0.5 for m in mlo]  # per-axis, units of cell side
+    j_centers = [np.arange(k) + m + 0.5 for m in kwin.cell_index_lo]  # units of cell side
     out = np.empty(window.shape)
     for i_off in np.ndindex(window.shape):
         acc = kern.copy()
@@ -341,7 +352,7 @@ def multilinear_fractional(fs, thetas, alpha: float, depth: int = 12) -> Lattice
             vals = fk.values[np.ix_(*axis_offs)].copy()
             for ax, ok in enumerate(axis_masks):
                 shape = [1] * n
-                shape[ax] = c
+                shape[ax] = k
                 vals *= ok.reshape(shape)
             acc *= vals
         out[i_off] = acc.sum()
@@ -353,9 +364,10 @@ def correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int
     """kern(y_c) f(x - y_c) g(x + y_c), times b(x) - b(x -+ y_c) per (b, slot) in symbols,
     summed over every kernel cell y_c in np.ndindex order on zero-padded arrays."""
     window = _same_window(f, g)
-    kern = kernel_cell_averages(alpha, window, depth)
+    kwin = kernel_window(window)
+    kern = kernel_cell_averages(alpha, kwin, depth)
     c = window.cells_per_axis
-    pads = tuple(c + abs(m) + 1 for m in window.cell_index_lo)
+    pads = tuple(c + abs(m) + 1 for m in kwin.cell_index_lo)
 
     def padded(values):
         out = np.zeros(tuple(2 * p + c for p in pads))
@@ -364,12 +376,12 @@ def correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: int
 
     fpad, gpad = padded(f.values), padded(g.values)
     bpads = [(b.values, padded(b.values), slot) for b, slot in symbols]
-    f_axes = [[slice(p - j - m, p - j - m + c) for j in range(c)]
-              for p, m in zip(pads, window.cell_index_lo)]
-    g_axes = [[slice(p + j + m + 1, p + j + m + 1 + c) for j in range(c)]
-              for p, m in zip(pads, window.cell_index_lo)]
+    f_axes = [[slice(p - j - m, p - j - m + c) for j in range(kwin.cells_per_axis)]
+              for p, m in zip(pads, kwin.cell_index_lo)]
+    g_axes = [[slice(p + j + m + 1, p + j + m + 1 + c) for j in range(kwin.cells_per_axis)]
+              for p, m in zip(pads, kwin.cell_index_lo)]
     out = np.zeros(window.shape)
-    for j_off in np.ndindex(window.shape):
+    for j_off in np.ndindex(kwin.shape):
         fsl = tuple(axis[j] for axis, j in zip(f_axes, j_off))
         gsl = tuple(axis[j] for axis, j in zip(g_axes, j_off))
         term = kern[j_off] * fpad[fsl] * gpad[gsl]

@@ -91,35 +91,51 @@ def test_plan_matches_padded_loop(case, frac, slots):
     assert_bitwise(got.values, oracles.correlation(f, g, alpha, DEPTH, symbols).values)
 
 
+def _plan(alpha, window):
+    return operators._offset_plan(alpha, window.dim, window.cells_per_axis, window.level_min,
+                                  DEPTH)
+
+
 def test_plan_is_a_bounded_lru():
     offset_plan = operators._offset_plan
     offset_plan.cache_clear()
     size = offset_plan.cache_info().maxsize
     assert size == 8
     win = Window(2, -2, 0)
-    first = offset_plan(0.5, win, DEPTH)
-    kept = offset_plan(0.25, win, DEPTH)
+    first = _plan(0.5, win)
+    kept = _plan(0.25, win)
     for i in range(2 * size):
         if i % 2:
-            offset_plan(0.5 + 0.01 * i, win, DEPTH)
+            _plan(0.5 + 0.01 * i, win)
         else:
-            offset_plan(0.5, Window(2, -2, 0, origin_offset=(i, 0)), DEPTH)
-        assert offset_plan(0.25, win, DEPTH) is kept  # used every time: never evicted
+            _plan(0.5, Window(2, -2 - i // 2 % 2, 0, origin_offset=(i, 0), top_count=1 + i % 3))
+        assert _plan(0.25, win) is kept  # used every time: never evicted
         assert offset_plan.cache_info().currsize <= size
     assert offset_plan.cache_info().currsize == size
-    again = offset_plan(0.5, win, DEPTH)
+    again = _plan(0.5, win)
     assert again is not first  # evicted, so rebuilt
     assert again == first  # the same kernel values and slices
-    assert offset_plan(0.5, win, DEPTH) is again
+    assert _plan(0.5, win) is again
+
+
+def test_plan_is_shared_by_translated_windows():
+    win = Window(2, -2, 0, origin_offset=(3, -5), top_count=1)
+    assert _plan(0.5, win) is _plan(0.5, Window(2, -2, 0, origin_offset=(0, 0), top_count=1))
+    assert _plan(0.5, win) is not _plan(0.5, Window(2, -2, 0))
 
 
 def test_plan_leaves_out_empty_bands():
-    # c = 4 cells from the origin: only kernel cells 0 and 1 have x - y and x + y
-    # both inside for some x
+    # c = 4 cells: every kernel cell of the centred block -2..1 has x - y and x + y
+    # both inside for some x, wherever the window sits
     win = Window(1, -2, 0, origin_offset=(0,), top_count=1)
-    plan = operators._offset_plan(0.5, win, DEPTH)
-    assert [k for k, *_ in plan] == list(operators.kernel_cell_averages(0.5, win, DEPTH)[:2])
-    assert len(operators._offset_plan(0.5, Window(2, -2, 0), DEPTH)) == 8 ** 2
+    block = Window(1, -2, -2, origin_offset=(-2,), top_count=4)
+    want = operators.kernel_cell_averages(0.5, block, DEPTH)
+    assert [k for k, *_ in _plan(0.5, win)] == list(want)
+    # c = 3 cells (the same block): no x has both samples inside for kernel cells -2 and 1
+    three = Window(1, -2, -2, origin_offset=(5,), top_count=3)
+    assert [k for k, *_ in _plan(0.5, three)] == list(want[1:3])
+    assert _plan(0.5, Window(1, 0, 0, origin_offset=(0,), top_count=1)) == ()
+    assert len(_plan(0.5, Window(2, -2, 0))) == 8 ** 2
 
 
 # -- batched against one call per entry ---------------------------------------------

@@ -260,6 +260,17 @@ def test_depth_sets_the_kernel_of_the_integral():
     assert run_experiment(config_from_pairs(pairs)).rows[0]["lhs"] == lhs[12]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_t21_off_the_origin_has_a_nonzero_lhs():
+    # the window [2, 3) holds no origin; the bilinear integral still sees |y| < 1/2
+    text = (CONFIGS / "t21_two_weight.cfg").read_text(encoding="utf-8")
+    rep = run_experiment(parse_config(text + "origin_offset = 2\ntop_count = 1\n"))
+    assert len(rep.rows) == 40
+    assert all(row["lhs"] > 0.0 for row in rep.rows)
+
+
 def test_t29_derives_a_from_the_built_holder_pair():
     # without r1, r2 keys the T28 set takes the Holder pair (q1/q, q2/q) = (3, 1.5)
     pairs = [

@@ -172,6 +172,28 @@ def test_bilinear_is_bitwise_order_zero_commutator(window):
     assert np.array_equal(out.values, bilinear_fractional(f, g, alpha, depth=4).values)
 
 
+@pytest.mark.parametrize("dim, level_min, top", [
+    (1, -3, 1), (1, -3, 2), (1, -3, 3), (1, 0, 3), (2, -2, 1), (2, -2, 2), (2, -1, 3),
+])
+def test_operators_commute_with_translations(dim, level_min, top):
+    # the same arrays on windows shifted by whole top cubes give the same bits: the
+    # kernel covers |y| < W/2 wherever the window sits
+    base = Window(dim, level_min, 0, top_count=top)
+    f, g, b1, b2 = (random_lattice(base, 40 + i).values for i in range(4))
+    spec = lambda w: CommutatorSpec((LatticeFunction(w, b1), LatticeFunction(w, b2)), (1, 2))
+    want = bilinear_fractional(LatticeFunction(base, f), LatticeFunction(base, g), 0.5, 4)
+    assert np.abs(want.values).max() > 0.0
+    want_c = commutator_iterated(spec(base), LatticeFunction(base, f), LatticeFunction(base, g),
+                                 0.5, 4)
+    for offset in (-5, -1, 0, 2):
+        w = Window(dim, level_min, 0, origin_offset=(offset,) + (-offset,) * (dim - 1),
+                   top_count=top)
+        fw, gw = LatticeFunction(w, f), LatticeFunction(w, g)
+        assert np.array_equal(bilinear_fractional(fw, gw, 0.5, 4).values, want.values), offset
+        assert np.array_equal(commutator_iterated(spec(w), fw, gw, 0.5, 4).values,
+                              want_c.values), offset
+
+
 @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
 def test_commutator_permutation_invariance(sym_window, perm):
     f = random_lattice(sym_window, 16)
