@@ -79,10 +79,20 @@ def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: fl
     return {level: table(level) for level in range(window.level_min, q0.level + 1)}
 
 
+def _at(q0: Cube, q: Cube) -> tuple[int, ...]:
+    """The table position of a window cube q inside q0: its offset from q0's first subcube."""
+    return tuple(m - (a << (q0.level - q.level)) for m, a in zip(q.index, q0.index))
+
+
 def _table_value(tables: dict, q0: Cube, q: Cube) -> float:
     """The table entry of a window cube q inside q0."""
-    return float(tables[q.level][tuple(m - (a << (q0.level - q.level))
-                                       for m, a in zip(q.index, q0.index))])
+    return float(tables[q.level][_at(q0, q)])
+
+
+def _cubes_of(mask: np.ndarray, q0: Cube, level: int) -> list[Cube]:
+    """The cubes of one level inside q0 marked by a table-shaped mask, in index order."""
+    first = [m << (q0.level - level) for m in q0.index]
+    return [Cube(level, tuple(int(i) + a for i, a in zip(at, first))) for at in np.argwhere(mask)]
 
 
 def _inside(window: Window, q0: Cube, q: Cube) -> bool:
@@ -105,9 +115,7 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube,
                 open_ = np.repeat(open_, 2, axis=axis)
         hit = open_ & (tables[level] > threshold)
         if hit.any():
-            first = [m << (q0.level - level) for m in q0.index]
-            per_level.append([Cube(level, tuple(int(i) + a for i, a in zip(at, first)))
-                              for at in np.argwhere(hit)])
+            per_level.append(_cubes_of(hit, q0, level))
             union[q0_cells] |= expand_level(hit, window, level)
         open_ &= ~hit
         if not open_.any():
@@ -118,6 +126,22 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube,
 def _threshold_factor(n: int, t1: float, t2: float) -> float:
     """The ratio A = (4 * 18^n)^(1/t1 + 1/t2) between consecutive stopping thresholds."""
     return (4.0 * 18.0 ** n) ** (1.0 / t1 + 1.0 / t2)
+
+
+def _uncovered(tables: dict, window: Window, q0: Cube, cubes, threshold: float) -> list[Cube]:
+    """Cubes inside q0 whose functional exceeds threshold but that lie in none of cubes
+    (cubes inside q0), top level first: one mask comparison per level."""
+    covered = np.zeros((1,) * window.dim, dtype=bool)  # cubes of q0 inside one of cubes
+    out = []
+    for level in range(q0.level, window.level_min - 1, -1):
+        if level < q0.level:
+            for axis in range(window.dim):
+                covered = np.repeat(covered, 2, axis=axis)
+        for q in cubes:
+            if q.level == level:
+                covered[_at(q0, q)] = True
+        out += _cubes_of((tables[level] > threshold) & ~covered, q0, level)
+    return out
 
 
 def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decomposition:
@@ -179,7 +203,11 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     alpha = None checks the unweighted variant, otherwise the |Q|^(alpha/n)
     variant.  Measure and partition checks are exact integer cell arithmetic;
     the sandwich upper bound allows a 1e-12 relative slack for float
-    regrouping.
+    regrouping.  The thresholds are rechecked too: gamma must be Q0's
+    functional and factor the A of (t1, t2), and for k = 1 .. K + 1 (K the
+    last stopping level; K + 1 is skipped when the cap was hit) every cube of
+    Q0's subtree above gamma A^k must lie in a level-k stopping cube, so the
+    stopping cubes are exactly the maximal ones.
 
     The functional tables are rebuilt from (f, g) rather than taken from the
     decomposition: `morreylab decompose` and CZ_INV use this as a recheck
@@ -196,6 +224,12 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     if bad:
         return bad
     n = window.dim
+    gamma = _table_value(tables, d.base, d.base)
+    if d.gamma != gamma:
+        bad.append(f"threshold: gamma {d.gamma} is not Q0's functional {gamma}")
+    factor = _threshold_factor(n, t1, t2)
+    if d.factor != factor:
+        bad.append(f"threshold: factor {d.factor} is not A = {factor}")
     upper = 2.0 ** (n * (1.0 / t1 + 1.0 / t2))
     span = 1 << (d.base.level - window.level_min)
     base_cells = span ** n
@@ -237,6 +271,12 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
             if (k, q) in seen:
                 bad.append(f"duplicate stopping cube {q} at level {k}")
             seen.add((k, q))
+    last = max(d.levels, default=0)
+    for k in range(1, last + 1 if d.cap_hit else last + 2):
+        threshold = d.gamma * d.factor ** k
+        bad += [f"coverage: cube {q} crosses the level-{k} threshold {threshold} "
+                f"but lies in no level-{k} stopping cube"
+                for q in _uncovered(tables, window, d.base, d.levels.get(k, ()), threshold)]
     q0_cells = np.zeros(window.shape, dtype=bool)
     q0_cells[base] = True
     if not np.array_equal(covered, q0_cells):

@@ -171,6 +171,34 @@ def test_verify_reports_shrunken_exceptional_set():
     assert any(msg.startswith("measure") for msg in bad), bad
 
 
+@pytest.mark.parametrize("change", [
+    {"gamma": lambda d: d.gamma * 1e-3},
+    {"factor": lambda d: 1e9},
+    {"gamma": lambda d: 5.0},
+], ids=["gamma-scaled", "factor-raised", "gamma-replaced"])
+def test_verify_rechecks_the_thresholds_of_an_empty_forest(change):
+    w = Window(1, -8, 0)
+    one = LatticeFunction.constant(w, 1.0)
+    d = cz_decompose(one, one, Cube(-1, (0,)), 2.0, 2.0)
+    assert d.levels == {} and _violations(d, w, one) == []
+    (key, new), = change.items()
+    bad = _violations(dataclasses.replace(d, **{key: new(d)}), w, one)
+    assert any(msg.startswith(f"threshold: {key}") for msg in bad), bad
+
+
+def test_verify_reports_a_dropped_stopping_level():
+    # without level 2, and with level 1's E-sets grown to whole cubes so they still tile,
+    # the level-2 cubes above gamma A^2 lie in no level-2 stopping cube
+    w, f, d = _two_level_forest()
+    tampered = dataclasses.replace(
+        d, levels={1: d.levels[1]},
+        exceptional={1: tuple(np.ones_like(e) for e in d.exceptional[1])})
+    bad = _violations(tampered, w, f)
+    assert bad and all(msg.startswith("coverage: ") and "level-2" in msg for msg in bad), bad
+    for q in d.levels[2]:
+        assert any(msg.startswith(f"coverage: cube {q} ") for msg in bad), q
+
+
 def test_alpha_zero_reduces_to_plain_variant():
     w = Window(1, -8, 0)
     f, g = _co_spiked(w, 5)
