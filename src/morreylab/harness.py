@@ -300,6 +300,8 @@ def _param(cfg: ExperimentConfig, key: str, default=None) -> float:
 
 
 def _q0(cfg: ExperimentConfig, window: Window, key: str = "q0") -> Cube:
+    """The cube of the <key>_level and <key>_index keys: level defaults to level_max, index
+    to the window's first cube of the level."""
     level = int(cfg.params.get(f"{key}_level", window.level_max))
     index = cfg.params.get(f"{key}_index")
     if index is None:
@@ -504,7 +506,8 @@ def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         for trial in range(n_random):
             one(_pair_at(cfg, trial, win), trial, "random")
         if necessity:
-            qp = _q0(cfg, win, key="qprime") if "qprime_level" in cfg.params else q0
+            qp = _q0(cfg, win, key="qprime") \
+                if cfg.params.keys() & {"qprime_level", "qprime_index"} else q0
             f, g, lam = necessity_pair(w1, w2, qp, e)
             ext = one((f, g), cfg.trials - 1, "extremal")
             c_obs = max(r["ratio"] for r in rows

@@ -5,11 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morreylab.czd import necessity_pair
+from morreylab.dyadic import Cube
 from morreylab.errors import ValidationError
 from morreylab.field import power_weight
 from morreylab.harness import (
     Report,
     _COLUMNS,
+    _exponent_set,
     _ratio,
     _weights,
     config_from_pairs,
@@ -17,6 +20,7 @@ from morreylab.harness import (
     parse_config,
     run_experiment,
 )
+from morreylab.weights_norms import WeightConditionKind
 
 from conftest import assert_close
 
@@ -269,6 +273,32 @@ def test_t21_off_the_origin_has_a_nonzero_lhs():
     rep = run_experiment(parse_config(text + "origin_offset = 2\ntop_count = 1\n"))
     assert len(rep.rows) == 40
     assert all(row["lhs"] > 0.0 for row in rep.rows)
+
+
+def _extremal_checks(extra: str) -> list:
+    text = (CONFIGS / "t27_weak_type.cfg").read_text(encoding="utf-8") + extra
+    return run_experiment(parse_config(text)).summary["notes"]["extremal_checks"]
+
+
+def _necessity_lambda(qp: Cube) -> float:
+    """The lambda of the extremal pair on qp at the base window of t27_weak_type.cfg."""
+    cfg = parse_config((CONFIGS / "t27_weak_type.cfg").read_text(encoding="utf-8"))
+    w1, w2 = _weights(cfg, cfg.window, "w1", "w2")
+    return necessity_pair(w1, w2, qp, _exponent_set(cfg, WeightConditionKind.C27))[2]
+
+
+def test_qprime_index_alone_selects_the_extremal_cube():
+    # the default Q' is Q0 = [0, 1/2); qprime_index = 0 alone is [0, 1) at level_max
+    alone = _extremal_checks("qprime_index = 0\n")
+    assert alone != _extremal_checks("")
+    assert alone == _extremal_checks("qprime_level = 0\nqprime_index = 0\n")
+    assert alone[0]["lambda"] == _necessity_lambda(Cube(0, (0,)))
+
+
+def test_qprime_level_and_index_select_the_extremal_cube():
+    checks = _extremal_checks("qprime_level = -2\nqprime_index = -3\n")
+    assert checks[0]["lambda"] == _necessity_lambda(Cube(-2, (-3,)))
+    assert checks[0]["lambda"] != _extremal_checks("")[0]["lambda"]
 
 
 def test_t29_derives_a_from_the_built_holder_pair():
