@@ -12,6 +12,10 @@ morreylab.field.dilated_means, which reads only one cube's subtree and its
 frame: the same float operations for every cube of the level, so the
 Q0-local means must equal a slice of these bit for bit.
 
+m_alpha_r_dyadic and weight_constant take the dyadic maximal function and the
+weight constants of morreylab.weights_norms.two_weight_constant as maxima over
+every window cube or nested cube pair, one cube at a time.
+
 bh_maximal and m_alpha_r_centered are the per-cell, per-radius loop forms of
 morreylab.operators.bh_maximal and of the centered mode of
 morreylab.maximal.m_alpha_r; they share no code with the sums they check.
@@ -31,8 +35,10 @@ import math
 import numpy as np
 
 from morreylab.dyadic import Cube, Window, ancestors
+from morreylab.exponents import INF, conjugate
 from morreylab.field import LatticeFunction, _blocks, _same_window
 from morreylab.operators import dyadic_radii, kernel_cell_averages
+from morreylab.weights_norms import WeightConditionKind
 
 
 # -- cube geometry ------------------------------------------------------------------
@@ -217,6 +223,80 @@ def functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: flo
         return val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
 
     return {level: table(level) for level in window.levels()}
+
+
+# -- brute-force sups ----------------------------------------------------------------
+
+
+def m_alpha_r_dyadic(f: LatticeFunction, g: LatticeFunction, alpha: float, r1: float,
+                     r2: float) -> np.ndarray:
+    """The dyadic m_alpha_r values: per cell, the max over every window cube containing it."""
+    w = f.window
+    out = np.zeros(w.shape)
+    for q in all_cubes(w):
+        sl = w.cell_offsets_of_cube(q)
+        val = q.volume ** (alpha / w.dim) \
+            * (np.abs(f.values[sl]) ** r1).mean() ** (1.0 / r1) \
+            * (np.abs(g.values[sl]) ** r2).mean() ** (1.0 / r2)
+        out[sl] = np.maximum(out[sl], val)
+    return out
+
+
+def weight_constant(kind, v, w1, w2, e, window) -> float:
+    """two_weight_constant by raw loops: over every cube (C211) or nested pair (Q, Q')."""
+    K = WeightConditionKind
+    n = window.dim
+    if kind is K.C211:
+        e1 = e.r1 / (e.q1 - e.r1)
+        e2 = e.r2 / (e.q2 - e.r2)
+        best = 0.0
+        for q in all_cubes(window):
+            sl = window.cell_offsets_of_cube(q)
+            val = ((w1.values[sl] ** (e.s / e.q1) * w2.values[sl] ** (e.s / e.q2)).mean()
+                   ) ** (1 / e.s)
+            val *= (w1.values[sl] ** -e1).mean() ** ((e.q1 - e.r1) / (e.r1 * e.q1))
+            val *= (w2.values[sl] ** -e2).mean() ** ((e.q2 - e.r2) / (e.r2 * e.q2))
+            best = max(best, val)
+        return best
+    if kind in (K.C22, K.C23, K.C24):
+        d1 = conjugate(e.q1 / e.a)
+        d2 = conjugate(e.q2 / e.a)
+    elif kind is K.C27:
+        d1 = e.r1 * conjugate(e.q1 / e.r1)
+        d2 = e.r2 * conjugate(e.q2 / e.r2)
+    else:
+        d1 = e.r1 * conjugate(e.q1 / (e.a * e.r1))
+        d2 = e.r2 * conjugate(e.q2 / (e.a * e.r2))
+    if kind is K.C22:
+        rexp = (1 - e.s) / (e.a * e.s)
+    elif kind is K.C23:
+        rexp = (1 - e.a * e.s) / (e.a * e.s)
+    elif kind is K.C24:
+        rexp = 1 / (e.a * e.s)
+    else:
+        rexp = 1 / e.s
+    if kind in (K.C22, K.C23):
+        vexp = e.a * e.t / (1 - e.t) if e.t != 1.0 else INF
+    elif kind is K.C24:
+        vexp = e.a * e.t
+    else:
+        vexp = e.t
+    best = 0.0
+    for q, qp in nested_pairs(window):
+        ratio = 2.0 ** ((q.level - qp.level) * n)
+        term = ratio ** rexp
+        if kind is not K.CBH:
+            term *= qp.volume ** (0.0 if e.r == INF else 1.0 / e.r)
+        slq = window.cell_offsets_of_cube(q)
+        slp = window.cell_offsets_of_cube(qp)
+        if vexp == INF:
+            term *= v.values[slq].max()
+        else:
+            term *= (v.values[slq] ** vexp).mean() ** (1.0 / vexp)
+        term *= (w1.values[slp] ** -d1).mean() ** (1.0 / d1)
+        term *= (w2.values[slp] ** -d2).mean() ** (1.0 / d2)
+        best = max(best, term)
+    return best
 
 
 # -- loop operators ---------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 from morreylab.czd import cz_decompose, cz_decompose_alpha, verify_decomposition
 from morreylab.dyadic import Cube, Window
-from morreylab.exponents import INF, build, conjugate
+from morreylab.exponents import INF, build
 from morreylab.field import (
     LatticeFunction,
     Weight,
@@ -35,7 +35,7 @@ from morreylab.weights_norms import (
     two_weight_constant,
 )
 
-from oracles import all_cubes, cell_index_of_point, nested_pairs
+from oracles import all_cubes, cell_index_of_point, m_alpha_r_dyadic, nested_pairs, weight_constant
 
 EXACT = 1e-12
 
@@ -77,18 +77,6 @@ def _small_windows():
     )
 
 
-def _brute_maximal(f, g, alpha, r1, r2):
-    w = f.window
-    out = np.zeros(w.shape)
-    for q in all_cubes(w):
-        sl = w.cell_offsets_of_cube(q)
-        val = q.volume ** (alpha / w.dim) \
-            * (np.abs(f.values[sl]) ** r1).mean() ** (1.0 / r1) \
-            * (np.abs(g.values[sl]) ** r2).mean() ** (1.0 / r2)
-        out[sl] = np.maximum(out[sl], val)
-    return out
-
-
 def _brute_morrey(f, p, q):
     w = f.window
     best = 0.0
@@ -96,51 +84,6 @@ def _brute_morrey(f, p, q):
         sl = w.cell_offsets_of_cube(cube)
         best = max(best, cube.volume ** (1.0 / p)
                    * (np.abs(f.values[sl]) ** q).mean() ** (1.0 / q))
-    return best
-
-
-def _brute_constant(kind, v, w1, w2, e, window):
-    n = window.dim
-    K = WeightConditionKind
-    if kind is K.C211:
-        e1 = e.r1 / (e.q1 - e.r1)
-        e2 = e.r2 / (e.q2 - e.r2)
-        best = 0.0
-        for q in all_cubes(window):
-            sl = window.cell_offsets_of_cube(q)
-            val = ((w1.values[sl] ** (e.s / e.q1) * w2.values[sl] ** (e.s / e.q2)).mean()
-                   ) ** (1.0 / e.s) \
-                * (w1.values[sl] ** -e1).mean() ** ((e.q1 - e.r1) / (e.r1 * e.q1)) \
-                * (w2.values[sl] ** -e2).mean() ** ((e.q2 - e.r2) / (e.r2 * e.q2))
-            best = max(best, val)
-        return best
-    if kind in (K.C22, K.C23, K.C24):
-        d1, d2 = conjugate(e.q1 / e.a), conjugate(e.q2 / e.a)
-    elif kind is K.C27:
-        d1 = e.r1 * conjugate(e.q1 / e.r1)
-        d2 = e.r2 * conjugate(e.q2 / e.r2)
-    else:
-        d1 = e.r1 * conjugate(e.q1 / (e.a * e.r1))
-        d2 = e.r2 * conjugate(e.q2 / (e.a * e.r2))
-    if kind is K.C22:
-        rexp, vexp = (1 - e.s) / (e.a * e.s), e.a * e.t / (1 - e.t)
-    elif kind is K.C23:
-        rexp, vexp = (1 - e.a * e.s) / (e.a * e.s), e.a * e.t / (1 - e.t)
-    elif kind is K.C24:
-        rexp, vexp = 1 / (e.a * e.s), e.a * e.t
-    else:
-        rexp, vexp = 1 / e.s, e.t
-    best = 0.0
-    for q, qp in nested_pairs(window):
-        slq = window.cell_offsets_of_cube(q)
-        slp = window.cell_offsets_of_cube(qp)
-        term = (2.0 ** ((q.level - qp.level) * n)) ** rexp
-        if kind is not K.CBH:
-            term *= qp.volume ** (0.0 if e.r == INF else 1.0 / e.r)
-        term *= (v.values[slq] ** vexp).mean() ** (1.0 / vexp)
-        term *= (w1.values[slp] ** -d1).mean() ** (1.0 / d1)
-        term *= (w2.values[slp] ** -d2).mean() ** (1.0 / d2)
-        best = max(best, term)
     return best
 
 
@@ -168,7 +111,7 @@ def test_criterion_02_oracle_equivalence():
         w2 = Weight(window, rng.uniform(0.3, 3.0, window.shape))
 
         got = m_alpha_r(f, g, 0.4, (1.5, 3.0), "dyadic")
-        brute = _brute_maximal(f, g, 0.4, 1.5, 3.0)
+        brute = m_alpha_r_dyadic(f, g, 0.4, 1.5, 3.0)
         worst = max(worst, float(np.max(np.abs(got.values - brute))))
 
         p, q = 2.5, 1.5
@@ -176,7 +119,7 @@ def test_criterion_02_oracle_equivalence():
 
         kind, e = kinds[seed % len(kinds)]
         got_c = two_weight_constant(kind, v, w1, w2, e, window)
-        brute_c = _brute_constant(kind, v, w1, w2, e, window)
+        brute_c = weight_constant(kind, v, w1, w2, e, window)
         worst = max(worst, _rel(got_c, brute_c))
     assert worst <= EXACT, worst
     _ok("criterion 2", f"200 seeded brute-force comparisons agree "

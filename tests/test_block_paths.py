@@ -46,7 +46,7 @@ from morreylab.weights_norms import (
 import oracles
 from oracles import (all_cubes, children, cube_box, cube_contains_cube, cubes_at_level, dilate3,
                      nested_pairs, power_avg)
-from test_weights_norms import _brute_pair_constant, _e_t21, _e_t22, _e_t27, _e_t28
+from test_weights_norms import _e_t21, _e_t22, _e_t27, _e_t28
 
 K = WeightConditionKind
 TOL = 1e-12
@@ -135,7 +135,7 @@ def test_every_weight_kind_matches_brute_force(window):
     for kind, maker in _KIND_SETS:
         e = maker()
         got = two_weight_constant(kind, v, w1, w2, e, window)
-        _assert_rel(got, _brute_pair_constant(kind, v, w1, w2, e, window), kind.value)
+        _assert_rel(got, oracles.weight_constant(kind, v, w1, w2, e, window), kind.value)
 
 
 @pytest.mark.parametrize("window", WINDOWS[::3], ids=repr)

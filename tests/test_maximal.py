@@ -6,20 +6,7 @@ from morreylab.field import LatticeFunction
 from morreylab.maximal import m_alpha_r
 
 from conftest import assert_close, random_lattice
-from oracles import all_cubes
-
-
-def _brute_dyadic(f, g, alpha, r1, r2):
-    """Exhaustive max over the full cube list, per cell."""
-    w = f.window
-    out = np.zeros(w.shape)
-    for q in all_cubes(w):
-        sl = w.cell_offsets_of_cube(q)
-        val = q.volume ** (alpha / w.dim) \
-            * (np.abs(f.values[sl]) ** r1).mean() ** (1.0 / r1) \
-            * (np.abs(g.values[sl]) ** r2).mean() ** (1.0 / r2)
-        out[sl] = np.maximum(out[sl], val)
-    return out
+from oracles import all_cubes, m_alpha_r_dyadic
 
 
 def test_constant_inputs_alpha_zero(sym_window):
@@ -42,7 +29,7 @@ def test_dyadic_matches_exhaustive_oracle(seed):
     f = random_lattice(w, seed)
     g = random_lattice(w, seed + 100)
     out = m_alpha_r(f, g, 0.4, (1.5, 3.0))
-    brute = _brute_dyadic(f, g, 0.4, 1.5, 3.0)
+    brute = m_alpha_r_dyadic(f, g, 0.4, 1.5, 3.0)
     assert np.max(np.abs(out.values - brute)) <= 1e-12
 
 

@@ -19,7 +19,7 @@ from morreylab.weights_norms import (
 )
 
 from conftest import assert_close, random_lattice, random_weight
-from oracles import all_cubes, indicator, nested_pairs
+from oracles import all_cubes, indicator, nested_pairs, weight_constant
 
 K = WeightConditionKind
 
@@ -272,62 +272,6 @@ def test_t1_sup_convention_in_c23():
     assert_close(got, best)
 
 
-def _brute_pair_constant(kind, v, w1, w2, e, window):
-    """Independent re-evaluation with raw loops."""
-    n = window.dim
-    if kind is K.C211:
-        e1 = e.r1 / (e.q1 - e.r1)
-        e2 = e.r2 / (e.q2 - e.r2)
-        best = 0.0
-        for q in all_cubes(window):
-            sl = window.cell_offsets_of_cube(q)
-            val = ((w1.values[sl] ** (e.s / e.q1) * w2.values[sl] ** (e.s / e.q2)).mean()
-                   ) ** (1 / e.s)
-            val *= (w1.values[sl] ** -e1).mean() ** ((e.q1 - e.r1) / (e.r1 * e.q1))
-            val *= (w2.values[sl] ** -e2).mean() ** ((e.q2 - e.r2) / (e.r2 * e.q2))
-            best = max(best, val)
-        return best
-    if kind in (K.C22, K.C23, K.C24):
-        d1 = conjugate(e.q1 / e.a)
-        d2 = conjugate(e.q2 / e.a)
-    elif kind is K.C27:
-        d1 = e.r1 * conjugate(e.q1 / e.r1)
-        d2 = e.r2 * conjugate(e.q2 / e.r2)
-    else:
-        d1 = e.r1 * conjugate(e.q1 / (e.a * e.r1))
-        d2 = e.r2 * conjugate(e.q2 / (e.a * e.r2))
-    if kind is K.C22:
-        rexp = (1 - e.s) / (e.a * e.s)
-    elif kind is K.C23:
-        rexp = (1 - e.a * e.s) / (e.a * e.s)
-    elif kind is K.C24:
-        rexp = 1 / (e.a * e.s)
-    else:
-        rexp = 1 / e.s
-    if kind in (K.C22, K.C23):
-        vexp = e.a * e.t / (1 - e.t) if e.t != 1.0 else INF
-    elif kind is K.C24:
-        vexp = e.a * e.t
-    else:
-        vexp = e.t
-    best = 0.0
-    for q, qp in nested_pairs(window):
-        ratio = 2.0 ** ((q.level - qp.level) * n)
-        term = ratio ** rexp
-        if kind is not K.CBH:
-            term *= qp.volume ** (0.0 if e.r == INF else 1.0 / e.r)
-        slq = window.cell_offsets_of_cube(q)
-        slp = window.cell_offsets_of_cube(qp)
-        if vexp == INF:
-            term *= v.values[slq].max()
-        else:
-            term *= (v.values[slq] ** vexp).mean() ** (1.0 / vexp)
-        term *= (w1.values[slp] ** -d1).mean() ** (1.0 / d1)
-        term *= (w2.values[slp] ** -d2).mean() ** (1.0 / d2)
-        best = max(best, term)
-    return best
-
-
 @pytest.mark.parametrize("kind,maker", [
     (K.C22, lambda: _e_t21(True)),
     (K.C23, lambda: _e_t21(False)),
@@ -345,7 +289,7 @@ def test_pair_constants_match_brute_force(kind, maker):
         w1 = random_weight(w, 300 + seed)
         w2 = random_weight(w, 400 + seed)
         got = two_weight_constant(kind, v, w1, w2, e, w)
-        brute = _brute_pair_constant(kind, v, w1, w2, e, w)
+        brute = weight_constant(kind, v, w1, w2, e, w)
         assert_close(got, brute, msg=kind.value)
 
 
