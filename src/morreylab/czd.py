@@ -21,6 +21,12 @@ ancestor, so maximality holds by construction; both stop when a level comes
 up empty (bounded data forces this; a safety cap of 64 * level span guards
 the loop and is reported if hit).
 
+verify_decomposition rechecks a forest from the raw data: the four
+invariants, and the thresholds themselves (gamma is Q0's functional, A the
+factor above, and every cube above gamma A^k lies in a level-k stopping
+cube, for k up to one past the last level), so a forest with a wrong gamma,
+a wrong A or a missing level is reported too.
+
 Every cell set is a boolean mask over the finest cells of one cube: E_0
 over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
 counts of True cells (times the cell volume), so the measure and partition

@@ -28,13 +28,17 @@ only at the origin, which is always a cell corner).  The uncontrolled error
 of the midpoint leaves is O(2^(-depth*(gamma+n))) for the origin cell; the
 value is reported, not assumed, by the accuracy tests.
 
-The rule is defined by a per-box corner recursion, but it runs as arrays:
-every cell that misses the origin takes a fixed-depth tensor midpoint rule,
-evaluated for the whole window in one pass (_midpoint_rule), and only the
-chain of sub-boxes touching the origin recurses (_avg_abs_power_box), one
-_grid_averages call per level.  Both repeat the recursion's floating-point operations
-in its order, so the cell values are bit-identical to it by construction;
-tests/test_quadrature.py keeps the recursion as the oracle.
+The rule is defined by a per-box corner recursion, but it runs as arrays.
+One step, _grid_averages, takes a fixed-depth tensor midpoint rule on every
+box of a grid in one pass (_midpoint_rule) and overwrites the boxes that
+touch the origin with their recursion (_avg_abs_power_box), which halves
+them and takes the same step one level deeper.  So the whole window is one
+step, and each level of the chain of sub-boxes touching the origin is one
+more.  Both repeat the recursion's floating-point operations in its order,
+so the cell values are bit-identical to it by construction;
+tests/test_quadrature.py keeps the recursion as the oracle.  The same
+averages, with gamma = alpha - n on the block of cells centred on the
+origin, are the kernel of the bilinear integrals in operators.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ axis, the cells at offset |d| < K whole and the two at |d| = K half.  On an
 array zero-padded past the largest K, the sums W_k[m] = sum_{|d| <= k} a[m + d]
 double as W_{2k+1}[m] = W_k[m - k - 1] + a[m] + W_k[m + k + 1] from W_0 = a,
 which reaches every k = K - 1, and the cube sum along the axis is
-W_{K-1}[m] + (a[m - K] + a[m + K]) / 2.  The weights are separable, so one
+W_{K-1}[m] + (a[m - K] + a[m + K]) / 2.  The shifts are np.roll: every entry
+it wraps around is a zero of the padding.  The weights are separable, so one
 such pass per trailing axis gives the n-D sum.  Every term added is
 nonnegative: differences of prefix sums would cancel badly on spiky inputs.
 Averages over centered cubes are clipped to the window with renormalized
