@@ -137,16 +137,14 @@ def _threshold_factor(n: int, t1: float, t2: float) -> float:
 def _uncovered(tables: dict, window: Window, q0: Cube, cubes, threshold: float) -> list[Cube]:
     """Cubes inside q0 whose functional exceeds threshold but that lie in none of cubes
     (cubes inside q0), top level first: one mask comparison per level."""
-    covered = np.zeros((1,) * window.dim, dtype=bool)  # cubes of q0 inside one of cubes
     out = []
     for level in range(q0.level, window.level_min - 1, -1):
-        if level < q0.level:
-            for axis in range(window.dim):
-                covered = np.repeat(covered, 2, axis=axis)
+        above = tables[level] > threshold
         for q in cubes:
-            if q.level == level:
-                covered[_at(q0, q)] = True
-        out += _cubes_of((tables[level] > threshold) & ~covered, q0, level)
+            if q.level >= level:  # the level's cubes inside q: a block of s per axis
+                s = 1 << (q.level - level)
+                above[tuple(slice(i * s, (i + 1) * s) for i in _at(q0, q))] = False
+        out += _cubes_of(above, q0, level)
     return out
 
 

@@ -52,13 +52,6 @@ def kernel_cell_averages(alpha: float, window: Window, depth: int = DEFAULT_DEPT
     return abs_power_cell_averages(alpha - window.dim, window, depth)
 
 
-def _kernel_block(dim: int, c: int, level_min: int) -> Window:
-    """The kernel cells of a window of c cells per axis at level_min: the centred
-    block of cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis."""
-    half = (c + 1) // 2
-    return Window(dim, level_min, level_min, origin_offset=(-half,) * dim, top_count=2 * half)
-
-
 def _axis_bands(c: int) -> list:
     """Per kernel cell index d = -ceil(c/2) .. ceil(c/2) - 1 along one axis, the
     slices of the output cells x, of f at x - y and of g at x + y, or None if no x
@@ -75,10 +68,13 @@ def _axis_bands(c: int) -> list:
 # Bounded, so a long sweep over alphas or window sizes holds at most 8 plans.
 @functools.lru_cache(maxsize=8)
 def _offset_plan(alpha: float, dim: int, c: int, level_min: int, depth: int) -> tuple:
-    """The (kernel value, out slice, f slice, g slice) of every kernel cell of
-    _kernel_block with a non-empty band, in np.ndindex order; each slice leads with
-    ... for batch axes.  Windows that differ only in position share one plan."""
-    block = _kernel_block(dim, c, level_min)
+    """The (kernel value, out slice, f slice, g slice) of every kernel cell with a
+    non-empty band, in np.ndindex order; each slice leads with ... for batch axes.
+    The kernel cells of a window of c cells per axis at level_min are the centred
+    block of cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis, so windows that
+    differ only in position share one plan."""
+    half = (c + 1) // 2
+    block = Window(dim, level_min, level_min, origin_offset=(-half,) * dim, top_count=2 * half)
     kern = kernel_cell_averages(alpha, block, depth)
     bands = _axis_bands(c)
     plan = []
