@@ -139,6 +139,8 @@ def _uncovered(tables: dict, window: Window, q0: Cube, cubes, threshold: float) 
     (cubes inside q0), top level first: one mask comparison per level."""
     out = []
     for level in range(q0.level, window.level_min - 1, -1):
+        if tables[level].max() <= threshold:  # most levels: one reduction rules them out
+            continue
         above = tables[level] > threshold
         for q in cubes:
             if q.level >= level:  # the level's cubes inside q: a block of s per axis
