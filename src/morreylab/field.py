@@ -34,8 +34,8 @@ box of a grid in one pass (_midpoint_rule) and overwrites the boxes that
 touch the origin with their recursion (_avg_abs_power_box), which halves
 them and takes the same step one level deeper.  So the whole window is one
 step, and each level of the chain of sub-boxes touching the origin is one
-more.  Both repeat the recursion's floating-point operations in its order,
-so the cell values are bit-identical to it by construction;
+more.  The two repeat the recursion's floating-point operations in its
+order, so the cell values are bit-identical to it by construction;
 tests/test_quadrature.py keeps the recursion as the oracle.  The same
 averages, with gamma = alpha - n on the block of cells centred on the
 origin, are the kernel of the bilinear integrals in operators.
