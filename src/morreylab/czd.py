@@ -15,7 +15,9 @@ The threshold factor A = (4 * 18^n)^(1/t1 + 1/t2) is exactly what makes the
 measure bound work through the weak (1,1) bound of the maximal function.  A
 second variant weights the product by |Q|^(alpha/n).  Both read one table of
 the functional per level of Q0's subtree (the cubes inside Q0, whose 3Q reach
-at most one cube beyond it, so no other cell is read) and sweep cell masks
+at most one cube beyond it): |f|^t1 and |g|^t2 are taken on the cells of 3Q0
+clipped to the window only, and one field.dilated_means pass over the cached
+plan of (window, Q0) gives every level's means.  Both then sweep cell masks
 top-down, stopping a cube when it crosses the threshold below no stopped
 ancestor, so maximality holds by construction; both stop when a level comes
 up empty (bounded data forces this; a safety cap of 64 * level span guards
@@ -43,6 +45,7 @@ from .dyadic import Cube, Window, ancestors
 from .field import (
     LatticeFunction,
     Weight,
+    _dilated_plan,
     _require_unbatched,
     _same_window,
     dilated_means,
@@ -75,14 +78,14 @@ def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: fl
     if not window.contains_cube(q0):
         raise ValueError(f"base cube {q0} not inside window")
     n = window.dim
-    powers = np.stack((np.abs(f.values) ** t1, np.abs(g.values) ** t2))
-
-    def table(level):  # |Q|^(alpha/n) multiplies last: the forest goldens fix this float order
-        mf, mg = dilated_means(powers, window, level, q0)
+    frame = _dilated_plan(window, q0).frame  # the only cells the tables read
+    powers = np.stack((np.abs(f.values[frame]) ** t1, np.abs(g.values[frame]) ** t2))
+    tables = {}
+    for level, (mf, mg) in dilated_means(powers, window, q0).items():
         val = mf ** (1.0 / t1) * mg ** (1.0 / t2)
-        return val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
-
-    return {level: table(level) for level in range(window.level_min, q0.level + 1)}
+        # |Q|^(alpha/n) multiplies last: the forest goldens fix this float order
+        tables[level] = val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
+    return tables
 
 
 def _at(q0: Cube, q: Cube) -> tuple[int, ...]:

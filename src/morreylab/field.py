@@ -3,9 +3,12 @@
 A LatticeFunction holds one value per finest cell of a Window and is constant
 on each cell, so every average over a cell-aligned region is an exact finite
 sum.  The block reductions below take such sums for all cubes of one level
-at once (means, power means, maxima), or for all cubes of one level inside
-a given cube (means over the 3-fold dilates 3Q clipped to the window, with
-the clipped cell count as the normalizer).
+at once (means, power means, maxima), or for all cubes of every level inside
+a given cube Q0 in one pass (dilated_means: means over the 3-fold dilates 3Q
+clipped to the window, with the clipped cell count as the normalizer).  That
+pass reads only the cells of 3Q0 clipped to the window, and its geometry
+(the cells it reads, where each level goes, the counts) is one cached
+_dilated_plan per (window, Q0).
 Every sup over the window's dyadic cubes folds such per-level tables with
 level_sup (one number) or pointwise_level_sup (one sup per cell).
 
@@ -44,9 +47,10 @@ origin, are the kernel of the bilinear integrals in operators.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -178,32 +182,78 @@ def _dilated_cell_counts(window: Window, level: int, first: Sequence[int], k: in
     return counts
 
 
-def dilated_means(values: np.ndarray, window: Window, level: int, q0: Cube) -> np.ndarray:
-    """Means over 3Q clipped to the window, for every cube Q of one level inside the window
-    cube q0 (level <= q0.level), in cube-index order from q0's first subcube; values holds one
-    entry per finest cell, with leading batch axes.
+class _DilatedPlan(NamedTuple):
+    """The geometry of dilated_means for one (window, q0): see _dilated_plan."""
 
-    3Q is Q and its level neighbours, so each sum adds up the 3^n shifted block sums (in
-    itertools.product order, from 0.0) over q0's cubes and a frame one cube wide, whose cubes
-    outside the window add 0.0.  Only the cells of that frame are read.
+    frame: tuple         # the cells of 3Q0 clipped to the window, led by ... for batch axes
+    canvas_shape: tuple  # the stacked block sums of every level, with a frame one cube wide
+    levels: tuple        # per level from level_min: (level, cube side b, src, dst, out)
+    counts: np.ndarray   # the clipped cell counts at every level's out, 1.0 elsewhere
+
+
+# Bounded, so a long sweep over windows or base cubes holds at most 8 plans.
+@functools.lru_cache(maxsize=8)
+def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
+    """Where dilated_means reads, writes and divides for the window cube q0.
+
+    The levels are stacked along the first axis of one canvas, level_min first: level l
+    takes k_l + 2 rows (its k_l cubes per axis inside q0 and a frame cube on either side),
+    and k_l + 2 of the K + 2 columns of every other axis (K = k at level_min).  src is the
+    level's cells in the frame, dst its block sums in the canvas, out its means in the
+    canvas less two rows and columns.  Geometry only: the counts are read-only.
     """
     n = window.dim
-    k = 1 << (q0.level - level)
-    c = window.index_count(level)
-    b = 1 << (level - window.level_min)
-    first = [m * k - a for m, a in zip(q0.index, window.index_lo(level))]
-    lo = [max(x - 1, 0) for x in first]
-    hi = [min(x + k + 1, c) for x in first]
-    blocked, axes = _split(values[(...,) + tuple(slice(l * b, h * b) for l, h in zip(lo, hi))],
-                           n, b)
+    big = 1 << (q0.level - window.level_min)
+    at = [m - a for m, a in zip(q0.index, window.index_lo(q0.level))]
+    c0 = window.index_count(q0.level)
+    corner = [max(x - 1, 0) * big for x in at]
+    frame = (...,) + tuple(slice(lo, min(x + 2, c0) * big) for lo, x in zip(corner, at))
+    rows = 2 * big - 1 + 2 * (q0.level - window.level_min + 1)  # the sum of k + 2 over levels
+    counts = np.ones((rows - 2,) + (big,) * (n - 1))
+    levels = []
+    row = 0
+    for level in range(window.level_min, q0.level + 1):
+        k = 1 << (q0.level - level)
+        b = 1 << (level - window.level_min)
+        first = [x * k for x in at]
+        lo = [max(x - 1, 0) for x in first]
+        hi = [min(x + k + 1, c0 * k) for x in first]
+        src = (...,) + tuple(slice(l * b - o, h * b - o) for l, h, o in zip(lo, hi, corner))
+        dst = [slice(l - x + 1, h - x + 1) for l, h, x in zip(lo, hi, first)]
+        dst[0] = slice(row + dst[0].start, row + dst[0].stop)
+        out = (..., slice(row, row + k)) + (slice(0, k),) * (n - 1)
+        counts[out] = _dilated_cell_counts(window, level, first, k)
+        levels.append((level, b, src, (..., *dst), out))
+        row += k + 2
+    counts.setflags(write=False)
+    return _DilatedPlan(frame, (rows,) + (big + 2,) * (n - 1), tuple(levels), counts)
+
+
+def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.ndarray]:
+    """Means over 3Q clipped to the window, for every cube Q inside the window cube q0 of
+    every level from level_min to q0.level: {level: means in cube-index order from q0's
+    first subcube of the level}.  values holds one entry per finest cell of the frame
+    _dilated_plan(window, q0).frame (3Q0 clipped to the window), with leading batch axes.
+
+    3Q is Q and its level neighbours, so each sum adds up the 3^n shifted block sums (in
+    itertools.product order, from 0.0) over q0's cubes and a frame one cube wide, whose
+    cubes outside the window add 0.0.  One block sum per level fills a canvas that stacks
+    the levels, then the shifted adds and the division run once for all of them; each
+    mean is the float it would be with the levels taken one at a time.  The means are
+    views of one array.
+    """
+    plan = _dilated_plan(window, q0)
+    n = window.dim
     batch = values.shape[:values.ndim - n]
-    sums = np.zeros(batch + (k + 2,) * n)
-    blocked.sum(axis=axes, out=sums[(...,) + tuple(slice(l - x + 1, h - x + 1)
-                                                   for l, h, x in zip(lo, hi, first))])
-    total = np.zeros(batch + (k,) * n)
-    for shift in itertools.product([slice(d, d + k) for d in range(3)], repeat=n):
-        total += sums[(..., *shift)]
-    return total / _dilated_cell_counts(window, level, first, k)
+    sums = np.zeros(batch + plan.canvas_shape)
+    for _, b, src, dst, _ in plan.levels:
+        blocked, axes = _split(values[src], n, b)
+        blocked.sum(axis=axes, out=sums[dst])
+    total = np.zeros(batch + plan.counts.shape)
+    for shift in itertools.product(range(3), repeat=n):
+        total += sums[(...,) + tuple(slice(d, d + m) for d, m in zip(shift, plan.counts.shape))]
+    total /= plan.counts
+    return {level: total[out] for level, _, _, _, out in plan.levels}
 
 
 def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:

@@ -277,3 +277,75 @@ def test_dilated_cell_counts_are_clipped_outer_products():
                           np.outer(axis[2:4], axis[4:6]))
     assert np.array_equal(field._dilated_cell_counts(window, -2, (0, 0), 12),
                           oracles.dilated_sums(np.ones(window.shape), window, -2))
+
+
+@st.composite
+def dilated_cases(draw):
+    """(window, q0, values of shape (B, *window.shape)): dim 1-3, level span 0-4 in 1-D,
+    0-3 in 2-D and 0-2 in 3-D, shifted origins, top_count 1-3, Q0 of any level at any
+    position (the window's first and last cube per axis drawn as often as the rest
+    together), B = 1..3, values of either sign with one cell spiked by up to 1e8."""
+    dim = draw(st.integers(1, 3))
+    top = draw(st.integers(-1, 1))
+    window = Window(dim, top - draw(st.integers(0, 5 - dim)), top,
+                    origin_offset=tuple(draw(st.integers(-2, 1)) for _ in range(dim)),
+                    top_count=draw(st.integers(1, 3)))
+    level = draw(st.integers(window.level_min, window.level_max))
+    c = window.index_count(level)
+    q0 = Cube(level, tuple(lo + draw(st.sampled_from((0, c - 1)) | st.integers(0, c - 1))
+                           for lo in window.index_lo(level)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.uniform(-1.0, 3.0, (draw(st.integers(1, 3)), *window.shape))
+    vals[(0, *(int(rng.integers(0, window.cells_per_axis)) for _ in range(dim)))] *= \
+        10.0 ** draw(st.floats(0.0, 8.0))
+    return window, q0, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(dilated_cases())
+def test_dilated_means_match_the_whole_window_oracle(case):
+    window, q0, vals = case
+    got = field.dilated_means(vals[field._dilated_plan(window, q0).frame], window, q0)
+    assert list(got) == list(range(window.level_min, q0.level + 1))
+    for level, means in got.items():
+        k = 1 << (q0.level - level)
+        inside = tuple(slice(m * k - a, m * k - a + k)
+                       for m, a in zip(q0.index, window.index_lo(level)))
+        assert means.shape == (len(vals),) + (k,) * window.dim
+        assert_bitwise(means, [oracles.dilated_means(v, window, level)[inside] for v in vals])
+
+
+def test_dilated_plan_is_a_bounded_lru():
+    plan = field._dilated_plan
+    plan.cache_clear()
+    size = plan.cache_info().maxsize
+    assert size == 8
+    win = Window(2, -3, 0)
+    q0 = Cube(-1, (0, -1))
+    vals = np.random.default_rng(5).uniform(0.0, 2.0, (2, *win.shape))
+    first = plan(win, q0)
+    first_means = field.dilated_means(vals[first.frame], win, q0)
+    kept = plan(win, Cube(0, (-1, -1)))
+    # keyed on (window, q0): an equal key hits, another cube or window misses
+    assert plan(Window(2, -3, 0, origin_offset=(-1, -1), top_count=2), Cube(-1, (0, -1))) is first
+    assert plan(win, Cube(-1, (-1, 0))) is not first
+    assert plan(Window(2, -2, 0), q0) is not first
+    for i in range(2 * size):
+        if i % 2:
+            plan(win, Cube(-3, (i - 8, 0)))
+        else:
+            plan(Window(2, -3 - i // 2 % 2, 0, origin_offset=(i, 0), top_count=1 + i % 3),
+                 Cube(0, (i, 0)))
+        assert plan(win, Cube(0, (-1, -1))) is kept  # used every time: never evicted
+        assert plan.cache_info().currsize <= size
+    assert plan.cache_info().currsize == size
+    again = plan(win, q0)
+    assert again is not first  # evicted, so rebuilt
+    assert again[:3] == first[:3] and np.array_equal(again.counts, first.counts)
+    assert plan(win, q0) is again
+    with pytest.raises(ValueError):  # geometry only, and read-only
+        again.counts[0, 0] = 0.0
+    means = field.dilated_means(vals[again.frame], win, q0)
+    assert list(means) == list(first_means)
+    for level in means:
+        assert_bitwise(means[level], first_means[level])

@@ -31,6 +31,7 @@ from morreylab.exponents import build
 from morreylab.field import (
     LatticeFunction,
     Weight,
+    _dilated_plan,
     bmo_norm,
     dilated_means,
     level_max,
@@ -92,6 +93,11 @@ def _top(window: Window, q: Cube) -> Cube:
     return Cube(window.level_max, tuple(m >> (window.level_max - q.level) for m in q.index))
 
 
+def _frame(window: Window, q0: Cube) -> tuple:
+    """The cells that dilated_means reads for the cubes inside q0: 3Q0 clipped to the window."""
+    return _dilated_plan(window, q0).frame
+
+
 def _assert_rel(got: float, want: float, msg=""):
     assert abs(got - want) <= TOL * abs(want), f"{got} != {want} {msg}"
 
@@ -106,8 +112,8 @@ def test_block_reductions_match_per_cube_averages(window):
     for level in window.levels():
         mx = level_max(f.values, window, level)
         pm = level_power_means(f.values, window, level, 2.5)
-        dm = {(e, top): dilated_means(f.values ** e, window, level, top) ** (1.0 / e)
-              for e in (1.0, 2.5) for top in tops}
+        dm = {(e, top): dilated_means(f.values[_frame(window, top)] ** e, window, top)[level]
+              ** (1.0 / e) for e in (1.0, 2.5) for top in tops}
         for q in cubes_at_level(window, level):
             at = _at(window, q)
             top = _top(window, q)
@@ -283,8 +289,9 @@ def test_q0_local_tables_are_slices_of_the_whole_window_oracle(window):
     whole_tables = {key: oracles.functional_tables(f, g, *key) for key in keys}
     for q0 in all_cubes(window):
         subtree = range(window.level_min, q0.level + 1)
-        for level in subtree:
-            means = dilated_means(pair, window, level, q0)
+        all_means = dilated_means(pair[_frame(window, q0)], window, q0)
+        assert list(all_means) == list(subtree)
+        for level, means in all_means.items():
             for i in range(2):
                 assert np.array_equal(means[i], _q0_slice(whole[level][i], window, q0, level))
         for key in keys:
