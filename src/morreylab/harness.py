@@ -342,7 +342,8 @@ def _growth(summary_per_stage: list[dict]) -> tuple[list, dict]:
     """Consecutive max-ratio growth factors and the stable/divergent flags.
 
     A factor is inf when the max ratio turns infinite or leaves 0, nan when it
-    is infinite at both stages; neither counts as stable.
+    is infinite at both stages; neither counts as stable.  Each flag needs at
+    least one factor: a single stage is neither stable nor divergent.
     """
     maxima = [s["max_ratio"] for s in summary_per_stage]
     factors = []
@@ -356,7 +357,7 @@ def _growth(summary_per_stage: list[dict]) -> tuple[list, dict]:
         else:
             factors.append(b / a)
     flags = {
-        "stable_lt_2": all(f < 2.0 for f in factors),
+        "stable_lt_2": bool(factors) and all(f < 2.0 for f in factors),
         "divergent_ge_1p5": bool(factors) and all(f >= 1.5 for f in factors),
     }
     return factors, flags
@@ -737,6 +738,8 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one experiment; deterministic for fixed (config, seed)."""
     rows, notes, violations = _RUNNERS[cfg.experiment](cfg)
+    # a nan side is a failed evaluation; the stage max would skip it unless it came first
+    violations += sum(math.isnan(r["lhs"]) or math.isnan(r["rhs"]) for r in rows)
     stages = _stage_summaries(rows)
     factors, flags = _growth(stages)
     summary = {

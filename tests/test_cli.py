@@ -73,6 +73,21 @@ def test_run_invariant_violation_exit_3(tmp_path, monkeypatch):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "broken")]) == 3
 
 
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
+    # a nan after a finite row: Python's max over the ratios would skip it
+    cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
+    win = Window(1, -4, 0)
+    rows = [harness._row(0, win, 0, 1.0, 2.0, "random"),
+            harness._row(0, win, 1, *((float("nan"), 2.0) if side == "lhs" else (1.0, float("nan"))),
+                         "random")]
+    monkeypatch.setitem(harness._RUNNERS, "T25", lambda cfg: (rows, {}, 0))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "nan")]) == 3
+    assert "invariant violations: 1" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "nan.json").read_text(encoding="utf-8"))
+    assert summary["invariant_violations"] == 1
+
+
 def test_norm_subcommand_matches_library(tmp_path, capsys):
     w = Window(1, -3, 0)
     f = random_lattice(w, 5)

@@ -409,7 +409,16 @@ def test_growth_zero_to_zero_and_finite_factors():
     assert _growth(_stages(0.0, 0.0)) == ([0.0], {"stable_lt_2": True,
                                                    "divergent_ge_1p5": False})
     assert _growth(_stages(2.0, 3.0, 1.5))[0] == [1.5, 0.5]
-    assert _growth(_stages(2.0))[1]["stable_lt_2"] is True
+    assert _growth(_stages(2.0))[1]["stable_lt_2"] is False
+
+
+
+def test_single_stage_run_is_flagged_neither_stable_nor_divergent():
+    # one refinement gives no growth factor, so there is no evidence either way
+    pairs = [kv for kv in T25_PAIRS if kv[0] != "refinements"]
+    rep = run_experiment(config_from_pairs(pairs))
+    assert rep.summary["growth_factors"] == []
+    assert rep.summary["growth_flags"] == {"stable_lt_2": False, "divergent_ge_1p5": False}
 
 
 T29_PAIRS = [
