@@ -185,10 +185,9 @@ def _dilated_cell_counts(window: Window, level: int, first: Sequence[int], k: in
 class _DilatedPlan(NamedTuple):
     """The geometry of dilated_means for one (window, q0): see _dilated_plan."""
 
-    frame: tuple         # the cells of 3Q0 clipped to the window, led by ... for batch axes
-    canvas_shape: tuple  # the stacked block sums of every level, with a frame one cube wide
-    levels: tuple        # per level from level_min: (level, cube side b, src, dst, out)
-    counts: np.ndarray   # the clipped cell counts at every level's out, 1.0 elsewhere
+    frame: tuple        # the cells of 3Q0 clipped to the window, led by ... for batch axes
+    levels: tuple       # per level from level_min: (level, cube side b, src, dst, out)
+    counts: np.ndarray  # the clipped cell counts at every level's out, 1.0 elsewhere
 
 
 # Bounded, so a long sweep over windows or base cubes holds at most 8 plans.
@@ -200,7 +199,8 @@ def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
     takes k_l + 2 rows (its k_l cubes per axis inside q0 and a frame cube on either side),
     and k_l + 2 of the K + 2 columns of every other axis (K = k at level_min).  src is the
     level's cells in the frame, dst its block sums in the canvas, out its means in the
-    canvas less two rows and columns.  Geometry only: the counts are read-only.
+    canvas less two rows and columns, which is the shape of counts.  Geometry only: the
+    counts are read-only.
     """
     n = window.dim
     big = 1 << (q0.level - window.level_min)
@@ -226,7 +226,7 @@ def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
         levels.append((level, b, src, (..., *dst), out))
         row += k + 2
     counts.setflags(write=False)
-    return _DilatedPlan(frame, (rows,) + (big + 2,) * (n - 1), tuple(levels), counts)
+    return _DilatedPlan(frame, tuple(levels), counts)
 
 
 def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.ndarray]:
@@ -245,7 +245,7 @@ def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.
     plan = _dilated_plan(window, q0)
     n = window.dim
     batch = values.shape[:values.ndim - n]
-    sums = np.zeros(batch + plan.canvas_shape)
+    sums = np.zeros(batch + tuple(m + 2 for m in plan.counts.shape))
     for _, b, src, dst, _ in plan.levels:
         blocked, axes = _split(values[src], n, b)
         blocked.sum(axis=axes, out=sums[dst])
