@@ -23,13 +23,16 @@ whole cells.  For the default window the block is the window's own cells.
 The correlation runs over an offset plan, built once per (alpha, dim, c,
 level_min, depth) and cached: for each kernel cell y_c, the kernel average
 on it and the band of output cells x whose samples x - y_c and x + y_c both
-fall inside the window, as one slice of the output and one of each input.  The
-plan is the only cache here, so the kernel quadrature runs once per plan.
-Outside its band a term is an exact zero, and the running sum starts at
-+0.0, so leaving those terms out changes no bit of the result.  Every
-operator here takes a batch of inputs (values of shape (*batch,
-*window.shape), see field) through the same plan, with the same float
-operations per batch entry; the plan's slices index the trailing axes.
+fall inside the window, as one tuple of per-axis slices of the output and one
+of each input.  The plan is the only cache here, so the kernel quadrature
+runs once per plan.  Outside its band a term is an exact zero, and the
+running sum starts at +0.0, so leaving those terms out changes no bit of the
+result.  Every operator here takes a batch of inputs (values of shape
+(*batch, *window.shape), see field) through the same plan, with the same
+float operations per batch entry.  The correlation runs on copies with the
+window axes first and the batch axes last: the plan's slices index the
+leading axes, and a band of a 1-D window is one contiguous block of its
+cells times the batch, not one short row per batch entry.
 
 Per-cell outputs are independent; a fixed summation order within each cell
 keeps results deterministic.
@@ -68,8 +71,9 @@ def _axis_bands(c: int) -> list:
 # Bounded, so a long sweep over alphas or window sizes holds at most 8 plans.
 @functools.lru_cache(maxsize=8)
 def _offset_plan(alpha: float, dim: int, c: int, level_min: int, depth: int) -> tuple:
-    """The (kernel value, out slice, f slice, g slice) of every kernel cell with a
-    non-empty band, in np.ndindex order; each slice leads with ... for batch axes.
+    """The (kernel value, out slices, f slices, g slices) of every kernel cell with
+    a non-empty band, in np.ndindex order; each is a tuple of one slice per window
+    axis, so it indexes the leading axes of an array laid out window axes first.
     The kernel cells of a window of c cells per axis at level_min are the centred
     block of cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis, so windows that
     differ only in position share one plan."""
@@ -81,7 +85,7 @@ def _offset_plan(alpha: float, dim: int, c: int, level_min: int, depth: int) -> 
     for j_off in np.ndindex(block.shape):
         per_axis = [bands[j] for j in j_off]
         if all(per_axis):
-            plan.append((kern[j_off], *((Ellipsis, *sl) for sl in zip(*per_axis))))
+            plan.append((kern[j_off], *zip(*per_axis)))
     return tuple(plan)
 
 
@@ -123,16 +127,26 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
     n = window.dim
     if not 0.0 < alpha < n:
         raise ValueError(f"alpha must lie in (0, {n}); got {alpha}")
-    fv, gv = f.values, g.values
-    bvs = [(b.values, slot) for b, slot in symbols]
-    out = np.zeros(np.broadcast_shapes(fv.shape, gv.shape, *(b.shape for b, _ in bvs)))
+    batch = np.broadcast_shapes(*(v.values.shape[:-n] for v in (f, g, *(b for b, _ in symbols))))
+    nb = len(batch)
+
+    def batch_last(values):
+        # a C-order copy of values broadcast to the whole batch, window axes first
+        full = np.broadcast_to(values, (*batch, *window.shape))
+        return np.ascontiguousarray(np.moveaxis(full, range(nb), range(n, n + nb)))
+
+    fv, gv = batch_last(f.values), batch_last(g.values)
+    bvs = [(batch_last(b.values), slot) for b, slot in symbols]
+    out = np.zeros((*window.shape, *batch))
     for kern, osl, fsl, gsl in _offset_plan(alpha, n, window.cells_per_axis, window.level_min,
                                             depth):
-        term = kern * fv[fsl] * gv[gsl]
+        term = kern * fv[fsl]
+        term *= gv[gsl]
         for b, slot in bvs:
-            term = term * (b[osl] - b[fsl if slot == 1 else gsl])
+            term *= b[osl] - b[fsl if slot == 1 else gsl]
         out[osl] += term
-    return LatticeFunction(window, out * window.cell_volume)
+    out *= window.cell_volume
+    return LatticeFunction(window, np.moveaxis(out, range(n), range(nb, nb + n)))
 
 
 def bilinear_fractional(f: LatticeFunction, g: LatticeFunction, alpha: float,

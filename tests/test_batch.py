@@ -3,8 +3,9 @@
 The offset plan of operators._correlation is checked against the padded
 loop it replaced (oracles.correlation), and every function that takes a
 batch of inputs against one call per batch entry.  Both comparisons are on
-the bit patterns (.view(np.int64)), on 1-D and 2-D windows with shifted
-origins, 1-3 top cubes per axis and a spike of up to 1e8.  The harness's
+the bit patterns (.view(np.int64)), on 1-D to 3-D windows with shifted
+origins, 1-3 top cubes per axis and a spike of up to 1e8; the correlation
+also on inputs whose batch shapes differ and broadcast.  The harness's
 stage chunks must give the same rows however the trials are split, and
 the functions that take one lattice function must refuse a batch.
 """
@@ -50,19 +51,24 @@ def assert_bitwise(got, want):
 
 
 @st.composite
+def windows(draw):
+    """1-D windows of up to 96 cells, 2-D ones of up to 12^2 and 3-D ones of up to 6^3,
+    top_count 1-3, shifted origins."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, (5, 2, 1)[dim - 1]))
+    return Window(dim, -depth, 0, top_count=draw(st.integers(1, 3)),
+                  origin_offset=tuple(draw(st.integers(-3, 2)) for _ in range(dim)))
+
+
+@st.composite
 def batches(draw):
-    """(window, values of shape (B, *window.shape), rng): B = 1..5, 1-D windows of up
-    to 96 cells, 2-D ones of up to 12^2, top_count 1-3, shifted origins, and one
-    cell of one batch entry spiked by up to 1e8."""
-    dim = draw(st.sampled_from([1, 2]))
-    top = draw(st.integers(1, 3))
-    depth = draw(st.integers(0, 5 if dim == 1 else 2))
-    window = Window(dim, -depth, 0, top_count=top,
-                    origin_offset=tuple(draw(st.integers(-3, 2)) for _ in range(dim)))
+    """(window, values of shape (B, *window.shape), rng): a window as drawn by windows(),
+    B = 1..5, and one cell of one batch entry spiked by up to 1e8."""
+    window = draw(windows())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     vals = rng.uniform(0.0, 2.0, (draw(st.integers(1, 5)), *window.shape))
     at = (draw(st.integers(0, len(vals) - 1)),
-          *(draw(st.integers(0, window.cells_per_axis - 1)) for _ in range(dim)))
+          *(draw(st.integers(0, window.cells_per_axis - 1)) for _ in range(window.dim)))
     vals[at] *= 10.0 ** draw(st.floats(0.0, 8.0))
     return window, vals, rng
 
@@ -139,6 +145,45 @@ def test_plan_leaves_out_empty_bands():
 
 
 # -- batched against one call per entry ---------------------------------------------
+
+
+# (f, g, symbols) batch shapes: _correlation broadcasts them to one batch before it
+# takes products in place, so a smaller input never meets a larger output operand
+MIXED = [
+    ((), (3,), ()),  # unbatched f with batched g
+    ((3,), (), ((),)),
+    ((3,), (3,), ((),)),  # batched f and g with an unbatched symbol
+    ((3,), (3,), ((3,), ())),
+    ((), (), ((3,),)),  # unbatched f and g with batched symbols
+    ((), (), ((3,), (3,))),
+    ((2, 3), (3,), ()),  # batch (2, 3) against (3,)
+    ((3,), (2, 3), ((2, 1), ())),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(windows(), st.sampled_from(MIXED), st.sampled_from([0.3, 0.9]),
+       st.integers(0, 2 ** 32 - 1))
+def test_mixed_batch_shapes_match_per_entry(window, shapes, frac, seed):
+    rng = np.random.default_rng(seed)
+    f_batch, g_batch, b_batches = shapes
+    f, g = (LatticeFunction(window, rng.uniform(0.0, 2.0, (*b, *window.shape)))
+            for b in (f_batch, g_batch))
+    bs = [LatticeFunction(window, rng.uniform(-1.0, 1.0, (*b, *window.shape))) for b in b_batches]
+    slots = tuple(int(s) for s in rng.integers(1, 3, len(bs)))
+    alpha = frac * window.dim
+
+    def op(*args):
+        if not bs:
+            return bilinear_fractional(*args, alpha, DEPTH)
+        return commutator_iterated(CommutatorSpec(args[2:], slots), *args[:2], alpha, DEPTH)
+
+    batch = np.broadcast_shapes(f_batch, g_batch, *b_batches)
+    got = op(f, g, *bs).values
+    assert got.shape == (*batch, *window.shape)
+    full = [np.broadcast_to(x.values, got.shape) for x in (f, g, *bs)]
+    for i in np.ndindex(batch):
+        assert_bitwise(got[i], op(*(LatticeFunction(window, v[i]) for v in full)).values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab.dyadic import Window
 from morreylab.field import LatticeFunction
@@ -15,7 +17,7 @@ from morreylab.operators import (
 )
 
 from conftest import assert_close, random_lattice
-from oracles import cell_index_of_point, multilinear_fractional
+from oracles import cell_index_of_point, correlation, multilinear_fractional
 
 
 def _value_near_zero(out):
@@ -172,26 +174,45 @@ def test_bilinear_is_bitwise_order_zero_commutator(window):
     assert np.array_equal(out.values, bilinear_fractional(f, g, alpha, depth=4).values)
 
 
-@pytest.mark.parametrize("dim, level_min, top", [
-    (1, -3, 1), (1, -3, 2), (1, -3, 3), (1, 0, 3), (2, -2, 1), (2, -2, 2), (2, -1, 3),
-])
-def test_operators_commute_with_translations(dim, level_min, top):
-    # the same arrays on windows shifted by whole top cubes give the same bits: the
-    # kernel covers |y| < W/2 wherever the window sits
-    base = Window(dim, level_min, 0, top_count=top)
-    f, g, b1, b2 = (random_lattice(base, 40 + i).values for i in range(4))
-    spec = lambda w: CommutatorSpec((LatticeFunction(w, b1), LatticeFunction(w, b2)), (1, 2))
-    want = bilinear_fractional(LatticeFunction(base, f), LatticeFunction(base, g), 0.5, 4)
-    assert np.abs(want.values).max() > 0.0
-    want_c = commutator_iterated(spec(base), LatticeFunction(base, f), LatticeFunction(base, g),
-                                 0.5, 4)
-    for offset in (-5, -1, 0, 2):
-        w = Window(dim, level_min, 0, origin_offset=(offset,) + (-offset,) * (dim - 1),
-                   top_count=top)
-        fw, gw = LatticeFunction(w, f), LatticeFunction(w, g)
-        assert np.array_equal(bilinear_fractional(fw, gw, 0.5, 4).values, want.values), offset
-        assert np.array_equal(commutator_iterated(spec(w), fw, gw, 0.5, 4).values,
-                              want_c.values), offset
+@st.composite
+def translated(draw, dim, top):
+    """(window, its copy at the default position, batch shapes of f, g and the symbols,
+    slots, rng): an origin_offset drawn per axis, up to 8 cells per top cube and axis in
+    1-D, 4 in 2-D and 2 in 3-D, a batch of 1-3 on each input or on none of it (f keeps
+    one if all are drawn unbatched), 0-2 symbols."""
+    level_min = -draw(st.integers(0, 4 - dim))
+    window = Window(dim, level_min, 0, top_count=top,
+                    origin_offset=tuple(draw(st.integers(-6, 5)) for _ in range(dim)))
+    slots = draw(st.lists(st.sampled_from([1, 2]), max_size=2))
+    size = draw(st.integers(1, 3))
+    batches = [(size,) if draw(st.booleans()) else () for _ in range(2 + len(slots))]
+    batches[0] = batches[0] if any(batches) else (size,)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return window, Window(dim, level_min, 0, top_count=top), batches, tuple(slots), rng
+
+
+@pytest.mark.parametrize("top", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_operators_commute_with_translations(dim, top, data):
+    # the same arrays on a window shifted by whole top cubes give, entry by entry, the
+    # bits of the padded loop at the default position: the kernel covers |y| < W/2
+    # wherever the window sits
+    window, base, batches, slots, rng = data.draw(translated(dim, top))
+    values = [rng.uniform(0.05, 1.0, (*b, *window.shape)) for b in batches[:2]] + \
+        [rng.uniform(-1.0, 1.0, (*b, *window.shape)) for b in batches[2:]]
+    f, g, *bs = (LatticeFunction(window, v) for v in values)
+    alpha = 0.5 * window.dim
+    got = commutator_iterated(CommutatorSpec(bs, slots), f, g, alpha, 4).values
+    if not slots:
+        assert np.array_equal(bilinear_fractional(f, g, alpha, 4).values.view(np.int64),
+                              got.view(np.int64))
+    full = [np.broadcast_to(v, got.shape) for v in values]
+    for i in np.ndindex(got.shape[:-window.dim]):
+        f_i, g_i, *b_i = (LatticeFunction(base, v[i]) for v in full)
+        want = correlation(f_i, g_i, alpha, 4, tuple(zip(b_i, slots))).values
+        assert np.array_equal(got[i].view(np.int64), want.view(np.int64)), i
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
