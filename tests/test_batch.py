@@ -151,7 +151,7 @@ def test_plan_leaves_out_empty_bands():
 # takes products in place, so a smaller input never meets a larger output operand
 MIXED = [
     ((), (3,), ()),  # unbatched f with batched g
-    ((3,), (), ((),)),
+    ((3,), (), ((),)),  # batched f with unbatched g and symbol
     ((3,), (3,), ((),)),  # batched f and g with an unbatched symbol
     ((3,), (3,), ((3,), ())),
     ((), (), ((3,),)),  # unbatched f and g with batched symbols
