@@ -141,10 +141,6 @@ class Window:
         lo = self.cell_index_lo
         return tuple(slice((m * b) - a, (m + 1) * b - a) for m, a in zip(q.index, lo))
 
-    def cell_center(self, cell_index: Sequence[int]) -> tuple[float, ...]:
-        h = self.cell_side
-        return tuple((m + 0.5) * h for m in cell_index)
-
 
 # -- cube relations ----------------------------------------------------------
 

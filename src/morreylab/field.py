@@ -87,16 +87,6 @@ class LatticeFunction:
     def constant(cls, window: Window, c: float) -> "LatticeFunction":
         return cls(window, np.full(window.shape, float(c)))
 
-    @classmethod
-    def from_callable(cls, window: Window, fn: Callable[..., float]) -> "LatticeFunction":
-        """Sample fn at cell centers."""
-        vals = np.empty(window.shape)
-        lo = window.cell_index_lo
-        for off in np.ndindex(window.shape):
-            center = window.cell_center(tuple(o + a for o, a in zip(off, lo)))
-            vals[off] = fn(*center)
-        return cls(window, vals)
-
 
 class Weight(LatticeFunction):
     """Strictly positive lattice function.
@@ -330,19 +320,26 @@ def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
     return _fold(lambda corner: blocked[tuple(x for bit in corner for x in (slice(None), bit))], n)
 
 
-def _powers(coords: Sequence[np.ndarray], gamma: float) -> np.ndarray:
-    """|c|^gamma on the grid of the per-axis coordinates, |c|^2 added in axis order.
-
-    The power is Python's float pow (C pow), one row of Python floats at a
-    time: np.power is not bit-equal to C pow on every platform (it is not
-    with AVX-512), and the per-box recursion uses C pow.
-    """
+def _radii(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """|c| on the grid of the per-axis coordinates: squares added in axis order, then np.sqrt.
+    It serves the quadrature leaves (_powers) and the JN cell centres (harness._log_abs)."""
     n = len(coords)
     r = 0.0
     for axis, c in enumerate(coords):
         c = c.reshape((1,) * axis + (-1,) + (1,) * (n - 1 - axis))
         r = r + c * c
     np.sqrt(r, out=r)
+    return r
+
+
+def _powers(coords: Sequence[np.ndarray], gamma: float) -> np.ndarray:
+    """|c|^gamma on the _radii grid of the per-axis coordinates.
+
+    The power is Python's float pow (C pow), one row of Python floats at a time (as
+    harness._log_abs takes C log): np.power is not bit-equal to C pow on every platform
+    (it is not with AVX-512), and the per-box recursion uses C pow.
+    """
+    r = _radii(coords)
     return np.fromiter((x ** gamma for row in r.reshape(len(r), -1) for x in row.tolist()),
                        float, r.size).reshape(r.shape)
 
@@ -500,17 +497,23 @@ def bmo_norm(b: LatticeFunction) -> float:
     return _oscillation_sup(b, 1.0)
 
 
+def _oscillation_ratios(b: LatticeFunction, exponents) -> tuple[float, dict]:
+    """The BMO norm of b and its oscillation ratios at the exponents, from one norm sweep;
+    the ratio at e = 1 is the norm over itself, and every ratio is 0.0 when the norm is."""
+    _require_unbatched(b)
+    norm = bmo_norm(b)
+    if norm == 0.0:
+        return norm, {e: 0.0 for e in exponents}
+    return norm, {e: (norm if e == 1.0 else _oscillation_sup(b, e)) / norm for e in exponents}
+
+
 def oscillation_ratio(b: LatticeFunction, e: float) -> float:
     """sup over cubes of (mean |b - mean_Q b|^e)^(1/e), normalized by the BMO norm.
 
     John-Nirenberg predicts this stays bounded in e; the value is reported for
     empirical checks, it is not clamped.
     """
-    _require_unbatched(b)
-    norm = bmo_norm(b)
-    if norm == 0.0:
-        return 0.0
-    return _oscillation_sup(b, e) / norm
+    return _oscillation_ratios(b, (e,))[1][e]
 
 
 # -- CSV interchange -------------------------------------------------------------

@@ -54,7 +54,8 @@ from .field import (
     DEFAULT_DEPTH,
     LatticeFunction,
     Weight,
-    _oscillation_sup,
+    _oscillation_ratios,
+    _radii,
     bmo_norm,
     expand_level,
     from_csv,
@@ -574,14 +575,13 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     return rows, notes, 0
 
 
-def _oscillation_ratios(b: LatticeFunction, exponents) -> tuple[float, dict]:
-    """The BMO norm of b and its oscillation ratios at the exponents, from one norm sweep;
-    the ratio at e = 1 is the norm over itself."""
-    norm = bmo_norm(b)
-    if norm == 0.0:
-        return norm, {ee: 0.0 for ee in exponents}
-    return norm, {ee: (norm if ee == 1.0 else _oscillation_sup(b, ee)) / norm
-                  for ee in exponents}
+def _log_abs(window: Window) -> LatticeFunction:
+    """log|x| at the cell centres (m + 0.5) h of the window, on field._radii's grid.  C log
+    (math.log) on Python floats, a row at a time: np.log is not bit-equal to it with AVX-512."""
+    h = window.cell_side
+    r = _radii([(np.arange(a, a + window.cells_per_axis) + 0.5) * h for a in window.cell_index_lo])
+    return LatticeFunction(window, np.fromiter((math.log(x) for row in r.reshape(-1, r.shape[-1])
+                                                for x in row.tolist()), float, r.size).reshape(r.shape))
 
 
 def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
@@ -591,8 +591,7 @@ def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     notes = {"log_symbol": {}}
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        b_log = LatticeFunction.from_callable(
-            win, lambda *x: math.log(math.sqrt(sum(v * v for v in x))))
+        b_log = _log_abs(win)
         norm, ratios = _oscillation_ratios(b_log, exponents)
         notes["log_symbol"][f"stage_{stage}"] = {f"e{int(ee)}": ratios[ee] for ee in exponents}
         if not all(math.isfinite(v) for v in ratios.values()):

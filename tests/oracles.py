@@ -12,6 +12,10 @@ morreylab.field.dilated_means, which reads only one cube's subtree and its
 frame: the same float operations for every cube of the level, so the
 Q0-local means must equal a slice of these bit for bit.
 
+from_callable samples a function at every cell centre, one Python call per
+cell: the per-cell form of the John-Nirenberg log symbol that
+morreylab.harness._log_abs builds as arrays.
+
 m_alpha_r_dyadic and weight_constant take the dyadic maximal function and the
 weight constants of morreylab.weights_norms.two_weight_constant as maxima over
 every window cube or nested cube pair, one cube at a time.
@@ -94,6 +98,21 @@ def cell_index_of_point(window: Window, x) -> tuple[int, ...]:
     # floor is exact: window membership bounds the index range
     lo, c = window.cell_index_lo, window.cells_per_axis
     return tuple(min(max(int(xi // h), a), a + c - 1) for xi, a in zip(x, lo))
+
+
+def cell_center(window: Window, cell_index) -> tuple[float, ...]:
+    """The centre (m + 0.5) h of the finest cell with the index m."""
+    h = window.cell_side
+    return tuple((m + 0.5) * h for m in cell_index)
+
+
+def from_callable(window: Window, fn) -> LatticeFunction:
+    """fn sampled at every cell centre, one Python call per cell."""
+    vals = np.empty(window.shape)
+    lo = window.cell_index_lo
+    for off in np.ndindex(window.shape):
+        vals[off] = fn(*cell_center(window, tuple(o + a for o, a in zip(off, lo))))
+    return LatticeFunction(window, vals)
 
 
 def children(q: Cube) -> list[Cube]:
@@ -336,7 +355,7 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     out = np.zeros(window.shape)
     for m_off in np.ndindex(window.shape):
         prod = np.abs(f.values * _reflected(g.values, m_off))
-        x = window.cell_center(tuple(o + a for o, a in zip(m_off, window.cell_index_lo)))
+        x = cell_center(window, tuple(o + a for o, a in zip(m_off, window.cell_index_lo)))
         best = 0.0
         for r in radii:
             box = tuple(xi - r for xi in x), tuple(xi + r for xi in x)
@@ -366,7 +385,7 @@ def m_alpha_r_centered(f: LatticeFunction, g: LatticeFunction, alpha: float,
     out = np.empty(window.shape)
     lo = window.cell_index_lo
     for off in np.ndindex(window.shape):
-        x = window.cell_center(tuple(o + a for o, a in zip(off, lo)))
+        x = cell_center(window, tuple(o + a for o, a in zip(off, lo)))
         best = 0.0
         for r in radii:
             box = tuple(xi - r for xi in x), tuple(xi + r for xi in x)

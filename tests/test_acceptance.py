@@ -35,7 +35,8 @@ from morreylab.weights_norms import (
     two_weight_constant,
 )
 
-from oracles import all_cubes, cell_index_of_point, m_alpha_r_dyadic, nested_pairs, weight_constant
+from oracles import (all_cubes, cell_index_of_point, from_callable, m_alpha_r_dyadic, nested_pairs,
+                     weight_constant)
 
 EXACT = 1e-12
 
@@ -289,7 +290,7 @@ def test_criterion_08_power_weight_stability_and_divergence():
 
 def test_criterion_09_john_nirenberg_and_telescoping():
     window = Window(1, -6, 0)
-    b = LatticeFunction.from_callable(window, lambda x: math.log(abs(x)))
+    b = from_callable(window, lambda x: math.log(abs(x)))
     ratios = {e: oscillation_ratio(b, e) for e in (1.0, 2.0, 4.0)}
     assert all(math.isfinite(v) for v in ratios.values()), ratios
     assert ratios[1.0] <= ratios[2.0] + EXACT <= ratios[4.0] + 2 * EXACT, ratios

@@ -11,6 +11,7 @@ from conftest import assert_close
 from oracles import (
     all_cubes,
     box_volume,
+    cell_center,
     cell_index_of_point,
     children,
     cube_box,
@@ -192,5 +193,5 @@ def test_cell_offsets_cover_cube():
     assert arr.sum() == 4  # 2x2 cells
     for off in itertools.product(*(range(s.start, s.stop) for s in sl)):
         idx = tuple(o + a for o, a in zip(off, w.cell_index_lo))
-        center = w.cell_center(idx)
+        center = cell_center(w, idx)
         assert cube_contains_point(q, center)

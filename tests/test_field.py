@@ -23,6 +23,7 @@ from oracles import (
     cube_box,
     cube_center,
     dilate3,
+    from_callable,
     indicator,
     nested_pairs,
     power_avg,
@@ -64,7 +65,7 @@ def test_cell_average_linear_and_monotone(sym_window):
 
 def test_cell_average_dilate3_linear_is_center_value():
     win = Window(1, -4, 0)
-    b = LatticeFunction.from_callable(win, lambda x: 2.0 * x + 0.25)
+    b = from_callable(win, lambda x: 2.0 * x + 0.25)
     q = Cube(-3, (0,))  # 3Q = [-1/8, 1/4) well inside
     assert_close(cell_average(b, dilate3(q)), 2.0 * cube_center(q)[0] + 0.25)
 
@@ -200,7 +201,7 @@ def test_bmo_log_stable_under_refinement():
     vals = []
     for lmin in (-6, -8):
         win = Window(1, lmin, 0)
-        b = LatticeFunction.from_callable(win, lambda x: math.log(abs(x)))
+        b = from_callable(win, lambda x: math.log(abs(x)))
         vals.append(bmo_norm(b))
     assert abs(vals[0] - vals[1]) / vals[1] < 0.10
 
@@ -219,7 +220,7 @@ def test_ancestor_mean_telescoping_bound(sym_window):
 
 def test_oscillation_ratio_finite_nondecreasing():
     win = Window(1, -6, 0)
-    b = LatticeFunction.from_callable(win, lambda x: math.log(abs(x)))
+    b = from_callable(win, lambda x: math.log(abs(x)))
     r1, r2, r4 = (oscillation_ratio(b, e) for e in (1.0, 2.0, 4.0))
     assert r1 == 1.0
     assert math.isfinite(r4)

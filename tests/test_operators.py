@@ -17,7 +17,7 @@ from morreylab.operators import (
 )
 
 from conftest import assert_close, random_lattice
-from oracles import cell_index_of_point, correlation, multilinear_fractional
+from oracles import cell_index_of_point, correlation, from_callable, multilinear_fractional
 
 
 def _value_near_zero(out):
@@ -80,8 +80,8 @@ def test_reflection_symmetry_first_order():
     # swapping the arguments of reflected inputs reflects the output, up to
     # the half-cell asymmetry of the sampling (first-order in the cell side)
     w = Window(1, -6, 0)
-    f = LatticeFunction.from_callable(w, lambda x: math.exp(-3.0 * x * x))
-    g = LatticeFunction.from_callable(w, lambda x: 1.0 / (1.0 + x * x))
+    f = from_callable(w, lambda x: math.exp(-3.0 * x * x))
+    g = from_callable(w, lambda x: 1.0 / (1.0 + x * x))
     fr = LatticeFunction(w, np.flip(g.values))  # fr(x) = g(-x) up to cell reflection
     gr = LatticeFunction(w, np.flip(f.values))
     lhs = bilinear_fractional(fr, gr, 0.5)
