@@ -544,6 +544,8 @@ def from_csv(path) -> LatticeFunction:
         if len(r) != dim + 1:
             raise ValueError(f"cell row has {len(r)} fields, expected {dim + 1}")
         idx = tuple(int(v) for v in r[:dim])
+        if idx in cells:
+            raise ValueError(f"cell index {idx} is repeated")
         cells[idx] = float(r[dim])
     if not cells:
         raise ValueError("CSV has no cell rows")

@@ -267,9 +267,17 @@ def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weigh
     raise ValidationError(f"unknown weight spec {spec!r} (use pow:<g>, const:<c>, csv:<path>)")
 
 
+# The largest depth a config may set: the origin-cell recursion of the quadrature takes two
+# frames per level, so depths near 500 overflow Python's default recursion limit of 1000.
+_MAX_DEPTH = 256
+
+
 def _depth(cfg: ExperimentConfig) -> int:
-    """The quadrature depth of the power weights and the kernel averages."""
-    return int(cfg.params.get("depth", DEFAULT_DEPTH))
+    """The quadrature depth of the power weights and the kernel averages, 0.._MAX_DEPTH."""
+    depth = int(cfg.params.get("depth", DEFAULT_DEPTH))
+    if not 0 <= depth <= _MAX_DEPTH:
+        raise ValidationError(f"depth must be in 0..{_MAX_DEPTH}; got {depth}")
+    return depth
 
 
 def _n_symbols(cfg: ExperimentConfig) -> int:

@@ -6,7 +6,8 @@ dilated_means).  Each test here recomputes the same quantity cube by cube
 with the enumeration helpers of tests/oracles.py (all_cubes, nested_pairs,
 power_avg, dilate3)
 on windows of both dimensions, every level span 0..3, shifted origins and
-1-3 top cubes per axis, with spiky data.  The czd oracle is the per-cube
+1-3 top cubes per axis, with spiky data; the weight constants of every kind
+draw such windows and weights with Hypothesis.  The czd oracle is the per-cube
 functional and stack walk the decompositions used before they were
 rebuilt on per-level tables.  dilated_means and the czd tables cover one
 cube's subtree only; they must equal a slice of the whole-window
@@ -18,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab.czd import (
     _functional_tables,
@@ -134,14 +137,24 @@ _KIND_SETS = ((K.C22, lambda: _e_t21(True)), (K.C23, lambda: _e_t21(False)),
               (K.C211, _e_t28))
 
 
-@pytest.mark.parametrize("window", WINDOWS, ids=repr)
-def test_every_weight_kind_matches_brute_force(window):
+@st.composite
+def drawn_windows(draw) -> Window:
+    """The windows of _windows, drawn: dim 1-2, level span 0..3, origin_offset in [-2, 1]^dim,
+    top_count 1..3."""
+    dim, span, top = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(-1, 1))
+    return Window(dim, top - span, top, origin_offset=tuple(draw(st.integers(-2, 1)) for _ in range(dim)),
+                  top_count=draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("kind, maker", _KIND_SETS, ids=[kind.value for kind, _ in _KIND_SETS])
+@settings(max_examples=40, deadline=None)
+@given(window=drawn_windows(), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_weight_kind_matches_brute_force(kind, maker, window, seed):
     assert {kind for kind, _ in _KIND_SETS} == set(K)
-    v, w1, w2 = (Weight(window, _spiky(window, 20 + i)) for i in range(3))
-    for kind, maker in _KIND_SETS:
-        e = maker()
-        got = two_weight_constant(kind, v, w1, w2, e, window)
-        _assert_rel(got, oracles.weight_constant(kind, v, w1, w2, e, window), kind.value)
+    v, w1, w2 = (Weight(window, _spiky(window, [seed, i])) for i in range(3))
+    e = maker()
+    got = two_weight_constant(kind, v, w1, w2, e, window)
+    _assert_rel(got, oracles.weight_constant(kind, v, w1, w2, e, window), kind.value)
 
 
 @pytest.mark.parametrize("window", WINDOWS[::3], ids=repr)

@@ -110,6 +110,15 @@ def test_norm_subcommand_with_power_weight(tmp_path, capsys):
     assert_close(printed, morrey_norm(f, 2.0, 1.5, w=power_weight(0.5, w)))
 
 
+def test_norm_rejects_a_repeated_cell_exit_2(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    to_csv(random_lattice(Window(1, -2, 0), 5), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("-4,99.0\n")
+    assert cli.main(["norm", str(path), "--p", "2", "--q", "1.5"]) == 2
+    assert "repeated" in capsys.readouterr().err
+
+
 def test_weight_const_subcommand(tmp_path, capsys):
     cfg = _write(tmp_path, "wc.cfg", """
 experiment = T28
@@ -280,4 +289,12 @@ def test_run_without_a_symbol_exit_2(tmp_path, capsys, name, n_symbols):
     cfg = _write(tmp_path, "bad.cfg", "\n".join(keep + [f"n_symbols = {n_symbols}", ""]))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "n_symbols" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("depth", [-1, 257])  # the cap is harness._MAX_DEPTH = 256
+def test_run_depth_out_of_range_exit_2(tmp_path, capsys, depth):
+    cfg = _write(tmp_path, "bad.cfg", T25_CONFIG + f"depth = {depth}\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "depth must be in 0..256" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()

@@ -284,6 +284,16 @@ def test_csv_rejects_ragged(tmp_path):
         from_csv(path)
 
 
+def test_csv_rejects_a_repeated_cell(tmp_path):
+    # the later value used to win: this file read as the window with cell -4 = 99
+    path = tmp_path / "repeated.csv"
+    to_csv(random_lattice(Window(1, -2, 0), 9), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("-4,99.0\n")
+    with pytest.raises(ValueError, match=r"cell index \(-4,\) is repeated"):
+        from_csv(path)
+
+
 def test_lattice_function_immutable(sym_window):
     f = LatticeFunction.constant(sym_window, 1.0)
     with pytest.raises(AttributeError):

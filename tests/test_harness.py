@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morreylab.czd import necessity_pair
-from morreylab.dyadic import Cube
+from morreylab.dyadic import Cube, Window
 from morreylab.errors import ValidationError
 from morreylab.field import power_weight
 from morreylab.harness import (
@@ -23,6 +23,7 @@ from morreylab.harness import (
 from morreylab.weights_norms import WeightConditionKind
 
 from conftest import assert_close
+from oracles import from_callable
 
 
 T25_PAIRS = [
@@ -264,6 +265,14 @@ def test_depth_sets_the_kernel_of_the_integral():
     assert run_experiment(config_from_pairs(pairs)).rows[0]["lhs"] == lhs[12]
 
 
+def test_the_largest_depth_stays_below_the_recursion_limit():
+    # depth 496 overflows on this window; the cap leaves room for the caller's frames
+    from morreylab import harness
+    from morreylab.field import abs_power_cell_averages
+    assert harness._MAX_DEPTH == 256
+    assert np.all(np.isfinite(abs_power_cell_averages(-0.5, Window(2, -2, 0), harness._MAX_DEPTH)))
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -354,6 +363,27 @@ def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
     assert rep.summary["invariant_violations"] == 0
     assert len(sweeps) == 2 * (3 + 2 * 5)
     assert sweeps.count(1.0) == 2 * 6
+
+
+@pytest.mark.parametrize("window", [
+    Window(1, -6, 0),
+    Window(1, -6, 0, origin_offset=(-3,), top_count=3),
+    Window(2, -5, 0),
+    Window(2, -5, 0, origin_offset=(-2, 0), top_count=3),
+    Window(3, -4, 0),
+    Window(3, -4, 0, origin_offset=(-1, 1, 0), top_count=1),
+], ids=str)
+def test_jn_log_symbol_is_the_per_cell_sample_bit_for_bit(window):
+    # Sized so that np.log and C log disagree somewhere (with AVX-512, on 2 to 792 cells
+    # per window), and 0.5 log(|x|^2) differs from log(sqrt(|x|^2)) in 2-D and 3-D.  The
+    # squares of the centres and their sums are exact dyadic numbers, so the order of the
+    # adds does not matter; only the square root rounds.
+    from morreylab.harness import _log_abs
+    expected = from_callable(window, lambda *x: math.log(math.sqrt(sum(v * v for v in x))))
+    got = _log_abs(window)
+    assert got.window == window
+    assert got.values.tobytes() == expected.values.tobytes()
+
 
 def test_l39_experiment_stable():
     pairs = [
