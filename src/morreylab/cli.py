@@ -81,7 +81,7 @@ def _cmd_weight_const(args) -> int:
     win = cfg.window
     e = _exponent_set(cfg, kind)
     params, depth = cfg.params, _depth(cfg)
-    v = _make_weight(params["weight_v"], win, depth) if "weight_v" in params else None
+    v = _make_weight(params.get("weight_v", "const:1"), win, depth)
     w1 = _make_weight(params.get("weight_w1", params.get("weight_u1", "const:1")), win, depth)
     w2 = _make_weight(params.get("weight_w2", params.get("weight_u2", "const:1")), win, depth)
     print(repr(two_weight_constant(kind, v, w1, w2, e, win)))

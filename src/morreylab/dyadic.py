@@ -15,7 +15,6 @@ tolerance-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,6 @@ class Window:
         return self.index_lo(self.level_min)
 
     # -- membership ---------------------------------------------------------
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        top = 2.0 ** self.level_max
-        return all(o * top <= xi < (o + self.top_count) * top
-                   for o, xi in zip(self.origin_offset, x))
 
     def contains_cube(self, q: Cube) -> bool:
         if q.dim != self.dim or not self.level_min <= q.level <= self.level_max:

@@ -31,17 +31,19 @@ only at the origin, which is always a cell corner).  The uncontrolled error
 of the midpoint leaves is O(2^(-depth*(gamma+n))) for the origin cell; the
 value is reported, not assumed, by the accuracy tests.
 
-The rule is defined by a per-box corner recursion, but it runs as arrays.
-One step, _grid_averages, takes a fixed-depth tensor midpoint rule on every
-box of a grid in one pass (_midpoint_rule) and overwrites the boxes that
-touch the origin with their recursion (_avg_abs_power_box), which halves
-them and takes the same step one level deeper.  So the whole window is one
-step, and each level of the chain of sub-boxes touching the origin is one
-more.  The two repeat the recursion's floating-point operations in its
-order, so the cell values are bit-identical to it by construction;
-tests/test_quadrature.py keeps the recursion as the oracle.  The same
-averages, with gamma = alpha - n on the block of cells centred on the
-origin, are the kernel of the bilinear integrals in operators.
+The rule is defined by a per-box corner recursion, but it runs as one loop
+over arrays (_grid_averages).  Walking down, each level takes a fixed-depth
+tensor midpoint rule on every box of its grid in one pass (_midpoint_rule),
+records the boxes that touch the origin and halves them into the next
+level's grid, one depth lower.  Walking back up, each level's averages fold
+into the touching boxes of the level above.  So the whole window is one
+level, and each halving of the chain of sub-boxes touching the origin is one
+more; the stack does not grow with the depth.  The loop repeats the
+recursion's floating-point operations in its order, so the cell values are
+bit-identical to it by construction; tests/test_quadrature.py keeps the
+recursion as the oracle.  The same averages, with gamma = alpha - n on the
+block of cells centred on the origin, are the kernel of the bilinear
+integrals in operators.
 """
 
 from __future__ import annotations
@@ -288,16 +290,15 @@ def _abs_power_antiderivative(x: float, gamma: float) -> float:
 
 
 def _integral_abs_power_1d(a: float, b: float, gamma: float) -> float:
-    """Exact integral of |x|^gamma over [a, b); a < b."""
-    if a < 0.0 < b:
-        return _integral_abs_power_1d(a, 0.0, gamma) + _integral_abs_power_1d(0.0, b, gamma)
-    touches_zero = a == 0.0 or b == 0.0
-    if touches_zero and gamma <= -1.0:
+    """Exact integral of |x|^gamma over [a, b); a < b.  F(b) - F(a) also across 0, where it
+    is bit for bit (F(0) - F(a)) + (F(b) - F(0)) since F(0) = 0.0."""
+    if a <= 0.0 <= b and gamma <= -1.0:
         raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
     return _abs_power_antiderivative(b, gamma) - _abs_power_antiderivative(a, gamma)
 
 
-_REG_DEPTH = 3  # dyadic tensor-midpoint depth for boxes away from the singularity
+# Midpoint-rule depth of the boxes that miss the origin, at every level of the origin chain.
+_REG_DEPTH = 3
 
 
 def _fold(sub: Callable[[tuple[int, ...]], np.ndarray], n: int) -> np.ndarray:
@@ -355,16 +356,27 @@ def _distinct_abs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(index)), np.array(positions)
 
 
-def _midpoint_rule(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
+def _halves(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the two halves of each [a, b], split at m = (a + b) / 2.0: along the
+    last axis each box becomes [a, m] followed by [m, b]."""
+    m = (a + b) / 2.0
+    lo, hi = np.repeat(a, 2, axis=-1), np.repeat(b, 2, axis=-1)
+    lo[..., 1::2] = m
+    hi[..., ::2] = m
+    return lo, hi
+
+
+def _midpoint_rule(lo: Sequence[np.ndarray], hi: Sequence[np.ndarray], gamma: float,
                    depth: int) -> np.ndarray:
     """Dyadic tensor midpoint rule for |x|^gamma on a grid of boxes.
 
-    Axis i of the grid has the box edges lo[i], hi[i]; the result holds one
-    average per box, in grid order.  The arithmetic is that of the per-box
-    recursion, operation for operation, so the values are bit-identical to
-    it: each box is halved depth times along each axis by (a + b) / 2.0, at
-    every leaf midpoint c the value is sqrt(c_0^2 + ... + c_{n-1}^2)^gamma
-    with the squares added in axis order, and _fold averages the levels back.
+    Axis i of the grid has the box edges lo[i], hi[i] (1-D arrays); the result
+    holds one average per box, in grid order.  The arithmetic is that of the
+    per-box recursion, operation for operation, so the values are
+    bit-identical to it: each box is halved depth times along each axis by
+    _halves, at every leaf midpoint c the value is
+    sqrt(c_0^2 + ... + c_{n-1}^2)^gamma with the squares added in axis order,
+    and _fold averages the levels back.
     (The recursion adds the squares with sum(), which CPython 3.12 made
     compensated; that can move the last bit of a 3-D leaf, never a 2-D one.)
     Since c^2 = |c|^2 exactly, the powers are taken once per distinct tuple
@@ -377,11 +389,9 @@ def _midpoint_rule(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]],
     n = len(lo)
     distinct, inverse = [], []
     for a, b in zip(lo, hi):
-        a = np.asarray(a, dtype=float).reshape(-1, 1)
-        b = np.asarray(b, dtype=float).reshape(-1, 1)
+        a, b = a.reshape(-1, 1), b.reshape(-1, 1)
         for _ in range(depth):  # leaf index = box * 2^depth + halving bits, first halving highest
-            m = (a + b) / 2.0
-            a, b = np.stack((a, m), -1).reshape(len(a), -1), np.stack((m, b), -1).reshape(len(b), -1)
+            a, b = _halves(a, b)
         u, inv = _distinct_abs(((a + b) / 2.0).ravel())
         distinct.append(u)
         inverse.append(inv)
@@ -394,53 +404,38 @@ def _midpoint_rule(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]],
     return vals
 
 
-def _touching(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]]) -> list[list[int]]:
-    """Per axis of a grid of boxes, the positions of the edges [a, b] with a <= 0 <= b."""
-    return [[k for k, (a, b) in enumerate(zip(al, ah)) if a <= 0.0 <= b] for al, ah in zip(lo, hi)]
-
-
-def _select(lo, hi, positions):
-    """The sub-grid of the boxes at the given per-axis positions, as its (lo, hi) edges."""
-    return ([[al[k] for k in ks] for al, ks in zip(lo, positions)],
-            [[ah[k] for k in ks] for ah, ks in zip(hi, positions)])
-
-
-def _grid_averages(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
+def _grid_averages(lo: Sequence[np.ndarray], hi: Sequence[np.ndarray], gamma: float,
                    depth: int) -> np.ndarray:
-    """Averages of |x|^gamma over a grid of boxes (given as in _midpoint_rule), n >= 2:
-    _midpoint_rule at depth min(depth, _REG_DEPTH) on every box, then the boxes that touch
-    the origin overwritten by their _avg_abs_power_box recursion at the full depth."""
-    vals = _midpoint_rule(lo, hi, gamma, min(depth, _REG_DEPTH))
-    near = _touching(lo, hi)
-    if all(near):
-        vals[np.ix_(*near)] = _avg_abs_power_box(*_select(lo, hi, near), gamma, depth)
-    return vals
+    """Averages of |x|^gamma over a grid of boxes (given as in _midpoint_rule), n >= 2.
 
-
-def _avg_abs_power_box(lo: Sequence[Sequence[float]], hi: Sequence[Sequence[float]], gamma: float,
-                       depth: int) -> np.ndarray:
-    """Averages of |x|^gamma over a grid of boxes that all touch the origin, n >= 2.
-
-    The grid is given as in _midpoint_rule (the cells of a window that touch
-    the origin form one).  Each box is split dyadically: the chain of
-    sub-boxes touching the origin keeps the full depth budget and recurses,
-    the other sub-boxes get _midpoint_rule at depth min(budget, _REG_DEPTH),
-    and an exhausted budget falls back to the midpoint value.  One level of
-    the chain is one _grid_averages call on every sub-box of the grid at
-    depth - 1 and one _fold.  The uncontrolled remainder sits in the
-    innermost corner box of volume 2^(-n*depth) times the box.
+    One loop down the chain of boxes that touch the origin.  Walking down,
+    each level takes _midpoint_rule at depth min(depth, _REG_DEPTH) on its
+    grid and records the per-axis positions of the boxes that touch the
+    origin (a sub-grid: the origin is a corner of each); the halves of those
+    boxes are the next level's grid, at depth - 1.  The walk stops at depth 0,
+    where a box keeps its midpoint value, or where no box touches.  Walking
+    back up, _fold_halves of each level overwrites the touching boxes of the
+    level above.  The uncontrolled remainder sits in the innermost corner box
+    of volume 2^(-n*depth) times the box.
     """
     n = len(lo)
-    if gamma <= -n:
-        raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
-    if depth <= 0:
-        return _midpoint_rule(lo, hi, gamma, 0)
-    sub_lo, sub_hi = [], []
-    for box_lo, box_hi in zip(lo, hi):
-        mids = [(a + b) / 2.0 for a, b in zip(box_lo, box_hi)]
-        sub_lo.append([x for a, m in zip(box_lo, mids) for x in (a, m)])
-        sub_hi.append([x for m, b in zip(mids, box_hi) for x in (m, b)])
-    return _fold_halves(_grid_averages(sub_lo, sub_hi, gamma, depth - 1), n)
+    chain = []
+    while True:
+        vals = _midpoint_rule(lo, hi, gamma, min(depth, _REG_DEPTH))
+        near = [np.flatnonzero((a <= 0.0) & (0.0 <= b)) for a, b in zip(lo, hi)]
+        if not all(k.size for k in near):
+            break
+        if gamma <= -n:
+            raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
+        if depth <= 0:
+            break
+        chain.append((vals, near))
+        lo, hi = zip(*(_halves(a[k], b[k]) for a, b, k in zip(lo, hi, near)))
+        depth -= 1
+    for parent, near in reversed(chain):
+        parent[np.ix_(*near)] = _fold_halves(vals, n)
+        vals = parent
+    return vals
 
 
 def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> np.ndarray:
@@ -448,25 +443,24 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
 
     n = 1 uses the closed-form antiderivative (exact), cell by cell.  n >= 2
     runs _grid_averages on the grid of all cells: one _midpoint_rule array
-    pass, and the full-depth recursion for the at most 2^n cells that touch
-    the origin.  The values are bit-identical to a corner recursion run cell
-    by cell.
+    pass, and one more per level of the chain below the at most 2^n cells
+    that touch the origin.  The values are bit-identical to a corner
+    recursion run cell by cell.  gamma <= -n raises when a cell touches the
+    origin.
     """
-    n = window.dim
-    if gamma <= -n and window.contains_point((0.0,) * n):
-        raise ValueError(f"gamma must be > -n = {-n} when the window touches 0")
     h = window.cell_side
-    lo = [[(a + k) * h for k in range(window.cells_per_axis)] for a in window.cell_index_lo]
-    hi = [[v + h for v in axis] for axis in lo]
-    if n == 1:
-        return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a) for a, b in zip(lo[0], hi[0])])
+    lo = [np.arange(a, a + window.cells_per_axis) * h for a in window.cell_index_lo]
+    hi = [a + h for a in lo]
+    if window.dim == 1:
+        return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
+                         for a, b in zip(lo[0].tolist(), hi[0].tolist())])
     return _grid_averages(lo, hi, gamma, depth)
 
 
 def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
     """Weight whose cell values are accurate averages of |x|^gamma.
 
-    Requires gamma > -dim whenever the window touches the origin (otherwise
+    Requires gamma > -dim whenever a cell of the window touches the origin (otherwise
     the origin-cell average diverges).
     """
     return Weight(window, abs_power_cell_averages(gamma, window, depth))

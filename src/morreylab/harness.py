@@ -84,6 +84,12 @@ _FLOAT_KEYS = {"alpha", "q1", "q2", "p", "r", "a", "r1", "r2", "q", "beta", "gam
                "p1", "p2", "vartheta1", "vartheta2", "theta1", "theta2", "t_hat"}
 _KEYS = _INT_KEYS | _INT_TUPLE_KEYS | _STR_KEYS | _FLOAT_KEYS
 
+# The largest depth a config may set.  Each level of the quadrature's origin chain halves the
+# boxes, so at depth d the innermost leaf midpoints lie about 2^-d cell sides from the origin;
+# far past 256 their squares underflow to 0.0 and |x|^gamma with gamma < 0 raises
+# ZeroDivisionError (from depth 535 on Window(2, -2, 0)).  256 keeps well clear of that.
+_MAX_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -166,6 +172,9 @@ def config_from_pairs(pairs) -> ExperimentConfig:
             f"refinements must be distinct nonnegative level decrements; got {refinements}")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    depth = int(seen.get("depth", DEFAULT_DEPTH))
+    if not 0 <= depth <= _MAX_DEPTH:
+        raise ValidationError(f"depth must be in 0..{_MAX_DEPTH}; got {depth}")
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
     return ExperimentConfig(experiment=experiment, window=window, trials=trials,
                             seed=seed, refinements=refinements,
@@ -267,17 +276,10 @@ def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weigh
     raise ValidationError(f"unknown weight spec {spec!r} (use pow:<g>, const:<c>, csv:<path>)")
 
 
-# The largest depth a config may set: the origin-cell recursion of the quadrature takes two
-# frames per level, so depths near 500 overflow Python's default recursion limit of 1000.
-_MAX_DEPTH = 256
-
-
 def _depth(cfg: ExperimentConfig) -> int:
-    """The quadrature depth of the power weights and the kernel averages, 0.._MAX_DEPTH."""
-    depth = int(cfg.params.get("depth", DEFAULT_DEPTH))
-    if not 0 <= depth <= _MAX_DEPTH:
-        raise ValidationError(f"depth must be in 0..{_MAX_DEPTH}; got {depth}")
-    return depth
+    """The quadrature depth of the power weights and the kernel averages, 0.._MAX_DEPTH
+    (checked by config_from_pairs)."""
+    return int(cfg.params.get("depth", DEFAULT_DEPTH))
 
 
 def _n_symbols(cfg: ExperimentConfig) -> int:

@@ -176,18 +176,6 @@ def dyadic_radii(window: Window) -> list[float]:
     return [2.0 ** j for j in range(window.level_min - 1, window.level_max + 1)]
 
 
-def _shell(s: int, n: int) -> list[tuple[int, ...]]:
-    """Offset vectors d in Z^n with |d|_inf = s >= 1, in lexicographic order."""
-    if n == 1:
-        return [(-s,), (s,)]
-    out = []
-    for d0 in range(-s, s + 1):
-        rest = itertools.product(range(-s, s + 1), repeat=n - 1) if abs(d0) == s \
-            else _shell(s, n - 1)
-        out += [(d0, *d) for d in rest]
-    return out
-
-
 def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     """Bilinear maximal function over dyadic radii.
 
@@ -220,7 +208,11 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     inner = best.copy()  # sum of A_d over |d|_inf < s
     for s in range(1, (c - 1) // 2 + 1):
         box = inner.copy() if s in ks else None  # the sum at radius s h
-        for d in _shell(s, n):
+        full = range(-s, s + 1)  # the shell |d|_inf = s, in lexicographic order: the last
+        # coordinate runs over all of full after a leading part on the shell, else is -s or s
+        shell = [(*lead, x) for lead in itertools.product(full, repeat=n - 1)
+                 for x in (full if s in lead or -s in lead else (-s, s))]
+        for d in shell:
             a = fpad[(Ellipsis, *(slice(c - di, 2 * c - di) for di in d))] \
                 * gpad[(Ellipsis, *(slice(c + di, 2 * c + di) for di in d))]
             inner += a

@@ -92,7 +92,8 @@ def all_cubes(window: Window):
 
 def cell_index_of_point(window: Window, x) -> tuple[int, ...]:
     """The index of the finest window cell that holds the point x."""
-    if not window.contains_point(x):
+    lo, hi = window_box(window)
+    if not all(a <= xi < b for a, b, xi in zip(lo, hi, x)):
         raise ValueError(f"point {tuple(x)} outside window box")
     h = window.cell_side
     # floor is exact: window membership bounds the index range

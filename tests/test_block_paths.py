@@ -6,8 +6,9 @@ dilated_means).  Each test here recomputes the same quantity cube by cube
 with the enumeration helpers of tests/oracles.py (all_cubes, nested_pairs,
 power_avg, dilate3)
 on windows of both dimensions, every level span 0..3, shifted origins and
-1-3 top cubes per axis, with spiky data; the weight constants of every kind
-draw such windows and weights with Hypothesis.  The czd oracle is the per-cube
+1-3 top cubes per axis, with spiky data; the level folds (level_sup and
+pointwise_level_sup) of the block reductions and the weight constants of
+every kind draw such windows and values with Hypothesis.  The czd oracle is the per-cube
 functional and stack walk the decompositions used before they were
 rebuilt on per-level tables.  dilated_means and the czd tables cover one
 cube's subtree only; they must equal a slice of the whole-window
@@ -38,7 +39,10 @@ from morreylab.field import (
     bmo_norm,
     dilated_means,
     level_max,
+    level_means,
     level_power_means,
+    level_sup,
+    pointwise_level_sup,
 )
 from morreylab.harness import _telescoping_defect
 from morreylab.weights_norms import (
@@ -80,6 +84,15 @@ def _spiky(window: Window, seed: int, lo=0.2, hi=3.0) -> np.ndarray:
         cell = tuple(int(rng.integers(0, window.cells_per_axis)) for _ in range(window.dim))
         vals[cell] *= 10.0 ** (rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 3.0))
     return vals
+
+
+@st.composite
+def drawn_windows(draw) -> Window:
+    """The windows of _windows, drawn: dim 1-2, level span 0..3, origin_offset in [-2, 1]^dim,
+    top_count 1..3."""
+    dim, span, top = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(-1, 1))
+    return Window(dim, top - span, top, origin_offset=tuple(draw(st.integers(-2, 1)) for _ in range(dim)),
+                  top_count=draw(st.integers(1, 3)))
 
 
 def _at(window: Window, q: Cube) -> tuple[int, ...]:
@@ -129,21 +142,35 @@ def test_block_reductions_match_per_cube_averages(window):
             assert np.array_equal(stepped, level_max(f.values, window, coarser))
 
 
+@settings(max_examples=40, deadline=None)
+@given(window=drawn_windows(), seed=st.integers(0, 2 ** 32 - 1),
+       e=st.sampled_from((0.5, 1.0, 2.5, math.inf)))
+def test_level_folds_match_per_cube_oracles(window, seed, e):
+    """level_sup and pointwise_level_sup of level_means, level_max and level_power_means
+    against the sup of oracles.power_avg over every window cube (and, per cell, over the
+    cubes that contain it), on drawn windows with spiky values."""
+    f = LatticeFunction(window, _spiky(window, seed))
+    tables = ((1.0, lambda level: level_means(f.values, window, level)),
+              (math.inf, lambda level: level_max(f.values, window, level)),
+              (e, lambda level: level_power_means(f.values, window, level, e)))
+    for exponent, table in tables:
+        best, pointwise = 0.0, np.zeros(window.shape)
+        for q in all_cubes(window):
+            value = power_avg(f, cube_box(q), exponent)
+            best = max(best, value)
+            cells = window.cell_offsets_of_cube(q)
+            pointwise[cells] = np.maximum(pointwise[cells], value)
+        _assert_rel(level_sup(window, table), best, f"e={exponent}")
+        got = pointwise_level_sup(window, table)
+        assert np.all(np.abs(got - pointwise) <= TOL * pointwise), f"e={exponent}"
+
+
 # -- weights_norms ------------------------------------------------------------------
 
 
 _KIND_SETS = ((K.C22, lambda: _e_t21(True)), (K.C23, lambda: _e_t21(False)),
               (K.C24, _e_t22), (K.C27, _e_t27), (K.C29, _e_t28), (K.CBH, _e_t28),
               (K.C211, _e_t28))
-
-
-@st.composite
-def drawn_windows(draw) -> Window:
-    """The windows of _windows, drawn: dim 1-2, level span 0..3, origin_offset in [-2, 1]^dim,
-    top_count 1..3."""
-    dim, span, top = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(-1, 1))
-    return Window(dim, top - span, top, origin_offset=tuple(draw(st.integers(-2, 1)) for _ in range(dim)),
-                  top_count=draw(st.integers(1, 3)))
 
 
 @pytest.mark.parametrize("kind, maker", _KIND_SETS, ids=[kind.value for kind, _ in _KIND_SETS])

@@ -160,6 +160,24 @@ p = 2.2
     assert "'q1'" in capsys.readouterr().err
 
 
+def test_weight_const_defaults_weight_v_like_run(tmp_path, capsys):
+    keep = [line for line in (CONFIGS / "t28_strong_maximal.cfg").read_text(encoding="utf-8")
+            .splitlines() if line.split("=", 1)[0].strip() != "weight_v"]
+    path = _write(tmp_path, "no_v.cfg", "\n".join(keep + [""]))
+    assert cli.main(["run", path, "--out", str(tmp_path / "rep")]) == 0
+    capsys.readouterr()
+    assert cli.main(["weight-const", "C29", path]) == 0
+    printed = capsys.readouterr().out.strip()
+    cfg = cli._load_config(path)
+    win = cfg.window
+    kind = WeightConditionKind.C29
+    from morreylab.field import power_weight
+    w = power_weight(0.1, win)
+    want = two_weight_constant(kind, Weight.constant(win, 1.0), w, w,
+                               harness._exponent_set(cfg, kind), win)
+    assert printed == repr(want)
+
+
 @pytest.mark.parametrize("kind,config", [("C27", "t27_weak_type.cfg"),
                                          ("C211", "t29_vector_weight.cfg")])
 def test_weight_const_prints_the_runners_constant(kind, config, capsys, monkeypatch):
@@ -295,6 +313,15 @@ def test_run_without_a_symbol_exit_2(tmp_path, capsys, name, n_symbols):
 @pytest.mark.parametrize("depth", [-1, 257])  # the cap is harness._MAX_DEPTH = 256
 def test_run_depth_out_of_range_exit_2(tmp_path, capsys, depth):
     cfg = _write(tmp_path, "bad.cfg", T25_CONFIG + f"depth = {depth}\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "depth must be in 0..256" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_depth_is_checked_for_runners_that_do_not_read_it(tmp_path, capsys):
+    # JN builds no power weight or kernel; the range is checked when the config is parsed
+    text = (CONFIGS / "jn_oscillation.cfg").read_text(encoding="utf-8")
+    cfg = _write(tmp_path, "deep.cfg", text + "\ndepth = 5000\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "depth must be in 0..256" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()

@@ -266,11 +266,19 @@ def test_depth_sets_the_kernel_of_the_integral():
 
 
 def test_the_largest_depth_stays_below_the_recursion_limit():
-    # depth 496 overflows on this window; the cap leaves room for the caller's frames
+    # the origin chain of the quadrature is a loop: the largest depth runs in 50 stack frames
+    import inspect
+    import sys
     from morreylab import harness
     from morreylab.field import abs_power_cell_averages
     assert harness._MAX_DEPTH == 256
-    assert np.all(np.isfinite(abs_power_cell_averages(-0.5, Window(2, -2, 0), harness._MAX_DEPTH)))
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        vals = abs_power_cell_averages(-0.5, Window(2, -2, 0), harness._MAX_DEPTH)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert np.all(np.isfinite(vals))
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -47,7 +47,7 @@ def _oracle_box(lo: Sequence[float], hi: Sequence[float], gamma: float, depth: i
 
 def _oracle_cell_averages(gamma: float, window: Window, depth: int = 12) -> np.ndarray:
     n = window.dim
-    if gamma <= -n and window.contains_point((0.0,) * n):
+    if gamma <= -n and all(-window.top_count < o <= 0 for o in window.origin_offset):
         raise ValueError(f"gamma must be > -n = {-n} when the window touches 0")
     h = window.cell_side
     lo_idx = window.cell_index_lo
