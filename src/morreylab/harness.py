@@ -87,7 +87,8 @@ _KEYS = _INT_KEYS | _INT_TUPLE_KEYS | _STR_KEYS | _FLOAT_KEYS
 # The largest depth a config may set.  Each level of the quadrature's origin chain halves the
 # boxes, so at depth d the innermost leaf midpoints lie about 2^-d cell sides from the origin;
 # far past 256 their squares underflow to 0.0 and |x|^gamma with gamma < 0 raises
-# ZeroDivisionError (from depth 535 on Window(2, -2, 0)).  256 keeps well clear of that.
+# ZeroDivisionError (from depth 535 on Window(2, -2, 0)).  At 256 that takes cells of side
+# 2^-281 or smaller.
 _MAX_DEPTH = 256
 
 

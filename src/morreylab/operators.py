@@ -208,8 +208,9 @@ def bh_maximal(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     inner = best.copy()  # sum of A_d over |d|_inf < s
     for s in range(1, (c - 1) // 2 + 1):
         box = inner.copy() if s in ks else None  # the sum at radius s h
-        full = range(-s, s + 1)  # the shell |d|_inf = s, in lexicographic order: the last
-        # coordinate runs over all of full after a leading part on the shell, else is -s or s
+        # the shell |d|_inf = s in lexicographic order: after a leading part on the shell the
+        # last coordinate takes all of -s..s, otherwise only -s or s
+        full = range(-s, s + 1)
         shell = [(*lead, x) for lead in itertools.product(full, repeat=n - 1)
                  for x in (full if s in lead or -s in lead else (-s, s))]
         for d in shell:

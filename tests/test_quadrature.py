@@ -1,11 +1,12 @@
 """Differential tests: the array quadrature of |x|^gamma against the corner recursion.
 
 field.abs_power_cell_averages evaluates every cell that misses the origin
-in one array pass and recurses only along the origin-touching chain.  The
-oracle below is the per-cell code it replaced, copied unchanged: a loop
-over the cells that runs the corner recursion on each.  The two must agree
-bit for bit, on 2-D and 3-D windows with the origin inside, on the boundary
-and outside, at every depth regime (below, at and above _REG_DEPTH).
+in one array pass and loops only down the origin-touching chain.  The
+oracle below is the per-cell code it replaced, unchanged but for its
+inline origin test: a loop over the cells that runs the corner recursion on
+each.  The two must agree bit for bit, on 2-D and 3-D windows with the
+origin inside, on the boundary and outside, at every depth regime (below,
+at and above _REG_DEPTH).
 """
 
 import itertools
