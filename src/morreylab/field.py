@@ -348,8 +348,9 @@ def _powers(coords: Sequence[np.ndarray], gamma: float) -> np.ndarray:
 def _distinct_abs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct |c| in order of appearance, and the position of each |c| among them.
 
-    np.unique would do the same in sorted order, but its sort pulls in code
-    that adds about 0.3 MB to the resident size of a run; the axes are short.
+    np.unique would do the same in sorted order, but its first call imports numpy.ma
+    (through np.ma.is_masked): 15-20 ms and 1.6 MB of resident size per process with
+    numpy 2.4 on a 2-core Xeon VM.  The axes are short.
     """
     index: dict[float, int] = {}
     positions = [index.setdefault(abs(v), len(index)) for v in c.tolist()]

@@ -25,9 +25,9 @@ Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
 Each trial draws from its own streams and the strong-type, maximal-control,
-power-weight and BH domination runners take them in batched chunks
-(_stage_chunks), so the rows, in trial-index order, do not depend on the
-chunking.
+weak-type, power-weight and BH domination runners take them in batched
+chunks (_stage_chunks), so the rows, in trial-index order, do not depend on
+the chunking.
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed; see docs/config.md for the grammar and docs/
@@ -84,12 +84,13 @@ _FLOAT_KEYS = {"alpha", "q1", "q2", "p", "r", "a", "r1", "r2", "q", "beta", "gam
                "p1", "p2", "vartheta1", "vartheta2", "theta1", "theta2", "t_hat"}
 _KEYS = _INT_KEYS | _INT_TUPLE_KEYS | _STR_KEYS | _FLOAT_KEYS
 
-# The largest depth a config may set.  Each level of the quadrature's origin chain halves the
-# boxes, so at depth d the innermost leaf midpoints lie about 2^-d cell sides from the origin;
-# far past 256 their squares underflow to 0.0 and |x|^gamma with gamma < 0 raises
-# ZeroDivisionError (from depth 535 on Window(2, -2, 0)).  At 256 that takes cells of side
-# 2^-281 or smaller.
+# The largest depth a config may set.
 _MAX_DEPTH = 256
+# In dim >= 2 each level of the quadrature's origin chain halves the boxes, so at depth d the
+# smallest leaf midpoint is h 2^(-d-1) for cells of side h.  2.0 ** k squares to a nonzero
+# float only for k >= _MIN_LEAF_EXP (2^-1074 is the least subnormal); below it |x|^gamma with
+# gamma < 0 raises ZeroDivisionError at the origin.
+_MIN_LEAF_EXP = -537
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,12 @@ def config_from_pairs(pairs) -> ExperimentConfig:
     depth = int(seen.get("depth", DEFAULT_DEPTH))
     if not 0 <= depth <= _MAX_DEPTH:
         raise ValidationError(f"depth must be in 0..{_MAX_DEPTH}; got {depth}")
+    finest = window.level_min - max(refinements)
+    if window.dim >= 2 and finest - depth - 1 < _MIN_LEAF_EXP:
+        raise ValidationError(
+            f"depth {depth} is too deep for {window.dim}-D cells of side 2^{finest}: the "
+            f"quadrature's leaf midpoints 2^{finest - depth - 1} square to 0.0 "
+            f"(depth must be <= {finest - 1 - _MIN_LEAF_EXP})")
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
     return ExperimentConfig(experiment=experiment, window=window, trials=trials,
                             seed=seed, refinements=refinements,
@@ -250,12 +257,15 @@ def _pair_at(cfg: ExperimentConfig, trial: int,
 _BATCH_CELLS = 1 << 14
 
 
-def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0):
+def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0,
+                  n_trials: int | None = None):
     """Yield (trials, f, g, symbols) per chunk of at most _BATCH_CELLS cells per array:
-    f, g and each symbol batch the chunk's trials as _pair_at and _drawn draw them."""
+    f, g and each symbol batch the chunk's trials as _pair_at and _drawn draw them.
+    The trials are 0 .. n_trials - 1 (default: all of cfg.trials)."""
     per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window.level_min
-    for start in range(0, cfg.trials, per):
-        trials = range(start, min(start + per, cfg.trials))
+    n_trials = cfg.trials if n_trials is None else n_trials
+    for start in range(0, n_trials, per):
+        trials = range(start, min(start + per, n_trials))
         f, g, *symbols = (LatticeFunction(window, expand_level(np.stack(v), window, base))
                           for v in zip(*(_drawn(cfg, t, n_sym) for t in trials)))
         yield trials, f, g, symbols
@@ -506,23 +516,27 @@ def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         q0 = _q0(cfg, win)
         const = two_weight_constant(WeightConditionKind.C27, v, w1, w2, e, win)
 
-        def one(fg, trial, label):
-            f, g = fg
-            big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
+        def one(f, g, big_m, trial, label):
             lhs = weak_morrey_functional(big_m, v, e.t, e.s, q0)
             rhs = const * rhs_bilinear_morrey_from(f, g, w1, w2, e.p, e.q1, e.q2, q0)
             rows.append(_row(stage, win, trial, lhs, rhs, label))
             return rows[-1]
 
-        # the extremal pair takes the last trial slot so rows = trials x refinements
+        # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional
+        # and rhs_bilinear_morrey_from per trial, the latter for its scalar powers.  The
+        # extremal pair takes the last trial slot so rows = trials x refinements.
         n_random = cfg.trials - 1 if necessity else cfg.trials
-        for trial in range(n_random):
-            one(_pair_at(cfg, trial, win), trial, "random")
+        for trials, f, g, _ in _stage_chunks(cfg, win, n_trials=n_random):
+            big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic").values
+            for i, trial in enumerate(trials):
+                one(LatticeFunction(win, f.values[i]), LatticeFunction(win, g.values[i]),
+                    LatticeFunction(win, big_m[i]), trial, "random")
         if necessity:
             qp = _q0(cfg, win, key="qprime") \
                 if cfg.params.keys() & {"qprime_level", "qprime_index"} else q0
             f, g, lam = necessity_pair(w1, w2, qp, e)
-            ext = one((f, g), cfg.trials - 1, "extremal")
+            ext = one(f, g, m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"), cfg.trials - 1,
+                      "extremal")
             c_obs = max(r["ratio"] for r in rows
                         if r["refinement"] == stage and r["ratio"] != INF)
             ok = ext["lhs"] <= 2.0 * c_obs * ext["rhs"] * (1.0 + 1e-9)

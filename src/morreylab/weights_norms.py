@@ -117,11 +117,11 @@ def weak_morrey_functional(F: LatticeFunction, v: Weight, t: float, s: float,
     fv = F.values[sl].ravel()
     vt = (v.values[sl].ravel() ** t) * window.cell_volume
     best = 0.0
-    for lam in np.unique(fv):
+    for lam in sorted(set(fv.tolist())):  # np.unique's values, without its numpy.ma import
         if lam <= 0.0:
             continue
         mass = float(vt[fv >= lam].sum())
-        best = max(best, float(lam) * mass ** (1.0 / t))
+        best = max(best, lam * mass ** (1.0 / t))
     return q0.volume ** (1.0 / s - 1.0 / t) * best
 
 

@@ -18,7 +18,9 @@ morreylab.harness._log_abs builds as arrays.
 
 m_alpha_r_dyadic and weight_constant take the dyadic maximal function and the
 weight constants of morreylab.weights_norms.two_weight_constant as maxima over
-every window cube or nested cube pair, one cube at a time.
+every window cube or nested cube pair, one cube at a time.  weak_functional
+takes every cell value as a threshold of the weak Morrey functional, repeats
+and non-positive values included.
 
 bh_maximal and m_alpha_r_centered are the per-cell, per-radius loop forms of
 morreylab.operators.bh_maximal and of the centered mode of
@@ -260,6 +262,25 @@ def m_alpha_r_dyadic(f: LatticeFunction, g: LatticeFunction, alpha: float, r1: f
             * (np.abs(g.values[sl]) ** r2).mean() ** (1.0 / r2)
         out[sl] = np.maximum(out[sl], val)
     return out
+
+
+def weak_functional(F: LatticeFunction, v: LatticeFunction, t: float, s: float,
+                    q0: Cube) -> float:
+    """|Q0|^(1/s-1/t) max over the cell values l > 0 of F on q0 of l * v^t({F >= l})^(1/t),
+    one threshold per cell of q0 (picked by its centre), in the float order of
+    morreylab.weights_norms.weak_morrey_functional."""
+    window = _same_window(F, v)
+    lo = window.cell_index_lo
+    cells = (tuple(o + a for o, a in zip(off, lo)) for off in np.ndindex(window.shape))
+    inside = np.array([cube_contains_point(q0, cell_center(window, m)) for m in cells])
+    inside = inside.reshape(window.shape)
+    fv = F.values[inside]
+    vt = (v.values[inside] ** t) * (2.0 ** window.level_min) ** window.dim
+    best = 0.0
+    for lam in fv.tolist():
+        if lam > 0.0:
+            best = max(best, lam * float(vt[fv >= lam].sum()) ** (1.0 / t))
+    return (cube_side(q0) ** window.dim) ** (1.0 / s - 1.0 / t) * best
 
 
 def weight_constant(kind, v, w1, w2, e, window) -> float:

@@ -88,6 +88,31 @@ def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
     assert summary["invariant_violations"] == 1
 
 
+def test_t27_extremal_check_fails_on_a_zero_extremal_rhs(tmp_path, capsys, monkeypatch):
+    # c_observed includes the extremal row's own ratio, so the check can fail only where
+    # that ratio is INF (left out of c_observed): rhs 0 and lhs > 0
+    extremal = []
+    honest_pair, honest_rhs = harness.necessity_pair, harness.rhs_bilinear_morrey_from
+
+    def remembered(*args):
+        f, g, lam = honest_pair(*args)
+        extremal.append(f)
+        return f, g, lam
+
+    def zeroed(f, *args):
+        return 0.0 if any(f is x for x in extremal) else honest_rhs(f, *args)
+
+    monkeypatch.setattr(harness, "necessity_pair", remembered)
+    monkeypatch.setattr(harness, "rhs_bilinear_morrey_from", zeroed)
+    out = tmp_path / "t27"
+    assert cli.main(["run", str(CONFIGS / "t27_weak_type.cfg"), "--out", str(out)]) == 3
+    assert "invariant violations: 3" in capsys.readouterr().err
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert summary["invariant_violations"] == 3
+    assert [c["passed"] for c in summary["notes"]["extremal_checks"]] == [False] * 3
+    assert len(extremal) == 3
+
+
 def test_norm_subcommand_matches_library(tmp_path, capsys):
     w = Window(1, -3, 0)
     f = random_lattice(w, 5)
@@ -270,6 +295,37 @@ def test_python_dash_m_runs_a_shipped_config(tmp_path):
     assert json.loads(out.with_suffix(".json").read_text())["experiment"] == "T27_necessity"
 
 
+# Every shipped config on a window of at most three levels with two trials, in one process.
+_RUN_EVERY_CONFIG = """
+import json, sys
+from pathlib import Path
+from morreylab import cli
+from morreylab.harness import parse_config
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+codes = {}
+for path in sorted(configs.glob("*.cfg")):
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    level_min = max(cfg.window.level_min, cfg.window.level_max - 2)
+    raw = dict(cfg.raw, trials="2", level_min=str(level_min))
+    small = out / path.name
+    small.write_text("".join(f"{k} = {v}\\n" for k, v in raw.items()), encoding="utf-8")
+    codes[path.stem] = cli.main(["run", str(small), "--out", str(out / path.stem)])
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_shipped_configs_run_without_importing_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, which adds 15-20 ms and 1.6 MB to a process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _RUN_EVERY_CONFIG, str(CONFIGS), str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == {p.stem: 0 for p in sorted(CONFIGS.glob("*.cfg"))}
+    assert not result["numpy.ma"]
+
+
 @pytest.mark.parametrize("text", [
     "experiment = T23\nalpha = 0.5\nq1 = 1.8\nq2 = 1.8\np = 1.5\nr = 2.1\na = 1.5\n"
     "n_symbols = 2\nbeta_pattern = 1,2,1\ntrials = 2\n",
@@ -315,6 +371,17 @@ def test_run_depth_out_of_range_exit_2(tmp_path, capsys, depth):
     cfg = _write(tmp_path, "bad.cfg", T25_CONFIG + f"depth = {depth}\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "depth must be in 0..256" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_run_depth_whose_leaf_squares_underflow_exit_2(tmp_path, capsys):
+    # cells of side 2^-303 at the refined stage: the leaf midpoints 2^-560 square to 0.0
+    text = (CONFIGS / "t28_strong_maximal_2d.cfg").read_text(encoding="utf-8")
+    text = text.replace("level_min = -3", "level_min = -302").replace("level_max = 0",
+                                                                      "level_max = -300")
+    cfg = _write(tmp_path, "deep.cfg", text + "depth = 256\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "square to 0.0 (depth must be <= 233)" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
 
 

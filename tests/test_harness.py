@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,26 @@ def test_distinct_weight_specs_build_distinct_weights():
     assert w is not w1 and w1 is not u
     assert np.all(w1.values == 2.0) and np.all(u.values == 1.0)
     assert np.array_equal(w.values, power_weight(0.5, cfg.window, depth=3).values)
+
+
+@pytest.mark.parametrize("depth, refinement", [(12, 0), (256, 0), (12, 2)])
+def test_depth_bound_is_where_the_2d_quadrature_fails(depth, refinement):
+    # accepted: the leaf midpoints 2^-537 square to 2^-1074; one level finer they square to 0.0
+    def pairs(finest):
+        lo = finest + refinement
+        kept = [(k, v) for k, v in T25_PAIRS
+                if k not in ("dim", "level_min", "level_max", "refinements")]
+        return kept + [("dim", "2"), ("level_min", str(lo)), ("level_max", str(lo + 2)),
+                       ("refinements", f"0,{refinement}" if refinement else "0"),
+                       ("depth", str(depth))]
+
+    cfg = config_from_pairs(pairs(depth - 536))
+    window = cfg.window_at(refinement)
+    assert np.all(np.isfinite(power_weight(-0.1, window, depth=depth).values))
+    with pytest.raises(ValidationError, match="square to 0.0"):
+        config_from_pairs(pairs(depth - 537))
+    with pytest.raises(ZeroDivisionError):
+        power_weight(-0.1, replace(window, level_min=window.level_min - 1), depth=depth)
 
 
 def test_parse_config_errors():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab.dyadic import Cube, Window
 from morreylab.exponents import INF, build, conjugate
@@ -19,7 +21,14 @@ from morreylab.weights_norms import (
 )
 
 from conftest import assert_close, random_lattice, random_weight
-from oracles import all_cubes, from_callable, indicator, nested_pairs, weight_constant
+from oracles import (
+    all_cubes,
+    from_callable,
+    indicator,
+    nested_pairs,
+    weak_functional,
+    weight_constant,
+)
 
 K = WeightConditionKind
 
@@ -169,6 +178,34 @@ def test_weak_dominated_by_strong_chebyshev():
         strong = q0.volume ** (1.0 / s) \
             * ((F.values[sl] * v.values[sl]) ** t).mean() ** (1.0 / t)
         assert weak <= strong * (1.0 + 1e-12)
+
+
+@st.composite
+def weak_cases(draw):
+    """(F, v, t, s, q0) on a 1-D or 2-D window with a shifted origin: F takes each cell from a
+    pool of 1-5 values (so values repeat) that may hold 0.0, -0.0 and negatives."""
+    dim = draw(st.integers(1, 2))
+    depth = draw(st.integers(0, (4, 2)[dim - 1]))
+    window = Window(dim, -depth, 0, top_count=draw(st.integers(1, 2)),
+                    origin_offset=tuple(draw(st.integers(-3, 2)) for _ in range(dim)))
+    pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0]),
+                                   st.floats(-5.0, 1e6, allow_nan=False)), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F = LatticeFunction(window, np.array(pool)[rng.integers(0, len(pool), window.shape)])
+    v = Weight(window, rng.uniform(0.1, 3.0, window.shape))
+    level = draw(st.integers(window.level_min, window.level_max))
+    q0 = Cube(level, tuple(a + draw(st.integers(0, window.index_count(level) - 1))
+                           for a in window.index_lo(level)))
+    t, s = draw(st.sampled_from([0.5, 1.0, 1.7, 3.0])), draw(st.sampled_from([1.0, 2.0, 4.5]))
+    return F, v, t, s, q0
+
+
+@settings(max_examples=150, deadline=None)
+@given(weak_cases())
+def test_weak_functional_matches_every_cell_threshold_bitwise(case):
+    # the distinct values are enough: a repeated threshold gives the same mask and sum
+    F, v, t, s, q0 = case
+    assert weak_morrey_functional(F, v, t, s, q0).hex() == weak_functional(F, v, t, s, q0).hex()
 
 
 # -- two-weight constants ------------------------------------------------------------
