@@ -447,15 +447,21 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
     pass, and one more per level of the chain below the at most 2^n cells
     that touch the origin.  The values are bit-identical to a corner
     recursion run cell by cell.  gamma <= -n raises when a cell touches the
-    origin.
+    origin, and so does a power or a sum of powers above the largest float
+    (C pow raises OverflowError, numpy's sums FloatingPointError here).
     """
     h = window.cell_side
     lo = [np.arange(a, a + window.cells_per_axis) * h for a in window.cell_index_lo]
     hi = [a + h for a in lo]
-    if window.dim == 1:
-        return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
-                         for a, b in zip(lo[0].tolist(), hi[0].tolist())])
-    return _grid_averages(lo, hi, gamma, depth)
+    try:
+        with np.errstate(over="raise"):
+            if window.dim == 1:
+                return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
+                                 for a, b in zip(lo[0].tolist(), hi[0].tolist())])
+            return _grid_averages(lo, hi, gamma, depth)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"|x|^{gamma} overflows a float on the cells of side "
+                         f"2^{window.level_min}") from exc
 
 
 def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:

@@ -113,6 +113,61 @@ def test_t27_extremal_check_fails_on_a_zero_extremal_rhs(tmp_path, capsys, monke
     assert len(extremal) == 3
 
 
+def _run_exits_3_with(tmp_path, capsys, config, count):
+    """Run a shipped config; it must exit 3 and report exactly count violations."""
+    out = tmp_path / "rep"
+    assert cli.main(["run", str(CONFIGS / config), "--out", str(out)]) == 3
+    assert f"invariant violations: {count}\n" in capsys.readouterr().err
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert summary["invariant_violations"] == count
+    return summary
+
+
+def test_cz_invariants_count_a_violated_partition(tmp_path, capsys, monkeypatch):
+    # E_0 flipped in one cell breaks the partition of Q0: one message per trial (10 trials)
+    honest = harness.cz_decompose
+
+    def tampered(*args):
+        d = honest(*args)
+        e0 = d.e0.copy()
+        e0[0] = not e0[0]
+        return dataclasses.replace(d, e0=e0)
+
+    monkeypatch.setattr(harness, "cz_decompose", tampered)
+    _run_exits_3_with(tmp_path, capsys, "czd_decompose.cfg", 10)
+
+
+def test_jn_counts_a_telescoping_defect(tmp_path, capsys, monkeypatch):
+    # one telescoping check per stage, two stages
+    monkeypatch.setattr(harness, "_telescoping_defect", lambda b, norm: 1.0)
+    _run_exits_3_with(tmp_path, capsys, "jn_oscillation.cfg", 2)
+
+
+def test_jn_counts_exponent_ratios_out_of_order(tmp_path, capsys, monkeypatch):
+    # the e = 2 ratio dips below e = 1 while e = 4 equals it, so no trial row (e4 vs e1)
+    # counts: only the order check of each of the two stages does
+    honest = harness._oscillation_ratios
+
+    def dipped(b, exponents):
+        norm, _ = honest(b, exponents)
+        return norm, {e: 0.5 if e == 2.0 else 1.0 for e in exponents}
+
+    monkeypatch.setattr(harness, "_oscillation_ratios", dipped)
+    _run_exits_3_with(tmp_path, capsys, "jn_oscillation.cfg", 2)
+
+
+def test_bh_domination_counts_each_dominated_trial(tmp_path, capsys, monkeypatch):
+    # a doubled bh_maximal exceeds the centered maximal functions somewhere in 97 of the 100
+    # trials (seed 9); each such trial is one violation, and its row's lhs is above the
+    # tolerance in its rhs
+    honest = harness.bh_maximal
+    monkeypatch.setattr(harness, "bh_maximal",
+                        lambda f, g: LatticeFunction(f.window, 2.0 * honest(f, g).values))
+    _run_exits_3_with(tmp_path, capsys, "bh_domination.cfg", 97)
+    rows = (tmp_path / "rep.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert sum(float(r.split(",")[6]) > 1.0 for r in rows) == 97
+
+
 def test_norm_subcommand_matches_library(tmp_path, capsys):
     w = Window(1, -3, 0)
     f = random_lattice(w, 5)
@@ -382,6 +437,21 @@ def test_run_depth_whose_leaf_squares_underflow_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "deep.cfg", text + "depth = 256\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "square to 0.0 (depth must be <= 233)" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_run_power_weight_that_overflows_exit_2(tmp_path, capsys):
+    # cells of side 2^-508 touch the origin: |x|^-1.99 at the quadrature's smallest leaf
+    # radii is above the largest float, though the leaf squares do not underflow
+    text = (CONFIGS / "t28_strong_maximal_2d.cfg").read_text(encoding="utf-8")
+    for old, new in (("level_min = -3", "level_min = -508"), ("level_max = 0", "level_max = -506"),
+                     ("weight_v = pow:-0.1", "weight_v = pow:-1.99"),
+                     ("trials = 8", "trials = 1"), ("refinements = 0,1", "refinements = 0")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, "deep.cfg", text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "validation failure: |x|^-1.99 overflows" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
 
 
