@@ -16,15 +16,15 @@ import sys
 
 from .czd import decomposition_to_json
 from .errors import ValidationError
-from .field import from_csv
+from .field import LatticeFunction, from_csv
 from .harness import (
     ExperimentConfig,
     _decompose,
     _depth,
     _exponent_set,
     _make_weight,
-    _pair_at,
     _q0,
+    _stage_chunks,
     _write_json,
     config_from_pairs,
     emit_report,
@@ -92,8 +92,9 @@ def _cmd_decompose(args) -> int:
     cfg = _load_config(args.config)
     win = cfg.window
     q0 = _q0(cfg, win)
-    f, g = _pair_at(cfg, 0, win)
-    d, bad = _decompose(cfg, cfg.params.get("kind", "cz"), f, g, q0)
+    _, f, g, _ = next(_stage_chunks(cfg, win, n_trials=1))
+    f, g = (LatticeFunction(win, x.values[0]) for x in (f, g))
+    d, bad, _ = _decompose(cfg, cfg.params.get("kind", "cz"), f, g, q0)
     _write_json(decomposition_to_json(d, win), args.json)
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")

@@ -8,7 +8,9 @@ theory, so acceptance is finiteness and stability of empirical ratios: a
 growth study re-runs the same coarse-drawn inputs on windows refined by one
 (or more) levels and summarizes the max-ratio growth factor per refinement.
 
-Runners are grouped by the shape of their inequality:
+run_experiment owns the loop over the refinement stages: it asks the
+experiment's runner for the work of one stage, makes every row and sums the
+violation counts.  Runners are grouped by the shape of their inequality:
 
 - strong type, |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2): one
   runner for T21-T24 (bilinear integral and its commutators), T28/T29
@@ -18,15 +20,15 @@ Runners are grouped by the shape of their inequality:
   against those of the maximal operator;
 - weak type (T27_*): the weak Morrey functional on a base cube;
 - power weights (SW101), with its balance identity recorded;
-- invariant checks (JN, CZ_INV, BH_DOM, L39), whose rows also count
-  violations.
+- invariant checks (JN, CZ_INV, BH_DOM, L39), which also yield violation
+  counts.
 
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
-Each trial draws from its own streams and the strong-type, maximal-control,
-weak-type, power-weight and BH domination runners take them in batched
-chunks (_stage_chunks), so the rows, in trial-index order, do not depend on
+Each trial draws from its own streams and every runner but JN and L39 takes
+them in batched chunks (_stage_chunks; CZ_INV and `morreylab decompose` then
+take unbatched slices), so the rows, in trial-index order, do not depend on
 the chunking.
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
@@ -245,13 +247,6 @@ def _drawn(cfg: ExperimentConfig, trial: int, n_sym: int = 0) -> list[np.ndarray
     return out + [rng.uniform(-1.0, 1.0, cfg.window.shape) for _ in range(n_sym)]
 
 
-def _pair_at(cfg: ExperimentConfig, trial: int,
-             window: Window) -> tuple[LatticeFunction, LatticeFunction]:
-    """Trial inputs drawn on the base window and prolonged to window, a refinement of it."""
-    return tuple(LatticeFunction(window, expand_level(v, window, cfg.window.level_min))
-                 for v in _drawn(cfg, trial))
-
-
 # Cells per batched array of a stage chunk: larger chunks take fewer Python-level
 # steps per trial, but raise the peak resident size of a run.
 _BATCH_CELLS = 1 << 14
@@ -260,8 +255,9 @@ _BATCH_CELLS = 1 << 14
 def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0,
                   n_trials: int | None = None):
     """Yield (trials, f, g, symbols) per chunk of at most _BATCH_CELLS cells per array:
-    f, g and each symbol batch the chunk's trials as _pair_at and _drawn draw them.
-    The trials are 0 .. n_trials - 1 (default: all of cfg.trials)."""
+    f, g and each symbol batch the chunk's trials as _drawn draws them, prolonged to window
+    (a refinement of the base window).  The trials are 0 .. n_trials - 1 (default: all of
+    cfg.trials).  expand_level repeats each batch entry, so slice i holds trial i's bits."""
     per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window.level_min
     n_trials = cfg.trials if n_trials is None else n_trials
     for start in range(0, n_trials, per):
@@ -415,11 +411,6 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, _depth(cfg))
 
 
-def _rows(stage: int, window: Window, trials: range, lhs, rhs) -> list[dict]:
-    """The rows of a chunk of random trials from its batched lhs and rhs."""
-    return [_row(stage, window, t, lo, hi, "random") for t, lo, hi in zip(trials, lhs, rhs)]
-
-
 # The strong-type bounds |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2):
 # experiment -> (operator T, weight condition of C); the condition fixes the regime.
 _STRONG_TYPE = {
@@ -433,7 +424,7 @@ _STRONG_TYPE = {
 }
 
 
-def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     operator, kind = _STRONG_TYPE[cfg.experiment]
     vector = kind is WeightConditionKind.C211
     e = _exponent_set(cfg, kind)
@@ -441,36 +432,32 @@ def _run_strong_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         raise ValidationError(["COR_BH requires alpha = 0"])
     if kind is WeightConditionKind.C22 and e.s >= 1.0:
         kind = WeightConditionKind.C23
-    notes = {"condition_kind": kind.value}
+    notes["condition_kind"] = kind.value
     if vector and "a" not in cfg.params:
         notes["derived_a"] = e.a
     n_sym = _n_symbols(cfg) if operator == "commutator" else 0
-    rows = []
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        if vector:
-            u1, u2 = _weights(cfg, win, "u1", "u2")
-            w1, w2 = Weight(win, u1.values ** (1.0 / e.q1)), Weight(win, u2.values ** (1.0 / e.q2))
-            v = Weight(win, w1.values * w2.values)
-            const = two_weight_constant(kind, None, u1, u2, e, win)
+    if vector:
+        u1, u2 = _weights(cfg, win, "u1", "u2")
+        w1, w2 = Weight(win, u1.values ** (1.0 / e.q1)), Weight(win, u2.values ** (1.0 / e.q2))
+        v = Weight(win, w1.values * w2.values)
+        const = two_weight_constant(kind, None, u1, u2, e, win)
+    else:
+        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
+        const = two_weight_constant(kind, v, w1, w2, e, win)
+    for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
+        if operator == "m_alpha_r":
+            out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
+        elif operator == "bh_maximal":
+            out = bh_maximal(f, g)
         else:
-            v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-            const = two_weight_constant(kind, v, w1, w2, e, win)
-        for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
-            if operator == "m_alpha_r":
-                out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
-            elif operator == "bh_maximal":
-                out = bh_maximal(f, g)
-            else:
-                out = _fractional(cfg, f, g, e.alpha, symbols)
-            lhs = morrey_norm(_times(out, v), e.s, e.t)
-            rhs = math.prod(map(bmo_norm, symbols)) * const \
-                * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
-            rows += _rows(stage, win, trials, lhs, rhs)
-    return rows, notes, 0
+            out = _fractional(cfg, f, g, e.alpha, symbols)
+        lhs = morrey_norm(_times(out, v), e.s, e.t)
+        rhs = math.prod(map(bmo_norm, symbols)) * const \
+            * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
+        yield trials, lhs, rhs, "random", 0
 
 
-def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_maximal_control(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     mp = _param(cfg, "p")
     mq = _param(cfg, "q")
     alpha = _param(cfg, "alpha")
@@ -480,7 +467,7 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         raise ValidationError([f"need 0<q<=p (q={mq}, p={mp})"])
     if abs(1.0 / r1 + 1.0 / r2 - 1.0) > 1e-9:
         raise ValidationError([f"(r1, r2) must be a Holder pair; got ({r1}, {r2})"])
-    notes = {"morrey_weight_convention": "integrand |f|^q * w, Lebesgue normalizer |Q|"}
+    notes["morrey_weight_convention"] = "integrand |f|^q * w, Lebesgue normalizer |Q|"
     if cfg.experiment == "T26":
         vt1 = _param(cfg, "vartheta1", 1.25)
         vt2 = _param(cfg, "vartheta2", 1.25)
@@ -491,65 +478,50 @@ def _run_maximal_control(cfg: ExperimentConfig) -> tuple[list, dict, int]:
     else:
         pair = (r1, r2)
         n_sym = 0
-    rows = []
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        [w] = _weights(cfg, win, "w")
-        for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
-            lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
-            rhs = math.prod(map(bmo_norm, symbols)) \
-                * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
-            rows += _rows(stage, win, trials, lhs, rhs)
-    return rows, notes, 0
+    [w] = _weights(cfg, win, "w")
+    for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
+        lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
+        rhs = math.prod(map(bmo_norm, symbols)) \
+            * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
+        yield trials, lhs, rhs, "random", 0
 
 
-def _run_weak_type(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     necessity = cfg.experiment == "T27_necessity"
     e = _exponent_set(cfg, WeightConditionKind.C27)
-    notes = {"condition_kind": WeightConditionKind.C27.value}
-    rows = []
-    violations = 0
-    extremal_checks = []
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-        q0 = _q0(cfg, win)
-        const = two_weight_constant(WeightConditionKind.C27, v, w1, w2, e, win)
+    notes["condition_kind"] = WeightConditionKind.C27.value
+    v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
+    q0 = _q0(cfg, win)
+    const = two_weight_constant(WeightConditionKind.C27, v, w1, w2, e, win)
 
-        def one(f, g, big_m, trial, label):
-            lhs = weak_morrey_functional(big_m, v, e.t, e.s, q0)
-            rhs = const * rhs_bilinear_morrey_from(f, g, w1, w2, e.p, e.q1, e.q2, q0)
-            rows.append(_row(stage, win, trial, lhs, rhs, label))
-            return rows[-1]
+    def sides(f, g, big_m):
+        return (float(weak_morrey_functional(big_m, v, e.t, e.s, q0)),
+                float(const * rhs_bilinear_morrey_from(f, g, w1, w2, e.p, e.q1, e.q2, q0)))
 
-        # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional
-        # and rhs_bilinear_morrey_from per trial, the latter for its scalar powers.  The
-        # extremal pair takes the last trial slot so rows = trials x refinements.
-        n_random = cfg.trials - 1 if necessity else cfg.trials
-        for trials, f, g, _ in _stage_chunks(cfg, win, n_trials=n_random):
-            big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic").values
-            for i, trial in enumerate(trials):
-                one(LatticeFunction(win, f.values[i]), LatticeFunction(win, g.values[i]),
-                    LatticeFunction(win, big_m[i]), trial, "random")
-        if necessity:
-            qp = _q0(cfg, win, key="qprime") \
-                if cfg.params.keys() & {"qprime_level", "qprime_index"} else q0
-            f, g, lam = necessity_pair(w1, w2, qp, e)
-            ext = one(f, g, m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"), cfg.trials - 1,
-                      "extremal")
-            c_obs = max(r["ratio"] for r in rows
-                        if r["refinement"] == stage and r["ratio"] != INF)
-            ok = ext["lhs"] <= 2.0 * c_obs * ext["rhs"] * (1.0 + 1e-9)
-            extremal_checks.append({"refinement": stage, "lambda": lam,
-                                    "c_observed": c_obs, "passed": bool(ok)})
-            if not ok:
-                violations += 1
+    # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional
+    # and rhs_bilinear_morrey_from per trial, the latter for its scalar powers.  The
+    # extremal pair takes the last trial slot so rows = trials x refinements.
+    ratios = []
+    n_random = cfg.trials - 1 if necessity else cfg.trials
+    for trials, f, g, _ in _stage_chunks(cfg, win, n_trials=n_random):
+        big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic").values
+        for i, trial in enumerate(trials):
+            lhs, rhs = sides(*(LatticeFunction(win, x[i]) for x in (f.values, g.values, big_m)))
+            ratios.append(_ratio(lhs, rhs))
+            yield [trial], [lhs], [rhs], "random", 0
     if necessity:
-        notes["extremal_checks"] = extremal_checks
-    return rows, notes, violations
+        qp = _q0(cfg, win, key="qprime") \
+            if cfg.params.keys() & {"qprime_level", "qprime_index"} else q0
+        f, g, lam = necessity_pair(w1, w2, qp, e)
+        lhs, rhs = sides(f, g, m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"))
+        c_obs = max(x for x in ratios + [_ratio(lhs, rhs)] if x != INF)
+        ok = lhs <= 2.0 * c_obs * rhs * (1.0 + 1e-9)
+        notes.setdefault("extremal_checks", []).append(
+            {"refinement": stage, "lambda": lam, "c_observed": c_obs, "passed": bool(ok)})
+        yield [cfg.trials - 1], [lhs], [rhs], "extremal", int(not ok)
 
 
-def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     n = cfg.window.dim
     alpha = _param(cfg, "alpha")
     beta = _param(cfg, "beta", 0.0)
@@ -580,24 +552,20 @@ def _run_stein_weiss(cfg: ExperimentConfig) -> tuple[list, dict, int]:
         "balance_identity": abs(balance) <= 1e-9,
         "nonnegative_sum": beta + gamma1 + gamma2 >= -1e-12,
     }
-    notes = {"derived": {"p": p, "q": q, "s": s, "t": t},
-             "balance_defect": balance,
-             "hypothesis": hypothesis,
-             "hypothesis_satisfied": all(hypothesis.values())}
-    rows = []
+    notes.update({"derived": {"p": p, "q": q, "s": s, "t": t},
+                  "balance_defect": balance,
+                  "hypothesis": hypothesis,
+                  "hypothesis_satisfied": all(hypothesis.values())})
     depth = _depth(cfg)
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        # the target weight |x|^(-beta) multiplies the output; equal exponents share a Weight
-        exps = (-beta, gamma1, gamma2)
-        built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
-                 for x in dict.fromkeys(exps)}
-        wl, v1, v2 = (built[x] for x in exps)
-        for trials, f, g, _ in _stage_chunks(cfg, win):
-            lhs = morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t)
-            rhs = morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
-            rows += _rows(stage, win, trials, lhs, rhs)
-    return rows, notes, 0
+    # the target weight |x|^(-beta) multiplies the output; equal exponents share a Weight
+    exps = (-beta, gamma1, gamma2)
+    built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
+             for x in dict.fromkeys(exps)}
+    wl, v1, v2 = (built[x] for x in exps)
+    for trials, f, g, _ in _stage_chunks(cfg, win):
+        lhs = morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t)
+        rhs = morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
+        yield trials, lhs, rhs, "random", 0
 
 
 def _log_abs(window: Window) -> LatticeFunction:
@@ -609,38 +577,28 @@ def _log_abs(window: Window) -> LatticeFunction:
                                                 for x in row.tolist()), float, r.size).reshape(r.shape))
 
 
-def _run_john_nirenberg(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     exponents = (1.0, 2.0, 4.0)
-    rows = []
-    violations = 0
-    notes = {"log_symbol": {}}
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        b_log = _log_abs(win)
-        norm, ratios = _oscillation_ratios(b_log, exponents)
-        notes["log_symbol"][f"stage_{stage}"] = {f"e{int(ee)}": ratios[ee] for ee in exponents}
-        if not all(math.isfinite(v) for v in ratios.values()):
-            violations += 1
-        if not (ratios[1.0] <= ratios[2.0] + 1e-12 and ratios[2.0] <= ratios[4.0] + 1e-12):
-            violations += 1
-        tele = _telescoping_defect(b_log, norm)
-        if tele > 1e-12:
-            violations += 1
-        for trial in range(cfg.trials):
-            if trial == 0:
-                b_ratios, label = ratios, "log_abs"
-            else:
-                rng = _rng(cfg, 3, trial)
-                b = LatticeFunction(win, expand_level(
-                    rng.uniform(-1.0, 1.0, cfg.window.shape), win, cfg.window.level_min))
-                _, b_ratios = _oscillation_ratios(b, (1.0, 4.0))
-                label = "random"
-            lo, hi = b_ratios[1.0], b_ratios[4.0]
-            rows.append(_row(stage, win, trial, hi, max(lo, 1e-300), label))
-            if hi + 1e-12 < lo:
-                violations += 1
+    b_log = _log_abs(win)
+    norm, ratios = _oscillation_ratios(b_log, exponents)
+    notes.setdefault("log_symbol", {})[f"stage_{stage}"] = \
+        {f"e{int(ee)}": ratios[ee] for ee in exponents}
     notes["telescoping_bound"] = "max |mean_Q0 b - mean_Q b| <= k 2^n ||b||, checked exactly"
-    return rows, notes, violations
+    # the log symbol's checks count with its row, trial 0
+    checks = int(not all(math.isfinite(v) for v in ratios.values()))
+    checks += not (ratios[1.0] <= ratios[2.0] + 1e-12 and ratios[2.0] <= ratios[4.0] + 1e-12)
+    checks += _telescoping_defect(b_log, norm) > 1e-12
+    for trial in range(cfg.trials):
+        if trial == 0:
+            b_ratios, label, bad = ratios, "log_abs", checks
+        else:
+            rng = _rng(cfg, 3, trial)
+            b = LatticeFunction(win, expand_level(
+                rng.uniform(-1.0, 1.0, cfg.window.shape), win, cfg.window.level_min))
+            _, b_ratios = _oscillation_ratios(b, (1.0, 4.0))
+            label, bad = "random", 0
+        lo, hi = b_ratios[1.0], b_ratios[4.0]
+        yield [trial], [hi], [max(lo, 1e-300)], label, bad + int(hi + 1e-12 < lo)
 
 
 def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
@@ -658,85 +616,69 @@ def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
     return worst
 
 
-def _stopping_params(cfg: ExperimentConfig) -> tuple[tuple[float, float], tuple[float, float, float]]:
-    """(theta1, theta2) of cz_decompose and (r1, r2, alpha) of cz_decompose_alpha, with defaults."""
-    return ((_param(cfg, "theta1", 2.0), _param(cfg, "theta2", 2.0)),
-            (_param(cfg, "r1", 2.0), _param(cfg, "r2", 2.0), _param(cfg, "alpha", 0.5)))
-
-
 def _decompose(cfg: ExperimentConfig, kind: str, f: LatticeFunction, g: LatticeFunction,
-               q0: Cube) -> tuple[Decomposition, list[str]]:
-    """The stopping-time forest of kind ('cz' or 'cz_alpha') at the config's parameters,
-    and its verify_decomposition violations."""
-    (theta1, theta2), (r1, r2, alpha) = _stopping_params(cfg)
+               q0: Cube) -> tuple[Decomposition, list[str], tuple]:
+    """The stopping-time forest of kind ('cz' or 'cz_alpha') at the config's parameters, its
+    verify_decomposition violations, and those parameters: (theta1, theta2) for 'cz',
+    (r1, r2, alpha) for 'cz_alpha'."""
     if kind == "cz":
-        t1, t2, alpha = theta1, theta2, None
-        d = cz_decompose(f, g, q0, t1, t2)
+        args = (_param(cfg, "theta1", 2.0), _param(cfg, "theta2", 2.0))
+        d = cz_decompose(f, g, q0, *args)
     elif kind == "cz_alpha":
-        t1, t2 = r1, r2
-        d = cz_decompose_alpha(f, g, q0, t1, t2, alpha)
+        args = (_param(cfg, "r1", 2.0), _param(cfg, "r2", 2.0), _param(cfg, "alpha", 0.5))
+        d = cz_decompose_alpha(f, g, q0, *args)
     else:
         raise ValidationError(f"unknown decompose kind {kind!r}; expected 'cz' or 'cz_alpha'")
-    return d, verify_decomposition(d, f, g, f.window, t1, t2, alpha=alpha)
+    return d, verify_decomposition(d, f, g, f.window, *args), args
 
 
-def _run_cz_invariants(cfg: ExperimentConfig) -> tuple[list, dict, int]:
-    theta, alpha_variant = _stopping_params(cfg)
-    rows = []
-    violations = 0
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        q0 = _q0(cfg, win)
-        for trial in range(cfg.trials):
-            f, g = _pair_at(cfg, trial, win)
-            bad = _decompose(cfg, "cz", f, g, q0)[1] + _decompose(cfg, "cz_alpha", f, g, q0)[1]
-            rows.append(_row(stage, win, trial, float(len(bad)), 1.0, "spiky"))
-            violations += len(bad)
-    return rows, {"theta": theta, "alpha_variant": alpha_variant}, violations
+def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+    q0 = _q0(cfg, win)
+    for trials, f, g, _ in _stage_chunks(cfg, win):
+        for i, trial in enumerate(trials):
+            pair = [LatticeFunction(win, x.values[i]) for x in (f, g)]
+            bad = 0
+            for kind, key in (("cz", "theta"), ("cz_alpha", "alpha_variant")):
+                _, msgs, notes[key] = _decompose(cfg, kind, *pair, q0)
+                bad += len(msgs)
+            yield [trial], [bad], [1.0], "spiky", bad
 
 
 _BH_PAIRS = ((2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0 / 3.0), (1.25, 5.0))
 
 
-def _run_bh_domination(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     tol = 1e-12
-    rows = []
-    violations = 0
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        cells = tuple(range(-win.dim, 0))
-        for trials, f, g, _ in _stage_chunks(cfg, win):
-            bh = bh_maximal(f, g).values
-            worst = np.zeros(len(trials))
-            for pair in _BH_PAIRS:
-                m = m_alpha_r(f, g, 0.0, pair, "centered").values
-                # relative excess: spiky inputs put the rounding of both sides far above 1e-12
-                scale = np.maximum(np.abs(bh), np.abs(m))
-                excess = np.divide(bh - m, scale, out=np.zeros_like(scale), where=scale > 0)
-                worst = np.maximum(worst, excess.max(axis=cells))
-            rows += _rows(stage, win, trials, worst, [tol] * len(trials))
-            violations += int((worst > tol).sum())
-    return rows, {"pairs": _BH_PAIRS, "tolerance": tol}, violations
+    notes.update({"pairs": _BH_PAIRS, "tolerance": tol})
+    cells = tuple(range(-win.dim, 0))
+    for trials, f, g, _ in _stage_chunks(cfg, win):
+        bh = bh_maximal(f, g).values
+        worst = np.zeros(len(trials))
+        for pair in _BH_PAIRS:
+            m = m_alpha_r(f, g, 0.0, pair, "centered").values
+            # relative excess: spiky inputs put the rounding of both sides far above 1e-12
+            scale = np.maximum(np.abs(bh), np.abs(m))
+            excess = np.divide(bh - m, scale, out=np.zeros_like(scale), where=scale > 0)
+            worst = np.maximum(worst, excess.max(axis=cells))
+        yield trials, worst, [tol] * len(trials), "random", int((worst > tol).sum())
 
 
-def _run_lemma39(cfg: ExperimentConfig) -> tuple[list, dict, int]:
+def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q1 = _param(cfg, "q1", 2.0)
     q2 = _param(cfg, "q2", 2.0)
     q = 1.0 / (1.0 / q1 + 1.0 / q2)
-    t_hat = _param(cfg, "t_hat", max(q, 1.0))
-    rows = []
-    per_stage = {}
-    for stage in cfg.refinements:
-        win = cfg.window_at(stage)
-        w1, w2 = _weights(cfg, win, "w1", "w2")
-        rep = lemma39_check(w1, w2, q1, q2, t_hat)
-        per_stage[f"stage_{stage}"] = {"joint": rep.joint_const, **rep.memberships}
-        worst = max(rep.memberships.values())
-        for trial in range(cfg.trials):
-            rows.append(_row(stage, win, trial, rep.joint_const, worst, "weights"))
-    return rows, {"per_stage": per_stage, "t_hat": t_hat}, 0
+    notes["t_hat"] = t_hat = _param(cfg, "t_hat", max(q, 1.0))
+    w1, w2 = _weights(cfg, win, "w1", "w2")
+    rep = lemma39_check(w1, w2, q1, q2, t_hat)
+    notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,
+                                                           **rep.memberships}
+    worst = max(rep.memberships.values())
+    yield range(cfg.trials), [rep.joint_const] * cfg.trials, [worst] * cfg.trials, "weights", 0
 
 
+# experiment -> runner(cfg, stage, win, notes): the work of one stage.  A runner adds to
+# notes and yields (trials, lhs, rhs, label, violations), trials in order; run_experiment
+# makes one row per trial.
 _RUNNERS = {
     "T21": _run_strong_type,
     "T22": _run_strong_type,
@@ -760,8 +702,13 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
-    """Run one experiment; deterministic for fixed (config, seed)."""
-    rows, notes, violations = _RUNNERS[cfg.experiment](cfg)
+    """Run one experiment, stage by stage; deterministic for fixed (config, seed)."""
+    rows, notes, violations = [], {}, 0
+    for stage in cfg.refinements:
+        win = cfg.window_at(stage)
+        for trials, lhs, rhs, label, bad in _RUNNERS[cfg.experiment](cfg, stage, win, notes):
+            rows += [_row(stage, win, t, lo, hi, label) for t, lo, hi in zip(trials, lhs, rhs)]
+            violations += bad
     # a nan side is a failed evaluation; the stage max would skip it unless it came first
     violations += sum(math.isnan(r["lhs"]) or math.isnan(r["rhs"]) for r in rows)
     stages = _stage_summaries(rows)

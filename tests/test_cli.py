@@ -77,11 +77,10 @@ def test_run_invariant_violation_exit_3(tmp_path, monkeypatch):
 def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
     # a nan after a finite row: Python's max over the ratios would skip it
     cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
-    win = Window(1, -4, 0)
-    rows = [harness._row(0, win, 0, 1.0, 2.0, "random"),
-            harness._row(0, win, 1, *((float("nan"), 2.0) if side == "lhs" else (1.0, float("nan"))),
-                         "random")]
-    monkeypatch.setitem(harness._RUNNERS, "T25", lambda cfg: (rows, {}, 0))
+    nan = float("nan")
+    lhs, rhs = ([1.0, nan], [2.0, 2.0]) if side == "lhs" else ([1.0, 1.0], [2.0, nan])
+    monkeypatch.setitem(harness._RUNNERS, "T25",
+                        lambda cfg, stage, win, notes: iter([(range(2), lhs, rhs, "random", 0)]))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "nan")]) == 3
     assert "invariant violations: 1" in capsys.readouterr().err
     summary = json.loads((tmp_path / "nan.json").read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import pytest
 from morreylab.czd import necessity_pair
 from morreylab.dyadic import Cube, Window
 from morreylab.errors import ValidationError
-from morreylab.field import power_weight
+from morreylab.field import LatticeFunction, power_weight
 from morreylab.harness import (
+    EXPERIMENTS,
     Report,
     _COLUMNS,
+    _KEYS,
     _exponent_set,
     _ratio,
     _weights,
@@ -268,7 +271,7 @@ def test_sw_equal_exponents_build_one_power_weight(monkeypatch):
 def test_depth_sets_the_kernel_of_the_integral():
     # 2-D: the 1-D kernel averages are closed form and ignore the depth
     from morreylab.exponents import build
-    from morreylab.harness import _pair_at
+    from morreylab.harness import _drawn
     from morreylab.operators import bilinear_fractional
     from morreylab.weights_norms import morrey_norm
     pairs = [
@@ -278,7 +281,7 @@ def test_depth_sets_the_kernel_of_the_integral():
     ]
     cfg = config_from_pairs(pairs + [("depth", "2")])
     e = build("T21", 2, 1.0, 1.8, 1.8, 1.5, 2.1, a=1.5)
-    f, g = _pair_at(cfg, 0, cfg.window)
+    f, g = (LatticeFunction(cfg.window, v) for v in _drawn(cfg, 0))
     lhs = {depth: morrey_norm(bilinear_fractional(f, g, 1.0, depth), e.s, e.t)
            for depth in (2, 12)}
     assert lhs[2] != lhs[12]
@@ -522,3 +525,22 @@ COR_BH_PAIRS = [
 def test_strong_type_refuses_bad_parameters(pairs, message):
     with pytest.raises(ValidationError, match=message):
         run_experiment(config_from_pairs(pairs))
+
+
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+# lowercase words docs/config.md puts in backticks that are values, commands or derived
+# exponents, not keys
+_DOC_NON_KEYS = {"inf", "cz", "cz_alpha", "run", "s", "t"}
+
+
+def test_config_doc_names_exactly_the_config_keys():
+    text = CONFIG_DOC.read_text(encoding="utf-8")
+    named = {word.strip() for span in re.findall(r"`([^`\n]+)`", text) for word in span.split(",")}
+    assert {w for w in named if re.fullmatch(r"[a-z][a-z0-9_]*", w)} - _DOC_NON_KEYS == _KEYS
+
+
+def test_config_doc_lists_exactly_the_experiments():
+    section = CONFIG_DOC.read_text(encoding="utf-8").split("## Experiments\n", 1)[1]
+    first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(re.findall(r"`([^`]+)`", "".join(first_cells))) == sorted(EXPERIMENTS)
