@@ -119,7 +119,6 @@ def _run_exits_3_with(tmp_path, capsys, config, count):
     assert f"invariant violations: {count}\n" in capsys.readouterr().err
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
     assert summary["invariant_violations"] == count
-    return summary
 
 
 def test_cz_invariants_count_a_violated_partition(tmp_path, capsys, monkeypatch):

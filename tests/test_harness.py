@@ -527,7 +527,6 @@ def test_strong_type_refuses_bad_parameters(pairs, message):
         run_experiment(config_from_pairs(pairs))
 
 
-
 CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 # lowercase words docs/config.md puts in backticks that are values, commands or derived
 # exponents, not keys
