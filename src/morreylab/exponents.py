@@ -112,6 +112,10 @@ def _close(x: float, y: float) -> bool:
     return abs(x - y) <= _TOL * max(1.0, abs(x), abs(y))
 
 
+def _finite_nonzero(x: float) -> bool:
+    return x != 0.0 and math.isfinite(x)
+
+
 def _le(x: float, y: float) -> bool:
     return x <= y + _TOL * max(1.0, abs(x), abs(y))
 
@@ -135,12 +139,18 @@ def validate(e: ExponentSet) -> list[str]:
     need(e.q > 0 and _le(e.q, e.p), f"0<q<=p (q={e.q}, p={e.p})")
     need(e.r == INF or e.r > 0, f"r>0 or r=inf (r={e.r})")
 
+    # s (and t in T27) divide below; alpha = -inf gives s = t = 0.0
+    s_ok, t_ok = _finite_nonzero(e.s), _finite_nonzero(e.t)
+    need(s_ok, f"s finite and nonzero (s={e.s})")
     inv_s = 1.0 / e.p + inv(e.r) - e.alpha / e.n
-    need(_close(1.0 / e.s, inv_s), f"1/s=1/p+1/r-alpha/n (1/s={1.0 / e.s}, rhs={inv_s})")
+    if s_ok:
+        need(_close(1.0 / e.s, inv_s), f"1/s=1/p+1/r-alpha/n (1/s={1.0 / e.s}, rhs={inv_s})")
     if e.regime == "T27":
+        need(t_ok, f"t finite and nonzero (t={e.t})")
         inv_t = 1.0 / e.q + inv(e.r) - e.alpha / e.n
-        need(_close(1.0 / e.t, inv_t), f"1/t=1/q+1/r-alpha/n (1/t={1.0 / e.t}, rhs={inv_t})")
-    else:
+        if t_ok:
+            need(_close(1.0 / e.t, inv_t), f"1/t=1/q+1/r-alpha/n (1/t={1.0 / e.t}, rhs={inv_t})")
+    elif s_ok:
         need(_close(e.t / e.s, e.q / e.p), f"t/s=q/p (t/s={e.t / e.s}, q/p={e.q / e.p})")
 
     if e.regime in ("T21", "T22"):
@@ -164,7 +174,9 @@ def validate(e: ExponentSet) -> list[str]:
     if e.r1 is None or e.r2 is None:
         v.append("r1,r2 required (got None)")
     elif e.regime == "T22":
-        need(_close(1.0 / e.r1 + 1.0 / e.r2, 1.0), f"1/r1+1/r2=1 (sum={1.0 / e.r1 + 1.0 / e.r2})")
+        if e.r1 and e.r2:  # a zero r_i is reported below
+            need(_close(1.0 / e.r1 + 1.0 / e.r2, 1.0),
+                 f"1/r1+1/r2=1 (sum={1.0 / e.r1 + 1.0 / e.r2})")
         need(1 < e.r1 < e.q1, f"1<r1<q1 (r1={e.r1}, q1={e.q1})")
         need(1 < e.r2 < e.q2, f"1<r2<q2 (r2={e.r2}, q2={e.q2})")
     elif e.regime == "T27":
@@ -175,7 +187,7 @@ def validate(e: ExponentSet) -> list[str]:
         need(0 < e.r2 < e.q2, f"0<r2<q2 (r2={e.r2}, q2={e.q2})")
         if e.a is None:
             v.append("a required (got None)")
-        else:
+        elif e.r1 and e.r2:  # a zero r_i is reported above
             bound = min(e.q1 / e.r1, e.q2 / e.r2)
             need(1 < e.a < bound, f"1<a<min(q1/r1,q2/r2) (a={e.a}, min={bound})")
     return v

@@ -31,19 +31,23 @@ only at the origin, which is always a cell corner).  The uncontrolled error
 of the midpoint leaves is O(2^(-depth*(gamma+n))) for the origin cell; the
 value is reported, not assumed, by the accuracy tests.
 
-The rule is defined by a per-box corner recursion, but it runs as one loop
-over arrays (_grid_averages).  Walking down, each level takes a fixed-depth
-tensor midpoint rule on every box of its grid in one pass (_midpoint_rule),
-records the boxes that touch the origin and halves them into the next
-level's grid, one depth lower.  Walking back up, each level's averages fold
-into the touching boxes of the level above.  So the whole window is one
-level, and each halving of the chain of sub-boxes touching the origin is one
-more; the stack does not grow with the depth.  The loop repeats the
-recursion's floating-point operations in its order, so the cell values are
-bit-identical to it by construction; tests/test_quadrature.py keeps the
-recursion as the oracle.  The same averages, with gamma = alpha - n on the
-block of cells centred on the origin, are the kernel of the bilinear
-integrals in operators.
+The rule is defined by a per-box corner recursion, but it runs as array
+passes in two parts.  The geometry is one cached _quadrature_plan per grid
+of cells and depth, for every gamma: walking down, each level of the chain
+of sub-boxes touching the origin keeps the per-axis distinct |c| of its
+midpoint leaves, and the boxes that touch the origin, halved into the next
+level's grid one depth lower.  So the whole window is one level, and each
+halving of that chain is one more; the stack does not grow with the depth.
+Per gamma, _grid_averages takes the powers of each group of levels that
+share a shape in one batch (_midpoint_rule), then walks back up, folding
+each level's averages into the touching boxes of the level above.  The
+passes repeat the recursion's floating-point operations in its order, so
+the cell values are bit-identical to it by construction;
+tests/test_quadrature.py keeps the recursion as the oracle.  The same
+averages, with gamma = alpha - n on the block of cells centred on the
+origin, are the kernel of the bilinear integrals in operators; for a window
+centred on the origin that block is the window's own grid, so the kernel
+and the weights of a stage share one plan.
 """
 
 from __future__ import annotations
@@ -316,33 +320,52 @@ def _fold(sub: Callable[[tuple[int, ...]], np.ndarray], n: int) -> np.ndarray:
 
 
 def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
-    """_fold on a grid whose boxes were each halved along every axis."""
-    blocked = vals.reshape(tuple(x for c in vals.shape for x in (c // 2, 2)))
-    return _fold(lambda corner: blocked[tuple(x for bit in corner for x in (slice(None), bit))], n)
+    """_fold on a grid (the trailing n axes) whose boxes were each halved along every axis."""
+    blocked, _ = _split(vals, n, 2)
+    return _fold(lambda corner: blocked[(...,) + tuple(x for bit in corner
+                                                       for x in (slice(None), bit))], n)
 
 
 def _radii(coords: Sequence[np.ndarray]) -> np.ndarray:
     """|c| on the grid of the per-axis coordinates: squares added in axis order, then np.sqrt.
-    It serves the quadrature leaves (_powers) and the JN cell centres (harness._log_abs)."""
+    The coordinates may share leading axes, which lead the grid.  It serves the quadrature
+    leaves (_powers) and the JN cell centres (harness._log_abs)."""
     n = len(coords)
     r = 0.0
     for axis, c in enumerate(coords):
-        c = c.reshape((1,) * axis + (-1,) + (1,) * (n - 1 - axis))
+        c = c.reshape(c.shape[:-1] + (1,) * axis + (-1,) + (1,) * (n - 1 - axis))
         r = r + c * c
     np.sqrt(r, out=r)
     return r
 
 
-def _powers(coords: Sequence[np.ndarray], gamma: float) -> np.ndarray:
-    """|c|^gamma on the _radii grid of the per-axis coordinates.
+# Radii per block of _powers: each block's Python floats live at once.
+_POW_CHUNK = 1 << 10
 
-    The power is Python's float pow (C pow), one row of Python floats at a time (as
-    harness._log_abs takes C log): np.power is not bit-equal to C pow on every platform
-    (it is not with AVX-512), and the per-box recursion uses C pow.
+
+def _powers(distinct: Sequence[np.ndarray], gamma: float, symmetric: bool) -> np.ndarray:
+    """|c|^gamma on the _radii grid of the per-axis distinct |c| (leading level axis), so once
+    per distinct tuple of per-axis |c|.
+
+    The power is Python's float pow (C pow), on Python floats a block of rows of axis 0 at
+    a time (as harness._log_abs takes C log): np.power is not bit-equal to C pow on every
+    platform (it is not with AVX-512), and the per-box recursion uses C pow.  When axes 0
+    and 1 hold the same |c| (symmetric), c0^2 + c1^2 is the same float either way round,
+    since one IEEE add commutes, so the radius grid is symmetric bit for bit.  Then each
+    block of rows takes its pows from its first row's diagonal on (the upper triangle and
+    a corner below it), and the strict lower triangle is the mirror of the upper.
     """
-    r = _radii(coords)
-    return np.fromiter((x ** gamma for row in r.reshape(len(r), -1) for x in row.tolist()),
-                       float, r.size).reshape(r.shape)
+    p = _radii(distinct)  # the powers replace the radii a block of rows at a time
+    m = p.shape[1]
+    step = max(1, _POW_CHUNK // p[:, 0].size)
+    for i in range(0, m, step):
+        block = p[:, i:i + step, i:] if symmetric else p[:, i:i + step]
+        block[...] = np.fromiter(map(pow, block.ravel().tolist(), itertools.repeat(gamma)),
+                                 float, block.size).reshape(block.shape)
+    if not symmetric:
+        return p
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    return np.where(upper.reshape(upper.shape + (1,) * (p.ndim - 3)), p, p.swapaxes(1, 2))
 
 
 def _distinct_abs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,73 +390,159 @@ def _halves(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _midpoint_rule(lo: Sequence[np.ndarray], hi: Sequence[np.ndarray], gamma: float,
-                   depth: int) -> np.ndarray:
-    """Dyadic tensor midpoint rule for |x|^gamma on a grid of boxes.
+def _leaf_abs(a: np.ndarray, b: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """_distinct_abs of the leaf midpoints of the boxes [a, b] of one axis, each halved depth
+    times by _halves: leaf index = box * 2^depth + halving bits, first halving highest."""
+    a, b = a.reshape(-1, 1), b.reshape(-1, 1)
+    for _ in range(depth):
+        a, b = _halves(a, b)
+    return _distinct_abs(((a + b) / 2.0).ravel())
 
-    Axis i of the grid has the box edges lo[i], hi[i] (1-D arrays); the result
-    holds one average per box, in grid order.  The arithmetic is that of the
-    per-box recursion, operation for operation, so the values are
-    bit-identical to it: each box is halved depth times along each axis by
-    _halves, at every leaf midpoint c the value is
+
+class _QuadratureGroup(NamedTuple):
+    """Levels of the origin chain with one midpoint-rule shape, stacked along a leading axis."""
+
+    depth: int        # halvings per axis of every box
+    distinct: tuple   # per axis, (levels, m): each level's distinct leaf |c|, as _leaf_abs
+    inverse: tuple    # per axis, (levels, leaves): the position of each leaf |c| among them
+    symmetric: bool   # axes 0 and 1 hold the same distinct |c| at every level
+
+
+class _QuadraturePlan(NamedTuple):
+    """The geometry of the |x|^gamma quadrature on one grid: see _quadrature_plan."""
+
+    groups: tuple     # _QuadratureGroup
+    levels: tuple     # per level of the chain, the window's grid first: (group, row)
+    near: tuple       # per level but the last, per axis: the positions of the boxes touching 0
+    touches: bool     # a box of the window's grid touches the origin
+
+
+# Bounded, so a long sweep over windows or depths holds at most 8 plans.
+@functools.lru_cache(maxsize=8)
+def _quadrature_plan(dim: int, level_min: int, cell_index_lo: tuple, cells_per_axis: int,
+                     depth: int) -> _QuadraturePlan:
+    """Where the quadrature of |x|^gamma on the grid of a window's cells (n >= 2) takes its
+    leaves and folds them, for every gamma.
+
+    One loop down the chain of boxes that touch the origin, as the per-box recursion
+    descends.  Each level's grid has a fixed-depth tensor midpoint rule of depth
+    min(depth, _REG_DEPTH), and the plan keeps per axis its distinct leaf |c| and their
+    inverse positions.  It records the per-axis positions of the boxes that touch the
+    origin (a sub-grid: the origin is a corner of each); the halves of those boxes are the
+    next level's grid, at depth - 1.  The walk stops at depth 0, where a box keeps its
+    midpoint value, or where no box touches.  Levels whose rules have one shape are stacked
+    into one group, so _grid_averages evaluates them as one batch.  Geometry only: every
+    array is per axis (never one entry per leaf tuple) and read-only.
+    """
+    h = 2.0 ** level_min
+    lo = [np.arange(a, a + cells_per_axis) * h for a in cell_index_lo]
+    hi = [a + h for a in lo]
+    rules, near_boxes, touches = [], [], False
+    while True:
+        # an axis's boxes follow from its first cell index alone, so equal ones share leaves
+        by_start: dict[int, tuple] = {}
+        for x, a, b in zip(cell_index_lo, lo, hi):
+            if x not in by_start:
+                by_start[x] = _leaf_abs(a, b, min(depth, _REG_DEPTH))
+        rules.append((min(depth, _REG_DEPTH), [by_start[x] for x in cell_index_lo]))
+        near = [np.flatnonzero((a <= 0.0) & (0.0 <= b)) for a, b in zip(lo, hi)]
+        if not all(k.size for k in near):
+            break
+        touches = True
+        if depth <= 0:
+            break
+        near_boxes.append(tuple(_read_only(k) for k in near))
+        lo, hi = zip(*(_halves(a[k], b[k]) for a, b, k in zip(lo, hi, near)))
+        depth -= 1
+    stacks: dict[tuple, list] = {}  # (depth, symmetric, array sizes) -> the leaves of its levels
+    levels = []
+    for d, leaves in rules:
+        key = (d, np.array_equal(leaves[0][0], leaves[1][0]),
+               tuple(x.size for pair in leaves for x in pair))
+        stack = stacks.setdefault(key, [])
+        levels.append((list(stacks).index(key), len(stack)))
+        stack.append(leaves)
+    groups = []
+    for (d, symmetric, _), stack in stacks.items():
+        distinct, inverse = (tuple(_read_only(np.stack([leaves[axis][part] for leaves in stack]))
+                                   for axis in range(dim)) for part in (0, 1))
+        groups.append(_QuadratureGroup(d, distinct, inverse, symmetric))
+    return _QuadraturePlan(tuple(groups), tuple(levels), tuple(near_boxes), touches)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+def _gather(inverse: Sequence[np.ndarray], step: int, corner: Sequence[int], rows: slice) -> tuple:
+    """Index into the powers of a group (levels, m_0, .., m_{n-1}) that gives, per level, the
+    grid of its leaves at positions corner[i] :: step along axis i, those of axis 0 cut to
+    rows."""
+    n = len(inverse)
+    index = [np.arange(len(inverse[0])).reshape((-1,) + (1,) * n)]
+    for axis, (inv, bit) in enumerate(zip(inverse, corner)):
+        inv = inv[:, bit::step]
+        if axis == 0:
+            inv = inv[:, rows]
+        index.append(inv.reshape((len(inv),) + (1,) * axis + (-1,) + (1,) * (n - 1 - axis)))
+    return tuple(index)
+
+
+# Entries per block of rows of the first fold: the corners it gathers are temporaries.
+_FOLD_BLOCK = 1 << 16
+
+
+def _midpoint_rule(group: _QuadratureGroup, gamma: float) -> np.ndarray:
+    """Dyadic tensor midpoint rule for |x|^gamma on every level of a group: one average per
+    box, in grid order, after the leading level axis.
+
+    The arithmetic is that of the per-box recursion, operation for operation,
+    so the values are bit-identical to it: each box is halved depth times along
+    each axis by _halves, at every leaf midpoint c the value is
     sqrt(c_0^2 + ... + c_{n-1}^2)^gamma with the squares added in axis order,
-    and _fold averages the levels back.
+    and _fold averages the levels back.  Every step is elementwise across the
+    stacked levels, so each level gets the bits of its own rule.
     (The recursion adds the squares with sum(), which CPython 3.12 made
     compensated; that can move the last bit of a 3-D leaf, never a 2-D one.)
     Since c^2 = |c|^2 exactly, the powers are taken once per distinct tuple
-    of per-axis |c| (a quarter of the leaves of a 2-D window centred at the
-    origin), and the first fold gathers its corners from them, so no array
-    holds every leaf.  A leaf midpoint at the origin would raise
-    ZeroDivisionError for gamma < 0; the origin is a corner of every box the
-    callers pass, so no leaf midpoint is.
+    of per-axis |c| (_powers: half of a quarter of the leaves of a 2-D window
+    centred at the origin), and the first fold gathers its corners from them
+    a block of rows at a time, so no array holds every leaf.  A leaf midpoint
+    at the origin would raise ZeroDivisionError for gamma < 0; the origin is a
+    corner of every box the plan holds, so no leaf midpoint is.
     """
-    n = len(lo)
-    distinct, inverse = [], []
-    for a, b in zip(lo, hi):
-        a, b = a.reshape(-1, 1), b.reshape(-1, 1)
-        for _ in range(depth):  # leaf index = box * 2^depth + halving bits, first halving highest
-            a, b = _halves(a, b)
-        u, inv = _distinct_abs(((a + b) / 2.0).ravel())
-        distinct.append(u)
-        inverse.append(inv)
-    powers = _powers(distinct, gamma)
-    if depth <= 0:
-        return powers[np.ix_(*inverse)]
-    vals = _fold(lambda corner: powers[np.ix_(*(inv[bit::2] for inv, bit in zip(inverse, corner)))], n)
-    for _ in range(depth - 1):
+    n = len(group.distinct)
+    powers = _powers(group.distinct, gamma, group.symmetric)
+    if group.depth <= 0:
+        return powers[_gather(group.inverse, 1, (0,) * n, slice(None))]
+    shape = (len(powers),) + tuple(inv.shape[1] // 2 for inv in group.inverse)
+    vals = np.empty(shape)
+    step = max(1, _FOLD_BLOCK // math.prod(shape[2:]) // shape[0])
+    for i in range(0, shape[1], step):
+        rows = slice(i, i + step)
+        vals[:, rows] = _fold(lambda corner: powers[_gather(group.inverse, 2, corner, rows)], n)
+    del powers
+    for _ in range(group.depth - 1):
         vals = _fold_halves(vals, n)
     return vals
 
 
-def _grid_averages(lo: Sequence[np.ndarray], hi: Sequence[np.ndarray], gamma: float,
-                   depth: int) -> np.ndarray:
-    """Averages of |x|^gamma over a grid of boxes (given as in _midpoint_rule), n >= 2.
+def _grid_averages(plan: _QuadraturePlan, gamma: float) -> np.ndarray:
+    """Averages of |x|^gamma over the boxes of the window's grid of a _quadrature_plan.
 
-    One loop down the chain of boxes that touch the origin.  Walking down,
-    each level takes _midpoint_rule at depth min(depth, _REG_DEPTH) on its
-    grid and records the per-axis positions of the boxes that touch the
-    origin (a sub-grid: the origin is a corner of each); the halves of those
-    boxes are the next level's grid, at depth - 1.  The walk stops at depth 0,
-    where a box keeps its midpoint value, or where no box touches.  Walking
-    back up, _fold_halves of each level overwrites the touching boxes of the
-    level above.  The uncontrolled remainder sits in the innermost corner box
+    One _midpoint_rule per group of the plan gives every level of the origin chain;
+    then, walking back up, _fold_halves of each level overwrites the touching boxes
+    of the level above.  The uncontrolled remainder sits in the innermost corner box
     of volume 2^(-n*depth) times the box.
     """
-    n = len(lo)
-    chain = []
-    while True:
-        vals = _midpoint_rule(lo, hi, gamma, min(depth, _REG_DEPTH))
-        near = [np.flatnonzero((a <= 0.0) & (0.0 <= b)) for a, b in zip(lo, hi)]
-        if not all(k.size for k in near):
-            break
-        if gamma <= -n:
-            raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
-        if depth <= 0:
-            break
-        chain.append((vals, near))
-        lo, hi = zip(*(_halves(a[k], b[k]) for a, b, k in zip(lo, hi, near)))
-        depth -= 1
-    for parent, near in reversed(chain):
+    n = len(plan.groups[0].distinct)
+    if plan.touches and gamma <= -n:
+        raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
+    rules = [_midpoint_rule(group, gamma) for group in plan.groups]
+    levels = [rules[group][row] for group, row in plan.levels]
+    vals = levels.pop()
+    for parent, near in zip(reversed(levels), reversed(plan.near)):
         parent[np.ix_(*near)] = _fold_halves(vals, n)
         vals = parent
     return vals
@@ -443,22 +552,26 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
     """Cell-average array of |x|^gamma over every finest cell of the window.
 
     n = 1 uses the closed-form antiderivative (exact), cell by cell.  n >= 2
-    runs _grid_averages on the grid of all cells: one _midpoint_rule array
-    pass, and one more per level of the chain below the at most 2^n cells
-    that touch the origin.  The values are bit-identical to a corner
-    recursion run cell by cell.  gamma <= -n raises when a cell touches the
-    origin, and so does a power or a sum of powers above the largest float
-    (C pow raises OverflowError, numpy's sums FloatingPointError here).
+    runs _grid_averages on the cached _quadrature_plan of the window's cells:
+    one _midpoint_rule array pass for the cells, and one per group of the
+    levels of the chain below the at most 2^n cells that touch the origin.
+    Windows with the same cells share a plan, so the weights of a stage and
+    the kernel on the block of cells centred on the origin take the
+    geometry once.  The values are bit-identical to a corner recursion run
+    cell by cell.  gamma <= -n raises when a cell touches the origin, and so
+    does a power or a sum of powers above the largest float (C pow raises
+    OverflowError, numpy's sums FloatingPointError here).
     """
-    h = window.cell_side
-    lo = [np.arange(a, a + window.cells_per_axis) * h for a in window.cell_index_lo]
-    hi = [a + h for a in lo]
     try:
         with np.errstate(over="raise"):
             if window.dim == 1:
+                h, (a,) = window.cell_side, window.cell_index_lo
+                lo = np.arange(a, a + window.cells_per_axis) * h
                 return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
-                                 for a, b in zip(lo[0].tolist(), hi[0].tolist())])
-            return _grid_averages(lo, hi, gamma, depth)
+                                 for a, b in zip(lo.tolist(), (lo + h).tolist())])
+            plan = _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
+                                    window.cells_per_axis, depth)
+            return _grid_averages(plan, gamma)
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"|x|^{gamma} overflows a float on the cells of side "
                          f"2^{window.level_min}") from exc

@@ -227,7 +227,9 @@ def _row(stage: int, window: Window, trial: int, lhs: float, rhs: float, label: 
 
 
 def _rng(cfg: ExperimentConfig, *streams: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, *streams])
+    """The generator of default_rng([cfg.seed, *streams]), built without its argument checks:
+    a sweep makes one per trial."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, *streams])))
 
 
 def _draw_values(rng: np.random.Generator, window: Window) -> np.ndarray:

@@ -25,14 +25,16 @@ level_min, depth) and cached: for each kernel cell y_c, the kernel average
 on it and the band of output cells x whose samples x - y_c and x + y_c both
 fall inside the window, as one tuple of per-axis slices of the output and one
 of each input.  The plan is the only cache here, so the kernel quadrature
-runs once per plan.  Outside its band a term is an exact zero, and the
-running sum starts at +0.0, so leaving those terms out changes no bit of the
-result.  Every operator here takes a batch of inputs (values of shape
-(*batch, *window.shape), see field) through the same plan, with the same
-float operations per batch entry.  The correlation runs on copies with the
-window axes first and the batch axes last: the plan's slices index the
-leading axes, and a band of a 1-D window is one contiguous block of its
-cells times the batch, not one short row per batch entry.
+runs once per plan; its geometry comes from field's quadrature plan of the
+kernel block, which the power weights of a stage share when the window is
+that block (centred on the origin).  Outside its band a term is an exact
+zero, and the running sum starts at +0.0, so leaving those terms out
+changes no bit of the result.  Every operator here takes a batch of inputs
+(values of shape (*batch, *window.shape), see field) through the same plan,
+with the same float operations per batch entry.  The correlation runs on
+copies with the window axes first and the batch axes last: the plan's slices
+index the leading axes, and a band of a 1-D window is one contiguous block
+of its cells times the batch, not one short row per batch entry.
 
 Per-cell outputs are independent; a fixed summation order within each cell
 keeps results deterministic.

@@ -453,6 +453,29 @@ def test_run_power_weight_that_overflows_exit_2(tmp_path, capsys):
     assert not (tmp_path / "rep.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["t28_strong_maximal.cfg", "t27_sufficiency.cfg"])
+def test_run_alpha_minus_inf_is_a_validation_failure_exit_2(tmp_path, capsys, name):
+    # 1/s = 1/p + 1/r - alpha/n is inf, so s = 0.0 (and t = 0.0 in T27): no 1/s may be taken
+    lines = (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+    assert any(line.startswith("alpha = ") for line in lines)
+    text = "\n".join("alpha = -inf" if line.startswith("alpha = ") else line for line in lines)
+    cfg = _write(tmp_path, "bad.cfg", text + "\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure: 0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0)" in err
+    assert ("t finite and nonzero (t=0.0)" in err) == (name == "t27_sufficiency.cfg")
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_run_zero_r1_is_a_validation_failure_exit_2(tmp_path, capsys):
+    text = (CONFIGS / "t28_strong_maximal.cfg").read_text(encoding="utf-8")
+    assert "r1 = 2\n" in text
+    cfg = _write(tmp_path, "bad.cfg", text.replace("r1 = 2\n", "r1 = 0\n"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert "validation failure: 0<r1<q1 (r1=0.0, q1=4.0)" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
 def test_depth_is_checked_for_runners_that_do_not_read_it(tmp_path, capsys):
     # JN builds no power weight or kernel; the range is checked when the config is parsed
     text = (CONFIGS / "jn_oscillation.cfg").read_text(encoding="utf-8")

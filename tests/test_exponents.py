@@ -61,6 +61,24 @@ def test_validate_flags_t_above_one_in_t21():
     assert any("0<t<=1" in m for m in msgs)
 
 
+@pytest.mark.parametrize("regime", ["T22", "T27"])
+@pytest.mark.parametrize("s", [0.0, -0.0, INF, -INF, math.nan])
+def test_validate_flags_a_zero_or_non_finite_s_without_dividing(regime, s):
+    e = dataclasses.replace(_t22_reference(), regime=regime, s=s, t=s)
+    msgs = validate(e)
+    assert f"s finite and nonzero (s={s})" in msgs
+    assert (f"t finite and nonzero (t={s})" in msgs) == (regime == "T27")
+    assert not any(m.startswith(("1/s=", "1/t=", "t/s=")) for m in msgs)
+
+
+def test_validate_flags_a_zero_r1_without_dividing():
+    e = build("T28", 1, 0.8, 4.0, 4.0, 2.2, 2.5, a=1.5, r1=0.0, r2=2.0)
+    assert "0<r1<q1 (r1=0.0, q1=4.0)" in validate(e)
+    msgs = validate(dataclasses.replace(_t22_reference(), r1=0.0))
+    assert "1<r1<q1 (r1=0.0, q1=3.0)" in msgs
+    assert not any(m.startswith("1/r1+1/r2=1") for m in msgs)
+
+
 def test_default_holder_pair_symmetric():
     assert default_holder_pair(3.0, 3.0) == (2.0, 2.0)
 

@@ -1,12 +1,13 @@
 """Differential tests: the array quadrature of |x|^gamma against the corner recursion.
 
 field.abs_power_cell_averages evaluates every cell that misses the origin
-in one array pass and loops only down the origin-touching chain.  The
-oracle below is the per-cell code it replaced, unchanged but for its
-inline origin test: a loop over the cells that runs the corner recursion on
-each.  The two must agree bit for bit, on 2-D and 3-D windows with the
-origin inside, on the boundary and outside, at every depth regime (below,
-at and above _REG_DEPTH).
+in one array pass and loops only down the origin-touching chain, on a
+cached geometry plan per grid (field._quadrature_plan) that every exponent
+shares.  The oracle below is the per-cell code it replaced, unchanged but
+for its inline origin test: a loop over the cells that runs the corner
+recursion on each.  The two must agree bit for bit, on 2-D and 3-D windows
+with the origin inside, on the boundary and outside, at every depth regime
+(below, at and above _REG_DEPTH), whether the plan is cold or warm.
 """
 
 import itertools
@@ -18,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreylab import field
 from morreylab.dyadic import Window
-from morreylab.field import _REG_DEPTH, _integral_abs_power_1d, abs_power_cell_averages
+from morreylab.field import (_REG_DEPTH, _integral_abs_power_1d, _quadrature_plan,
+                             abs_power_cell_averages)
 
 
 def _oracle_box(lo: Sequence[float], hi: Sequence[float], gamma: float, depth: int) -> float:
@@ -149,3 +152,143 @@ def test_random_windows_bit_identical(dim, span, level_max, top_count, shift, de
     gamma = -dim + gamma_frac * (dim + 2)  # (-n, 2]
     assert np.array_equal(abs_power_cell_averages(gamma, window, depth),
                           _oracle_cell_averages(gamma, window, depth))
+
+
+# -- the cached plan: one per grid, shared by every exponent ------------------------
+
+
+def _plan(window: Window, depth: int):
+    return _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
+                            window.cells_per_axis, depth)
+
+
+def _plan_arrays(plan):
+    for group in plan.groups:
+        yield from group.distinct
+        yield from group.inverse
+    for near in plan.near:
+        yield from near
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.sampled_from((2, 2, 3)),
+    span=st.integers(0, 2),
+    top_count=st.integers(1, 3),
+    shift=st.lists(st.integers(-4, 1), min_size=3, max_size=3),
+    depth=st.integers(0, _REG_DEPTH + 1),
+    gamma_fracs=st.lists(st.floats(0.001, 1.0), min_size=2, max_size=3, unique=True),
+)
+def test_warm_plan_bit_identical_in_either_order(dim, span, top_count, shift, depth,
+                                                 gamma_fracs):
+    """Several exponents on one grid, each order from a cold cache, all equal the oracle."""
+    if dim == 3:
+        span, top_count, depth = min(span, 1), min(top_count, 2), min(depth, 3)
+    offset = tuple(max(s, -top_count - 1) for s in shift[:dim])
+    window = Window(dim, -span, 0, origin_offset=offset, top_count=top_count)
+    gammas = [-dim + g * (dim + 2) for g in gamma_fracs]  # (-n, 2]
+    want = {g: _oracle_cell_averages(g, window, depth) for g in gammas}
+    for order in (gammas, gammas[::-1]):
+        _quadrature_plan.cache_clear()
+        for gamma in order:
+            assert np.array_equal(abs_power_cell_averages(gamma, window, depth), want[gamma])
+        assert _quadrature_plan.cache_info().misses == 1
+
+
+# (dim, level_min, level_max, origin_offset, top_count, axes 0 and 1 share their |c|)
+SYMMETRY = [
+    (2, -2, 0, (-1, -1), 2, True),     # centred
+    (2, -3, 0, (-2, -2), 3, True),     # off centre, the same along both axes
+    (2, -2, 0, (-1, 0), 2, False),     # origin at a corner of axis 1 only
+    (2, -2, 0, (-2, -1), 3, False),    # the two axes reach 0 at different cells
+    (2, -2, 0, (0, -1), 1, False),     # top_count 1
+    (3, -1, 0, (-1, -1, 0), 2, True),  # axes 0 and 1 centred, axis 2 not
+    (3, -1, 0, (0, -1, -1), 2, False),  # axes 1 and 2 share their |c|, axis 0 does not
+]
+
+
+@pytest.mark.parametrize("depth", range(_REG_DEPTH + 1))
+@pytest.mark.parametrize("spec", SYMMETRY, ids=str)
+def test_symmetric_pows_only_where_axes_0_and_1_match(spec, depth):
+    """The upper-triangle pows fire exactly on the window's grid whose axes 0 and 1 hold the
+    same |c|, and the values stay the oracle's either way."""
+    *shape, symmetric = spec
+    window = _window(shape)
+    _quadrature_plan.cache_clear()
+    assert _plan(window, depth).groups[0].symmetric is symmetric
+    for gamma in (-window.dim + 0.3, 0.1, -0.1, 1.5):
+        assert np.array_equal(abs_power_cell_averages(gamma, window, depth),
+                              _oracle_cell_averages(gamma, window, depth))
+
+
+def test_symmetric_grid_takes_one_pow_per_upper_triangle_pair(monkeypatch):
+    """On a centred 2-D grid every level is symmetric: with one row per block of pows,
+    m (m + 1) / 2 pows for m distinct |c| per axis, not m^2."""
+    window = Window(2, -3, 0)
+    plan = _plan(window, 12)
+    assert all(group.symmetric for group in plan.groups)
+    calls = []
+
+    def counting_pow(x, y):
+        calls.append(x)
+        return x ** y
+
+    monkeypatch.setattr(field, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(field, "_POW_CHUNK", 1)
+    got = abs_power_cell_averages(0.1, window, 12)
+    monkeypatch.undo()
+    tuples = sum(g.distinct[0].size * g.distinct[0].shape[1] for g in plan.groups)
+    triangle = sum(len(g.distinct[0]) * (m * (m + 1) // 2)
+                   for g in plan.groups for m in [g.distinct[0].shape[1]])
+    assert len(calls) == triangle < tuples
+    assert np.array_equal(got, abs_power_cell_averages(0.1, window, 12))
+
+
+@pytest.mark.parametrize("spec", [s[:5] for s in SYMMETRY], ids=str)
+def test_row_blocks_of_any_size_give_the_same_bits(spec, monkeypatch):
+    """The pows and the first fold run a block of rows at a time; blocks of a row or two
+    (block edges inside each level, symmetric or not) change no bit."""
+    window = _window(spec)
+    want = {g: _oracle_cell_averages(g, window, 4) for g in (-window.dim + 0.2, 0.7)}
+    monkeypatch.setattr(field, "_POW_CHUNK", 7)
+    monkeypatch.setattr(field, "_FOLD_BLOCK", 5)
+    for gamma, values in want.items():
+        assert np.array_equal(abs_power_cell_averages(gamma, window, 4), values)
+
+
+def test_warm_plan_still_rejects_a_non_integrable_exponent():
+    for window in (Window(2, -2, 0), Window(3, -1, 0, origin_offset=(0, 0, 0), top_count=1)):
+        n = window.dim
+        _quadrature_plan.cache_clear()
+        abs_power_cell_averages(0.5 - n, window, 4)
+        for gamma in (-float(n), -n - 0.5):
+            with pytest.raises(ValueError, match="is not integrable near 0"):
+                abs_power_cell_averages(gamma, window, 4)
+        assert _quadrature_plan.cache_info().misses == 1
+
+
+def test_warm_plan_still_reports_an_overflowing_power():
+    # cells of side 2^-508 at the origin: |x|^-1.99 at the smallest leaf radii exceeds a float
+    window = Window(2, -508, -506)
+    _quadrature_plan.cache_clear()
+    assert np.all(np.isfinite(abs_power_cell_averages(0.1, window, 12)))
+    with pytest.raises(ValueError, match=r"\|x\|\^-1.99 overflows a float"):
+        abs_power_cell_averages(-1.99, window, 12)
+    assert _quadrature_plan.cache_info().misses == 1
+
+
+def test_plan_is_read_only_per_axis_and_bounded():
+    _quadrature_plan.cache_clear()
+    window = Window(2, -3, 0, origin_offset=(-2, -1), top_count=3)
+    plan = _plan(window, 12)
+    for arr in _plan_arrays(plan):
+        assert not arr.flags.writeable
+        assert arr.ndim <= 2  # per axis (after the stacked levels), never one entry per leaf tuple
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert abs_power_cell_averages(0.1, window, 12).flags.writeable
+    maxsize = _quadrature_plan.cache_info().maxsize
+    assert maxsize is not None
+    for level_min in range(-1, -maxsize - 4, -1):
+        abs_power_cell_averages(0.1, Window(2, level_min, level_min + 1), 2)
+    assert _quadrature_plan.cache_info().currsize == maxsize
