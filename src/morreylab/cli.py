@@ -16,15 +16,17 @@ import sys
 
 from .czd import decomposition_to_json
 from .errors import ValidationError
-from .field import LatticeFunction, from_csv
+from .field import LatticeFunction, Weight, from_csv
 from .harness import (
+    _DECOMPOSE_KEYS,
+    _EXPONENTS,
     ExperimentConfig,
     _decompose,
-    _depth,
     _exponent_set,
     _make_weight,
     _q0,
     _stage_chunks,
+    _weights,
     _write_json,
     config_from_pairs,
     emit_report,
@@ -38,20 +40,17 @@ EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _load_config(path: str, extra=None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), extra)
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    if args.seed is not None or args.trials is not None:
-        overrides = dict(cfg.raw)
-        if args.seed is not None:
-            overrides["seed"] = str(args.seed)
-        if args.trials is not None:
-            overrides["trials"] = str(args.trials)
-        cfg = config_from_pairs(sorted(overrides.items()))
+    overrides = {k: str(v) for k, v in (("seed", args.seed), ("trials", args.trials))
+                 if v is not None}
+    if overrides:
+        cfg = config_from_pairs(sorted({**dict(cfg.raw), **overrides}.items()))
     report = run_experiment(cfg)
     out = args.out or f"{cfg.experiment.lower()}_report"
     csv_path, json_path = emit_report(report, out)
@@ -77,24 +76,27 @@ def _cmd_norm(args) -> int:
 
 def _cmd_weight_const(args) -> int:
     cfg = _load_config(args.config)
-    kind = WeightConditionKind(args.kind)
-    win = cfg.window
+    if not _EXPONENTS.keys() <= cfg.params.keys():
+        raise ValidationError(f"{cfg.experiment} does not read the exponent keys of weight-const")
+    kind, win = WeightConditionKind(args.kind), cfg.window
     e = _exponent_set(cfg, kind)
-    params, depth = cfg.params, _depth(cfg)
-    v = _make_weight(params.get("weight_v", "const:1"), win, depth)
-    w1 = _make_weight(params.get("weight_w1", params.get("weight_u1", "const:1")), win, depth)
-    w2 = _make_weight(params.get("weight_w2", params.get("weight_u2", "const:1")), win, depth)
+    if "weight_v" in cfg.params:
+        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
+    else:  # T29: the weights u1, u2 take the places of w1, w2
+        v, w1, w2 = Weight.constant(win, 1.0), *_weights(cfg, win, "u1", "u2")
     print(repr(two_weight_constant(kind, v, w1, w2, e, win)))
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _DECOMPOSE_KEYS)
+    if cfg.experiment != "CZ_INV":
+        raise ValidationError(f"decompose needs a CZ_INV config; got {cfg.experiment}")
     win = cfg.window
     q0 = _q0(cfg, win)
     _, f, g, _ = next(_stage_chunks(cfg, win, n_trials=1))
     f, g = (LatticeFunction(win, x.values[0]) for x in (f, g))
-    d, bad, _ = _decompose(cfg, cfg.params.get("kind", "cz"), f, g, q0)
+    d, bad, _ = _decompose(cfg, cfg.params["kind"], f, g, q0)
     _write_json(decomposition_to_json(d, win), args.json)
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")

@@ -184,7 +184,7 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
 def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
                  theta1: float, theta2: float) -> Decomposition:
     """Stopping-time decomposition driven by the unweighted average product."""
-    if theta1 <= 1 or theta2 <= 1:
+    if not (theta1 > 1 and theta2 > 1):  # nan fails too
         raise ValueError("theta1 and theta2 must exceed 1")
     window = _same_window(f, g)
     factor = _threshold_factor(window.dim, theta1, theta2)
@@ -194,7 +194,7 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
 def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
                        r1: float, r2: float, alpha: float) -> Decomposition:
     """Variant whose threshold functional carries the volume factor |Q|^(alpha/n)."""
-    if abs(1.0 / r1 + 1.0 / r2 - 1.0) > 1e-9:
+    if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):  # nan fails too
         raise ValueError(f"(r1, r2) must be a Holder pair; got ({r1}, {r2})")
     window = _same_window(f, g)
     n = window.dim

@@ -63,6 +63,13 @@ class ExponentSet:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
 
 
+def solve_q(q1: float, q2: float) -> float:
+    """Solve 1/q = 1/q1 + 1/q2 for q, which a zero q_i or a sum of 0 (or inf) leaves undefined."""
+    if not (q1 and q2 and _finite_nonzero(1.0 / q1 + 1.0 / q2)):
+        raise ValueError(f"q undefined: 1/q1 + 1/q2 with q1={q1}, q2={q2}")
+    return 1.0 / (1.0 / q1 + 1.0 / q2)
+
+
 def solve_st(n: int, alpha: float, p: float, q: float, r: float) -> tuple[float, float]:
     """Solve 1/s = 1/p + 1/r - alpha/n and t/s = q/p for (s, t)."""
     if p <= 0 or q <= 0:
@@ -88,7 +95,7 @@ def default_holder_pair(q1: float, q2: float) -> tuple[float, float]:
     """The canonical starting Holder pair (q1/q, q2/q) with 1/q = 1/q1 + 1/q2."""
     if q1 <= 1 or q2 <= 1:
         raise ValueError("q1, q2 must exceed 1")
-    q = 1.0 / (1.0 / q1 + 1.0 / q2)
+    q = solve_q(q1, q2)
     return q1 / q, q2 / q
 
 
@@ -96,7 +103,7 @@ def build(regime: str, n: int, alpha: float, q1: float, q2: float, p: float,
           r: float, a: Optional[float] = None, r1: Optional[float] = None,
           r2: Optional[float] = None) -> ExponentSet:
     """Assemble a full ExponentSet, deriving q, s, t from the defining identities."""
-    q = 1.0 / (1.0 / q1 + 1.0 / q2)
+    q = solve_q(q1, q2)
     if regime == "T27":
         s, _ = solve_st(n, alpha, p, q, r)
         t = solve_weak_t(n, alpha, q, r)

@@ -32,8 +32,9 @@ take unbatched slices), so the rows, in trial-index order, do not depend on
 the chunking.
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
-``#`` comments allowed; see docs/config.md for the grammar and docs/
-experiments.md for the per-experiment LHS/RHS manifest.
+``#`` comments allowed.  The key table (_COMMON, _EXPERIMENT_KEYS) holds each
+experiment's keys and defaults: cfg.params has every one, typed, and no other
+(docs/config.md).  docs/experiments.md is the per-experiment LHS/RHS manifest.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ._version import __version__ as _VERSION
 from .czd import Decomposition, cz_decompose, cz_decompose_alpha, necessity_pair, verify_decomposition
 from .dyadic import Cube, Window
 from .errors import ValidationError
-from .exponents import INF, ExponentSet, build, solve_st, solve_weak_t, validate
+from .exponents import INF, ExponentSet, build, solve_q, solve_st, solve_weak_t, validate
 from .field import (
     DEFAULT_DEPTH,
     LatticeFunction,
@@ -76,15 +77,63 @@ from .weights_norms import (
     weak_morrey_functional,
 )
 
-_INT_KEYS = {"dim", "level_min", "level_max", "top_count", "trials", "seed",
-             "n_symbols", "q0_level", "qprime_level", "depth"}
-_INT_TUPLE_KEYS = {"origin_offset", "refinements", "q0_index", "qprime_index",
-                   "beta_pattern"}
-_STR_KEYS = {"experiment", "weight_v", "weight_w1", "weight_w2", "weight_w",
-             "weight_u1", "weight_u2", "kind"}
-_FLOAT_KEYS = {"alpha", "q1", "q2", "p", "r", "a", "r1", "r2", "q", "beta", "gamma1", "gamma2",
-               "p1", "p2", "vartheta1", "vartheta2", "theta1", "theta2", "t_hat"}
-_KEYS = _INT_KEYS | _INT_TUPLE_KEYS | _STR_KEYS | _FLOAT_KEYS
+# -- config keys: each maps to its default, _REQUIRED, None (the runner derives the value) or
+# a value, whose type parses the key's text: float (not nan), int, tuple (a comma list of
+# ints) or str.  A required or derived key is a float unless _NOT_FLOAT names its type.
+_REQUIRED = object()
+_NOT_FLOAT = {"origin_offset": tuple, "beta_pattern": tuple, "q0_index": tuple,
+              "qprime_index": tuple, "q0_level": int, "qprime_level": int}
+
+# the window, the draws and the quadrature depth, read for every experiment
+_COMMON = {"dim": 1, "level_min": -4, "level_max": 0, "origin_offset": None, "top_count": 2,
+           "trials": 20, "seed": 0, "refinements": (0,), "depth": DEFAULT_DEPTH}
+# the keys of _exponent_set; _MAXIMAL's alpha, of the T27 and T28 regimes, defaults to 0
+_EXPONENTS = {"alpha": _REQUIRED, "q1": _REQUIRED, "q2": _REQUIRED, "p": _REQUIRED, "r": INF,
+              "a": None, "r1": None, "r2": None}
+_WEIGHTS = {"weight_v": "const:1", "weight_w1": "const:1", "weight_w2": "const:1"}
+_Q0 = {"q0_level": None, "q0_index": None}
+_SYMBOLS = {"n_symbols": 2, "beta_pattern": None}
+_CONTROL = {"p": _REQUIRED, "q": _REQUIRED, "alpha": _REQUIRED, "r1": 2.0, "r2": 2.0,
+            "weight_w": "const:1"}
+_MAXIMAL = {**_EXPONENTS, "alpha": 0.0}
+
+# experiment -> {key: default} of every key besides _COMMON that its runner reads; a config
+# may set no other key
+_EXPERIMENT_KEYS = {
+    **dict.fromkeys(("T21", "T22"), {**_EXPONENTS, **_WEIGHTS}),
+    **dict.fromkeys(("T23", "T24"), {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
+    "T25": _CONTROL,
+    "T26": {**_CONTROL, **_SYMBOLS, "vartheta1": 1.25, "vartheta2": 1.25},
+    "T27_sufficiency": {**_MAXIMAL, **_WEIGHTS, **_Q0},
+    "T27_necessity": {**_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": None, "qprime_index": None},
+    **dict.fromkeys(("T28", "COR_BH"), {**_MAXIMAL, **_WEIGHTS}),
+    "T29": {**_MAXIMAL, "weight_u1": "const:1", "weight_u2": "const:1"},
+    "SW101": {"alpha": _REQUIRED, "beta": 0.0, "gamma1": 0.0, "gamma2": 0.0, "q1": _REQUIRED,
+              "q2": _REQUIRED, "p1": _REQUIRED, "p2": _REQUIRED, "r": INF},
+    "JN": {},
+    "CZ_INV": {**_Q0, "theta1": 2.0, "theta2": 2.0, "r1": 2.0, "r2": 2.0, "alpha": 0.5},
+    "BH_DOM": {},
+    "L39": {"q1": 2.0, "q2": 2.0, "t_hat": None, "weight_w1": "const:1", "weight_w2": "const:1"},
+}
+# the keys that `morreylab decompose` reads besides CZ_INV's
+_DECOMPOSE_KEYS = {"kind": "cz"}
+_KEYS = {"experiment"}.union(_COMMON, _DECOMPOSE_KEYS, *_EXPERIMENT_KEYS.values())
+
+
+_PARSERS = {float: float, int: int, str: str,
+            tuple: lambda text: tuple(int(v) for v in text.split(",") if v.strip())}
+
+
+def _parse(key: str, text: str, default):
+    kind = _NOT_FLOAT.get(key, float) if default is None or default is _REQUIRED else type(default)
+    try:
+        value = _PARSERS[kind](text)
+    except ValueError:
+        value = math.nan
+    if value != value:  # no parse, or nan
+        raise ValidationError(f"cannot parse value for {key!r}: {text!r}")
+    return value
+
 
 # The largest depth a config may set.
 _MAX_DEPTH = 256
@@ -111,25 +160,8 @@ class ExperimentConfig:
         return replace(self.window, level_min=self.window.level_min - stage)
 
 
-def _parse_value(key: str, text: str):
-    text = text.strip()
-    if key in _STR_KEYS:
-        return text
-    if key in _INT_TUPLE_KEYS:
-        return tuple(int(v.strip()) for v in text.split(",") if v.strip() != "")
-    if key in _INT_KEYS:
-        return int(text)
-    low = text.lower()
-    if low in ("inf", "+inf", "infinity"):
-        return INF
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse value for {key!r}: {text!r}") from exc
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value grammar into an ExperimentConfig."""
+def parse_config(text: str, extra: Mapping | None = None) -> ExperimentConfig:
+    """Parse the flat key = value grammar into an ExperimentConfig (see config_from_pairs)."""
     pairs: list[tuple[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -139,44 +171,45 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValidationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, val = stripped.split("=", 1)
         pairs.append((key.strip(), val.strip()))
-    return config_from_pairs(pairs)
+    return config_from_pairs(pairs, extra)
 
 
-def config_from_pairs(pairs) -> ExperimentConfig:
-    seen: dict[str, object] = {}
+def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
+    """The config of (key, value) text pairs.  Its experiment's keys (_COMMON, then
+    _EXPERIMENT_KEYS, then a command's extra {key: default}) are the only keys it may set;
+    params holds every one of them, parsed or defaulted."""
+    given: dict[str, str] = {}
     for key, val in pairs:
         if key not in _KEYS:
             raise ValidationError(f"unknown key {key!r}")
-        if key in seen:
+        if key in given:
             raise ValidationError(f"duplicate key {key!r}")
-        seen[key] = _parse_value(key, val) if isinstance(val, str) else val
-    if "experiment" not in seen:
+        given[key] = str(val).strip()
+    experiment = given.pop("experiment", None)
+    if experiment is None:
         raise ValidationError("missing key 'experiment'")
-    experiment = seen.pop("experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
+    table = {**_COMMON, **_EXPERIMENT_KEYS[experiment], **(extra or {})}
+    bad = [f"{experiment} does not read key {k!r}" for k in sorted(given.keys() - table.keys())]
+    bad += [f"missing required key {k!r} for {experiment}"
+            for k, default in table.items() if default is _REQUIRED and k not in given]
+    if bad:
+        raise ValidationError(bad)
+    params = {k: _parse(k, given[k], d) if k in given else d for k, d in table.items()}
     try:
-        window = Window(
-            dim=int(seen.pop("dim", 1)),
-            level_min=int(seen.pop("level_min", -4)),
-            level_max=int(seen.pop("level_max", 0)),
-            origin_offset=seen.pop("origin_offset", None),
-            top_count=int(seen.pop("top_count", 2)),
-        )
+        window = Window(*(params[k] for k in ("dim", "level_min", "level_max", "origin_offset",
+                                              "top_count")))
     except ValueError as exc:
         raise ValidationError(f"bad window: {exc}") from exc
-    trials = int(seen.pop("trials", 20))
-    seed = int(seen.pop("seed", 0))
-    refinements = seen.pop("refinements", (0,))
-    if isinstance(refinements, (int, float)):
-        refinements = (int(refinements),)
-    refinements = tuple(int(r) for r in refinements)
+    refinements, depth = params["refinements"], params["depth"]
     if not refinements or any(r < 0 for r in refinements) or len(set(refinements)) < len(refinements):
         raise ValidationError(
             f"refinements must be distinct nonnegative level decrements; got {refinements}")
-    if trials < 1:
+    if params["trials"] < 1:
         raise ValidationError("trials must be >= 1")
-    depth = int(seen.get("depth", DEFAULT_DEPTH))
+    if "n_symbols" in params and params["n_symbols"] < 1:
+        raise ValidationError(f"n_symbols must be >= 1; got {params['n_symbols']}")
     if not 0 <= depth <= _MAX_DEPTH:
         raise ValidationError(f"depth must be in 0..{_MAX_DEPTH}; got {depth}")
     finest = window.level_min - max(refinements)
@@ -186,9 +219,9 @@ def config_from_pairs(pairs) -> ExperimentConfig:
             f"quadrature's leaf midpoints 2^{finest - depth - 1} square to 0.0 "
             f"(depth must be <= {finest - 1 - _MIN_LEAF_EXP})")
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
-    return ExperimentConfig(experiment=experiment, window=window, trials=trials,
-                            seed=seed, refinements=refinements,
-                            params=MappingProxyType(seen), raw=raw)
+    return ExperimentConfig(experiment=experiment, window=window, trials=params["trials"],
+                            seed=params["seed"], refinements=refinements,
+                            params=MappingProxyType(params), raw=raw)
 
 
 @dataclass
@@ -285,25 +318,10 @@ def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weigh
     raise ValidationError(f"unknown weight spec {spec!r} (use pow:<g>, const:<c>, csv:<path>)")
 
 
-def _depth(cfg: ExperimentConfig) -> int:
-    """The quadrature depth of the power weights and the kernel averages, 0.._MAX_DEPTH
-    (checked by config_from_pairs)."""
-    return int(cfg.params.get("depth", DEFAULT_DEPTH))
-
-
-def _n_symbols(cfg: ExperimentConfig) -> int:
-    """The number of BMO symbols of a commutator experiment; a run with none would be
-    the plain bilinear integral under the commutator's name."""
-    n = int(cfg.params.get("n_symbols", 2))
-    if n < 1:
-        raise ValidationError(f"n_symbols must be >= 1; got {n}")
-    return n
-
-
 def _weights(cfg: ExperimentConfig, window: Window, *roles: str) -> list[Weight]:
     """The weights of the roles; roles with equal specs share one (immutable) Weight."""
-    specs = [cfg.params.get(f"weight_{role}", "const:1") for role in roles]
-    built = {spec: _make_weight(spec, window, depth=_depth(cfg)) for spec in dict.fromkeys(specs)}
+    specs = [cfg.params[f"weight_{role}"] for role in roles]
+    built = {spec: _make_weight(spec, window, cfg.params["depth"]) for spec in dict.fromkeys(specs)}
     return [built[spec] for spec in specs]
 
 
@@ -311,45 +329,27 @@ def _times(f: LatticeFunction, w: Weight) -> LatticeFunction:
     return LatticeFunction(f.window, f.values * w.values)
 
 
-def _param(cfg: ExperimentConfig, key: str, default=None) -> float:
-    if key in cfg.params:
-        return float(cfg.params[key])
-    if default is None:
-        raise ValidationError(f"missing required key {key!r} for {cfg.experiment}")
-    return float(default)
-
-
 def _q0(cfg: ExperimentConfig, window: Window, key: str = "q0") -> Cube:
     """The cube of the <key>_level and <key>_index keys: level defaults to level_max, index
     to the window's first cube of the level."""
-    level = int(cfg.params.get(f"{key}_level", window.level_max))
-    index = cfg.params.get(f"{key}_index")
-    if index is None:
-        index = window.index_lo(level) if level <= window.level_max else None
-    if index is None:
+    level, index = cfg.params[f"{key}_level"], cfg.params[f"{key}_index"]
+    level = window.level_max if level is None else level
+    if index is None and level > window.level_max:
         raise ValidationError(f"{key}_level outside window levels")
-    q = Cube(int(level), tuple(index))
+    q = Cube(level, window.index_lo(level) if index is None else index)
     if not window.contains_cube(q):
         raise ValidationError(f"{key} cube {q} not inside window")
     return q
 
 
 def _exponent_set(cfg: ExperimentConfig, kind: WeightConditionKind) -> ExponentSet:
-    """The exponent set of the kind's regime from the config.  C211 never uses a, but its
-    T28 set needs one: a missing a becomes the midpoint of (1, min(q_i/r_i)) of the built
-    r_i (validate reports a missing or zero r_i)."""
-    e = build(
-        kind.regime,
-        n=cfg.window.dim,
-        alpha=_param(cfg, "alpha", 0.0 if kind.regime in ("T27", "T28") else None),
-        q1=_param(cfg, "q1"),
-        q2=_param(cfg, "q2"),
-        p=_param(cfg, "p"),
-        r=_param(cfg, "r", INF),
-        a=(float(cfg.params["a"]) if "a" in cfg.params else None),
-        r1=(float(cfg.params["r1"]) if "r1" in cfg.params else None),
-        r2=(float(cfg.params["r2"]) if "r2" in cfg.params else None),
-    )
+    """The exponent set of the kind's regime from the config's _EXPONENTS keys.  C211 never
+    uses a, but its T28 set needs one: a missing a becomes the midpoint of (1, min(q_i/r_i))
+    of the built r_i (validate reports a missing or zero r_i)."""
+    try:
+        e = build(kind.regime, cfg.window.dim, **{k: cfg.params[k] for k in _EXPONENTS})
+    except ValueError as exc:
+        raise ValidationError([str(exc)]) from exc
     if kind is WeightConditionKind.C211 and e.a is None and e.r1 and e.r2:
         e = replace(e, a=0.5 * (1.0 + min(e.q1 / e.r1, e.q2 / e.r2)))
     violations = validate(e)
@@ -406,11 +406,13 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     """B_alpha(f, g), or with symbols its iterated commutator, slots from beta_pattern
     (default 1, 2, 1, ...)."""
     if not symbols:
-        return bilinear_fractional(f, g, alpha, _depth(cfg))
-    pattern = cfg.params.get("beta_pattern", tuple(1 + i % 2 for i in range(len(symbols))))
+        return bilinear_fractional(f, g, alpha, cfg.params["depth"])
+    pattern = cfg.params["beta_pattern"]
+    if pattern is None:
+        pattern = tuple(1 + i % 2 for i in range(len(symbols)))
     if len(pattern) != len(symbols):
         raise ValidationError("beta_pattern length must equal n_symbols")
-    return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, _depth(cfg))
+    return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, cfg.params["depth"])
 
 
 # The strong-type bounds |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2):
@@ -435,9 +437,9 @@ def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
     if kind is WeightConditionKind.C22 and e.s >= 1.0:
         kind = WeightConditionKind.C23
     notes["condition_kind"] = kind.value
-    if vector and "a" not in cfg.params:
+    if vector and cfg.params["a"] is None:
         notes["derived_a"] = e.a
-    n_sym = _n_symbols(cfg) if operator == "commutator" else 0
+    n_sym = cfg.params["n_symbols"] if operator == "commutator" else 0
     if vector:
         u1, u2 = _weights(cfg, win, "u1", "u2")
         w1, w2 = Weight(win, u1.values ** (1.0 / e.q1)), Weight(win, u2.values ** (1.0 / e.q2))
@@ -460,23 +462,18 @@ def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
 
 
 def _run_maximal_control(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
-    mp = _param(cfg, "p")
-    mq = _param(cfg, "q")
-    alpha = _param(cfg, "alpha")
-    r1 = _param(cfg, "r1", 2.0)
-    r2 = _param(cfg, "r2", 2.0)
+    mp, mq, alpha, r1, r2 = (cfg.params[k] for k in ("p", "q", "alpha", "r1", "r2"))
     if not 0 < mq <= mp:
         raise ValidationError([f"need 0<q<=p (q={mq}, p={mp})"])
-    if abs(1.0 / r1 + 1.0 / r2 - 1.0) > 1e-9:
+    if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):
         raise ValidationError([f"(r1, r2) must be a Holder pair; got ({r1}, {r2})"])
     notes["morrey_weight_convention"] = "integrand |f|^q * w, Lebesgue normalizer |Q|"
     if cfg.experiment == "T26":
-        vt1 = _param(cfg, "vartheta1", 1.25)
-        vt2 = _param(cfg, "vartheta2", 1.25)
+        vt1, vt2 = cfg.params["vartheta1"], cfg.params["vartheta2"]
         if vt1 <= 1 or vt2 <= 1:
             raise ValidationError(["vartheta1, vartheta2 must exceed 1"])
         pair = (vt1 * r1, vt2 * r2)
-        n_sym = _n_symbols(cfg)
+        n_sym = cfg.params["n_symbols"]
     else:
         pair = (r1, r2)
         n_sym = 0
@@ -512,8 +509,8 @@ def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
             ratios.append(_ratio(lhs, rhs))
             yield [trial], [lhs], [rhs], "random", 0
     if necessity:
-        qp = _q0(cfg, win, key="qprime") \
-            if cfg.params.keys() & {"qprime_level", "qprime_index"} else q0
+        qp = q0 if cfg.params["qprime_level"] is None and cfg.params["qprime_index"] is None \
+            else _q0(cfg, win, key="qprime")
         f, g, lam = necessity_pair(w1, w2, qp, e)
         lhs, rhs = sides(f, g, m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"))
         c_obs = max(x for x in ratios + [_ratio(lhs, rhs)] if x != INF)
@@ -525,21 +522,15 @@ def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
 
 def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     n = cfg.window.dim
-    alpha = _param(cfg, "alpha")
-    beta = _param(cfg, "beta", 0.0)
-    gamma1 = _param(cfg, "gamma1", 0.0)
-    gamma2 = _param(cfg, "gamma2", 0.0)
-    q1, q2 = _param(cfg, "q1"), _param(cfg, "q2")
-    p1, p2 = _param(cfg, "p1"), _param(cfg, "p2")
-    r = _param(cfg, "r", INF)
+    alpha, beta, gamma1, gamma2, q1, q2, p1, p2, r = (
+        cfg.params[k] for k in ("alpha", "beta", "gamma1", "gamma2", "q1", "q2", "p1", "p2", "r"))
     if not (0 < alpha < n):
         raise ValidationError([f"need 0<alpha<n (alpha={alpha})"])
     if not (1 < q1 <= p1 and 1 < q2 <= p2):
         raise ValidationError([f"need 1<q_i<=p_i (q=({q1},{q2}), p=({p1},{p2}))"])
-    q = 1.0 / (1.0 / q1 + 1.0 / q2)
-    p = 1.0 / (1.0 / p1 + 1.0 / p2)
     order = n - alpha  # the operator acts at fractional order n - alpha
     try:
+        q, p = solve_q(q1, q2), solve_q(p1, p2)
         s, _ = solve_st(n, order, p, q, r)
         t = solve_weak_t(n, order, q, r)
     except ValueError as exc:
@@ -558,7 +549,7 @@ def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
                   "balance_defect": balance,
                   "hypothesis": hypothesis,
                   "hypothesis_satisfied": all(hypothesis.values())})
-    depth = _depth(cfg)
+    depth = cfg.params["depth"]
     # the target weight |x|^(-beta) multiplies the output; equal exponents share a Weight
     exps = (-beta, gamma1, gamma2)
     built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
@@ -624,10 +615,10 @@ def _decompose(cfg: ExperimentConfig, kind: str, f: LatticeFunction, g: LatticeF
     verify_decomposition violations, and those parameters: (theta1, theta2) for 'cz',
     (r1, r2, alpha) for 'cz_alpha'."""
     if kind == "cz":
-        args = (_param(cfg, "theta1", 2.0), _param(cfg, "theta2", 2.0))
+        args = (cfg.params["theta1"], cfg.params["theta2"])
         d = cz_decompose(f, g, q0, *args)
     elif kind == "cz_alpha":
-        args = (_param(cfg, "r1", 2.0), _param(cfg, "r2", 2.0), _param(cfg, "alpha", 0.5))
+        args = (cfg.params["r1"], cfg.params["r2"], cfg.params["alpha"])
         d = cz_decompose_alpha(f, g, q0, *args)
     else:
         raise ValidationError(f"unknown decompose kind {kind!r}; expected 'cz' or 'cz_alpha'")
@@ -666,10 +657,8 @@ def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: di
 
 
 def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
-    q1 = _param(cfg, "q1", 2.0)
-    q2 = _param(cfg, "q2", 2.0)
-    q = 1.0 / (1.0 / q1 + 1.0 / q2)
-    notes["t_hat"] = t_hat = _param(cfg, "t_hat", max(q, 1.0))
+    q1, q2, t_hat = cfg.params["q1"], cfg.params["q2"], cfg.params["t_hat"]
+    notes["t_hat"] = t_hat = max(solve_q(q1, q2), 1.0) if t_hat is None else t_hat
     w1, w2 = _weights(cfg, win, "w1", "w2")
     rep = lemma39_check(w1, w2, q1, q2, t_hat)
     notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,

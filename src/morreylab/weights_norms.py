@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import Cube, Window
-from .exponents import ExponentSet, conjugate, inv, validate
+from .exponents import ExponentSet, conjugate, inv, solve_q, validate
 from .field import (
     LatticeFunction,
     Weight,
@@ -250,7 +250,7 @@ def lemma39_check(w1: Weight, w2: Weight, q1: float, q2: float, t_hat: float) ->
     """Joint constant sup_Q (mean (w1 w2)^t_hat)^(1/t_hat) prod (mean w_i^(-q_i'))^(1/q_i')
     together with the three Muckenhoupt constants of its characterization."""
     window = _same_window(w1, w2)
-    q = 1.0 / (1.0 / q1 + 1.0 / q2)
+    q = solve_q(q1, q2)
     if t_hat < q:
         raise ValueError(f"t_hat must be >= q = {q}; got {t_hat}")
     q1c, q2c = conjugate(q1), conjugate(q2)

@@ -483,3 +483,89 @@ def test_depth_is_checked_for_runners_that_do_not_read_it(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     assert "depth must be in 0..256" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
+
+
+def _shipped(name: str, **values) -> str:
+    """The text of a shipped config with the given keys set (replaced or added)."""
+    keep = [line for line in (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+            if line.split("=", 1)[0].strip() not in values]
+    return "\n".join(keep + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
+
+def _run_exits_2_with(tmp_path, capsys, text, message):
+    """Run a config text; it must exit 2 with message on stderr and write no report."""
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["q1", "q2"])
+@pytest.mark.parametrize("name", [
+    "t21_two_weight.cfg", "t22_two_weight.cfg", "t24_commutator.cfg", "t27_sufficiency.cfg",
+    "t28_strong_maximal.cfg", "t29_vector_weight.cfg", "cor_bh_maximal.cfg",
+    "l39_joint_weight.cfg"])
+def test_run_zero_q_is_a_validation_failure_exit_2(tmp_path, capsys, name, key):
+    # 1/q = 1/q1 + 1/q2 is undefined; neither the exponent set nor L39's t_hat may divide
+    cfg = _write(tmp_path, "bad.cfg", _shipped(name, **{key: "0"}))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert "validation failure: q undefined: 1/q1 + 1/q2 with q1=" in err and f"{key}=0.0" in err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["theta1", "r1"])
+@pytest.mark.parametrize("command", ["run", "decompose"])
+def test_czd_nan_value_is_a_validation_failure_exit_2(tmp_path, capsys, command, key):
+    # a nan fails no `<=` or `>` guard, so it must be refused when the config is parsed
+    cfg = _write(tmp_path, "nan.cfg", _shipped("czd_decompose.cfg", **{key: "nan"}))
+    out = tmp_path / "rep"
+    argv = {"run": ["run", cfg, "--out", str(out)],
+            "decompose": ["decompose", cfg, "--json", str(out)]}[command]
+    assert cli.main(argv) == 2
+    assert f"validation failure: cannot parse value for {key!r}: 'nan'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
+
+
+@pytest.mark.parametrize("name, key, value, experiment", [
+    ("t27_weak_type.cfg", "vartheta1", "-inf", "T27_necessity"),
+    ("l39_joint_weight.cfg", "r1", "100", "L39"),
+    ("jn_oscillation.cfg", "alpha", "nan", "JN"),
+    ("czd_decompose.cfg", "kind", "cz", "CZ_INV"),  # read by `morreylab decompose` only
+])
+def test_run_key_the_experiment_does_not_read_exit_2(tmp_path, capsys, name, key, value,
+                                                     experiment):
+    _run_exits_2_with(tmp_path, capsys, _shipped(name, **{key: value}),
+                      f"validation failure: {experiment} does not read key {key!r}")
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("t21_two_weight.cfg", "top_count", "1,2"),
+    ("czd_decompose.cfg", "q0_level", "abc"),
+    ("t25_maximal_control.cfg", "origin_offset", "inf"),
+])
+def test_run_non_integer_for_an_integer_key_exit_2(tmp_path, capsys, name, key, value):
+    _run_exits_2_with(tmp_path, capsys, _shipped(name, **{key: value}),
+                      f"validation failure: cannot parse value for {key!r}: {value!r}")
+
+
+def test_run_reports_each_missing_required_key(tmp_path, capsys):
+    _run_exits_2_with(tmp_path, capsys, "experiment = SW101\nalpha = 0.5\nq1 = 3\np2 = 3.6\n",
+                      "validation failure: missing required key 'q2' for SW101; "
+                      "missing required key 'p1' for SW101\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "t27_weak_type.cfg", "--json"], "decompose needs a CZ_INV config; got "
+                                                   "T27_necessity"),
+    (["weight-const", "C29", "jn_oscillation.cfg"], "JN does not read the exponent keys"),
+    (["weight-const", "C22", "t25_maximal_control.cfg"], "T25 does not read the exponent keys"),
+    (["weight-const", "C29", "sw101_power_weight.cfg"], "SW101 does not read the exponent keys"),
+])
+def test_command_on_a_config_of_another_experiment_exit_2(tmp_path, capsys, argv, message):
+    argv = [str(CONFIGS / a) if a.endswith(".cfg") else a for a in argv]
+    if argv[-1] == "--json":
+        argv.append(str(tmp_path / "dec.json"))
+    assert cli.main(argv) == 2
+    assert f"validation failure: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "dec.json").exists()

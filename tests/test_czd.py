@@ -243,6 +243,18 @@ def test_holder_pair_required():
         cz_decompose(one, one, Cube(-1, (0,)), 1.0, 2.0)
 
 
+@pytest.mark.parametrize("decompose, args", [
+    (cz_decompose, (math.nan, 2.0)), (cz_decompose, (2.0, math.nan)),
+    (cz_decompose_alpha, (math.nan, 2.0, 0.5)), (cz_decompose_alpha, (2.0, math.nan, 0.5)),
+    (cz_decompose_alpha, (0.0, 2.0, 0.5)),
+])
+def test_nan_or_zero_parameters_fail_the_guards(decompose, args):
+    # a nan compares false both ways, so each guard must ask for what holds, not what fails
+    one = LatticeFunction.constant(Window(1, -3, 0), 1.0)
+    with pytest.raises(ValueError, match="exceed 1|Holder pair"):
+        decompose(one, one, Cube(-1, (0,)), *args)
+
+
 _ONE = LatticeFunction.constant(Window(1, -3, 0), 1.0)
 _FINER = LatticeFunction.constant(Window(1, -4, 0), 1.0)
 _UNIT = Weight.constant(Window(1, -3, 0), 1.0)

@@ -15,7 +15,10 @@ from morreylab.harness import (
     EXPERIMENTS,
     Report,
     _COLUMNS,
+    _COMMON,
+    _EXPERIMENT_KEYS,
     _KEYS,
+    _REQUIRED,
     _exponent_set,
     _ratio,
     _weights,
@@ -47,7 +50,7 @@ def test_parse_config_grammar():
     p = 2
     q = 1.5
     alpha = 0.5
-    r = inf
+    r1 = inf
     refinements = 0, 1, 2
     weight_w = pow:0.5
     """
@@ -55,25 +58,32 @@ def test_parse_config_grammar():
     assert cfg.experiment == "T25"
     assert cfg.window.level_min == -3
     assert cfg.refinements == (0, 1, 2)
-    assert cfg.params["r"] == math.inf
+    assert cfg.params["r1"] == math.inf
     assert cfg.params["weight_w"] == "pow:0.5"
+    assert cfg.params["r2"] == 2.0 and cfg.params["depth"] == 12  # defaults of the key table
+
+
+# T21 reads the weights v, w1 and w2
+T21_PAIRS = [
+    ("experiment", "T21"), ("level_min", "-3"), ("alpha", "0.5"), ("q1", "1.8"), ("q2", "1.8"),
+    ("p", "1.5"), ("r", "2.1"), ("a", "1.5"), ("trials", "1"), ("depth", "3"),
+]
 
 
 def test_equal_weight_specs_share_one_weight():
-    cfg = config_from_pairs(T25_PAIRS + [("weight_w1", "pow:0.5"), ("weight_w2", "pow:0.5"),
-                                         ("depth", "3")])
-    v, w, w1, w2 = _weights(cfg, cfg.window, "v", "w", "w1", "w2")
-    assert w is w1 is w2
-    assert np.array_equal(w.values, power_weight(0.5, cfg.window, depth=3).values)
+    cfg = config_from_pairs(T21_PAIRS + [("weight_w1", "pow:0.5"), ("weight_w2", "pow:0.5")])
+    w1, v, w2, again = _weights(cfg, cfg.window, "w1", "v", "w2", "w1")
+    assert w1 is w2 is again
+    assert np.array_equal(w1.values, power_weight(0.5, cfg.window, depth=3).values)
     assert np.all(v.values == 1.0)  # an absent role is const:1
 
 
 def test_distinct_weight_specs_build_distinct_weights():
-    cfg = config_from_pairs(T25_PAIRS + [("weight_w1", "const:2"), ("depth", "3")])
-    w, w1, u = _weights(cfg, cfg.window, "w", "w1", "u")
-    assert w is not w1 and w1 is not u
-    assert np.all(w1.values == 2.0) and np.all(u.values == 1.0)
-    assert np.array_equal(w.values, power_weight(0.5, cfg.window, depth=3).values)
+    cfg = config_from_pairs(T21_PAIRS + [("weight_v", "pow:0.5"), ("weight_w1", "const:2")])
+    v, w1, w2 = _weights(cfg, cfg.window, "v", "w1", "w2")
+    assert v is not w1 and w1 is not w2
+    assert np.all(w1.values == 2.0) and np.all(w2.values == 1.0)
+    assert np.array_equal(v.values, power_weight(0.5, cfg.window, depth=3).values)
 
 
 @pytest.mark.parametrize("depth, refinement", [(12, 0), (256, 0), (12, 2)])
@@ -495,7 +505,7 @@ def test_t29_run_leaves_config_unchanged(tmp_path):
     cfg = config_from_pairs(T29_PAIRS)
     before = dict(cfg.params)
     first = run_experiment(cfg)
-    assert dict(cfg.params) == before and "a" not in cfg.params
+    assert dict(cfg.params) == before and cfg.params["a"] is None
     assert_close(first.summary["notes"]["derived_a"], 0.5 * (1.0 + 4.0 / 2.0))
     paths = [emit_report(run_experiment(cfg) if i else first, tmp_path / f"r{i}")
              for i in range(2)]
@@ -530,13 +540,40 @@ def test_strong_type_refuses_bad_parameters(pairs, message):
 CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 # lowercase words docs/config.md puts in backticks that are values, commands or derived
 # exponents, not keys
-_DOC_NON_KEYS = {"inf", "cz", "cz_alpha", "run", "s", "t"}
+_DOC_NON_KEYS = {"inf", "nan", "cz", "cz_alpha", "run", "decompose", "s", "t"}
+
+
+def _doc_default(value) -> str:
+    """A default of the key table as docs/config.md writes it."""
+    if value is _REQUIRED:
+        return "required"
+    if value is None:
+        return "derived"
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _doc_section(text: str, title: str) -> list:
+    """The table rows of a section of docs/config.md, split into their cells."""
+    section = text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
 
 
 def test_config_doc_names_exactly_the_config_keys():
     text = CONFIG_DOC.read_text(encoding="utf-8")
     named = {word.strip() for span in re.findall(r"`([^`\n]+)`", text) for word in span.split(",")}
     assert {w for w in named if re.fullmatch(r"[a-z][a-z0-9_]*", w)} - _DOC_NON_KEYS == _KEYS
+    common = {re.findall(r"`([^`]+)`", row[0])[0] for row in _doc_section(text, "Common keys")}
+    assert common == {"experiment", *_COMMON}
+    # each experiment's row names exactly its keys of the table, in "`k1`, `k2`: default" groups
+    documented = {}
+    for names, keys in _doc_section(text, "Experiment keys"):
+        table = {}
+        for group in keys.split(";"):
+            default = group[group.rfind("`") + 1:].strip(" :")
+            table.update(dict.fromkeys(re.findall(r"`([^`]+)`", group), default))
+        documented.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), table))
+    assert documented == {experiment: {k: _doc_default(v) for k, v in keys.items()}
+                          for experiment, keys in _EXPERIMENT_KEYS.items()}
 
 
 def test_config_doc_lists_exactly_the_experiments():
