@@ -27,9 +27,10 @@ Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
 Each trial draws from its own streams and every runner but JN and L39 takes
-them in batched chunks (_stage_chunks; CZ_INV and `morreylab decompose` then
-take unbatched slices), so the rows, in trial-index order, do not depend on
-the chunking.
+them in batched chunks of _BATCH_CELLS cells per array, a remainder under half
+a chunk joining the chunk before it (_stage_chunks; CZ_INV and `morreylab
+decompose` then take unbatched slices), so the rows, in trial-index order, do
+not depend on the chunking.
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed.  The key table (_COMMON, _EXPERIMENT_KEYS) holds each
@@ -208,6 +209,8 @@ def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
             f"refinements must be distinct nonnegative level decrements; got {refinements}")
     if params["trials"] < 1:
         raise ValidationError("trials must be >= 1")
+    if params["seed"] < 0:
+        raise ValidationError(f"seed must be >= 0; got {params['seed']}")
     if "n_symbols" in params and params["n_symbols"] < 1:
         raise ValidationError(f"n_symbols must be >= 1; got {params['n_symbols']}")
     if not 0 <= depth <= _MAX_DEPTH:
@@ -282,21 +285,27 @@ def _drawn(cfg: ExperimentConfig, trial: int, n_sym: int = 0) -> list[np.ndarray
     return out + [rng.uniform(-1.0, 1.0, cfg.window.shape) for _ in range(n_sym)]
 
 
-# Cells per batched array of a stage chunk: larger chunks take fewer Python-level
-# steps per trial, but raise the peak resident size of a run.
+# Cells per batched array of a full stage chunk; the last chunk of a stage may hold up to
+# 1.5 times as many.  Larger chunks take fewer Python-level steps per trial, but raise the
+# peak resident size of a run.
 _BATCH_CELLS = 1 << 14
 
 
 def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0,
                   n_trials: int | None = None):
-    """Yield (trials, f, g, symbols) per chunk of at most _BATCH_CELLS cells per array:
-    f, g and each symbol batch the chunk's trials as _drawn draws them, prolonged to window
-    (a refinement of the base window).  The trials are 0 .. n_trials - 1 (default: all of
-    cfg.trials).  expand_level repeats each batch entry, so slice i holds trial i's bits."""
+    """Yield (trials, f, g, symbols) per chunk: f, g and each symbol batch the chunk's
+    trials as _drawn draws them, prolonged to window (a refinement of the base window).
+    The trials 0 .. n_trials - 1 (default: all of cfg.trials) split into round(n_trials /
+    per) chunks, halves up and at least one, of per = max(1, _BATCH_CELLS // window.n_cells)
+    trials, the last taking the rest: a remainder under half a chunk joins the chunk before
+    it rather than pay one more sweep over the operators, so a chunk of more than one trial
+    has under 1.5 * _BATCH_CELLS cells per array.  expand_level repeats each batch entry,
+    so slice i holds trial i's bits."""
     per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window.level_min
     n_trials = cfg.trials if n_trials is None else n_trials
-    for start in range(0, n_trials, per):
-        trials = range(start, min(start + per, n_trials))
+    starts = range(0, n_trials, per)[:max(1, (2 * n_trials + per) // (2 * per))]
+    for start, stop in zip(starts, [*starts[1:], n_trials]):
+        trials = range(start, stop)
         f, g, *symbols = (LatticeFunction(window, expand_level(np.stack(v), window, base))
                           for v in zip(*(_drawn(cfg, t, n_sym) for t in trials)))
         yield trials, f, g, symbols
@@ -658,7 +667,17 @@ def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: di
 
 def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q1, q2, t_hat = cfg.params["q1"], cfg.params["q2"], cfg.params["t_hat"]
-    notes["t_hat"] = t_hat = max(solve_q(q1, q2), 1.0) if t_hat is None else t_hat
+    try:
+        q = solve_q(q1, q2)
+    except ValueError as exc:
+        raise ValidationError([str(exc)]) from exc
+    bad = [f"L39 needs {key} > 1; got {key} = {value}"
+           for key, value in (("q1", q1), ("q2", q2)) if value <= 1.0]
+    if t_hat is not None and t_hat < q:
+        bad.append(f"L39 needs t_hat >= q = {q}; got t_hat = {t_hat}")
+    if bad:
+        raise ValidationError(bad)
+    notes["t_hat"] = t_hat = max(q, 1.0) if t_hat is None else t_hat
     w1, w2 = _weights(cfg, win, "w1", "w2")
     rep = lemma39_check(w1, w2, q1, q2, t_hat)
     notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,

@@ -259,10 +259,46 @@ def _config(name: str, **overrides):
 def test_rows_do_not_depend_on_the_chunking(monkeypatch, name, extra):
     cfg = _config(name, trials=7, refinements="0,1", **extra)
     want = harness.run_experiment(cfg).rows
-    for cells, sizes in ((1, [1] * 7), (3 * cfg.window.n_cells, [3, 3, 1]), (1 << 40, [7])):
+    for cells, sizes in ((1, [1] * 7), (3 * cfg.window.n_cells, [3, 4]), (1 << 40, [7])):
         monkeypatch.setattr(harness, "_BATCH_CELLS", cells)
         assert [len(t) for t, *_ in harness._stage_chunks(cfg, cfg.window)] == sizes
         assert harness.run_experiment(cfg).rows == want, cells
+
+
+def test_deep_2d_commutator_rows_do_not_depend_on_the_chunking(monkeypatch):
+    # the shape of the quadrature_2d benchmark: T24 on 16^2 then 32^2 cells, 20 trials, whose
+    # 32^2 stage (16 trials' worth of cells) runs as one chunk of 20
+    cfg = _config("t22_two_weight.cfg", experiment="T24", dim=2, level_min=-3, trials=20,
+                  refinements="0,1")
+    fine = cfg.window_at(1)
+    assert fine.n_cells == 32 ** 2
+    assert [len(t) for t, *_ in harness._stage_chunks(cfg, fine)] == [20]
+    want = harness.run_experiment(cfg).rows
+    monkeypatch.setattr(harness, "_BATCH_CELLS", 1)
+    assert harness.run_experiment(cfg).rows == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.sampled_from([1, 2]), st.integers(0, 2), st.integers(0, 1),
+       st.integers(1, 2048))
+def test_stage_chunks_fold_the_runt_into_the_chunk_before(n_trials, dim, depth, stage, cells):
+    cfg = harness.config_from_pairs([("experiment", "JN"), ("dim", str(dim)),
+                                     ("level_min", str(-depth * (3 - dim))),
+                                     ("trials", str(n_trials))])
+    window = cfg.window_at(stage)
+    per = max(1, cells // window.n_cells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_BATCH_CELLS", cells)
+        chunks = list(harness._stage_chunks(cfg, window))
+    trials = [t for t, *_ in chunks]
+    assert [i for t in trials for i in t] == list(range(n_trials))
+    assert all(f.values.shape == g.values.shape == (len(t), *window.shape)
+               for t, f, g, _ in chunks)
+    sizes = [len(t) for t in trials]
+    assert all(size == per for size in sizes[:-1])
+    # a runt under half a chunk joined the chunk before it
+    assert len(sizes) == 1 or 2 * sizes[-1] >= per
+    assert all(size == 1 or size * window.n_cells <= 1.5 * cells for size in sizes)
 
 
 # -- the batch guard ---------------------------------------------------------------------

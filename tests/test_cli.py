@@ -10,6 +10,7 @@ import pytest
 
 from morreylab import cli, harness
 from morreylab.dyadic import Window
+from morreylab.errors import ValidationError
 from morreylab.exponents import build
 from morreylab.field import LatticeFunction, Weight, to_csv
 from morreylab.harness import Report, _COLUMNS, config_from_pairs, run_experiment
@@ -512,6 +513,31 @@ def test_run_zero_q_is_a_validation_failure_exit_2(tmp_path, capsys, name, key):
     err = capsys.readouterr().err
     assert "validation failure: q undefined: 1/q1 + 1/q2 with q1=" in err and f"{key}=0.0" in err
     assert not (tmp_path / "rep.csv").exists()
+
+
+def test_negative_seed_in_a_config_exit_2(tmp_path, capsys):
+    # numpy's SeedSequence would refuse it with a message that names no key
+    _run_exits_2_with(tmp_path, capsys, _shipped("jn_oscillation.cfg", seed="-1"),
+                      "validation failure: seed must be >= 0; got -1")
+
+
+def test_run_negative_seed_flag_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep"), "--seed", "-1"]) == 2
+    assert "validation failure: seed must be >= 0; got -1" in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"q1": "0.5"}, "L39 needs q1 > 1; got q1 = 0.5"),
+    ({"q2": "1"}, "L39 needs q2 > 1; got q2 = 1.0"),
+    ({"t_hat": "1.4"}, "L39 needs t_hat >= q = 1.5; got t_hat = 1.4"),
+])
+def test_lemma39_domain_errors_are_validation_failures(tmp_path, capsys, values, message):
+    with pytest.raises(ValidationError, match=message):
+        run_experiment(harness.parse_config(_shipped("l39_joint_weight.cfg", **values)))
+    _run_exits_2_with(tmp_path, capsys, _shipped("l39_joint_weight.cfg", **values),
+                      f"validation failure: {message}\n")
 
 
 @pytest.mark.parametrize("key", ["theta1", "r1"])

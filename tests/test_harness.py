@@ -14,6 +14,7 @@ from morreylab.field import LatticeFunction, power_weight
 from morreylab.harness import (
     EXPERIMENTS,
     Report,
+    _BATCH_CELLS,
     _COLUMNS,
     _COMMON,
     _EXPERIMENT_KEYS,
@@ -574,6 +575,16 @@ def test_config_doc_names_exactly_the_config_keys():
         documented.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), table))
     assert documented == {experiment: {k: _doc_default(v) for k, v in keys.items()}
                           for experiment, keys in _EXPERIMENT_KEYS.items()}
+
+
+README = CONFIG_DOC.parents[1] / "README.md"
+
+
+def test_readme_states_the_chunk_size_and_its_bound():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    chunk = re.findall(r"chunks of 2\^(\d+) cells per array", text)
+    bound = re.findall(r"under 1\.5 × 2\^(\d+) cells per array", text)
+    assert [2 ** int(n) for n in chunk + bound] == [_BATCH_CELLS] * 2
 
 
 def test_config_doc_lists_exactly_the_experiments():
