@@ -96,7 +96,7 @@ def _cmd_decompose(args) -> int:
     q0 = _q0(cfg, win)
     _, f, g, _ = next(_stage_chunks(cfg, win, n_trials=1))
     f, g = (LatticeFunction(win, x.values[0]) for x in (f, g))
-    d, bad, _ = _decompose(cfg, cfg.params["kind"], f, g, q0)
+    (d, bad, _), = _decompose(cfg, (cfg.params["kind"],), f, g, q0)
     _write_json(decomposition_to_json(d, win), args.json)
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")

@@ -17,17 +17,21 @@ second variant weights the product by |Q|^(alpha/n).  Both read one table of
 the functional per level of Q0's subtree (the cubes inside Q0, whose 3Q reach
 at most one cube beyond it): |f|^t1 and |g|^t2 are taken on the cells of 3Q0
 clipped to the window only, and one field.dilated_means pass over the cached
-plan of (window, Q0) gives every level's means.  Both then sweep cell masks
-top-down, stopping a cube when it crosses the threshold below no stopped
-ancestor, so maximality holds by construction; both stop when a level comes
-up empty (bounded data forces this; a safety cap of 64 * level span guards
-the loop and is reported if hit).
+plan of (window, Q0) gives every level's means; one pass can build the
+tables of both variants, each distinct power plane taken once.  Both then
+sweep cell masks top-down, stopping a cube when it crosses the threshold
+below no stopped ancestor, so maximality holds by construction; both stop
+when a level comes up empty (bounded data forces this; a safety cap of
+64 * level span guards the loop and is reported if hit).
 
 verify_decomposition rechecks a forest from the raw data: the four
 invariants, and the thresholds themselves (gamma is Q0's functional, A the
 factor above, and every cube above gamma A^k lies in a level-k stopping
 cube, for k up to one past the last level), so a forest with a wrong gamma,
-a wrong A or a missing level is reported too.
+a wrong A or a missing level is reported too.  CZ_INV and `morreylab
+decompose` make one build pass and one recheck pass per trial: the first
+builds the tables of every kind they check, and the second, a pass of its
+own over the raw (f, g), rechecks every forest.
 
 Every cell set is a boolean mask over the finest cells of one cube: E_0
 over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
@@ -67,24 +71,34 @@ class Decomposition:
     cap_hit: bool = False
 
 
-def _functional_tables(f: LatticeFunction, g: LatticeFunction, t1: float, t2: float, q0: Cube,
-                       alpha: float = None) -> dict[int, np.ndarray]:
-    """Per level from level_min to q0.level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2)
-    of every cube Q inside q0, times |Q|^(alpha/n) unless alpha is None; in cube-index order
-    from q0's first subcube of the level, as dilated_means.  Raises unless q0 is a window cube,
-    before any table is built."""
+def _functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
+                       specs) -> list[dict[int, np.ndarray]]:
+    """The tables of each spec (t1, t2, alpha), from one pass: per level from level_min to
+    q0.level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q inside q0,
+    times |Q|^(alpha/n) unless alpha is None; in cube-index order from q0's first subcube of
+    the level, as dilated_means.  One dilated_means call takes each distinct |f|^t1 and |g|^t2
+    plane once, and each distinct (t1, t2) product is formed once; every table is the float
+    it would be with its spec alone.  Raises unless q0 is a window cube, before any table is
+    built."""
     _require_unbatched(f, g)
     window = f.window
     if not window.contains_cube(q0):
         raise ValueError(f"base cube {q0} not inside window")
     n = window.dim
     frame = _dilated_plan(window, q0).frame  # the only cells the tables read
-    powers = np.stack((np.abs(f.values[frame]) ** t1, np.abs(g.values[frame]) ** t2))
-    tables = {}
-    for level, (mf, mg) in dilated_means(powers, window, q0).items():
-        val = mf ** (1.0 / t1) * mg ** (1.0 / t2)
+    exps = [list(dict.fromkeys(spec[i] for spec in specs)) for i in (0, 1)]  # distinct t1, t2
+    mags = [np.abs(x.values[frame]) for x in (f, g)]
+    means = dilated_means(np.stack([m ** t for m, ts in zip(mags, exps) for t in ts]), window, q0)
+    products, tables = {}, []
+    for t1, t2, alpha in specs:
+        if (t1, t2) not in products:
+            i, j = exps[0].index(t1), len(exps[0]) + exps[1].index(t2)
+            products[t1, t2] = {level: m[i] ** (1.0 / t1) * m[j] ** (1.0 / t2)
+                                for level, m in means.items()}
+        val = products[t1, t2]
         # |Q|^(alpha/n) multiplies last: the forest goldens fix this float order
-        tables[level] = val if alpha is None else (2.0 ** (level * n)) ** (alpha / n) * val
+        tables.append(val if alpha is None else
+                      {level: (2.0 ** (level * n)) ** (alpha / n) * v for level, v in val.items()})
     return tables
 
 
@@ -182,18 +196,24 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
 
 
 def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
-                 theta1: float, theta2: float) -> Decomposition:
-    """Stopping-time decomposition driven by the unweighted average product."""
+                 theta1: float, theta2: float, *, tables: dict = None) -> Decomposition:
+    """Stopping-time decomposition driven by the unweighted average product.
+
+    tables, if given, is this spec's entry of a _functional_tables pass over (f, g, q0) that
+    built other specs' tables too; otherwise the tables are built here."""
     if not (theta1 > 1 and theta2 > 1):  # nan fails too
         raise ValueError("theta1 and theta2 must exceed 1")
     window = _same_window(f, g)
     factor = _threshold_factor(window.dim, theta1, theta2)
-    return _decompose(window, q0, _functional_tables(f, g, theta1, theta2, q0), factor)
+    if tables is None:
+        tables, = _functional_tables(f, g, q0, [(theta1, theta2, None)])
+    return _decompose(window, q0, tables, factor)
 
 
 def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
-                       r1: float, r2: float, alpha: float) -> Decomposition:
-    """Variant whose threshold functional carries the volume factor |Q|^(alpha/n)."""
+                       r1: float, r2: float, alpha: float, *, tables: dict = None) -> Decomposition:
+    """Variant whose threshold functional carries the volume factor |Q|^(alpha/n); tables
+    as in cz_decompose."""
     if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):  # nan fails too
         raise ValueError(f"(r1, r2) must be a Holder pair; got ({r1}, {r2})")
     window = _same_window(f, g)
@@ -201,12 +221,14 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     if not 0.0 <= alpha < n:
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
     factor = _threshold_factor(n, r1, r2)
-    return _decompose(window, q0, _functional_tables(f, g, r1, r2, q0, alpha), factor)
+    if tables is None:
+        tables, = _functional_tables(f, g, q0, [(r1, r2, alpha)])
+    return _decompose(window, q0, tables, factor)
 
 
 def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunction,
                          window: Window, t1: float, t2: float,
-                         alpha: float = None) -> list[str]:
+                         alpha: float = None, *, tables: dict = None) -> list[str]:
     """Recheck the four invariants from the raw data; returns violations.
 
     alpha = None checks the unweighted variant, otherwise the |Q|^(alpha/n)
@@ -220,14 +242,18 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
 
     The functional tables are rebuilt from (f, g) rather than taken from the
     decomposition: `morreylab decompose` and CZ_INV use this as a recheck
-    independent of whatever built the forest, at the cost of one more table
-    pass per call.  f, g and the forest must live on window.  A stopping cube
-    that is not a window cube inside Q0 is reported, and then nothing else is
-    checked: the tables hold Q0's subtree only.
+    independent of whatever built the forest.  They build every kind's forest
+    from one table pass and recheck all of them from one more pass of their
+    own, passing each forest its entry of that pass as tables.  tables must
+    never come from the pass that built d: the recheck would then share the
+    builder's faults.  f, g and the forest must live on window.  A stopping
+    cube that is not a window cube inside Q0 is reported, and then nothing
+    else is checked: the tables hold Q0's subtree only.
     """
     if _same_window(f, g) != window:
         raise ValueError("inputs must live on the given window")
-    tables = _functional_tables(f, g, t1, t2, d.base, alpha)
+    if tables is None:
+        tables, = _functional_tables(f, g, d.base, [(t1, t2, alpha)])
     bad = [f"containment: level {k} cube {q} not inside Q0"
            for k, cubes in d.levels.items() for q in cubes if not _inside(window, d.base, q)]
     if bad:

@@ -30,7 +30,8 @@ Each trial draws from its own streams and every runner but JN and L39 takes
 them in batched chunks of _BATCH_CELLS cells per array, a remainder under half
 a chunk joining the chunk before it (_stage_chunks; CZ_INV and `morreylab
 decompose` then take unbatched slices), so the rows, in trial-index order, do
-not depend on the chunking.
+not depend on the chunking.  On each slice, one table pass builds the
+stopping-time forest of every kind, and one more pass rechecks them (_decompose).
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed.  The key table (_COMMON, _EXPERIMENT_KEYS) holds each
@@ -50,7 +51,14 @@ from typing import Mapping
 import numpy as np
 
 from ._version import __version__ as _VERSION
-from .czd import Decomposition, cz_decompose, cz_decompose_alpha, necessity_pair, verify_decomposition
+from .czd import (
+    Decomposition,
+    _functional_tables,
+    cz_decompose,
+    cz_decompose_alpha,
+    necessity_pair,
+    verify_decomposition,
+)
 from .dyadic import Cube, Window
 from .errors import ValidationError
 from .exponents import INF, ExponentSet, build, solve_q, solve_st, solve_weak_t, validate
@@ -221,6 +229,9 @@ def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
             f"depth {depth} is too deep for {window.dim}-D cells of side 2^{finest}: the "
             f"quadrature's leaf midpoints 2^{finest - depth - 1} square to 0.0 "
             f"(depth must be <= {finest - 1 - _MIN_LEAF_EXP})")
+    bad = _cz_domain(params, window.dim) if experiment == "CZ_INV" else []
+    if bad:
+        raise ValidationError(bad)
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
     return ExperimentConfig(experiment=experiment, window=window, trials=params["trials"],
                             seed=params["seed"], refinements=refinements,
@@ -618,20 +629,41 @@ def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
     return worst
 
 
-def _decompose(cfg: ExperimentConfig, kind: str, f: LatticeFunction, g: LatticeFunction,
-               q0: Cube) -> tuple[Decomposition, list[str], tuple]:
-    """The stopping-time forest of kind ('cz' or 'cz_alpha') at the config's parameters, its
-    verify_decomposition violations, and those parameters: (theta1, theta2) for 'cz',
-    (r1, r2, alpha) for 'cz_alpha'."""
-    if kind == "cz":
-        args = (cfg.params["theta1"], cfg.params["theta2"])
-        d = cz_decompose(f, g, q0, *args)
-    elif kind == "cz_alpha":
-        args = (cfg.params["r1"], cfg.params["r2"], cfg.params["alpha"])
-        d = cz_decompose_alpha(f, g, q0, *args)
-    else:
-        raise ValidationError(f"unknown decompose kind {kind!r}; expected 'cz' or 'cz_alpha'")
-    return d, verify_decomposition(d, f, g, f.window, *args), args
+def _cz_domain(params: Mapping, n: int) -> list[str]:
+    """CZ_INV's broken exponent rules, each naming its keys; czd raises a plain ValueError
+    on the same rules for its direct callers."""
+    bad = [f"CZ_INV needs {key} > 1; got {key} = {params[key]}"
+           for key in ("theta1", "theta2") if not params[key] > 1]
+    r1, r2, alpha = params["r1"], params["r2"], params["alpha"]
+    if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):
+        bad.append(f"CZ_INV needs a Holder pair, 1/r1 + 1/r2 = 1; got r1 = {r1}, r2 = {r2}")
+    if not 0.0 <= alpha < n:
+        bad.append(f"CZ_INV needs 0 <= alpha < n = {n}; got alpha = {alpha}")
+    return bad
+
+
+# decompose kind -> the config keys of its czd parameters
+_CZ_KINDS = {"cz": ("theta1", "theta2"), "cz_alpha": ("r1", "r2", "alpha")}
+
+
+def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction,
+               q0: Cube) -> list[tuple[Decomposition, list[str], tuple]]:
+    """Per kind ('cz' or 'cz_alpha'), in order: the stopping-time forest at the config's
+    parameters, its verify_decomposition violations, and those parameters: (theta1, theta2)
+    for 'cz', (r1, r2, alpha) for 'cz_alpha'.  One table pass builds every forest, and a
+    second pass of its own over the raw (f, g) rechecks them."""
+    for kind in kinds:
+        if kind not in _CZ_KINDS:
+            raise ValidationError(f"unknown decompose kind {kind!r}; expected 'cz' or 'cz_alpha'")
+    args = [tuple(cfg.params[key] for key in _CZ_KINDS[kind]) for kind in kinds]
+    specs = [(*a, None) if kind == "cz" else a for kind, a in zip(kinds, args)]
+    forests = [cz_decompose(f, g, q0, *a, tables=tables) if kind == "cz" else
+               cz_decompose_alpha(f, g, q0, *a, tables=tables)
+               for kind, a, tables in zip(kinds, args, _functional_tables(f, g, q0, specs))]
+    # the recheck never reads the build pass's tables
+    checks = _functional_tables(f, g, q0, specs)
+    return [(d, verify_decomposition(d, f, g, f.window, *spec, tables=tables), a)
+            for d, spec, tables, a in zip(forests, specs, checks, args)]
 
 
 def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
@@ -639,10 +671,9 @@ def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: di
     for trials, f, g, _ in _stage_chunks(cfg, win):
         for i, trial in enumerate(trials):
             pair = [LatticeFunction(win, x.values[i]) for x in (f, g)]
-            bad = 0
-            for kind, key in (("cz", "theta"), ("cz_alpha", "alpha_variant")):
-                _, msgs, notes[key] = _decompose(cfg, kind, *pair, q0)
-                bad += len(msgs)
+            checked = _decompose(cfg, ("cz", "cz_alpha"), *pair, q0)
+            notes["theta"], notes["alpha_variant"] = (args for _, _, args in checked)
+            bad = sum(len(msgs) for _, msgs, _ in checked)
             yield [trial], [bad], [1.0], "spiky", bad
 
 

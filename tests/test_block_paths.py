@@ -44,7 +44,7 @@ from morreylab.field import (
     level_sup,
     pointwise_level_sup,
 )
-from morreylab.harness import _telescoping_defect
+from morreylab.harness import _decompose, _telescoping_defect, config_from_pairs
 from morreylab.weights_norms import (
     WeightConditionKind,
     rhs_bilinear_morrey_from,
@@ -304,7 +304,7 @@ def test_functional_tables_match_per_cube_functional(window):
     for t1, t2, alpha in ((2.0, 2.0, None), (1.5, 3.0, 0.7)):
         oracle = _oracle_functional(f, g, t1, t2, alpha)
         for top in cubes_at_level(window, window.level_max):
-            tables = _functional_tables(f, g, t1, t2, top, alpha)
+            tables, = _functional_tables(f, g, top, [(t1, t2, alpha)])
             for q in all_cubes(window):
                 if cube_contains_cube(top, q):
                     _assert_rel(float(tables[q.level][_in(top, q)]), oracle(q), str(q))
@@ -334,8 +334,8 @@ def test_q0_local_tables_are_slices_of_the_whole_window_oracle(window):
         for level, means in all_means.items():
             for i in range(2):
                 assert np.array_equal(means[i], _q0_slice(whole[level][i], window, q0, level))
-        for key in keys:
-            tables = _functional_tables(f, g, key[0], key[1], q0, key[2])
+        # all four specs from one pass: each table as the oracle's of its spec alone
+        for key, tables in zip(keys, _functional_tables(f, g, q0, keys)):
             assert list(tables) == list(subtree)
             for level, table in tables.items():
                 assert np.array_equal(table, _q0_slice(whole_tables[key][level], window, q0, level))
@@ -383,6 +383,37 @@ def test_forests_match_stack_walk(window, q0, trials):
             assert verify_decomposition(d, f, g, window, t1, t2, alpha=alpha) == []
             nonempty += bool(d.levels)
     assert nonempty
+
+
+# CZ_INV's shared table pass against the one-kind path.  Only theta != r tells r's power
+# planes from theta's, and every shipped config has theta = r.  The volume factor of a small
+# alpha lets its forest stop too.  A second forest level needs |3Q0| / |3Q| above
+# (4 * 18^n)^2, about 1.7e6 cells in 2-D, so the 2-D forests have one level.
+_SHARED_CASES = (
+    (Window(1, -14, 0), Cube(0, (0,)), 2),
+    (Window(2, -6, 0), Cube(0, (-1, 0)), 1),
+)
+
+
+@pytest.mark.parametrize("theta, r", [((2.0, 2.0), (2.0, 2.0)), ((1.5, 3.0), (3.0, 1.5))])
+@pytest.mark.parametrize("window,q0,levels", _SHARED_CASES, ids=repr)
+def test_shared_table_pass_matches_the_one_kind_path(window, q0, levels, theta, r):
+    alpha = 0.05
+    f, g = _co_spiked(window, q0, 80, spikes=1)
+    cfg = config_from_pairs([("experiment", "CZ_INV"), ("dim", str(window.dim)),
+                             ("theta1", str(theta[0])), ("theta2", str(theta[1])),
+                             ("r1", str(r[0])), ("r2", str(r[1])), ("alpha", str(alpha))])
+    shared = _decompose(cfg, ("cz", "cz_alpha"), f, g, q0)
+    one_kind = (cz_decompose(f, g, q0, *theta), cz_decompose_alpha(f, g, q0, *r, alpha))
+    for (d, msgs, _), one, spec in zip(shared, one_kind, ((*theta, None), (*r, alpha))):
+        assert len(d.levels) >= levels
+        assert (d.levels, d.gamma, d.factor, d.cap_hit) == \
+            (one.levels, one.gamma, one.factor, one.cap_hit)
+        assert np.array_equal(d.e0, one.e0)
+        assert d.exceptional.keys() == one.exceptional.keys()
+        for k, masks in one.exceptional.items():
+            assert all(np.array_equal(a, b) for a, b in zip(d.exceptional[k], masks, strict=True))
+        assert msgs == verify_decomposition(one, f, g, window, *spec) == []
 
 
 # -- czd: exceptional cell sets as frozensets of index tuples, the oracle of the masks -----

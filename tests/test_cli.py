@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,18 +123,46 @@ def _run_exits_3_with(tmp_path, capsys, config, count):
     assert summary["invariant_violations"] == count
 
 
-def test_cz_invariants_count_a_violated_partition(tmp_path, capsys, monkeypatch):
-    # E_0 flipped in one cell breaks the partition of Q0: one message per trial (10 trials)
-    honest = harness.cz_decompose
+def _flip_e0_of(monkeypatch, name):
+    """Rebind harness.<name>, a forest builder, so that each forest has E_0 flipped in one cell."""
+    honest = getattr(harness, name)
 
-    def tampered(*args):
-        d = honest(*args)
+    def tampered(*args, **kwargs):
+        d = honest(*args, **kwargs)
         e0 = d.e0.copy()
         e0[0] = not e0[0]
         return dataclasses.replace(d, e0=e0)
 
-    monkeypatch.setattr(harness, "cz_decompose", tampered)
+    monkeypatch.setattr(harness, name, tampered)
+
+
+def test_cz_invariants_count_a_violated_partition(tmp_path, capsys, monkeypatch):
+    # E_0 flipped in one cell breaks the partition of Q0: one message per trial (10 trials)
+    _flip_e0_of(monkeypatch, "cz_decompose")
     _run_exits_3_with(tmp_path, capsys, "czd_decompose.cfg", 10)
+
+
+def test_cz_invariants_count_a_violated_alpha_partition(tmp_path, capsys, monkeypatch):
+    # the same flip in the |Q|^(alpha/n) variant's forest, built in the same table pass
+    _flip_e0_of(monkeypatch, "cz_decompose_alpha")
+    _run_exits_3_with(tmp_path, capsys, "czd_decompose.cfg", 10)
+
+
+def test_cz_invariants_recheck_from_a_table_pass_of_their_own(tmp_path, capsys, monkeypatch):
+    # every table of the build pass doubled: the recheck pass must find each forest's gamma
+    # wrong, one message per kind and trial (10 trials)
+    honest, passes = harness._functional_tables, []
+
+    def doubled_build(*args):
+        tables = honest(*args)
+        passes.append(args)
+        if len(passes) % 2 == 0:  # a trial's second pass rechecks its forests
+            return tables
+        return [{level: 2.0 * t for level, t in table.items()} for table in tables]
+
+    monkeypatch.setattr(harness, "_functional_tables", doubled_build)
+    _run_exits_3_with(tmp_path, capsys, "czd_decompose.cfg", 20)
+    assert len(passes) == 20
 
 
 def test_jn_counts_a_telescoping_defect(tmp_path, capsys, monkeypatch):
@@ -322,16 +351,7 @@ q0_level = -1
 q0_index = 0
 seed = 12
 """)
-    make = "cz_decompose_alpha" if kind == "cz_alpha" else "cz_decompose"
-    honest = getattr(harness, make)
-
-    def tampered(*args):
-        d = honest(*args)
-        e0 = d.e0.copy()
-        e0[0] = not e0[0]
-        return dataclasses.replace(d, e0=e0)
-
-    monkeypatch.setattr(harness, make, tampered)
+    _flip_e0_of(monkeypatch, "cz_decompose_alpha" if kind == "cz_alpha" else "cz_decompose")
     out = tmp_path / "dec.json"
     assert cli.main(["decompose", cfg, "--json", str(out)]) == 3
     err = capsys.readouterr().err
@@ -537,6 +557,20 @@ def test_lemma39_domain_errors_are_validation_failures(tmp_path, capsys, values,
     with pytest.raises(ValidationError, match=message):
         run_experiment(harness.parse_config(_shipped("l39_joint_weight.cfg", **values)))
     _run_exits_2_with(tmp_path, capsys, _shipped("l39_joint_weight.cfg", **values),
+                      f"validation failure: {message}\n")
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"theta1": "1"}, "CZ_INV needs theta1 > 1; got theta1 = 1.0"),
+    ({"theta2": "-inf"}, "CZ_INV needs theta2 > 1; got theta2 = -inf"),
+    ({"r1": "3"}, "CZ_INV needs a Holder pair, 1/r1 + 1/r2 = 1; got r1 = 3.0, r2 = 2.0"),
+    ({"r2": "0"}, "CZ_INV needs a Holder pair, 1/r1 + 1/r2 = 1; got r1 = 2.0, r2 = 0.0"),
+    ({"alpha": "1"}, "CZ_INV needs 0 <= alpha < n = 1; got alpha = 1.0"),
+])
+def test_cz_invariants_domain_errors_are_validation_failures(tmp_path, capsys, values, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_experiment(harness.parse_config(_shipped("czd_decompose.cfg", **values)))
+    _run_exits_2_with(tmp_path, capsys, _shipped("czd_decompose.cfg", **values),
                       f"validation failure: {message}\n")
 
 

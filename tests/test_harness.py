@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from morreylab import czd
 from morreylab.czd import necessity_pair
 from morreylab.dyadic import Cube, Window
 from morreylab.errors import ValidationError
@@ -235,6 +236,26 @@ def test_cz_experiment_counts_violations():
     rep = run_experiment(config_from_pairs(pairs))
     assert rep.summary["invariant_violations"] == 0
     assert all(r["lhs"] == 0.0 for r in rep.rows)
+
+
+def test_cz_experiment_makes_two_table_passes_per_trial(monkeypatch):
+    # one pass builds both kinds' forests and one more rechecks them, per trial and stage
+    honest, calls = czd.dilated_means, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return honest(*args)
+
+    monkeypatch.setattr(czd, "dilated_means", counted)
+    pairs = [
+        ("experiment", "CZ_INV"), ("dim", "1"), ("level_min", "-5"), ("level_max", "0"),
+        ("q0_level", "-1"), ("q0_index", "0"), ("theta1", "1.5"), ("theta2", "3"),
+        ("r1", "3"), ("r2", "1.5"), ("alpha", "0.4"), ("trials", "5"), ("seed", "4"),
+        ("refinements", "0,1,2"),
+    ]
+    rep = run_experiment(config_from_pairs(pairs))
+    assert rep.summary["invariant_violations"] == 0
+    assert len(calls) == 2 * 5 * 3
 
 
 def test_validation_failure_bubbles_up():
