@@ -21,8 +21,9 @@ plan of (window, Q0) gives every level's means; one pass can build the
 tables of both variants, each distinct power plane taken once.  Both then
 sweep cell masks top-down, stopping a cube when it crosses the threshold
 below no stopped ancestor, so maximality holds by construction; both stop
-when a level comes up empty (bounded data forces this; a safety cap of
-64 * level span guards the loop and is reported if hit).
+at the first threshold that no table entry exceeds, the level that would
+come up empty, without walking it (bounded data forces this; a safety cap
+of 64 * level span guards the loop and is reported if hit).
 
 verify_decomposition rechecks a forest from the raw data: the four
 invariants, and the thresholds themselves (gamma is Q0's functional, A the
@@ -151,6 +152,12 @@ def _threshold_factor(n: int, t1: float, t2: float) -> float:
     return (4.0 * 18.0 ** n) ** (1.0 / t1 + 1.0 / t2)
 
 
+def _top(tables: dict) -> float:
+    """The largest entry of the tables, nan ignored as the > tests ignore it: some entry
+    exceeds a threshold exactly when this does."""
+    return float(np.fmax.reduce([np.fmax.reduce(t, axis=None) for t in tables.values()]))
+
+
 def _uncovered(tables: dict, window: Window, q0: Cube, cubes, threshold: float) -> list[Cube]:
     """Cubes inside q0 whose functional exceeds threshold but that lie in none of cubes
     (cubes inside q0), top level first: one mask comparison per level."""
@@ -174,11 +181,12 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
     levels: dict[int, tuple[Cube, ...]] = {}
     d_cells: dict[int, np.ndarray] = {}  # k -> cell mask of D_k
     cap_hit = False
+    top = _top(tables)
     k = 1
-    while gamma != 0.0:  # gamma = 0 leaves the trivial forest, E_0 = Q0
+    # gamma = 0 leaves the trivial forest, E_0 = Q0; the walk at a threshold stops a cube
+    # exactly when some entry exceeds it, so the forest ends at the first one top does not
+    while gamma != 0.0 and top > gamma * factor ** k:
         cubes, d_cells[k] = _maximal_cubes(tables, window, q0, gamma * factor ** k)
-        if not cubes:
-            break
         levels[k] = tuple(cubes)
         if k >= cap:
             cap_hit = True
@@ -307,8 +315,11 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
                 bad.append(f"duplicate stopping cube {q} at level {k}")
             seen.add((k, q))
     last = max(d.levels, default=0)
+    top = _top(tables)  # of the recheck's own tables: no threshold it does not exceed is walked
     for k in range(1, last + 1 if d.cap_hit else last + 2):
         threshold = d.gamma * d.factor ** k
+        if not top > threshold:
+            continue
         bad += [f"coverage: cube {q} crosses the level-{k} threshold {threshold} "
                 f"but lies in no level-{k} stopping cube"
                 for q in _uncovered(tables, window, d.base, d.levels.get(k, ()), threshold)]

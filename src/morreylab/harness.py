@@ -26,12 +26,16 @@ violation counts.  Runners are grouped by the shape of their inequality:
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
-Each trial draws from its own streams and every runner but JN and L39 takes
-them in batched chunks of _BATCH_CELLS cells per array, a remainder under half
-a chunk joining the chunk before it (_stage_chunks; CZ_INV and `morreylab
-decompose` then take unbatched slices), so the rows, in trial-index order, do
-not depend on the chunking.  On each slice, one table pass builds the
-stopping-time forest of every kind, and one more pass rechecks them (_decompose).
+Each trial draws from its own streams.  A run draws its first trials once,
+into a read-only table of at most _DRAW_CELLS cells that every stage
+prolongs; a trial past the table is drawn again at each stage, so memory
+does not grow with the trials (_draw_table).  Every runner but JN and L39
+takes the trials in batched chunks of _BATCH_CELLS cells per array, a
+remainder under half a chunk joining the chunk before it (_stage_chunks;
+CZ_INV and `morreylab decompose` then take unbatched slices), so the rows,
+in trial-index order, do not depend on the chunking or on the table.  On
+each slice, one table pass builds the stopping-time forest of every kind,
+and one more pass rechecks them (_decompose).
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed.  The key table (_COMMON, _EXPERIMENT_KEYS) holds each
@@ -41,6 +45,7 @@ experiment's keys and defaults: cfg.params has every one, typed, and no other
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
@@ -273,10 +278,10 @@ def _row(stage: int, window: Window, trial: int, lhs: float, rhs: float, label: 
 # -- random inputs -------------------------------------------------------------
 
 
-def _rng(cfg: ExperimentConfig, *streams: int) -> np.random.Generator:
-    """The generator of default_rng([cfg.seed, *streams]), built without its argument checks:
+def _rng(seed: int, *streams: int) -> np.random.Generator:
+    """The generator of default_rng([seed, *streams]), built without its argument checks:
     a sweep makes one per trial."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, *streams])))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *streams])))
 
 
 def _draw_values(rng: np.random.Generator, window: Window) -> np.ndarray:
@@ -288,38 +293,62 @@ def _draw_values(rng: np.random.Generator, window: Window) -> np.ndarray:
     return vals
 
 
-def _drawn(cfg: ExperimentConfig, trial: int, n_sym: int = 0) -> list[np.ndarray]:
+def _drawn(seed: int, window: Window, trial: int, n_sym: int = 0) -> list[np.ndarray]:
     """The trial's f and g, then n_sym BMO symbols, drawn on the base window."""
-    rng = _rng(cfg, 1, trial)
-    out = [_draw_values(rng, cfg.window), _draw_values(rng, cfg.window)]
-    rng = _rng(cfg, 2, trial) if n_sym else None
-    return out + [rng.uniform(-1.0, 1.0, cfg.window.shape) for _ in range(n_sym)]
+    rng = _rng(seed, 1, trial)
+    out = [_draw_values(rng, window), _draw_values(rng, window)]
+    rng = _rng(seed, 2, trial) if n_sym else None
+    return out + [rng.uniform(-1.0, 1.0, window.shape) for _ in range(n_sym)]
 
 
 # Cells per batched array of a full stage chunk; the last chunk of a stage may hold up to
 # 1.5 times as many.  Larger chunks take fewer Python-level steps per trial, but raise the
 # peak resident size of a run.
 _BATCH_CELLS = 1 << 14
+# Cells of a run's table of base-window draws (512 KiB of float64): it keeps as many of the
+# first trials as fit, and every later trial is drawn again at each stage, so the table
+# bounds the memory a run spends on draws whatever its trials.
+_DRAW_CELLS = 1 << 16
+
+
+# Keyed on the values that fix the draws; one run's table at a time.
+@functools.lru_cache(maxsize=1)
+def _draw_table(seed: int, window: Window, n_sym: int, kept: int) -> np.ndarray:
+    """The draws of trials 0 .. kept - 1 on the base window, arrays first: [i, t] is
+    _drawn's i-th array of trial t (f, g, then the symbols), so one array of a run of
+    trials is one contiguous slice.  Read-only."""
+    table = np.empty((2 + n_sym, kept, *window.shape))
+    for t in range(kept):
+        table[:, t] = _drawn(seed, window, t, n_sym)
+    table.setflags(write=False)
+    return table
 
 
 def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0,
                   n_trials: int | None = None):
     """Yield (trials, f, g, symbols) per chunk: f, g and each symbol batch the chunk's
     trials as _drawn draws them, prolonged to window (a refinement of the base window).
-    The trials 0 .. n_trials - 1 (default: all of cfg.trials) split into round(n_trials /
-    per) chunks, halves up and at least one, of per = max(1, _BATCH_CELLS // window.n_cells)
-    trials, the last taking the rest: a remainder under half a chunk joins the chunk before
-    it rather than pay one more sweep over the operators, so a chunk of more than one trial
-    has under 1.5 * _BATCH_CELLS cells per array.  expand_level repeats each batch entry,
-    so slice i holds trial i's bits."""
-    per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window.level_min
+    The first trials come from the run's _draw_table, as many as _DRAW_CELLS holds; the
+    rest are drawn here, again at every stage.  The trials 0 .. n_trials - 1 (default: all
+    of cfg.trials) split into round(n_trials / per) chunks, halves up and at least one, of
+    per = max(1, _BATCH_CELLS // window.n_cells) trials, the last taking the rest: a
+    remainder under half a chunk joins the chunk before it rather than pay one more sweep
+    over the operators, so a chunk of more than one trial has under 1.5 * _BATCH_CELLS
+    cells per array.  expand_level repeats each batch entry, so slice i holds trial i's
+    bits."""
+    per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window
     n_trials = cfg.trials if n_trials is None else n_trials
+    kept = min(n_trials, _DRAW_CELLS // ((2 + n_sym) * base.n_cells))
+    table = _draw_table(cfg.seed, base, n_sym, kept)
     starts = range(0, n_trials, per)[:max(1, (2 * n_trials + per) // (2 * per))]
     for start, stop in zip(starts, [*starts[1:], n_trials]):
-        trials = range(start, stop)
-        f, g, *symbols = (LatticeFunction(window, expand_level(np.stack(v), window, base))
-                          for v in zip(*(_drawn(cfg, t, n_sym) for t in trials)))
-        yield trials, f, g, symbols
+        arrays = table[:, start:stop]
+        if stop > kept:
+            fresh = [_drawn(cfg.seed, base, t, n_sym) for t in range(max(start, kept), stop)]
+            arrays = np.concatenate([arrays, np.stack(fresh, axis=1)], axis=1)
+        f, g, *symbols = (LatticeFunction(window, expand_level(a, window, base.level_min))
+                          for a in arrays)
+        yield range(start, stop), f, g, symbols
 
 
 def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
@@ -605,7 +634,7 @@ def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: d
         if trial == 0:
             b_ratios, label, bad = ratios, "log_abs", checks
         else:
-            rng = _rng(cfg, 3, trial)
+            rng = _rng(cfg.seed, 3, trial)
             b = LatticeFunction(win, expand_level(
                 rng.uniform(-1.0, 1.0, cfg.window.shape), win, cfg.window.level_min))
             _, b_ratios = _oscillation_ratios(b, (1.0, 4.0))

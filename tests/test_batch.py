@@ -301,6 +301,87 @@ def test_stage_chunks_fold_the_runt_into_the_chunk_before(n_trials, dim, depth, 
     assert all(size == 1 or size * window.n_cells <= 1.5 * cells for size in sizes)
 
 
+# -- the run's table of draws ------------------------------------------------------------
+
+
+def _count_draws(monkeypatch) -> list:
+    """The streams of every harness._rng call from now on, the draw table emptied first."""
+    calls, rng = [], harness._rng
+    monkeypatch.setattr(harness, "_rng",
+                        lambda seed, *streams: calls.append(streams) or rng(seed, *streams))
+    harness._draw_table.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("name, streams", [("t26_commutator_control.cfg", (1, 2)),
+                                           ("t27_weak_type.cfg", (1,))])
+def test_a_run_draws_each_trial_once(monkeypatch, name, streams):
+    # three stages draw each trial's streams once; T27_necessity's extremal pair takes
+    # the last trial slot and draws nothing
+    cfg = _config(name, refinements="0,1,2")
+    calls = _count_draws(monkeypatch)
+    harness.run_experiment(cfg)
+    n_random = cfg.trials - (cfg.experiment == "T27_necessity")
+    assert sorted(calls) == [(s, t) for s in streams for t in range(n_random)]
+
+
+@pytest.mark.parametrize("name", ["t26_commutator_control.cfg", "t27_weak_type.cfg",
+                                  "czd_decompose.cfg", "t24_commutator_2d.cfg"])
+def test_reports_do_not_depend_on_the_draw_table(monkeypatch, tmp_path, name):
+    cfg = _config(name, trials=7, refinements="0,1")
+    trial_cells = (2 + cfg.params.get("n_symbols", 0)) * cfg.window.n_cells
+    assert 7 * trial_cells <= harness._DRAW_CELLS  # the default table keeps every trial
+
+    def emitted(stem: str) -> list[bytes]:
+        csv, js = harness.emit_report(harness.run_experiment(cfg), tmp_path / stem)
+        return [Path(csv).read_bytes(), Path(js).read_bytes()]
+
+    want = emitted("default")
+    # no table, a table of trial 0 alone; one chunk, then chunks of 3 trials at stage 0
+    for batch in (harness._BATCH_CELLS, 3 * cfg.window.n_cells):
+        monkeypatch.setattr(harness, "_BATCH_CELLS", batch)
+        for cells in (0, trial_cells):
+            monkeypatch.setattr(harness, "_DRAW_CELLS", cells)
+            assert emitted(f"{batch}_{cells}") == want, (batch, cells)
+
+
+def test_the_draw_table_stays_within_its_bound(monkeypatch):
+    # 100 trials of two 64^2 arrays: the table keeps the first 8 (2^16 cells), read-only,
+    # and the chunks of both stages hold every trial's draws, prolonged
+    cfg = _config("czd_decompose.cfg", dim=2, level_min=-5, q0_index="0,0", trials=100)
+    tables, table_of = [], harness._draw_table
+    monkeypatch.setattr(harness, "_draw_table",
+                        lambda *key: tables.append(table_of(*key)) or tables[-1])
+    base = cfg.window
+    for stage in (0, 1):
+        window = cfg.window_at(stage)
+        for trials, f, g, _ in harness._stage_chunks(cfg, window):
+            for i, trial in enumerate(trials):
+                for x, drawn in zip((f, g), harness._drawn(cfg.seed, base, trial)):
+                    assert np.array_equal(x.values[i],
+                                          field.expand_level(drawn, window, base.level_min))
+    assert [t.shape for t in tables] == [(2, 8, 64, 64)] * 2
+    assert tables[0] is tables[1]
+    assert tables[0].size <= harness._DRAW_CELLS and not tables[0].flags.writeable
+    with pytest.raises(ValueError):
+        tables[0][0, 0, 0, 0] = 1.0
+
+
+def test_back_to_back_runs_get_their_own_draws():
+    overrides = [{}, {"seed": 601}, {"level_min": -4}, {"dim": 2, "level_min": -3}]
+    want = []
+    for extra in overrides:
+        harness._draw_table.cache_clear()
+        want.append(harness.run_experiment(_config("t25_maximal_control.cfg", trials=5,
+                                                   **extra)).rows)
+    assert all(a != b for i, a in enumerate(want) for b in want[i + 1:])
+    # a fresh config per run, so no run can be told from another by the identity of its
+    # config
+    for extra, rows in [*zip(overrides, want), *zip(overrides, want)]:
+        assert harness.run_experiment(_config("t25_maximal_control.cfg", trials=5,
+                                              **extra)).rows == rows
+
+
 # -- the batch guard ---------------------------------------------------------------------
 
 

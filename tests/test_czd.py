@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from morreylab import czd
 from morreylab.czd import (
     cz_decompose,
     cz_decompose_alpha,
@@ -197,6 +198,82 @@ def test_verify_reports_a_dropped_stopping_level():
     assert bad and all(msg.startswith("coverage: ") and "level-2" in msg for msg in bad), bad
     for q in d.levels[2]:
         assert any(msg.startswith(f"coverage: cube {q} ") for msg in bad), q
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """The thresholds of every call to czd.<name> from now on."""
+    calls, fn = [], getattr(czd, name)
+    monkeypatch.setattr(czd, name, lambda *args: calls.append(args[-1]) or fn(*args))
+    return calls
+
+
+def _walked_levels(f, g, q0, t1, t2, alpha=None) -> dict:
+    """The stopping levels of a walk at each threshold in turn that ends at the first
+    threshold that stops no cube."""
+    tables, = czd._functional_tables(f, g, q0, [(t1, t2, alpha)])
+    gamma = czd._table_value(tables, q0, q0)
+    factor = czd._threshold_factor(f.window.dim, t1, t2)
+    levels, k = {}, 1
+    while gamma != 0.0:
+        cubes, _ = czd._maximal_cubes(tables, f.window, q0, gamma * factor ** k)
+        if not cubes:
+            break
+        levels[k], k = tuple(cubes), k + 1
+    return levels
+
+
+def _forests():
+    """(f, g, q0) with empty, one-level and multi-level forests, in 1-D and 2-D."""
+    one = LatticeFunction.constant(Window(1, -8, 0), 1.0)
+    yield one, one, Cube(-1, (0,))
+    _, f, _ = _two_level_forest()
+    yield f, f, Cube(-1, (0,))
+    for seed in (3, 5, 81, 84):
+        yield *_co_spiked(Window(1, -8, 0), seed), Cube(-1, (0,))
+    w = Window(2, -5, 0)
+    rng = np.random.default_rng(7)
+    fv, gv = rng.uniform(0.05, 0.5, (2, *w.shape))
+    fv[40, 37] *= 1e8
+    gv[40, 37] *= 1e8
+    yield LatticeFunction(w, fv), LatticeFunction(w, gv), Cube(-1, (0, 0))
+
+
+@pytest.mark.parametrize("spec", [(2.0, 2.0, None), (1.5, 3.0, None), (2.0, 2.0, 0.1)],
+                         ids=["cz", "cz-uneven", "cz_alpha"])
+def test_a_forest_walks_one_threshold_per_stopping_level(monkeypatch, spec):
+    # the walk ends at the first threshold that no table entry exceeds, the one that would
+    # stop no cube, without walking it; so does the recheck's coverage scan
+    t1, t2, alpha = spec
+    depths = set()
+    for f, g, q0 in _forests():
+        walks = _counting(monkeypatch, "_maximal_cubes")
+        scans = _counting(monkeypatch, "_uncovered")
+        d = (cz_decompose(f, g, q0, t1, t2) if alpha is None else
+             cz_decompose_alpha(f, g, q0, t1, t2, alpha))
+        assert len(walks) == len(d.levels)
+        assert verify_decomposition(d, f, g, f.window, t1, t2, alpha) == []
+        assert len(scans) == len(d.levels)
+        monkeypatch.undo()
+        assert d.levels == _walked_levels(f, g, q0, t1, t2, alpha)
+        depths.add(len(d.levels))
+    assert {0, 1} <= depths and (alpha is not None or 2 in depths)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: dataclasses.replace(d, gamma=d.gamma * 1e-3),
+    lambda d: dataclasses.replace(d, factor=2.0),
+    lambda d: dataclasses.replace(
+        d, levels={1: d.levels[1]},
+        exceptional={1: tuple(np.ones_like(e) for e in d.exceptional[1])}),
+    lambda d: d,
+], ids=["gamma-scaled", "factor-lowered", "level-dropped", "as-built"])
+def test_the_coverage_bound_keeps_every_violation(monkeypatch, tamper):
+    # with the bound lifted, every threshold up to one past the last level is scanned
+    w, f, d = _two_level_forest()
+    d = tamper(d)
+    bounded = _violations(d, w, f)
+    monkeypatch.setattr(czd, "_top", lambda tables: math.inf)
+    assert _violations(d, w, f) == bounded
 
 
 def test_alpha_zero_reduces_to_plain_variant():

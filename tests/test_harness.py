@@ -18,6 +18,7 @@ from morreylab.harness import (
     _BATCH_CELLS,
     _COLUMNS,
     _COMMON,
+    _DRAW_CELLS,
     _EXPERIMENT_KEYS,
     _KEYS,
     _REQUIRED,
@@ -313,7 +314,7 @@ def test_depth_sets_the_kernel_of_the_integral():
     ]
     cfg = config_from_pairs(pairs + [("depth", "2")])
     e = build("T21", 2, 1.0, 1.8, 1.8, 1.5, 2.1, a=1.5)
-    f, g = (LatticeFunction(cfg.window, v) for v in _drawn(cfg, 0))
+    f, g = (LatticeFunction(cfg.window, v) for v in _drawn(cfg.seed, cfg.window, 0))
     lhs = {depth: morrey_norm(bilinear_fractional(f, g, 1.0, depth), e.s, e.t)
            for depth in (2, 12)}
     assert lhs[2] != lhs[12]
@@ -606,6 +607,13 @@ def test_readme_states_the_chunk_size_and_its_bound():
     chunk = re.findall(r"chunks of 2\^(\d+) cells per array", text)
     bound = re.findall(r"under 1\.5 × 2\^(\d+) cells per array", text)
     assert [2 ** int(n) for n in chunk + bound] == [_BATCH_CELLS] * 2
+
+
+def test_readme_and_config_doc_state_the_draw_table_bound():
+    for path in (README, CONFIG_DOC):
+        text = " ".join(path.read_text(encoding="utf-8").split())
+        bound = re.findall(r"(?:at most|fit in) 2\^(\d+) cells", text)
+        assert [2 ** int(n) for n in bound] == [_DRAW_CELLS], path.name
 
 
 def test_config_doc_lists_exactly_the_experiments():
