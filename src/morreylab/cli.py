@@ -5,8 +5,9 @@
   morreylab weight-const <kind> <config-file>
   morreylab decompose <config-file> --json PATH
 
-Exit codes: 0 success, 2 validation failure, 3 invariant violation (a run's
-report counts some, or the decomposition fails verify_decomposition).
+Exit codes: 0 success, 2 validation failure (a ValidationError or an OSError
+only), 3 invariant violation (a run's report counts some, or the decomposition
+fails verify_decomposition); any other exception is a bug: a traceback, exit 1.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ import sys
 
 from .czd import decomposition_to_json
 from .errors import ValidationError
-from .field import LatticeFunction, Weight, from_csv
+from .field import LatticeFunction, Weight
 from .harness import (
     _DECOMPOSE_KEYS,
     _EXPONENTS,
+    _WEIGHT,
     ExperimentConfig,
     _decompose,
     _exponent_set,
     _make_weight,
     _q0,
+    _read_csv,
     _stage_chunks,
     _weights,
     _write_json,
@@ -65,12 +68,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    f = from_csv(args.csv)
-    w = None
-    if args.weight:
-        w = _make_weight(args.weight, f.window)
-    val = morrey_norm(f, args.p, args.q, w=w)
-    print(repr(val))
+    f = _read_csv(args.csv)
+    bad = [] if 0 < args.q <= args.p else [f"norm needs 0 < q <= p; got q={args.q}, p={args.p}"]
+    bad += _WEIGHT.problem("norm", "weight", args.weight, f.window)
+    if bad:
+        raise ValidationError(bad)
+    w = _make_weight(args.weight, f.window) if args.weight else None
+    print(repr(morrey_norm(f, args.p, args.q, w=w)))
     return EXIT_OK
 
 
@@ -80,6 +84,8 @@ def _cmd_weight_const(args) -> int:
         raise ValidationError(f"{cfg.experiment} does not read the exponent keys of weight-const")
     kind, win = WeightConditionKind(args.kind), cfg.window
     e = _exponent_set(cfg, kind)
+    if kind.regime == "T21" and (e.s < 1.0) != (kind is WeightConditionKind.C22):
+        raise ValidationError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
     if "weight_v" in cfg.params:
         v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
     else:  # T29: the weights u1, u2 take the places of w1, w2
@@ -93,7 +99,7 @@ def _cmd_decompose(args) -> int:
     if cfg.experiment != "CZ_INV":
         raise ValidationError(f"decompose needs a CZ_INV config; got {cfg.experiment}")
     win = cfg.window
-    q0 = _q0(cfg, win)
+    q0 = _q0(cfg.params, win)
     _, f, g, _ = next(_stage_chunks(cfg, win, n_trials=1))
     f, g = (LatticeFunction(win, x.values[0]) for x in (f, g))
     (d, bad, _), = _decompose(cfg, (cfg.params["kind"],), f, g, q0)
@@ -141,7 +147,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dyadic import Cube, Window, ancestors
+from .exponents import holder_pair
 from .field import (
     LatticeFunction,
     Weight,
@@ -222,7 +223,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
                        r1: float, r2: float, alpha: float, *, tables: dict = None) -> Decomposition:
     """Variant whose threshold functional carries the volume factor |Q|^(alpha/n); tables
     as in cz_decompose."""
-    if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):  # nan fails too
+    if not holder_pair(r1, r2):  # nan fails too
         raise ValueError(f"(r1, r2) must be a Holder pair; got ({r1}, {r2})")
     window = _same_window(f, g)
     n = window.dim

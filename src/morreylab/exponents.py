@@ -91,6 +91,12 @@ def solve_weak_t(n: int, alpha: float, q: float, r: float) -> float:
     return 1.0 / inv_t
 
 
+def holder_pair(r1: float, r2: float) -> bool:
+    """Whether r1, r2 > 0 with 1/r1 + 1/r2 = 1 to 1e-9 ((-1, 0.5) sums to 1 but is no
+    pair); a nan r_i fails."""
+    return r1 > 0 and r2 > 0 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9
+
+
 def default_holder_pair(q1: float, q2: float) -> tuple[float, float]:
     """The canonical starting Holder pair (q1/q, q2/q) with 1/q = 1/q1 + 1/q2."""
     if q1 <= 1 or q2 <= 1:
@@ -157,7 +163,8 @@ def validate(e: ExponentSet) -> list[str]:
         inv_t = 1.0 / e.q + inv(e.r) - e.alpha / e.n
         if t_ok:
             need(_close(1.0 / e.t, inv_t), f"1/t=1/q+1/r-alpha/n (1/t={1.0 / e.t}, rhs={inv_t})")
-    elif s_ok:
+    elif s_ok:  # s q / p overflows to t = inf for p near the largest float
+        need(t_ok, f"t finite and nonzero (t={e.t})")
         need(_close(e.t / e.s, e.q / e.p), f"t/s=q/p (t/s={e.t / e.s}, q/p={e.q / e.p})")
 
     if e.regime in ("T21", "T22"):

@@ -61,6 +61,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dyadic import Cube, Window
+from .errors import ValidationError
 
 # Corner-refinement depth of the power-weight and kernel quadratures unless a caller sets one.
 DEFAULT_DEPTH = 12
@@ -287,10 +288,11 @@ def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> n
 
 
 def _abs_power_antiderivative(x: float, gamma: float) -> float:
-    # F'(x) = |x|^gamma, F(0) = 0; valid piecewise away from 0 for gamma <= -1
+    # F'(x) = |x|^gamma, F(0) = 0; valid piecewise away from 0 for gamma <= -1, where the
+    # magnitude below is negative (so not math.copysign, which drops its sign)
     if gamma == -1.0:
-        return math.copysign(math.log(abs(x)), x) if x != 0.0 else -math.inf
-    return math.copysign(abs(x) ** (gamma + 1.0) / (gamma + 1.0), x)
+        return math.copysign(1.0, x) * math.log(abs(x)) if x != 0.0 else -math.inf
+    return math.copysign(1.0, x) * abs(x) ** (gamma + 1.0) / (gamma + 1.0)
 
 
 def _integral_abs_power_1d(a: float, b: float, gamma: float) -> float:
@@ -558,23 +560,27 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
     Windows with the same cells share a plan, so the weights of a stage and
     the kernel on the block of cells centred on the origin take the
     geometry once.  The values are bit-identical to a corner recursion run
-    cell by cell.  gamma <= -n raises when a cell touches the origin, and so
-    does a power or a sum of powers above the largest float (C pow raises
-    OverflowError, numpy's sums FloatingPointError here).
+    cell by cell.  gamma <= -n raises when a cell touches the origin.  An
+    average that overflows a float (C pow raises OverflowError, numpy's sums
+    FloatingPointError here) or underflows to 0 is a ValidationError.
     """
     try:
         with np.errstate(over="raise"):
             if window.dim == 1:
                 h, (a,) = window.cell_side, window.cell_index_lo
                 lo = np.arange(a, a + window.cells_per_axis) * h
-                return np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
+                vals = np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
                                  for a, b in zip(lo.tolist(), (lo + h).tolist())])
-            plan = _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
-                                    window.cells_per_axis, depth)
-            return _grid_averages(plan, gamma)
-    except (OverflowError, FloatingPointError) as exc:
-        raise ValueError(f"|x|^{gamma} overflows a float on the cells of side "
-                         f"2^{window.level_min}") from exc
+            else:
+                plan = _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
+                                        window.cells_per_axis, depth)
+                vals = _grid_averages(plan, gamma)
+    except (OverflowError, FloatingPointError):
+        vals = None
+    if vals is None or not vals.min() > 0.0:
+        raise ValidationError(f"|x|^{gamma} overflows a float or underflows to 0 on the cells "
+                              f"of side 2^{window.level_min}")
+    return vals
 
 
 def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:

@@ -39,8 +39,10 @@ and one more pass rechecks them (_decompose).
 
 Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
 ``#`` comments allowed.  The key table (_COMMON, _EXPERIMENT_KEYS) holds each
-experiment's keys and defaults: cfg.params has every one, typed, and no other
-(docs/config.md).  docs/experiments.md is the per-experiment LHS/RHS manifest.
+experiment's keys, defaults and domains: cfg.params has every one, typed and in
+its domain, and no other; _joint_problems holds the rules that join keys, and
+both are checked once, at the parse (docs/config.md).  docs/experiments.md is
+the per-experiment LHS/RHS manifest.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import math
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,7 +68,7 @@ from .czd import (
 )
 from .dyadic import Cube, Window
 from .errors import ValidationError
-from .exponents import INF, ExponentSet, build, solve_q, solve_st, solve_weak_t, validate
+from .exponents import INF, ExponentSet, build, holder_pair, solve_q, solve_st, solve_weak_t, validate
 from .field import (
     DEFAULT_DEPTH,
     LatticeFunction,
@@ -91,57 +93,119 @@ from .weights_norms import (
     weak_morrey_functional,
 )
 
-# -- config keys: each maps to its default, _REQUIRED, None (the runner derives the value) or
-# a value, whose type parses the key's text: float (not nan), int, tuple (a comma list of
-# ints) or str.  A required or derived key is a float unless _NOT_FLOAT names its type.
+# -- config keys: each maps to (default, domain).  A default is _REQUIRED, None (the runner
+# derives the value) or the value; the _Domain parses the key's text and admits its values.
 _REQUIRED = object()
-_NOT_FLOAT = {"origin_offset": tuple, "beta_pattern": tuple, "q0_index": tuple,
-              "qprime_index": tuple, "q0_level": int, "qprime_level": int}
 
-# the window, the draws and the quadrature depth, read for every experiment
-_COMMON = {"dim": 1, "level_min": -4, "level_max": 0, "origin_offset": None, "top_count": 2,
-           "trials": 20, "seed": 0, "refinements": (0,), "depth": DEFAULT_DEPTH}
-# the keys of _exponent_set; _MAXIMAL's alpha, of the T27 and T28 regimes, defaults to 0
-_EXPONENTS = {"alpha": _REQUIRED, "q1": _REQUIRED, "q2": _REQUIRED, "p": _REQUIRED, "r": INF,
-              "a": None, "r1": None, "r2": None}
-_WEIGHTS = {"weight_v": "const:1", "weight_w1": "const:1", "weight_w2": "const:1"}
-_Q0 = {"q0_level": None, "q0_index": None}
-_SYMBOLS = {"n_symbols": 2, "beta_pattern": None}
-_CONTROL = {"p": _REQUIRED, "q": _REQUIRED, "alpha": _REQUIRED, "r1": 2.0, "r2": 2.0,
-            "weight_w": "const:1"}
-_MAXIMAL = {**_EXPONENTS, "alpha": 0.0}
 
-# experiment -> {key: default} of every key besides _COMMON that its runner reads; a config
-# may set no other key
+class _Domain(NamedTuple):
+    """parse reads a key's text (a ValueError or nan: no value); holds(value, window) admits a
+    value, and text says which ("{key}" is the key, "{n}" the dim)."""
+
+    parse: Callable
+    text: str = ""
+    holds: Callable = lambda v, w: True
+
+    def problem(self, who: str, key: str, value, window: Window) -> list[str]:
+        """[] when value is admitted or None (derived), else the message naming the key."""
+        if value is None or self.holds(value, window):
+            return []
+        return [f"{who} needs {self.text.format(key=key, n=window.dim)}; got {key} = {value!r}"]
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _power_ok(gamma: float, window: Window) -> bool:
+    """Whether gamma is finite, and > -dim if the closed block of top cubes holds the origin."""
+    touches = all(o <= 0 <= o + window.top_count for o in window.origin_offset)
+    return math.isfinite(gamma) and (gamma > -window.dim or not touches)
+
+
+def _weight_ok(spec: str, window: Window) -> bool:
+    kind, _, arg = spec.partition(":")
+    try:
+        x = float(arg)
+    except ValueError:
+        x = math.nan
+    return kind == "csv" or kind == "const" and 0 < x < INF or kind == "pow" \
+        and _power_ok(x, window)
+
+
+# The largest depth a config may set.
+_MAX_DEPTH = 256
+_FLOAT, _INT, _INTS = _Domain(float), _Domain(int), _Domain(_ints)
+_COUNT = _Domain(int, "{key} >= 1", lambda v, w: v >= 1)
+_OVER_1 = _Domain(float, "{key} > 1", lambda v, w: v > 1)
+_ALPHA = _Domain(float, "0 < {key} < n = {n}", lambda v, w: 0 < v < w.dim)
+_POWER = _Domain(float, "a finite {key}, > -{n} if the window touches 0", _power_ok)
+_WEIGHT = _Domain(str, "{key} = pow:G (a finite G, > -{n} if the window touches 0), const:C "
+                  "(a finite C > 0) or csv:PATH", _weight_ok)
+
+# the window (Window checks its own rules), the draws and the quadrature depth, read for
+# every experiment
+_COMMON = {"dim": (1, _INT), "level_min": (-4, _INT), "level_max": (0, _INT),
+           "origin_offset": (None, _INTS), "top_count": (2, _INT), "trials": (20, _COUNT),
+           "seed": (0, _Domain(int, "{key} >= 0", lambda v, w: v >= 0)),
+           "refinements": ((0,), _Domain(_ints, "distinct {key} >= 0", lambda v, w: bool(v)
+                                         and min(v) >= 0 and len(set(v)) == len(v))),
+           "depth": (DEFAULT_DEPTH, _Domain(int, f"0 <= {{key}} <= {_MAX_DEPTH}",
+                                            lambda v, w: 0 <= v <= _MAX_DEPTH))}
+# the keys of _exponent_set, whose regime checks them as the run builds the set; _MAXIMAL's
+# alpha, of the T27 and T28 regimes, defaults to 0
+_EXPONENTS = {**dict.fromkeys(("alpha", "q1", "q2", "p"), (_REQUIRED, _FLOAT)),
+              "r": (INF, _FLOAT), **dict.fromkeys(("a", "r1", "r2"), (None, _FLOAT))}
+_WEIGHTS = dict.fromkeys(("weight_v", "weight_w1", "weight_w2"), ("const:1", _WEIGHT))
+_Q0 = {"q0_level": (None, _INT), "q0_index": (None, _INTS)}
+_SYMBOLS = {"n_symbols": (2, _COUNT), "beta_pattern": (None, _Domain(
+    _ints, "{key} of slots 1 or 2", lambda v, w: set(v) <= {1, 2}))}
+_CONTROL = {"p": (_REQUIRED, _FLOAT),
+            "q": (_REQUIRED, _Domain(float, "{key} > 0", lambda v, w: v > 0)),
+            "alpha": (_REQUIRED, _ALPHA), "r1": (2.0, _FLOAT), "r2": (2.0, _FLOAT),
+            "weight_w": ("const:1", _WEIGHT)}
+_MAXIMAL = {**_EXPONENTS, "alpha": (0.0, _FLOAT)}
+
+# experiment -> {key: (default, domain)} of every key besides _COMMON that its runner reads;
+# a config may set no other key
 _EXPERIMENT_KEYS = {
     **dict.fromkeys(("T21", "T22"), {**_EXPONENTS, **_WEIGHTS}),
     **dict.fromkeys(("T23", "T24"), {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
     "T25": _CONTROL,
-    "T26": {**_CONTROL, **_SYMBOLS, "vartheta1": 1.25, "vartheta2": 1.25},
+    "T26": {**_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _OVER_1), "vartheta2": (1.25, _OVER_1)},
     "T27_sufficiency": {**_MAXIMAL, **_WEIGHTS, **_Q0},
-    "T27_necessity": {**_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": None, "qprime_index": None},
-    **dict.fromkeys(("T28", "COR_BH"), {**_MAXIMAL, **_WEIGHTS}),
-    "T29": {**_MAXIMAL, "weight_u1": "const:1", "weight_u2": "const:1"},
-    "SW101": {"alpha": _REQUIRED, "beta": 0.0, "gamma1": 0.0, "gamma2": 0.0, "q1": _REQUIRED,
-              "q2": _REQUIRED, "p1": _REQUIRED, "p2": _REQUIRED, "r": INF},
+    "T27_necessity": {**_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": (None, _INT),
+                      "qprime_index": (None, _INTS)},
+    "T28": {**_MAXIMAL, **_WEIGHTS},
+    "COR_BH": {**_MAXIMAL, "alpha": (0.0, _Domain(float, "{key} = 0", lambda v, w: v == 0)),
+               **_WEIGHTS},
+    "T29": {**_MAXIMAL, "weight_u1": ("const:1", _WEIGHT), "weight_u2": ("const:1", _WEIGHT)},
+    # the target weight is |x|^(-beta)
+    "SW101": {"alpha": (_REQUIRED, _ALPHA), "beta": (0.0, _Domain(
+                  float, "a finite {key}, < {n} if the window touches 0",
+                  lambda v, w: _power_ok(-v, w))),
+              "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _OVER_1),
+              "q2": (_REQUIRED, _OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
+              "r": (INF, _FLOAT)},
     "JN": {},
-    "CZ_INV": {**_Q0, "theta1": 2.0, "theta2": 2.0, "r1": 2.0, "r2": 2.0, "alpha": 0.5},
+    "CZ_INV": {**_Q0, "theta1": (2.0, _OVER_1), "theta2": (2.0, _OVER_1), "r1": (2.0, _FLOAT),
+               "r2": (2.0, _FLOAT), "alpha": (0.5, _Domain(float, "0 <= {key} < n = {n}",
+                                                           lambda v, w: 0 <= v < w.dim))},
     "BH_DOM": {},
-    "L39": {"q1": 2.0, "q2": 2.0, "t_hat": None, "weight_w1": "const:1", "weight_w2": "const:1"},
+    "L39": {"q1": (2.0, _OVER_1), "q2": (2.0, _OVER_1), "t_hat": (None, _FLOAT),
+            "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)},
 }
+# decompose kind -> the config keys of its czd parameters
+_CZ_KINDS = {"cz": ("theta1", "theta2"), "cz_alpha": ("r1", "r2", "alpha")}
 # the keys that `morreylab decompose` reads besides CZ_INV's
-_DECOMPOSE_KEYS = {"kind": "cz"}
+_DECOMPOSE_KEYS = {"kind": ("cz", _Domain(str, "{key} = cz or cz_alpha",
+                                          lambda v, w: v in _CZ_KINDS))}
 _KEYS = {"experiment"}.union(_COMMON, _DECOMPOSE_KEYS, *_EXPERIMENT_KEYS.values())
 
 
-_PARSERS = {float: float, int: int, str: str,
-            tuple: lambda text: tuple(int(v) for v in text.split(",") if v.strip())}
-
-
-def _parse(key: str, text: str, default):
-    kind = _NOT_FLOAT.get(key, float) if default is None or default is _REQUIRED else type(default)
+def _parse(key: str, text: str, domain: _Domain):
     try:
-        value = _PARSERS[kind](text)
+        value = domain.parse(text)
     except ValueError:
         value = math.nan
     if value != value:  # no parse, or nan
@@ -149,13 +213,57 @@ def _parse(key: str, text: str, default):
     return value
 
 
-# The largest depth a config may set.
-_MAX_DEPTH = 256
 # In dim >= 2 each level of the quadrature's origin chain halves the boxes, so at depth d the
 # smallest leaf midpoint is h 2^(-d-1) for cells of side h.  2.0 ** k squares to a nonzero
 # float only for k >= _MIN_LEAF_EXP (2^-1074 is the least subnormal); below it |x|^gamma with
 # gamma < 0 raises ZeroDivisionError at the origin.
 _MIN_LEAF_EXP = -537
+
+
+def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
+    """The broken rules that join keys, each naming its keys (each key is in its domain)."""
+    n, depth, stages = window.dim, p["depth"], p["refinements"]
+    finest, bad = window.level_min - max(stages), []
+    if n >= 2 and finest - depth - 1 < _MIN_LEAF_EXP:
+        bad.append(f"depth {depth} is too deep for {n}-D cells of side 2^{finest}: the "
+                   f"quadrature's leaf midpoints 2^{finest - depth - 1} square to 0.0 "
+                   f"(depth must be <= {finest - 1 - _MIN_LEAF_EXP})")
+    if stages != (0,) and any(k.startswith("weight_") and v.startswith("csv:")
+                              for k, v in p.items()):
+        bad.append(f"csv: weights need refinements = 0; got refinements = {stages}")
+    # a cube of the coarsest stage's window is a cube of every stage's window
+    coarsest = replace(window, level_min=window.level_min - min(stages))
+    for key in [k for k in ("q0", "qprime") if f"{k}_level" in p]:
+        level, index = p[f"{key}_level"], p[f"{key}_index"]
+        if level is not None and level > window.level_max \
+                or not coarsest.contains_cube(_q0(p, coarsest, key)):
+            bad.append(f"{key}_level, {key}_index must give a cube of the window; got "
+                       f"{key}_level = {level}, {key}_index = {index}")
+    if p.get("beta_pattern") is not None and len(p["beta_pattern"]) != p["n_symbols"]:
+        bad.append("beta_pattern length must equal n_symbols")
+    if experiment in ("T25", "T26", "CZ_INV") and not holder_pair(p["r1"], p["r2"]):
+        bad.append(f"{experiment} needs a Holder pair, 1/r1 + 1/r2 = 1; got r1 = {p['r1']}, "
+                   f"r2 = {p['r2']}")
+    if experiment in ("T25", "T26") and not p["q"] <= p["p"]:
+        bad.append(f"{experiment} needs q <= p; got q = {p['q']}, p = {p['p']}")
+    try:  # the rules on derived exponents; a ValueError names one that is undefined
+        if experiment == "SW101":
+            bad += [f"SW101 needs q{i} <= p{i}; got q{i} = {p[f'q{i}']}, p{i} = {p[f'p{i}']}"
+                    for i in (1, 2) if not p[f"q{i}"] <= p[f"p{i}"]]
+            _, _, s, t = _stein_weiss_exponents(p, n)
+            if not (t > 1 and t <= s * (1.0 + 1e-12)):
+                bad.append(f"SW101 needs 1 < t <= s; got t = {t}, s = {s}")
+        if experiment == "L39":
+            q, t_hat = solve_q(p["q1"], p["q2"]), p["t_hat"]
+            if t_hat is not None and t_hat < q:
+                bad.append(f"L39 needs t_hat >= q = {q}; got t_hat = {t_hat}")
+        if experiment == "T27_necessity":  # necessity_pair's exponents q_i / (q_i - r_i)
+            e = build("T27", n, **{k: p[k] for k in _EXPONENTS})
+            bad += [f"T27_necessity needs r{i} < q{i}; got r{i} = {r}, q{i} = {q}" for i, r, q
+                    in ((1, e.r1, e.q1), (2, e.r2, e.q2)) if r is not None and not r < q]
+    except ValueError as exc:
+        bad.append(str(exc))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -190,8 +298,9 @@ def parse_config(text: str, extra: Mapping | None = None) -> ExperimentConfig:
 
 def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
     """The config of (key, value) text pairs.  Its experiment's keys (_COMMON, then
-    _EXPERIMENT_KEYS, then a command's extra {key: default}) are the only keys it may set;
-    params holds every one of them, parsed or defaulted."""
+    _EXPERIMENT_KEYS, then a command's extra {key: (default, domain)}) are the only keys it
+    may set; params holds every one of them, parsed or defaulted.  Each key's domain and each
+    rule that joins keys is checked here, once."""
     given: dict[str, str] = {}
     for key, val in pairs:
         if key not in _KEYS:
@@ -207,39 +316,24 @@ def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
     table = {**_COMMON, **_EXPERIMENT_KEYS[experiment], **(extra or {})}
     bad = [f"{experiment} does not read key {k!r}" for k in sorted(given.keys() - table.keys())]
     bad += [f"missing required key {k!r} for {experiment}"
-            for k, default in table.items() if default is _REQUIRED and k not in given]
+            for k, (default, _) in table.items() if default is _REQUIRED and k not in given]
     if bad:
         raise ValidationError(bad)
-    params = {k: _parse(k, given[k], d) if k in given else d for k, d in table.items()}
+    params = {k: _parse(k, given[k], domain) if k in given else default
+              for k, (default, domain) in table.items()}
     try:
         window = Window(*(params[k] for k in ("dim", "level_min", "level_max", "origin_offset",
                                               "top_count")))
     except ValueError as exc:
         raise ValidationError(f"bad window: {exc}") from exc
-    refinements, depth = params["refinements"], params["depth"]
-    if not refinements or any(r < 0 for r in refinements) or len(set(refinements)) < len(refinements):
-        raise ValidationError(
-            f"refinements must be distinct nonnegative level decrements; got {refinements}")
-    if params["trials"] < 1:
-        raise ValidationError("trials must be >= 1")
-    if params["seed"] < 0:
-        raise ValidationError(f"seed must be >= 0; got {params['seed']}")
-    if "n_symbols" in params and params["n_symbols"] < 1:
-        raise ValidationError(f"n_symbols must be >= 1; got {params['n_symbols']}")
-    if not 0 <= depth <= _MAX_DEPTH:
-        raise ValidationError(f"depth must be in 0..{_MAX_DEPTH}; got {depth}")
-    finest = window.level_min - max(refinements)
-    if window.dim >= 2 and finest - depth - 1 < _MIN_LEAF_EXP:
-        raise ValidationError(
-            f"depth {depth} is too deep for {window.dim}-D cells of side 2^{finest}: the "
-            f"quadrature's leaf midpoints 2^{finest - depth - 1} square to 0.0 "
-            f"(depth must be <= {finest - 1 - _MIN_LEAF_EXP})")
-    bad = _cz_domain(params, window.dim) if experiment == "CZ_INV" else []
+    bad = [m for k, (_, domain) in table.items()
+           for m in domain.problem(experiment, k, params[k], window)]
+    bad = bad or _joint_problems(experiment, params, window)
     if bad:
         raise ValidationError(bad)
     raw = tuple(sorted([(k, str(v)) for k, v in pairs]))
     return ExperimentConfig(experiment=experiment, window=window, trials=params["trials"],
-                            seed=params["seed"], refinements=refinements,
+                            seed=params["seed"], refinements=params["refinements"],
                             params=MappingProxyType(params), raw=raw)
 
 
@@ -351,20 +445,30 @@ def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0,
         yield range(start, stop), f, g, symbols
 
 
+def _read_csv(path: str, window: Window | None = None) -> LatticeFunction:
+    """The lattice function of a CSV file, or with a window the weight it gives there; a file
+    that from_csv refuses, or a weight whose window or values do not fit, is a
+    ValidationError."""
+    try:
+        f = from_csv(path)
+        if window is None:
+            return f
+        if f.window != window:
+            raise ValidationError(f"CSV weight window {f.window} does not match the config "
+                                  f"window {window}")
+        return Weight(window, f.values)
+    except ValueError as exc:
+        raise ValidationError(f"bad CSV {path!r}: {exc}") from exc
+
+
 def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
-    kind, _, arg = str(spec).partition(":")
+    """The weight of a spec of the _WEIGHT domain on window."""
+    kind, _, arg = spec.partition(":")
     if kind == "pow":
         return power_weight(float(arg), window, depth=depth)
     if kind == "const":
         return Weight.constant(window, float(arg))
-    if kind == "csv":
-        f = from_csv(arg)
-        if f.window != window:
-            raise ValidationError(
-                f"CSV weight window {f.window} does not match the stage window {window}; "
-                "csv weights require refinements = 0")
-        return Weight(window, f.values)
-    raise ValidationError(f"unknown weight spec {spec!r} (use pow:<g>, const:<c>, csv:<path>)")
+    return _read_csv(arg, window)
 
 
 def _weights(cfg: ExperimentConfig, window: Window, *roles: str) -> list[Weight]:
@@ -378,17 +482,12 @@ def _times(f: LatticeFunction, w: Weight) -> LatticeFunction:
     return LatticeFunction(f.window, f.values * w.values)
 
 
-def _q0(cfg: ExperimentConfig, window: Window, key: str = "q0") -> Cube:
-    """The cube of the <key>_level and <key>_index keys: level defaults to level_max, index
-    to the window's first cube of the level."""
-    level, index = cfg.params[f"{key}_level"], cfg.params[f"{key}_index"]
+def _q0(params: Mapping, window: Window, key: str = "q0") -> Cube:
+    """The cube of the <key>_level and <key>_index params: level defaults to level_max, index
+    to the window's first cube of the level (a level above level_max needs an index)."""
+    level, index = params[f"{key}_level"], params[f"{key}_index"]
     level = window.level_max if level is None else level
-    if index is None and level > window.level_max:
-        raise ValidationError(f"{key}_level outside window levels")
-    q = Cube(level, window.index_lo(level) if index is None else index)
-    if not window.contains_cube(q):
-        raise ValidationError(f"{key} cube {q} not inside window")
-    return q
+    return Cube(level, window.index_lo(level) if index is None else index)
 
 
 def _exponent_set(cfg: ExperimentConfig, kind: WeightConditionKind) -> ExponentSet:
@@ -459,8 +558,6 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     pattern = cfg.params["beta_pattern"]
     if pattern is None:
         pattern = tuple(1 + i % 2 for i in range(len(symbols)))
-    if len(pattern) != len(symbols):
-        raise ValidationError("beta_pattern length must equal n_symbols")
     return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, cfg.params["depth"])
 
 
@@ -481,8 +578,6 @@ def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
     operator, kind = _STRONG_TYPE[cfg.experiment]
     vector = kind is WeightConditionKind.C211
     e = _exponent_set(cfg, kind)
-    if operator == "bh_maximal" and e.alpha != 0.0:
-        raise ValidationError(["COR_BH requires alpha = 0"])
     if kind is WeightConditionKind.C22 and e.s >= 1.0:
         kind = WeightConditionKind.C23
     notes["condition_kind"] = kind.value
@@ -512,16 +607,9 @@ def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
 
 def _run_maximal_control(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     mp, mq, alpha, r1, r2 = (cfg.params[k] for k in ("p", "q", "alpha", "r1", "r2"))
-    if not 0 < mq <= mp:
-        raise ValidationError([f"need 0<q<=p (q={mq}, p={mp})"])
-    if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):
-        raise ValidationError([f"(r1, r2) must be a Holder pair; got ({r1}, {r2})"])
     notes["morrey_weight_convention"] = "integrand |f|^q * w, Lebesgue normalizer |Q|"
     if cfg.experiment == "T26":
-        vt1, vt2 = cfg.params["vartheta1"], cfg.params["vartheta2"]
-        if vt1 <= 1 or vt2 <= 1:
-            raise ValidationError(["vartheta1, vartheta2 must exceed 1"])
-        pair = (vt1 * r1, vt2 * r2)
+        pair = (cfg.params["vartheta1"] * r1, cfg.params["vartheta2"] * r2)
         n_sym = cfg.params["n_symbols"]
     else:
         pair = (r1, r2)
@@ -539,7 +627,7 @@ def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     e = _exponent_set(cfg, WeightConditionKind.C27)
     notes["condition_kind"] = WeightConditionKind.C27.value
     v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-    q0 = _q0(cfg, win)
+    q0 = _q0(cfg.params, win)
     const = two_weight_constant(WeightConditionKind.C27, v, w1, w2, e, win)
 
     def sides(f, g, big_m):
@@ -559,7 +647,7 @@ def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
             yield [trial], [lhs], [rhs], "random", 0
     if necessity:
         qp = q0 if cfg.params["qprime_level"] is None and cfg.params["qprime_index"] is None \
-            else _q0(cfg, win, key="qprime")
+            else _q0(cfg.params, win, key="qprime")
         f, g, lam = necessity_pair(w1, w2, qp, e)
         lhs, rhs = sides(f, g, m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"))
         c_obs = max(x for x in ratios + [_ratio(lhs, rhs)] if x != INF)
@@ -569,23 +657,21 @@ def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
         yield [cfg.trials - 1], [lhs], [rhs], "extremal", int(not ok)
 
 
+def _stein_weiss_exponents(params: Mapping, n: int) -> tuple[float, float, float, float]:
+    """SW101's (p, q, s, t): 1/q = 1/q1 + 1/q2, 1/p = 1/p1 + 1/p2, and s, t at the operator's
+    fractional order n - alpha; solve_q, solve_st and solve_weak_t raise where one is
+    undefined."""
+    order, r = n - params["alpha"], params["r"]
+    q, p = solve_q(params["q1"], params["q2"]), solve_q(params["p1"], params["p2"])
+    s, _ = solve_st(n, order, p, q, r)
+    return p, q, s, solve_weak_t(n, order, q, r)
+
+
 def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     n = cfg.window.dim
-    alpha, beta, gamma1, gamma2, q1, q2, p1, p2, r = (
-        cfg.params[k] for k in ("alpha", "beta", "gamma1", "gamma2", "q1", "q2", "p1", "p2", "r"))
-    if not (0 < alpha < n):
-        raise ValidationError([f"need 0<alpha<n (alpha={alpha})"])
-    if not (1 < q1 <= p1 and 1 < q2 <= p2):
-        raise ValidationError([f"need 1<q_i<=p_i (q=({q1},{q2}), p=({p1},{p2}))"])
-    order = n - alpha  # the operator acts at fractional order n - alpha
-    try:
-        q, p = solve_q(q1, q2), solve_q(p1, p2)
-        s, _ = solve_st(n, order, p, q, r)
-        t = solve_weak_t(n, order, q, r)
-    except ValueError as exc:
-        raise ValidationError([str(exc)]) from exc
-    if not (t > 1 and t <= s * (1.0 + 1e-12)):
-        raise ValidationError([f"need 1<t<=s (t={t}, s={s})"])
+    alpha, beta, gamma1, gamma2, q1, q2, p1, p2 = (
+        cfg.params[k] for k in ("alpha", "beta", "gamma1", "gamma2", "q1", "q2", "p1", "p2"))
+    p, q, s, t = _stein_weiss_exponents(cfg.params, n)
     balance = alpha + beta + gamma1 + gamma2 - (n + n / t - n / q)
     hypothesis = {
         "beta_lt_n_over_s": beta < n / s,
@@ -658,32 +744,12 @@ def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
     return worst
 
 
-def _cz_domain(params: Mapping, n: int) -> list[str]:
-    """CZ_INV's broken exponent rules, each naming its keys; czd raises a plain ValueError
-    on the same rules for its direct callers."""
-    bad = [f"CZ_INV needs {key} > 1; got {key} = {params[key]}"
-           for key in ("theta1", "theta2") if not params[key] > 1]
-    r1, r2, alpha = params["r1"], params["r2"], params["alpha"]
-    if not (r1 and r2 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9):
-        bad.append(f"CZ_INV needs a Holder pair, 1/r1 + 1/r2 = 1; got r1 = {r1}, r2 = {r2}")
-    if not 0.0 <= alpha < n:
-        bad.append(f"CZ_INV needs 0 <= alpha < n = {n}; got alpha = {alpha}")
-    return bad
-
-
-# decompose kind -> the config keys of its czd parameters
-_CZ_KINDS = {"cz": ("theta1", "theta2"), "cz_alpha": ("r1", "r2", "alpha")}
-
-
 def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction,
                q0: Cube) -> list[tuple[Decomposition, list[str], tuple]]:
     """Per kind ('cz' or 'cz_alpha'), in order: the stopping-time forest at the config's
     parameters, its verify_decomposition violations, and those parameters: (theta1, theta2)
     for 'cz', (r1, r2, alpha) for 'cz_alpha'.  One table pass builds every forest, and a
     second pass of its own over the raw (f, g) rechecks them."""
-    for kind in kinds:
-        if kind not in _CZ_KINDS:
-            raise ValidationError(f"unknown decompose kind {kind!r}; expected 'cz' or 'cz_alpha'")
     args = [tuple(cfg.params[key] for key in _CZ_KINDS[kind]) for kind in kinds]
     specs = [(*a, None) if kind == "cz" else a for kind, a in zip(kinds, args)]
     forests = [cz_decompose(f, g, q0, *a, tables=tables) if kind == "cz" else
@@ -696,7 +762,7 @@ def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunct
 
 
 def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
-    q0 = _q0(cfg, win)
+    q0 = _q0(cfg.params, win)
     for trials, f, g, _ in _stage_chunks(cfg, win):
         for i, trial in enumerate(trials):
             pair = [LatticeFunction(win, x.values[i]) for x in (f, g)]
@@ -727,17 +793,7 @@ def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: di
 
 def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q1, q2, t_hat = cfg.params["q1"], cfg.params["q2"], cfg.params["t_hat"]
-    try:
-        q = solve_q(q1, q2)
-    except ValueError as exc:
-        raise ValidationError([str(exc)]) from exc
-    bad = [f"L39 needs {key} > 1; got {key} = {value}"
-           for key, value in (("q1", q1), ("q2", q2)) if value <= 1.0]
-    if t_hat is not None and t_hat < q:
-        bad.append(f"L39 needs t_hat >= q = {q}; got t_hat = {t_hat}")
-    if bad:
-        raise ValidationError(bad)
-    notes["t_hat"] = t_hat = max(q, 1.0) if t_hat is None else t_hat
+    notes["t_hat"] = t_hat = max(solve_q(q1, q2), 1.0) if t_hat is None else t_hat
     w1, w2 = _weights(cfg, win, "w1", "w2")
     rep = lemma39_check(w1, w2, q1, q2, t_hat)
     notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,

@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import Cube, Window
+from .errors import ValidationError
 from .exponents import ExponentSet, conjugate, inv, solve_q, validate
 from .field import (
     LatticeFunction,
@@ -257,6 +258,9 @@ def lemma39_check(w1: Weight, w2: Weight, q1: float, q2: float, t_hat: float) ->
     prod_th = (w1.values * w2.values) ** t_hat
     dual1 = w1.values ** (-q1c)
     dual2 = w2.values ** (-q2c)
+    if not all(np.all((x > 0.0) & (x < INF)) for x in (prod_th, dual1, dual2)):
+        raise ValidationError(f"(w1 w2)^t_hat or w_i^(-q_i') leaves the positive floats at "
+                              f"q1 = {q1}, q2 = {q2}, t_hat = {t_hat}")
     best = level_sup(window, lambda level: level_means(prod_th, window, level) ** (1.0 / t_hat)
                      * level_means(dual1, window, level) ** (1.0 / q1c)
                      * level_means(dual2, window, level) ** (1.0 / q2c))

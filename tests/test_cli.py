@@ -224,7 +224,8 @@ def test_norm_rejects_a_repeated_cell_exit_2(tmp_path, capsys):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("-4,99.0\n")
     assert cli.main(["norm", str(path), "--p", "2", "--q", "1.5"]) == 2
-    assert "repeated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and "repeated" in err
 
 
 def test_weight_const_subcommand(tmp_path, capsys):
@@ -444,7 +445,7 @@ def test_run_without_a_symbol_exit_2(tmp_path, capsys, name, n_symbols):
 def test_run_depth_out_of_range_exit_2(tmp_path, capsys, depth):
     cfg = _write(tmp_path, "bad.cfg", T25_CONFIG + f"depth = {depth}\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
-    assert "depth must be in 0..256" in capsys.readouterr().err
+    assert "needs 0 <= depth <= 256; got depth = " in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
 
 
@@ -502,7 +503,7 @@ def test_depth_is_checked_for_runners_that_do_not_read_it(tmp_path, capsys):
     text = (CONFIGS / "jn_oscillation.cfg").read_text(encoding="utf-8")
     cfg = _write(tmp_path, "deep.cfg", text + "\ndepth = 5000\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
-    assert "depth must be in 0..256" in capsys.readouterr().err
+    assert "needs 0 <= depth <= 256; got depth = " in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
 
 
@@ -524,10 +525,9 @@ def _run_exits_2_with(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("key", ["q1", "q2"])
 @pytest.mark.parametrize("name", [
     "t21_two_weight.cfg", "t22_two_weight.cfg", "t24_commutator.cfg", "t27_sufficiency.cfg",
-    "t28_strong_maximal.cfg", "t29_vector_weight.cfg", "cor_bh_maximal.cfg",
-    "l39_joint_weight.cfg"])
+    "t28_strong_maximal.cfg", "t29_vector_weight.cfg", "cor_bh_maximal.cfg"])
 def test_run_zero_q_is_a_validation_failure_exit_2(tmp_path, capsys, name, key):
-    # 1/q = 1/q1 + 1/q2 is undefined; neither the exponent set nor L39's t_hat may divide
+    # 1/q = 1/q1 + 1/q2 is undefined; the exponent set may not divide (L39's q_i > 1 is below)
     cfg = _write(tmp_path, "bad.cfg", _shipped(name, **{key: "0"}))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
     err = capsys.readouterr().err
@@ -538,18 +538,20 @@ def test_run_zero_q_is_a_validation_failure_exit_2(tmp_path, capsys, name, key):
 def test_negative_seed_in_a_config_exit_2(tmp_path, capsys):
     # numpy's SeedSequence would refuse it with a message that names no key
     _run_exits_2_with(tmp_path, capsys, _shipped("jn_oscillation.cfg", seed="-1"),
-                      "validation failure: seed must be >= 0; got -1")
+                      "validation failure: JN needs seed >= 0; got seed = -1")
 
 
 def test_run_negative_seed_flag_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "rep"), "--seed", "-1"]) == 2
-    assert "validation failure: seed must be >= 0; got -1" in capsys.readouterr().err
+    assert "validation failure: T25 needs seed >= 0; got seed = -1" in capsys.readouterr().err
     assert not (tmp_path / "rep.csv").exists()
 
 
 @pytest.mark.parametrize("values, message", [
     ({"q1": "0.5"}, "L39 needs q1 > 1; got q1 = 0.5"),
+    ({"q1": "0"}, "L39 needs q1 > 1; got q1 = 0.0"),
+    ({"q2": "0"}, "L39 needs q2 > 1; got q2 = 0.0"),
     ({"q2": "1"}, "L39 needs q2 > 1; got q2 = 1.0"),
     ({"t_hat": "1.4"}, "L39 needs t_hat >= q = 1.5; got t_hat = 1.4"),
 ])
@@ -629,3 +631,65 @@ def test_command_on_a_config_of_another_experiment_exit_2(tmp_path, capsys, argv
     assert cli.main(argv) == 2
     assert f"validation failure: {message}" in capsys.readouterr().err
     assert not (tmp_path / "dec.json").exists()
+
+
+def test_run_t27_necessity_with_r_equal_to_q_exit_2(tmp_path, capsys):
+    # the T27 regime admits r_i = q_i, but the extremal pair's exponents q_i / (q_i - r_i) do not
+    _run_exits_2_with(tmp_path, capsys,
+                      _shipped("t27_weak_type.cfg", q1="2", q2="2", r1="2", r2="2"),
+                      "validation failure: T27_necessity needs r1 < q1; got r1 = 2.0, q1 = 2.0; "
+                      "T27_necessity needs r2 < q2; got r2 = 2.0, q2 = 2.0\n")
+
+
+def test_run_beta_pattern_slot_other_than_1_or_2_exit_2(tmp_path, capsys):
+    _run_exits_2_with(tmp_path, capsys, _shipped("t23_commutator.cfg", beta_pattern="3,3"),
+                      "validation failure: T23 needs beta_pattern of slots 1 or 2; got "
+                      "beta_pattern = (3, 3)\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # L39's (w1 w2)^1e308 overflows in numpy
+@pytest.mark.parametrize("name, values, message", [
+    ("cor_bh_maximal.cfg", {"p": "1e308"}, "t finite and nonzero (t=inf)"),
+    ("sw101_power_weight.cfg", {"gamma1": "1e308"}, "|x|^1e+308 overflows a float or underflows"),
+    ("l39_joint_weight.cfg", {"t_hat": "1e308"}, "(w1 w2)^t_hat or w_i^(-q_i') leaves the positive"),
+])
+def test_run_powers_past_the_float_range_exit_2(tmp_path, capsys, name, values, message):
+    # each is known only when the run computes it: s q / p, the weight's averages, the joint power
+    _run_exits_2_with(tmp_path, capsys, _shipped(name, **values), f"validation failure: {message}")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("q_above_p", "norm needs 0 < q <= p; got q=2.0, p=1.5"),
+    ("const_0", "norm needs weight = pow:G"),
+    ("pow_-5", "norm needs weight = pow:G"),
+    ("bad_csv_weight", "cell index (-4,) is repeated"),
+])
+def test_norm_bad_input_is_a_validation_failure_exit_2(tmp_path, capsys, case, message):
+    good, bad = tmp_path / "f.csv", tmp_path / "bad.csv"
+    to_csv(random_lattice(Window(1, -2, 0), 5), good)
+    bad.write_text(good.read_text(encoding="utf-8") + "-4,99.0\n", encoding="utf-8")
+    argv = {"q_above_p": [str(good), "--p", "1.5", "--q", "2"],
+            "const_0": [str(good), "--p", "2", "--q", "1.5", "--weight", "const:0"],
+            "pow_-5": [str(good), "--p", "2", "--q", "1.5", "--weight", "pow:-5"],
+            "bad_csv_weight": [str(good), "--p", "2", "--q", "1.5", "--weight", f"csv:{bad}"]}
+    assert cli.main(["norm", *argv[case]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and message in err
+
+
+def test_weight_const_of_the_other_t21_kind_exit_2(capsys):
+    # the shipped T21 set has s >= 1, so it takes C23; C22 is the kind of the sets with s < 1
+    assert cli.main(["weight-const", "C22", str(CONFIGS / "t21_two_weight.cfg")]) == 2
+    assert "validation failure: C22 needs s<1 and C23 needs s>=1 (s=1.5" in capsys.readouterr().err
+
+
+def test_a_value_error_inside_the_program_is_not_exit_2(tmp_path, monkeypatch):
+    # exit 2 is bad input only: any exception but ValidationError and OSError is a bug and leaves
+    # cli.main, so the command line prints its traceback and exits 1
+    def broken(cfg):
+        raise ValueError("an operator bug")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
+    with pytest.raises(ValueError, match="an operator bug"):
+        cli.main(["run", cfg, "--out", str(tmp_path / "rep")])

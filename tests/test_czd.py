@@ -323,7 +323,7 @@ def test_holder_pair_required():
 @pytest.mark.parametrize("decompose, args", [
     (cz_decompose, (math.nan, 2.0)), (cz_decompose, (2.0, math.nan)),
     (cz_decompose_alpha, (math.nan, 2.0, 0.5)), (cz_decompose_alpha, (2.0, math.nan, 0.5)),
-    (cz_decompose_alpha, (0.0, 2.0, 0.5)),
+    (cz_decompose_alpha, (0.0, 2.0, 0.5)), (cz_decompose_alpha, (-1.0, 0.5, 0.5)),
 ])
 def test_nan_or_zero_parameters_fail_the_guards(decompose, args):
     # a nan compares false both ways, so each guard must ask for what holds, not what fails

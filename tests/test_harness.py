@@ -50,10 +50,9 @@ def test_parse_config_grammar():
     dim = 1
     level_min = -3   # trailing comment
     level_max = 0
-    p = 2
+    p = inf
     q = 1.5
     alpha = 0.5
-    r1 = inf
     refinements = 0, 1, 2
     weight_w = pow:0.5
     """
@@ -61,7 +60,7 @@ def test_parse_config_grammar():
     assert cfg.experiment == "T25"
     assert cfg.window.level_min == -3
     assert cfg.refinements == (0, 1, 2)
-    assert cfg.params["r1"] == math.inf
+    assert cfg.params["p"] == math.inf
     assert cfg.params["weight_w"] == "pow:0.5"
     assert cfg.params["r2"] == 2.0 and cfg.params["depth"] == 12  # defaults of the key table
 
@@ -553,11 +552,54 @@ COR_BH_PAIRS = [
 
 @pytest.mark.parametrize("pairs, message", [
     (T23_PAIRS, "beta_pattern length must equal n_symbols"),
-    (COR_BH_PAIRS, "COR_BH requires alpha = 0"),
+    (COR_BH_PAIRS, "COR_BH needs alpha = 0; got alpha = 0.4"),
 ])
 def test_strong_type_refuses_bad_parameters(pairs, message):
     with pytest.raises(ValidationError, match=message):
         run_experiment(config_from_pairs(pairs))
+
+
+def _shipped_pairs(name: str, **values) -> list:
+    """The pairs of a shipped config with the given keys set (replaced or added)."""
+    text = (CONFIG_DOC.parents[1] / "configs" / name).read_text(encoding="utf-8")
+    return sorted({**dict(parse_config(text).raw), **values}.items())
+
+
+@pytest.mark.parametrize("name, values, message", [
+    ("czd_decompose.cfg", {"theta1": "1"}, "CZ_INV needs theta1 > 1"),
+    ("t25_maximal_control.cfg", {"alpha": "0"}, "T25 needs 0 < alpha < n = 1"),
+    ("t25_maximal_control.cfg", {"q": "5"}, "T25 needs q <= p"),
+    ("t26_commutator_control.cfg", {"vartheta2": "1"}, "T26 needs vartheta2 > 1"),
+    ("t26_commutator_control.cfg", {"r1": "3"}, "T26 needs a Holder pair, 1/r1 + 1/r2 = 1"),
+    ("t25_maximal_control.cfg", {"r1": "-1", "r2": "0.5"}, "T25 needs a Holder pair"),
+    ("sw101_power_weight.cfg", {"gamma1": "-1"}, "SW101 needs a finite gamma1, > -1"),
+    ("sw101_power_weight.cfg", {"beta": "1"}, "SW101 needs a finite beta, < 1"),
+    ("sw101_power_weight.cfg", {"q2": "5"}, "SW101 needs q2 <= p2"),
+    ("t21_two_weight.cfg", {"weight_w1": "const:0"}, "T21 needs weight_w1 = pow:G"),
+    ("t21_two_weight.cfg", {"weight_w1": "const:inf"}, "T21 needs weight_w1 = pow:G"),
+    ("t24_commutator_2d.cfg", {"weight_v": "pow:-2"}, "T24 needs weight_v = pow:G"),
+    ("t23_commutator.cfg", {"beta_pattern": "1,2,1"}, "beta_pattern length must equal n_symbols"),
+    ("t27_weak_type.cfg", {"qprime_level": "1"}, "qprime_level, qprime_index must give a cube"),
+    ("czd_decompose.cfg", {"q0_level": "-9"}, "q0_level, q0_index must give a cube"),
+    ("t28_strong_maximal.cfg", {"weight_v": "csv:w.csv"}, "csv: weights need refinements = 0"),
+    ("cor_bh_maximal.cfg", {"alpha": "0.4"}, "COR_BH needs alpha = 0"),
+    ("l39_joint_weight.cfg", {"t_hat": "1"}, "L39 needs t_hat >= q = 1.5"),
+    ("l39_joint_weight.cfg", {"q1": "inf", "q2": "inf"}, "q undefined"),
+])
+def test_each_domain_is_checked_when_the_config_is_parsed(name, values, message):
+    # config_from_pairs raises, so no run starts and no file is read
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        config_from_pairs(_shipped_pairs(name, **values))
+
+
+def test_power_weight_below_minus_dim_is_admitted_away_from_the_origin():
+    # the closed block [-2, 0] of the top cubes holds the origin; [1, 3] does not
+    with pytest.raises(ValidationError, match="weight_v = pow:G"):
+        config_from_pairs(_shipped_pairs("t21_two_weight.cfg", origin_offset="-2",
+                                         weight_v="pow:-1"))
+    cfg = config_from_pairs(_shipped_pairs("t21_two_weight.cfg", origin_offset="1",
+                                           weight_v="pow:-5", trials="2"))
+    assert run_experiment(cfg).summary["invariant_violations"] == 0
 
 
 CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
@@ -595,7 +637,7 @@ def test_config_doc_names_exactly_the_config_keys():
             default = group[group.rfind("`") + 1:].strip(" :")
             table.update(dict.fromkeys(re.findall(r"`([^`]+)`", group), default))
         documented.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), table))
-    assert documented == {experiment: {k: _doc_default(v) for k, v in keys.items()}
+    assert documented == {experiment: {k: _doc_default(v) for k, (v, _) in keys.items()}
                           for experiment, keys in _EXPERIMENT_KEYS.items()}
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from morreylab import field
 from morreylab.dyadic import Window
+from morreylab.errors import ValidationError
 from morreylab.field import (_REG_DEPTH, _integral_abs_power_1d, _quadrature_plan,
                              abs_power_cell_averages)
 
@@ -272,7 +273,7 @@ def test_warm_plan_still_reports_an_overflowing_power():
     window = Window(2, -508, -506)
     _quadrature_plan.cache_clear()
     assert np.all(np.isfinite(abs_power_cell_averages(0.1, window, 12)))
-    with pytest.raises(ValueError, match=r"\|x\|\^-1.99 overflows a float"):
+    with pytest.raises(ValidationError, match=r"\|x\|\^-1.99 overflows a float"):
         abs_power_cell_averages(-1.99, window, 12)
     assert _quadrature_plan.cache_info().misses == 1
 
@@ -292,3 +293,14 @@ def test_plan_is_read_only_per_axis_and_bounded():
     for level_min in range(-1, -maxsize - 4, -1):
         abs_power_cell_averages(0.1, Window(2, level_min, level_min + 1), 2)
     assert _quadrature_plan.cache_info().currsize == maxsize
+
+
+@pytest.mark.parametrize("gamma", [-5.0, -1.0, -0.5])
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (-2.0, -1.0), (0.25, 0.5), (-0.5, -0.25)])
+def test_abs_power_integral_away_from_the_origin(gamma, a, b):
+    # the closed form on a cell that misses 0, either side of it and either side of |x| = 1:
+    # positive for every gamma, gamma <= -1 included
+    lo, hi = sorted((abs(a), abs(b)))
+    exact = math.log(hi / lo) if gamma == -1.0 \
+        else (hi ** (gamma + 1) - lo ** (gamma + 1)) / (gamma + 1)
+    assert math.isclose(_integral_abs_power_1d(a, b, gamma), exact, rel_tol=1e-14)
