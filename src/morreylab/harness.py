@@ -246,7 +246,7 @@ def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
                    f"r2 = {p['r2']}")
     if experiment in ("T25", "T26") and not p["q"] <= p["p"]:
         bad.append(f"{experiment} needs q <= p; got q = {p['q']}, p = {p['p']}")
-    try:  # the rules on derived exponents; a ValueError names one that is undefined
+    try:  # the rules on each experiment's exponents; a ValueError names an undefined one
         if experiment == "SW101":
             bad += [f"SW101 needs q{i} <= p{i}; got q{i} = {p[f'q{i}']}, p{i} = {p[f'p{i}']}"
                     for i in (1, 2) if not p[f"q{i}"] <= p[f"p{i}"]]
