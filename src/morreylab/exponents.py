@@ -122,6 +122,9 @@ def build(regime: str, n: int, alpha: float, q1: float, q2: float, p: float,
 
 
 def _close(x: float, y: float) -> bool:
+    """x == y to a relative _TOL; a non-finite operand compares exactly."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x == y
     return abs(x - y) <= _TOL * max(1.0, abs(x), abs(y))
 
 
@@ -130,6 +133,9 @@ def _finite_nonzero(x: float) -> bool:
 
 
 def _le(x: float, y: float) -> bool:
+    """x <= y to a relative _TOL; a non-finite operand compares exactly."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x <= y
     return x <= y + _TOL * max(1.0, abs(x), abs(y))
 
 

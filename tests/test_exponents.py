@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from morreylab.exponents import (
     INF,
     ExponentSet,
+    _close,
+    _le,
     build,
     conjugate,
     default_holder_pair,
@@ -129,3 +131,31 @@ def test_build_t27_weak_identity():
     e = build("T27", 1, 0.4, 4.0, 4.0, 2.2, 2.5, r1=2.0, r2=2.0)
     assert validate(e) == []
     assert_close(1.0 / e.t, 1.0 / e.q + 1.0 / e.r - e.alpha / e.n)
+
+
+@pytest.mark.parametrize("x,y,close,le", [
+    (INF, 2e-308, False, False),
+    (INF, 1e308, False, False),
+    (-INF, 1.0, False, True),
+    (1.0, INF, False, True),
+    (INF, INF, True, True),
+    (-INF, -INF, True, True),
+    (-INF, INF, False, True),
+    (math.nan, math.nan, False, False),
+    (math.nan, 1.0, False, False),
+    # finite operands keep the relative tolerance
+    (1.0, 1.0 + 1e-13, True, True),
+    (1.0 + 1e-13, 1.0, True, True),
+    (1e300, 1e300 * (1.0 + 1e-13), True, True),
+    (1.0 + 1e-9, 1.0, False, False),
+    (1.0, 1.0 + 1e-9, False, True),
+])
+def test_close_and_le_compare_non_finite_operands_exactly(x, y, close, le):
+    assert (_close(x, y), _close(y, x), _le(x, y)) == (close, close, le)
+
+
+def test_validate_refuses_an_infinite_t_in_the_weak_regime():
+    # T27 derives t by its own identity, so validate sees t = inf against a finite s
+    e = dataclasses.replace(build("T27", 1, 0.4, 4.0, 4.0, 2.2, 2.5, r1=2.0, r2=2.0), t=INF)
+    assert any(m.startswith("t finite") for m in validate(e))
+    assert any(m.startswith("0<t<=s") for m in validate(e))
