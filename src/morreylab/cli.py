@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .field import LatticeFunction, Weight
 from .harness import (
     _DECOMPOSE_KEYS,
-    _EXPONENTS,
+    _EXPERIMENTS,
     _WEIGHT,
     ExperimentConfig,
     _decompose,
@@ -80,16 +80,17 @@ def _cmd_norm(args) -> int:
 
 def _cmd_weight_const(args) -> int:
     cfg = _load_config(args.config)
-    if not _EXPONENTS.keys() <= cfg.params.keys():
+    own = _EXPERIMENTS[cfg.experiment].kind
+    if own is None:
         raise ValidationError(f"{cfg.experiment} does not read the exponent keys of weight-const")
     kind, win = WeightConditionKind(args.kind), cfg.window
-    e = _exponent_set(cfg, kind)
+    e = _exponent_set(cfg.params, win.dim, kind)
     if kind.regime == "T21" and (e.s < 1.0) != (kind is WeightConditionKind.C22):
         raise ValidationError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
-    if "weight_v" in cfg.params:
-        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-    else:  # T29: the weights u1, u2 take the places of w1, w2
+    if own is WeightConditionKind.C211:  # T29: the weights u1, u2 take the places of w1, w2
         v, w1, w2 = Weight.constant(win, 1.0), *_weights(cfg, win, "u1", "u2")
+    else:
+        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
     print(repr(two_weight_constant(kind, v, w1, w2, e, win)))
     return EXIT_OK
 

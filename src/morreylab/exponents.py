@@ -122,10 +122,8 @@ def build(regime: str, n: int, alpha: float, q1: float, q2: float, p: float,
 
 
 def _close(x: float, y: float) -> bool:
-    """x == y to a relative _TOL; a non-finite operand compares exactly."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return x == y
-    return abs(x - y) <= _TOL * max(1.0, abs(x), abs(y))
+    """x == y to a relative _TOL; an infinite or nan operand compares exactly."""
+    return abs(x - y) <= _TOL * max(1.0, abs(x), abs(y)) if math.isfinite(x - y) else x == y
 
 
 def _finite_nonzero(x: float) -> bool:
@@ -133,10 +131,8 @@ def _finite_nonzero(x: float) -> bool:
 
 
 def _le(x: float, y: float) -> bool:
-    """x <= y to a relative _TOL; a non-finite operand compares exactly."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return x <= y
-    return x <= y + _TOL * max(1.0, abs(x), abs(y))
+    """x <= y to a relative _TOL; an infinite or nan operand compares exactly."""
+    return x <= y + _TOL * max(1.0, abs(x), abs(y)) if math.isfinite(x - y) else x <= y
 
 
 def validate(e: ExponentSet) -> list[str]:

@@ -37,11 +37,12 @@ in trial-index order, do not depend on the chunking or on the table.  On
 each slice, one table pass builds the stopping-time forest of every kind,
 and one more pass rechecks them (_decompose).
 
-Config files are flat UTF-8 ``key = value`` lines, arrays as comma lists,
-``#`` comments allowed.  The key table (_COMMON, _EXPERIMENT_KEYS) holds each
-experiment's keys, defaults and domains: cfg.params has every one, typed and in
-its domain, and no other; _joint_problems holds the rules that join keys, and
-both are checked once, at the parse (docs/config.md).  docs/experiments.md is
+Each experiment is one _EXPERIMENTS record (its runner, keys and weight condition),
+so adding an experiment means adding one record.  Config files are flat UTF-8
+``key = value`` lines, arrays as comma lists, ``#`` comments allowed; cfg.params has
+every key of the record and _COMMON, typed and in its domain, and no other.  Each
+domain, and each rule of _joint_problems that joins keys (the exponent set's regime
+among them), is checked once, at the parse (docs/config.md).  docs/experiments.md is
 the per-experiment LHS/RHS manifest.
 """
 
@@ -152,8 +153,8 @@ _COMMON = {"dim": (1, _INT), "level_min": (-4, _INT), "level_max": (0, _INT),
                                          and min(v) >= 0 and len(set(v)) == len(v))),
            "depth": (DEFAULT_DEPTH, _Domain(int, f"0 <= {{key}} <= {_MAX_DEPTH}",
                                             lambda v, w: 0 <= v <= _MAX_DEPTH))}
-# the keys of _exponent_set, whose regime checks them as the run builds the set; _MAXIMAL's
-# alpha, of the T27 and T28 regimes, defaults to 0
+# the keys of _exponent_set, whose regime the parse checks; _MAXIMAL's alpha, of the T27 and
+# T28 regimes, defaults to 0
 _EXPONENTS = {**dict.fromkeys(("alpha", "q1", "q2", "p"), (_REQUIRED, _FLOAT)),
               "r": (INF, _FLOAT), **dict.fromkeys(("a", "r1", "r2"), (None, _FLOAT))}
 _WEIGHTS = dict.fromkeys(("weight_v", "weight_w1", "weight_w2"), ("const:1", _WEIGHT))
@@ -166,41 +167,11 @@ _CONTROL = {"p": (_REQUIRED, _FLOAT),
             "weight_w": ("const:1", _WEIGHT)}
 _MAXIMAL = {**_EXPONENTS, "alpha": (0.0, _FLOAT)}
 
-# experiment -> {key: (default, domain)} of every key besides _COMMON that its runner reads;
-# a config may set no other key
-_EXPERIMENT_KEYS = {
-    **dict.fromkeys(("T21", "T22"), {**_EXPONENTS, **_WEIGHTS}),
-    **dict.fromkeys(("T23", "T24"), {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
-    "T25": _CONTROL,
-    "T26": {**_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _OVER_1), "vartheta2": (1.25, _OVER_1)},
-    "T27_sufficiency": {**_MAXIMAL, **_WEIGHTS, **_Q0},
-    "T27_necessity": {**_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": (None, _INT),
-                      "qprime_index": (None, _INTS)},
-    "T28": {**_MAXIMAL, **_WEIGHTS},
-    "COR_BH": {**_MAXIMAL, "alpha": (0.0, _Domain(float, "{key} = 0", lambda v, w: v == 0)),
-               **_WEIGHTS},
-    "T29": {**_MAXIMAL, "weight_u1": ("const:1", _WEIGHT), "weight_u2": ("const:1", _WEIGHT)},
-    # the target weight is |x|^(-beta)
-    "SW101": {"alpha": (_REQUIRED, _ALPHA), "beta": (0.0, _Domain(
-                  float, "a finite {key}, < {n} if the window touches 0",
-                  lambda v, w: _power_ok(-v, w))),
-              "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _OVER_1),
-              "q2": (_REQUIRED, _OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
-              "r": (INF, _FLOAT)},
-    "JN": {},
-    "CZ_INV": {**_Q0, "theta1": (2.0, _OVER_1), "theta2": (2.0, _OVER_1), "r1": (2.0, _FLOAT),
-               "r2": (2.0, _FLOAT), "alpha": (0.5, _Domain(float, "0 <= {key} < n = {n}",
-                                                           lambda v, w: 0 <= v < w.dim))},
-    "BH_DOM": {},
-    "L39": {"q1": (2.0, _OVER_1), "q2": (2.0, _OVER_1), "t_hat": (None, _FLOAT),
-            "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)},
-}
 # decompose kind -> the config keys of its czd parameters
 _CZ_KINDS = {"cz": ("theta1", "theta2"), "cz_alpha": ("r1", "r2", "alpha")}
 # the keys that `morreylab decompose` reads besides CZ_INV's
 _DECOMPOSE_KEYS = {"kind": ("cz", _Domain(str, "{key} = cz or cz_alpha",
                                           lambda v, w: v in _CZ_KINDS))}
-_KEYS = {"experiment"}.union(_COMMON, _DECOMPOSE_KEYS, *_EXPERIMENT_KEYS.values())
 
 
 def _parse(key: str, text: str, domain: _Domain):
@@ -246,7 +217,10 @@ def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
                    f"r2 = {p['r2']}")
     if experiment in ("T25", "T26") and not p["q"] <= p["p"]:
         bad.append(f"{experiment} needs q <= p; got q = {p['q']}, p = {p['p']}")
+    kind = _EXPERIMENTS[experiment].kind
     try:  # the rules on each experiment's exponents; a ValueError names an undefined one
+        if kind is not None:
+            e = _exponent_set(p, n, kind)
         if experiment == "SW101":
             bad += [f"SW101 needs q{i} <= p{i}; got q{i} = {p[f'q{i}']}, p{i} = {p[f'p{i}']}"
                     for i in (1, 2) if not p[f"q{i}"] <= p[f"p{i}"]]
@@ -258,11 +232,12 @@ def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
             if t_hat is not None and t_hat < q:
                 bad.append(f"L39 needs t_hat >= q = {q}; got t_hat = {t_hat}")
         if experiment == "T27_necessity":  # necessity_pair's exponents q_i / (q_i - r_i)
-            e = build("T27", n, **{k: p[k] for k in _EXPONENTS})
             bad += [f"T27_necessity needs r{i} < q{i}; got r{i} = {r}, q{i} = {q}" for i, r, q
-                    in ((1, e.r1, e.q1), (2, e.r2, e.q2)) if r is not None and not r < q]
+                    in ((1, e.r1, e.q1), (2, e.r2, e.q2)) if not r < q]
     except ValueError as exc:
         bad.append(str(exc))
+    except ValidationError as exc:
+        bad += exc.violations
     return bad
 
 
@@ -297,8 +272,8 @@ def parse_config(text: str, extra: Mapping | None = None) -> ExperimentConfig:
 
 
 def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
-    """The config of (key, value) text pairs.  Its experiment's keys (_COMMON, then
-    _EXPERIMENT_KEYS, then a command's extra {key: (default, domain)}) are the only keys it
+    """The config of (key, value) text pairs.  Its experiment's keys (_COMMON, then its
+    record's keys, then a command's extra {key: (default, domain)}) are the only keys it
     may set; params holds every one of them, parsed or defaulted.  Each key's domain and each
     rule that joins keys is checked here, once."""
     given: dict[str, str] = {}
@@ -313,7 +288,7 @@ def config_from_pairs(pairs, extra: Mapping | None = None) -> ExperimentConfig:
         raise ValidationError("missing key 'experiment'")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}")
-    table = {**_COMMON, **_EXPERIMENT_KEYS[experiment], **(extra or {})}
+    table = {**_COMMON, **_EXPERIMENTS[experiment].keys, **(extra or {})}
     bad = [f"{experiment} does not read key {k!r}" for k in sorted(given.keys() - table.keys())]
     bad += [f"missing required key {k!r} for {experiment}"
             for k, (default, _) in table.items() if default is _REQUIRED and k not in given]
@@ -490,12 +465,13 @@ def _q0(params: Mapping, window: Window, key: str = "q0") -> Cube:
     return Cube(level, window.index_lo(level) if index is None else index)
 
 
-def _exponent_set(cfg: ExperimentConfig, kind: WeightConditionKind) -> ExponentSet:
-    """The exponent set of the kind's regime from the config's _EXPONENTS keys.  C211 never
-    uses a, but its T28 set needs one: a missing a becomes the midpoint of (1, min(q_i/r_i))
-    of the built r_i (validate reports a missing or zero r_i)."""
+def _exponent_set(params: Mapping, dim: int, kind: WeightConditionKind) -> ExponentSet:
+    """The exponent set of the kind's regime from the _EXPONENTS keys of params, or a
+    ValidationError listing what the regime violates.  C211 never uses a, but its T28 set
+    needs one: a missing a becomes the midpoint of (1, min(q_i/r_i)) of the built r_i
+    (validate reports a missing or zero r_i)."""
     try:
-        e = build(kind.regime, cfg.window.dim, **{k: cfg.params[k] for k in _EXPONENTS})
+        e = build(kind.regime, dim, **{k: params[k] for k in _EXPONENTS})
     except ValueError as exc:
         raise ValidationError([str(exc)]) from exc
     if kind is WeightConditionKind.C211 and e.a is None and e.r1 and e.r2:
@@ -561,23 +537,12 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, cfg.params["depth"])
 
 
-# The strong-type bounds |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2):
-# experiment -> (operator T, weight condition of C); the condition fixes the regime.
-_STRONG_TYPE = {
-    "T21": ("bilinear", WeightConditionKind.C22),
-    "T22": ("bilinear", WeightConditionKind.C24),
-    "T23": ("commutator", WeightConditionKind.C22),
-    "T24": ("commutator", WeightConditionKind.C24),
-    "T28": ("m_alpha_r", WeightConditionKind.C29),
-    "T29": ("m_alpha_r", WeightConditionKind.C211),
-    "COR_BH": ("bh_maximal", WeightConditionKind.CBH),
-}
-
-
-def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
-    operator, kind = _STRONG_TYPE[cfg.experiment]
+def _run_strong_type(operator: str, kind: WeightConditionKind, cfg: ExperimentConfig,
+                     stage: int, win: Window, notes: dict):
+    """|T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2) for the operator T (bilinear,
+    commutator, m_alpha_r or bh_maximal) and the constant C of the weight condition kind."""
     vector = kind is WeightConditionKind.C211
-    e = _exponent_set(cfg, kind)
+    e = _exponent_set(cfg.params, win.dim, kind)
     if kind is WeightConditionKind.C22 and e.s >= 1.0:
         kind = WeightConditionKind.C23
     notes["condition_kind"] = kind.value
@@ -605,15 +570,12 @@ def _run_strong_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
         yield trials, lhs, rhs, "random", 0
 
 
-def _run_maximal_control(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+def _run_maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, win: Window,
+                         notes: dict):
     mp, mq, alpha, r1, r2 = (cfg.params[k] for k in ("p", "q", "alpha", "r1", "r2"))
     notes["morrey_weight_convention"] = "integrand |f|^q * w, Lebesgue normalizer |Q|"
-    if cfg.experiment == "T26":
-        pair = (cfg.params["vartheta1"] * r1, cfg.params["vartheta2"] * r2)
-        n_sym = cfg.params["n_symbols"]
-    else:
-        pair = (r1, r2)
-        n_sym = 0
+    pair = (cfg.params["vartheta1"] * r1, cfg.params["vartheta2"] * r2) if commutator else (r1, r2)
+    n_sym = cfg.params["n_symbols"] if commutator else 0
     [w] = _weights(cfg, win, "w")
     for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
         lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
@@ -622,9 +584,9 @@ def _run_maximal_control(cfg: ExperimentConfig, stage: int, win: Window, notes: 
         yield trials, lhs, rhs, "random", 0
 
 
-def _run_weak_type(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
-    necessity = cfg.experiment == "T27_necessity"
-    e = _exponent_set(cfg, WeightConditionKind.C27)
+def _run_weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window,
+                   notes: dict):
+    e = _exponent_set(cfg.params, win.dim, WeightConditionKind.C27)
     notes["condition_kind"] = WeightConditionKind.C27.value
     v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
     q0 = _q0(cfg.params, win)
@@ -802,29 +764,62 @@ def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     yield range(cfg.trials), [rep.joint_const] * cfg.trials, [worst] * cfg.trials, "weights", 0
 
 
-# experiment -> runner(cfg, stage, win, notes): the work of one stage.  A runner adds to
-# notes and yields (trials, lhs, rhs, label, violations), trials in order; run_experiment
-# makes one row per trial.
-_RUNNERS = {
-    "T21": _run_strong_type,
-    "T22": _run_strong_type,
-    "T23": _run_strong_type,
-    "T24": _run_strong_type,
-    "T25": _run_maximal_control,
-    "T26": _run_maximal_control,
-    "T27_sufficiency": _run_weak_type,
-    "T27_necessity": _run_weak_type,
-    "T28": _run_strong_type,
-    "T29": _run_strong_type,
-    "COR_BH": _run_strong_type,
-    "SW101": _run_stein_weiss,
-    "JN": _run_john_nirenberg,
-    "CZ_INV": _run_cz_invariants,
-    "BH_DOM": _run_bh_domination,
-    "L39": _run_lemma39,
+class _Experiment(NamedTuple):
+    """run(cfg, stage, win, notes), the runner with its variant bound, yields a stage's
+    (trials, lhs, rhs, label, violations) in trial order; keys maps each key besides _COMMON
+    that it reads to (default, domain); kind is the weight condition of the exponent keys.
+    A runner reaches the library through this module's globals, which a tracer may rebind."""
+
+    run: Callable
+    keys: Mapping
+    kind: WeightConditionKind | None = None
+
+
+def _strong(operator: str, kind: str, keys: Mapping) -> _Experiment:
+    kind = WeightConditionKind(kind)
+    return _Experiment(functools.partial(_run_strong_type, operator, kind), keys, kind)
+
+
+_EXPERIMENTS = {
+    "T21": _strong("bilinear", "C22", {**_EXPONENTS, **_WEIGHTS}),
+    "T22": _strong("bilinear", "C24", {**_EXPONENTS, **_WEIGHTS}),
+    "T23": _strong("commutator", "C22", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
+    "T24": _strong("commutator", "C24", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
+    "T25": _Experiment(functools.partial(_run_maximal_control, False), _CONTROL),
+    "T26": _Experiment(functools.partial(_run_maximal_control, True), {
+        **_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _OVER_1), "vartheta2": (1.25, _OVER_1)}),
+    "T27_sufficiency": _Experiment(functools.partial(_run_weak_type, False),
+                                   {**_MAXIMAL, **_WEIGHTS, **_Q0}, WeightConditionKind.C27),
+    "T27_necessity": _Experiment(functools.partial(_run_weak_type, True), {
+        **_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": (None, _INT),
+        "qprime_index": (None, _INTS)}, WeightConditionKind.C27),
+    "T28": _strong("m_alpha_r", "C29", {**_MAXIMAL, **_WEIGHTS}),
+    "T29": _strong("m_alpha_r", "C211", {**_MAXIMAL, "weight_u1": ("const:1", _WEIGHT),
+                                         "weight_u2": ("const:1", _WEIGHT)}),
+    "COR_BH": _strong("bh_maximal", "CBH", {
+        **_MAXIMAL, "alpha": (0.0, _Domain(float, "{key} = 0", lambda v, w: v == 0)),
+        **_WEIGHTS}),
+    # the target weight is |x|^(-beta)
+    "SW101": _Experiment(_run_stein_weiss, {
+        "alpha": (_REQUIRED, _ALPHA), "beta": (0.0, _Domain(
+            float, "a finite {key}, < {n} if the window touches 0",
+            lambda v, w: _power_ok(-v, w))),
+        "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _OVER_1),
+        "q2": (_REQUIRED, _OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
+        "r": (INF, _FLOAT)}),
+    "JN": _Experiment(_run_john_nirenberg, {}),
+    "CZ_INV": _Experiment(_run_cz_invariants, {
+        **_Q0, "theta1": (2.0, _OVER_1), "theta2": (2.0, _OVER_1), "r1": (2.0, _FLOAT),
+        "r2": (2.0, _FLOAT), "alpha": (0.5, _Domain(float, "0 <= {key} < n = {n}",
+                                                    lambda v, w: 0 <= v < w.dim))}),
+    "BH_DOM": _Experiment(_run_bh_domination, {}),
+    "L39": _Experiment(_run_lemma39, {
+        "q1": (2.0, _OVER_1), "q2": (2.0, _OVER_1), "t_hat": (None, _FLOAT),
+        "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)}),
 }
 
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
+_KEYS = {"experiment"}.union(_COMMON, _DECOMPOSE_KEYS, *(e.keys for e in _EXPERIMENTS.values()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -832,7 +827,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     rows, notes, violations = [], {}, 0
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        for trials, lhs, rhs, label, bad in _RUNNERS[cfg.experiment](cfg, stage, win, notes):
+        for trials, lhs, rhs, label, bad in _EXPERIMENTS[cfg.experiment].run(cfg, stage, win,
+                                                                             notes):
             rows += [_row(stage, win, t, lo, hi, label) for t, lo, hi in zip(trials, lhs, rhs)]
             violations += bad
     # a nan side is a failed evaluation; the stage max would skip it unless it came first

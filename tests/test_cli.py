@@ -81,8 +81,8 @@ def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
     cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
     nan = float("nan")
     lhs, rhs = ([1.0, nan], [2.0, 2.0]) if side == "lhs" else ([1.0, 1.0], [2.0, nan])
-    monkeypatch.setitem(harness._RUNNERS, "T25",
-                        lambda cfg, stage, win, notes: iter([(range(2), lhs, rhs, "random", 0)]))
+    monkeypatch.setitem(harness._EXPERIMENTS, "T25", harness._EXPERIMENTS["T25"]._replace(
+        run=lambda cfg, stage, win, notes: iter([(range(2), lhs, rhs, "random", 0)])))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "nan")]) == 3
     assert "invariant violations: 1" in capsys.readouterr().err
     summary = json.loads((tmp_path / "nan.json").read_text(encoding="utf-8"))
@@ -283,8 +283,15 @@ def test_weight_const_defaults_weight_v_like_run(tmp_path, capsys):
     from morreylab.field import power_weight
     w = power_weight(0.1, win)
     want = two_weight_constant(kind, Weight.constant(win, 1.0), w, w,
-                               harness._exponent_set(cfg, kind), win)
+                               harness._exponent_set(cfg.params, win.dim, kind), win)
     assert printed == repr(want)
+
+
+def test_weight_const_refuses_a_config_that_its_run_refuses(tmp_path, capsys):
+    # a = 5 breaks the T28 regime of the config's own C29, not the T27 regime of C27
+    path = _write(tmp_path, "bad_a.cfg", _shipped("t28_strong_maximal.cfg", a="5"))
+    assert cli.main(["weight-const", "C27", path]) == 2
+    assert "validation failure: 1<a<min(q1/r1,q2/r2) (a=5.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,config", [("C27", "t27_weak_type.cfg"),
@@ -654,7 +661,7 @@ def test_run_beta_pattern_slot_other_than_1_or_2_exit_2(tmp_path, capsys):
     ("l39_joint_weight.cfg", {"t_hat": "1e308"}, "(w1 w2)^t_hat or w_i^(-q_i') leaves the positive"),
 ])
 def test_run_powers_past_the_float_range_exit_2(tmp_path, capsys, name, values, message):
-    # each is known only when the run computes it: s q / p, the weight's averages, the joint power
+    # s q / p is refused by the parse; the weight's averages and the joint power only by the run
     _run_exits_2_with(tmp_path, capsys, _shipped(name, **values), f"validation failure: {message}")
 
 

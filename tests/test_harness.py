@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from morreylab.harness import (
     _COLUMNS,
     _COMMON,
     _DRAW_CELLS,
-    _EXPERIMENT_KEYS,
+    _EXPERIMENTS,
     _KEYS,
     _REQUIRED,
     _exponent_set,
@@ -357,7 +358,7 @@ def _necessity_lambda(qp: Cube) -> float:
     """The lambda of the extremal pair on qp at the base window of t27_weak_type.cfg."""
     cfg = parse_config((CONFIGS / "t27_weak_type.cfg").read_text(encoding="utf-8"))
     w1, w2 = _weights(cfg, cfg.window, "w1", "w2")
-    return necessity_pair(w1, w2, qp, _exponent_set(cfg, WeightConditionKind.C27))[2]
+    return necessity_pair(w1, w2, qp, _exponent_set(cfg.params, 1, WeightConditionKind.C27))[2]
 
 
 def test_qprime_index_alone_selects_the_extremal_cube():
@@ -637,8 +638,8 @@ def test_config_doc_names_exactly_the_config_keys():
             default = group[group.rfind("`") + 1:].strip(" :")
             table.update(dict.fromkeys(re.findall(r"`([^`]+)`", group), default))
         documented.update(dict.fromkeys(re.findall(r"`([^`]+)`", names), table))
-    assert documented == {experiment: {k: _doc_default(v) for k, (v, _) in keys.items()}
-                          for experiment, keys in _EXPERIMENT_KEYS.items()}
+    assert documented == {experiment: {k: _doc_default(v) for k, (v, _) in record.keys.items()}
+                          for experiment, record in _EXPERIMENTS.items()}
 
 
 README = CONFIG_DOC.parents[1] / "README.md"
@@ -662,3 +663,48 @@ def test_config_doc_lists_exactly_the_experiments():
     section = CONFIG_DOC.read_text(encoding="utf-8").split("## Experiments\n", 1)[1]
     first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     assert sorted(re.findall(r"`([^`]+)`", "".join(first_cells))) == sorted(EXPERIMENTS)
+
+
+class _Reads(Mapping):
+    """A read-only mapping that records each key read from it."""
+
+    def __init__(self, params: Mapping):
+        self.params, self.read = params, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.params[key]
+
+    def __iter__(self):
+        return iter(self.params)
+
+    def __len__(self):
+        return len(self.params)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_each_runner_reads_every_key_of_its_record(path):
+    # a key of the record that the runner never reads would be accepted and then ignored
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    params = _Reads(cfg.params)
+    run_experiment(replace(cfg, params=params))
+    assert set(_EXPERIMENTS[cfg.experiment].keys) - params.read == set()
+
+
+@pytest.mark.parametrize("name, values, message", [
+    ("t28_strong_maximal.cfg", {"r1": "0"}, "0<r1<q1 (r1=0.0, q1=4.0)"),
+    ("t28_strong_maximal.cfg", {"alpha": "-inf"},
+     "0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0); 0<t<=s (t=0.0, s=0.0); "
+     "alpha/n>=1/r (alpha/n=-inf, 1/r=0.4)"),
+    ("t27_weak_type.cfg", {"alpha": "-inf"},
+     "0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0); t finite and nonzero "
+     "(t=0.0); 0<t<=s (t=0.0, s=0.0); alpha/n>=1/r (alpha/n=-inf, 1/r=0.4)"),
+    ("t21_two_weight.cfg", {"a": "5"}, "1<a<min(q1,q2) (a=5.0, min=1.8)"),
+    ("t29_vector_weight.cfg", {"r2": "4"},
+     "0<r2<q2 (r2=4.0, q2=4.0); 1<a<min(q1/r1,q2/r2) (a=1.0, min=1.0)"),
+    ("t22_two_weight.cfg", {"q2": "0"}, "q undefined: 1/q1 + 1/q2 with q1=3.0, q2=0.0"),
+])
+def test_regime_violations_are_refused_when_the_config_is_parsed(name, values, message):
+    with pytest.raises(ValidationError) as refused:
+        config_from_pairs(_shipped_pairs(name, **values))
+    assert str(refused.value) == message
