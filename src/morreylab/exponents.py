@@ -122,7 +122,7 @@ def build(regime: str, n: int, alpha: float, q1: float, q2: float, p: float,
 
 
 def _close(x: float, y: float) -> bool:
-    """x == y to a relative _TOL; an infinite or nan operand compares exactly."""
+    """x == y to a relative _TOL, exactly where x - y is not finite (an inf or nan operand)."""
     return abs(x - y) <= _TOL * max(1.0, abs(x), abs(y)) if math.isfinite(x - y) else x == y
 
 
@@ -131,7 +131,7 @@ def _finite_nonzero(x: float) -> bool:
 
 
 def _le(x: float, y: float) -> bool:
-    """x <= y to a relative _TOL; an infinite or nan operand compares exactly."""
+    """x <= y to a relative _TOL, exactly where x - y is not finite (an inf or nan operand)."""
     return x <= y + _TOL * max(1.0, abs(x), abs(y)) if math.isfinite(x - y) else x <= y
 
 

@@ -825,10 +825,10 @@ _KEYS = {"experiment"}.union(_COMMON, _DECOMPOSE_KEYS, *(e.keys for e in _EXPERI
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one experiment, stage by stage; deterministic for fixed (config, seed)."""
     rows, notes, violations = [], {}, 0
+    run = _EXPERIMENTS[cfg.experiment].run
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        for trials, lhs, rhs, label, bad in _EXPERIMENTS[cfg.experiment].run(cfg, stage, win,
-                                                                             notes):
+        for trials, lhs, rhs, label, bad in run(cfg, stage, win, notes):
             rows += [_row(stage, win, t, lo, hi, label) for t, lo, hi in zip(trials, lhs, rhs)]
             violations += bad
     # a nan side is a failed evaluation; the stage max would skip it unless it came first

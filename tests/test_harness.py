@@ -586,6 +586,18 @@ def _shipped_pairs(name: str, **values) -> list:
     ("cor_bh_maximal.cfg", {"alpha": "0.4"}, "COR_BH needs alpha = 0"),
     ("l39_joint_weight.cfg", {"t_hat": "1"}, "L39 needs t_hat >= q = 1.5"),
     ("l39_joint_weight.cfg", {"q1": "inf", "q2": "inf"}, "q undefined"),
+    # the regime of the experiment's weight condition, with its full message
+    ("t28_strong_maximal.cfg", {"r1": "0"}, "0<r1<q1 (r1=0.0, q1=4.0)"),
+    ("t28_strong_maximal.cfg", {"alpha": "-inf"},
+     "0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0); 0<t<=s (t=0.0, s=0.0); "
+     "alpha/n>=1/r (alpha/n=-inf, 1/r=0.4)"),
+    ("t27_weak_type.cfg", {"alpha": "-inf"},
+     "0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0); t finite and nonzero "
+     "(t=0.0); 0<t<=s (t=0.0, s=0.0); alpha/n>=1/r (alpha/n=-inf, 1/r=0.4)"),
+    ("t21_two_weight.cfg", {"a": "5"}, "1<a<min(q1,q2) (a=5.0, min=1.8)"),
+    ("t29_vector_weight.cfg", {"r2": "4"},
+     "0<r2<q2 (r2=4.0, q2=4.0); 1<a<min(q1/r1,q2/r2) (a=1.0, min=1.0)"),
+    ("t22_two_weight.cfg", {"q2": "0"}, "q undefined: 1/q1 + 1/q2 with q1=3.0, q2=0.0"),
 ])
 def test_each_domain_is_checked_when_the_config_is_parsed(name, values, message):
     # config_from_pairs raises, so no run starts and no file is read
@@ -689,22 +701,3 @@ def test_each_runner_reads_every_key_of_its_record(path):
     params = _Reads(cfg.params)
     run_experiment(replace(cfg, params=params))
     assert set(_EXPERIMENTS[cfg.experiment].keys) - params.read == set()
-
-
-@pytest.mark.parametrize("name, values, message", [
-    ("t28_strong_maximal.cfg", {"r1": "0"}, "0<r1<q1 (r1=0.0, q1=4.0)"),
-    ("t28_strong_maximal.cfg", {"alpha": "-inf"},
-     "0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0); 0<t<=s (t=0.0, s=0.0); "
-     "alpha/n>=1/r (alpha/n=-inf, 1/r=0.4)"),
-    ("t27_weak_type.cfg", {"alpha": "-inf"},
-     "0<=alpha<n (alpha=-inf, n=1); s finite and nonzero (s=0.0); t finite and nonzero "
-     "(t=0.0); 0<t<=s (t=0.0, s=0.0); alpha/n>=1/r (alpha/n=-inf, 1/r=0.4)"),
-    ("t21_two_weight.cfg", {"a": "5"}, "1<a<min(q1,q2) (a=5.0, min=1.8)"),
-    ("t29_vector_weight.cfg", {"r2": "4"},
-     "0<r2<q2 (r2=4.0, q2=4.0); 1<a<min(q1/r1,q2/r2) (a=1.0, min=1.0)"),
-    ("t22_two_weight.cfg", {"q2": "0"}, "q undefined: 1/q1 + 1/q2 with q1=3.0, q2=0.0"),
-])
-def test_regime_violations_are_refused_when_the_config_is_parsed(name, values, message):
-    with pytest.raises(ValidationError) as refused:
-        config_from_pairs(_shipped_pairs(name, **values))
-    assert str(refused.value) == message
