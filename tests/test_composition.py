@@ -27,7 +27,7 @@ _BASE = {"dim": "1", "level_min": "-3", "level_max": "0", "trials": "3", "seed":
 
 
 def _stages(pairs: dict):
-    """(cfg, stage window, {trial: row}, trial -> (f, g) on the stage window) per stage."""
+    """(stage window, {trial: row}, trial -> (f, g) on the stage window) per stage."""
     cfg = config_from_pairs({**_BASE, **pairs}.items())
     rows = run_experiment(cfg).rows
     assert len(rows) == cfg.trials * len(cfg.refinements)
@@ -38,7 +38,7 @@ def _stages(pairs: dict):
             return [LatticeFunction(win, expand_level(a, win, cfg.window.level_min))
                     for a in _drawn(cfg.seed, cfg.window, trial)]
 
-        yield cfg, win, {r["trial"]: r for r in rows if r["refinement"] == stage}, draws
+        yield win, {r["trial"]: r for r in rows if r["refinement"] == stage}, draws
 
 
 def _times(f: LatticeFunction, w: LatticeFunction) -> LatticeFunction:
@@ -65,7 +65,7 @@ def test_strong_type_rows_take_q1_with_f_and_q2_with_g(experiment):
     keys, kind = _STRONG[experiment]
     pairs = {"experiment": experiment, **keys, "weight_v": "pow:-0.1",
              "weight_w1": "pow:0.3", "weight_w2": "const:2"}
-    for cfg, win, rows, draws in _stages(pairs):
+    for win, rows, draws in _stages(pairs):
         e = build(kind.regime, 1, **{k: float(v) for k, v in keys.items()})
         v, w1 = power_weight(-0.1, win), power_weight(0.3, win)
         w2 = Weight.constant(win, 2.0)
@@ -82,7 +82,7 @@ def test_t29_rows_take_w_i_as_u_i_to_the_1_over_q_i():
     keys = {"alpha": "0.4", "q1": "4", "q2": "3", "p": "2.2", "r": "2.5", "a": "1.2",
             "r1": "2", "r2": "2"}
     pairs = {"experiment": "T29", **keys, "weight_u1": "pow:0.3", "weight_u2": "pow:-0.2"}
-    for cfg, win, rows, draws in _stages(pairs):
+    for win, rows, draws in _stages(pairs):
         e = build("T28", 1, **{k: float(v) for k, v in keys.items()})
         u1, u2 = power_weight(0.3, win), power_weight(-0.2, win)
         w1 = Weight(win, u1.values ** (1.0 / e.q1))
@@ -100,7 +100,7 @@ def test_sw101_rows_weight_f_by_gamma1_and_g_by_gamma2():
     # alpha = 0.6, so the order n - alpha = 0.4 of s and t is not alpha
     pairs = {"experiment": "SW101", "alpha": "0.6", "beta": "0.1", "gamma1": "0.2",
              "gamma2": "-0.2", "q1": "3", "q2": "2.5", "p1": "3.6", "p2": "3", "r": "inf"}
-    for cfg, win, rows, draws in _stages(pairs):
+    for win, rows, draws in _stages(pairs):
         q, p = solve_q(3.0, 2.5), solve_q(3.6, 3.0)
         s, _ = solve_st(1, 0.4, p, q, float("inf"))
         t = solve_weak_t(1, 0.4, q, float("inf"))
