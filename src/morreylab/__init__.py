@@ -16,15 +16,9 @@ provides:
 Everything is deterministic: fixed seeds reproduce reports byte for byte.
 """
 
-from .dyadic import Cube, Window, ancestors, parent
-from .errors import MorreyLabError, ValidationError
-from .exponents import (
-    ExponentSet,
-    build,
-    default_holder_pair,
-    solve_st,
-    validate,
-)
+from .dyadic import Cube, Window
+from .errors import ValidationError
+from .exponents import ExponentSet, build, solve_st, validate
 from .field import (
     LatticeFunction,
     Weight,
@@ -76,13 +70,11 @@ __all__ = [
     "ExperimentConfig",
     "ExponentSet",
     "LatticeFunction",
-    "MorreyLabError",
     "Report",
     "ValidationError",
     "Weight",
     "WeightConditionKind",
     "Window",
-    "ancestors",
     "ap_constant",
     "bh_maximal",
     "bilinear_fractional",
@@ -91,13 +83,11 @@ __all__ = [
     "commutator_iterated",
     "cz_decompose",
     "cz_decompose_alpha",
-    "default_holder_pair",
     "emit_report",
     "lemma39_check",
     "m_alpha_r",
     "morrey_norm",
     "necessity_pair",
-    "parent",
     "parse_config",
     "power_weight",
     "rhs_bilinear_morrey",

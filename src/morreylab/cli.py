@@ -17,26 +17,19 @@ import sys
 
 from .czd import decomposition_to_json
 from .errors import ValidationError
-from .field import LatticeFunction, Weight
 from .harness import (
-    _DECOMPOSE_KEYS,
-    _EXPERIMENTS,
-    _WEIGHT,
+    DECOMPOSE_KEYS,
     ExperimentConfig,
-    _decompose,
-    _exponent_set,
-    _make_weight,
-    _q0,
-    _read_csv,
-    _stage_chunks,
-    _weights,
-    _write_json,
     config_from_pairs,
+    csv_morrey_norm,
+    decompose,
     emit_report,
+    hypothesis,
     parse_config,
     run_experiment,
+    write_json,
 )
-from .weights_norms import WeightConditionKind, morrey_norm, two_weight_constant
+from .weights_norms import WeightConditionKind
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,43 +61,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    f = _read_csv(args.csv)
-    bad = [] if 0 < args.q <= args.p else [f"norm needs 0 < q <= p; got q={args.q}, p={args.p}"]
-    bad += _WEIGHT.problem("norm", "weight", args.weight, f.window)
-    if bad:
-        raise ValidationError(bad)
-    w = _make_weight(args.weight, f.window) if args.weight else None
-    print(repr(morrey_norm(f, args.p, args.q, w=w)))
+    print(repr(csv_morrey_norm(args.csv, args.p, args.q, args.weight)))
     return EXIT_OK
 
 
 def _cmd_weight_const(args) -> int:
     cfg = _load_config(args.config)
-    own = _EXPERIMENTS[cfg.experiment].kind
-    if own is None:
-        raise ValidationError(f"{cfg.experiment} does not read the exponent keys of weight-const")
-    kind, win = WeightConditionKind(args.kind), cfg.window
-    e = _exponent_set(cfg.params, win.dim, kind)
-    if kind.regime == "T21" and (e.s < 1.0) != (kind is WeightConditionKind.C22):
-        raise ValidationError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
-    if own is WeightConditionKind.C211:  # T29: the weights u1, u2 take the places of w1, w2
-        v, w1, w2 = Weight.constant(win, 1.0), *_weights(cfg, win, "u1", "u2")
-    else:
-        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-    print(repr(two_weight_constant(kind, v, w1, w2, e, win)))
+    *_, const = hypothesis(cfg, cfg.window, WeightConditionKind(args.kind))
+    print(repr(const))
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    cfg = _load_config(args.config, _DECOMPOSE_KEYS)
-    if cfg.experiment != "CZ_INV":
-        raise ValidationError(f"decompose needs a CZ_INV config; got {cfg.experiment}")
-    win = cfg.window
-    q0 = _q0(cfg.params, win)
-    _, f, g, _ = next(_stage_chunks(cfg, win, n_trials=1))
-    f, g = (LatticeFunction(win, x.values[0]) for x in (f, g))
-    (d, bad, _), = _decompose(cfg, (cfg.params["kind"],), f, g, q0)
-    _write_json(decomposition_to_json(d, win), args.json)
+    cfg = _load_config(args.config, DECOMPOSE_KEYS)
+    d, bad = decompose(cfg)
+    write_json(decomposition_to_json(d, cfg.window), args.json)
     print(f"wrote {args.json}: {sum(len(v) for v in d.levels.values())} stopping cubes "
           f"over {len(d.levels)} levels")
     if bad:

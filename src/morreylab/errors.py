@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""ValidationError: the exception for input outside its domain.
 
 ValueError subclasses are used for mathematical precondition failures so the
 functions stay pythonic; ValidationError aggregates input outside its domain
@@ -9,11 +9,7 @@ exception: runs and `decompose` count the violations and exit 3.
 """
 
 
-class MorreyLabError(Exception):
-    """Base class for package errors."""
-
-
-class ValidationError(MorreyLabError):
+class ValidationError(Exception):
     """Configuration or exponent-set validation failed.
 
     Carries the list of human-readable violations.

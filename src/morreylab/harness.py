@@ -32,13 +32,15 @@ prolongs; a trial past the table is drawn again at each stage, so memory
 does not grow with the trials (_draw_table).  Every runner but JN and L39
 takes the trials in batched chunks of _BATCH_CELLS cells per array, a
 remainder under half a chunk joining the chunk before it (_stage_chunks;
-CZ_INV and `morreylab decompose` then take unbatched slices), so the rows,
-in trial-index order, do not depend on the chunking or on the table.  On
-each slice, one table pass builds the stopping-time forest of every kind,
-and one more pass rechecks them (_decompose).
+CZ_INV then takes unbatched slices), so the rows, in trial-index order, do
+not depend on the chunking or on the table.  On each slice, and on trial 0
+for `morreylab decompose`, one table pass builds the stopping-time forest of
+every kind, and one more pass rechecks them (_decompose).
 
 Each experiment is one _EXPERIMENTS record (its runner, keys and weight condition),
-so adding an experiment means adding one record.  Config files are flat UTF-8
+so adding an experiment means adding one record; hypothesis turns a record's weight
+condition into the weights and constant of a stage, for its runner and for
+`morreylab weight-const`.  Config files are flat UTF-8
 ``key = value`` lines, arrays as comma lists, ``#`` comments allowed; cfg.params has
 every key of the record and _COMMON, typed and in its domain, and no other.  Each
 domain, and each rule of _joint_problems that joins keys (the exponent set's regime
@@ -170,8 +172,8 @@ _MAXIMAL = {**_EXPONENTS, "alpha": (0.0, _FLOAT)}
 # decompose kind -> the config keys of its czd parameters
 _CZ_KINDS = {"cz": ("theta1", "theta2"), "cz_alpha": ("r1", "r2", "alpha")}
 # the keys that `morreylab decompose` reads besides CZ_INV's
-_DECOMPOSE_KEYS = {"kind": ("cz", _Domain(str, "{key} = cz or cz_alpha",
-                                          lambda v, w: v in _CZ_KINDS))}
+DECOMPOSE_KEYS = {"kind": ("cz", _Domain(str, "{key} = cz or cz_alpha",
+                                         lambda v, w: v in _CZ_KINDS))}
 
 
 def _parse(key: str, text: str, domain: _Domain):
@@ -436,6 +438,17 @@ def _read_csv(path: str, window: Window | None = None) -> LatticeFunction:
         raise ValidationError(f"bad CSV {path!r}: {exc}") from exc
 
 
+def csv_morrey_norm(path: str, p: float, q: float, weight: str | None = None) -> float:
+    """`morreylab norm`: the Morrey norm of the CSV file's lattice function, weighted by a
+    spec of the config keys' weight domain (pow:G, const:C or csv:PATH) if one is given."""
+    f = _read_csv(path)
+    bad = [] if 0 < q <= p else [f"norm needs 0 < q <= p; got q={q}, p={p}"]
+    bad += _WEIGHT.problem("norm", "weight", weight, f.window)
+    if bad:
+        raise ValidationError(bad)
+    return morrey_norm(f, p, q, w=_make_weight(weight, f.window) if weight else None)
+
+
 def _make_weight(spec: str, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
     """The weight of a spec of the _WEIGHT domain on window."""
     kind, _, arg = spec.partition(":")
@@ -480,6 +493,32 @@ def _exponent_set(params: Mapping, dim: int, kind: WeightConditionKind) -> Expon
     if violations:
         raise ValidationError(violations)
     return e
+
+
+def hypothesis(cfg: ExperimentConfig, win: Window, kind: WeightConditionKind | None = None):
+    """(e, kind, v, w1, w2, const): the hypothesis side of cfg's run on win (a stage's
+    window).  kind defaults to the weight condition of cfg's record; T21's C22 gives way to
+    C23 at s >= 1, and a named T21 kind that this rule does not pick is a ValidationError.
+    e is the exponent set of kind's regime, v, w1, w2 the weights of the inequality and
+    const kind's constant on the config's weights.  A T29 config names u1, u2: the constant
+    takes (const:1, u1, u2), the inequality w_i = u_i^(1/q_i) and v = w1 w2."""
+    own = _EXPERIMENTS[cfg.experiment].kind
+    if own is None:
+        raise ValidationError(f"{cfg.experiment} does not read the exponent keys of a weight "
+                              "condition")
+    named, kind = kind, own if kind is None else kind
+    e = _exponent_set(cfg.params, win.dim, kind)
+    if kind.regime == "T21":
+        kind = WeightConditionKind.C22 if e.s < 1.0 else WeightConditionKind.C23
+        if named not in (None, kind):
+            raise ValidationError(f"C22 needs s<1 and C23 needs s>=1 (s={e.s})")
+    if own is not WeightConditionKind.C211:
+        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
+        return e, kind, v, w1, w2, two_weight_constant(kind, v, w1, w2, e, win)
+    u1, u2 = _weights(cfg, win, "u1", "u2")
+    const = two_weight_constant(kind, Weight.constant(win, 1.0), u1, u2, e, win)
+    w1, w2 = Weight(win, u1.values ** (1.0 / e.q1)), Weight(win, u2.values ** (1.0 / e.q2))
+    return e, kind, Weight(win, w1.values * w2.values), w1, w2, const
 
 
 def _growth(summary_per_stage: list[dict]) -> tuple[list, dict]:
@@ -537,26 +576,15 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, cfg.params["depth"])
 
 
-def _run_strong_type(operator: str, kind: WeightConditionKind, cfg: ExperimentConfig,
-                     stage: int, win: Window, notes: dict):
+def _run_strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Window,
+                     notes: dict):
     """|T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2) for the operator T (bilinear,
-    commutator, m_alpha_r or bh_maximal) and the constant C of the weight condition kind."""
-    vector = kind is WeightConditionKind.C211
-    e = _exponent_set(cfg.params, win.dim, kind)
-    if kind is WeightConditionKind.C22 and e.s >= 1.0:
-        kind = WeightConditionKind.C23
+    commutator, m_alpha_r or bh_maximal) and the constant C of the record's weight condition."""
+    e, kind, v, w1, w2, const = hypothesis(cfg, win)
     notes["condition_kind"] = kind.value
-    if vector and cfg.params["a"] is None:
+    if kind is WeightConditionKind.C211 and cfg.params["a"] is None:
         notes["derived_a"] = e.a
     n_sym = cfg.params["n_symbols"] if operator == "commutator" else 0
-    if vector:
-        u1, u2 = _weights(cfg, win, "u1", "u2")
-        w1, w2 = Weight(win, u1.values ** (1.0 / e.q1)), Weight(win, u2.values ** (1.0 / e.q2))
-        v = Weight(win, w1.values * w2.values)
-        const = two_weight_constant(kind, None, u1, u2, e, win)
-    else:
-        v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
-        const = two_weight_constant(kind, v, w1, w2, e, win)
     for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
         if operator == "m_alpha_r":
             out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
@@ -586,11 +614,9 @@ def _run_maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, wi
 
 def _run_weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window,
                    notes: dict):
-    e = _exponent_set(cfg.params, win.dim, WeightConditionKind.C27)
-    notes["condition_kind"] = WeightConditionKind.C27.value
-    v, w1, w2 = _weights(cfg, win, "v", "w1", "w2")
+    e, kind, v, w1, w2, const = hypothesis(cfg, win)
+    notes["condition_kind"] = kind.value
     q0 = _q0(cfg.params, win)
-    const = two_weight_constant(WeightConditionKind.C27, v, w1, w2, e, win)
 
     def sides(f, g, big_m):
         return (float(weak_morrey_functional(big_m, v, e.t, e.s, q0)),
@@ -723,6 +749,18 @@ def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunct
             for d, spec, tables, a in zip(forests, specs, checks, args)]
 
 
+def decompose(cfg: ExperimentConfig) -> tuple[Decomposition, list[str]]:
+    """`morreylab decompose`: the stopping-time forest of the config's kind for trial 0 on
+    the base window, and its verify_decomposition violations (cfg: a CZ_INV config parsed
+    with DECOMPOSE_KEYS)."""
+    if cfg.experiment != "CZ_INV":
+        raise ValidationError(f"decompose needs a CZ_INV config; got {cfg.experiment}")
+    win = cfg.window
+    f, g = (LatticeFunction(win, x) for x in _drawn(cfg.seed, win, 0))
+    (d, bad, _), = _decompose(cfg, (cfg.params["kind"],), f, g, _q0(cfg.params, win))
+    return d, bad
+
+
 def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q0 = _q0(cfg.params, win)
     for trials, f, g, _ in _stage_chunks(cfg, win):
@@ -767,7 +805,8 @@ def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
 class _Experiment(NamedTuple):
     """run(cfg, stage, win, notes), the runner with its variant bound, yields a stage's
     (trials, lhs, rhs, label, violations) in trial order; keys maps each key besides _COMMON
-    that it reads to (default, domain); kind is the weight condition of the exponent keys.
+    that it reads to (default, domain); kind is the weight condition of the exponent keys,
+which hypothesis reads.
     A runner reaches the library through this module's globals, which a tracer may rebind."""
 
     run: Callable
@@ -776,8 +815,8 @@ class _Experiment(NamedTuple):
 
 
 def _strong(operator: str, kind: str, keys: Mapping) -> _Experiment:
-    kind = WeightConditionKind(kind)
-    return _Experiment(functools.partial(_run_strong_type, operator, kind), keys, kind)
+    return _Experiment(functools.partial(_run_strong_type, operator), keys,
+                       WeightConditionKind(kind))
 
 
 _EXPERIMENTS = {
@@ -819,7 +858,7 @@ _EXPERIMENTS = {
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
-_KEYS = {"experiment"}.union(_COMMON, _DECOMPOSE_KEYS, *(e.keys for e in _EXPERIMENTS.values()))
+_KEYS = {"experiment"}.union(_COMMON, DECOMPOSE_KEYS, *(e.keys for e in _EXPERIMENTS.values()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -879,7 +918,7 @@ def _json_safe(obj):
     return str(obj)
 
 
-def _write_json(obj, path) -> None:
+def write_json(obj, path) -> None:
     """Write obj through _json_safe as sorted, indented JSON with a final newline;
     byte-stable for equal objects."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -900,5 +939,5 @@ def emit_report(report: Report, path) -> tuple[str, str]:
         lines.append(",".join(cells))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_json(report.summary, json_path)
+    write_json(report.summary, json_path)
     return csv_path, json_path

@@ -690,6 +690,20 @@ def test_weight_const_of_the_other_t21_kind_exit_2(capsys):
     assert "validation failure: C22 needs s<1 and C23 needs s>=1 (s=1.5" in capsys.readouterr().err
 
 
+def test_t21_at_s_equal_to_1_takes_c23(tmp_path, capsys):
+    # 1/s = 1/p + 1/r - alpha = 1.25 + 0.25 - 0.5 = 1 exactly, and t = s q / p = 1
+    path = _write(tmp_path, "s1.cfg", _shipped("t21_two_weight.cfg", q1="1.6", q2="1.6", p="0.8",
+                                                r="4", trials="2", refinements="0"))
+    assert cli.main(["run", path, "--out", str(tmp_path / "rep")]) == 0
+    summary = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))
+    assert summary["notes"]["condition_kind"] == "C23"
+    capsys.readouterr()
+    assert cli.main(["weight-const", "C23", path]) == 0
+    assert float(capsys.readouterr().out) > 0.0
+    assert cli.main(["weight-const", "C22", path]) == 2
+    assert "C22 needs s<1 and C23 needs s>=1 (s=1.0)" in capsys.readouterr().err
+
+
 def test_a_value_error_inside_the_program_is_not_exit_2(tmp_path, monkeypatch):
     # exit 2 is bad input only: any exception but ValidationError and OSError is a bug and leaves
     # cli.main, so the command line prints its traceback and exits 1

@@ -13,7 +13,6 @@ from morreylab.exponents import (
     _le,
     build,
     conjugate,
-    default_holder_pair,
     solve_st,
     validate,
 )
@@ -81,23 +80,30 @@ def test_validate_flags_a_zero_r1_without_dividing():
     assert not any(m.startswith("1/r1+1/r2=1") for m in msgs)
 
 
+# build defaults (r1, r2) to the Holder pair (q1/q, q2/q), 1/q = 1/q1 + 1/q2, in the regimes
+# that read it, and leaves them unset in T21
 def test_default_holder_pair_symmetric():
-    assert default_holder_pair(3.0, 3.0) == (2.0, 2.0)
+    for regime in ("T22", "T27", "T28"):
+        e = build(regime, 1, 0.4, 3.0, 3.0, 2.0, INF)
+        assert (e.r1, e.r2) == (2.0, 2.0)
 
 
 def test_default_holder_pair_asymmetric():
-    r1, r2 = default_holder_pair(2.0, 6.0)
-    assert_close(r1, 4.0 / 3.0)
-    assert_close(r2, 4.0)
-    assert_close(1.0 / r1 + 1.0 / r2, 1.0)
+    e = build("T28", 1, 0.4, 2.0, 6.0, 2.0, INF)
+    assert_close(e.r1, 4.0 / 3.0)
+    assert_close(e.r2, 4.0)
+    assert_close(1.0 / e.r1 + 1.0 / e.r2, 1.0)
+    assert build("T28", 1, 0.4, 2.0, 6.0, 2.0, INF, r1=1.5, r2=3.0).r1 == 1.5
+    t21 = build("T21", 1, 0.4, 2.0, 6.0, 2.0, INF)
+    assert t21.r1 is None and t21.r2 is None
 
 
 def test_default_holder_pair_conjugate_random():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         q1, q2 = rng.uniform(1.01, 50.0, 2)
-        r1, r2 = default_holder_pair(q1, q2)
-        assert abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-12
+        e = build("T27", 1, 0.01, q1, q2, 2.0, INF)
+        assert abs(1.0 / e.r1 + 1.0 / e.r2 - 1.0) <= 1e-12
 
 
 def test_conjugate_involution():

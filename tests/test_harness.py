@@ -461,6 +461,13 @@ def test_l39_experiment_stable():
     assert rep.summary["growth_flags"]["stable_lt_2"]
 
 
+def test_l39_default_t_hat_is_q_when_q_exceeds_1():
+    # q1 = q2 = 3 give q = 1.5, so the default max(q, 1) is q itself
+    pairs = [("experiment", "L39"), ("q1", "3"), ("q2", "3"), ("trials", "1")]
+    rep = run_experiment(config_from_pairs(pairs))
+    assert rep.summary["notes"]["t_hat"] == 1.5
+
+
 def test_csv_weight_requires_matching_window(tmp_path):
     from morreylab.dyadic import Window
     from morreylab.field import Weight, to_csv
@@ -701,3 +708,14 @@ def test_each_runner_reads_every_key_of_its_record(path):
     params = _Reads(cfg.params)
     run_experiment(replace(cfg, params=params))
     assert set(_EXPERIMENTS[cfg.experiment].keys) - params.read == set()
+
+
+@pytest.mark.parametrize("maxima, flags", [
+    ((1.0, 2.0), {"stable_lt_2": False, "divergent_ge_1p5": True}),
+    ((1.0, 1.5), {"stable_lt_2": True, "divergent_ge_1p5": True}),
+])
+def test_growth_flags_at_their_boundaries(maxima, flags):
+    # a factor of exactly 2 is not stable, one of exactly 1.5 is divergent
+    from morreylab.harness import _growth
+    factors, got = _growth(_stages(*maxima))
+    assert factors == [maxima[1]] and got == flags

@@ -1,9 +1,12 @@
-"""Package-level checks: the public name list and the annotations of every module."""
+"""Package-level checks: the public name list, the annotations of every module and the
+names that the command line takes from the harness."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import morreylab
 
@@ -50,3 +53,12 @@ def test_every_annotation_resolves():
             except Exception as exc:  # collect every failure, not just the first
                 broken.append(f"{module.__name__}.{name}: {exc!r}")
     assert broken == []
+
+
+def test_cli_imports_no_private_harness_name():
+    # the commands reach the experiment records through public harness functions only
+    tree = ast.parse(Path(inspect.getfile(morreylab)).with_name("cli.py").read_text("utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "harness"]
+    assert imports
+    assert [a.name for node in imports for a in node.names if a.name.startswith("_")] == []
