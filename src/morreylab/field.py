@@ -24,30 +24,26 @@ through _require_unbatched.  Every entry point that takes several lattice
 functions or weights checks that they share one window through _same_window.
 
 Weights are strictly positive lattice functions.  power_weight builds the
-cell-average discretization of |x|^gamma: closed-form antiderivatives in one
-dimension; in higher dimensions a corner-refined midpoint rule that splits
-the origin cell dyadically to a configurable depth (the integrand is singular
-only at the origin, which is always a cell corner).  The uncontrolled error
-of the midpoint leaves is O(2^(-depth*(gamma+n))) for the origin cell; the
-value is reported, not assumed, by the accuracy tests.
+cell-average discretization of |x|^gamma: in one dimension the closed-form
+antiderivative at the cell edges; in higher dimensions a corner-refined
+midpoint rule that splits the origin cell dyadically to a configurable depth
+(the integrand is singular only at the origin, always a cell corner), whose
+uncontrolled error in the origin cell, O(2^(-depth*(gamma+n))), the accuracy
+tests report.  Either way C libm runs once per distinct tuple of per-axis
+|x_i| (_libm_once), as it does for the harness's JN log symbol.
 
-The rule is defined by a per-box corner recursion, but it runs as array
-passes in two parts.  The geometry is one cached _quadrature_plan per grid
-of cells and depth, for every gamma: walking down, each level of the chain
-of sub-boxes touching the origin keeps the per-axis distinct |c| of its
-midpoint leaves, and the boxes that touch the origin, halved into the next
-level's grid one depth lower.  So the whole window is one level, and each
-halving of that chain is one more; the stack does not grow with the depth.
-Per gamma, _grid_averages takes the powers of each group of levels that
-share a shape in one batch (_midpoint_rule), then walks back up, folding
-each level's averages into the touching boxes of the level above.  The
-passes repeat the recursion's floating-point operations in its order, so
-the cell values are bit-identical to it by construction;
-tests/test_quadrature.py keeps the recursion as the oracle.  The same
-averages, with gamma = alpha - n on the block of cells centred on the
-origin, are the kernel of the bilinear integrals in operators; for a window
-centred on the origin that block is the window's own grid, so the kernel
-and the weights of a stage share one plan.
+The rule is a per-box corner recursion run as array passes.  One cached
+_quadrature_plan per grid of cells and depth holds the geometry for every
+gamma: down the chain of sub-boxes touching the origin, each level's distinct
+per-axis leaf |c| and its touching boxes, halved into the next level's grid.
+Per gamma, _grid_averages evaluates each group of levels of one shape in one
+batch (_midpoint_rule), then folds each level into the touching boxes of the
+level above, with the recursion's floating-point operations in its order, so
+the values are bit-identical to it (tests/test_quadrature.py keeps it as the
+oracle).  With gamma = alpha - n on the block of cells centred on the origin,
+the same averages are the kernel of the bilinear integrals in operators; for
+a window centred on the origin that block is the window's own grid, so the
+kernel and the weights of a stage share one plan.
 """
 
 from __future__ import annotations
@@ -287,22 +283,6 @@ def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> n
 # -- |x|^gamma cell averages ---------------------------------------------------
 
 
-def _abs_power_antiderivative(x: float, gamma: float) -> float:
-    # F'(x) = |x|^gamma, F(0) = 0; valid piecewise away from 0 for gamma <= -1, where the
-    # magnitude below is negative (so not math.copysign, which drops its sign)
-    if gamma == -1.0:
-        return math.copysign(1.0, x) * math.log(abs(x)) if x != 0.0 else -math.inf
-    return math.copysign(1.0, x) * abs(x) ** (gamma + 1.0) / (gamma + 1.0)
-
-
-def _integral_abs_power_1d(a: float, b: float, gamma: float) -> float:
-    """Exact integral of |x|^gamma over [a, b); a < b.  F(b) - F(a) also across 0, where it
-    is bit for bit (F(0) - F(a)) + (F(b) - F(0)) since F(0) = 0.0."""
-    if a <= 0.0 <= b and gamma <= -1.0:
-        raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
-    return _abs_power_antiderivative(b, gamma) - _abs_power_antiderivative(a, gamma)
-
-
 # Midpoint-rule depth of the boxes that miss the origin, at every level of the origin chain.
 _REG_DEPTH = 3
 
@@ -328,55 +308,50 @@ def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
                                                        for x in (slice(None), bit))], n)
 
 
-def _radii(coords: Sequence[np.ndarray]) -> np.ndarray:
-    """|c| on the grid of the per-axis coordinates: squares added in axis order, then np.sqrt.
-    The coordinates may share leading axes, which lead the grid.  It serves the quadrature
-    leaves (_powers) and the JN cell centres (harness._log_abs)."""
-    n = len(coords)
-    r = 0.0
-    for axis, c in enumerate(coords):
-        c = c.reshape(c.shape[:-1] + (1,) * axis + (-1,) + (1,) * (n - 1 - axis))
-        r = r + c * c
-    np.sqrt(r, out=r)
-    return r
-
-
-# Radii per block of _powers: each block's Python floats live at once.
+# Python floats per block of _libm_once: each block's floats live at once.
 _POW_CHUNK = 1 << 10
 
 
-def _powers(distinct: Sequence[np.ndarray], gamma: float, symmetric: bool) -> np.ndarray:
-    """|c|^gamma on the _radii grid of the per-axis distinct |c| (leading level axis), so once
-    per distinct tuple of per-axis |c|.
-
-    The power is Python's float pow (C pow), on Python floats a block of rows of axis 0 at
-    a time (as harness._log_abs takes C log): np.power is not bit-equal to C pow on every
-    platform (it is not with AVX-512), and the per-box recursion uses C pow.  When axes 0
-    and 1 hold the same |c| (symmetric), c0^2 + c1^2 is the same float either way round,
-    since one IEEE add commutes, so the radius grid is symmetric bit for bit.  Then each
-    block of rows takes its pows from its first row's diagonal on (the upper triangle and
-    a corner below it), and the strict lower triangle is the mirror of the upper.
-    """
-    p = _radii(distinct)  # the powers replace the radii a block of rows at a time
-    m = p.shape[1]
-    step = max(1, _POW_CHUNK // p[:, 0].size)
+def _libm_once(distinct: Sequence[np.ndarray], symmetric: bool, fn: Callable,
+               *args) -> np.ndarray:
+    """fn(r, *args) once per point of the grid of the per-axis distinct |c| (after a leading
+    level axis), r = |c| on one axis, else sqrt(c_0^2 + c_1^2 + ...) with the squares added
+    in axis order.  fn is C libm (pow, math.log) on Python floats, a block of rows of
+    axis 0 at a time: np.power and np.log are not bit-equal to C with AVX-512.  symmetric:
+    axes 0 and 1 hold the same |c|, so the grid is symmetric bit for bit (one IEEE add
+    commutes); fn then takes the pairs i <= j only, packed into one axis at j (j + 1) / 2 + i."""
+    m, *rest = (d.shape[1] for d in distinct)
+    out = np.empty((len(distinct[0]), m * (m + 1) // 2 if symmetric else m, *rest[symmetric:]))
+    step, at, n = max(1, _POW_CHUNK // (len(out) * math.prod(rest))), 0, len(distinct)
+    squares = [(d * d).reshape((len(d),) + (1,) * k + (-1,) + (1,) * (n - 1 - k))
+               for k, d in enumerate(distinct)]
     for i in range(0, m, step):
-        block = p[:, i:i + step, i:] if symmetric else p[:, i:i + step]
-        block[...] = np.fromiter(map(pow, block.ravel().tolist(), itertools.repeat(gamma)),
-                                 float, block.size).reshape(block.shape)
-    if not symmetric:
-        return p
-    upper = np.triu(np.ones((m, m), dtype=bool))
-    return np.where(upper.reshape(upper.shape + (1,) * (p.ndim - 3)), p, p.swapaxes(1, 2))
+        if n == 1:
+            r = distinct[0][:, i:i + step]
+        else:  # the squares added in axis order
+            cols = squares[1][:, :, :i + step] if symmetric else squares[1]
+            r = np.sqrt(sum(squares[2:], squares[0][:, i:i + step] + cols))
+        if symmetric:  # each row j of the block against the columns up to j
+            r = np.concatenate([r[:, k, :i + k + 1] for k in range(r.shape[1])], axis=1)
+        vals = map(fn, r.ravel().tolist(), *map(itertools.repeat, args))
+        out[:, at:at + r.shape[1]] = np.fromiter(vals, float, r.size).reshape(r.shape)
+        at += r.shape[1]
+    return out
+
+
+def _libm_grid(coords: Sequence[np.ndarray], fn: Callable, *args) -> np.ndarray:
+    """_libm_once on the _distinct_abs of each axis of the coordinates, gathered back onto
+    their grid: fn(|x|, *args) at every point x of the grid."""
+    distinct, inverse = zip(*map(_distinct_abs, coords))
+    symmetric = len(coords) > 1 and np.array_equal(distinct[0], distinct[1])
+    values = _libm_once([d[None] for d in distinct], symmetric, fn, *args)
+    return _gather(values, [x[None] for x in inverse], symmetric)[0]
 
 
 def _distinct_abs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct |c| in order of appearance, and the position of each |c| among them.
-
-    np.unique would do the same in sorted order, but its first call imports numpy.ma
-    (through np.ma.is_masked): 15-20 ms and 1.6 MB of resident size per process with
-    numpy 2.4 on a 2-core Xeon VM.  The axes are short.
-    """
+    """The distinct |c| in order of appearance, and the position of each |c| among them:
+    np.unique's, unsorted, without the numpy.ma import of its first call (through
+    np.ma.is_masked): 15-20 ms and 1.6 MB of resident size per process with numpy 2.4."""
     index: dict[float, int] = {}
     positions = [index.setdefault(abs(v), len(index)) for v in c.tolist()]
     return np.array(list(index)), np.array(positions)
@@ -477,22 +452,26 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gather(inverse: Sequence[np.ndarray], step: int, corner: Sequence[int], rows: slice) -> tuple:
-    """Index into the powers of a group (levels, m_0, .., m_{n-1}) that gives, per level, the
-    grid of its leaves at positions corner[i] :: step along axis i, those of axis 0 cut to
-    rows."""
+def _gather(values: np.ndarray, inverse: Sequence[np.ndarray], symmetric: bool) -> np.ndarray:
+    """values (from _libm_once) per level on the grid of the per-axis positions inverse
+    (levels, positions), read at flat offsets by np.take.  symmetric: axes 0 and 1 read the
+    packed pair max(i (i + 1) / 2 + j, j (j + 1) / 2 + i), which is j (j + 1) / 2 + i if i <= j."""
     n = len(inverse)
-    index = [np.arange(len(inverse[0])).reshape((-1,) + (1,) * n)]
-    for axis, (inv, bit) in enumerate(zip(inverse, corner)):
-        inv = inv[:, bit::step]
-        if axis == 0:
-            inv = inv[:, rows]
-        index.append(inv.reshape((len(inv),) + (1,) * axis + (-1,) + (1,) * (n - 1 - axis)))
-    return tuple(index)
+    level, *strides = (s // values.itemsize for s in values.strides)
+    pos = [inv.reshape((len(inv),) + (1,) * k + (-1,) + (1,) * (n - 1 - k))
+           for k, inv in enumerate(inverse)]
+    flat = np.arange(len(values)).reshape((-1,) + (1,) * n) * level
+    if symmetric:  # the level offset joins both sums, so only three ops span the grid
+        (i, j), pos, s = pos[:2], pos[2:], strides.pop(0)
+        flat = np.maximum(flat + s * (i * (i + 1) // 2) + s * j,
+                          flat + s * (j * (j + 1) // 2) + s * i)
+    for p, stride in zip(pos, strides):
+        flat = flat + p * stride
+    return values.take(flat)
 
 
-# Entries per block of rows of the first fold: the corners it gathers are temporaries.
-_FOLD_BLOCK = 1 << 16
+# Entries per block of box rows of the first fold: the corners it gathers are temporaries.
+_FOLD_BLOCK = 1 << 14
 
 
 def _midpoint_rule(group: _QuadratureGroup, gamma: float) -> np.ndarray:
@@ -507,26 +486,27 @@ def _midpoint_rule(group: _QuadratureGroup, gamma: float) -> np.ndarray:
     stacked levels, so each level gets the bits of its own rule.
     (The recursion adds the squares with sum(), which CPython 3.12 made
     compensated; that can move the last bit of a 3-D leaf, never a 2-D one.)
-    Since c^2 = |c|^2 exactly, the powers are taken once per distinct tuple
-    of per-axis |c| (_powers: half of a quarter of the leaves of a 2-D window
-    centred at the origin), and the first fold gathers its corners from them
-    a block of rows at a time, so no array holds every leaf.  A leaf midpoint
-    at the origin would raise ZeroDivisionError for gamma < 0; the origin is a
-    corner of every box the plan holds, so no leaf midpoint is.
+    Since c^2 = |c|^2 exactly, _libm_once takes the powers once per distinct
+    tuple of per-axis |c| (an eighth of the leaves of a 2-D window centred at
+    the origin), and the folds gather from them a block of box rows at a time,
+    so no array holds every leaf.  No leaf midpoint is the origin (it would
+    raise ZeroDivisionError for gamma < 0): it is a corner of every box.
     """
     n = len(group.distinct)
-    powers = _powers(group.distinct, gamma, group.symmetric)
+    powers = _libm_once(group.distinct, group.symmetric, pow, gamma)
     if group.depth <= 0:
-        return powers[_gather(group.inverse, 1, (0,) * n, slice(None))]
-    shape = (len(powers),) + tuple(inv.shape[1] // 2 for inv in group.inverse)
+        return _gather(powers, group.inverse, group.symmetric)
+    leaves = 1 << group.depth  # per axis of a box
+    shape = (len(powers),) + tuple(inv.shape[1] // leaves for inv in group.inverse)
     vals = np.empty(shape)
-    step = max(1, _FOLD_BLOCK // math.prod(shape[2:]) // shape[0])
+    step = max(1, _FOLD_BLOCK // (shape[0] * (leaves // 2) ** n * math.prod(shape[2:])))
     for i in range(0, shape[1], step):
-        rows = slice(i, i + step)
-        vals[:, rows] = _fold(lambda corner: powers[_gather(group.inverse, 2, corner, rows)], n)
-    del powers
-    for _ in range(group.depth - 1):
-        vals = _fold_halves(vals, n)
+        inverse = (group.inverse[0][:, i * leaves:(i + step) * leaves], *group.inverse[1:])
+        block = _fold(lambda corner: _gather(powers, [x[:, bit::2] for x, bit in zip(
+            inverse, corner)], group.symmetric), n)
+        for _ in range(group.depth - 1):
+            block = _fold_halves(block, n)
+        vals[:, i:i + step] = block
     return vals
 
 
@@ -553,24 +533,28 @@ def _grid_averages(plan: _QuadraturePlan, gamma: float) -> np.ndarray:
 def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> np.ndarray:
     """Cell-average array of |x|^gamma over every finest cell of the window.
 
-    n = 1 uses the closed-form antiderivative (exact), cell by cell.  n >= 2
-    runs _grid_averages on the cached _quadrature_plan of the window's cells:
-    one _midpoint_rule array pass for the cells, and one per group of the
-    levels of the chain below the at most 2^n cells that touch the origin.
-    Windows with the same cells share a plan, so the weights of a stage and
-    the kernel on the block of cells centred on the origin take the
-    geometry once.  The values are bit-identical to a corner recursion run
-    cell by cell.  gamma <= -n raises when a cell touches the origin.  An
-    average that overflows a float (C pow raises OverflowError, numpy's sums
-    FloatingPointError here) or underflows to 0 is a ValidationError.
+    n = 1 is exact: (F(b) - F(a)) / h per cell [a, b], F(x) = sign(x)
+    |x|^(gamma+1) / (gamma+1) (sign(x) log|x| at gamma = -1), with C libm
+    once per distinct |edge| (_libm_grid).  n >= 2 runs _grid_averages on
+    the cached _quadrature_plan of the window's cells: one _midpoint_rule
+    array pass for the cells, and one per group of the levels of the chain
+    below the at most 2^n cells that touch the origin.  The values are
+    bit-identical to a corner recursion run cell by cell.  gamma <= -n raises
+    when a cell touches the origin.  An average that overflows a float (C pow
+    raises OverflowError, numpy FloatingPointError here) or underflows to 0 is
+    a ValidationError.
     """
     try:
         with np.errstate(over="raise"):
             if window.dim == 1:
                 h, (a,) = window.cell_side, window.cell_index_lo
-                lo = np.arange(a, a + window.cells_per_axis) * h
-                vals = np.array([_integral_abs_power_1d(a, b, gamma) / (b - a)
-                                 for a, b in zip(lo.tolist(), (lo + h).tolist())])
+                x = np.arange(a, a + window.cells_per_axis + 1) * h
+                if gamma <= -1.0 and x[0] <= 0.0 <= x[-1]:
+                    raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
+                f = _libm_grid([x], math.log) if gamma == -1.0 \
+                    else _libm_grid([x], pow, gamma + 1.0) / (gamma + 1.0)
+                f *= np.copysign(1.0, x)  # not np.copysign(f, x): f < 0 where gamma <= -1
+                vals = (f[1:] - f[:-1]) / h
             else:
                 plan = _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
                                         window.cells_per_axis, depth)
@@ -584,11 +568,8 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
 
 
 def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
-    """Weight whose cell values are accurate averages of |x|^gamma.
-
-    Requires gamma > -dim whenever a cell of the window touches the origin (otherwise
-    the origin-cell average diverges).
-    """
+    """Weight whose cell values are accurate averages of |x|^gamma; gamma > -dim whenever a
+    cell of the window touches the origin (otherwise the origin-cell average diverges)."""
     return Weight(window, abs_power_cell_averages(gamma, window, depth))
 
 

@@ -76,8 +76,8 @@ from .field import (
     DEFAULT_DEPTH,
     LatticeFunction,
     Weight,
+    _libm_grid,
     _oscillation_ratios,
-    _radii,
     bmo_norm,
     expand_level,
     from_csv,
@@ -500,13 +500,17 @@ def hypothesis(cfg: ExperimentConfig, win: Window, kind: WeightConditionKind | N
     window).  kind defaults to the weight condition of cfg's record; T21's C22 gives way to
     C23 at s >= 1, and a named T21 kind that this rule does not pick is a ValidationError.
     e is the exponent set of kind's regime, v, w1, w2 the weights of the inequality and
-    const kind's constant on the config's weights.  A T29 config names u1, u2: the constant
-    takes (const:1, u1, u2), the inequality w_i = u_i^(1/q_i) and v = w1 w2."""
+    const kind's constant on the config's weights.  A T29 config names u1, u2, which only
+    C211 reads: the constant takes (const:1, u1, u2), the inequality w_i = u_i^(1/q_i) and
+    v = w1 w2, and any other named kind is a ValidationError."""
     own = _EXPERIMENTS[cfg.experiment].kind
     if own is None:
         raise ValidationError(f"{cfg.experiment} does not read the exponent keys of a weight "
                               "condition")
     named, kind = kind, own if kind is None else kind
+    if own is WeightConditionKind.C211 and kind is not own:
+        raise ValidationError(f"{cfg.experiment}'s weight_u1, weight_u2 are read only by C211; "
+                              f"got {kind.value}")
     e = _exponent_set(cfg.params, win.dim, kind)
     if kind.regime == "T21":
         kind = WeightConditionKind.C22 if e.s < 1.0 else WeightConditionKind.C23
@@ -685,12 +689,11 @@ def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
 
 
 def _log_abs(window: Window) -> LatticeFunction:
-    """log|x| at the cell centres (m + 0.5) h of the window, on field._radii's grid.  C log
-    (math.log) on Python floats, a row at a time: np.log is not bit-equal to it with AVX-512."""
+    """log|x| at the cell centres (m + 0.5) h of the window: C log once per distinct tuple of
+    per-axis |c| (field._libm_grid), since np.log is not bit-equal to it with AVX-512."""
     h = window.cell_side
-    r = _radii([(np.arange(a, a + window.cells_per_axis) + 0.5) * h for a in window.cell_index_lo])
-    return LatticeFunction(window, np.fromiter((math.log(x) for row in r.reshape(-1, r.shape[-1])
-                                                for x in row.tolist()), float, r.size).reshape(r.shape))
+    return LatticeFunction(window, _libm_grid([(np.arange(a, a + window.cells_per_axis) + 0.5) * h
+                                               for a in window.cell_index_lo], math.log))
 
 
 def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):

@@ -14,7 +14,11 @@ Q0-local means must equal a slice of these bit for bit.
 
 from_callable samples a function at every cell centre, one Python call per
 cell: the per-cell form of the John-Nirenberg log symbol that
-morreylab.harness._log_abs builds as arrays.
+morreylab.harness._log_abs takes once per distinct tuple of per-axis |c|
+(morreylab.field._libm_grid).  integral_abs_power_1d is the closed form of
+|x|^gamma over one interval, two Python antiderivative calls per cell: the
+per-cell form of the 1-D power weights, which take C pow once per distinct
+|edge| and run the rest as numpy array operations.
 
 m_alpha_r_dyadic and weight_constant take the dyadic maximal function and the
 weight constants of morreylab.weights_norms.two_weight_constant as maxima over
@@ -130,6 +134,25 @@ def nested_pairs(window: Window):
         yield q, q
         for anc in ancestors(q, window):
             yield q, anc
+
+
+# -- |x|^gamma in one dimension -----------------------------------------------------
+
+
+def abs_power_antiderivative(x: float, gamma: float) -> float:
+    # F'(x) = |x|^gamma, F(0) = 0; valid piecewise away from 0 for gamma <= -1, where the
+    # magnitude below is negative (so not math.copysign, which drops its sign)
+    if gamma == -1.0:
+        return math.copysign(1.0, x) * math.log(abs(x)) if x != 0.0 else -math.inf
+    return math.copysign(1.0, x) * abs(x) ** (gamma + 1.0) / (gamma + 1.0)
+
+
+def integral_abs_power_1d(a: float, b: float, gamma: float) -> float:
+    """Exact integral of |x|^gamma over [a, b); a < b.  F(b) - F(a) also across 0, where it
+    is bit for bit (F(0) - F(a)) + (F(b) - F(0)) since F(0) = 0.0."""
+    if a <= 0.0 <= b and gamma <= -1.0:
+        raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
+    return abs_power_antiderivative(b, gamma) - abs_power_antiderivative(a, gamma)
 
 
 # -- boxes and exact box averages ---------------------------------------------------

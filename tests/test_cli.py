@@ -690,6 +690,20 @@ def test_weight_const_of_the_other_t21_kind_exit_2(capsys):
     assert "validation failure: C22 needs s<1 and C23 needs s>=1 (s=1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["C29", "CBH", "C27", "C211"])
+def test_weight_const_on_the_t29_config_takes_c211_only(kind, capsys):
+    # T29 names u1, u2 and no v, w1, w2: a kind but C211 would be evaluated on weights that no
+    # run reads (C29 and CBH once stopped at the missing a, C27 printed such a constant)
+    code = cli.main(["weight-const", kind, str(CONFIGS / "t29_vector_weight.cfg")])
+    out, err = capsys.readouterr()
+    if kind == "C211":
+        assert code == 0 and float(out) > 0.0
+    else:
+        assert code == 2 and not out
+        assert err == (f"validation failure: T29's weight_u1, weight_u2 are read only by C211; "
+                       f"got {kind}\n")
+
+
 def test_t21_at_s_equal_to_1_takes_c23(tmp_path, capsys):
     # 1/s = 1/p + 1/r - alpha = 1.25 + 0.25 - 0.5 = 1 exactly, and t = s q / p = 1
     path = _write(tmp_path, "s1.cfg", _shipped("t21_two_weight.cfg", q1="1.6", q2="1.6", p="0.8",

@@ -45,8 +45,8 @@ def odd_configs(draw):
 @example(("czd_decompose.cfg", {"theta1": "nan"}))
 # once a plain ValueError, each from the named place
 @example(("t21_two_weight.cfg", {"weight_v": "const:0"}))  # Weight.__init__
-@example(("t28_strong_maximal.cfg", {"weight_w1": "pow:-5"}))  # field._integral_abs_power_1d
-@example(("sw101_power_weight.cfg", {"gamma1": "-1"}))  # field._integral_abs_power_1d
+@example(("t28_strong_maximal.cfg", {"weight_w1": "pow:-5"}))  # field.abs_power_cell_averages
+@example(("sw101_power_weight.cfg", {"gamma1": "-1"}))  # field.abs_power_cell_averages
 @example(("t25_maximal_control.cfg", {"alpha": "0"}))  # operators._correlation
 @example(("t24_commutator_2d.cfg", {"weight_v": "pow:-5"}))  # field._grid_averages
 @example(("sw101_power_weight.cfg", {"beta": "1e308"}))  # field.abs_power_cell_averages

@@ -438,16 +438,26 @@ def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
     Window(3, -4, 0),
     Window(3, -4, 0, origin_offset=(-1, 1, 0), top_count=1),
 ], ids=str)
-def test_jn_log_symbol_is_the_per_cell_sample_bit_for_bit(window):
+def test_jn_log_symbol_is_the_per_cell_sample_bit_for_bit(window, monkeypatch):
     # Sized so that np.log and C log disagree somewhere (with AVX-512, on 2 to 792 cells
     # per window), and 0.5 log(|x|^2) differs from log(sqrt(|x|^2)) in 2-D and 3-D.  The
     # squares of the centres and their sums are exact dyadic numbers, so the order of the
     # adds does not matter; only the square root rounds.
     from morreylab.harness import _log_abs
     expected = from_callable(window, lambda *x: math.log(math.sqrt(sum(v * v for v in x))))
+    calls = []
+
+    def counting_log(x, log=math.log):
+        calls.append(x)
+        return log(x)
+
+    monkeypatch.setattr(math, "log", counting_log)
     got = _log_abs(window)
+    monkeypatch.undo()
     assert got.window == window
     assert got.values.tobytes() == expected.values.tobytes()
+    if window == Window(2, -5, 0):  # centred: one log per pair of the 32 distinct |c| per axis
+        assert len(calls) == 32 * 33 // 2
 
 
 def test_l39_experiment_stable():

@@ -7,29 +7,33 @@ shares.  The oracle below is the per-cell code it replaced, unchanged but
 for its inline origin test: a loop over the cells that runs the corner
 recursion on each.  The two must agree bit for bit, on 2-D and 3-D windows
 with the origin inside, on the boundary and outside, at every depth regime
-(below, at and above _REG_DEPTH), whether the plan is cold or warm.
+(below, at and above _REG_DEPTH), whether the plan is cold or warm.  In one
+dimension the oracle is the closed form cell by cell
+(oracles.integral_abs_power_1d), which the library takes at every cell edge
+as arrays.
 """
 
 import itertools
 import math
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morreylab import field
 from morreylab.dyadic import Window
 from morreylab.errors import ValidationError
-from morreylab.field import (_REG_DEPTH, _integral_abs_power_1d, _quadrature_plan,
-                             abs_power_cell_averages)
+from morreylab.field import _REG_DEPTH, _quadrature_plan, abs_power_cell_averages
+from oracles import integral_abs_power_1d
 
 
 def _oracle_box(lo: Sequence[float], hi: Sequence[float], gamma: float, depth: int) -> float:
     n = len(lo)
     if n == 1:
-        return _integral_abs_power_1d(lo[0], hi[0], gamma) / (hi[0] - lo[0])
+        return integral_abs_power_1d(lo[0], hi[0], gamma) / (hi[0] - lo[0])
     touches_origin = all(a <= 0.0 <= b for a, b in zip(lo, hi))
     if touches_origin and gamma <= -n:
         raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
@@ -135,24 +139,48 @@ def test_one_dimensional_closed_form_unchanged():
                                   _oracle_cell_averages(gamma, window))
 
 
-@settings(max_examples=30, deadline=None)
+# 1-D exponents: either side of 0 above -1, and -1 and below, which raise on a cell touching 0
+GAMMAS_1D = st.one_of(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+                      st.floats(0.0, 3.0, exclude_min=True),
+                      st.just(-1.0), st.floats(-6.0, -1.0))
+
+
+@settings(max_examples=50, deadline=None)
 @given(
-    dim=st.sampled_from((2, 2, 3)),
+    dim=st.sampled_from((1, 2, 2, 3)),
     span=st.integers(0, 2),
     level_max=st.integers(-1, 1),
     top_count=st.integers(1, 3),
     shift=st.lists(st.integers(-4, 1), min_size=3, max_size=3),
     depth=st.sampled_from(DEPTHS),
     gamma_frac=st.floats(0.001, 1.0),
+    gamma_1d=GAMMAS_1D,
 )
-def test_random_windows_bit_identical(dim, span, level_max, top_count, shift, depth, gamma_frac):
+@example(1, 2, 0, 2, [1, 0, 0], 12, 0.5, -1.0)    # -1 on cells that miss 0
+@example(1, 1, 0, 3, [-4, 0, 0], 12, 0.5, -2.5)   # below -1, all cells left of 0
+@example(1, 2, 0, 2, [-1, 0, 0], 12, 0.5, -1.0)   # -1 on a window centred on 0: raises
+@example(1, 2, 0, 2, [-2, 0, 0], 12, 0.5, -3.0)   # the last cell ends at 0: raises
+def test_random_windows_bit_identical(dim, span, level_max, top_count, shift, depth, gamma_frac,
+                                      gamma_1d):
+    if dim == 1:
+        span *= 3
     if dim == 3:
         span, top_count, depth = min(span, 1), min(top_count, 2), min(depth, 3)
     offset = tuple(max(s, -top_count - 1) for s in shift[:dim])
     window = Window(dim, level_max - span, level_max, origin_offset=offset, top_count=top_count)
-    gamma = -dim + gamma_frac * (dim + 2)  # (-n, 2]
-    assert np.array_equal(abs_power_cell_averages(gamma, window, depth),
-                          _oracle_cell_averages(gamma, window, depth))
+    gamma = gamma_1d if dim == 1 else -dim + gamma_frac * (dim + 2)  # (-n, 2] from 2-D on
+    if gamma <= -dim and _origin_cells(window):
+        with pytest.raises(ValueError, match="is not integrable on a cell touching 0"):
+            abs_power_cell_averages(gamma, window, depth)
+        with pytest.raises(ValueError):
+            _oracle_cell_averages(gamma, window, depth)
+        return
+    want = _oracle_cell_averages(gamma, window, depth)
+    if not want.min() > 0.0:  # 1-D within an ulp or so of -1: |b|^(gamma+1) = |a|^(gamma+1)
+        with pytest.raises(ValidationError, match="underflows to 0"):
+            abs_power_cell_averages(gamma, window, depth)
+        return
+    assert np.array_equal(abs_power_cell_averages(gamma, window, depth), want)
 
 
 # -- the cached plan: one per grid, shared by every exponent ------------------------
@@ -222,9 +250,10 @@ def test_symmetric_pows_only_where_axes_0_and_1_match(spec, depth):
                               _oracle_cell_averages(gamma, window, depth))
 
 
-def test_symmetric_grid_takes_one_pow_per_upper_triangle_pair(monkeypatch):
-    """On a centred 2-D grid every level is symmetric: with one row per block of pows,
-    m (m + 1) / 2 pows for m distinct |c| per axis, not m^2."""
+@pytest.mark.parametrize("chunk", [1, 7, field._POW_CHUNK])
+def test_symmetric_grid_takes_one_pow_per_upper_triangle_pair(chunk, monkeypatch):
+    """On a centred 2-D grid every level is symmetric: with any number of rows per block of
+    pows, m (m + 1) / 2 pows for m distinct |c| per axis, not m^2."""
     window = Window(2, -3, 0)
     plan = _plan(window, 12)
     assert all(group.symmetric for group in plan.groups)
@@ -235,7 +264,7 @@ def test_symmetric_grid_takes_one_pow_per_upper_triangle_pair(monkeypatch):
         return x ** y
 
     monkeypatch.setattr(field, "pow", counting_pow, raising=False)
-    monkeypatch.setattr(field, "_POW_CHUNK", 1)
+    monkeypatch.setattr(field, "_POW_CHUNK", chunk)
     got = abs_power_cell_averages(0.1, window, 12)
     monkeypatch.undo()
     tuples = sum(g.distinct[0].size * g.distinct[0].shape[1] for g in plan.groups)
@@ -255,6 +284,21 @@ def test_row_blocks_of_any_size_give_the_same_bits(spec, monkeypatch):
     monkeypatch.setattr(field, "_FOLD_BLOCK", 5)
     for gamma, values in want.items():
         assert np.array_equal(abs_power_cell_averages(gamma, window, 4), values)
+
+
+def test_centred_quadrature_peak_is_at_most_20_times_its_result():
+    """The powers of a symmetric grid are a packed triangle, and the folds run a block of box
+    rows at a time: one 128^2 quadrature once peaked at 41 times its result (5.4 MB), when
+    the full radius grid, its mirror and the first fold's half-leaf grid lived at once."""
+    window = Window(2, -6, 0)
+    abs_power_cell_averages(0.1, window)  # the plan is built outside the trace
+    tracemalloc.start()
+    try:
+        values = abs_power_cell_averages(0.1, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * values.nbytes, peak
 
 
 def test_warm_plan_still_rejects_a_non_integrable_exponent():
@@ -303,4 +347,8 @@ def test_abs_power_integral_away_from_the_origin(gamma, a, b):
     lo, hi = sorted((abs(a), abs(b)))
     exact = math.log(hi / lo) if gamma == -1.0 \
         else (hi ** (gamma + 1) - lo ** (gamma + 1)) / (gamma + 1)
-    assert math.isclose(_integral_abs_power_1d(a, b, gamma), exact, rel_tol=1e-14)
+    assert math.isclose(integral_abs_power_1d(a, b, gamma), exact, rel_tol=1e-14)
+    h = b - a  # [a, b) is the one cell of a window
+    level = int(math.log2(h))
+    window = Window(1, level, level, origin_offset=(int(a / h),), top_count=1)
+    assert math.isclose(abs_power_cell_averages(gamma, window)[0] * h, exact, rel_tol=1e-14)
