@@ -29,14 +29,16 @@ antiderivative at the cell edges; in higher dimensions a corner-refined
 midpoint rule that splits the origin cell dyadically to a configurable depth
 (the integrand is singular only at the origin, always a cell corner), whose
 uncontrolled error in the origin cell, O(2^(-depth*(gamma+n))), the accuracy
-tests report.  Either way C libm runs once per distinct tuple of per-axis
-|x_i| (_libm_once), as it does for the harness's JN log symbol.
+tests report.  Each point where |x|^gamma or the JN log symbol of the harness
+is evaluated is an integer k times a dyadic unit: C libm runs once per distinct
+tuple of per-axis |k| (_abs_index, _libm_once), and a k wider than 53 bits is
+a ValidationError (_require_exact).
 
 The rule is a per-box corner recursion run as array passes.  One cached
 _quadrature_plan per grid of cells and depth holds the geometry for every
-gamma: down the chain of sub-boxes touching the origin, each level's distinct
-per-axis leaf |c| and its touching boxes, halved into the next level's grid.
-Per gamma, _grid_averages evaluates each group of levels of one shape in one
+gamma: down the chain of sub-boxes touching the origin, each level's integer
+box range per axis and the slice of its boxes that touch 0.  Per gamma,
+_grid_averages evaluates each group of levels with one leaf lattice in one
 batch (_midpoint_rule), then folds each level into the touching boxes of the
 level above, with the recursion's floating-point operations in its order, so
 the values are bit-identical to it (tests/test_quadrature.py keeps it as the
@@ -339,50 +341,41 @@ def _libm_once(distinct: Sequence[np.ndarray], symmetric: bool, fn: Callable,
     return out
 
 
-def _libm_grid(coords: Sequence[np.ndarray], fn: Callable, *args) -> np.ndarray:
-    """_libm_once on the _distinct_abs of each axis of the coordinates, gathered back onto
-    their grid: fn(|x|, *args) at every point x of the grid."""
-    distinct, inverse = zip(*map(_distinct_abs, coords))
-    symmetric = len(coords) > 1 and np.array_equal(distinct[0], distinct[1])
-    values = _libm_once([d[None] for d in distinct], symmetric, fn, *args)
-    return _gather(values, [x[None] for x in inverse], symmetric)[0]
+def _abs_index(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct |k| of an integer array and each |k|'s position among them, from a
+    mask over the range of |k| (np.unique imports numpy.ma on first use: 15-20 ms, 1.6 MB)."""
+    a = np.abs(k)
+    low = a.min()
+    seen = np.zeros(a.max() - low + 1, bool)
+    seen[a - low] = True
+    return np.flatnonzero(seen) + low, (np.cumsum(seen) - 1)[a - low]
 
 
-def _distinct_abs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct |c| in order of appearance, and the position of each |c| among them:
-    np.unique's, unsorted, without the numpy.ma import of its first call (through
-    np.ma.is_masked): 15-20 ms and 1.6 MB of resident size per process with numpy 2.4."""
-    index: dict[float, int] = {}
-    positions = [index.setdefault(abs(v), len(index)) for v in c.tolist()]
-    return np.array(list(index)), np.array(positions)
+def _libm_grid(ks: Sequence[np.ndarray], unit: float, fn: Callable, *args) -> np.ndarray:
+    """fn(|x|, *args) at every point x = k unit of the grid of the per-axis integers ks:
+    _libm_once on each axis's _abs_index, gathered back onto the grid."""
+    distinct, inverse = zip(*map(_abs_index, ks))
+    symmetric = len(ks) > 1 and np.array_equal(distinct[0], distinct[1])
+    values = _libm_once([d[None] * unit for d in distinct], symmetric, fn, *args)
+    return _gather(values, inverse, symmetric)[0]
 
 
-def _halves(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of the two halves of each [a, b], split at m = (a + b) / 2.0: along the
-    last axis each box becomes [a, m] followed by [m, b]."""
-    m = (a + b) / 2.0
-    lo, hi = np.repeat(a, 2, axis=-1), np.repeat(b, 2, axis=-1)
-    lo[..., 1::2] = m
-    hi[..., ::2] = m
-    return lo, hi
-
-
-def _leaf_abs(a: np.ndarray, b: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """_distinct_abs of the leaf midpoints of the boxes [a, b] of one axis, each halved depth
-    times by _halves: leaf index = box * 2^depth + halving bits, first halving highest."""
-    a, b = a.reshape(-1, 1), b.reshape(-1, 1)
-    for _ in range(depth):
-        a, b = _halves(a, b)
-    return _distinct_abs(((a + b) / 2.0).ravel())
+def _require_exact(window: Window, bits: int) -> None:
+    """Raise a ValidationError unless each point k 2^(level_min - bits) of the window has
+    |k| <= 2^53 (cell edges at bits 0, centres at 1, leaf midpoints of cells halved bits - 1
+    times), so that k and k times its unit are exact floats and no int64 sum of them wraps."""
+    top = max(max(-a, a + window.cells_per_axis) for a in window.cell_index_lo)
+    if top << bits > 1 << 53:
+        raise ValidationError(f"the coordinates of {window} need more than 53 bits")
 
 
 class _QuadratureGroup(NamedTuple):
-    """Levels of the origin chain with one midpoint-rule shape, stacked along a leading axis."""
+    """Levels of the origin chain with one leaf lattice, stacked along a leading axis."""
 
     depth: int        # halvings per axis of every box
-    distinct: tuple   # per axis, (levels, m): each level's distinct leaf |c|, as _leaf_abs
-    inverse: tuple    # per axis, (levels, leaves): the position of each leaf |c| among them
-    symmetric: bool   # axes 0 and 1 hold the same distinct |c| at every level
+    distinct: tuple   # per axis, (levels, m): each level's sorted distinct leaf |c|
+    inverse: tuple    # per axis, (leaves,): the position of each leaf |c| among them
+    symmetric: bool   # axes 0 and 1 hold the same distinct |c|
 
 
 class _QuadraturePlan(NamedTuple):
@@ -390,84 +383,68 @@ class _QuadraturePlan(NamedTuple):
 
     groups: tuple     # _QuadratureGroup
     levels: tuple     # per level of the chain, the window's grid first: (group, row)
-    near: tuple       # per level but the last, per axis: the positions of the boxes touching 0
+    near: tuple       # per level but the last, per axis: the slice of the boxes touching 0
     touches: bool     # a box of the window's grid touches the origin
 
 
 # Bounded, so a long sweep over windows or depths holds at most 8 plans.
 @functools.lru_cache(maxsize=8)
-def _quadrature_plan(dim: int, level_min: int, cell_index_lo: tuple, cells_per_axis: int,
+def _quadrature_plan(level_min: int, cell_index_lo: tuple, cells_per_axis: int,
                      depth: int) -> _QuadraturePlan:
     """Where the quadrature of |x|^gamma on the grid of a window's cells (n >= 2) takes its
     leaves and folds them, for every gamma.
 
     One loop down the chain of boxes that touch the origin, as the per-box recursion
-    descends.  Each level's grid has a fixed-depth tensor midpoint rule of depth
-    min(depth, _REG_DEPTH), and the plan keeps per axis its distinct leaf |c| and their
-    inverse positions.  It records the per-axis positions of the boxes that touch the
-    origin (a sub-grid: the origin is a corner of each); the halves of those boxes are the
-    next level's grid, at depth - 1.  The walk stops at depth 0, where a box keeps its
-    midpoint value, or where no box touches.  Levels whose rules have one shape are stacked
-    into one group, so _grid_averages evaluates them as one batch.  Geometry only: every
-    array is per axis (never one entry per leaf tuple) and read-only.
+    descends, on integers: level L holds per axis the boxes i w .. (i + 1) w, w =
+    2^(level_min - L), for i in a range (first index, count).  Each level's grid has a
+    fixed-depth tensor midpoint rule of depth d = min(depth, _REG_DEPTH), whose leaf
+    midpoints are the odd multiples k = 2 ((i << d) + j) + 1 of w 2^(-d-1), j < 2^d.  The
+    boxes that touch 0 are those with i in {-1, 0}, a slice of the range; their halves are
+    the next level's grid, at depth - 1.  The walk stops at depth 0, where a box keeps its
+    midpoint value, or where no box touches.  Levels with one d and one range per axis
+    have the same k, so they form one group with one per-axis _abs_index, and
+    _grid_averages evaluates them as one batch.  Geometry only: every array is per axis
+    (never one entry per leaf tuple) and read-only.
     """
-    h = 2.0 ** level_min
-    lo = [np.arange(a, a + cells_per_axis) * h for a in cell_index_lo]
-    hi = [a + h for a in lo]
-    rules, near_boxes, touches = [], [], False
+    boxes = tuple((a, cells_per_axis) for a in cell_index_lo)
+    chain, near_boxes = [], []  # per level (d, boxes); per level but the last, the slices near 0
     while True:
-        # an axis's boxes follow from its first cell index alone, so equal ones share leaves
-        by_start: dict[int, tuple] = {}
-        for x, a, b in zip(cell_index_lo, lo, hi):
-            if x not in by_start:
-                by_start[x] = _leaf_abs(a, b, min(depth, _REG_DEPTH))
-        rules.append((min(depth, _REG_DEPTH), [by_start[x] for x in cell_index_lo]))
-        near = [np.flatnonzero((a <= 0.0) & (0.0 <= b)) for a, b in zip(lo, hi)]
-        if not all(k.size for k in near):
+        chain.append((min(max(depth, 0), _REG_DEPTH), boxes))
+        near = [(max(i, -1), min(i + c, 1)) for i, c in boxes]
+        if depth <= 0 or any(lo >= hi for lo, hi in near):
             break
-        touches = True
-        if depth <= 0:
-            break
-        near_boxes.append(tuple(_read_only(k) for k in near))
-        lo, hi = zip(*(_halves(a[k], b[k]) for a, b, k in zip(lo, hi, near)))
+        near_boxes.append(tuple(slice(lo - i, hi - i) for (lo, hi), (i, _) in zip(near, boxes)))
+        boxes = tuple((2 * lo, 2 * (hi - lo)) for lo, hi in near)
         depth -= 1
-    stacks: dict[tuple, list] = {}  # (depth, symmetric, array sizes) -> the leaves of its levels
-    levels = []
-    for d, leaves in rules:
-        key = (d, np.array_equal(leaves[0][0], leaves[1][0]),
-               tuple(x.size for pair in leaves for x in pair))
-        stack = stacks.setdefault(key, [])
-        levels.append((list(stacks).index(key), len(stack)))
-        stack.append(leaves)
+    keys = list(dict.fromkeys(chain))  # one group per distinct (d, boxes), in chain order
+    levels = tuple((keys.index(key), chain[:at].count(key)) for at, key in enumerate(chain))
     groups = []
-    for (d, symmetric, _), stack in stacks.items():
-        distinct, inverse = (tuple(_read_only(np.stack([leaves[axis][part] for leaves in stack]))
-                                   for axis in range(dim)) for part in (0, 1))
-        groups.append(_QuadratureGroup(d, distinct, inverse, symmetric))
-    return _QuadraturePlan(tuple(groups), tuple(levels), tuple(near_boxes), touches)
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.setflags(write=False)
-    return x
+    for d, axes in keys:
+        rows = [level for level, key in enumerate(chain) if key == (d, axes)]
+        ks, inverse = zip(*(_abs_index(2 * ((i << d) + np.arange(c << d)) + 1) for i, c in axes))
+        units = np.array([2.0 ** (level_min - level - d - 1) for level in rows])[:, None]
+        distinct = tuple(units * k for k in ks)
+        for x in distinct + inverse:
+            x.setflags(write=False)
+        groups.append(_QuadratureGroup(d, distinct, inverse, np.array_equal(ks[0], ks[1])))
+    touches = all(a <= 0 <= a + cells_per_axis for a in cell_index_lo)
+    return _QuadraturePlan(tuple(groups), levels, tuple(near_boxes), touches)
 
 
 def _gather(values: np.ndarray, inverse: Sequence[np.ndarray], symmetric: bool) -> np.ndarray:
-    """values (from _libm_once) per level on the grid of the per-axis positions inverse
-    (levels, positions), read at flat offsets by np.take.  symmetric: axes 0 and 1 read the
-    packed pair max(i (i + 1) / 2 + j, j (j + 1) / 2 + i), which is j (j + 1) / 2 + i if i <= j."""
+    """values (from _libm_once) on the grid of the per-axis positions inverse, read per level
+    at flat offsets by np.take.  symmetric: axes 0 and 1 read the packed pair
+    max(i (i + 1) / 2 + j, j (j + 1) / 2 + i), which is j (j + 1) / 2 + i if i <= j."""
     n = len(inverse)
-    level, *strides = (s // values.itemsize for s in values.strides)
-    pos = [inv.reshape((len(inv),) + (1,) * k + (-1,) + (1,) * (n - 1 - k))
-           for k, inv in enumerate(inverse)]
-    flat = np.arange(len(values)).reshape((-1,) + (1,) * n) * level
-    if symmetric:  # the level offset joins both sums, so only three ops span the grid
+    strides = [s // values.itemsize for s in values.strides[1:]]
+    pos = [inv.reshape((-1,) + (1,) * (n - 1 - k)) for k, inv in enumerate(inverse)]
+    flat = 0
+    if symmetric:
         (i, j), pos, s = pos[:2], pos[2:], strides.pop(0)
-        flat = np.maximum(flat + s * (i * (i + 1) // 2) + s * j,
-                          flat + s * (j * (j + 1) // 2) + s * i)
+        flat = np.maximum(s * (i * (i + 1) // 2) + s * j, s * (j * (j + 1) // 2) + s * i)
     for p, stride in zip(pos, strides):
         flat = flat + p * stride
-    return values.take(flat)
+    return values.reshape(len(values), -1).take(flat, axis=1)
 
 
 # Entries per block of box rows of the first fold: the corners it gathers are temporaries.
@@ -480,11 +457,11 @@ def _midpoint_rule(group: _QuadratureGroup, gamma: float) -> np.ndarray:
 
     The arithmetic is that of the per-box recursion, operation for operation,
     so the values are bit-identical to it: each box is halved depth times along
-    each axis by _halves, at every leaf midpoint c the value is
-    sqrt(c_0^2 + ... + c_{n-1}^2)^gamma with the squares added in axis order,
-    and _fold averages the levels back.  Every step is elementwise across the
-    stacked levels, so each level gets the bits of its own rule.
-    (The recursion adds the squares with sum(), which CPython 3.12 made
+    each axis, at every leaf midpoint c (an exact float, from its integer lattice
+    coordinate) the value is sqrt(c_0^2 + ... + c_{n-1}^2)^gamma with the squares
+    added in axis order, and _fold averages the levels back.  Every step is
+    elementwise across the stacked levels, so each level gets the bits of its own
+    rule.  (The recursion adds the squares with sum(), which CPython 3.12 made
     compensated; that can move the last bit of a 3-D leaf, never a 2-D one.)
     Since c^2 = |c|^2 exactly, _libm_once takes the powers once per distinct
     tuple of per-axis |c| (an eighth of the leaves of a 2-D window centred at
@@ -497,12 +474,12 @@ def _midpoint_rule(group: _QuadratureGroup, gamma: float) -> np.ndarray:
     if group.depth <= 0:
         return _gather(powers, group.inverse, group.symmetric)
     leaves = 1 << group.depth  # per axis of a box
-    shape = (len(powers),) + tuple(inv.shape[1] // leaves for inv in group.inverse)
+    shape = (len(powers),) + tuple(len(inv) // leaves for inv in group.inverse)
     vals = np.empty(shape)
     step = max(1, _FOLD_BLOCK // (shape[0] * (leaves // 2) ** n * math.prod(shape[2:])))
     for i in range(0, shape[1], step):
-        inverse = (group.inverse[0][:, i * leaves:(i + step) * leaves], *group.inverse[1:])
-        block = _fold(lambda corner: _gather(powers, [x[:, bit::2] for x, bit in zip(
+        inverse = (group.inverse[0][i * leaves:(i + step) * leaves], *group.inverse[1:])
+        block = _fold(lambda corner: _gather(powers, [x[bit::2] for x, bit in zip(
             inverse, corner)], group.symmetric), n)
         for _ in range(group.depth - 1):
             block = _fold_halves(block, n)
@@ -525,7 +502,7 @@ def _grid_averages(plan: _QuadraturePlan, gamma: float) -> np.ndarray:
     levels = [rules[group][row] for group, row in plan.levels]
     vals = levels.pop()
     for parent, near in zip(reversed(levels), reversed(plan.near)):
-        parent[np.ix_(*near)] = _fold_halves(vals, n)
+        parent[near] = _fold_halves(vals, n)
         vals = parent
     return vals
 
@@ -540,23 +517,26 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
     array pass for the cells, and one per group of the levels of the chain
     below the at most 2^n cells that touch the origin.  The values are
     bit-identical to a corner recursion run cell by cell.  gamma <= -n raises
-    when a cell touches the origin.  An average that overflows a float (C pow
-    raises OverflowError, numpy FloatingPointError here) or underflows to 0 is
-    a ValidationError.
+    when a cell touches the origin.  A window whose points need more than 53
+    bits (_require_exact), or an average that overflows a float (C pow raises
+    OverflowError, numpy FloatingPointError here) or underflows to 0, is a
+    ValidationError.
     """
+    _require_exact(window, 0 if window.dim == 1 else min(max(depth, 0), _REG_DEPTH) + 1)
     try:
         with np.errstate(over="raise"):
             if window.dim == 1:
                 h, (a,) = window.cell_side, window.cell_index_lo
-                x = np.arange(a, a + window.cells_per_axis + 1) * h
+                k = np.arange(a, a + window.cells_per_axis + 1)
+                x = k * h
                 if gamma <= -1.0 and x[0] <= 0.0 <= x[-1]:
                     raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
-                f = _libm_grid([x], math.log) if gamma == -1.0 \
-                    else _libm_grid([x], pow, gamma + 1.0) / (gamma + 1.0)
+                f = _libm_grid([k], h, math.log) if gamma == -1.0 \
+                    else _libm_grid([k], h, pow, gamma + 1.0) / (gamma + 1.0)
                 f *= np.copysign(1.0, x)  # not np.copysign(f, x): f < 0 where gamma <= -1
                 vals = (f[1:] - f[:-1]) / h
             else:
-                plan = _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
+                plan = _quadrature_plan(window.level_min, window.cell_index_lo,
                                         window.cells_per_axis, depth)
                 vals = _grid_averages(plan, gamma)
     except (OverflowError, FloatingPointError):

@@ -78,6 +78,8 @@ from .field import (
     Weight,
     _libm_grid,
     _oscillation_ratios,
+    _require_exact,
+    _split,
     bmo_norm,
     expand_level,
     from_csv,
@@ -689,11 +691,12 @@ def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
 
 
 def _log_abs(window: Window) -> LatticeFunction:
-    """log|x| at the cell centres (m + 0.5) h of the window: C log once per distinct tuple of
-    per-axis |c| (field._libm_grid), since np.log is not bit-equal to it with AVX-512."""
-    h = window.cell_side
-    return LatticeFunction(window, _libm_grid([(np.arange(a, a + window.cells_per_axis) + 0.5) * h
-                                               for a in window.cell_index_lo], math.log))
+    """log|x| at the cell centres (2m + 1) h/2 of the window: C log once per distinct tuple of
+    per-axis |2m + 1| (field._libm_grid), since np.log is not bit-equal to it with AVX-512."""
+    _require_exact(window, 1)
+    return LatticeFunction(window, _libm_grid([2 * np.arange(a, a + window.cells_per_axis) + 1
+                                               for a in window.cell_index_lo],
+                                              window.cell_side / 2, math.log))
 
 
 def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
@@ -723,15 +726,17 @@ def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: d
 def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
     """Worst violation of the ancestor-chain mean bound for b of BMO norm norm, 0 when it holds.
 
-    Each cell compares the means of its cubes on two levels: all nested pairs.
+    Each cube compares its mean with that of each ancestor, all nested pairs: per pair of
+    levels, the finer table blocked by the coarser cubes, so no table is expanded to the cells.
     """
     win = b.window
     worst = 0.0
-    means = [expand_level(level_means(b.values, win, lvl), win, lvl) for lvl in win.levels()]
+    means = [level_means(b.values, win, lvl) for lvl in win.levels()]
     for i, m_q in enumerate(means):
         for k, m_qp in enumerate(means[i + 1:], start=1):
             bound = k * (2.0 ** win.dim) * norm
-            worst = max(worst, float(np.abs(m_q - m_qp).max()) - bound)
+            blocked, axes = _split(m_q, win.dim, 1 << k)
+            worst = max(worst, float(np.abs(blocked - np.expand_dims(m_qp, axes)).max()) - bound)
     return worst
 
 

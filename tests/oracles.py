@@ -15,10 +15,13 @@ Q0-local means must equal a slice of these bit for bit.
 from_callable samples a function at every cell centre, one Python call per
 cell: the per-cell form of the John-Nirenberg log symbol that
 morreylab.harness._log_abs takes once per distinct tuple of per-axis |c|
-(morreylab.field._libm_grid).  integral_abs_power_1d is the closed form of
-|x|^gamma over one interval, two Python antiderivative calls per cell: the
-per-cell form of the 1-D power weights, which take C pow once per distinct
-|edge| and run the rest as numpy array operations.
+(morreylab.field._libm_grid, on the integer centres 2m + 1 in units of h/2).
+integral_abs_power_1d is the closed form of |x|^gamma over one interval, two
+Python antiderivative calls per cell: the per-cell form of the 1-D power
+weights, which take C pow once per distinct |edge| and run the rest as numpy
+array operations.  abs_index is the sorted set of the magnitudes of a list of
+integers and the position of each among them, which morreylab.field._abs_index
+takes from a mask over the range of the magnitudes.
 
 m_alpha_r_dyadic and weight_constant take the dyadic maximal function and the
 weight constants of morreylab.weights_norms.two_weight_constant as maxima over
@@ -153,6 +156,12 @@ def integral_abs_power_1d(a: float, b: float, gamma: float) -> float:
     if a <= 0.0 <= b and gamma <= -1.0:
         raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
     return abs_power_antiderivative(b, gamma) - abs_power_antiderivative(a, gamma)
+
+
+def abs_index(ks) -> tuple[list[int], list[int]]:
+    """The sorted distinct |k| of the integers ks, and the position of each |k| among them."""
+    distinct = sorted({abs(k) for k in ks})
+    return distinct, [distinct.index(abs(k)) for k in ks]
 
 
 # -- boxes and exact box averages ---------------------------------------------------

@@ -665,6 +665,29 @@ def test_run_powers_past_the_float_range_exit_2(tmp_path, capsys, name, values, 
     _run_exits_2_with(tmp_path, capsys, _shipped(name, **values), f"validation failure: {message}")
 
 
+@pytest.mark.parametrize("name, offset", [
+    ("t28_strong_maximal_2d.cfg", f"{1 << 58},{1 << 58}"),  # the quadrature's leaf midpoints
+    ("t28_strong_maximal.cfg", f"{1 << 61}"),               # the 1-D weights' cell edges
+    ("jn_oscillation.cfg", f"{1 << 61}"),                   # the JN log's cell centres
+])
+def test_run_window_past_53_bits_exit_2(tmp_path, capsys, name, offset):
+    # such coordinates are no exact floats, and the int64 ones wrap from 2^63 on
+    cfg = _write(tmp_path, "wide.cfg", _shipped(name, origin_offset=offset, top_count="1"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: the coordinates of Window(dim=")
+    assert err.endswith(" need more than 53 bits\n")
+
+
+def test_norm_power_weight_past_53_bits_exit_2(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    to_csv(random_lattice(Window(1, -2, 0, origin_offset=(1 << 61,), top_count=1), 5), path)
+    assert cli.main(["norm", str(path), "--p", "2", "--q", "1.5", "--weight", "pow:0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: the coordinates of Window(dim=1, level_min=-2")
+    assert "need more than 53 bits" in err
+
+
 @pytest.mark.parametrize("case, message", [
     ("q_above_p", "norm needs 0 < q <= p; got q=2.0, p=1.5"),
     ("const_0", "norm needs weight = pow:G"),

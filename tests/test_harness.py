@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from morreylab import czd
 from morreylab.czd import necessity_pair
 from morreylab.dyadic import Cube, Window
 from morreylab.errors import ValidationError
-from morreylab.field import LatticeFunction, power_weight
+from morreylab.field import LatticeFunction, bmo_norm, power_weight
 from morreylab.harness import (
     EXPERIMENTS,
     Report,
@@ -24,7 +25,9 @@ from morreylab.harness import (
     _KEYS,
     _REQUIRED,
     _exponent_set,
+    _log_abs,
     _ratio,
+    _telescoping_defect,
     _weights,
     config_from_pairs,
     emit_report,
@@ -458,6 +461,32 @@ def test_jn_log_symbol_is_the_per_cell_sample_bit_for_bit(window, monkeypatch):
     assert got.values.tobytes() == expected.values.tobytes()
     if window == Window(2, -5, 0):  # centred: one log per pair of the 32 distinct |c| per axis
         assert len(calls) == 32 * 33 // 2
+
+
+def test_jn_log_symbol_past_53_bits_is_a_validation_error():
+    # the centres (2m + 1) h/2 are exact floats while |2m + 1| <= 2^53; the widest windows
+    # either side of 0 keep the per-cell bits, one more cell (or int64's wrap) is refused
+    for offset in ((1 << 52) - 1, -(1 << 52)):
+        window = Window(1, 0, 0, origin_offset=(offset,), top_count=1)
+        expected = from_callable(window, lambda x: math.log(abs(x)))
+        assert _log_abs(window).values.tobytes() == expected.values.tobytes()
+    for offset in (1 << 52, -(1 << 52) - 1, 1 << 61):
+        with pytest.raises(ValidationError, match="need more than 53 bits"):
+            _log_abs(Window(1, 0, 0, origin_offset=(offset,), top_count=1))
+
+
+def test_telescoping_defect_holds_no_expanded_level_table():
+    # each pair of levels compares the finer table blocked by the coarser cubes; with every
+    # level's means expanded to the cells first, this 128^2 JN symbol peaked at 9 times its bytes
+    b = _log_abs(Window(2, -6, 0))
+    norm = bmo_norm(b)
+    tracemalloc.start()
+    try:
+        assert _telescoping_defect(b, norm) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * b.values.nbytes, peak
 
 
 def test_l39_experiment_stable():

@@ -3,14 +3,17 @@
 field.abs_power_cell_averages evaluates every cell that misses the origin
 in one array pass and loops only down the origin-touching chain, on a
 cached geometry plan per grid (field._quadrature_plan) that every exponent
-shares.  The oracle below is the per-cell code it replaced, unchanged but
-for its inline origin test: a loop over the cells that runs the corner
-recursion on each.  The two must agree bit for bit, on 2-D and 3-D windows
-with the origin inside, on the boundary and outside, at every depth regime
-(below, at and above _REG_DEPTH), whether the plan is cold or warm.  In one
-dimension the oracle is the closed form cell by cell
-(oracles.integral_abs_power_1d), which the library takes at every cell edge
-as arrays.
+shares and that holds each axis as integer lattice coordinates.  The oracle
+below is the per-cell code it replaced, unchanged but for its inline origin
+test: a loop over the cells that runs the corner recursion on each, halving
+floats.  The two must agree bit for bit, on 2-D and 3-D windows with the
+origin inside, on the boundary and outside, at every depth regime (below, at
+and above _REG_DEPTH), whether the plan is cold or warm, and up to the
+widest windows whose coordinates are exact floats (one cell further is a
+ValidationError).  In one dimension the oracle is the closed form cell by
+cell (oracles.integral_abs_power_1d), which the library takes at every cell
+edge as arrays.  The dedupe of the magnitudes, field._abs_index, is checked
+against a sorted set (oracles.abs_index).
 """
 
 import itertools
@@ -27,7 +30,7 @@ from morreylab import field
 from morreylab.dyadic import Window
 from morreylab.errors import ValidationError
 from morreylab.field import _REG_DEPTH, _quadrature_plan, abs_power_cell_averages
-from oracles import integral_abs_power_1d
+from oracles import abs_index, integral_abs_power_1d
 
 
 def _oracle_box(lo: Sequence[float], hi: Sequence[float], gamma: float, depth: int) -> float:
@@ -187,16 +190,14 @@ def test_random_windows_bit_identical(dim, span, level_max, top_count, shift, de
 
 
 def _plan(window: Window, depth: int):
-    return _quadrature_plan(window.dim, window.level_min, window.cell_index_lo,
-                            window.cells_per_axis, depth)
+    return _quadrature_plan(window.level_min, window.cell_index_lo, window.cells_per_axis,
+                            depth)
 
 
 def _plan_arrays(plan):
     for group in plan.groups:
         yield from group.distinct
         yield from group.inverse
-    for near in plan.near:
-        yield from near
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,8 +230,8 @@ SYMMETRY = [
     (2, -2, 0, (-1, -1), 2, True),     # centred
     (2, -3, 0, (-2, -2), 3, True),     # off centre, the same along both axes
     (2, -2, 0, (-1, 0), 2, False),     # origin at a corner of axis 1 only
-    (2, -2, 0, (-2, -1), 3, False),    # the two axes reach 0 at different cells
-    (2, -2, 0, (0, -1), 1, False),     # top_count 1
+    (2, -2, 0, (-2, -1), 3, True),     # the two axes mirror each other about 0
+    (2, -2, 0, (0, -1), 1, True),      # top_count 1, mirrored
     (3, -1, 0, (-1, -1, 0), 2, True),  # axes 0 and 1 centred, axis 2 not
     (3, -1, 0, (0, -1, -1), 2, False),  # axes 1 and 2 share their |c|, axis 0 does not
 ]
@@ -320,6 +321,59 @@ def test_warm_plan_still_reports_an_overflowing_power():
     with pytest.raises(ValidationError, match=r"\|x\|\^-1.99 overflows a float"):
         abs_power_cell_averages(-1.99, window, 12)
     assert _quadrature_plan.cache_info().misses == 1
+
+
+def test_mirrored_grid_takes_one_pow_per_upper_triangle_pair(monkeypatch):
+    """Axes that mirror each other about 0 hold the same sorted |c|, so every level of the
+    origin chain takes m (m + 1) / 2 pows for m leaf |c| per axis: 8 cells of 8 leaves per
+    axis, then the 2 halves of the one touching box at depths 11 to 3 (8 leaves each) and
+    at depths 2, 1 and 0 (4, 2 and 1 leaves each)."""
+    window = Window(2, -3, 0, origin_offset=(0, -1), top_count=1)
+    calls = []
+
+    def counting_pow(x, y):
+        calls.append(x)
+        return x ** y
+
+    monkeypatch.setattr(field, "pow", counting_pow, raising=False)
+    got = abs_power_cell_averages(0.1, window, 12)
+    monkeypatch.undo()
+    per_level = [64] + [16] * 9 + [8, 4, 2]
+    assert len(calls) == sum(m * (m + 1) // 2 for m in per_level) == 3353
+    assert np.array_equal(got, _oracle_cell_averages(0.1, window, 12))
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 12), (2, 0), (2, 2), (2, 12), (3, 1)])
+def test_coordinates_past_53_bits_are_a_validation_error(dim, depth):
+    """Every point k 2^(level_min - bits) the quadrature evaluates has |k| <= 2^53, an exact
+    float: the cell edges in 1-D (bits 0), the leaf midpoints of cells halved d times
+    otherwise (bits d + 1).  The widest windows either side of 0 match the oracle; one more
+    cell, or the offsets where int64 coordinates would wrap, is a ValidationError."""
+    bits = 0 if dim == 1 else min(depth, _REG_DEPTH) + 1
+    edge = 1 << (53 - bits)  # the largest |edge| with cells of side 1
+
+    def window(offset):
+        return Window(dim, 0, 0, origin_offset=(offset,) + (0,) * (dim - 1), top_count=1)
+
+    for offset in (edge - 1, -edge):
+        got = abs_power_cell_averages(0.5, window(offset), depth)
+        assert np.array_equal(got, _oracle_cell_averages(0.5, window(offset), depth))
+    for offset in (edge, -edge - 1, 1 << 58, 1 << 61, -(1 << 63)):
+        with pytest.raises(ValidationError, match="need more than 53 bits"):
+            abs_power_cell_averages(0.5, window(offset), depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(low=st.one_of(st.integers(-700, 100), st.integers(-(1 << 53), (1 << 53) - 1202)),
+       steps=st.lists(st.integers(0, 600), min_size=1, max_size=40),
+       odd=st.booleans())
+@example(low=-3, steps=[0, 6, 1, 5, 3, 3], odd=False)  # -3..3 with repeats: signed
+@example(low=-(1 << 53), steps=[0], odd=False)          # one element, at the bound
+@example(low=-4, steps=[0, 3, 1, 2], odd=True)          # -7, -1, -5, -3: odd only
+def test_abs_index_is_the_sorted_set_of_magnitudes(low, steps, odd):
+    k = np.array([2 * (low // 2 + s) + 1 if odd else low + s for s in steps])
+    distinct, position = field._abs_index(k)
+    assert (distinct.tolist(), position.tolist()) == abs_index(k.tolist())
 
 
 def test_plan_is_read_only_per_axis_and_bounded():
