@@ -40,12 +40,14 @@ gamma: down the chain of sub-boxes touching the origin, each level's integer
 box range per axis and the slice of its boxes that touch 0.  Per gamma,
 _grid_averages evaluates each group of levels with one leaf lattice in one
 batch (_midpoint_rule), then folds each level into the touching boxes of the
-level above, with the recursion's floating-point operations in its order, so
-the values are bit-identical to it (tests/test_quadrature.py keeps it as the
-oracle).  With gamma = alpha - n on the block of cells centred on the origin,
-the same averages are the kernel of the bilinear integrals in operators; for
-a window centred on the origin that block is the window's own grid, so the
-kernel and the weights of a stage share one plan.
+level above.  One fold, _fold_halves, averages every box's 2^n halves, from
+the leaves up to the boxes and from each level to the one above, with the
+recursion's floating-point operations in its order, so the values are
+bit-identical to it (tests/test_quadrature.py keeps it as the oracle).  With
+gamma = alpha - n on the block of cells centred on the origin, the same
+averages are the kernel of the bilinear integrals in operators; for a window
+centred on the origin that block is the window's own grid, so the kernel and
+the weights of a stage share one plan.
 """
 
 from __future__ import annotations
@@ -289,25 +291,17 @@ def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> n
 _REG_DEPTH = 3
 
 
-def _fold(sub: Callable[[tuple[int, ...]], np.ndarray], n: int) -> np.ndarray:
-    """Average sub-box values into their parent boxes.
-
-    sub(corner) gives the values of the sub-boxes at one corner (0 or 1 per
-    axis).  The 2^n corners are added in itertools.product order starting
-    from 0.0, then divided by 2^n, as the per-box recursion adds them.
-    """
+def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
+    """Average a grid (the trailing n axes) of boxes each halved along every axis back into
+    its boxes: a box's 2^n halves added in itertools.product order of their corners (0 or 1
+    per axis) from 0.0, then divided by 2^n, as the per-box recursion adds them."""
+    blocked, _ = _split(vals, n, 2)
     total = 0.0
     for corner in itertools.product((0, 1), repeat=n):
-        total += sub(corner)  # a new array on the first corner, in place after it
+        # a new array on the first corner, in place after it
+        total += blocked[(...,) + tuple(x for bit in corner for x in (slice(None), bit))]
     total /= 2 ** n
     return total
-
-
-def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
-    """_fold on a grid (the trailing n axes) whose boxes were each halved along every axis."""
-    blocked, _ = _split(vals, n, 2)
-    return _fold(lambda corner: blocked[(...,) + tuple(x for bit in corner
-                                                       for x in (slice(None), bit))], n)
 
 
 # Python floats per block of _libm_once: each block's floats live at once.
@@ -447,7 +441,7 @@ def _gather(values: np.ndarray, inverse: Sequence[np.ndarray], symmetric: bool) 
     return values.reshape(len(values), -1).take(flat, axis=1)
 
 
-# Entries per block of box rows of the first fold: the corners it gathers are temporaries.
+# Leaves per block of box rows of _midpoint_rule: each block's gathered leaves live at once.
 _FOLD_BLOCK = 1 << 14
 
 
@@ -459,29 +453,26 @@ def _midpoint_rule(group: _QuadratureGroup, gamma: float) -> np.ndarray:
     so the values are bit-identical to it: each box is halved depth times along
     each axis, at every leaf midpoint c (an exact float, from its integer lattice
     coordinate) the value is sqrt(c_0^2 + ... + c_{n-1}^2)^gamma with the squares
-    added in axis order, and _fold averages the levels back.  Every step is
-    elementwise across the stacked levels, so each level gets the bits of its own
+    added in axis order, and depth _fold_halves average the leaves back.  Every step
+    is elementwise across the stacked levels, so each level gets the bits of its own
     rule.  (The recursion adds the squares with sum(), which CPython 3.12 made
     compensated; that can move the last bit of a 3-D leaf, never a 2-D one.)
     Since c^2 = |c|^2 exactly, _libm_once takes the powers once per distinct
     tuple of per-axis |c| (an eighth of the leaves of a 2-D window centred at
-    the origin), and the folds gather from them a block of box rows at a time,
-    so no array holds every leaf.  No leaf midpoint is the origin (it would
-    raise ZeroDivisionError for gamma < 0): it is a corner of every box.
+    the origin), and a block of box rows at a time gathers its leaves from them
+    and folds them, so no array holds every leaf.  No leaf midpoint is the origin
+    (it would raise ZeroDivisionError for gamma < 0): it is a corner of every box.
     """
     n = len(group.distinct)
     powers = _libm_once(group.distinct, group.symmetric, pow, gamma)
-    if group.depth <= 0:
-        return _gather(powers, group.inverse, group.symmetric)
     leaves = 1 << group.depth  # per axis of a box
     shape = (len(powers),) + tuple(len(inv) // leaves for inv in group.inverse)
     vals = np.empty(shape)
-    step = max(1, _FOLD_BLOCK // (shape[0] * (leaves // 2) ** n * math.prod(shape[2:])))
+    step = max(1, _FOLD_BLOCK // (shape[0] * leaves ** n * math.prod(shape[2:])))
     for i in range(0, shape[1], step):
         inverse = (group.inverse[0][i * leaves:(i + step) * leaves], *group.inverse[1:])
-        block = _fold(lambda corner: _gather(powers, [x[bit::2] for x, bit in zip(
-            inverse, corner)], group.symmetric), n)
-        for _ in range(group.depth - 1):
+        block = _gather(powers, inverse, group.symmetric)
+        for _ in range(group.depth):
             block = _fold_halves(block, n)
         vals[:, i:i + step] = block
     return vals
@@ -561,9 +552,9 @@ def _oscillation_sup(b: LatticeFunction, e: float) -> float:
     w = b.window
 
     def osc(level):
-        means = level_means(b.values, w, level)
-        centered = np.abs(b.values - expand_level(means, w, level)) ** e
-        return level_means(centered, w, level) ** (1.0 / e)
+        blocked, axes = _blocks(b.values, w, level)
+        centered = np.abs(blocked - blocked.mean(axis=axes, keepdims=True)) ** e
+        return centered.mean(axis=axes) ** (1.0 / e)
 
     return level_sup(w, osc)
 

@@ -21,20 +21,23 @@ the window sits: the operator commutes with translations of the window by
 whole cells.  For the default window the block is the window's own cells.
 
 The correlation runs over an offset plan, built once per (alpha, dim, c,
-level_min, depth) and cached: for each kernel cell y_c, the kernel average
-on it and the band of output cells x whose samples x - y_c and x + y_c both
-fall inside the window, as one tuple of per-axis slices of the output and one
-of each input.  The plan is the only cache here, so the kernel quadrature
-runs once per plan; its geometry comes from field's quadrature plan of the
-kernel block, which the power weights of a stage share when the window is
-that block (centred on the origin).  Outside its band a term is an exact
-zero, and the running sum starts at +0.0, so leaving those terms out
-changes no bit of the result.  Every operator here takes a batch of inputs
-(values of shape (*batch, *window.shape), see field) through the same plan,
-with the same float operations per batch entry.  The correlation runs on
-copies with the window axes first and the batch axes last: the plan's slices
-index the leading axes, and a band of a 1-D window is one contiguous block
-of its cells times the batch, not one short row per batch entry.
+level_min, depth) and cached: the kernel averages of the kernel cells y_c,
+and per axis the band of output cells x whose samples x - y_c and x + y_c
+both fall inside the window, as a slice of the output and one of each input.
+A kernel cell's band is the product of its per-axis bands, so the plan holds
+O(c) slices and the loop builds each cell's slices from them.  The plan is
+the only cache here, so the kernel quadrature runs once per plan; its
+geometry comes from field's quadrature plan of the kernel block, which the
+power weights of a stage share when the window is that block (centred on
+the origin).  Outside its band a term is an exact zero, and the running sum
+starts at +0.0, so leaving those terms out, and the kernel cells with no
+band on some axis, changes no bit of the result.  Every operator here takes
+a batch of inputs (values of shape (*batch, *window.shape), see field)
+through the same plan, with the same float operations per batch entry.  The
+correlation runs on copies with the window axes first and the batch axes
+last: the plan's slices index the leading axes, and a band of a 1-D window
+is one contiguous block of its cells times the batch, not one short row per
+batch entry.
 
 Per-cell outputs are independent; a fixed summation order within each cell
 keeps results deterministic.
@@ -58,37 +61,33 @@ def kernel_cell_averages(alpha: float, window: Window, depth: int = DEFAULT_DEPT
 
 
 def _axis_bands(c: int) -> list:
-    """Per kernel cell index d = -ceil(c/2) .. ceil(c/2) - 1 along one axis, the
-    slices of the output cells x, of f at x - y and of g at x + y, or None if no x
-    has both samples inside the c cells: f reads cell x - d, g reads cell x + d + 1."""
-    half = (c + 1) // 2
+    """Per kernel cell index d = -(c // 2) .. c // 2 - 1 along one axis, the slices of the
+    output cells x, of f at x - y and of g at x + y, where f reads cell x - d and g reads
+    cell x + d + 1: the band of x with both samples inside the c cells is
+    max(d, -d - 1) <= x < c - 1 - max(d, -d - 1), empty for every other d."""
     bands = []
-    for d in range(-half, half):
-        lo, hi = max(0, d, -d - 1), min(c, c + d, c - 1 - d)
-        bands.append((slice(lo, hi), slice(lo - d, hi - d), slice(lo + d + 1, hi + d + 1))
-                     if lo < hi else None)
+    for d in range(-(c // 2), c // 2):
+        lo = max(d, -d - 1)
+        hi = c - 1 - lo
+        bands.append((slice(lo, hi), slice(lo - d, hi - d), slice(lo + d + 1, hi + d + 1)))
     return bands
 
 
 # Bounded, so a long sweep over alphas or window sizes holds at most 8 plans.
 @functools.lru_cache(maxsize=8)
 def _offset_plan(alpha: float, dim: int, c: int, level_min: int, depth: int) -> tuple:
-    """The (kernel value, out slices, f slices, g slices) of every kernel cell with
-    a non-empty band, in np.ndindex order; each is a tuple of one slice per window
-    axis, so it indexes the leading axes of an array laid out window axes first.
-    The kernel cells of a window of c cells per axis at level_min are the centred
-    block of cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis, so windows that
-    differ only in position share one plan."""
+    """(kern, bands): the read-only kernel averages of the kernel cells with a band on
+    every axis, and per axis each such cell's (out, f, g) slices (_axis_bands); O(c)
+    slices, so zip(kern.flat, itertools.product(bands, repeat=dim)) walks the kernel cells
+    in np.ndindex order.  The kernel cells of a window of c cells per axis at level_min
+    are the centred block of cell indices -ceil(c/2) .. ceil(c/2) - 1 per axis, so
+    windows that differ only in position share one plan; for odd c the first and last
+    index of each axis have no band."""
     half = (c + 1) // 2
     block = Window(dim, level_min, level_min, origin_offset=(-half,) * dim, top_count=2 * half)
-    kern = kernel_cell_averages(alpha, block, depth)
-    bands = _axis_bands(c)
-    plan = []
-    for j_off in np.ndindex(block.shape):
-        per_axis = [bands[j] for j in j_off]
-        if all(per_axis):
-            plan.append((kern[j_off], *zip(*per_axis)))
-    return tuple(plan)
+    kern = kernel_cell_averages(alpha, block, depth)[(slice(half - c // 2, half + c // 2),) * dim]
+    kern.setflags(write=False)
+    return kern, tuple(_axis_bands(c))
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,9 @@ def _correlation(f: LatticeFunction, g: LatticeFunction, alpha: float, depth: in
     fv, gv = batch_last(f.values), batch_last(g.values)
     bvs = [(batch_last(b.values), slot) for b, slot in symbols]
     out = np.zeros((*window.shape, *batch))
-    for kern, osl, fsl, gsl in _offset_plan(alpha, n, window.cells_per_axis, window.level_min,
-                                            depth):
+    kerns, bands = _offset_plan(alpha, n, window.cells_per_axis, window.level_min, depth)
+    for kern, per_axis in zip(kerns.flat, itertools.product(bands, repeat=n)):
+        osl, fsl, gsl = zip(*per_axis)
         term = kern * fv[fsl]
         term *= gv[gsl]
         for b, slot in bvs:

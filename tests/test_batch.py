@@ -5,11 +5,14 @@ loop it replaced (oracles.correlation), and every function that takes a
 batch of inputs against one call per batch entry.  Both comparisons are on
 the bit patterns (.view(np.int64)), on 1-D to 3-D windows with shifted
 origins, 1-3 top cubes per axis and a spike of up to 1e8; the correlation
-also on inputs whose batch shapes differ and broadcast.  The harness's
-stage chunks must give the same rows however the trials are split, and
-the functions that take one lattice function must refuse a batch.
+also on inputs whose batch shapes differ and broadcast.  The plan itself is
+the kernel averages of the cells with a band and the bands per axis, never
+one entry per kernel cell, and a bound on its traced bytes checks that.  The
+harness's stage chunks must give the same rows however the trials are split,
+and the functions that take one lattice function must refuse a batch.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +123,7 @@ def test_plan_is_a_bounded_lru():
     assert offset_plan.cache_info().currsize == size
     again = _plan(0.5, win)
     assert again is not first  # evicted, so rebuilt
-    assert again == first  # the same kernel values and slices
+    assert np.array_equal(again[0], first[0]) and again[1] == first[1]  # the same kernel and bands
     assert _plan(0.5, win) is again
 
 
@@ -130,18 +133,39 @@ def test_plan_is_shared_by_translated_windows():
     assert _plan(0.5, win) is not _plan(0.5, Window(2, -2, 0))
 
 
+def test_plan_holds_per_axis_bands_not_one_entry_per_kernel_cell():
+    # a 128^2 plan once held one tuple of slices per kernel cell: 4.2 MB traced, 32 times
+    # its kernel block
+    win = Window(2, -6, 0)
+    _plan(0.5, win)  # the kernel quadrature's geometry is cached outside the trace
+    operators._offset_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        _plan(0.5, win)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * win.n_cells * np.dtype(float).itemsize, held
+
+
 def test_plan_leaves_out_empty_bands():
     # c = 4 cells: every kernel cell of the centred block -2..1 has x - y and x + y
     # both inside for some x, wherever the window sits
     win = Window(1, -2, 0, origin_offset=(0,), top_count=1)
     block = Window(1, -2, -2, origin_offset=(-2,), top_count=4)
     want = operators.kernel_cell_averages(0.5, block, DEPTH)
-    assert [k for k, *_ in _plan(0.5, win)] == list(want)
+
+    def kept(window):  # the kernel values of the plan, each with a non-empty band per axis
+        kern, bands = _plan(0.5, window)
+        assert len(bands) == len(kern) and all(o.start < o.stop for o, _, _ in bands)
+        return kern
+
+    assert np.array_equal(kept(win), want)
     # c = 3 cells (the same block): no x has both samples inside for kernel cells -2 and 1
     three = Window(1, -2, -2, origin_offset=(5,), top_count=3)
-    assert [k for k, *_ in _plan(0.5, three)] == list(want[1:3])
-    assert _plan(0.5, Window(1, 0, 0, origin_offset=(0,), top_count=1)) == ()
-    assert len(_plan(0.5, Window(2, -2, 0))) == 8 ** 2
+    assert np.array_equal(kept(three), want[1:3])
+    assert kept(Window(1, 0, 0, origin_offset=(0,), top_count=1)).size == 0
+    assert kept(Window(2, -2, 0)).shape == (8, 8)
 
 
 # -- batched against one call per entry ---------------------------------------------

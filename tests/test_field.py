@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,20 @@ def test_oscillation_ratio_matches_cube_by_cube_oracle(e):
     win = Window(2, -3, 0)
     b = _ramp_plus_noise(win, 32)
     assert_close(oscillation_ratio(b, e), _brute_oscillation(b, e) / _brute_oscillation(b, 1.0))
+
+
+def test_oscillation_sweep_holds_no_expanded_level_table():
+    # each level's deviations are taken on the cells blocked by its cubes; with the level's
+    # means expanded to the cells first, this 256^2 symbol peaked at 4 times its bytes
+    b = random_lattice(Window(2, -7, 0), 33)
+    oscillation_ratio(b, 2.0)
+    tracemalloc.start()
+    try:
+        oscillation_ratio(b, 2.0)  # the BMO norm, then the sweep at e = 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * b.values.nbytes, peak
 
 
 def test_csv_round_trip(tmp_path, sym_window):

@@ -277,7 +277,7 @@ def test_symmetric_grid_takes_one_pow_per_upper_triangle_pair(chunk, monkeypatch
 
 @pytest.mark.parametrize("spec", [s[:5] for s in SYMMETRY], ids=str)
 def test_row_blocks_of_any_size_give_the_same_bits(spec, monkeypatch):
-    """The pows and the first fold run a block of rows at a time; blocks of a row or two
+    """The pows and the leaf folds run a block of rows at a time; blocks of a row or two
     (block edges inside each level, symmetric or not) change no bit."""
     window = _window(spec)
     want = {g: _oracle_cell_averages(g, window, 4) for g in (-window.dim + 0.2, 0.7)}
