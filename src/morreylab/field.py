@@ -8,9 +8,10 @@ a given cube Q0 in one pass (dilated_means: means over the 3-fold dilates 3Q
 clipped to the window, with the clipped cell count as the normalizer).  That
 pass reads only the cells of 3Q0 clipped to the window, and its geometry
 (the cells it reads, where each level goes, the counts) is one cached
-_dilated_plan per (window, Q0).
-Every sup over the window's dyadic cubes folds such per-level tables with
-level_sup (one number) or pointwise_level_sup (one sup per cell).
+_dilated_plan per (window, Q0).  Every sup over the window's dyadic cubes
+folds such per-level tables with level_sup (one number) or pointwise_level_sup
+(one sup per cell); the BMO norm and the oscillation at every exponent take
+one level_sup pass, _oscillation_sups.
 
 A LatticeFunction may also hold a batch of functions on one window: values
 of shape (*batch, *window.shape).  The block reductions, expand_level and
@@ -547,14 +548,21 @@ def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> We
 # -- BMO ------------------------------------------------------------------------
 
 
-def _oscillation_sup(b: LatticeFunction, e: float) -> float:
-    """sup over window cubes Q of (mean_Q |b - mean_Q b|^e)^(1/e)."""
+def _oscillation_sups(b: LatticeFunction, exponents) -> np.ndarray:
+    """Per exponent e, sup over window cubes Q of (mean_Q |b - mean_Q b|^e)^(1/e): a row per e,
+    then b's batch axes.  One level_sup pass takes each level's deviations once for every e."""
+    if not all(math.isfinite(e) and e > 0 for e in exponents):
+        raise ValueError(f"oscillation exponents must be finite and > 0, got {exponents}")
     w = b.window
 
-    def osc(level):
+    def osc(level):  # a level_min cube is one cell: deviation 0, so 0 for a finite e > 0
+        if level == w.level_min:
+            return np.zeros((len(exponents), *b.values.shape[:-w.dim], *(1,) * w.dim))
         blocked, axes = _blocks(b.values, w, level)
-        centered = np.abs(blocked - blocked.mean(axis=axes, keepdims=True)) ** e
-        return centered.mean(axis=axes) ** (1.0 / e)
+        dev = blocked - blocked.mean(axis=axes, keepdims=True)
+        np.abs(dev, out=dev)  # each e's table is reduced to its max at once
+        return np.stack([((dev if e == 1.0 else dev ** e).mean(axis=axes) ** (1.0 / e))
+                         .max(axis=tuple(range(-w.dim, 0)), keepdims=True) for e in exponents])
 
     return level_sup(w, osc)
 
@@ -564,28 +572,22 @@ def bmo_norm(b: LatticeFunction) -> float:
 
     The sup is restricted to the window's dyadic catalog; the all-cubes norm
     is comparable up to a dimensional constant, and every invariant in the
-    package is stated against this dyadic norm.
+    package is stated against this dyadic norm.  The e = 1 row of _oscillation_sups.
     """
-    return _oscillation_sup(b, 1.0)
-
-
-def _oscillation_ratios(b: LatticeFunction, exponents) -> tuple[float, dict]:
-    """The BMO norm of b and its oscillation ratios at the exponents, from one norm sweep;
-    the ratio at e = 1 is the norm over itself, and every ratio is 0.0 when the norm is."""
-    _require_unbatched(b)
-    norm = bmo_norm(b)
-    if norm == 0.0:
-        return norm, {e: 0.0 for e in exponents}
-    return norm, {e: (norm if e == 1.0 else _oscillation_sup(b, e)) / norm for e in exponents}
+    (norm,) = _oscillation_sups(b, (1.0,))
+    return norm if norm.ndim else float(norm)
 
 
 def oscillation_ratio(b: LatticeFunction, e: float) -> float:
-    """sup over cubes of (mean |b - mean_Q b|^e)^(1/e), normalized by the BMO norm.
+    """sup over cubes of (mean |b - mean_Q b|^e)^(1/e) over the BMO norm (0.0 if that is 0),
+    from one _oscillation_sups pass; e must be finite and > 0 (ValueError).
 
     John-Nirenberg predicts this stays bounded in e; the value is reported for
     empirical checks, it is not clamped.
     """
-    return _oscillation_ratios(b, (e,))[1][e]
+    _require_unbatched(b)
+    norm, sup = _oscillation_sups(b, (1.0, e)).tolist()
+    return sup / norm if norm else 0.0
 
 
 # -- CSV interchange -------------------------------------------------------------

@@ -77,7 +77,7 @@ from .field import (
     LatticeFunction,
     Weight,
     _libm_grid,
-    _oscillation_ratios,
+    _oscillation_sups,
     _require_exact,
     _split,
     bmo_norm,
@@ -702,24 +702,23 @@ def _log_abs(window: Window) -> LatticeFunction:
 def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     exponents = (1.0, 2.0, 4.0)
     b_log = _log_abs(win)
-    norm, ratios = _oscillation_ratios(b_log, exponents)
+    sups = _oscillation_sups(b_log, exponents).tolist()
+    ratios = [s / sups[0] if sups[0] else 0.0 for s in sups]
     notes.setdefault("log_symbol", {})[f"stage_{stage}"] = \
-        {f"e{int(ee)}": ratios[ee] for ee in exponents}
+        {f"e{int(ee)}": r for ee, r in zip(exponents, ratios)}
     notes["telescoping_bound"] = "max |mean_Q0 b - mean_Q b| <= k 2^n ||b||, checked exactly"
     # the log symbol's checks count with its row, trial 0
-    checks = int(not all(math.isfinite(v) for v in ratios.values()))
-    checks += not (ratios[1.0] <= ratios[2.0] + 1e-12 and ratios[2.0] <= ratios[4.0] + 1e-12)
-    checks += _telescoping_defect(b_log, norm) > 1e-12
+    checks = int(not all(map(math.isfinite, ratios)))
+    checks += not (ratios[0] <= ratios[1] + 1e-12 and ratios[1] <= ratios[2] + 1e-12)
+    checks += _telescoping_defect(b_log, sups[0]) > 1e-12
     for trial in range(cfg.trials):
         if trial == 0:
-            b_ratios, label, bad = ratios, "log_abs", checks
-        else:
-            rng = _rng(cfg.seed, 3, trial)
-            b = LatticeFunction(win, expand_level(
-                rng.uniform(-1.0, 1.0, cfg.window.shape), win, cfg.window.level_min))
-            _, b_ratios = _oscillation_ratios(b, (1.0, 4.0))
-            label, bad = "random", 0
-        lo, hi = b_ratios[1.0], b_ratios[4.0]
+            (lo, _, hi), label, bad = ratios, "log_abs", checks
+        else:  # no random symbol outlives its sweep, so none is held while the next is drawn
+            norm, sup = _oscillation_sups(LatticeFunction(win, expand_level(
+                _rng(cfg.seed, 3, trial).uniform(-1.0, 1.0, cfg.window.shape), win,
+                cfg.window.level_min)), (1.0, 4.0)).tolist()
+            (lo, hi), label, bad = (1.0, sup / norm) if norm else (0.0, 0.0), "random", 0
         yield [trial], [hi], [max(lo, 1e-300)], label, bad + int(hi + 1e-12 < lo)
 
 

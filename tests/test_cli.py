@@ -174,13 +174,13 @@ def test_jn_counts_a_telescoping_defect(tmp_path, capsys, monkeypatch):
 def test_jn_counts_exponent_ratios_out_of_order(tmp_path, capsys, monkeypatch):
     # the e = 2 ratio dips below e = 1 while e = 4 equals it, so no trial row (e4 vs e1)
     # counts: only the order check of each of the two stages does
-    honest = harness._oscillation_ratios
+    honest = harness._oscillation_sups
 
     def dipped(b, exponents):
-        norm, _ = honest(b, exponents)
-        return norm, {e: 0.5 if e == 2.0 else 1.0 for e in exponents}
+        norm = honest(b, exponents)[0]
+        return np.stack([norm * (0.5 if e == 2.0 else 1.0) for e in exponents])
 
-    monkeypatch.setattr(harness, "_oscillation_ratios", dipped)
+    monkeypatch.setattr(harness, "_oscillation_sups", dipped)
     _run_exits_3_with(tmp_path, capsys, "jn_oscillation.cfg", 2)
 
 

@@ -10,6 +10,7 @@ from morreylab.dyadic import Cube, Window
 from morreylab.field import (
     LatticeFunction,
     Weight,
+    _oscillation_sups,
     bmo_norm,
     from_csv,
     oscillation_ratio,
@@ -255,6 +256,56 @@ def test_oscillation_ratio_matches_cube_by_cube_oracle(e):
     win = Window(2, -3, 0)
     b = _ramp_plus_noise(win, 32)
     assert_close(oscillation_ratio(b, e), _brute_oscillation(b, e) / _brute_oscillation(b, 1.0))
+
+
+_SWEEP_WINDOWS = [
+    Window(1, -5, 0),
+    Window(1, -5, 0, origin_offset=(-3,), top_count=3),
+    Window(2, -3, 0),
+    Window(2, -3, 0, origin_offset=(-2, 0), top_count=3),
+]
+
+
+@pytest.mark.parametrize("window", _SWEEP_WINDOWS, ids=str)
+def test_one_oscillation_sweep_keeps_each_exponents_bits(window):
+    # each row of the sweep over all exponents is the sweep at its exponent alone, bit for
+    # bit, and the cube-by-cube sup
+    b = _ramp_plus_noise(window, 34)
+    rows = _oscillation_sups(b, (1.0, 2.0, 4.0))
+    assert rows.shape == (3,)
+    for row, e in zip(rows, (1.0, 2.0, 4.0)):
+        assert row.tobytes() == _oscillation_sups(b, (e,))[0].tobytes()
+        assert_close(float(row), _brute_oscillation(b, e))
+
+
+@pytest.mark.parametrize("window", _SWEEP_WINDOWS, ids=str)
+def test_one_oscillation_sweep_gives_each_batch_entry_its_bits(window):
+    entries = [_ramp_plus_noise(window, seed).values for seed in (35, 36, 37)]
+    rows = _oscillation_sups(LatticeFunction(window, np.stack(entries)), (1.0, 2.0, 4.0))
+    assert rows.shape == (3, 3)
+    for k, values in enumerate(entries):
+        alone = _oscillation_sups(LatticeFunction(window, values), (1.0, 2.0, 4.0))
+        assert rows[:, k].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("window", [Window(1, 0, 0), Window(2, -2, -2, origin_offset=(-1, 2))],
+                         ids=str)
+def test_single_level_window_oscillates_zero(window):
+    # its cubes are single cells, so the level_min zeros are the whole sup
+    b = random_lattice(window, 38)
+    assert _oscillation_sups(b, (1.0, 2.0, 4.0)).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_constant_symbol_has_oscillation_ratio_zero():
+    assert oscillation_ratio(LatticeFunction.constant(Window(2, -3, 0), 7.0), 2.0) == 0.0
+
+
+@pytest.mark.parametrize("e", [0.0, math.nan, math.inf, -1.0])
+def test_oscillation_ratio_rejects_exponents_the_sweep_cannot_serve(e):
+    # the level_min zeros are exact only for a finite e > 0
+    b = random_lattice(Window(1, -3, 0), 39)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        oscillation_ratio(b, e)
 
 
 def test_oscillation_sweep_holds_no_expanded_level_table():

@@ -409,28 +409,28 @@ def test_jn_experiment_ratios():
 
 
 def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
-    # per stage: the log symbol's norm and its e = 2, 4 sweeps (trial 0 reuses
-    # them), then one norm and one e = 4 sweep per random symbol
+    # per stage: one sweep of the log symbol at e = 1, 2, 4 (trial 0 reuses it), then one
+    # sweep at e = 1, 4 per random symbol
     import sys
     from morreylab import field
-    original = field._oscillation_sup
+    original = field._oscillation_sups
     sweeps = []
 
-    def counted(b, e):
-        sweeps.append(e)
-        return original(b, e)
+    def counted(b, exponents):
+        sweeps.append(tuple(exponents))
+        return original(b, exponents)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("morreylab") and getattr(module, "_oscillation_sup", None) is original:
-            monkeypatch.setattr(module, "_oscillation_sup", counted)
+        if name.startswith("morreylab") and getattr(module, "_oscillation_sups", None) is original:
+            monkeypatch.setattr(module, "_oscillation_sups", counted)
     pairs = [
         ("experiment", "JN"), ("dim", "2"), ("level_min", "-3"), ("level_max", "0"),
         ("trials", "6"), ("seed", "42"), ("refinements", "0,1"),
     ]
     rep = run_experiment(config_from_pairs(pairs))
     assert rep.summary["invariant_violations"] == 0
-    assert len(sweeps) == 2 * (3 + 2 * 5)
-    assert sweeps.count(1.0) == 2 * 6
+    assert len(sweeps) == 2 * 6
+    assert sweeps == 2 * ([(1.0, 2.0, 4.0)] + 5 * [(1.0, 4.0)])
 
 
 @pytest.mark.parametrize("window", [
@@ -487,6 +487,25 @@ def test_telescoping_defect_holds_no_expanded_level_table():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * b.values.nbytes, peak
+
+
+def test_jn_2d_stage_peak_is_a_small_multiple_of_its_window():
+    # one sweep per symbol for all its exponents, with the level_min zeros not read from the
+    # cells, no random symbol held while the next is drawn, and the telescoping check on
+    # blocked tables: 4.35 times the window's bytes.  Sweeping level_min like the other
+    # levels peaks at 5.02, as does holding the last symbol while drawing the next.
+    cfg = config_from_pairs([
+        ("experiment", "JN"), ("dim", "2"), ("level_min", "-7"), ("level_max", "0"),
+        ("trials", "6"), ("seed", "42"), ("refinements", "0"),
+    ])
+    run_experiment(cfg)  # warm
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg).summary["invariant_violations"] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.75 * 8 * math.prod(cfg.window_at(0).shape), peak
 
 
 def test_l39_experiment_stable():
