@@ -255,12 +255,12 @@ def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.
 
 
 def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:
-    """Inverse of level_means' shape: repeat each cube value over its cells."""
+    """Inverse of level_means' shape: repeat each cube value over its cells.  At level_min
+    the result is values itself, not a copy, so callers must not write to it."""
     b = 1 << (level - window.level_min)
-    out = values
-    for axis in range(-window.dim, 0):
-        out = np.repeat(out, b, axis=axis)
-    return out
+    for axis in range(-window.dim, 0) if b > 1 else ():
+        values = np.repeat(values, b, axis=axis)
+    return values
 
 
 def level_sup(window: Window, table: Callable[[int], np.ndarray]):

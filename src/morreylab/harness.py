@@ -26,16 +26,17 @@ violation counts.  Runners are grouped by the shape of their inequality:
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
 windows, so growth factors reflect the operators, not fresh randomness.
-Each trial draws from its own streams.  A run draws its first trials once,
-into a read-only table of at most _DRAW_CELLS cells that every stage
-prolongs; a trial past the table is drawn again at each stage, so memory
-does not grow with the trials (_draw_table).  Every runner but JN and L39
-takes the trials in batched chunks of _BATCH_CELLS cells per array, a
-remainder under half a chunk joining the chunk before it (_stage_chunks;
-CZ_INV then takes unbatched slices), so the rows, in trial-index order, do
-not depend on the chunking or on the table.  On each slice, and on trial 0
-for `morreylab decompose`, one table pass builds the stopping-time forest of
-every kind, and one more pass rechecks them (_decompose).
+Each trial draws from its own streams (f and g 1, a commutator's symbols 2, JN's 3).  A run
+draws its random trials once, into a read-only table of at most _DRAW_CELLS cells that
+every stage prolongs; a trial past the table is drawn again at each stage, so memory does
+not grow with the trials (_draw_table).  Every runner but L39 reads its inputs from
+_stage_chunks: the random trials in batched chunks of _BATCH_CELLS cells per array, a
+remainder under half a chunk joining the chunk before it, and each deterministic member
+(JN's log|x| at trial 0, T27_necessity's extremal pair last) as a labelled chunk of its
+own; CZ_INV then takes unbatched slices.  The rows, in trial-index order, depend neither on
+the chunking nor on the table.  On each slice, and on trial 0 for `morreylab decompose`,
+one table pass builds the stopping-time forest of every kind, and one more pass rechecks
+them (_decompose).
 
 Each experiment is one _EXPERIMENTS record (its runner, keys and weight condition),
 so adding an experiment means adding one record; hypothesis turns a record's weight
@@ -51,6 +52,7 @@ the per-experiment LHS/RHS manifest.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import statistics
@@ -366,12 +368,12 @@ def _draw_values(rng: np.random.Generator, window: Window) -> np.ndarray:
     return vals
 
 
-def _drawn(seed: int, window: Window, trial: int, n_sym: int = 0) -> list[np.ndarray]:
-    """The trial's f and g, then n_sym BMO symbols, drawn on the base window."""
-    rng = _rng(seed, 1, trial)
-    out = [_draw_values(rng, window), _draw_values(rng, window)]
-    rng = _rng(seed, 2, trial) if n_sym else None
-    return out + [rng.uniform(-1.0, 1.0, window.shape) for _ in range(n_sym)]
+def _drawn(seed: int, window: Window, trial: int, streams=(1, 1)) -> list[np.ndarray]:
+    """The trial's arrays on the base window, one per entry of streams, a run of equal entries
+    from one generator: stream 1 draws f and g, any other uniform(-1, 1) symbols."""
+    return [_draw_values(rng, window) if stream == 1 else rng.uniform(-1.0, 1.0, window.shape)
+            for stream, run in itertools.groupby(streams)
+            for rng in [_rng(seed, stream, trial)] for _ in run]
 
 
 # Cells per batched array of a full stage chunk; the last chunk of a stage may hold up to
@@ -386,42 +388,51 @@ _DRAW_CELLS = 1 << 16
 
 # Keyed on the values that fix the draws; one run's table at a time.
 @functools.lru_cache(maxsize=1)
-def _draw_table(seed: int, window: Window, n_sym: int, kept: int) -> np.ndarray:
-    """The draws of trials 0 .. kept - 1 on the base window, arrays first: [i, t] is
-    _drawn's i-th array of trial t (f, g, then the symbols), so one array of a run of
-    trials is one contiguous slice.  Read-only."""
-    table = np.empty((2 + n_sym, kept, *window.shape))
-    for t in range(kept):
-        table[:, t] = _drawn(seed, window, t, n_sym)
+def _draw_table(seed: int, window: Window, streams: tuple, trials: range) -> np.ndarray:
+    """The base-window draws of the trials, arrays first: [i, k] is _drawn's i-th array of
+    trials[k] for streams, so an array of a run of trials is one contiguous slice; read-only."""
+    table = np.empty((len(streams), len(trials), *window.shape))
+    for k, t in enumerate(trials):
+        table[:, k] = _drawn(seed, window, t, streams)
     table.setflags(write=False)
     return table
 
 
-def _stage_chunks(cfg: ExperimentConfig, window: Window, n_sym: int = 0,
-                  n_trials: int | None = None):
-    """Yield (trials, f, g, symbols) per chunk: f, g and each symbol batch the chunk's
-    trials as _drawn draws them, prolonged to window (a refinement of the base window).
-    The first trials come from the run's _draw_table, as many as _DRAW_CELLS holds; the
-    rest are drawn here, again at every stage.  The trials 0 .. n_trials - 1 (default: all
-    of cfg.trials) split into round(n_trials / per) chunks, halves up and at least one, of
-    per = max(1, _BATCH_CELLS // window.n_cells) trials, the last taking the rest: a
-    remainder under half a chunk joins the chunk before it rather than pay one more sweep
-    over the operators, so a chunk of more than one trial has under 1.5 * _BATCH_CELLS
-    cells per array.  expand_level repeats each batch entry, so slice i holds trial i's
-    bits."""
+def _stage_chunks(cfg: ExperimentConfig, window: Window, streams: tuple = (1, 1),
+                  members: Mapping = MappingProxyType({})):
+    """Yield (trials, label, arrays) per chunk in trial order, arrays batching the chunk's
+    trials on window (a refinement of the base window), one LatticeFunction each.  members
+    maps trial 0 or the last trial to (label, build), a chunk of build(window)'s functions.
+    The other trials are "random", _drawn's arrays for streams prolonged to window: the
+    first from the run's _draw_table, as many as _DRAW_CELLS holds, the rest drawn here at
+    every stage.  The n random trials split into round(n / per) chunks, halves up and at
+    least one, of per = max(1, _BATCH_CELLS // window.n_cells) trials, the last taking the
+    rest: a remainder under half a chunk joins the chunk before it rather than pay one more
+    sweep over the operators, so a chunk of more than one trial has under 1.5 * _BATCH_CELLS
+    cells per array.  expand_level repeats each batch entry, so slice i holds trial i's bits."""
     per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window
-    n_trials = cfg.trials if n_trials is None else n_trials
-    kept = min(n_trials, _DRAW_CELLS // ((2 + n_sym) * base.n_cells))
-    table = _draw_table(cfg.seed, base, n_sym, kept)
-    starts = range(0, n_trials, per)[:max(1, (2 * n_trials + per) // (2 * per))]
-    for start, stop in zip(starts, [*starts[1:], n_trials]):
+    # the trials that no member takes
+    drawn = range(0 in members, cfg.trials - (cfg.trials - 1 in members))
+    kept = len(drawn[:_DRAW_CELLS // (len(streams) * base.n_cells)])
+    table = _draw_table(cfg.seed, base, streams, drawn[:kept])
+
+    def member(slot):
+        label, build = members[slot]
+        return range(slot, slot + 1), label, [LatticeFunction(window, x.values[None])
+                                              for x in build(window)]
+
+    def drawn_chunk(start, stop):  # drawn[start:stop]; no other array outlives the call
         arrays = table[:, start:stop]
         if stop > kept:
-            fresh = [_drawn(cfg.seed, base, t, n_sym) for t in range(max(start, kept), stop)]
+            fresh = [_drawn(cfg.seed, base, t, streams) for t in drawn[max(start, kept):stop]]
             arrays = np.concatenate([arrays, np.stack(fresh, axis=1)], axis=1)
-        f, g, *symbols = (LatticeFunction(window, expand_level(a, window, base.level_min))
-                          for a in arrays)
-        yield range(start, stop), f, g, symbols
+        return drawn[start:stop], "random", [
+            LatticeFunction(window, expand_level(a, window, base.level_min)) for a in arrays]
+
+    yield from (member(slot) for slot in members if slot < drawn.start)
+    starts = range(0, len(drawn), per)[:max(1, (2 * len(drawn) + per) // (2 * per))]
+    yield from itertools.starmap(drawn_chunk, zip(starts, [*starts[1:], len(drawn)]))
+    yield from (member(slot) for slot in members if slot >= drawn.start)
 
 
 def _read_csv(path: str, window: Window | None = None) -> LatticeFunction:
@@ -553,9 +564,8 @@ def _growth(summary_per_stage: list[dict]) -> tuple[list, dict]:
 
 
 def _stage_summaries(rows: list) -> list[dict]:
-    stages = sorted({r["refinement"] for r in rows})
     out = []
-    for st in stages:
+    for st in sorted({r["refinement"] for r in rows}):
         ratios = [r["ratio"] for r in rows if r["refinement"] == st]
         finite = [x for x in ratios if x != INF]
         out.append({
@@ -576,9 +586,7 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     (default 1, 2, 1, ...)."""
     if not symbols:
         return bilinear_fractional(f, g, alpha, cfg.params["depth"])
-    pattern = cfg.params["beta_pattern"]
-    if pattern is None:
-        pattern = tuple(1 + i % 2 for i in range(len(symbols)))
+    pattern = cfg.params["beta_pattern"] or tuple(1 + i % 2 for i in range(len(symbols)))
     return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, cfg.params["depth"])
 
 
@@ -591,7 +599,7 @@ def _run_strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Wind
     if kind is WeightConditionKind.C211 and cfg.params["a"] is None:
         notes["derived_a"] = e.a
     n_sym = cfg.params["n_symbols"] if operator == "commutator" else 0
-    for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
+    for trials, label, (f, g, *symbols) in _stage_chunks(cfg, win, (1, 1) + (2,) * n_sym):
         if operator == "m_alpha_r":
             out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
         elif operator == "bh_maximal":
@@ -601,7 +609,7 @@ def _run_strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Wind
         lhs = morrey_norm(_times(out, v), e.s, e.t)
         rhs = math.prod(map(bmo_norm, symbols)) * const \
             * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
-        yield trials, lhs, rhs, "random", 0
+        yield trials, lhs, rhs, label, 0
 
 
 def _run_maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, win: Window,
@@ -611,11 +619,11 @@ def _run_maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, wi
     pair = (cfg.params["vartheta1"] * r1, cfg.params["vartheta2"] * r2) if commutator else (r1, r2)
     n_sym = cfg.params["n_symbols"] if commutator else 0
     [w] = _weights(cfg, win, "w")
-    for trials, f, g, symbols in _stage_chunks(cfg, win, n_sym):
+    for trials, label, (f, g, *symbols) in _stage_chunks(cfg, win, (1, 1) + (2,) * n_sym):
         lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
         rhs = math.prod(map(bmo_norm, symbols)) \
             * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
-        yield trials, lhs, rhs, "random", 0
+        yield trials, lhs, rhs, label, 0
 
 
 def _run_weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window,
@@ -624,31 +632,30 @@ def _run_weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Wind
     notes["condition_kind"] = kind.value
     q0 = _q0(cfg.params, win)
 
-    def sides(f, g, big_m):
-        return (float(weak_morrey_functional(big_m, v, e.t, e.s, q0)),
-                float(const * rhs_bilinear_morrey_from(f, g, w1, w2, e.p, e.q1, e.q2, q0)))
+    def extremal(window):  # the necessity argument's pair, in the last slot; its threshold
+        qp = q0 if cfg.params["qprime_level"] is None and cfg.params["qprime_index"] is None \
+            else _q0(cfg.params, window, key="qprime")
+        f, g, lam = necessity_pair(w1, w2, qp, e)
+        notes.setdefault("extremal_checks", []).append({"refinement": stage, "lambda": lam})
+        return f, g
 
-    # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional
-    # and rhs_bilinear_morrey_from per trial, the latter for its scalar powers.  The
-    # extremal pair takes the last trial slot so rows = trials x refinements.
+    # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional and
+    # rhs_bilinear_morrey_from per trial, the latter for its scalar powers
     ratios = []
-    n_random = cfg.trials - 1 if necessity else cfg.trials
-    for trials, f, g, _ in _stage_chunks(cfg, win, n_trials=n_random):
+    members = {cfg.trials - 1: ("extremal", extremal)} if necessity else {}
+    for trials, label, (f, g) in _stage_chunks(cfg, win, members=members):
         big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic").values
         for i, trial in enumerate(trials):
-            lhs, rhs = sides(*(LatticeFunction(win, x[i]) for x in (f.values, g.values, big_m)))
+            fi, gi, mi = (LatticeFunction(win, x[i]) for x in (f.values, g.values, big_m))
+            lhs = float(weak_morrey_functional(mi, v, e.t, e.s, q0))
+            rhs = float(const * rhs_bilinear_morrey_from(fi, gi, w1, w2, e.p, e.q1, e.q2, q0))
             ratios.append(_ratio(lhs, rhs))
-            yield [trial], [lhs], [rhs], "random", 0
-    if necessity:
-        qp = q0 if cfg.params["qprime_level"] is None and cfg.params["qprime_index"] is None \
-            else _q0(cfg.params, win, key="qprime")
-        f, g, lam = necessity_pair(w1, w2, qp, e)
-        lhs, rhs = sides(f, g, m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic"))
-        c_obs = max(x for x in ratios + [_ratio(lhs, rhs)] if x != INF)
-        ok = lhs <= 2.0 * c_obs * rhs * (1.0 + 1e-9)
-        notes.setdefault("extremal_checks", []).append(
-            {"refinement": stage, "lambda": lam, "c_observed": c_obs, "passed": bool(ok)})
-        yield [cfg.trials - 1], [lhs], [rhs], "extremal", int(not ok)
+            bad = 0
+            if label == "extremal":  # c_obs counts the extremal row itself
+                c_obs = max(x for x in ratios if x != INF)
+                bad = int(not lhs <= 2.0 * c_obs * rhs * (1.0 + 1e-9))
+                notes["extremal_checks"][-1].update(c_observed=c_obs, passed=not bad)
+            yield [trial], [lhs], [rhs], label, bad
 
 
 def _stein_weiss_exponents(params: Mapping, n: int) -> tuple[float, float, float, float]:
@@ -684,10 +691,10 @@ def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
     built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
              for x in dict.fromkeys(exps)}
     wl, v1, v2 = (built[x] for x in exps)
-    for trials, f, g, _ in _stage_chunks(cfg, win):
+    for trials, label, (f, g) in _stage_chunks(cfg, win):
         lhs = morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t)
         rhs = morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
-        yield trials, lhs, rhs, "random", 0
+        yield trials, lhs, rhs, label, 0
 
 
 def _log_abs(window: Window) -> LatticeFunction:
@@ -701,25 +708,22 @@ def _log_abs(window: Window) -> LatticeFunction:
 
 def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     exponents = (1.0, 2.0, 4.0)
-    b_log = _log_abs(win)
-    sups = _oscillation_sups(b_log, exponents).tolist()
-    ratios = [s / sups[0] if sups[0] else 0.0 for s in sups]
-    notes.setdefault("log_symbol", {})[f"stage_{stage}"] = \
-        {f"e{int(ee)}": r for ee, r in zip(exponents, ratios)}
     notes["telescoping_bound"] = "max |mean_Q0 b - mean_Q b| <= k 2^n ||b||, checked exactly"
-    # the log symbol's checks count with its row, trial 0
-    checks = int(not all(map(math.isfinite, ratios)))
-    checks += not (ratios[0] <= ratios[1] + 1e-12 and ratios[1] <= ratios[2] + 1e-12)
-    checks += _telescoping_defect(b_log, sups[0]) > 1e-12
-    for trial in range(cfg.trials):
-        if trial == 0:
-            (lo, _, hi), label, bad = ratios, "log_abs", checks
-        else:  # no random symbol outlives its sweep, so none is held while the next is drawn
-            norm, sup = _oscillation_sups(LatticeFunction(win, expand_level(
-                _rng(cfg.seed, 3, trial).uniform(-1.0, 1.0, cfg.window.shape), win,
-                cfg.window.level_min)), (1.0, 4.0)).tolist()
-            (lo, hi), label, bad = (1.0, sup / norm) if norm else (0.0, 0.0), "random", 0
-        yield [trial], [hi], [max(lo, 1e-300)], label, bad + int(hi + 1e-12 < lo)
+    # trial 0 is log|x|, swept at every exponent and checked; the others random, at e = 1, 4
+    for trials, label, (b,) in _stage_chunks(cfg, win, (3,),
+                                             {0: ("log_abs", lambda w: [_log_abs(w)])}):
+        log = label == "log_abs"
+        for trial, sups in zip(trials, _oscillation_sups(b, exponents if log else (1.0, 4.0))
+                               .T.tolist()):
+            ratios = [s / sups[0] if sups[0] else 0.0 for s in sups]
+            bad = int(ratios[-1] + 1e-12 < ratios[0])
+            if log:
+                notes.setdefault("log_symbol", {})[f"stage_{stage}"] = \
+                    {f"e{int(ee)}": r for ee, r in zip(exponents, ratios)}
+                bad += not all(map(math.isfinite, ratios))
+                bad += not (ratios[0] <= ratios[1] + 1e-12 and ratios[1] <= ratios[2] + 1e-12)
+                bad += _telescoping_defect(b, sups[0]) > 1e-12
+            yield [trial], [ratios[-1]], [max(ratios[0], 1e-300)], label, bad
 
 
 def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
@@ -770,9 +774,9 @@ def decompose(cfg: ExperimentConfig) -> tuple[Decomposition, list[str]]:
 
 def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q0 = _q0(cfg.params, win)
-    for trials, f, g, _ in _stage_chunks(cfg, win):
+    for trials, _, arrays in _stage_chunks(cfg, win):
         for i, trial in enumerate(trials):
-            pair = [LatticeFunction(win, x.values[i]) for x in (f, g)]
+            pair = [LatticeFunction(win, x.values[i]) for x in arrays]
             checked = _decompose(cfg, ("cz", "cz_alpha"), *pair, q0)
             notes["theta"], notes["alpha_variant"] = (args for _, _, args in checked)
             bad = sum(len(msgs) for _, msgs, _ in checked)
@@ -786,7 +790,7 @@ def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: di
     tol = 1e-12
     notes.update({"pairs": _BH_PAIRS, "tolerance": tol})
     cells = tuple(range(-win.dim, 0))
-    for trials, f, g, _ in _stage_chunks(cfg, win):
+    for trials, label, (f, g) in _stage_chunks(cfg, win):
         bh = bh_maximal(f, g).values
         worst = np.zeros(len(trials))
         for pair in _BH_PAIRS:
@@ -795,7 +799,7 @@ def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: di
             scale = np.maximum(np.abs(bh), np.abs(m))
             excess = np.divide(bh - m, scale, out=np.zeros_like(scale), where=scale > 0)
             worst = np.maximum(worst, excess.max(axis=cells))
-        yield trials, worst, [tol] * len(trials), "random", int((worst > tol).sum())
+        yield trials, worst, [tol] * len(trials), label, int((worst > tol).sum())
 
 
 def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
@@ -937,13 +941,9 @@ def emit_report(report: Report, path) -> tuple[str, str]:
     """Write <path>.csv (rows) and <path>.json (summary); byte-stable per seed."""
     path = str(path)
     csv_path, json_path = path + ".csv", path + ".json"
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        cells = []
-        for col in report.columns:
-            val = row[col]
-            cells.append(repr(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(cells))
+    lines = [",".join(report.columns)] + [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in map(row.get, report.columns))
+        for row in report.rows]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     write_json(report.summary, json_path)

@@ -317,7 +317,7 @@ def test_stage_chunks_fold_the_runt_into_the_chunk_before(n_trials, dim, depth, 
     trials = [t for t, *_ in chunks]
     assert [i for t in trials for i in t] == list(range(n_trials))
     assert all(f.values.shape == g.values.shape == (len(t), *window.shape)
-               for t, f, g, _ in chunks)
+               for t, _, (f, g) in chunks)
     sizes = [len(t) for t in trials]
     assert all(size == per for size in sizes[:-1])
     # a runt under half a chunk joined the chunk before it
@@ -338,22 +338,27 @@ def _count_draws(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, streams", [("t26_commutator_control.cfg", (1, 2)),
-                                           ("t27_weak_type.cfg", (1,))])
+                                           ("t27_weak_type.cfg", (1,)),
+                                           ("jn_oscillation.cfg", (3,))])
 def test_a_run_draws_each_trial_once(monkeypatch, name, streams):
-    # three stages draw each trial's streams once; T27_necessity's extremal pair takes
-    # the last trial slot and draws nothing
+    # three stages draw each random trial's streams once; T27_necessity's extremal pair
+    # takes the last trial slot and JN's log symbol trial 0, and neither draws anything
     cfg = _config(name, refinements="0,1,2")
     calls = _count_draws(monkeypatch)
     harness.run_experiment(cfg)
-    n_random = cfg.trials - (cfg.experiment == "T27_necessity")
-    assert sorted(calls) == [(s, t) for s in streams for t in range(n_random)]
+    drawn = {"T27_necessity": range(cfg.trials - 1), "JN": range(1, cfg.trials)}.get(
+        cfg.experiment, range(cfg.trials))
+    assert sorted(calls) == [(s, t) for s in streams for t in drawn]
 
 
 @pytest.mark.parametrize("name", ["t26_commutator_control.cfg", "t27_weak_type.cfg",
-                                  "czd_decompose.cfg", "t24_commutator_2d.cfg"])
+                                  "czd_decompose.cfg", "t24_commutator_2d.cfg",
+                                  "jn_oscillation.cfg", "jn_oscillation_2d.cfg"])
 def test_reports_do_not_depend_on_the_draw_table(monkeypatch, tmp_path, name):
     cfg = _config(name, trials=7, refinements="0,1")
-    trial_cells = (2 + cfg.params.get("n_symbols", 0)) * cfg.window.n_cells
+    # JN draws one symbol per trial, the others f, g and their symbols
+    arrays = 1 if cfg.experiment == "JN" else 2 + cfg.params.get("n_symbols", 0)
+    trial_cells = arrays * cfg.window.n_cells
     assert 7 * trial_cells <= harness._DRAW_CELLS  # the default table keeps every trial
 
     def emitted(stem: str) -> list[bytes]:
@@ -361,7 +366,7 @@ def test_reports_do_not_depend_on_the_draw_table(monkeypatch, tmp_path, name):
         return [Path(csv).read_bytes(), Path(js).read_bytes()]
 
     want = emitted("default")
-    # no table, a table of trial 0 alone; one chunk, then chunks of 3 trials at stage 0
+    # no table, a table of the first random trial alone; one chunk, then chunks of 3 trials at stage 0
     for batch in (harness._BATCH_CELLS, 3 * cfg.window.n_cells):
         monkeypatch.setattr(harness, "_BATCH_CELLS", batch)
         for cells in (0, trial_cells):
@@ -379,7 +384,7 @@ def test_the_draw_table_stays_within_its_bound(monkeypatch):
     base = cfg.window
     for stage in (0, 1):
         window = cfg.window_at(stage)
-        for trials, f, g, _ in harness._stage_chunks(cfg, window):
+        for trials, _, (f, g) in harness._stage_chunks(cfg, window):
             for i, trial in enumerate(trials):
                 for x, drawn in zip((f, g), harness._drawn(cfg.seed, base, trial)):
                     assert np.array_equal(x.values[i],

@@ -43,7 +43,7 @@ def _stages(pairs: dict, n_sym: int = 0):
 
         def draws(trial, win=win):
             return [LatticeFunction(win, expand_level(a, win, cfg.window.level_min))
-                    for a in _drawn(cfg.seed, cfg.window, trial, n_sym)]
+                    for a in _drawn(cfg.seed, cfg.window, trial, (1, 1) + (2,) * n_sym)]
 
         yield win, {r["trial"]: r for r in rows if r["refinement"] == stage}, draws
 

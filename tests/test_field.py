@@ -12,7 +12,9 @@ from morreylab.field import (
     Weight,
     _oscillation_sups,
     bmo_norm,
+    expand_level,
     from_csv,
+    level_means,
     oscillation_ratio,
     power_weight,
     to_csv,
@@ -320,6 +322,25 @@ def test_oscillation_sweep_holds_no_expanded_level_table():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * b.values.nbytes, peak
+
+
+def test_expand_level_at_level_min_allocates_nothing():
+    # the identity expansion hands back its input, which its callers only read; repeating
+    # each axis once copied this batch of two 128^2 arrays, a peak of 2 times its bytes
+    window = Window(2, -6, 0)
+    values = np.random.default_rng(3).uniform(0.0, 1.0, (2, *window.shape))
+    tracemalloc.start()
+    try:
+        out = expand_level(values, window, window.level_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * values.nbytes, peak
+    assert np.array_equal(out, values)
+    # two levels up, each cube value covers its 4 x 4 cells, as np.repeat per axis gives them
+    coarse = level_means(values, window, window.level_min + 2)
+    assert np.array_equal(expand_level(coarse, window, window.level_min + 2),
+                          np.repeat(np.repeat(coarse, 4, axis=-2), 4, axis=-1))
 
 
 def test_csv_round_trip(tmp_path, sym_window):

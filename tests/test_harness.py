@@ -410,14 +410,14 @@ def test_jn_experiment_ratios():
 
 def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
     # per stage: one sweep of the log symbol at e = 1, 2, 4 (trial 0 reuses it), then one
-    # sweep at e = 1, 4 per random symbol
+    # sweep at e = 1, 4 of the chunk of random symbols (5 of 8^2 and of 16^2 cells)
     import sys
     from morreylab import field
     original = field._oscillation_sups
     sweeps = []
 
     def counted(b, exponents):
-        sweeps.append(tuple(exponents))
+        sweeps.append((tuple(exponents), b.values.shape[:-b.window.dim]))
         return original(b, exponents)
 
     for name, module in list(sys.modules.items()):
@@ -429,8 +429,7 @@ def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
     ]
     rep = run_experiment(config_from_pairs(pairs))
     assert rep.summary["invariant_violations"] == 0
-    assert len(sweeps) == 2 * 6
-    assert sweeps == 2 * ([(1.0, 2.0, 4.0)] + 5 * [(1.0, 4.0)])
+    assert sweeps == 2 * [((1.0, 2.0, 4.0), (1,)), ((1.0, 4.0), (5,))]
 
 
 @pytest.mark.parametrize("window", [

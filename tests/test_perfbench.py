@@ -4,7 +4,8 @@ shipped config of every workload in perfbench/workloads.json.
 perfbench/tracer.py rebinds the library's entry points by name and its hooks
 call helpers such as Window.n_cubes, so a change under src/ that breaks one
 of them fails here, not only in a benchmark run.  No workload reaches the
-hook that calls Window.n_cubes (a C211 constant), so the T29 config runs too.
+hook that calls Window.n_cubes (a C211 constant), so the T29 config runs too, and
+no workload runs JN, so its config runs as well.
 """
 
 import json
@@ -22,6 +23,7 @@ WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["wor
 @pytest.mark.parametrize("config", [
     *(pytest.param(w["config"], id=name) for name, w in WORKLOADS.items()),
     "t29_vector_weight.cfg",
+    "jn_oscillation.cfg",
 ])
 def test_child_traces_shipped_config(tmp_path, config):
     stamp = tmp_path / "stamp.json"
