@@ -38,7 +38,11 @@ EXIT_INVARIANT = 3
 
 def _load_config(path: str, extra=None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), extra)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config {path!r} is not UTF-8: {exc}") from exc
+    return parse_config(text, extra)
 
 
 def _cmd_run(args) -> int:

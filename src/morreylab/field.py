@@ -8,10 +8,10 @@ a given cube Q0 in one pass (dilated_means: means over the 3-fold dilates 3Q
 clipped to the window, with the clipped cell count as the normalizer).  That
 pass reads only the cells of 3Q0 clipped to the window, and its geometry
 (the cells it reads, where each level goes, the counts) is one cached
-_dilated_plan per (window, Q0).  Every sup over the window's dyadic cubes
-folds such per-level tables with level_sup (one number) or pointwise_level_sup
-(one sup per cell); the BMO norm and the oscillation at every exponent take
-one level_sup pass, _oscillation_sups.
+_dilated_plan per (window, Q0), whose counts are that pass over ones.  Every
+sup over the window's dyadic cubes folds such per-level tables with level_sup
+(one number) or pointwise_level_sup (one sup per cell); the BMO norm and the
+oscillation at every exponent take one level_sup pass, _oscillation_sups.
 
 A LatticeFunction may also hold a batch of functions on one window: values
 of shape (*batch, *window.shape).  The block reductions, expand_level and
@@ -166,26 +166,12 @@ def level_power_means(values: np.ndarray, window: Window, level: int, e: float) 
     return level_means(values ** e, window, level) ** (1.0 / e)
 
 
-def _dilated_cell_counts(window: Window, level: int, first: Sequence[int], k: int) -> np.ndarray:
-    """The finest cells in 3Q clipped to the window, for the k^n cubes Q of one level whose
-    offsets from the level's first cube start at first: b (min(x + 2, c) - max(x - 1, 0)) per
-    axis at offset x, for c cubes of b cells per axis, multiplied out.  Exact integers, as floats
-    (every product stays far below 2^53)."""
-    c = window.index_count(level)
-    b = 1 << (level - window.level_min)
-    counts = np.ones(())
-    for x0 in first:
-        counts = np.multiply.outer(counts, [b * (min(x + 2, c) - max(x - 1, 0))
-                                            for x in range(x0, x0 + k)])
-    return counts
-
-
 class _DilatedPlan(NamedTuple):
     """The geometry of dilated_means for one (window, q0): see _dilated_plan."""
 
     frame: tuple        # the cells of 3Q0 clipped to the window, led by ... for batch axes
     levels: tuple       # per level from level_min: (level, cube side b, src, dst, out)
-    counts: np.ndarray  # the clipped cell counts at every level's out, 1.0 elsewhere
+    counts: np.ndarray  # the sum pass over ones at every level's out, 1.0 elsewhere
 
 
 # Bounded, so a long sweep over windows or base cubes holds at most 8 plans.
@@ -198,7 +184,7 @@ def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
     and k_l + 2 of the K + 2 columns of every other axis (K = k at level_min).  src is the
     level's cells in the frame, dst its block sums in the canvas, out its means in the
     canvas less two rows and columns, which is the shape of counts.  Geometry only: the
-    counts are read-only.
+    counts, _dilated_sums over a frame of ones, are read-only.
     """
     n = window.dim
     big = 1 << (q0.level - window.level_min)
@@ -206,10 +192,7 @@ def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
     c0 = window.index_count(q0.level)
     corner = [max(x - 1, 0) * big for x in at]
     frame = (...,) + tuple(slice(lo, min(x + 2, c0) * big) for lo, x in zip(corner, at))
-    rows = 2 * big - 1 + 2 * (q0.level - window.level_min + 1)  # the sum of k + 2 over levels
-    counts = np.ones((rows - 2,) + (big,) * (n - 1))
-    levels = []
-    row = 0
+    levels, row = [], 0
     for level in range(window.level_min, q0.level + 1):
         k = 1 << (q0.level - level)
         b = 1 << (level - window.level_min)
@@ -220,11 +203,29 @@ def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
         dst = [slice(l - x + 1, h - x + 1) for l, h, x in zip(lo, hi, first)]
         dst[0] = slice(row + dst[0].start, row + dst[0].stop)
         out = (..., slice(row, row + k)) + (slice(0, k),) * (n - 1)
-        counts[out] = _dilated_cell_counts(window, level, first, k)
         levels.append((level, b, src, (..., *dst), out))
         row += k + 2
+    shape = (row - 2,) + (big,) * (n - 1)
+    sums = _dilated_sums(np.ones([s.stop - s.start for s in frame[1:]]), levels, shape)
+    counts = np.ones(shape)
+    for *_, out in levels:
+        counts[out] = sums[out]
     counts.setflags(write=False)
     return _DilatedPlan(frame, tuple(levels), counts)
+
+
+def _dilated_sums(values: np.ndarray, levels: Sequence, shape: tuple) -> np.ndarray:
+    """dilated_means' sums, of the given shape: block sums, then 3^n shifted adds from 0.0."""
+    n = len(shape)
+    batch = values.shape[:values.ndim - n]
+    sums = np.zeros(batch + tuple(m + 2 for m in shape))
+    for _, b, src, dst, _ in levels:
+        blocked, axes = _split(values[src], n, b)
+        blocked.sum(axis=axes, out=sums[dst])
+    total = np.zeros(batch + shape)
+    for shift in itertools.product(range(3), repeat=n):
+        total += sums[(...,) + tuple(slice(d, d + m) for d, m in zip(shift, shape))]
+    return total
 
 
 def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.ndarray]:
@@ -233,23 +234,12 @@ def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.
     first subcube of the level}.  values holds one entry per finest cell of the frame
     _dilated_plan(window, q0).frame (3Q0 clipped to the window), with leading batch axes.
 
-    3Q is Q and its level neighbours, so each sum adds up the 3^n shifted block sums (in
-    itertools.product order, from 0.0) over q0's cubes and a frame one cube wide, whose
-    cubes outside the window add 0.0.  One block sum per level fills a canvas that stacks
-    the levels, then the shifted adds and the division run once for all of them; each
-    mean is the float it would be with the levels taken one at a time.  The means are
-    views of one array.
+    3Q is Q and its level neighbours: _dilated_sums adds their block sums over a frame one
+    cube wide (cubes outside the window add 0.0), and one division by the plan's counts
+    serves all levels.  Each mean is the float of its level taken alone, a view of one array.
     """
     plan = _dilated_plan(window, q0)
-    n = window.dim
-    batch = values.shape[:values.ndim - n]
-    sums = np.zeros(batch + tuple(m + 2 for m in plan.counts.shape))
-    for _, b, src, dst, _ in plan.levels:
-        blocked, axes = _split(values[src], n, b)
-        blocked.sum(axis=axes, out=sums[dst])
-    total = np.zeros(batch + plan.counts.shape)
-    for shift in itertools.product(range(3), repeat=n):
-        total += sums[(...,) + tuple(slice(d, d + m) for d, m in zip(shift, plan.counts.shape))]
+    total = _dilated_sums(values, plan.levels, plan.counts.shape)
     total /= plan.counts
     return {level: total[out] for level, _, _, _, out in plan.levels}
 
@@ -613,6 +603,8 @@ def from_csv(path) -> LatticeFunction:
     if not rows:
         raise ValueError("empty CSV")
     level_min, level_max, dim = (int(v) for v in rows[0])
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     cells = {}
     for r in rows[1:]:
         if len(r) != dim + 1:

@@ -817,7 +817,7 @@ class _Experiment(NamedTuple):
     """run(cfg, stage, win, notes), the runner with its variant bound, yields a stage's
     (trials, lhs, rhs, label, violations) in trial order; keys maps each key besides _COMMON
     that it reads to (default, domain); kind is the weight condition of the exponent keys,
-which hypothesis reads.
+    which hypothesis reads.
     A runner reaches the library through this module's globals, which a tracer may rebind."""
 
     run: Callable

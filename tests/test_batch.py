@@ -12,6 +12,7 @@ harness's stage chunks must give the same rows however the trials are split,
 and the functions that take one lattice function must refuse a batch.
 """
 
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -459,17 +460,25 @@ def test_lattice_function_shape_must_end_in_the_window_shape():
 # -- dilated means ------------------------------------------------------------------------
 
 
-def test_dilated_cell_counts_are_clipped_outer_products():
+def test_dilated_plan_counts_are_the_sums_over_ones():
     window = Window(2, -2, 0, origin_offset=(0, -2), top_count=3)
     # per axis 6 cubes of side 1/2: the two end cubes see 2 of their 3 neighbours
     axis = np.array([2, 3, 3, 3, 3, 2]) * 2.0
-    counts = field._dilated_cell_counts(window, -1, (0, 0), 6)
-    assert counts.dtype == float and np.array_equal(counts, np.outer(axis, axis))
-    # the subcubes of one top cube, from offsets (2, 4): the second axis ends at the window edge
-    assert np.array_equal(field._dilated_cell_counts(window, -1, (2, 4), 2),
-                          np.outer(axis[2:4], axis[4:6]))
-    assert np.array_equal(field._dilated_cell_counts(window, -2, (0, 0), 12),
-                          oracles.dilated_sums(np.ones(window.shape), window, -2))
+    ones = np.ones(window.shape)
+    assert np.array_equal(oracles.dilated_sums(ones, window, -1), np.outer(axis, axis))
+    c = window.index_count(0)
+    for at in itertools.product(range(c), repeat=2):
+        q0 = Cube(0, tuple(a + x for a, x in zip(window.index_lo(0), at)))
+        plan = field._dilated_plan(window, q0)
+        assert plan.counts.dtype == float
+        rest = plan.counts.copy()
+        for level, _, _, _, out in plan.levels:
+            k = 1 << (q0.level - level)
+            inside = tuple(slice(x * k, x * k + k) for x in at)
+            assert np.array_equal(plan.counts[out],
+                                  oracles.dilated_sums(ones, window, level)[inside])
+            rest[out] = 1.0
+        assert np.all(rest == 1.0)  # the cells that no level reads hold 1.0
 
 
 @st.composite

@@ -229,6 +229,29 @@ def test_norm_rejects_a_repeated_cell_exit_2(tmp_path, capsys):
     assert err.startswith("validation failure: ") and "repeated" in err
 
 
+def test_norm_refuses_a_dim_0_header_exit_2(tmp_path, capsys):
+    bad = tmp_path / "dim0.csv"
+    bad.write_text("-2,0,0\n0.5\n", encoding="utf-8")
+    good = tmp_path / "f.csv"
+    to_csv(random_lattice(Window(1, -2, 0), 5), good)
+    for path, weight in ((bad, []), (good, ["--weight", f"csv:{bad}"])):
+        assert cli.main(["norm", str(path), "--p", "2", "--q", "1", *weight]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: bad CSV {str(bad)!r}") and "dim" in err
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(T25_CONFIG.encode() + b"# caf\xe9\n")  # one Latin-1 byte in a comment
+    for argv in (["run", str(path), "--out", str(tmp_path / "rep")],
+                 ["decompose", str(path), "--json", str(tmp_path / "dec.json")],
+                 ["weight-const", "C29", str(path)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: config {str(path)!r} is not UTF-8")
+    assert not list(tmp_path.glob("rep*")) and not (tmp_path / "dec.json").exists()
+
+
 def test_weight_const_subcommand(tmp_path, capsys):
     cfg = _write(tmp_path, "wc.cfg", """
 experiment = T28
