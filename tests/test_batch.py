@@ -466,8 +466,7 @@ def test_dilated_plan_counts_are_the_sums_over_ones():
     axis = np.array([2, 3, 3, 3, 3, 2]) * 2.0
     ones = np.ones(window.shape)
     assert np.array_equal(oracles.dilated_sums(ones, window, -1), np.outer(axis, axis))
-    c = window.index_count(0)
-    for at in itertools.product(range(c), repeat=2):
+    for at in itertools.product(range(window.index_count(0)), repeat=2):
         q0 = Cube(0, tuple(a + x for a, x in zip(window.index_lo(0), at)))
         plan = field._dilated_plan(window, q0)
         assert plan.counts.dtype == float
