@@ -24,7 +24,6 @@ from .field import (
     Weight,
     bmo_norm,
     from_csv,
-    oscillation_ratio,
     power_weight,
     to_csv,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "verify_decomposition",
     "decomposition_to_json",
     "to_csv",
-    "oscillation_ratio",
     "from_csv",
     "CommutatorSpec",
     "Cube",

@@ -30,9 +30,9 @@ invariants, and the thresholds themselves (gamma is Q0's functional, A the
 factor above, and every cube above gamma A^k lies in a level-k stopping
 cube, for k up to one past the last level), so a forest with a wrong gamma,
 a wrong A or a missing level is reported too.  CZ_INV and `morreylab
-decompose` make one build pass and one recheck pass per trial: the first
-builds the tables of every kind they check, and the second, a pass of its
-own over the raw (f, g), rechecks every forest.
+decompose` make one build pass and one recheck pass per trial, each one
+functional_tables call over the specs of every kind they check, whose tables
+the entry points take; the recheck reads the raw (f, g), not the build's tables.
 
 Every cell set is a boolean mask over the finest cells of one cube: E_0
 over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
@@ -42,6 +42,7 @@ invariants need no tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -73,7 +74,7 @@ class Decomposition:
     cap_hit: bool = False
 
 
-def _functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
+def functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
                        specs) -> list[dict[int, np.ndarray]]:
     """The tables of each spec (t1, t2, alpha), from one pass: per level from level_min to
     q0.level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q inside q0,
@@ -208,14 +209,14 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
                  theta1: float, theta2: float, *, tables: dict = None) -> Decomposition:
     """Stopping-time decomposition driven by the unweighted average product.
 
-    tables, if given, is this spec's entry of a _functional_tables pass over (f, g, q0) that
+    tables, if given, is this spec's entry of a functional_tables pass over (f, g, q0) that
     built other specs' tables too; otherwise the tables are built here."""
-    if not (theta1 > 1 and theta2 > 1):  # nan fails too
-        raise ValueError("theta1 and theta2 must exceed 1")
+    if not (1 < theta1 < math.inf and 1 < theta2 < math.inf):  # nan fails too
+        raise ValueError("theta1 and theta2 must exceed 1 and be finite")
     window = _same_window(f, g)
     factor = _threshold_factor(window.dim, theta1, theta2)
     if tables is None:
-        tables, = _functional_tables(f, g, q0, [(theta1, theta2, None)])
+        tables, = functional_tables(f, g, q0, [(theta1, theta2, None)])
     return _decompose(window, q0, tables, factor)
 
 
@@ -231,7 +232,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
         raise ValueError(f"alpha must lie in [0, {n}); got {alpha}")
     factor = _threshold_factor(n, r1, r2)
     if tables is None:
-        tables, = _functional_tables(f, g, q0, [(r1, r2, alpha)])
+        tables, = functional_tables(f, g, q0, [(r1, r2, alpha)])
     return _decompose(window, q0, tables, factor)
 
 
@@ -262,7 +263,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     if _same_window(f, g) != window:
         raise ValueError("inputs must live on the given window")
     if tables is None:
-        tables, = _functional_tables(f, g, d.base, [(t1, t2, alpha)])
+        tables, = functional_tables(f, g, d.base, [(t1, t2, alpha)])
     bad = [f"containment: level {k} cube {q} not inside Q0"
            for k, cubes in d.levels.items() for q in cubes if not _inside(window, d.base, q)]
     if bad:

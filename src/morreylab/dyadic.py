@@ -108,6 +108,11 @@ class Window:
     def cell_index_lo(self) -> tuple[int, ...]:
         return self.index_lo(self.level_min)
 
+    @property
+    def touches_origin(self) -> bool:
+        """Whether the closed block of top cubes holds 0: o <= 0 <= o + top_count per axis."""
+        return all(o <= 0 <= o + self.top_count for o in self.origin_offset)
+
     # -- membership ---------------------------------------------------------
 
     def contains_cube(self, q: Cube) -> bool:

@@ -92,9 +92,9 @@ def solve_weak_t(n: int, alpha: float, q: float, r: float) -> float:
 
 
 def holder_pair(r1: float, r2: float) -> bool:
-    """Whether r1, r2 > 0 with 1/r1 + 1/r2 = 1 to 1e-9 ((-1, 0.5) sums to 1 but is no
-    pair); a nan r_i fails."""
-    return r1 > 0 and r2 > 0 and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9
+    """Whether r1, r2 are finite and > 0 with 1/r1 + 1/r2 = 1 to 1e-9 ((-1, 0.5) sums to 1
+    but is no pair, and (inf, 1) would drop the first function); a nan r_i fails."""
+    return 0 < r1 < INF and 0 < r2 < INF and abs(1.0 / r1 + 1.0 / r2 - 1.0) <= 1e-9
 
 
 def default_holder_pair(q1: float, q2: float) -> tuple[float, float]:
@@ -183,6 +183,9 @@ def validate(e: ExponentSet) -> list[str]:
         need(1 < e.q1 < INF and 1 < e.q2 < INF, f"1<q1,q2<inf (q1={e.q1}, q2={e.q2})")
         need(e.t > 0 and _le(e.t, 1.0), f"0<t<=1 (t={e.t})")
         return v
+    # the Morrey means of the right-hand side take the q_i-th powers; the r_i below are
+    # bounded by the q_i, so they are finite too
+    need(math.isfinite(e.q1) and math.isfinite(e.q2), f"q1,q2 finite (q1={e.q1}, q2={e.q2})")
 
     if e.regime == "T22":
         need(1 < e.t, f"1<t (t={e.t})")

@@ -11,7 +11,8 @@ pass reads only the cells of 3Q0 clipped to the window, and its geometry
 _dilated_plan per (window, Q0), whose counts are that pass over ones.  Every
 sup over the window's dyadic cubes folds such per-level tables with level_sup
 (one number) or pointwise_level_sup (one sup per cell); the BMO norm and the
-oscillation at every exponent take one level_sup pass, _oscillation_sups.
+oscillation at every exponent take one level_sup pass, oscillation_sups, which
+the JN check reads with its symbol log|x| (log_abs) and telescoping_defect.
 
 A LatticeFunction may also hold a batch of functions on one window: values
 of shape (*batch, *window.shape).  The block reductions, expand_level and
@@ -28,12 +29,12 @@ Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: in one dimension the closed-form
 antiderivative at the cell edges; in higher dimensions a corner-refined
 midpoint rule that splits the origin cell dyadically to a configurable depth
-(the integrand is singular only at the origin, always a cell corner), whose
-uncontrolled error in the origin cell, O(2^(-depth*(gamma+n))), the accuracy
-tests report.  Each point where |x|^gamma or the JN log symbol of the harness
-is evaluated is an integer k times a dyadic unit: C libm runs once per distinct
-tuple of per-axis |k| (_abs_index, _libm_once), and a k wider than 53 bits is
-a ValidationError (_require_exact).
+(the integrand is singular only at the origin, always a cell corner; gamma > -n
+where Window.touches_origin, and depth <= deepest_depth), whose uncontrolled
+error in the origin cell, O(2^(-depth*(gamma+n))), the accuracy tests report.
+Each point where |x|^gamma or log_abs is evaluated is an integer k times a
+dyadic unit: C libm runs once per distinct tuple of per-axis |k| (_abs_index,
+_libm_once), and a k wider than 53 bits is a ValidationError (_require_exact).
 
 The rule is a per-box corner recursion run as array passes.  One cached
 _quadrature_plan per grid of cells and depth holds the geometry for every
@@ -280,6 +281,15 @@ def pointwise_level_sup(window: Window, table: Callable[[int], np.ndarray]) -> n
 
 # Midpoint-rule depth of the boxes that miss the origin, at every level of the origin chain.
 _REG_DEPTH = 3
+# 2.0 ** k squares to a nonzero float only for k >= _MIN_LEAF_EXP (2^-1074 is the least
+# subnormal); a leaf midpoint below it makes |x|^gamma, gamma < 0, divide by zero at 0.
+_MIN_LEAF_EXP = -537
+
+
+def deepest_depth(window: Window) -> float:
+    """The largest depth whose quadrature leaves square to nonzero floats (the least leaf
+    midpoint at depth d on cells of side h is h 2^(-d-1)); inf in 1-D, which has no leaves."""
+    return math.inf if window.dim == 1 else window.level_min - 1 - _MIN_LEAF_EXP
 
 
 def _fold_halves(vals: np.ndarray, n: int) -> np.ndarray:
@@ -369,7 +379,6 @@ class _QuadraturePlan(NamedTuple):
     groups: tuple     # _QuadratureGroup
     levels: tuple     # per level of the chain, the window's grid first: (group, row)
     near: tuple       # per level but the last, per axis: the slice of the boxes touching 0
-    touches: bool     # a box of the window's grid touches the origin
 
 
 # Bounded, so a long sweep over windows or depths holds at most 8 plans.
@@ -412,8 +421,7 @@ def _quadrature_plan(level_min: int, cell_index_lo: tuple, cells_per_axis: int,
         for x in distinct + inverse:
             x.setflags(write=False)
         groups.append(_QuadratureGroup(d, distinct, inverse, np.array_equal(ks[0], ks[1])))
-    touches = all(a <= 0 <= a + cells_per_axis for a in cell_index_lo)
-    return _QuadraturePlan(tuple(groups), levels, tuple(near_boxes), touches)
+    return _QuadraturePlan(tuple(groups), levels, tuple(near_boxes))
 
 
 def _gather(values: np.ndarray, inverse: Sequence[np.ndarray], symmetric: bool) -> np.ndarray:
@@ -478,8 +486,6 @@ def _grid_averages(plan: _QuadraturePlan, gamma: float) -> np.ndarray:
     of volume 2^(-n*depth) times the box.
     """
     n = len(plan.groups[0].distinct)
-    if plan.touches and gamma <= -n:
-        raise ValueError(f"|x|^{gamma} is not integrable near 0 in dimension {n}")
     rules = [_midpoint_rule(group, gamma) for group in plan.groups]
     levels = [rules[group][row] for group, row in plan.levels]
     vals = levels.pop()
@@ -498,24 +504,23 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
     the cached _quadrature_plan of the window's cells: one _midpoint_rule
     array pass for the cells, and one per group of the levels of the chain
     below the at most 2^n cells that touch the origin.  The values are
-    bit-identical to a corner recursion run cell by cell.  gamma <= -n raises
-    when a cell touches the origin.  A window whose points need more than 53
-    bits (_require_exact), or an average that overflows a float (C pow raises
+    bit-identical to a corner recursion run cell by cell.  gamma <= -n is a
+    ValueError if the window touches the origin.  A window whose points need more than
+    53 bits (_require_exact), or an average that overflows a float (C pow raises
     OverflowError, numpy FloatingPointError here) or underflows to 0, is a
     ValidationError.
     """
     _require_exact(window, 0 if window.dim == 1 else min(max(depth, 0), _REG_DEPTH) + 1)
+    if window.touches_origin and gamma <= -window.dim:
+        raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0 in {window.dim}-D")
     try:
         with np.errstate(over="raise"):
             if window.dim == 1:
                 h, (a,) = window.cell_side, window.cell_index_lo
                 k = np.arange(a, a + window.cells_per_axis + 1)
-                x = k * h
-                if gamma <= -1.0 and x[0] <= 0.0 <= x[-1]:
-                    raise ValueError(f"|x|^{gamma} is not integrable on a cell touching 0")
                 f = _libm_grid([k], h, math.log) if gamma == -1.0 \
                     else _libm_grid([k], h, pow, gamma + 1.0) / (gamma + 1.0)
-                f *= np.copysign(1.0, x)  # not np.copysign(f, x): f < 0 where gamma <= -1
+                f *= np.copysign(1.0, k)  # not np.copysign(f, k): f < 0 where gamma <= -1
                 vals = (f[1:] - f[:-1]) / h
             else:
                 plan = _quadrature_plan(window.level_min, window.cell_index_lo,
@@ -530,15 +535,22 @@ def abs_power_cell_averages(gamma: float, window: Window, depth: int = DEFAULT_D
 
 
 def power_weight(gamma: float, window: Window, depth: int = DEFAULT_DEPTH) -> Weight:
-    """Weight whose cell values are accurate averages of |x|^gamma; gamma > -dim whenever a
-    cell of the window touches the origin (otherwise the origin-cell average diverges)."""
+    """Weight whose cell values are the averages of |x|^gamma of abs_power_cell_averages."""
     return Weight(window, abs_power_cell_averages(gamma, window, depth))
 
 
 # -- BMO ------------------------------------------------------------------------
 
 
-def _oscillation_sups(b: LatticeFunction, exponents) -> np.ndarray:
+def log_abs(window: Window) -> LatticeFunction:
+    """log|x| at the cell centres (2m + 1) h/2 of the window: C log once per distinct tuple of
+    per-axis |2m + 1| (_libm_grid), since np.log is not bit-equal to it with AVX-512."""
+    _require_exact(window, 1)
+    ks = [2 * np.arange(a, a + window.cells_per_axis) + 1 for a in window.cell_index_lo]
+    return LatticeFunction(window, _libm_grid(ks, window.cell_side / 2, math.log))
+
+
+def oscillation_sups(b: LatticeFunction, exponents) -> np.ndarray:
     """Per exponent e, sup over window cubes Q of (mean_Q |b - mean_Q b|^e)^(1/e): a row per e,
     then b's batch axes.  One level_sup pass takes each level's deviations once for every e."""
     if not all(math.isfinite(e) and e > 0 for e in exponents):
@@ -562,21 +574,35 @@ def bmo_norm(b: LatticeFunction) -> float:
 
     The sup is restricted to the window's dyadic catalog; the all-cubes norm
     is comparable up to a dimensional constant, and every invariant in the
-    package is stated against this dyadic norm.  The e = 1 row of _oscillation_sups.
+    package is stated against this dyadic norm.  The e = 1 row of oscillation_sups.
     """
-    (norm,) = _oscillation_sups(b, (1.0,))
+    (norm,) = oscillation_sups(b, (1.0,))
     return norm if norm.ndim else float(norm)
+
+
+def telescoping_defect(b: LatticeFunction, norm: float) -> float:
+    """Worst violation of the ancestor-chain mean bound for b of BMO norm norm, 0 when it holds:
+    each cube's mean against each ancestor's, per pair of levels the finer table blocked by the
+    coarser cubes, so no table is expanded to the cells."""
+    win, worst = b.window, 0.0
+    means = [level_means(b.values, win, lvl) for lvl in win.levels()]
+    for i, m_q in enumerate(means):
+        for k, m_qp in enumerate(means[i + 1:], start=1):
+            bound = k * (2.0 ** win.dim) * norm
+            blocked, axes = _split(m_q, win.dim, 1 << k)
+            worst = max(worst, float(np.abs(blocked - np.expand_dims(m_qp, axes)).max()) - bound)
+    return worst
 
 
 def oscillation_ratio(b: LatticeFunction, e: float) -> float:
     """sup over cubes of (mean |b - mean_Q b|^e)^(1/e) over the BMO norm (0.0 if that is 0),
-    from one _oscillation_sups pass; e must be finite and > 0 (ValueError).
+    from one oscillation_sups pass; e must be finite and > 0 (ValueError).
 
     John-Nirenberg predicts this stays bounded in e; the value is reported for
     empirical checks, it is not clamped.
     """
     _require_unbatched(b)
-    norm, sup = _oscillation_sups(b, (1.0, e)).tolist()
+    norm, sup = oscillation_sups(b, (1.0, e)).tolist()
     return sup / norm if norm else 0.0
 
 

@@ -35,8 +35,10 @@ remainder under half a chunk joining the chunk before it, and each deterministic
 (JN's log|x| at trial 0, T27_necessity's extremal pair last) as a labelled chunk of its
 own; CZ_INV then takes unbatched slices.  The rows, in trial-index order, depend neither on
 the chunking nor on the table.  On each slice, and on trial 0 for `morreylab decompose`,
-one table pass builds the stopping-time forest of every kind, and one more pass rechecks
-them (_decompose).
+one table pass (czd.functional_tables) builds the stopping-time forest of every kind, and
+one more pass rechecks them (_decompose).  Each lattice rule that a runner or a domain
+needs (Window.touches_origin, field.deepest_depth, JN's field.log_abs, oscillation_sups and
+telescoping_defect) has its one owner in dyadic, field or czd, reached by public name only.
 
 Each experiment is one _EXPERIMENTS record (its runner, keys and weight condition),
 so adding an experiment means adding one record; hypothesis turns a record's weight
@@ -65,9 +67,9 @@ import numpy as np
 from ._version import __version__ as _VERSION
 from .czd import (
     Decomposition,
-    _functional_tables,
     cz_decompose,
     cz_decompose_alpha,
+    functional_tables,
     necessity_pair,
     verify_decomposition,
 )
@@ -78,15 +80,14 @@ from .field import (
     DEFAULT_DEPTH,
     LatticeFunction,
     Weight,
-    _libm_grid,
-    _oscillation_sups,
-    _require_exact,
-    _split,
     bmo_norm,
+    deepest_depth,
     expand_level,
     from_csv,
-    level_means,
+    log_abs,
+    oscillation_sups,
     power_weight,
+    telescoping_defect,
 )
 from .maximal import m_alpha_r
 from .operators import CommutatorSpec, bh_maximal, bilinear_fractional, bt_alpha, commutator_iterated
@@ -107,17 +108,22 @@ _REQUIRED = object()
 
 class _Domain(NamedTuple):
     """parse reads a key's text (a ValueError or nan: no value); holds(value, window) admits a
-    value, and text says which ("{key}" is the key, "{n}" the dim)."""
+    value, and text says which ("{key}" is the key, "{n}" the dim); finite refuses inf too."""
 
     parse: Callable
     text: str = ""
     holds: Callable = lambda v, w: True
+    finite: bool = False
 
     def problem(self, who: str, key: str, value, window: Window) -> list[str]:
         """[] when value is admitted or None (derived), else the message naming the key."""
-        if value is None or self.holds(value, window):
+        if value is None:
             return []
-        return [f"{who} needs {self.text.format(key=key, n=window.dim)}; got {key} = {value!r}"]
+        ok = self.holds(value, window)
+        if ok and not (self.finite and abs(value) == INF):
+            return []
+        text = f"a finite {key}" if ok else self.text.format(key=key, n=window.dim)
+        return [f"{who} needs {text}; got {key} = {value!r}"]
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -125,9 +131,8 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _power_ok(gamma: float, window: Window) -> bool:
-    """Whether gamma is finite, and > -dim if the closed block of top cubes holds the origin."""
-    touches = all(o <= 0 <= o + window.top_count for o in window.origin_offset)
-    return math.isfinite(gamma) and (gamma > -window.dim or not touches)
+    """Whether gamma is finite, and > -dim if the window touches the origin."""
+    return math.isfinite(gamma) and (gamma > -window.dim or not window.touches_origin)
 
 
 def _weight_ok(spec: str, window: Window) -> bool:
@@ -140,11 +145,17 @@ def _weight_ok(spec: str, window: Window) -> bool:
         and _power_ok(x, window)
 
 
-# The largest depth a config may set.
+# The largest depth a config may set, and the most cells of a stage's window (1 GiB per
+# float64 array).
 _MAX_DEPTH = 256
+_MAX_CELLS = 1 << 27
 _FLOAT, _INT, _INTS = _Domain(float), _Domain(int), _Domain(_ints)
+# a runner turns an infinite Morrey q into the mean 1.0 and an infinite maximal-function or
+# stopping-time exponent into a dropped function: those keys take _FINITE domains
+_FINITE = _Domain(float, finite=True)
 _COUNT = _Domain(int, "{key} >= 1", lambda v, w: v >= 1)
 _OVER_1 = _Domain(float, "{key} > 1", lambda v, w: v > 1)
+_FINITE_OVER_1 = _OVER_1._replace(finite=True)
 _ALPHA = _Domain(float, "0 < {key} < n = {n}", lambda v, w: 0 < v < w.dim)
 _POWER = _Domain(float, "a finite {key}, > -{n} if the window touches 0", _power_ok)
 _WEIGHT = _Domain(str, "{key} = pow:G (a finite G, > -{n} if the window touches 0), const:C "
@@ -162,14 +173,15 @@ _COMMON = {"dim": (1, _INT), "level_min": (-4, _INT), "level_max": (0, _INT),
 # the keys of _exponent_set, whose regime the parse checks; _MAXIMAL's alpha, of the T27 and
 # T28 regimes, defaults to 0
 _EXPONENTS = {**dict.fromkeys(("alpha", "q1", "q2", "p"), (_REQUIRED, _FLOAT)),
-              "r": (INF, _FLOAT), **dict.fromkeys(("a", "r1", "r2"), (None, _FLOAT))}
+              "r": (INF, _FLOAT), "a": (None, _FLOAT),
+              **dict.fromkeys(("r1", "r2"), (None, _FINITE))}
 _WEIGHTS = dict.fromkeys(("weight_v", "weight_w1", "weight_w2"), ("const:1", _WEIGHT))
 _Q0 = {"q0_level": (None, _INT), "q0_index": (None, _INTS)}
 _SYMBOLS = {"n_symbols": (2, _COUNT), "beta_pattern": (None, _Domain(
     _ints, "{key} of slots 1 or 2", lambda v, w: set(v) <= {1, 2}))}
 _CONTROL = {"p": (_REQUIRED, _FLOAT),
-            "q": (_REQUIRED, _Domain(float, "{key} > 0", lambda v, w: v > 0)),
-            "alpha": (_REQUIRED, _ALPHA), "r1": (2.0, _FLOAT), "r2": (2.0, _FLOAT),
+            "q": (_REQUIRED, _Domain(float, "{key} > 0", lambda v, w: v > 0, finite=True)),
+            "alpha": (_REQUIRED, _ALPHA), "r1": (2.0, _FINITE), "r2": (2.0, _FINITE),
             "weight_w": ("const:1", _WEIGHT)}
 _MAXIMAL = {**_EXPONENTS, "alpha": (0.0, _FLOAT)}
 
@@ -190,21 +202,20 @@ def _parse(key: str, text: str, domain: _Domain):
     return value
 
 
-# In dim >= 2 each level of the quadrature's origin chain halves the boxes, so at depth d the
-# smallest leaf midpoint is h 2^(-d-1) for cells of side h.  2.0 ** k squares to a nonzero
-# float only for k >= _MIN_LEAF_EXP (2^-1074 is the least subnormal); below it |x|^gamma with
-# gamma < 0 raises ZeroDivisionError at the origin.
-_MIN_LEAF_EXP = -537
-
-
 def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
     """The broken rules that join keys, each naming its keys (each key is in its domain)."""
     n, depth, stages = window.dim, p["depth"], p["refinements"]
     finest, bad = window.level_min - max(stages), []
-    if n >= 2 and finest - depth - 1 < _MIN_LEAF_EXP:
+    # log2 of the finest stage's cells, which no int or array of that size is built to count
+    if n * (window.level_max - finest + math.log2(window.top_count)) > math.log2(_MAX_CELLS):
+        bad.append(f"a stage holds at most 2^{_MAX_CELLS.bit_length() - 1} cells; the finest, "
+                   f"at level_min {finest}, has ({window.top_count} * "
+                   f"2^{window.level_max - finest})^{n}")
+    deepest = deepest_depth(replace(window, level_min=finest))
+    if depth > deepest:
         bad.append(f"depth {depth} is too deep for {n}-D cells of side 2^{finest}: the "
                    f"quadrature's leaf midpoints 2^{finest - depth - 1} square to 0.0 "
-                   f"(depth must be <= {finest - 1 - _MIN_LEAF_EXP})")
+                   f"(depth must be <= {deepest})")
     if stages != (0,) and any(k.startswith("weight_") and v.startswith("csv:")
                               for k, v in p.items()):
         bad.append(f"csv: weights need refinements = 0; got refinements = {stages}")
@@ -221,6 +232,10 @@ def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
     if experiment in ("T25", "T26", "CZ_INV") and not holder_pair(p["r1"], p["r2"]):
         bad.append(f"{experiment} needs a Holder pair, 1/r1 + 1/r2 = 1; got r1 = {p['r1']}, "
                    f"r2 = {p['r2']}")
+    if experiment == "T26":  # the maximal function's pair; 1e308 * 2 overflows to inf
+        bad += [f"T26 needs a finite vartheta{i} * r{i}; got vartheta{i} = {p[f'vartheta{i}']}, "
+                f"r{i} = {p[f'r{i}']}" for i in (1, 2)
+                if not math.isfinite(p[f"vartheta{i}"] * p[f"r{i}"])]
     if experiment in ("T25", "T26") and not p["q"] <= p["p"]:
         bad.append(f"{experiment} needs q <= p; got q = {p['q']}, p = {p['p']}")
     kind = _EXPERIMENTS[experiment].kind
@@ -456,6 +471,7 @@ def csv_morrey_norm(path: str, p: float, q: float, weight: str | None = None) ->
     spec of the config keys' weight domain (pow:G, const:C or csv:PATH) if one is given."""
     f = _read_csv(path)
     bad = [] if 0 < q <= p else [f"norm needs 0 < q <= p; got q={q}, p={p}"]
+    bad += [] if q < INF else [f"norm needs a finite q; got q={q}"]
     bad += _WEIGHT.problem("norm", "weight", weight, f.window)
     if bad:
         raise ValidationError(bad)
@@ -697,23 +713,14 @@ def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
         yield trials, lhs, rhs, label, 0
 
 
-def _log_abs(window: Window) -> LatticeFunction:
-    """log|x| at the cell centres (2m + 1) h/2 of the window: C log once per distinct tuple of
-    per-axis |2m + 1| (field._libm_grid), since np.log is not bit-equal to it with AVX-512."""
-    _require_exact(window, 1)
-    return LatticeFunction(window, _libm_grid([2 * np.arange(a, a + window.cells_per_axis) + 1
-                                               for a in window.cell_index_lo],
-                                              window.cell_side / 2, math.log))
-
-
 def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     exponents = (1.0, 2.0, 4.0)
     notes["telescoping_bound"] = "max |mean_Q0 b - mean_Q b| <= k 2^n ||b||, checked exactly"
     # trial 0 is log|x|, swept at every exponent and checked; the others random, at e = 1, 4
     for trials, label, (b,) in _stage_chunks(cfg, win, (3,),
-                                             {0: ("log_abs", lambda w: [_log_abs(w)])}):
+                                             {0: ("log_abs", lambda w: [log_abs(w)])}):
         log = label == "log_abs"
-        for trial, sups in zip(trials, _oscillation_sups(b, exponents if log else (1.0, 4.0))
+        for trial, sups in zip(trials, oscillation_sups(b, exponents if log else (1.0, 4.0))
                                .T.tolist()):
             ratios = [s / sups[0] if sups[0] else 0.0 for s in sups]
             bad = int(ratios[-1] + 1e-12 < ratios[0])
@@ -722,25 +729,8 @@ def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: d
                     {f"e{int(ee)}": r for ee, r in zip(exponents, ratios)}
                 bad += not all(map(math.isfinite, ratios))
                 bad += not (ratios[0] <= ratios[1] + 1e-12 and ratios[1] <= ratios[2] + 1e-12)
-                bad += _telescoping_defect(b, sups[0]) > 1e-12
+                bad += telescoping_defect(b, sups[0]) > 1e-12
             yield [trial], [ratios[-1]], [max(ratios[0], 1e-300)], label, bad
-
-
-def _telescoping_defect(b: LatticeFunction, norm: float) -> float:
-    """Worst violation of the ancestor-chain mean bound for b of BMO norm norm, 0 when it holds.
-
-    Each cube compares its mean with that of each ancestor, all nested pairs: per pair of
-    levels, the finer table blocked by the coarser cubes, so no table is expanded to the cells.
-    """
-    win = b.window
-    worst = 0.0
-    means = [level_means(b.values, win, lvl) for lvl in win.levels()]
-    for i, m_q in enumerate(means):
-        for k, m_qp in enumerate(means[i + 1:], start=1):
-            bound = k * (2.0 ** win.dim) * norm
-            blocked, axes = _split(m_q, win.dim, 1 << k)
-            worst = max(worst, float(np.abs(blocked - np.expand_dims(m_qp, axes)).max()) - bound)
-    return worst
 
 
 def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction,
@@ -753,9 +743,9 @@ def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunct
     specs = [(*a, None) if kind == "cz" else a for kind, a in zip(kinds, args)]
     forests = [cz_decompose(f, g, q0, *a, tables=tables) if kind == "cz" else
                cz_decompose_alpha(f, g, q0, *a, tables=tables)
-               for kind, a, tables in zip(kinds, args, _functional_tables(f, g, q0, specs))]
+               for kind, a, tables in zip(kinds, args, functional_tables(f, g, q0, specs))]
     # the recheck never reads the build pass's tables
-    checks = _functional_tables(f, g, q0, specs)
+    checks = functional_tables(f, g, q0, specs)
     return [(d, verify_decomposition(d, f, g, f.window, *spec, tables=tables), a)
             for d, spec, tables, a in zip(forests, specs, checks, args)]
 
@@ -837,7 +827,8 @@ _EXPERIMENTS = {
     "T24": _strong("commutator", "C24", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
     "T25": _Experiment(functools.partial(_run_maximal_control, False), _CONTROL),
     "T26": _Experiment(functools.partial(_run_maximal_control, True), {
-        **_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _OVER_1), "vartheta2": (1.25, _OVER_1)}),
+        **_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _FINITE_OVER_1),
+        "vartheta2": (1.25, _FINITE_OVER_1)}),
     "T27_sufficiency": _Experiment(functools.partial(_run_weak_type, False),
                                    {**_MAXIMAL, **_WEIGHTS, **_Q0}, WeightConditionKind.C27),
     "T27_necessity": _Experiment(functools.partial(_run_weak_type, True), {
@@ -854,14 +845,14 @@ _EXPERIMENTS = {
         "alpha": (_REQUIRED, _ALPHA), "beta": (0.0, _Domain(
             float, "a finite {key}, < {n} if the window touches 0",
             lambda v, w: _power_ok(-v, w))),
-        "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _OVER_1),
-        "q2": (_REQUIRED, _OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
+        "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _FINITE_OVER_1),
+        "q2": (_REQUIRED, _FINITE_OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
         "r": (INF, _FLOAT)}),
     "JN": _Experiment(_run_john_nirenberg, {}),
     "CZ_INV": _Experiment(_run_cz_invariants, {
-        **_Q0, "theta1": (2.0, _OVER_1), "theta2": (2.0, _OVER_1), "r1": (2.0, _FLOAT),
-        "r2": (2.0, _FLOAT), "alpha": (0.5, _Domain(float, "0 <= {key} < n = {n}",
-                                                    lambda v, w: 0 <= v < w.dim))}),
+        **_Q0, "theta1": (2.0, _FINITE_OVER_1), "theta2": (2.0, _FINITE_OVER_1),
+        "r1": (2.0, _FINITE), "r2": (2.0, _FINITE), "alpha": (0.5, _Domain(
+            float, "0 <= {key} < n = {n}", lambda v, w: 0 <= v < w.dim))}),
     "BH_DOM": _Experiment(_run_bh_domination, {}),
     "L39": _Experiment(_run_lemma39, {
         "q1": (2.0, _OVER_1), "q2": (2.0, _OVER_1), "t_hat": (None, _FLOAT),

@@ -28,6 +28,8 @@ volume.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .field import (
@@ -67,8 +69,8 @@ def m_alpha_r(f: LatticeFunction, g: LatticeFunction, alpha: float,
               pair: tuple[float, float], mode: str = "dyadic") -> LatticeFunction:
     """Order-alpha bilinear maximal function for the exponent pair (r1, r2)."""
     r1, r2 = float(pair[0]), float(pair[1])
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError(f"r1, r2 must be positive; got ({r1}, {r2})")
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise ValueError(f"r1, r2 must be positive and finite; got ({r1}, {r2})")
     window = _same_window(f, g)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0; got {alpha}")

@@ -58,8 +58,8 @@ INF = math.inf
 def morrey_norm(f: LatticeFunction, p: float, q: float, w: Optional[Weight] = None) -> float:
     """Morrey norm with exponents (p, q); optional weight density w.
     A batched f gives one norm per batch entry (see field.level_sup)."""
-    if not (q > 0 and q <= p * (1.0 + 1e-12)):
-        raise ValueError(f"need 0 < q <= p; got q={q}, p={p}")
+    if not (0 < q < math.inf and q <= p * (1.0 + 1e-12)):
+        raise ValueError(f"need a finite q, 0 < q <= p; got q={q}, p={p}")
     window = _same_window(f, w)
     dens = np.abs(f.values) ** q
     if w is not None:
@@ -68,10 +68,16 @@ def morrey_norm(f: LatticeFunction, p: float, q: float, w: Optional[Weight] = No
                      * level_means(dens, window, level) ** (1.0 / q))
 
 
+def _require_finite_q(q1: float, q2: float) -> None:
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise ValueError(f"q1, q2 must be finite; got ({q1}, {q2})")
+
+
 def rhs_bilinear_morrey(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: Weight,
                         p: float, q1: float, q2: float) -> float:
     """sup over cubes of |Q|^(1/p) (mean_Q (|f| w1)^q1)^(1/q1) (mean_Q (|g| w2)^q2)^(1/q2);
     one sup per batch entry for batched f and g."""
+    _require_finite_q(q1, q2)
     window = _same_window(f, g, w1, w2)
     df = (np.abs(f.values) * w1.values) ** q1
     dg = (np.abs(g.values) * w2.values) ** q2
@@ -83,6 +89,7 @@ def rhs_bilinear_morrey(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: 
 def rhs_bilinear_morrey_from(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: Weight,
                              p: float, q1: float, q2: float, q0: Cube) -> float:
     """Same sup restricted to cubes containing q0 (q0 and its ancestors)."""
+    _require_finite_q(q1, q2)
     _require_unbatched(f, g)
     window = _same_window(f, g, w1, w2)
     if not window.contains_cube(q0):

@@ -14,7 +14,7 @@ Q0-local means must equal a slice of these bit for bit.
 
 from_callable samples a function at every cell centre, one Python call per
 cell: the per-cell form of the John-Nirenberg log symbol that
-morreylab.harness._log_abs takes once per distinct tuple of per-axis |c|
+morreylab.field.log_abs takes once per distinct tuple of per-axis |c|
 (morreylab.field._libm_grid, on the integer centres 2m + 1 in units of h/2).
 integral_abs_power_1d is the closed form of |x|^gamma over one interval, two
 Python antiderivative calls per cell: the per-cell form of the 1-D power

@@ -431,7 +431,7 @@ _SINGLE = {
     "verify_decomposition": lambda F: czd.verify_decomposition(
         czd.cz_decompose(_HALF, _HALF, _Q0, 2.0, 2.0), F, F, _WIN, 2.0, 2.0),
     "necessity_pair": lambda F: czd.necessity_pair(F, F, _Q0, _T27),
-    "_functional_tables": lambda F: czd._functional_tables(
+    "functional_tables": lambda F: czd.functional_tables(
         F, F, _Q0, [(2.0, 2.0, None), (1.5, 3.0, 0.5)]),
     "oscillation_ratio": lambda F: oscillation_ratio(F, 2.0),
     "Weight": lambda F: Weight(_WIN, F.values),

@@ -24,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morreylab.czd import (
-    _functional_tables,
     cz_decompose,
     cz_decompose_alpha,
     decomposition_to_json,
+    functional_tables,
     verify_decomposition,
 )
 from morreylab.dyadic import Cube, Window, ancestors
@@ -43,8 +43,9 @@ from morreylab.field import (
     level_power_means,
     level_sup,
     pointwise_level_sup,
+    telescoping_defect,
 )
-from morreylab.harness import _decompose, _telescoping_defect, config_from_pairs
+from morreylab.harness import _decompose, config_from_pairs
 from morreylab.weights_norms import (
     WeightConditionKind,
     rhs_bilinear_morrey_from,
@@ -246,7 +247,7 @@ def test_telescoping_defect_matches_pair_enumeration(window):
                 mq = float(b.values[window.cell_offsets_of_cube(q)].mean())
                 mqp = float(b.values[window.cell_offsets_of_cube(qp)].mean())
                 worst = max(worst, abs(mq - mqp) - k * (2.0 ** window.dim) * norm)
-        assert abs(_telescoping_defect(b, norm) - worst) <= TOL * max(1.0, abs(worst))
+        assert abs(telescoping_defect(b, norm) - worst) <= TOL * max(1.0, abs(worst))
         assert (worst > 0.0) == (norm == 0.0 and window.level_min < window.level_max)
 
 
@@ -304,7 +305,7 @@ def test_functional_tables_match_per_cube_functional(window):
     for t1, t2, alpha in ((2.0, 2.0, None), (1.5, 3.0, 0.7)):
         oracle = _oracle_functional(f, g, t1, t2, alpha)
         for top in cubes_at_level(window, window.level_max):
-            tables, = _functional_tables(f, g, top, [(t1, t2, alpha)])
+            tables, = functional_tables(f, g, top, [(t1, t2, alpha)])
             for q in all_cubes(window):
                 if cube_contains_cube(top, q):
                     _assert_rel(float(tables[q.level][_in(top, q)]), oracle(q), str(q))
@@ -335,7 +336,7 @@ def test_q0_local_tables_are_slices_of_the_whole_window_oracle(window):
             for i in range(2):
                 assert np.array_equal(means[i], _q0_slice(whole[level][i], window, q0, level))
         # all four specs from one pass: each table as the oracle's of its spec alone
-        for key, tables in zip(keys, _functional_tables(f, g, q0, keys)):
+        for key, tables in zip(keys, functional_tables(f, g, q0, keys)):
             assert list(tables) == list(subtree)
             for level, table in tables.items():
                 assert np.array_equal(table, _q0_slice(whole_tables[key][level], window, q0, level))

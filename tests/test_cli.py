@@ -152,7 +152,7 @@ def test_cz_invariants_count_a_violated_alpha_partition(tmp_path, capsys, monkey
 def test_cz_invariants_recheck_from_a_table_pass_of_their_own(tmp_path, capsys, monkeypatch):
     # every table of the build pass doubled: the recheck pass must find each forest's gamma
     # wrong, one message per kind and trial (10 trials)
-    honest, passes = harness._functional_tables, []
+    honest, passes = harness.functional_tables, []
 
     def doubled_build(*args):
         tables = honest(*args)
@@ -161,27 +161,27 @@ def test_cz_invariants_recheck_from_a_table_pass_of_their_own(tmp_path, capsys, 
             return tables
         return [{level: 2.0 * t for level, t in table.items()} for table in tables]
 
-    monkeypatch.setattr(harness, "_functional_tables", doubled_build)
+    monkeypatch.setattr(harness, "functional_tables", doubled_build)
     _run_exits_3_with(tmp_path, capsys, "czd_decompose.cfg", 20)
     assert len(passes) == 20
 
 
 def test_jn_counts_a_telescoping_defect(tmp_path, capsys, monkeypatch):
     # one telescoping check per stage, two stages
-    monkeypatch.setattr(harness, "_telescoping_defect", lambda b, norm: 1.0)
+    monkeypatch.setattr(harness, "telescoping_defect", lambda b, norm: 1.0)
     _run_exits_3_with(tmp_path, capsys, "jn_oscillation.cfg", 2)
 
 
 def test_jn_counts_exponent_ratios_out_of_order(tmp_path, capsys, monkeypatch):
     # the e = 2 ratio dips below e = 1 while e = 4 equals it, so no trial row (e4 vs e1)
     # counts: only the order check of each of the two stages does
-    honest = harness._oscillation_sups
+    honest = harness.oscillation_sups
 
     def dipped(b, exponents):
         norm = honest(b, exponents)[0]
         return np.stack([norm * (0.5 if e == 2.0 else 1.0) for e in exponents])
 
-    monkeypatch.setattr(harness, "_oscillation_sups", dipped)
+    monkeypatch.setattr(harness, "oscillation_sups", dipped)
     _run_exits_3_with(tmp_path, capsys, "jn_oscillation.cfg", 2)
 
 
@@ -775,3 +775,46 @@ def test_a_value_error_inside_the_program_is_not_exit_2(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
     with pytest.raises(ValueError, match="an operator bug"):
         cli.main(["run", cfg, "--out", str(tmp_path / "rep")])
+
+
+def test_norm_infinite_q_exit_2(tmp_path, capsys):
+    # (mean |f|^q)^(1/q) at q = inf is x ** 0.0 = 1.0 whatever f is: this norm printed 1.0
+    path = tmp_path / "f.csv"
+    to_csv(LatticeFunction(Window(1, -2, 0), np.linspace(0.1, 5.0, 8)), path)
+    assert cli.main(["norm", str(path), "--p", "inf", "--q", "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "validation failure: norm needs a finite q; got q=inf" in err
+
+
+@pytest.mark.parametrize("name, values, message", [
+    # every row read lhs = rhs = 1.0
+    ("t25_maximal_control.cfg", {"p": "inf", "q": "inf"}, "T25 needs a finite q; got q = inf"),
+    # the maximal function of the pair (inf, 1) is g's part alone
+    ("t25_maximal_control.cfg", {"r1": "inf", "r2": "1"}, "T25 needs a finite r1; got r1 = inf"),
+    ("t26_commutator_control.cfg", {"vartheta1": "inf"},
+     "T26 needs a finite vartheta1; got vartheta1 = inf"),
+    # vartheta2 r2 overflows to inf
+    ("t26_commutator_control.cfg", {"vartheta2": "1e308"},
+     "T26 needs a finite vartheta2 * r2; got vartheta2 = 1e+308, r2 = 2.0"),
+    # the stopping-time tables ignored f
+    ("czd_decompose.cfg", {"theta1": "inf"}, "CZ_INV needs a finite theta1; got theta1 = inf"),
+])
+def test_run_infinite_exponent_exit_2(tmp_path, capsys, name, values, message):
+    keep = [line for line in (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+            if line.split("=", 1)[0].strip() not in values]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(keep + [f"{k} = {v}" for k, v in values.items()])
+                 + "\n")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_run_window_past_the_cell_bound_exit_2(tmp_path, capsys):
+    # 2^72 cells at the refined stage: without the bound np.empty refuses the draw table's
+    # shape (exit 1); either way no array of that size is allocated
+    text = (CONFIGS / "jn_oscillation.cfg").read_text(encoding="utf-8")
+    cfg = _write(tmp_path, "wide.cfg", text.replace("level_min = -6", "level_min = -70"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "rep")]) == 2
+    assert ("a stage holds at most 2^27 cells; the finest, at level_min -71, has (2 * 2^71)^1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "rep.csv").exists()

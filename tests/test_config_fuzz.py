@@ -54,6 +54,12 @@ def odd_configs(draw):
 @example(("t27_weak_type.cfg", {"q1": "5", "r1": "5"}))  # czd.necessity_pair: r1 = q1
 @example(("t23_commutator.cfg", {"beta_pattern": "3,3"}))  # operators.CommutatorSpec
 @example(("t25_maximal_control.cfg", {"r1": "-1", "r2": "0.5"}))  # maximal.m_alpha_r
+# once exit 0 on a mean of 1.0 or a dropped function; exit 1 if the parse let one through
+@example(("t25_maximal_control.cfg", {"p": "inf", "q": "inf"}))  # weights_norms.morrey_norm
+@example(("t25_maximal_control.cfg", {"r1": "inf", "r2": "1"}))  # maximal.m_alpha_r
+@example(("t26_commutator_control.cfg", {"vartheta1": "inf"}))  # maximal.m_alpha_r
+@example(("t26_commutator_control.cfg", {"vartheta2": "1e308"}))  # maximal.m_alpha_r
+@example(("czd_decompose.cfg", {"theta1": "inf"}))  # czd.cz_decompose
 def test_odd_values_exit_0_2_or_3(case):
     name, values = case
     raw = dict(_RAW[name], trials="2", **values)

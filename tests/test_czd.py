@@ -210,7 +210,7 @@ def _counting(monkeypatch, name: str) -> list:
 def _walked_levels(f, g, q0, t1, t2, alpha=None) -> dict:
     """The stopping levels of a walk at each threshold in turn that ends at the first
     threshold that stops no cube."""
-    tables, = czd._functional_tables(f, g, q0, [(t1, t2, alpha)])
+    tables, = czd.functional_tables(f, g, q0, [(t1, t2, alpha)])
     gamma = czd._table_value(tables, q0, q0)
     factor = czd._threshold_factor(f.window.dim, t1, t2)
     levels, k = {}, 1
@@ -436,3 +436,14 @@ def test_necessity_pair_rejects_degenerate_exponents():
     e = build("T27", 1, 0.4, 2.0, 2.0, 1.2, 2.5, r1=2.0, r2=2.0)  # q_i = r_i
     with pytest.raises(ValueError):
         necessity_pair(u, u, Cube(-1, (0,)), e)
+
+
+def test_stopping_times_refuse_an_infinite_exponent():
+    # the tables of an infinite theta1 or r1 ignore f
+    window = Window(1, -4, 0)
+    f = LatticeFunction(window, np.linspace(0.1, 5.0, 32))
+    q0 = Cube(0, (0,))
+    with pytest.raises(ValueError, match="exceed 1 and be finite"):
+        czd.cz_decompose(f, f, q0, math.inf, 2.0)
+    with pytest.raises(ValueError, match="Holder pair"):
+        czd.cz_decompose_alpha(f, f, q0, math.inf, 1.0, 0.5)

@@ -193,3 +193,16 @@ def test_cell_offsets_cover_cube():
         idx = tuple(o + a for o, a in zip(off, w.cell_index_lo))
         center = cell_center(w, idx)
         assert cube_contains_point(q, center)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("top_count, level_max", [(1, 0), (3, 0), (2, 2)])
+def test_touches_origin_at_the_edge_offsets(dim, top_count, level_max):
+    # per axis, offsets 0 and -top_count put 0 on the closed block's edge and +1 and
+    # -top_count - 1 put it one cube outside; the closed window box is the oracle's
+    edges = {0: True, -top_count: True, 1: False, -top_count - 1: False}
+    for offset in itertools.product(edges, repeat=dim):
+        w = Window(dim, level_max - 2, level_max, origin_offset=offset, top_count=top_count)
+        lo, hi = window_box(w)
+        assert w.touches_origin == all(map(edges.get, offset))
+        assert w.touches_origin == all(a <= 0.0 <= b for a, b in zip(lo, hi)), w

@@ -13,6 +13,7 @@ from morreylab.exponents import (
     _le,
     build,
     conjugate,
+    holder_pair,
     solve_st,
     validate,
 )
@@ -165,3 +166,18 @@ def test_validate_refuses_an_infinite_t_in_the_weak_regime():
     e = dataclasses.replace(build("T27", 1, 0.4, 4.0, 4.0, 2.2, 2.5, r1=2.0, r2=2.0), t=INF)
     assert any(m.startswith("t finite") for m in validate(e))
     assert any(m.startswith("0<t<=s") for m in validate(e))
+
+
+@pytest.mark.parametrize("r1, r2", [(INF, 1.0), (1.0, INF), (INF, INF)])
+def test_a_pair_with_an_infinite_side_is_no_holder_pair(r1, r2):
+    # 1/inf + 1/1 = 1, but the maximal functions of such a pair drop the first function
+    assert not holder_pair(r1, r2)
+    assert holder_pair(2.0, 2.0) and holder_pair(1.5, 3.0)
+
+
+@pytest.mark.parametrize("regime", ["T22", "T27", "T28"])
+def test_validate_refuses_an_infinite_q_in_every_regime(regime):
+    # the RHS Morrey means take (mean |f|^q_i)^(1/q_i), which is 1.0 at q_i = inf
+    e = build(regime, 1, 0.1, INF, 3.0, 4.0, INF, a=1.2, r1=1.5, r2=2.0)
+    assert "q1,q2 finite (q1=inf, q2=3.0)" in validate(e)
+    assert not any("finite (q1=" in m for m in validate(dataclasses.replace(e, q1=6.0, q=2.0)))

@@ -10,12 +10,12 @@ from morreylab.dyadic import Cube, Window
 from morreylab.field import (
     LatticeFunction,
     Weight,
-    _oscillation_sups,
     bmo_norm,
     expand_level,
     from_csv,
     level_means,
     oscillation_ratio,
+    oscillation_sups,
     power_weight,
     to_csv,
 )
@@ -273,20 +273,20 @@ def test_one_oscillation_sweep_keeps_each_exponents_bits(window):
     # each row of the sweep over all exponents is the sweep at its exponent alone, bit for
     # bit, and the cube-by-cube sup
     b = _ramp_plus_noise(window, 34)
-    rows = _oscillation_sups(b, (1.0, 2.0, 4.0))
+    rows = oscillation_sups(b, (1.0, 2.0, 4.0))
     assert rows.shape == (3,)
     for row, e in zip(rows, (1.0, 2.0, 4.0)):
-        assert row.tobytes() == _oscillation_sups(b, (e,))[0].tobytes()
+        assert row.tobytes() == oscillation_sups(b, (e,))[0].tobytes()
         assert_close(float(row), _brute_oscillation(b, e))
 
 
 @pytest.mark.parametrize("window", _SWEEP_WINDOWS, ids=str)
 def test_one_oscillation_sweep_gives_each_batch_entry_its_bits(window):
     entries = [_ramp_plus_noise(window, seed).values for seed in (35, 36, 37)]
-    rows = _oscillation_sups(LatticeFunction(window, np.stack(entries)), (1.0, 2.0, 4.0))
+    rows = oscillation_sups(LatticeFunction(window, np.stack(entries)), (1.0, 2.0, 4.0))
     assert rows.shape == (3, 3)
     for k, values in enumerate(entries):
-        alone = _oscillation_sups(LatticeFunction(window, values), (1.0, 2.0, 4.0))
+        alone = oscillation_sups(LatticeFunction(window, values), (1.0, 2.0, 4.0))
         assert rows[:, k].tobytes() == alone.tobytes()
 
 
@@ -295,7 +295,7 @@ def test_one_oscillation_sweep_gives_each_batch_entry_its_bits(window):
 def test_single_level_window_oscillates_zero(window):
     # its cubes are single cells, so the level_min zeros are the whole sup
     b = random_lattice(window, 38)
-    assert _oscillation_sups(b, (1.0, 2.0, 4.0)).tolist() == [0.0, 0.0, 0.0]
+    assert oscillation_sups(b, (1.0, 2.0, 4.0)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_constant_symbol_has_oscillation_ratio_zero():

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morreylab import czd
+from morreylab import czd, harness
 from morreylab.czd import necessity_pair
 from morreylab.dyadic import Cube, Window
 from morreylab.errors import ValidationError
-from morreylab.field import LatticeFunction, bmo_norm, power_weight
+from morreylab.field import LatticeFunction, bmo_norm, log_abs, power_weight, telescoping_defect
 from morreylab.harness import (
     EXPERIMENTS,
     Report,
@@ -25,9 +25,7 @@ from morreylab.harness import (
     _KEYS,
     _REQUIRED,
     _exponent_set,
-    _log_abs,
     _ratio,
-    _telescoping_defect,
     _weights,
     config_from_pairs,
     emit_report,
@@ -110,6 +108,23 @@ def test_depth_bound_is_where_the_2d_quadrature_fails(depth, refinement):
         config_from_pairs(pairs(depth - 537))
     with pytest.raises(ZeroDivisionError):
         power_weight(-0.1, replace(window, level_min=window.level_min - 1), depth=depth)
+
+
+@pytest.mark.parametrize("dim, top_count, span", [(1, 2, 26), (1, 8, 24), (3, 2, 8)])
+def test_the_cell_bound_is_2_to_the_27_at_the_finest_stage(dim, top_count, span):
+    # (top_count 2^span)^dim cells at the finest stage: exactly 2^27 parses, one level finer
+    # (or one refinement more) does not; only the parse runs, so nothing is allocated
+    def pairs(level_min, refinements):
+        return [("experiment", "JN"), ("dim", str(dim)), ("top_count", str(top_count)),
+                ("level_min", str(level_min)), ("level_max", "0"), ("refinements", refinements)]
+
+    assert (top_count << span) ** dim == 1 << 27
+    assert harness._MAX_CELLS == 1 << 27
+    config_from_pairs(pairs(-span, "0"))
+    config_from_pairs(pairs(1 - span, "0,1"))
+    for level_min, refinements in ((-span - 1, "0"), (-span, "0,1")):
+        with pytest.raises(ValidationError, match="a stage holds at most 2\\^27 cells"):
+            config_from_pairs(pairs(level_min, refinements))
 
 
 def test_parse_config_errors():
@@ -413,7 +428,7 @@ def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
     # sweep at e = 1, 4 of the chunk of random symbols (5 of 8^2 and of 16^2 cells)
     import sys
     from morreylab import field
-    original = field._oscillation_sups
+    original = field.oscillation_sups
     sweeps = []
 
     def counted(b, exponents):
@@ -421,8 +436,8 @@ def test_jn_sweeps_each_symbol_norm_once(monkeypatch):
         return original(b, exponents)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("morreylab") and getattr(module, "_oscillation_sups", None) is original:
-            monkeypatch.setattr(module, "_oscillation_sups", counted)
+        if name.startswith("morreylab") and getattr(module, "oscillation_sups", None) is original:
+            monkeypatch.setattr(module, "oscillation_sups", counted)
     pairs = [
         ("experiment", "JN"), ("dim", "2"), ("level_min", "-3"), ("level_max", "0"),
         ("trials", "6"), ("seed", "42"), ("refinements", "0,1"),
@@ -445,7 +460,6 @@ def test_jn_log_symbol_is_the_per_cell_sample_bit_for_bit(window, monkeypatch):
     # per window), and 0.5 log(|x|^2) differs from log(sqrt(|x|^2)) in 2-D and 3-D.  The
     # squares of the centres and their sums are exact dyadic numbers, so the order of the
     # adds does not matter; only the square root rounds.
-    from morreylab.harness import _log_abs
     expected = from_callable(window, lambda *x: math.log(math.sqrt(sum(v * v for v in x))))
     calls = []
 
@@ -454,7 +468,7 @@ def test_jn_log_symbol_is_the_per_cell_sample_bit_for_bit(window, monkeypatch):
         return log(x)
 
     monkeypatch.setattr(math, "log", counting_log)
-    got = _log_abs(window)
+    got = log_abs(window)
     monkeypatch.undo()
     assert got.window == window
     assert got.values.tobytes() == expected.values.tobytes()
@@ -468,20 +482,20 @@ def test_jn_log_symbol_past_53_bits_is_a_validation_error():
     for offset in ((1 << 52) - 1, -(1 << 52)):
         window = Window(1, 0, 0, origin_offset=(offset,), top_count=1)
         expected = from_callable(window, lambda x: math.log(abs(x)))
-        assert _log_abs(window).values.tobytes() == expected.values.tobytes()
+        assert log_abs(window).values.tobytes() == expected.values.tobytes()
     for offset in (1 << 52, -(1 << 52) - 1, 1 << 61):
         with pytest.raises(ValidationError, match="need more than 53 bits"):
-            _log_abs(Window(1, 0, 0, origin_offset=(offset,), top_count=1))
+            log_abs(Window(1, 0, 0, origin_offset=(offset,), top_count=1))
 
 
 def test_telescoping_defect_holds_no_expanded_level_table():
     # each pair of levels compares the finer table blocked by the coarser cubes; with every
     # level's means expanded to the cells first, this 128^2 JN symbol peaked at 9 times its bytes
-    b = _log_abs(Window(2, -6, 0))
+    b = log_abs(Window(2, -6, 0))
     norm = bmo_norm(b)
     tracemalloc.start()
     try:
-        assert _telescoping_defect(b, norm) == 0.0
+        assert telescoping_defect(b, norm) == 0.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

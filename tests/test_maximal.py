@@ -97,3 +97,12 @@ def test_centered_mode_dominates_bh_many_pairs(sym_window, centered_ops):
     for pair in ((2.0, 2.0), (4.0, 4.0 / 3.0), (1.25, 5.0)):
         m = centered_op(f, g, 0.0, pair)
         assert np.max(bh.values - m.values) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [(float("inf"), 1.0), (2.0, float("inf")), (0.0, 2.0)])
+@pytest.mark.parametrize("mode", ["dyadic", "centered"])
+def test_m_alpha_r_refuses_an_exponent_that_is_not_finite_and_positive(pair, mode):
+    # at r1 = inf, |f|^r1 is inf or 0 and its 1/r1-th power 1.0: g's part alone was returned
+    f = random_lattice(Window(1, -3, 0), 7)
+    with pytest.raises(ValueError, match="positive and finite"):
+        m_alpha_r(f, f, 0.0, pair, mode)

@@ -62,3 +62,14 @@ def test_cli_imports_no_private_harness_name():
                if isinstance(node, ast.ImportFrom) and node.module == "harness"]
     assert imports
     assert [a.name for node in imports for a in node.names if a.name.startswith("_")] == []
+
+
+def test_harness_imports_no_private_library_name():
+    # each lattice rule has its one owner in dyadic, field or czd, which the harness reaches
+    # through public names only (dunder names such as __version__ aside)
+    tree = ast.parse(Path(inspect.getfile(morreylab)).with_name("harness.py").read_text("utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert {node.module for node in imports} >= {"dyadic", "field", "czd"}
+    names = [a.name for node in imports for a in node.names]
+    assert [n for n in names if n.startswith("_") and not n.endswith("__")] == []

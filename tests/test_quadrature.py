@@ -308,7 +308,7 @@ def test_warm_plan_still_rejects_a_non_integrable_exponent():
         _quadrature_plan.cache_clear()
         abs_power_cell_averages(0.5 - n, window, 4)
         for gamma in (-float(n), -n - 0.5):
-            with pytest.raises(ValueError, match="is not integrable near 0"):
+            with pytest.raises(ValueError, match="is not integrable on a cell touching 0"):
                 abs_power_cell_averages(gamma, window, 4)
         assert _quadrature_plan.cache_info().misses == 1
 

@@ -457,3 +457,17 @@ def test_lemma39_requires_t_hat_at_least_q(sym_window):
     u = Weight.constant(sym_window, 1.0)
     with pytest.raises(ValueError):
         lemma39_check(u, u, 2.0, 2.0, 0.5)
+
+
+def test_morrey_norms_refuse_an_infinite_q():
+    # (mean |f|^q)^(1/q) at q = inf is x ** 0.0 = 1.0, whatever f is
+    window = Window(1, -3, 0)
+    f, one = LatticeFunction(window, np.linspace(0.1, 5.0, 16)), Weight.constant(window, 1.0)
+    with pytest.raises(ValueError, match="finite q"):
+        morrey_norm(f, INF, INF)
+    for q1, q2 in ((INF, 2.0), (2.0, INF)):
+        with pytest.raises(ValueError, match="must be finite"):
+            rhs_bilinear_morrey(f, f, one, one, INF, q1, q2)
+        with pytest.raises(ValueError, match="must be finite"):
+            rhs_bilinear_morrey_from(f, f, one, one, INF, q1, q2, Cube(0, (0,)))
+    assert morrey_norm(f, INF, 2.0) > 0.0  # p = inf (1/p = 0) is still a norm
