@@ -30,9 +30,10 @@ invariants, and the thresholds themselves (gamma is Q0's functional, A the
 factor above, and every cube above gamma A^k lies in a level-k stopping
 cube, for k up to one past the last level), so a forest with a wrong gamma,
 a wrong A or a missing level is reported too.  CZ_INV and `morreylab
-decompose` make one build pass and one recheck pass per trial, each one
-functional_tables call over the specs of every kind they check, whose tables
-the entry points take; the recheck reads the raw (f, g), not the build's tables.
+decompose` make one build pass and one recheck pass per chunk of trials, each
+one functional_tables call over the batch and the specs of every kind they
+check; each trial's forests and checks take that trial's slice of the tables.
+The recheck reads the raw (f, g), not the build's tables.
 
 Every cell set is a boolean mask over the finest cells of one cube: E_0
 over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
@@ -79,11 +80,11 @@ def functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     """The tables of each spec (t1, t2, alpha), from one pass: per level from level_min to
     q0.level, (mean_{3Q} |f|^t1)^(1/t1) (mean_{3Q} |g|^t2)^(1/t2) of every cube Q inside q0,
     times |Q|^(alpha/n) unless alpha is None; in cube-index order from q0's first subcube of
-    the level, as dilated_means.  One dilated_means call takes each distinct |f|^t1 and |g|^t2
-    plane once, and each distinct (t1, t2) product is formed once; every table is the float
-    it would be with its spec alone.  Raises unless q0 is a window cube, before any table is
-    built."""
-    _require_unbatched(f, g)
+    the level, as dilated_means.  f and g may hold a batch of the same shape; every table then
+    keeps its leading axes, and each entry's slice is the float of that entry alone.  One
+    dilated_means call takes each distinct |f|^t1 and |g|^t2 plane once, and each distinct
+    (t1, t2) product is formed once; every table is the float it would be with its spec alone.
+    Raises unless q0 is a window cube, before any table is built."""
     window = f.window
     if not window.contains_cube(q0):
         raise ValueError(f"base cube {q0} not inside window")
@@ -213,6 +214,7 @@ def cz_decompose(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     built other specs' tables too; otherwise the tables are built here."""
     if not (1 < theta1 < math.inf and 1 < theta2 < math.inf):  # nan fails too
         raise ValueError("theta1 and theta2 must exceed 1 and be finite")
+    _require_unbatched(f, g)
     window = _same_window(f, g)
     factor = _threshold_factor(window.dim, theta1, theta2)
     if tables is None:
@@ -226,6 +228,7 @@ def cz_decompose_alpha(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     as in cz_decompose."""
     if not holder_pair(r1, r2):  # nan fails too
         raise ValueError(f"(r1, r2) must be a Holder pair; got ({r1}, {r2})")
+    _require_unbatched(f, g)
     window = _same_window(f, g)
     n = window.dim
     if not 0.0 <= alpha < n:
@@ -253,15 +256,17 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     The functional tables are rebuilt from (f, g) rather than taken from the
     decomposition: `morreylab decompose` and CZ_INV use this as a recheck
     independent of whatever built the forest.  They build every kind's forest
-    from one table pass and recheck all of them from one more pass of their
-    own, passing each forest its entry of that pass as tables.  tables must
-    never come from the pass that built d: the recheck would then share the
-    builder's faults.  f, g and the forest must live on window.  A stopping
+    of a chunk of trials from one table pass and recheck all of them from one
+    more pass of their own, passing each forest its trial's slice of its entry
+    of that pass as tables.  tables must never come from the pass that built
+    d: the recheck would then share the builder's faults.  f and g are one
+    trial, not a batch; they and the forest must live on window.  A stopping
     cube that is not a window cube inside Q0 is reported, and then nothing
     else is checked: the tables hold Q0's subtree only.
     """
     if _same_window(f, g) != window:
         raise ValueError("inputs must live on the given window")
+    _require_unbatched(f, g)
     if tables is None:
         tables, = functional_tables(f, g, d.base, [(t1, t2, alpha)])
     bad = [f"containment: level {k} cube {q} not inside Q0"

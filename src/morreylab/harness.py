@@ -33,9 +33,9 @@ not grow with the trials (_draw_table).  Every runner but L39 reads its inputs f
 _stage_chunks: the random trials in batched chunks of _BATCH_CELLS cells per array, a
 remainder under half a chunk joining the chunk before it, and each deterministic member
 (JN's log|x| at trial 0, T27_necessity's extremal pair last) as a labelled chunk of its
-own; CZ_INV then takes unbatched slices.  The rows, in trial-index order, depend neither on
-the chunking nor on the table.  On each slice, and on trial 0 for `morreylab decompose`,
-one table pass (czd.functional_tables) builds the stopping-time forest of every kind, and
+own.  The rows, in trial-index order, depend neither on the chunking nor on the table.  On
+each CZ_INV chunk, and on trial 0 as a batch of one for `morreylab decompose`, one table
+pass (czd.functional_tables) builds the stopping-time forests of every kind and trial, and
 one more pass rechecks them (_decompose).  Each lattice rule that a runner or a domain
 needs (Window.touches_origin, field.deepest_depth, JN's field.log_abs, oscillation_sups and
 telescoping_defect) has its one owner in dyadic, field or czd, reached by public name only.
@@ -219,11 +219,12 @@ def _joint_problems(experiment: str, p: Mapping, window: Window) -> list[str]:
     if stages != (0,) and any(k.startswith("weight_") and v.startswith("csv:")
                               for k, v in p.items()):
         bad.append(f"csv: weights need refinements = 0; got refinements = {stages}")
-    # a cube of the coarsest stage's window is a cube of every stage's window
+    # a cube of the coarsest stage's window is a cube of every stage's window; a level outside
+    # it is refused before _q0 builds an int of |level| bits
     coarsest = replace(window, level_min=window.level_min - min(stages))
     for key in [k for k in ("q0", "qprime") if f"{k}_level" in p]:
         level, index = p[f"{key}_level"], p[f"{key}_index"]
-        if level is not None and level > window.level_max \
+        if level is not None and not coarsest.level_min <= level <= coarsest.level_max \
                 or not coarsest.contains_cube(_q0(p, coarsest, key)):
             bad.append(f"{key}_level, {key}_index must give a cube of the window; got "
                        f"{key}_level = {level}, {key}_index = {index}")
@@ -733,21 +734,23 @@ def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: d
             yield [trial], [ratios[-1]], [max(ratios[0], 1e-300)], label, bad
 
 
-def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction,
-               q0: Cube) -> list[tuple[Decomposition, list[str], tuple]]:
-    """Per kind ('cz' or 'cz_alpha'), in order: the stopping-time forest at the config's
-    parameters, its verify_decomposition violations, and those parameters: (theta1, theta2)
-    for 'cz', (r1, r2, alpha) for 'cz_alpha'.  One table pass builds every forest, and a
-    second pass of its own over the raw (f, g) rechecks them."""
+def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction, q0: Cube):
+    """Yield per trial of the chunk (f, g), per kind ('cz' or 'cz_alpha'): the forest at the
+    config's parameters, its verify_decomposition violations and those parameters, (theta1,
+    theta2) or (r1, r2, alpha).  One table pass over the chunk builds every forest and a
+    second of its own over the raw (f, g) rechecks them; each trial reads its slice of both."""
     args = [tuple(cfg.params[key] for key in _CZ_KINDS[kind]) for kind in kinds]
     specs = [(*a, None) if kind == "cz" else a for kind, a in zip(kinds, args)]
-    forests = [cz_decompose(f, g, q0, *a, tables=tables) if kind == "cz" else
-               cz_decompose_alpha(f, g, q0, *a, tables=tables)
-               for kind, a, tables in zip(kinds, args, functional_tables(f, g, q0, specs))]
     # the recheck never reads the build pass's tables
-    checks = functional_tables(f, g, q0, specs)
-    return [(d, verify_decomposition(d, f, g, f.window, *spec, tables=tables), a)
-            for d, spec, tables, a in zip(forests, specs, checks, args)]
+    passes = [functional_tables(f, g, q0, specs) for _ in range(2)]
+    for i in range(len(f.values)):
+        fi, gi = (LatticeFunction(f.window, x.values[i]) for x in (f, g))
+        built, checks = ([{level: t[i] for level, t in table.items()} for table in tables]
+                         for tables in passes)
+        forests = [(cz_decompose if kind == "cz" else cz_decompose_alpha)(fi, gi, q0, *a, tables=t)
+                   for kind, a, t in zip(kinds, args, built)]
+        yield [(d, verify_decomposition(d, fi, gi, f.window, *spec, tables=t), a)
+               for d, spec, t, a in zip(forests, specs, checks, args)]
 
 
 def decompose(cfg: ExperimentConfig) -> tuple[Decomposition, list[str]]:
@@ -756,18 +759,15 @@ def decompose(cfg: ExperimentConfig) -> tuple[Decomposition, list[str]]:
     with DECOMPOSE_KEYS)."""
     if cfg.experiment != "CZ_INV":
         raise ValidationError(f"decompose needs a CZ_INV config; got {cfg.experiment}")
-    win = cfg.window
-    f, g = (LatticeFunction(win, x) for x in _drawn(cfg.seed, win, 0))
-    (d, bad, _), = _decompose(cfg, (cfg.params["kind"],), f, g, _q0(cfg.params, win))
+    f, g = (LatticeFunction(cfg.window, x[None]) for x in _drawn(cfg.seed, cfg.window, 0))
+    ((d, bad, _),), = _decompose(cfg, (cfg.params["kind"],), f, g, _q0(cfg.params, cfg.window))
     return d, bad
 
 
 def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q0 = _q0(cfg.params, win)
-    for trials, _, arrays in _stage_chunks(cfg, win):
-        for i, trial in enumerate(trials):
-            pair = [LatticeFunction(win, x.values[i]) for x in arrays]
-            checked = _decompose(cfg, ("cz", "cz_alpha"), *pair, q0)
+    for trials, _, (f, g) in _stage_chunks(cfg, win):
+        for trial, checked in zip(trials, _decompose(cfg, ("cz", "cz_alpha"), f, g, q0)):
             notes["theta"], notes["alpha_variant"] = (args for _, _, args in checked)
             bad = sum(len(msgs) for _, msgs, _ in checked)
             yield [trial], [bad], [1.0], "spiky", bad
@@ -872,8 +872,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         for trials, lhs, rhs, label, bad in run(cfg, stage, win, notes):
             rows += [_row(stage, win, t, lo, hi, label) for t, lo, hi in zip(trials, lhs, rhs)]
             violations += bad
-    # a nan side is a failed evaluation; the stage max would skip it unless it came first
-    violations += sum(math.isnan(r["lhs"]) or math.isnan(r["rhs"]) for r in rows)
+    # a nan or infinite side is a failed evaluation (the stage max would skip a nan)
+    violations += sum(not (math.isfinite(r["lhs"]) and math.isfinite(r["rhs"])) for r in rows)
     stages = _stage_summaries(rows)
     factors, flags = _growth(stages)
     summary = {

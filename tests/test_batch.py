@@ -352,11 +352,16 @@ def test_a_run_draws_each_trial_once(monkeypatch, name, streams):
     assert sorted(calls) == [(s, t) for s in streams for t in drawn]
 
 
-@pytest.mark.parametrize("name", ["t26_commutator_control.cfg", "t27_weak_type.cfg",
-                                  "czd_decompose.cfg", "t24_commutator_2d.cfg",
-                                  "jn_oscillation.cfg", "jn_oscillation_2d.cfg"])
-def test_reports_do_not_depend_on_the_draw_table(monkeypatch, tmp_path, name):
-    cfg = _config(name, trials=7, refinements="0,1")
+@pytest.mark.parametrize("name, extra", [
+    *(pytest.param(name, {}, id=name) for name in (
+        "t26_commutator_control.cfg", "t27_weak_type.cfg", "czd_decompose.cfg",
+        "t24_commutator_2d.cfg", "jn_oscillation.cfg", "jn_oscillation_2d.cfg")),
+    # CZ_INV's table passes take chunks of four 64^2 trials at stage 0
+    pytest.param("czd_decompose.cfg", {"dim": 2, "level_min": -5, "q0_index": "0,0"},
+                 id="czd_decompose.cfg-2d"),
+])
+def test_reports_do_not_depend_on_the_draw_table(monkeypatch, tmp_path, name, extra):
+    cfg = _config(name, trials=7, refinements="0,1", **extra)
     # JN draws one symbol per trial, the others f, g and their symbols
     arrays = 1 if cfg.experiment == "JN" else 2 + cfg.params.get("n_symbols", 0)
     trial_cells = arrays * cfg.window.n_cells
@@ -431,8 +436,6 @@ _SINGLE = {
     "verify_decomposition": lambda F: czd.verify_decomposition(
         czd.cz_decompose(_HALF, _HALF, _Q0, 2.0, 2.0), F, F, _WIN, 2.0, 2.0),
     "necessity_pair": lambda F: czd.necessity_pair(F, F, _Q0, _T27),
-    "functional_tables": lambda F: czd.functional_tables(
-        F, F, _Q0, [(2.0, 2.0, None), (1.5, 3.0, 0.5)]),
     "oscillation_ratio": lambda F: oscillation_ratio(F, 2.0),
     "Weight": lambda F: Weight(_WIN, F.values),
 }
@@ -481,12 +484,13 @@ def test_dilated_plan_counts_are_the_sums_over_ones():
 
 
 @st.composite
-def dilated_cases(draw):
+def dilated_cases(draw, max_dim=3, max_batch=3):
     """(window, q0, values of shape (B, *window.shape)): dim 1-3, level span 0-4 in 1-D,
     0-3 in 2-D and 0-2 in 3-D, shifted origins, top_count 1-3, Q0 of any level at any
     position (the window's first and last cube per axis drawn as often as the rest
-    together), B = 1..3, values of either sign with one cell spiked by up to 1e8."""
-    dim = draw(st.integers(1, 3))
+    together), B = 1..3, values of either sign with one cell spiked by up to 1e8; dim and B
+    up to max_dim and max_batch."""
+    dim = draw(st.integers(1, max_dim))
     top = draw(st.integers(-1, 1))
     window = Window(dim, top - draw(st.integers(0, 5 - dim)), top,
                     origin_offset=tuple(draw(st.integers(-2, 1)) for _ in range(dim)),
@@ -496,7 +500,7 @@ def dilated_cases(draw):
     q0 = Cube(level, tuple(lo + draw(st.sampled_from((0, c - 1)) | st.integers(0, c - 1))
                            for lo in window.index_lo(level)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    vals = rng.uniform(-1.0, 3.0, (draw(st.integers(1, 3)), *window.shape))
+    vals = rng.uniform(-1.0, 3.0, (draw(st.integers(1, max_batch)), *window.shape))
     vals[(0, *(int(rng.integers(0, window.cells_per_axis)) for _ in range(dim)))] *= \
         10.0 ** draw(st.floats(0.0, 8.0))
     return window, q0, vals
@@ -514,6 +518,29 @@ def test_dilated_means_match_the_whole_window_oracle(case):
                        for m, a in zip(q0.index, window.index_lo(level)))
         assert means.shape == (len(vals),) + (k,) * window.dim
         assert_bitwise(means, [oracles.dilated_means(v, window, level)[inside] for v in vals])
+
+
+# (t1, t2, alpha) with alpha in (0, 1): a volume factor inside (0, n) in 1-D and 2-D
+_TABLE_SPECS = ((2.0, 2.0, None), (1.5, 3.0, 0.2), (3.0, 1.5, None), (1.25, 5.0, 0.7),
+                (1.5, 3.0, None), (2.0, 2.0, 0.4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dilated_cases(max_dim=2, max_batch=4), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(_TABLE_SPECS), min_size=1, max_size=3))
+def test_batched_functional_tables_match_the_per_entry_calls(case, seed, specs):
+    window, q0, fv = case
+    gv = np.random.default_rng(seed).uniform(0.0, 2.0, fv.shape)
+    got = czd.functional_tables(LatticeFunction(window, fv), LatticeFunction(window, gv), q0,
+                                specs)
+    want = [czd.functional_tables(LatticeFunction(window, a), LatticeFunction(window, b), q0,
+                                  specs) for a, b in zip(fv, gv)]
+    assert len(got) == len(specs)
+    for s, tables in enumerate(got):
+        assert list(tables) == list(range(window.level_min, q0.level + 1))
+        for level, table in tables.items():
+            assert table.shape == (len(fv),) + (1 << (q0.level - level),) * window.dim
+            assert_bitwise(table, [entry[s][level] for entry in want])
 
 
 def test_dilated_plan_is_a_bounded_lru():

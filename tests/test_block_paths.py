@@ -404,7 +404,8 @@ def test_shared_table_pass_matches_the_one_kind_path(window, q0, levels, theta, 
     cfg = config_from_pairs([("experiment", "CZ_INV"), ("dim", str(window.dim)),
                              ("theta1", str(theta[0])), ("theta2", str(theta[1])),
                              ("r1", str(r[0])), ("r2", str(r[1])), ("alpha", str(alpha))])
-    shared = _decompose(cfg, ("cz", "cz_alpha"), f, g, q0)
+    shared, = _decompose(cfg, ("cz", "cz_alpha"),
+                         *(LatticeFunction(window, x.values[None]) for x in (f, g)), q0)
     one_kind = (cz_decompose(f, g, q0, *theta), cz_decompose_alpha(f, g, q0, *r, alpha))
     for (d, msgs, _), one, spec in zip(shared, one_kind, ((*theta, None), (*r, alpha))):
         assert len(d.levels) >= levels

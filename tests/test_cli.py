@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,40 @@ def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
     assert summary["invariant_violations"] == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow in morrey_norm
+def test_run_an_infinite_side_exit_3(tmp_path, capsys):
+    # p = q = 1e308 overflows the Morrey norms: 97 of the 100 rows (50 trials, two stages)
+    # have an infinite side and give no estimate, so each is a failed evaluation, as a nan
+    # side is; the other 3 read lhs = rhs = 0.0
+    text = (CONFIGS / "t25_maximal_control.cfg").read_text(encoding="utf-8")
+    assert "p = 2\n" in text and "q = 1.5\n" in text
+    cfg = _write(tmp_path, "inf.cfg", text.replace("p = 2\n", "p = 1e308\n")
+                 .replace("q = 1.5\n", "q = 1e308\n"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "inf")]) == 3
+    assert "invariant violations: 97\n" in capsys.readouterr().err
+    rows = (tmp_path / "inf.csv").read_text(encoding="utf-8").splitlines()[1:]
+    sides = [row.split(",")[_COLUMNS.index("lhs"):_COLUMNS.index("rhs") + 1] for row in rows]
+    assert sum("inf" in pair for pair in sides) == 97 and len(rows) == 100
+
+
+@pytest.mark.parametrize("name, key", [("czd_decompose.cfg", "q0"),
+                                       ("t27_weak_type.cfg", "qprime")])
+def test_a_level_far_below_the_window_exits_2_without_a_huge_int(tmp_path, capsys, name, key):
+    # the level is refused before a first cube index of 2^(10^7) is built (2.7 MB traced)
+    lines = [line for line in (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+             if not line.startswith(f"{key}_")]
+    cfg = _write(tmp_path, "far.cfg", "\n".join(lines + [f"{key}_level = -10000000"]) + "\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", cfg, "--out", str(tmp_path / "rep")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"{key}_level, {key}_index must give a cube of the window" in capsys.readouterr().err
+    assert peak < 500_000, peak
+
+
 def test_t27_extremal_check_fails_on_a_zero_extremal_rhs(tmp_path, capsys, monkeypatch):
     # c_observed includes the extremal row's own ratio, so the check can fail only where
     # that ratio is INF (left out of c_observed): rhs 0 and lhs > 0
@@ -151,19 +186,20 @@ def test_cz_invariants_count_a_violated_alpha_partition(tmp_path, capsys, monkey
 
 def test_cz_invariants_recheck_from_a_table_pass_of_their_own(tmp_path, capsys, monkeypatch):
     # every table of the build pass doubled: the recheck pass must find each forest's gamma
-    # wrong, one message per kind and trial (10 trials)
+    # wrong, one message per kind and trial (10 trials, all in one chunk)
     honest, passes = harness.functional_tables, []
 
     def doubled_build(*args):
         tables = honest(*args)
         passes.append(args)
-        if len(passes) % 2 == 0:  # a trial's second pass rechecks its forests
+        if len(passes) % 2 == 0:  # a chunk's second pass rechecks its forests
             return tables
         return [{level: 2.0 * t for level, t in table.items()} for table in tables]
 
     monkeypatch.setattr(harness, "functional_tables", doubled_build)
     _run_exits_3_with(tmp_path, capsys, "czd_decompose.cfg", 20)
-    assert len(passes) == 20
+    assert len(passes) == 2
+    assert all(f.values.shape[0] == 10 for f, *_ in passes)
 
 
 def test_jn_counts_a_telescoping_defect(tmp_path, capsys, monkeypatch):

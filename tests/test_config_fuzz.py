@@ -60,6 +60,8 @@ def odd_configs(draw):
 @example(("t26_commutator_control.cfg", {"vartheta1": "inf"}))  # maximal.m_alpha_r
 @example(("t26_commutator_control.cfg", {"vartheta2": "1e308"}))  # maximal.m_alpha_r
 @example(("czd_decompose.cfg", {"theta1": "inf"}))  # czd.cz_decompose
+# once exit 0 on rows whose lhs overflowed to inf; an infinite side is a failed evaluation
+@example(("t25_maximal_control.cfg", {"p": "1e308", "q": "1e308"}))
 def test_odd_values_exit_0_2_or_3(case):
     name, values = case
     raw = dict(_RAW[name], trials="2", **values)

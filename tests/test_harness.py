@@ -257,12 +257,13 @@ def test_cz_experiment_counts_violations():
     assert all(r["lhs"] == 0.0 for r in rep.rows)
 
 
-def test_cz_experiment_makes_two_table_passes_per_trial(monkeypatch):
-    # one pass builds both kinds' forests and one more rechecks them, per trial and stage
+def test_cz_experiment_makes_two_table_passes_per_chunk(monkeypatch):
+    # one pass builds both kinds' forests and one more rechecks them, per chunk and stage;
+    # each 1-D stage takes its 5 trials in one chunk, so each pass stacks 4 planes of 5 trials
     honest, calls = czd.dilated_means, []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[0].shape[:2])
         return honest(*args)
 
     monkeypatch.setattr(czd, "dilated_means", counted)
@@ -274,7 +275,7 @@ def test_cz_experiment_makes_two_table_passes_per_trial(monkeypatch):
     ]
     rep = run_experiment(config_from_pairs(pairs))
     assert rep.summary["invariant_violations"] == 0
-    assert len(calls) == 2 * 5 * 3
+    assert calls == [(4, 5)] * 2 * 3
 
 
 def test_validation_failure_bubbles_up():
