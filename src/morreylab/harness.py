@@ -8,20 +8,17 @@ theory, so acceptance is finiteness and stability of empirical ratios: a
 growth study re-runs the same coarse-drawn inputs on windows refined by one
 (or more) levels and summarizes the max-ratio growth factor per refinement.
 
-run_experiment owns the loop over the refinement stages: it asks the
-experiment's runner for the work of one stage, makes every row and sums the
-violation counts.  Runners are grouped by the shape of their inequality:
-
-- strong type, |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2): one
-  runner for T21-T24 (bilinear integral and its commutators), T28/T29
-  (dyadic maximal operator) and COR_BH (bilinear maximal function); the
-  weight condition of the constant fixes the exponent regime;
-- maximal control (T25/T26): Morrey norms of the integral or commutator
-  against those of the maximal operator;
-- weak type (T27_*): the weak Morrey functional on a base cube;
-- power weights (SW101), with its balance identity recorded;
-- invariant checks (JN, CZ_INV, BH_DOM, L39), which also yield violation
-  counts.
+Every inequality reads lhs(f, g, b) <= C rhs(f, g, b).  A ratio record's side builds a
+stage's hypothesis (exponents, weights, constant, notes) and returns the chunk streams, the
+members and evaluate(f, g, *symbols) -> (lhs, rhs), one value per batch entry;
+run_experiment loops over the stages and each stage's chunks, evaluates them, makes the
+rows and sums the violations.  The sides follow the shape of their inequality: strong type
+|T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2) for T21-T24, T28, T29 and COR_BH
+(the operator T bound, the weight condition fixing the regime), maximal control (T25/T26),
+the weak functional on a base cube (T27_*, necessity checking its extremal row) and power
+weights (SW101).  The checks JN, CZ_INV, BH_DOM and L39 count violations, not ratios, and
+keep a runner each: JN sweeps and checks by the chunk's label, CZ_INV labels its rows
+"spiky", BH_DOM's side would cost a line more, and L39 reads no trials.
 
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
@@ -29,20 +26,19 @@ windows, so growth factors reflect the operators, not fresh randomness.
 Each trial draws from its own streams (f and g 1, a commutator's symbols 2, JN's 3).  A run
 draws its random trials once, into a read-only table of at most _DRAW_CELLS cells that
 every stage prolongs; a trial past the table is drawn again at each stage, so memory does
-not grow with the trials (_draw_table).  Every runner but L39 reads its inputs from
+not grow with the trials (_draw_table).  Every record but L39 reads its inputs from
 _stage_chunks: the random trials in batched chunks of _BATCH_CELLS cells per array, a
 remainder under half a chunk joining the chunk before it, and each deterministic member
 (JN's log|x| at trial 0, T27_necessity's extremal pair last) as a labelled chunk of its
-own.  The rows, in trial-index order, depend neither on the chunking nor on the table.  On
-each CZ_INV chunk, and on trial 0 as a batch of one for `morreylab decompose`, one table
-pass (czd.functional_tables) builds the stopping-time forests of every kind and trial, and
-one more pass rechecks them (_decompose).  Each lattice rule that a runner or a domain
-needs (Window.touches_origin, field.deepest_depth, JN's field.log_abs, oscillation_sups and
-telescoping_defect) has its one owner in dyadic, field or czd, reached by public name only.
+own.  The rows, in trial-index order, depend neither on the chunking nor on the table.
+CZ_INV builds and rechecks its stopping-time forests one chunk at a time (_decompose).
+Each lattice rule that a record or a domain needs (Window.touches_origin,
+field.deepest_depth, JN's field.log_abs, oscillation_sups and telescoping_defect) has its
+one owner in dyadic, field or czd, reached by public name only.
 
-Each experiment is one _EXPERIMENTS record (its runner, keys and weight condition),
-so adding an experiment means adding one record; hypothesis turns a record's weight
-condition into the weights and constant of a stage, for its runner and for
+Each experiment is one _EXPERIMENTS record (its side or runner, keys and weight
+condition), so adding an experiment means adding one record; hypothesis turns a record's
+weight condition into the weights and constant of a stage, for its side and for
 `morreylab weight-const`.  Config files are flat UTF-8
 ``key = value`` lines, arrays as comma lists, ``#`` comments allowed; cfg.params has
 every key of the record and _COMMON, typed and in its domain, and no other.  Each
@@ -354,16 +350,9 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _row(stage: int, window: Window, trial: int, lhs: float, rhs: float, label: str) -> dict:
-    return {
-        "refinement": stage,
-        "level_min": window.level_min,
-        "level_max": window.level_max,
-        "trial": trial,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "ratio": _ratio(float(lhs), float(rhs)),
-        "input": label,
-    }
+    lhs, rhs = float(lhs), float(rhs)
+    return dict(zip(_COLUMNS, (stage, window.level_min, window.level_max, trial, lhs, rhs,
+                               _ratio(lhs, rhs), label)))
 
 
 # -- random inputs -------------------------------------------------------------
@@ -594,7 +583,7 @@ def _stage_summaries(rows: list) -> list[dict]:
     return out
 
 
-# -- experiment runners ---------------------------------------------------------
+# -- experiment sides and check runners -------------------------------------------
 
 
 def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, alpha: float,
@@ -607,8 +596,7 @@ def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, a
     return commutator_iterated(CommutatorSpec(symbols, pattern), f, g, alpha, cfg.params["depth"])
 
 
-def _run_strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Window,
-                     notes: dict):
+def _strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     """|T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2) for the operator T (bilinear,
     commutator, m_alpha_r or bh_maximal) and the constant C of the record's weight condition."""
     e, kind, v, w1, w2, const = hypothesis(cfg, win)
@@ -616,63 +604,64 @@ def _run_strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Wind
     if kind is WeightConditionKind.C211 and cfg.params["a"] is None:
         notes["derived_a"] = e.a
     n_sym = cfg.params["n_symbols"] if operator == "commutator" else 0
-    for trials, label, (f, g, *symbols) in _stage_chunks(cfg, win, (1, 1) + (2,) * n_sym):
+
+    def evaluate(f, g, *symbols):
         if operator == "m_alpha_r":
             out = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
         elif operator == "bh_maximal":
             out = bh_maximal(f, g)
         else:
             out = _fractional(cfg, f, g, e.alpha, symbols)
-        lhs = morrey_norm(_times(out, v), e.s, e.t)
-        rhs = math.prod(map(bmo_norm, symbols)) * const \
-            * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
-        yield trials, lhs, rhs, label, 0
+        return morrey_norm(_times(out, v), e.s, e.t), math.prod(map(bmo_norm, symbols)) \
+            * const * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
+    return (1, 1) + (2,) * n_sym, {}, evaluate
 
 
-def _run_maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, win: Window,
-                         notes: dict):
+def _maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, win: Window,
+                     notes: dict):
     mp, mq, alpha, r1, r2 = (cfg.params[k] for k in ("p", "q", "alpha", "r1", "r2"))
     notes["morrey_weight_convention"] = "integrand |f|^q * w, Lebesgue normalizer |Q|"
     pair = (cfg.params["vartheta1"] * r1, cfg.params["vartheta2"] * r2) if commutator else (r1, r2)
     n_sym = cfg.params["n_symbols"] if commutator else 0
     [w] = _weights(cfg, win, "w")
-    for trials, label, (f, g, *symbols) in _stage_chunks(cfg, win, (1, 1) + (2,) * n_sym):
-        lhs = morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w)
-        rhs = math.prod(map(bmo_norm, symbols)) \
+
+    def evaluate(f, g, *symbols):
+        return morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w), \
+            math.prod(map(bmo_norm, symbols)) \
             * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
-        yield trials, lhs, rhs, label, 0
+    return (1, 1) + (2,) * n_sym, {}, evaluate
 
 
-def _run_weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window,
-                   notes: dict):
+def _weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     e, kind, v, w1, w2, const = hypothesis(cfg, win)
     notes["condition_kind"] = kind.value
-    q0 = _q0(cfg.params, win)
+    # the stage's ratios; the extremal check that the pair's build opens and evaluate closes
+    q0, ratios, pending = _q0(cfg.params, win), [], []
 
     def extremal(window):  # the necessity argument's pair, in the last slot; its threshold
         qp = q0 if cfg.params["qprime_level"] is None and cfg.params["qprime_index"] is None \
             else _q0(cfg.params, window, key="qprime")
         f, g, lam = necessity_pair(w1, w2, qp, e)
-        notes.setdefault("extremal_checks", []).append({"refinement": stage, "lambda": lam})
+        pending.append({"refinement": stage, "lambda": lam})
+        notes.setdefault("extremal_checks", []).append(pending[-1])
         return f, g
 
-    # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional and
-    # rhs_bilinear_morrey_from per trial, the latter for its scalar powers
-    ratios = []
-    members = {cfg.trials - 1: ("extremal", extremal)} if necessity else {}
-    for trials, label, (f, g) in _stage_chunks(cfg, win, members=members):
-        big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic").values
-        for i, trial in enumerate(trials):
-            fi, gi, mi = (LatticeFunction(win, x[i]) for x in (f.values, g.values, big_m))
-            lhs = float(weak_morrey_functional(mi, v, e.t, e.s, q0))
-            rhs = float(const * rhs_bilinear_morrey_from(fi, gi, w1, w2, e.p, e.q1, e.q2, q0))
-            ratios.append(_ratio(lhs, rhs))
-            bad = 0
-            if label == "extremal":  # c_obs counts the extremal row itself
-                c_obs = max(x for x in ratios if x != INF)
-                bad = int(not lhs <= 2.0 * c_obs * rhs * (1.0 + 1e-9))
-                notes["extremal_checks"][-1].update(c_observed=c_obs, passed=not bad)
-            yield [trial], [lhs], [rhs], label, bad
+    def evaluate(f, g):
+        # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional
+        # and rhs_bilinear_morrey_from per entry, the latter for its scalar powers
+        big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
+        fs, gs, ms = ([LatticeFunction(win, x) for x in a.values] for a in (f, g, big_m))
+        lhs = [float(weak_morrey_functional(m, v, e.t, e.s, q0)) for m in ms]
+        rhs = [float(const * rhs_bilinear_morrey_from(fi, gi, w1, w2, e.p, e.q1, e.q2, q0))
+               for fi, gi in zip(fs, gs)]
+        ratios.extend(map(_ratio, lhs, rhs))
+        if not pending:
+            return lhs, rhs
+        c_obs = max(x for x in ratios if x != INF)  # the extremal row counts itself
+        bad = int(not lhs[0] <= 2.0 * c_obs * rhs[0] * (1.0 + 1e-9))
+        pending.pop().update(c_observed=c_obs, passed=not bad)
+        return lhs, rhs, bad
+    return (1, 1), {cfg.trials - 1: ("extremal", extremal)} if necessity else {}, evaluate
 
 
 def _stein_weiss_exponents(params: Mapping, n: int) -> tuple[float, float, float, float]:
@@ -685,7 +674,7 @@ def _stein_weiss_exponents(params: Mapping, n: int) -> tuple[float, float, float
     return p, q, s, solve_weak_t(n, order, q, r)
 
 
-def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+def _stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     n = cfg.window.dim
     alpha, beta, gamma1, gamma2, q1, q2, p1, p2 = (
         cfg.params[k] for k in ("alpha", "beta", "gamma1", "gamma2", "q1", "q2", "p1", "p2"))
@@ -708,10 +697,11 @@ def _run_stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict
     built = {x: power_weight(x, win, depth) if x != 0 else Weight.constant(win, 1.0)
              for x in dict.fromkeys(exps)}
     wl, v1, v2 = (built[x] for x in exps)
-    for trials, label, (f, g) in _stage_chunks(cfg, win):
-        lhs = morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t)
-        rhs = morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
-        yield trials, lhs, rhs, label, 0
+
+    def evaluate(f, g):
+        return morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t), \
+            morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
+    return (1, 1), {}, evaluate
 
 
 def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
@@ -731,7 +721,7 @@ def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: d
                 bad += not all(map(math.isfinite, ratios))
                 bad += not (ratios[0] <= ratios[1] + 1e-12 and ratios[1] <= ratios[2] + 1e-12)
                 bad += telescoping_defect(b, sups[0]) > 1e-12
-            yield [trial], [ratios[-1]], [max(ratios[0], 1e-300)], label, bad
+            yield [trial], label, [ratios[-1]], [max(ratios[0], 1e-300)], bad
 
 
 def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction, q0: Cube):
@@ -770,7 +760,7 @@ def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: di
         for trial, checked in zip(trials, _decompose(cfg, ("cz", "cz_alpha"), f, g, q0)):
             notes["theta"], notes["alpha_variant"] = (args for _, _, args in checked)
             bad = sum(len(msgs) for _, msgs, _ in checked)
-            yield [trial], [bad], [1.0], "spiky", bad
+            yield [trial], "spiky", [bad], [1.0], bad
 
 
 _BH_PAIRS = ((2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0 / 3.0), (1.25, 5.0))
@@ -789,7 +779,7 @@ def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: di
             scale = np.maximum(np.abs(bh), np.abs(m))
             excess = np.divide(bh - m, scale, out=np.zeros_like(scale), where=scale > 0)
             worst = np.maximum(worst, excess.max(axis=cells))
-        yield trials, worst, [tol] * len(trials), label, int((worst > tol).sum())
+        yield trials, label, worst, [tol] * len(trials), int((worst > tol).sum())
 
 
 def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
@@ -800,24 +790,27 @@ def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,
                                                            **rep.memberships}
     worst = max(rep.memberships.values())
-    yield range(cfg.trials), [rep.joint_const] * cfg.trials, [worst] * cfg.trials, "weights", 0
+    yield range(cfg.trials), "weights", [rep.joint_const] * cfg.trials, [worst] * cfg.trials, 0
 
 
 class _Experiment(NamedTuple):
-    """run(cfg, stage, win, notes), the runner with its variant bound, yields a stage's
-    (trials, lhs, rhs, label, violations) in trial order; keys maps each key besides _COMMON
-    that it reads to (default, domain); kind is the weight condition of the exponent keys,
-    which hypothesis reads.
-    A runner reaches the library through this module's globals, which a tracer may rebind."""
+    """keys maps each key besides _COMMON that the record reads to (default, domain); kind
+    is the weight condition of the exponent keys, which hypothesis reads.  A ratio record's
+    side(cfg, stage, win, notes), its variant bound, returns a stage's (streams, members,
+    evaluate) for _stage_chunks; evaluate(f, g, *symbols) gives (lhs, rhs), per batch entry,
+    and T27_necessity's also its extremal check's violations.  A check record (JN, CZ_INV,
+    BH_DOM, L39) has a run(cfg, stage, win, notes) instead, which yields a stage's (trials,
+    label, lhs, rhs, violations) in trial order.  Both reach the library through this
+    module's globals, which a tracer may rebind."""
 
-    run: Callable
     keys: Mapping
     kind: WeightConditionKind | None = None
+    side: Callable | None = None
+    run: Callable | None = None
 
 
 def _strong(operator: str, kind: str, keys: Mapping) -> _Experiment:
-    return _Experiment(functools.partial(_run_strong_type, operator), keys,
-                       WeightConditionKind(kind))
+    return _Experiment(keys, WeightConditionKind(kind), functools.partial(_strong_type, operator))
 
 
 _EXPERIMENTS = {
@@ -825,15 +818,15 @@ _EXPERIMENTS = {
     "T22": _strong("bilinear", "C24", {**_EXPONENTS, **_WEIGHTS}),
     "T23": _strong("commutator", "C22", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
     "T24": _strong("commutator", "C24", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
-    "T25": _Experiment(functools.partial(_run_maximal_control, False), _CONTROL),
-    "T26": _Experiment(functools.partial(_run_maximal_control, True), {
-        **_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _FINITE_OVER_1),
-        "vartheta2": (1.25, _FINITE_OVER_1)}),
-    "T27_sufficiency": _Experiment(functools.partial(_run_weak_type, False),
-                                   {**_MAXIMAL, **_WEIGHTS, **_Q0}, WeightConditionKind.C27),
-    "T27_necessity": _Experiment(functools.partial(_run_weak_type, True), {
-        **_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": (None, _INT),
-        "qprime_index": (None, _INTS)}, WeightConditionKind.C27),
+    "T25": _Experiment(_CONTROL, side=functools.partial(_maximal_control, False)),
+    "T26": _Experiment({**_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _FINITE_OVER_1),
+                        "vartheta2": (1.25, _FINITE_OVER_1)},
+                       side=functools.partial(_maximal_control, True)),
+    "T27_sufficiency": _Experiment({**_MAXIMAL, **_WEIGHTS, **_Q0}, WeightConditionKind.C27,
+                                   functools.partial(_weak_type, False)),
+    "T27_necessity": _Experiment({**_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": (None, _INT),
+                                  "qprime_index": (None, _INTS)}, WeightConditionKind.C27,
+                                 functools.partial(_weak_type, True)),
     "T28": _strong("m_alpha_r", "C29", {**_MAXIMAL, **_WEIGHTS}),
     "T29": _strong("m_alpha_r", "C211", {**_MAXIMAL, "weight_u1": ("const:1", _WEIGHT),
                                          "weight_u2": ("const:1", _WEIGHT)}),
@@ -841,22 +834,22 @@ _EXPERIMENTS = {
         **_MAXIMAL, "alpha": (0.0, _Domain(float, "{key} = 0", lambda v, w: v == 0)),
         **_WEIGHTS}),
     # the target weight is |x|^(-beta)
-    "SW101": _Experiment(_run_stein_weiss, {
+    "SW101": _Experiment({
         "alpha": (_REQUIRED, _ALPHA), "beta": (0.0, _Domain(
             float, "a finite {key}, < {n} if the window touches 0",
             lambda v, w: _power_ok(-v, w))),
         "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _FINITE_OVER_1),
         "q2": (_REQUIRED, _FINITE_OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
-        "r": (INF, _FLOAT)}),
-    "JN": _Experiment(_run_john_nirenberg, {}),
-    "CZ_INV": _Experiment(_run_cz_invariants, {
+        "r": (INF, _FLOAT)}, side=_stein_weiss),
+    "JN": _Experiment({}, run=_run_john_nirenberg),
+    "CZ_INV": _Experiment({
         **_Q0, "theta1": (2.0, _FINITE_OVER_1), "theta2": (2.0, _FINITE_OVER_1),
         "r1": (2.0, _FINITE), "r2": (2.0, _FINITE), "alpha": (0.5, _Domain(
-            float, "0 <= {key} < n = {n}", lambda v, w: 0 <= v < w.dim))}),
-    "BH_DOM": _Experiment(_run_bh_domination, {}),
-    "L39": _Experiment(_run_lemma39, {
+            float, "0 <= {key} < n = {n}", lambda v, w: 0 <= v < w.dim))}, run=_run_cz_invariants),
+    "BH_DOM": _Experiment({}, run=_run_bh_domination),
+    "L39": _Experiment({
         "q1": (2.0, _OVER_1), "q2": (2.0, _OVER_1), "t_hat": (None, _FLOAT),
-        "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)}),
+        "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)}, run=_run_lemma39),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -866,12 +859,18 @@ _KEYS = {"experiment"}.union(_COMMON, DECOMPOSE_KEYS, *(e.keys for e in _EXPERIM
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one experiment, stage by stage; deterministic for fixed (config, seed)."""
     rows, notes, violations = [], {}, 0
-    run = _EXPERIMENTS[cfg.experiment].run
+    record = _EXPERIMENTS[cfg.experiment]
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        for trials, lhs, rhs, label, bad in run(cfg, stage, win, notes):
+        if record.run:  # a check record
+            chunks = record.run(cfg, stage, win, notes)
+        else:  # the one loop over a ratio record's chunks
+            streams, members, evaluate = record.side(cfg, stage, win, notes)
+            chunks = ((trials, label, *evaluate(*arrays))
+                      for trials, label, arrays in _stage_chunks(cfg, win, streams, members))
+        for trials, label, lhs, rhs, *bad in chunks:
             rows += [_row(stage, win, t, lo, hi, label) for t, lo, hi in zip(trials, lhs, rhs)]
-            violations += bad
+            violations += sum(bad)
     # a nan or infinite side is a failed evaluation (the stage max would skip a nan)
     violations += sum(not (math.isfinite(r["lhs"]) and math.isfinite(r["rhs"])) for r in rows)
     stages = _stage_summaries(rows)

@@ -78,12 +78,18 @@ def test_run_invariant_violation_exit_3(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
 def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
-    # a nan after a finite row: Python's max over the ratios would skip it
+    # a nan after a finite row: Python's max over the ratios would skip it.  T25's side keeps
+    # its streams and members; its evaluate gives the three trials' chunk a nan second row
     cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
     nan = float("nan")
-    lhs, rhs = ([1.0, nan], [2.0, 2.0]) if side == "lhs" else ([1.0, 1.0], [2.0, nan])
-    monkeypatch.setitem(harness._EXPERIMENTS, "T25", harness._EXPERIMENTS["T25"]._replace(
-        run=lambda cfg, stage, win, notes: iter([(range(2), lhs, rhs, "random", 0)])))
+    sides = ([1.0, nan, 1.0], [2.0] * 3) if side == "lhs" else ([1.0] * 3, [2.0, nan, 2.0])
+    t25 = harness._EXPERIMENTS["T25"]
+
+    def nan_side(*args):
+        streams, members, _ = t25.side(*args)
+        return streams, members, lambda f, g: sides
+
+    monkeypatch.setitem(harness._EXPERIMENTS, "T25", t25._replace(side=nan_side))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "nan")]) == 3
     assert "invariant violations: 1" in capsys.readouterr().err
     summary = json.loads((tmp_path / "nan.json").read_text(encoding="utf-8"))
