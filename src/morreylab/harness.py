@@ -8,17 +8,15 @@ theory, so acceptance is finiteness and stability of empirical ratios: a
 growth study re-runs the same coarse-drawn inputs on windows refined by one
 (or more) levels and summarizes the max-ratio growth factor per refinement.
 
-Every inequality reads lhs(f, g, b) <= C rhs(f, g, b).  A ratio record's side builds a
-stage's hypothesis (exponents, weights, constant, notes) and returns the chunk streams, the
-members and evaluate(f, g, *symbols) -> (lhs, rhs), one value per batch entry;
-run_experiment loops over the stages and each stage's chunks, evaluates them, makes the
-rows and sums the violations.  The sides follow the shape of their inequality: strong type
-|T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2) for T21-T24, T28, T29 and COR_BH
-(the operator T bound, the weight condition fixing the regime), maximal control (T25/T26),
-the weak functional on a base cube (T27_*, necessity checking its extremal row) and power
-weights (SW101).  The checks JN, CZ_INV, BH_DOM and L39 count violations, not ratios, and
-keep a runner each: JN sweeps and checks by the chunk's label, CZ_INV labels its rows
-"spiky", BH_DOM's side would cost a line more, and L39 reads no trials.
+Every record evaluates two sides on inputs.  Its side builds a stage's hypothesis
+(exponents, weights, constant, notes) and returns the stage's chunks and evaluate, which
+gives a chunk's (lhs, rhs), one value per trial, and its violations if it checks any;
+run_experiment loops over the stages and their chunks, evaluates them, makes the rows and
+sums the violations.  An inequality lhs(f, g, b) <= C rhs(f, g, b) has a side of its shape:
+strong type |T(f, g) v|_{s,t} <= C [prod |b_i|_BMO] RHS(p; q1, q2) for T21-T24, T28, T29
+and COR_BH (the operator T bound, the weight condition fixing the regime), maximal control
+(T25/T26), the weak functional on a base cube (T27_*, necessity checking its extremal row)
+and power weights (SW101).  The checks JN, CZ_INV, BH_DOM and L39 count violations.
 
 Determinism contract: identical (config, seed) give identical reports byte
 for byte.  Inputs are drawn on the coarsest window and prolonged to refined
@@ -26,7 +24,7 @@ windows, so growth factors reflect the operators, not fresh randomness.
 Each trial draws from its own streams (f and g 1, a commutator's symbols 2, JN's 3).  A run
 draws its random trials once, into a read-only table of at most _DRAW_CELLS cells that
 every stage prolongs; a trial past the table is drawn again at each stage, so memory does
-not grow with the trials (_draw_table).  Every record but L39 reads its inputs from
+not grow with the trials (_draw_table).  Every side but L39's takes its chunks from
 _stage_chunks: the random trials in batched chunks of _BATCH_CELLS cells per array, a
 remainder under half a chunk joining the chunk before it, and each deterministic member
 (JN's log|x| at trial 0, T27_necessity's extremal pair last) as a labelled chunk of its
@@ -36,15 +34,14 @@ Each lattice rule that a record or a domain needs (Window.touches_origin,
 field.deepest_depth, JN's field.log_abs, oscillation_sups and telescoping_defect) has its
 one owner in dyadic, field or czd, reached by public name only.
 
-Each experiment is one _EXPERIMENTS record (its side or runner, keys and weight
-condition), so adding an experiment means adding one record; hypothesis turns a record's
-weight condition into the weights and constant of a stage, for its side and for
-`morreylab weight-const`.  Config files are flat UTF-8
-``key = value`` lines, arrays as comma lists, ``#`` comments allowed; cfg.params has
-every key of the record and _COMMON, typed and in its domain, and no other.  Each
-domain, and each rule of _joint_problems that joins keys (the exponent set's regime
-among them), is checked once, at the parse (docs/config.md).  docs/experiments.md is
-the per-experiment LHS/RHS manifest.
+Each experiment is one _EXPERIMENTS record (its side, keys and weight condition), so adding
+an experiment means adding one record; hypothesis turns a record's weight condition into the
+weights and constant of a stage, for its side and for `morreylab weight-const`.  Config
+files are flat UTF-8 ``key = value`` lines, arrays as comma lists, ``#`` comments allowed;
+cfg.params has every key of the record and _COMMON, typed and in its domain, and no other.
+Each domain, and each rule of _joint_problems that joins keys (the exponent set's regime
+among them), is checked once, at the parse (docs/config.md).  docs/experiments.md is the
+per-experiment LHS/RHS manifest.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ from .weights_norms import (
     weak_morrey_functional,
 )
 
-# -- config keys: each maps to (default, domain).  A default is _REQUIRED, None (the runner
+# -- config keys: each maps to (default, domain).  A default is _REQUIRED, None (the side
 # derives the value) or the value; the _Domain parses the key's text and admits its values.
 _REQUIRED = object()
 
@@ -146,7 +143,7 @@ def _weight_ok(spec: str, window: Window) -> bool:
 _MAX_DEPTH = 256
 _MAX_CELLS = 1 << 27
 _FLOAT, _INT, _INTS = _Domain(float), _Domain(int), _Domain(_ints)
-# a runner turns an infinite Morrey q into the mean 1.0 and an infinite maximal-function or
+# a side turns an infinite Morrey q into the mean 1.0 and an infinite maximal-function or
 # stopping-time exponent into a dropped function: those keys take _FINITE domains
 _FINITE = _Domain(float, finite=True)
 _COUNT = _Domain(int, "{key} >= 1", lambda v, w: v >= 1)
@@ -583,7 +580,7 @@ def _stage_summaries(rows: list) -> list[dict]:
     return out
 
 
-# -- experiment sides and check runners -------------------------------------------
+# -- experiment sides --------------------------------------------------------------
 
 
 def _fractional(cfg: ExperimentConfig, f: LatticeFunction, g: LatticeFunction, alpha: float,
@@ -614,7 +611,7 @@ def _strong_type(operator: str, cfg: ExperimentConfig, stage: int, win: Window, 
             out = _fractional(cfg, f, g, e.alpha, symbols)
         return morrey_norm(_times(out, v), e.s, e.t), math.prod(map(bmo_norm, symbols)) \
             * const * rhs_bilinear_morrey(f, g, w1, w2, e.p, e.q1, e.q2)
-    return (1, 1) + (2,) * n_sym, {}, evaluate
+    return _stage_chunks(cfg, win, (1, 1) + (2,) * n_sym), evaluate
 
 
 def _maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, win: Window,
@@ -629,7 +626,7 @@ def _maximal_control(commutator: bool, cfg: ExperimentConfig, stage: int, win: W
         return morrey_norm(_fractional(cfg, f, g, alpha, symbols), mp, mq, w), \
             math.prod(map(bmo_norm, symbols)) \
             * morrey_norm(m_alpha_r(f, g, alpha, pair, "dyadic"), mp, mq, w)
-    return (1, 1) + (2,) * n_sym, {}, evaluate
+    return _stage_chunks(cfg, win, (1, 1) + (2,) * n_sym), evaluate
 
 
 def _weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
@@ -661,7 +658,8 @@ def _weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window, 
         bad = int(not lhs[0] <= 2.0 * c_obs * rhs[0] * (1.0 + 1e-9))
         pending.pop().update(c_observed=c_obs, passed=not bad)
         return lhs, rhs, bad
-    return (1, 1), {cfg.trials - 1: ("extremal", extremal)} if necessity else {}, evaluate
+    return _stage_chunks(cfg, win, (1, 1), {cfg.trials - 1: ("extremal", extremal)}
+                         if necessity else {}), evaluate
 
 
 def _stein_weiss_exponents(params: Mapping, n: int) -> tuple[float, float, float, float]:
@@ -701,34 +699,35 @@ def _stein_weiss(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     def evaluate(f, g):
         return morrey_norm(_times(bt_alpha(f, g, alpha, depth), wl), s, t), \
             morrey_norm(_times(f, v1), p1, q1) * morrey_norm(_times(g, v2), p2, q2)
-    return (1, 1), {}, evaluate
+    return _stage_chunks(cfg, win), evaluate
 
 
-def _run_john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+def _john_nirenberg(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     exponents = (1.0, 2.0, 4.0)
     notes["telescoping_bound"] = "max |mean_Q0 b - mean_Q b| <= k 2^n ||b||, checked exactly"
-    # trial 0 is log|x|, swept at every exponent and checked; the others random, at e = 1, 4
-    for trials, label, (b,) in _stage_chunks(cfg, win, (3,),
-                                             {0: ("log_abs", lambda w: [log_abs(w)])}):
-        log = label == "log_abs"
-        for trial, sups in zip(trials, oscillation_sups(b, exponents if log else (1.0, 4.0))
-                               .T.tolist()):
+
+    def evaluate(b, log):  # log|x| is swept at every exponent and checked; random b at e = 1, 4
+        rows, bad = [], 0
+        for sups in oscillation_sups(b, exponents if log else (1.0, 4.0)).T.tolist():
             ratios = [s / sups[0] if sups[0] else 0.0 for s in sups]
-            bad = int(ratios[-1] + 1e-12 < ratios[0])
+            bad += ratios[-1] + 1e-12 < ratios[0]
             if log:
                 notes.setdefault("log_symbol", {})[f"stage_{stage}"] = \
                     {f"e{int(ee)}": r for ee, r in zip(exponents, ratios)}
                 bad += not all(map(math.isfinite, ratios))
                 bad += not (ratios[0] <= ratios[1] + 1e-12 and ratios[1] <= ratios[2] + 1e-12)
                 bad += telescoping_defect(b, sups[0]) > 1e-12
-            yield [trial], label, [ratios[-1]], [max(ratios[0], 1e-300)], bad
+            rows.append((ratios[-1], max(ratios[0], 1e-300)))
+        return *zip(*rows), bad
+    chunks = _stage_chunks(cfg, win, (3,), {0: ("log_abs", lambda w: [log_abs(w)])})
+    return ((trials, label, [b, label == "log_abs"]) for trials, label, (b,) in chunks), evaluate
 
 
 def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunction, q0: Cube):
     """Yield per trial of the chunk (f, g), per kind ('cz' or 'cz_alpha'): the forest at the
-    config's parameters, its verify_decomposition violations and those parameters, (theta1,
-    theta2) or (r1, r2, alpha).  One table pass over the chunk builds every forest and a
-    second of its own over the raw (f, g) rechecks them; each trial reads its slice of both."""
+    config's parameters, (theta1, theta2) or (r1, r2, alpha), and its verify_decomposition
+    violations.  One table pass over the chunk builds every forest and a second of its own
+    over the raw (f, g) rechecks them; each trial reads its slice of both."""
     args = [tuple(cfg.params[key] for key in _CZ_KINDS[kind]) for kind in kinds]
     specs = [(*a, None) if kind == "cz" else a for kind, a in zip(kinds, args)]
     # the recheck never reads the build pass's tables
@@ -739,8 +738,8 @@ def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunct
                          for tables in passes)
         forests = [(cz_decompose if kind == "cz" else cz_decompose_alpha)(fi, gi, q0, *a, tables=t)
                    for kind, a, t in zip(kinds, args, built)]
-        yield [(d, verify_decomposition(d, fi, gi, f.window, *spec, tables=t), a)
-               for d, spec, t, a in zip(forests, specs, checks, args)]
+        yield [(d, verify_decomposition(d, fi, gi, f.window, *spec, tables=t))
+               for d, spec, t in zip(forests, specs, checks)]
 
 
 def decompose(cfg: ExperimentConfig) -> tuple[Decomposition, list[str]]:
@@ -750,67 +749,72 @@ def decompose(cfg: ExperimentConfig) -> tuple[Decomposition, list[str]]:
     if cfg.experiment != "CZ_INV":
         raise ValidationError(f"decompose needs a CZ_INV config; got {cfg.experiment}")
     f, g = (LatticeFunction(cfg.window, x[None]) for x in _drawn(cfg.seed, cfg.window, 0))
-    ((d, bad, _),), = _decompose(cfg, (cfg.params["kind"],), f, g, _q0(cfg.params, cfg.window))
+    ((d, bad),), = _decompose(cfg, (cfg.params["kind"],), f, g, _q0(cfg.params, cfg.window))
     return d, bad
 
 
-def _run_cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+def _cz_invariants(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q0 = _q0(cfg.params, win)
-    for trials, _, (f, g) in _stage_chunks(cfg, win):
-        for trial, checked in zip(trials, _decompose(cfg, ("cz", "cz_alpha"), f, g, q0)):
-            notes["theta"], notes["alpha_variant"] = (args for _, _, args in checked)
-            bad = sum(len(msgs) for _, msgs, _ in checked)
-            yield [trial], "spiky", [bad], [1.0], bad
+    notes["theta"], notes["alpha_variant"] = (tuple(cfg.params[k] for k in keys)
+                                              for keys in _CZ_KINDS.values())
+
+    def evaluate(f, g):  # each trial's count of violations, of both kinds
+        bad = [sum(len(msgs) for _, msgs in checked)
+               for checked in _decompose(cfg, tuple(_CZ_KINDS), f, g, q0)]
+        return bad, [1.0] * len(bad), sum(bad)
+    return ((trials, "spiky", arrays) for trials, _, arrays in _stage_chunks(cfg, win)), evaluate
 
 
 _BH_PAIRS = ((2.0, 2.0), (1.5, 3.0), (3.0, 1.5), (4.0, 4.0 / 3.0), (1.25, 5.0))
 
 
-def _run_bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+def _bh_domination(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     tol = 1e-12
     notes.update({"pairs": _BH_PAIRS, "tolerance": tol})
-    cells = tuple(range(-win.dim, 0))
-    for trials, label, (f, g) in _stage_chunks(cfg, win):
+
+    def evaluate(f, g):
         bh = bh_maximal(f, g).values
-        worst = np.zeros(len(trials))
+        worst = np.zeros(len(bh))
         for pair in _BH_PAIRS:
             m = m_alpha_r(f, g, 0.0, pair, "centered").values
             # relative excess: spiky inputs put the rounding of both sides far above 1e-12
             scale = np.maximum(np.abs(bh), np.abs(m))
             excess = np.divide(bh - m, scale, out=np.zeros_like(scale), where=scale > 0)
-            worst = np.maximum(worst, excess.max(axis=cells))
-        yield trials, label, worst, [tol] * len(trials), int((worst > tol).sum())
+            worst = np.maximum(worst, excess.max(axis=tuple(range(1, excess.ndim))))
+        return worst, [tol] * len(worst), int((worst > tol).sum())
+    return _stage_chunks(cfg, win), evaluate
 
 
-def _run_lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
+def _lemma39(cfg: ExperimentConfig, stage: int, win: Window, notes: dict):
     q1, q2, t_hat = cfg.params["q1"], cfg.params["q2"], cfg.params["t_hat"]
     notes["t_hat"] = t_hat = max(solve_q(q1, q2), 1.0) if t_hat is None else t_hat
     w1, w2 = _weights(cfg, win, "w1", "w2")
-    rep = lemma39_check(w1, w2, q1, q2, t_hat)
-    notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,
-                                                           **rep.memberships}
-    worst = max(rep.memberships.values())
-    yield range(cfg.trials), "weights", [rep.joint_const] * cfg.trials, [worst] * cfg.trials, 0
+
+    def evaluate():  # the weights' joint constant and worst membership, on every trial's row
+        rep = lemma39_check(w1, w2, q1, q2, t_hat)
+        notes.setdefault("per_stage", {})[f"stage_{stage}"] = {"joint": rep.joint_const,
+                                                               **rep.memberships}
+        return [rep.joint_const] * cfg.trials, [max(rep.memberships.values())] * cfg.trials
+    return [(range(cfg.trials), "weights", [])], evaluate
 
 
 class _Experiment(NamedTuple):
     """keys maps each key besides _COMMON that the record reads to (default, domain); kind
-    is the weight condition of the exponent keys, which hypothesis reads.  A ratio record's
-    side(cfg, stage, win, notes), its variant bound, returns a stage's (streams, members,
-    evaluate) for _stage_chunks; evaluate(f, g, *symbols) gives (lhs, rhs), per batch entry,
-    and T27_necessity's also its extremal check's violations.  A check record (JN, CZ_INV,
-    BH_DOM, L39) has a run(cfg, stage, win, notes) instead, which yields a stage's (trials,
-    label, lhs, rhs, violations) in trial order.  Both reach the library through this
-    module's globals, which a tracer may rebind."""
+    is the weight condition of the exponent keys, which hypothesis reads.  side(cfg, stage,
+    win, notes), its variant bound, returns a stage's (chunks, evaluate): chunks yields
+    (trials, label, arrays) in trial order, and evaluate(*arrays) gives (lhs, rhs), one value
+    per trial of the chunk, and the chunk's violations if it checks any.  A side reaches the
+    library through this module's globals, which a tracer may rebind.  It takes Q0 and Q'
+    from the config's q0_* and qprime_* keys, not from win: to evaluate on a dilated window,
+    move the config's level keys with it, as tests/test_scaling.py does."""
 
     keys: Mapping
+    side: Callable
     kind: WeightConditionKind | None = None
-    side: Callable | None = None
-    run: Callable | None = None
 
 
 def _strong(operator: str, kind: str, keys: Mapping) -> _Experiment:
-    return _Experiment(keys, WeightConditionKind(kind), functools.partial(_strong_type, operator))
+    return _Experiment(keys, functools.partial(_strong_type, operator), WeightConditionKind(kind))
 
 
 _EXPERIMENTS = {
@@ -818,15 +822,15 @@ _EXPERIMENTS = {
     "T22": _strong("bilinear", "C24", {**_EXPONENTS, **_WEIGHTS}),
     "T23": _strong("commutator", "C22", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
     "T24": _strong("commutator", "C24", {**_EXPONENTS, **_WEIGHTS, **_SYMBOLS}),
-    "T25": _Experiment(_CONTROL, side=functools.partial(_maximal_control, False)),
+    "T25": _Experiment(_CONTROL, functools.partial(_maximal_control, False)),
     "T26": _Experiment({**_CONTROL, **_SYMBOLS, "vartheta1": (1.25, _FINITE_OVER_1),
                         "vartheta2": (1.25, _FINITE_OVER_1)},
-                       side=functools.partial(_maximal_control, True)),
-    "T27_sufficiency": _Experiment({**_MAXIMAL, **_WEIGHTS, **_Q0}, WeightConditionKind.C27,
-                                   functools.partial(_weak_type, False)),
+                       functools.partial(_maximal_control, True)),
+    "T27_sufficiency": _Experiment({**_MAXIMAL, **_WEIGHTS, **_Q0},
+                                   functools.partial(_weak_type, False), WeightConditionKind.C27),
     "T27_necessity": _Experiment({**_MAXIMAL, **_WEIGHTS, **_Q0, "qprime_level": (None, _INT),
-                                  "qprime_index": (None, _INTS)}, WeightConditionKind.C27,
-                                 functools.partial(_weak_type, True)),
+                                  "qprime_index": (None, _INTS)},
+                                 functools.partial(_weak_type, True), WeightConditionKind.C27),
     "T28": _strong("m_alpha_r", "C29", {**_MAXIMAL, **_WEIGHTS}),
     "T29": _strong("m_alpha_r", "C211", {**_MAXIMAL, "weight_u1": ("const:1", _WEIGHT),
                                          "weight_u2": ("const:1", _WEIGHT)}),
@@ -840,16 +844,16 @@ _EXPERIMENTS = {
             lambda v, w: _power_ok(-v, w))),
         "gamma1": (0.0, _POWER), "gamma2": (0.0, _POWER), "q1": (_REQUIRED, _FINITE_OVER_1),
         "q2": (_REQUIRED, _FINITE_OVER_1), "p1": (_REQUIRED, _FLOAT), "p2": (_REQUIRED, _FLOAT),
-        "r": (INF, _FLOAT)}, side=_stein_weiss),
-    "JN": _Experiment({}, run=_run_john_nirenberg),
+        "r": (INF, _FLOAT)}, _stein_weiss),
+    "JN": _Experiment({}, _john_nirenberg),
     "CZ_INV": _Experiment({
         **_Q0, "theta1": (2.0, _FINITE_OVER_1), "theta2": (2.0, _FINITE_OVER_1),
         "r1": (2.0, _FINITE), "r2": (2.0, _FINITE), "alpha": (0.5, _Domain(
-            float, "0 <= {key} < n = {n}", lambda v, w: 0 <= v < w.dim))}, run=_run_cz_invariants),
-    "BH_DOM": _Experiment({}, run=_run_bh_domination),
+            float, "0 <= {key} < n = {n}", lambda v, w: 0 <= v < w.dim))}, _cz_invariants),
+    "BH_DOM": _Experiment({}, _bh_domination),
     "L39": _Experiment({
         "q1": (2.0, _OVER_1), "q2": (2.0, _OVER_1), "t_hat": (None, _FLOAT),
-        "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)}, run=_run_lemma39),
+        "weight_w1": ("const:1", _WEIGHT), "weight_w2": ("const:1", _WEIGHT)}, _lemma39),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -859,16 +863,11 @@ _KEYS = {"experiment"}.union(_COMMON, DECOMPOSE_KEYS, *(e.keys for e in _EXPERIM
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Run one experiment, stage by stage; deterministic for fixed (config, seed)."""
     rows, notes, violations = [], {}, 0
-    record = _EXPERIMENTS[cfg.experiment]
     for stage in cfg.refinements:
         win = cfg.window_at(stage)
-        if record.run:  # a check record
-            chunks = record.run(cfg, stage, win, notes)
-        else:  # the one loop over a ratio record's chunks
-            streams, members, evaluate = record.side(cfg, stage, win, notes)
-            chunks = ((trials, label, *evaluate(*arrays))
-                      for trials, label, arrays in _stage_chunks(cfg, win, streams, members))
-        for trials, label, lhs, rhs, *bad in chunks:
+        chunks, evaluate = _EXPERIMENTS[cfg.experiment].side(cfg, stage, win, notes)
+        for trials, label, arrays in chunks:
+            lhs, rhs, *bad = evaluate(*arrays)
             rows += [_row(stage, win, t, lo, hi, label) for t, lo, hi in zip(trials, lhs, rhs)]
             violations += sum(bad)
     # a nan or infinite side is a failed evaluation (the stage max would skip a nan)

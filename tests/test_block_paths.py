@@ -407,7 +407,7 @@ def test_shared_table_pass_matches_the_one_kind_path(window, q0, levels, theta, 
     shared, = _decompose(cfg, ("cz", "cz_alpha"),
                          *(LatticeFunction(window, x.values[None]) for x in (f, g)), q0)
     one_kind = (cz_decompose(f, g, q0, *theta), cz_decompose_alpha(f, g, q0, *r, alpha))
-    for (d, msgs, _), one, spec in zip(shared, one_kind, ((*theta, None), (*r, alpha))):
+    for (d, msgs), one, spec in zip(shared, one_kind, ((*theta, None), (*r, alpha))):
         assert len(d.levels) >= levels
         assert (d.levels, d.gamma, d.factor, d.cap_hit) == \
             (one.levels, one.gamma, one.factor, one.cap_hit)

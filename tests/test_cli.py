@@ -76,20 +76,24 @@ def test_run_invariant_violation_exit_3(tmp_path, monkeypatch):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "broken")]) == 3
 
 
+@pytest.mark.parametrize("experiment", ["T25", "BH_DOM"])
 @pytest.mark.parametrize("side", ["lhs", "rhs"])
-def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side):
-    # a nan after a finite row: Python's max over the ratios would skip it.  T25's side keeps
-    # its streams and members; its evaluate gives the three trials' chunk a nan second row
-    cfg = _write(tmp_path, "t25.cfg", T25_CONFIG)
+def test_run_nan_row_exit_3(tmp_path, capsys, monkeypatch, side, experiment):
+    # a nan after a finite row: Python's max over the ratios would skip it.  The record's side
+    # keeps its chunks; its evaluate gives the three trials' chunk a nan second row, in a
+    # ratio record and in a check record alike
+    text = T25_CONFIG if experiment == "T25" else _shipped("bh_domination.cfg", level_min=-4,
+                                                           trials=3, seed=7)
+    cfg = _write(tmp_path, "nan.cfg", text)
     nan = float("nan")
     sides = ([1.0, nan, 1.0], [2.0] * 3) if side == "lhs" else ([1.0] * 3, [2.0, nan, 2.0])
-    t25 = harness._EXPERIMENTS["T25"]
+    record = harness._EXPERIMENTS[experiment]
 
     def nan_side(*args):
-        streams, members, _ = t25.side(*args)
-        return streams, members, lambda f, g: sides
+        chunks, _ = record.side(*args)
+        return chunks, lambda *arrays: sides
 
-    monkeypatch.setitem(harness._EXPERIMENTS, "T25", t25._replace(side=nan_side))
+    monkeypatch.setitem(harness._EXPERIMENTS, experiment, record._replace(side=nan_side))
     assert cli.main(["run", cfg, "--out", str(tmp_path / "nan")]) == 3
     assert "invariant violations: 1" in capsys.readouterr().err
     summary = json.loads((tmp_path / "nan.json").read_text(encoding="utf-8"))

@@ -1,5 +1,5 @@
-"""Package-level checks: the public name list, the annotations of every module and the
-names that the command line takes from the harness."""
+"""Package-level checks: the public name list, the annotations of every module, the
+names that the command line takes from the harness and the shape of its records."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import typing
 from pathlib import Path
 
 import morreylab
+from morreylab import harness
 
 
 def _modules():
@@ -62,6 +63,17 @@ def test_cli_imports_no_private_harness_name():
                if isinstance(node, ast.ImportFrom) and node.module == "harness"]
     assert imports
     assert [a.name for node in imports for a in node.names if a.name.startswith("_")] == []
+
+
+def test_run_experiment_holds_the_only_chunk_loop():
+    # every record has one contract, a side that returns (chunks, evaluate), so no loop of the
+    # harness but run_experiment's walks a stage's chunks, and none calls _stage_chunks itself
+    tree = ast.parse(Path(inspect.getfile(morreylab)).with_name("harness.py").read_text("utf-8"))
+    loops = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call) and isinstance(node.iter.func, ast.Name)
+             and node.iter.func.id == "_stage_chunks"]
+    assert loops == []
+    assert harness._Experiment._fields == ("keys", "side", "kind")
 
 
 def test_harness_imports_no_private_library_name():
