@@ -20,10 +20,10 @@ both level folds read the trailing window.dim axes only, and every step is
 elementwise across the batch, so each entry of a batched result is bit for
 bit the result of its unbatched call.  Weights are never batched; they
 broadcast against a batch.  Functions that take a single lattice function
-(oscillation_ratio, to_csv and Weight here; weak_morrey_functional,
-rhs_bilinear_morrey_from and the czd entry points elsewhere) reject a batch
-through _require_unbatched.  Every entry point that takes several lattice
-functions or weights checks that they share one window through _same_window.
+(oscillation_ratio, to_csv and Weight here; weak_morrey_functional and the
+czd entry points elsewhere) reject a batch through _require_unbatched.  Every
+entry point that takes several lattice functions or weights checks that they
+share one window through _same_window.
 
 Weights are strictly positive lattice functions.  power_weight builds the
 cell-average discretization of |x|^gamma: in one dimension the closed-form
@@ -248,6 +248,8 @@ def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.
 def expand_level(values: np.ndarray, window: Window, level: int) -> np.ndarray:
     """Inverse of level_means' shape: repeat each cube value over its cells.  At level_min
     the result is values itself, not a copy, so callers must not write to it."""
+    if level < window.level_min:
+        raise ValueError(f"level {level} is below the window's level_min {window.level_min}")
     b = 1 << (level - window.level_min)
     for axis in range(-window.dim, 0) if b > 1 else ():
         values = np.repeat(values, b, axis=axis)

@@ -644,13 +644,13 @@ def _weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window, 
         return f, g
 
     def evaluate(f, g):
-        # m_alpha_r per chunk (each batch entry gets its unbatched bits); the weak functional
-        # and rhs_bilinear_morrey_from per entry, the latter for its scalar powers
+        # m_alpha_r and rhs_bilinear_morrey_from per chunk (each batch entry gets its
+        # unbatched bits); the weak functional per entry, at that entry's thresholds
         big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
-        fs, gs, ms = ([LatticeFunction(win, x) for x in a.values] for a in (f, g, big_m))
-        lhs = [float(weak_morrey_functional(m, v, e.t, e.s, q0)) for m in ms]
-        rhs = [float(const * rhs_bilinear_morrey_from(fi, gi, w1, w2, e.p, e.q1, e.q2, q0))
-               for fi, gi in zip(fs, gs)]
+        lhs = [float(weak_morrey_functional(LatticeFunction(win, m), v, e.t, e.s, q0))
+               for m in big_m.values]
+        rhs = [float(x) for x in const * rhs_bilinear_morrey_from(f, g, w1, w2, e.p, e.q1,
+                                                                  e.q2, q0)]
         ratios.extend(map(_ratio, lhs, rhs))
         if not pending:
             return lhs, rhs

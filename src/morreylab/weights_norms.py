@@ -88,25 +88,28 @@ def rhs_bilinear_morrey(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: 
 
 def rhs_bilinear_morrey_from(f: LatticeFunction, g: LatticeFunction, w1: Weight, w2: Weight,
                              p: float, q1: float, q2: float, q0: Cube) -> float:
-    """Same sup restricted to cubes containing q0 (q0 and its ancestors)."""
+    """Same sup restricted to cubes containing q0 (q0 and its ancestors); a float, or for
+    batched f and g one sup per batch entry (an array of the batch shape)."""
     _require_finite_q(q1, q2)
-    _require_unbatched(f, g)
     window = _same_window(f, g, w1, w2)
     if not window.contains_cube(q0):
         raise ValueError(f"cube {q0} not inside window")
     df = (np.abs(f.values) * w1.values) ** q1
     dg = (np.abs(g.values) * w2.values) ** q2
-    # not a level_sup: the powers go on the indexed means, and numpy's scalar ** and
-    # array ** can differ in the last bit (with AVX-512), which would move the T27 reports
-    best = 0.0
+    lead = np.broadcast_shapes(df.shape, dg.shape)[:-window.dim]
+    # not a level_sup: the powers go on each entry's indexed mean, a numpy scalar, since
+    # numpy's scalar ** and array ** can differ in the last bit (with AVX-512), which would
+    # move the T27 reports
+    best = np.zeros(lead)
     for level in range(q0.level, window.level_max + 1):
         shift = level - q0.level
-        at = tuple((m >> shift) - a for m, a in zip(q0.index, window.index_lo(level)))
-        val = (2.0 ** (level * window.dim)) ** (1.0 / p) \
-            * level_means(df, window, level)[at] ** (1.0 / q1) \
-            * level_means(dg, window, level)[at] ** (1.0 / q2)
-        best = max(best, float(val))
-    return best
+        at = (..., *((m >> shift) - a for m, a in zip(q0.index, window.index_lo(level))))
+        scale = (2.0 ** (level * window.dim)) ** (1.0 / p)
+        mf, mg = np.broadcast_arrays(level_means(df, window, level)[at],
+                                     level_means(dg, window, level)[at])
+        for i in np.ndindex(lead):
+            best[i] = max(best[i], float(scale * mf[i] ** (1.0 / q1) * mg[i] ** (1.0 / q2)))
+    return best if lead else float(best)
 
 
 def weak_morrey_functional(F: LatticeFunction, v: Weight, t: float, s: float,

@@ -290,6 +290,21 @@ def test_rows_do_not_depend_on_the_chunking(monkeypatch, name, extra):
         assert harness.run_experiment(cfg).rows == want, cells
 
 
+def test_t27_takes_its_rhs_once_per_chunk(monkeypatch):
+    # 3 stages of one chunk of random trials and the extremal chunk: one call each, where a
+    # call per trial made 36
+    calls, honest = [], harness.rhs_bilinear_morrey_from
+
+    def counted(f, *args):
+        calls.append(len(f.values))
+        return honest(f, *args)
+
+    monkeypatch.setattr(harness, "rhs_bilinear_morrey_from", counted)
+    cfg = _config("t27_weak_type.cfg")
+    assert len(harness.run_experiment(cfg).rows) == 3 * cfg.trials
+    assert calls == [cfg.trials - 1, 1] * 3
+
+
 def test_deep_2d_commutator_rows_do_not_depend_on_the_chunking(monkeypatch):
     # the shape of the quadrature_2d benchmark: T24 on 16^2 then 32^2 cells, 20 trials, whose
     # 32^2 stage (16 trials' worth of cells) runs as one chunk of 20
@@ -429,8 +444,6 @@ _T27 = build("T27", 1, 0.5, 4.0, 4.0, 2.2, 2.5, r1=2.0, r2=2.0)
 
 _SINGLE = {
     "weak_morrey_functional": lambda F: weak_morrey_functional(F, _ONE, 1.5, 2.0, _Q0),
-    "rhs_bilinear_morrey_from": lambda F: rhs_bilinear_morrey_from(
-        F, F, _ONE, _ONE, 2.2, 4.0, 3.0, _Q0),
     "cz_decompose": lambda F: czd.cz_decompose(F, F, _Q0, 2.0, 2.0),
     "cz_decompose_alpha": lambda F: czd.cz_decompose_alpha(F, F, _Q0, 2.0, 2.0, 0.5),
     "verify_decomposition": lambda F: czd.verify_decomposition(
@@ -518,6 +531,23 @@ def test_dilated_means_match_the_whole_window_oracle(case):
                        for m, a in zip(q0.index, window.index_lo(level)))
         assert means.shape == (len(vals),) + (k,) * window.dim
         assert_bitwise(means, [oracles.dilated_means(v, window, level)[inside] for v in vals])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dilated_cases(max_dim=2, max_batch=4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(2.2, 4.0, 3.0), (1.5, 2.0, 2.0), (3.6, 1.2, 5.0)]))
+def test_batched_rhs_from_q0_matches_per_entry(case, seed, pq):
+    # T27's right-hand side, one call per chunk: each entry's powers go on its own indexed
+    # mean, so each sup keeps the bits of its unbatched call
+    window, q0, fv = case
+    rng = np.random.default_rng(seed)
+    g = LatticeFunction(window, rng.uniform(0.0, 2.0, fv.shape))
+    w1, w2 = (Weight(window, rng.uniform(0.2, 3.0, window.shape)) for _ in range(2))
+    got = rhs_bilinear_morrey_from(LatticeFunction(window, fv), g, w1, w2, *pq, q0)
+    want = [rhs_bilinear_morrey_from(a, b, w1, w2, *pq, q0)
+            for a, b in zip(_entries(LatticeFunction(window, fv)), _entries(g))]
+    assert got.shape == fv.shape[:1] and all(type(x) is float for x in want)
+    assert_bitwise(got, want)
 
 
 # (t1, t2, alpha) with alpha in (0, 1): a volume factor inside (0, n) in 1-D and 2-D

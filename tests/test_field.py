@@ -343,6 +343,12 @@ def test_expand_level_at_level_min_allocates_nothing():
                           np.repeat(np.repeat(coarse, 4, axis=-2), 4, axis=-1))
 
 
+def test_expand_level_below_level_min_names_the_level():
+    window = Window(1, -3, 0)
+    with pytest.raises(ValueError, match=r"^level -4 is below the window's level_min -3$"):
+        expand_level(np.zeros(window.shape), window, -4)
+
+
 def test_csv_round_trip(tmp_path, sym_window):
     f = random_lattice(sym_window, 23)
     path = tmp_path / "f.csv"
