@@ -16,14 +16,17 @@ measure bound work through the weak (1,1) bound of the maximal function.  A
 second variant weights the product by |Q|^(alpha/n).  Both read one table of
 the functional per level of Q0's subtree (the cubes inside Q0, whose 3Q reach
 at most one cube beyond it): |f|^t1 and |g|^t2 are taken on the cells of 3Q0
-clipped to the window only, and one field.dilated_means pass over the cached
-plan of (window, Q0) gives every level's means; one pass can build the
-tables of both variants, each distinct power plane taken once.  Both then
-sweep cell masks top-down, stopping a cube when it crosses the threshold
-below no stopped ancestor, so maximality holds by construction; both stop
-at the first threshold that no table entry exceeds, the level that would
-come up empty, without walking it (bounded data forces this; a safety cap
-of 64 * level span guards the loop and is reported if hit).
+clipped to the window only, and one dilated-means pass over the cached plan
+of (window, Q0) gives every level's means on one canvas (field's
+_dilated_canvas, whose level slices field.dilated_means returns).  Each
+distinct product of means is taken once on that canvas and then sliced per
+level, and |Q|^(alpha/n) multiplies each level's slice last; one pass can
+build the tables of both variants, each distinct power plane taken once.
+Both then sweep cell masks top-down, stopping a cube when it crosses the
+threshold below no stopped ancestor, so maximality holds by construction;
+both stop at the first threshold that no table entry exceeds, the level that
+would come up empty, without walking it (bounded data forces this; a safety
+cap of 64 * level span guards the loop and is reported if hit).
 
 verify_decomposition rechecks a forest from the raw data: the four
 invariants, and the thresholds themselves (gamma is Q0's functional, A the
@@ -35,10 +38,13 @@ one functional_tables call over the batch and the specs of every kind they
 check; each trial's forests and checks take that trial's slice of the tables.
 The recheck reads the raw (f, g), not the build's tables.
 
-Every cell set is a boolean mask over the finest cells of one cube: E_0
-over Q0's cells, E_j^k over Q_j^k's cells.  Measures are exact integer
-counts of True cells (times the cell volume), so the measure and partition
-invariants need no tolerances.
+Every cell set is a boolean mask over the finest cells of one cube: E_0, each
+D_k and the recheck's coverage array over Q0's cells, E_j^k over Q_j^k's
+cells, laid on Q0's cells as the cube's block of them (_block).  So a trial's
+work scales with Q0, not with the window.  Measures are exact integer counts
+of True cells (times the cell volume), so the measure and partition
+invariants need no tolerances; the recheck reports a mask whose shape is not
+its cube's cells before it lays any mask on Q0's.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from .exponents import holder_pair
 from .field import (
     LatticeFunction,
     Weight,
+    _dilated_canvas,
     _dilated_plan,
     _require_unbatched,
     _same_window,
-    dilated_means,
     expand_level,
 )
 
@@ -82,23 +88,24 @@ def functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     times |Q|^(alpha/n) unless alpha is None; in cube-index order from q0's first subcube of
     the level, as dilated_means.  f and g may hold a batch of the same shape; every table then
     keeps its leading axes, and each entry's slice is the float of that entry alone.  One
-    dilated_means call takes each distinct |f|^t1 and |g|^t2 plane once, and each distinct
-    (t1, t2) product is formed once; every table is the float it would be with its spec alone.
-    Raises unless q0 is a window cube, before any table is built."""
+    dilated_means pass takes each distinct |f|^t1 and |g|^t2 plane once, and each distinct
+    (t1, t2) product is formed once, on the pass's whole canvas, then sliced per level; every
+    table is the float it would be with its spec alone.  Raises unless q0 is a window cube,
+    before any table is built."""
     window = f.window
     if not window.contains_cube(q0):
         raise ValueError(f"base cube {q0} not inside window")
     n = window.dim
-    frame = _dilated_plan(window, q0).frame  # the only cells the tables read
+    plan = _dilated_plan(window, q0)  # its frame is the only cells the tables read
     exps = [list(dict.fromkeys(spec[i] for spec in specs)) for i in (0, 1)]  # distinct t1, t2
-    mags = [np.abs(x.values[frame]) for x in (f, g)]
-    means = dilated_means(np.stack([m ** t for m, ts in zip(mags, exps) for t in ts]), window, q0)
+    mags = [np.abs(x.values[plan.frame]) for x in (f, g)]
+    canvas = _dilated_canvas(np.stack([m ** t for m, ts in zip(mags, exps) for t in ts]), plan)
     products, tables = {}, []
     for t1, t2, alpha in specs:
         if (t1, t2) not in products:
             i, j = exps[0].index(t1), len(exps[0]) + exps[1].index(t2)
-            products[t1, t2] = {level: m[i] ** (1.0 / t1) * m[j] ** (1.0 / t2)
-                                for level, m in means.items()}
+            whole = canvas[i] ** (1.0 / t1) * canvas[j] ** (1.0 / t2)
+            products[t1, t2] = {level: whole[out] for level, _, _, _, out in plan.levels}
         val = products[t1, t2]
         # |Q|^(alpha/n) multiplies last: the forest goldens fix this float order
         tables.append(val if alpha is None else
@@ -109,6 +116,13 @@ def functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
 def _at(q0: Cube, q: Cube) -> tuple[int, ...]:
     """The table position of a window cube q inside q0: its offset from q0's first subcube."""
     return tuple(m - (a << (q0.level - q.level)) for m, a in zip(q.index, q0.index))
+
+
+def _block(q0: Cube, q: Cube, level: int) -> tuple[slice, ...]:
+    """The block of q0's cubes of a level (its cells at level_min) that lie in the cube q
+    inside q0, in table positions: 2^(q.level - level) per axis."""
+    s = 1 << (q.level - level)
+    return tuple(slice(i * s, (i + 1) * s) for i in _at(q0, q))
 
 
 def _table_value(tables: dict, q0: Cube, q: Cube) -> float:
@@ -131,10 +145,9 @@ def _inside(window: Window, q0: Cube, q: Cube) -> bool:
 def _maximal_cubes(tables: dict, window: Window, q0: Cube,
                    threshold: float) -> tuple[list[Cube], np.ndarray]:
     """Cubes inside q0 whose functional exceeds threshold and no ancestor's does,
-    in (level, index) order, and the cell mask of their union D_k."""
+    in (level, index) order, and the mask of their union D_k over q0's cells."""
     per_level: list[list[Cube]] = []
-    union = np.zeros(window.shape, dtype=bool)
-    q0_cells = window.cell_offsets_of_cube(q0)
+    union = np.zeros(tables[window.level_min].shape, dtype=bool)
     open_ = np.ones((1,) * window.dim, dtype=bool)  # cubes of q0 with no stopped ancestor
     for level in range(q0.level, window.level_min - 1, -1):
         if level < q0.level:
@@ -143,7 +156,7 @@ def _maximal_cubes(tables: dict, window: Window, q0: Cube,
         hit = open_ & (tables[level] > threshold)
         if hit.any():
             per_level.append(_cubes_of(hit, q0, level))
-            union[q0_cells] |= expand_level(hit, window, level)
+            union |= expand_level(hit, window, level)
         open_ &= ~hit
         if not open_.any():
             break
@@ -170,9 +183,8 @@ def _uncovered(tables: dict, window: Window, q0: Cube, cubes, threshold: float) 
             continue
         above = tables[level] > threshold
         for q in cubes:
-            if q.level >= level:  # the level's cubes inside q: a block of s per axis
-                s = 1 << (q.level - level)
-                above[tuple(slice(i * s, (i + 1) * s) for i in _at(q0, q))] = False
+            if q.level >= level:
+                above[_block(q0, q, level)] = False
         out += _cubes_of(above, q0, level)
     return out
 
@@ -182,7 +194,7 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
     span = max(1, window.level_max - window.level_min)
     cap = span * 64
     levels: dict[int, tuple[Cube, ...]] = {}
-    d_cells: dict[int, np.ndarray] = {}  # k -> cell mask of D_k
+    d_cells: dict[int, np.ndarray] = {}  # k -> mask of D_k over q0's cells
     cap_hit = False
     top = _top(tables)
     k = 1
@@ -196,10 +208,10 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
             break
         k += 1
 
-    empty = np.zeros(window.shape, dtype=bool)
+    empty = np.zeros(tables[window.level_min].shape, dtype=bool)
 
     def outside(q: Cube, k: int) -> np.ndarray:
-        return ~d_cells.get(k, empty)[window.cell_offsets_of_cube(q)]
+        return ~d_cells.get(k, empty)[_block(q0, q, window.level_min)]
 
     exceptional = {k: tuple(outside(q, k + 1) for q in cubes) for k, cubes in levels.items()}
     return Decomposition(base=q0, gamma=gamma, factor=factor, levels=levels,
@@ -262,7 +274,9 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     d: the recheck would then share the builder's faults.  f and g are one
     trial, not a batch; they and the forest must live on window.  A stopping
     cube that is not a window cube inside Q0 is reported, and then nothing
-    else is checked: the tables hold Q0's subtree only.
+    else is checked: the tables hold Q0's subtree only.  So is an E mask whose
+    shape is not its cube's cells: the coverage array holds Q0's cells only,
+    and each mask is laid on its cube's block of them.
     """
     if _same_window(f, g) != window:
         raise ValueError("inputs must live on the given window")
@@ -274,6 +288,18 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     if bad:
         return bad
     n = window.dim
+
+    def cells(q: Cube) -> tuple[int, ...]:  # the shape of a mask over q's cells
+        return (1 << (q.level - window.level_min),) * n
+
+    # checked before any mask is broadcast: a mask of one cell would cover its whole cube
+    masks = [("E0 of", d.base, d.e0)] + [(f"E of level {k} cube", q, e)
+                                         for k, cubes in d.levels.items()
+                                         for q, e in zip(cubes, d.exceptional[k])]
+    bad = [f"shape: {name} {q} has shape {np.shape(e)}, not {cells(q)}"
+           for name, q, e in masks if np.shape(e) != cells(q)]
+    if bad:
+        return bad
     gamma = _table_value(tables, d.base, d.base)
     if d.gamma != gamma:
         bad.append(f"threshold: gamma {d.gamma} is not Q0's functional {gamma}")
@@ -281,8 +307,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     if d.factor != factor:
         bad.append(f"threshold: factor {d.factor} is not A = {factor}")
     upper = 2.0 ** (n * (1.0 / t1 + 1.0 / t2))
-    span = 1 << (d.base.level - window.level_min)
-    base_cells = span ** n
+    base_cells = math.prod(cells(d.base))
     e0_cells = int(d.e0.sum())
 
     if d.gamma == 0.0:
@@ -293,9 +318,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
         return bad
 
     seen: set = set()
-    base = window.cell_offsets_of_cube(d.base)
-    covered = np.zeros(window.shape, dtype=bool)
-    covered[base] = d.e0
+    covered = d.e0.astype(bool)  # over Q0's cells, as every E mask is over its cube's
     for k, cubes in d.levels.items():
         threshold = d.gamma * d.factor ** k
         for q, e in zip(cubes, d.exceptional[k]):
@@ -310,7 +333,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
             if q_cells > 2 * e_cells:
                 bad.append(f"measure: level {k} cube {q} has |Q|={q_cells} cells "
                            f"> 2|E|={2 * e_cells}")
-            slq = window.cell_offsets_of_cube(q)
+            slq = _block(d.base, q, window.level_min)
             if (covered[slq] & e).any():
                 bad.append(f"partition: E-cells of level {k} cube {q} overlap earlier sets")
             covered[slq] |= e
@@ -330,9 +353,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
         bad += [f"coverage: cube {q} crosses the level-{k} threshold {threshold} "
                 f"but lies in no level-{k} stopping cube"
                 for q in _uncovered(tables, window, d.base, d.levels.get(k, ()), threshold)]
-    q0_cells = np.zeros(window.shape, dtype=bool)
-    q0_cells[base] = True
-    if not np.array_equal(covered, q0_cells):
+    if not covered.all():
         bad.append("partition: E0 and the E_j^k do not tile Q0")
     if base_cells > 2 * e0_cells:
         bad.append(f"measure: |Q0|={base_cells} cells > 2|E0|={2 * e0_cells}")

@@ -8,7 +8,10 @@ a given cube Q0 in one pass (dilated_means: means over the 3-fold dilates 3Q
 clipped to the window, with the clipped cell count as the normalizer).  That
 pass reads only the cells of 3Q0 clipped to the window, and its geometry
 (the cells it reads, where each level goes, the counts) is one cached
-_dilated_plan per (window, Q0), whose counts are that pass over ones.  Every
+_dilated_plan per (window, Q0), whose counts are that pass over ones.  Its
+means of every level lie on one array, _dilated_canvas, whose level slices
+dilated_means returns; an elementwise step taken once on the canvas gives
+each slice the floats of that step on the slice alone.  Every
 sup over the window's dyadic cubes folds such per-level tables with level_sup
 (one number) or pointwise_level_sup (one sup per cell); the BMO norm and the
 oscillation at every exponent take one level_sup pass, oscillation_sups, which
@@ -21,7 +24,9 @@ elementwise across the batch, so each entry of a batched result is bit for
 bit the result of its unbatched call.  Weights are never batched; they
 broadcast against a batch.  Functions that take a single lattice function
 (oscillation_ratio, to_csv and Weight here; weak_morrey_functional and the
-czd entry points elsewhere) reject a batch through _require_unbatched.  Every
+czd entry points elsewhere) reject a batch through _require_unbatched; a
+caller hands them a batch's entry, read in place, through
+LatticeFunction.entry.  Every
 entry point that takes several lattice functions or weights checks that they
 share one window through _same_window.
 
@@ -89,6 +94,17 @@ class LatticeFunction:
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("LatticeFunction is immutable")
+
+    def entry(self, i: int) -> "LatticeFunction":
+        """Entry i of a batch, as a read-only view of its values: no copy and no second
+        finiteness check, since the batch was checked when it was built.  Raises ValueError
+        on one function (a Weight too) and IndexError for an i out of range."""
+        if self.values.ndim == self.window.dim:
+            raise ValueError("entry needs a batch of lattice functions")
+        out = object.__new__(LatticeFunction)
+        object.__setattr__(out, "window", self.window)
+        object.__setattr__(out, "values", self.values[i])
+        return out
 
     # -- constructors --------------------------------------------------------
 
@@ -229,6 +245,15 @@ def _dilated_sums(values: np.ndarray, levels: Sequence, shape: tuple) -> np.ndar
     return total
 
 
+def _dilated_canvas(values: np.ndarray, plan: _DilatedPlan) -> np.ndarray:
+    """dilated_means' one array: every level's means at its out slice of the plan, and
+    filler in the gaps between them.  An elementwise pass over the canvas gives each
+    level's slice the floats of that pass over the slice alone."""
+    total = _dilated_sums(values, plan.levels, plan.counts.shape)
+    total /= plan.counts
+    return total
+
+
 def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.ndarray]:
     """Means over 3Q clipped to the window, for every cube Q inside the window cube q0 of
     every level from level_min to q0.level: {level: means in cube-index order from q0's
@@ -237,11 +262,11 @@ def dilated_means(values: np.ndarray, window: Window, q0: Cube) -> dict[int, np.
 
     3Q is Q and its level neighbours: _dilated_sums adds their block sums over a frame one
     cube wide (cubes outside the window add 0.0), and one division by the plan's counts
-    serves all levels.  Each mean is the float of its level taken alone, a view of one array.
+    serves all levels.  Each mean is the float of its level taken alone, a view of one
+    array, _dilated_canvas.
     """
     plan = _dilated_plan(window, q0)
-    total = _dilated_sums(values, plan.levels, plan.counts.shape)
-    total /= plan.counts
+    total = _dilated_canvas(values, plan)
     return {level: total[out] for level, _, _, _, out in plan.levels}
 
 

@@ -645,10 +645,10 @@ def _weak_type(necessity: bool, cfg: ExperimentConfig, stage: int, win: Window, 
 
     def evaluate(f, g):
         # m_alpha_r and rhs_bilinear_morrey_from per chunk (each batch entry gets its
-        # unbatched bits); the weak functional per entry, at that entry's thresholds
+        # unbatched bits); the weak functional per entry, read in place, at its thresholds
         big_m = m_alpha_r(f, g, e.alpha, (e.r1, e.r2), "dyadic")
-        lhs = [float(weak_morrey_functional(LatticeFunction(win, m), v, e.t, e.s, q0))
-               for m in big_m.values]
+        lhs = [float(weak_morrey_functional(big_m.entry(i), v, e.t, e.s, q0))
+               for i in range(len(big_m.values))]
         rhs = [float(x) for x in const * rhs_bilinear_morrey_from(f, g, w1, w2, e.p, e.q1,
                                                                   e.q2, q0)]
         ratios.extend(map(_ratio, lhs, rhs))
@@ -727,13 +727,14 @@ def _decompose(cfg: ExperimentConfig, kinds, f: LatticeFunction, g: LatticeFunct
     """Yield per trial of the chunk (f, g), per kind ('cz' or 'cz_alpha'): the forest at the
     config's parameters, (theta1, theta2) or (r1, r2, alpha), and its verify_decomposition
     violations.  One table pass over the chunk builds every forest and a second of its own
-    over the raw (f, g) rechecks them; each trial reads its slice of both."""
+    over the raw (f, g) rechecks them; each trial reads its slice of both, and its (f, g)
+    in place, as entries of the chunk's batches (no copy, no second finiteness check)."""
     args = [tuple(cfg.params[key] for key in _CZ_KINDS[kind]) for kind in kinds]
     specs = [(*a, None) if kind == "cz" else a for kind, a in zip(kinds, args)]
     # the recheck never reads the build pass's tables
     passes = [functional_tables(f, g, q0, specs) for _ in range(2)]
     for i in range(len(f.values)):
-        fi, gi = (LatticeFunction(f.window, x.values[i]) for x in (f, g))
+        fi, gi = f.entry(i), g.entry(i)
         built, checks = ([{level: t[i] for level, t in table.items()} for table in tables]
                          for tables in passes)
         forests = [(cz_decompose if kind == "cz" else cz_decompose_alpha)(fi, gi, q0, *a, tables=t)

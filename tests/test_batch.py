@@ -473,6 +473,28 @@ def test_lattice_function_shape_must_end_in_the_window_shape():
     assert LatticeFunction(_WIN, np.ones((2, 3, *_WIN.shape))).values.shape == (2, 3, 16)
 
 
+def test_entry_is_its_batch_entry_read_in_place():
+    window = Window(2, -2, 0, origin_offset=(0, -2), top_count=3)
+    values = np.random.default_rng(5).uniform(-2.0, 2.0, (3, *window.shape))
+    batch = LatticeFunction(window, values)
+    for i in range(3):
+        entry, alone = batch.entry(i), LatticeFunction(window, values[i])
+        assert type(entry) is LatticeFunction and entry.window == window
+        assert entry.values.tobytes() == alone.values.tobytes()
+        assert entry.values.shape == window.shape and not entry.values.flags.writeable
+        assert np.shares_memory(entry.values, batch.values)
+    nested = LatticeFunction(window, values.reshape(3, 1, *window.shape)).entry(2)
+    assert nested.values.shape == (1, *window.shape)
+    with pytest.raises(IndexError):
+        batch.entry(3)
+
+
+@pytest.mark.parametrize("one", [_HALF, _ONE], ids=["function", "weight"])
+def test_entry_refuses_one_function(one):
+    with pytest.raises(ValueError, match="batch"):
+        one.entry(0)
+
+
 # -- dilated means ------------------------------------------------------------------------
 
 

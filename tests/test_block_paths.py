@@ -12,7 +12,9 @@ every kind draw such windows and values with Hypothesis.  The czd oracle is the 
 functional and stack walk the decompositions used before they were
 rebuilt on per-level tables.  dilated_means and the czd tables cover one
 cube's subtree only; they must equal a slice of the whole-window
-oracles.dilated_means and oracles.functional_tables bit for bit.
+oracles.dilated_means and oracles.functional_tables bit for bit.  The
+tables take each product once on dilated_means' canvas; each level's slice
+must equal the product taken on that level's views alone, bit for bit.
 """
 
 import itertools
@@ -340,6 +342,46 @@ def test_q0_local_tables_are_slices_of_the_whole_window_oracle(window):
             assert list(tables) == list(subtree)
             for level, table in tables.items():
                 assert np.array_equal(table, _q0_slice(whole_tables[key][level], window, q0, level))
+
+
+@st.composite
+def _canvas_cases(draw):
+    """A window of dim 1-3 (level span 0..3, 0..2 in 3-D), shifted origin, top_count 1..3
+    (1..2 in 3-D), and a window cube q0 of any of its levels."""
+    dim = draw(st.integers(1, 3))
+    span, top = draw(st.integers(0, 3 if dim < 3 else 2)), draw(st.integers(-1, 1))
+    window = Window(dim, top - span, top,
+                    origin_offset=tuple(draw(st.integers(-2, 1)) for _ in range(dim)),
+                    top_count=draw(st.integers(1, 3 if dim < 3 else 2)))
+    level = draw(st.integers(window.level_min, window.level_max))
+    return window, draw(st.sampled_from(list(cubes_at_level(window, level))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_canvas_cases(), batch=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       t1=st.sampled_from((4 / 3, 1.5, 2.0, 3.0)), t2=st.sampled_from((4 / 3, 1.5, 2.0, 3.0)),
+       alpha=st.sampled_from((None, 0.05, 0.4)))
+def test_canvas_products_match_the_per_level_products(case, batch, seed, t1, t2, alpha):
+    """functional_tables forms each product once on the whole canvas; each level's slice is
+    bit for bit the product taken on that level's dilated_means views alone.  t = 4/3, 1.5
+    and 3 run numpy's vector power loop, t = 2 its sqrt path."""
+    window, q0 = case
+    n = window.dim
+    rng = np.random.default_rng(seed)
+    f, g = (LatticeFunction(window, rng.uniform(-3.0, 3.0, (batch, *window.shape))
+                            * 10.0 ** rng.integers(-3, 4, (batch, *window.shape)))
+            for _ in range(2))
+    frame = _frame(window, q0)
+    means = dilated_means(np.stack([np.abs(f.values[frame]) ** t1,
+                                    np.abs(g.values[frame]) ** t2]), window, q0)
+    tables, = functional_tables(f, g, q0, [(t1, t2, alpha)])
+    assert list(tables) == list(means)
+    for level, m in means.items():
+        want = m[0] ** (1.0 / t1) * m[1] ** (1.0 / t2)
+        if alpha is not None:
+            want = (2.0 ** (level * n)) ** (alpha / n) * want
+        assert tables[level].shape == want.shape == (batch,) + (1 << (q0.level - level),) * n
+        assert tables[level].tobytes() == want.tobytes(), level
 
 
 def _co_spiked(window: Window, q0: Cube, seed: int, spikes: int):

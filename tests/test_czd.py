@@ -172,6 +172,31 @@ def test_verify_reports_shrunken_exceptional_set():
     assert any(msg.startswith("measure") for msg in bad), bad
 
 
+def test_verify_reports_an_e0_of_the_wrong_shape():
+    # E0 of 3 cells on an 8-cell Q0 is a violation, not a failed broadcast
+    w, q0 = Window(1, -3, 0), Cube(0, (0,))
+    f = LatticeFunction(w, np.full(w.shape, 0.5))
+    d = cz_decompose(f, f, q0, 2.0, 2.0)
+    assert _violations(d, w, f) == []
+    bad = _violations(dataclasses.replace(d, e0=np.ones(3, dtype=bool)), w, f)
+    assert bad == [f"shape: E0 of {q0} has shape (3,), not (8,)"]
+
+
+def test_verify_reports_an_exceptional_mask_of_the_wrong_shape():
+    # One True cell broadcast over a 2-cell cube would cover it, and 2 <= 2 * 1 cells would
+    # pass the measure check: the shape is checked before any mask is laid on Q0's cells
+    w = Window(1, -9, 0)
+    vals = np.full(w.shape, 0.01)
+    vals[w.n_cells // 2 + 5] = 1e6
+    f = LatticeFunction(w, vals)
+    d = cz_decompose(f, f, Cube(-1, (0,)), 2.0, 2.0)
+    q = d.levels[1][0]
+    assert _violations(d, w, f) == [] and d.exceptional[1][0].tolist() == [True, True]
+    level1 = (np.ones(1, dtype=bool),) + d.exceptional[1][1:]
+    bad = _violations(dataclasses.replace(d, exceptional={1: level1}), w, f)
+    assert bad == [f"shape: E of level 1 cube {q} has shape (1,), not (2,)"]
+
+
 @pytest.mark.parametrize("change", [
     {"gamma": lambda d: d.gamma * 1e-3},
     {"factor": lambda d: 1e9},

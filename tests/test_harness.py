@@ -260,13 +260,13 @@ def test_cz_experiment_counts_violations():
 def test_cz_experiment_makes_two_table_passes_per_chunk(monkeypatch):
     # one pass builds both kinds' forests and one more rechecks them, per chunk and stage;
     # each 1-D stage takes its 5 trials in one chunk, so each pass stacks 4 planes of 5 trials
-    honest, calls = czd.dilated_means, []
+    honest, calls = czd._dilated_canvas, []
 
     def counted(*args):
         calls.append(args[0].shape[:2])
         return honest(*args)
 
-    monkeypatch.setattr(czd, "dilated_means", counted)
+    monkeypatch.setattr(czd, "_dilated_canvas", counted)
     pairs = [
         ("experiment", "CZ_INV"), ("dim", "1"), ("level_min", "-5"), ("level_max", "0"),
         ("q0_level", "-1"), ("q0_index", "0"), ("theta1", "1.5"), ("theta2", "3"),

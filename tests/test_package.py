@@ -85,3 +85,16 @@ def test_harness_imports_no_private_library_name():
     assert {node.module for node in imports} >= {"dyadic", "field", "czd"}
     names = [a.name for node in imports for a in node.names]
     assert [n for n in names if n.startswith("_") and not n.endswith("__")] == []
+
+
+def test_czd_lays_every_cell_set_on_one_cube():
+    # D_k, E0, the E_j^k and the recheck's coverage array lie on Q0's cells or a stopping
+    # cube's, so the stopping-time path takes no window cell slice and no window-shaped array.
+    # necessity_pair is exempt: it builds T27's input pair, a function on the whole window.
+    tree = ast.parse(Path(inspect.getfile(morreylab)).with_name("czd.py").read_text("utf-8"))
+    path = [node for node in tree.body if getattr(node, "name", None) != "necessity_pair"]
+    assert len(path) == len(tree.body) - 1
+    nodes = [node for top in path for node in ast.walk(top) if isinstance(node, ast.Attribute)]
+    assert [node.lineno for node in nodes if node.attr == "cell_offsets_of_cube"] == []
+    assert [node.lineno for node in nodes if node.attr == "shape"
+            and isinstance(node.value, ast.Name) and node.value.id == "window"] == []
