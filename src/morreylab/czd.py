@@ -38,13 +38,15 @@ one functional_tables call over the batch and the specs of every kind they
 check; each trial's forests and checks take that trial's slice of the tables.
 The recheck reads the raw (f, g), not the build's tables.
 
-Every cell set is a boolean mask over the finest cells of one cube: E_0, each
-D_k and the recheck's coverage array over Q0's cells, E_j^k over Q_j^k's
-cells, laid on Q0's cells as the cube's block of them (_block).  So a trial's
-work scales with Q0, not with the window.  Measures are exact integer counts
-of True cells (times the cell volume), so the measure and partition
-invariants need no tolerances; the recheck reports a mask whose shape is not
-its cube's cells before it lays any mask on Q0's.
+Both walk Q0's subtree as one Window, window.subtree(Q0), built once per
+call, whose tables are the functional tables.  Every cell set is a boolean
+mask over the finest cells of one cube: E_0, each D_k and the recheck's
+coverage array over Q0's cells, E_j^k over Q_j^k's cells, laid on Q0's cells
+as the cube's Window.block of them.  So a trial's work scales with Q0, not
+with the window.  Measures are exact integer counts of True cells (times the
+cell volume), so the measure and partition invariants need no tolerances;
+the recheck reports a mask whose shape is not its cube's cells, or a level
+without one mask per cube, before it lays any mask on Q0's.
 """
 
 from __future__ import annotations
@@ -113,50 +115,31 @@ def functional_tables(f: LatticeFunction, g: LatticeFunction, q0: Cube,
     return tables
 
 
-def _at(q0: Cube, q: Cube) -> tuple[int, ...]:
-    """The table position of a window cube q inside q0: its offset from q0's first subcube."""
-    return tuple(m - (a << (q0.level - q.level)) for m, a in zip(q.index, q0.index))
+def _table_value(tables: dict, sub: Window, q: Cube) -> float:
+    """The table entry of a cube q of the subtree window sub."""
+    return float(tables[q.level][sub.position(q)])
 
 
-def _block(q0: Cube, q: Cube, level: int) -> tuple[slice, ...]:
-    """The block of q0's cubes of a level (its cells at level_min) that lie in the cube q
-    inside q0, in table positions: 2^(q.level - level) per axis."""
-    s = 1 << (q.level - level)
-    return tuple(slice(i * s, (i + 1) * s) for i in _at(q0, q))
-
-
-def _table_value(tables: dict, q0: Cube, q: Cube) -> float:
-    """The table entry of a window cube q inside q0."""
-    return float(tables[q.level][_at(q0, q)])
-
-
-def _cubes_of(mask: np.ndarray, q0: Cube, level: int) -> list[Cube]:
-    """The cubes of one level inside q0 marked by a table-shaped mask, in index order."""
-    first = [m << (q0.level - level) for m in q0.index]
+def _cubes_of(mask: np.ndarray, sub: Window, level: int) -> list[Cube]:
+    """The cubes of one level of sub marked by a table-shaped mask, in index order."""
+    first = sub.index_lo(level)
     return [Cube(level, tuple(int(i) + a for i, a in zip(at, first))) for at in np.argwhere(mask)]
 
 
-def _inside(window: Window, q0: Cube, q: Cube) -> bool:
-    """Whether q is a window cube inside the window cube q0."""
-    return (q.dim == q0.dim and window.level_min <= q.level <= q0.level
-            and all(m >> (q0.level - q.level) == a for m, a in zip(q.index, q0.index)))
-
-
-def _maximal_cubes(tables: dict, window: Window, q0: Cube,
-                   threshold: float) -> tuple[list[Cube], np.ndarray]:
-    """Cubes inside q0 whose functional exceeds threshold and no ancestor's does,
-    in (level, index) order, and the mask of their union D_k over q0's cells."""
+def _maximal_cubes(tables: dict, sub: Window, threshold: float) -> tuple[list[Cube], np.ndarray]:
+    """Cubes of the subtree window sub whose functional exceeds threshold and no ancestor's
+    does, in (level, index) order, and the mask of their union D_k over its cells."""
     per_level: list[list[Cube]] = []
-    union = np.zeros(tables[window.level_min].shape, dtype=bool)
-    open_ = np.ones((1,) * window.dim, dtype=bool)  # cubes of q0 with no stopped ancestor
-    for level in range(q0.level, window.level_min - 1, -1):
-        if level < q0.level:
-            for axis in range(window.dim):
+    union = np.zeros(tables[sub.level_min].shape, dtype=bool)
+    open_ = np.ones((1,) * sub.dim, dtype=bool)  # cubes of q0 with no stopped ancestor
+    for level in reversed(sub.levels()):
+        if level < sub.level_max:
+            for axis in range(sub.dim):
                 open_ = np.repeat(open_, 2, axis=axis)
         hit = open_ & (tables[level] > threshold)
         if hit.any():
-            per_level.append(_cubes_of(hit, q0, level))
-            union |= expand_level(hit, window, level)
+            per_level.append(_cubes_of(hit, sub, level))
+            union |= expand_level(hit, sub, level)
         open_ &= ~hit
         if not open_.any():
             break
@@ -174,23 +157,24 @@ def _top(tables: dict) -> float:
     return float(np.fmax.reduce([np.fmax.reduce(t, axis=None) for t in tables.values()]))
 
 
-def _uncovered(tables: dict, window: Window, q0: Cube, cubes, threshold: float) -> list[Cube]:
-    """Cubes inside q0 whose functional exceeds threshold but that lie in none of cubes
-    (cubes inside q0), top level first: one mask comparison per level."""
+def _uncovered(tables: dict, sub: Window, cubes, threshold: float) -> list[Cube]:
+    """Cubes of the subtree window sub whose functional exceeds threshold but that lie in
+    none of cubes (cubes of sub), top level first: one mask comparison per level."""
     out = []
-    for level in range(q0.level, window.level_min - 1, -1):
+    for level in reversed(sub.levels()):
         if tables[level].max() <= threshold:  # most levels: one reduction rules them out
             continue
         above = tables[level] > threshold
         for q in cubes:
             if q.level >= level:
-                above[_block(q0, q, level)] = False
-        out += _cubes_of(above, q0, level)
+                above[sub.block(q, level)] = False
+        out += _cubes_of(above, sub, level)
     return out
 
 
 def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decomposition:
-    gamma = _table_value(tables, q0, q0)
+    sub = window.subtree(q0)
+    gamma = _table_value(tables, sub, q0)
     span = max(1, window.level_max - window.level_min)
     cap = span * 64
     levels: dict[int, tuple[Cube, ...]] = {}
@@ -201,7 +185,7 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
     # gamma = 0 leaves the trivial forest, E_0 = Q0; the walk at a threshold stops a cube
     # exactly when some entry exceeds it, so the forest ends at the first one top does not
     while gamma != 0.0 and top > gamma * factor ** k:
-        cubes, d_cells[k] = _maximal_cubes(tables, window, q0, gamma * factor ** k)
+        cubes, d_cells[k] = _maximal_cubes(tables, sub, gamma * factor ** k)
         levels[k] = tuple(cubes)
         if k >= cap:
             cap_hit = True
@@ -211,7 +195,7 @@ def _decompose(window: Window, q0: Cube, tables: dict, factor: float) -> Decompo
     empty = np.zeros(tables[window.level_min].shape, dtype=bool)
 
     def outside(q: Cube, k: int) -> np.ndarray:
-        return ~d_cells.get(k, empty)[_block(q0, q, window.level_min)]
+        return ~d_cells.get(k, empty)[sub.block(q, sub.level_min)]
 
     exceptional = {k: tuple(outside(q, k + 1) for q in cubes) for k, cubes in levels.items()}
     return Decomposition(base=q0, gamma=gamma, factor=factor, levels=levels,
@@ -275,16 +259,18 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     trial, not a batch; they and the forest must live on window.  A stopping
     cube that is not a window cube inside Q0 is reported, and then nothing
     else is checked: the tables hold Q0's subtree only.  So is an E mask whose
-    shape is not its cube's cells: the coverage array holds Q0's cells only,
-    and each mask is laid on its cube's block of them.
+    shape is not its cube's cells, and a level without one mask per cube: the
+    coverage array holds Q0's cells only, and each mask is laid on its cube's
+    block of them.
     """
     if _same_window(f, g) != window:
         raise ValueError("inputs must live on the given window")
     _require_unbatched(f, g)
     if tables is None:
         tables, = functional_tables(f, g, d.base, [(t1, t2, alpha)])
+    sub = window.subtree(d.base)
     bad = [f"containment: level {k} cube {q} not inside Q0"
-           for k, cubes in d.levels.items() for q in cubes if not _inside(window, d.base, q)]
+           for k, cubes in d.levels.items() for q in cubes if not sub.contains_cube(q)]
     if bad:
         return bad
     n = window.dim
@@ -292,15 +278,19 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     def cells(q: Cube) -> tuple[int, ...]:  # the shape of a mask over q's cells
         return (1 << (q.level - window.level_min),) * n
 
-    # checked before any mask is broadcast: a mask of one cell would cover its whole cube
+    # checked before any mask is broadcast: a mask of one cell would cover its whole cube,
+    # and zip would drop the masks past a level's last cube
+    es = {k: d.exceptional.get(k, ()) for k in d.levels}
+    bad = [f"shape: level {k} has {len(es[k])} E masks for its {len(cubes)} cubes"
+           for k, cubes in d.levels.items() if len(es[k]) != len(cubes)]
     masks = [("E0 of", d.base, d.e0)] + [(f"E of level {k} cube", q, e)
                                          for k, cubes in d.levels.items()
-                                         for q, e in zip(cubes, d.exceptional[k])]
-    bad = [f"shape: {name} {q} has shape {np.shape(e)}, not {cells(q)}"
-           for name, q, e in masks if np.shape(e) != cells(q)]
+                                         for q, e in zip(cubes, es[k])]
+    bad += [f"shape: {name} {q} has shape {np.shape(e)}, not {cells(q)}"
+            for name, q, e in masks if np.shape(e) != cells(q)]
     if bad:
         return bad
-    gamma = _table_value(tables, d.base, d.base)
+    gamma = _table_value(tables, sub, d.base)
     if d.gamma != gamma:
         bad.append(f"threshold: gamma {d.gamma} is not Q0's functional {gamma}")
     factor = _threshold_factor(n, t1, t2)
@@ -321,8 +311,8 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
     covered = d.e0.astype(bool)  # over Q0's cells, as every E mask is over its cube's
     for k, cubes in d.levels.items():
         threshold = d.gamma * d.factor ** k
-        for q, e in zip(cubes, d.exceptional[k]):
-            val = _table_value(tables, d.base, q)
+        for q, e in zip(cubes, es[k]):
+            val = _table_value(tables, sub, q)
             if not val > threshold:
                 bad.append(f"sandwich lower: level {k} cube {q} value {val} <= {threshold}")
             if val > upper * threshold * (1.0 + 1e-12):
@@ -333,12 +323,12 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
             if q_cells > 2 * e_cells:
                 bad.append(f"measure: level {k} cube {q} has |Q|={q_cells} cells "
                            f"> 2|E|={2 * e_cells}")
-            slq = _block(d.base, q, window.level_min)
+            slq = sub.block(q, sub.level_min)
             if (covered[slq] & e).any():
                 bad.append(f"partition: E-cells of level {k} cube {q} overlap earlier sets")
             covered[slq] |= e
-            for anc in ancestors(q, window)[:d.base.level - q.level]:
-                if _table_value(tables, d.base, anc) > threshold:
+            for anc in ancestors(q, sub):
+                if _table_value(tables, sub, anc) > threshold:
                     bad.append(f"maximality: ancestor {anc} of level {k} cube {q} "
                                f"crosses the level-{k} threshold")
             if (k, q) in seen:
@@ -352,7 +342,7 @@ def verify_decomposition(d: Decomposition, f: LatticeFunction, g: LatticeFunctio
             continue
         bad += [f"coverage: cube {q} crosses the level-{k} threshold {threshold} "
                 f"but lies in no level-{k} stopping cube"
-                for q in _uncovered(tables, window, d.base, d.levels.get(k, ()), threshold)]
+                for q in _uncovered(tables, sub, d.levels.get(k, ()), threshold)]
     if not covered.all():
         bad.append("partition: E0 and the E_j^k do not tile Q0")
     if base_cells > 2 * e0_cells:
@@ -367,8 +357,7 @@ def decomposition_to_json(d: Decomposition, window: Window) -> dict:
     level is E_0.
     """
     def cell_list(mask: np.ndarray, q: Cube) -> list:
-        first = np.array(q.index) << (q.level - window.level_min)
-        return (np.argwhere(mask) + first).tolist()
+        return (np.argwhere(mask) + window.subtree(q).cell_index_lo).tolist()
 
     levels = []
     for k in sorted(d.levels):

@@ -7,6 +7,9 @@ levels [level_min, level_max] over a block of top-level cubes; every quantity
 in the package is a sup/sum over the window's finite cube catalog, and
 reports record the window so convergence under window growth can be studied.
 
+Window owns where a cube sits in a table of one level's cubes (position,
+block and subtree); every other module reads table positions from it.
+
 All coordinates are dyadic rationals, which binary floats represent exactly
 at the scales used here; comparisons below are therefore exact, not
 tolerance-based.
@@ -118,9 +121,8 @@ class Window:
     def contains_cube(self, q: Cube) -> bool:
         if q.dim != self.dim or not self.level_min <= q.level <= self.level_max:
             return False
-        lo = self.index_lo(q.level)
         cnt = self.index_count(q.level)
-        return all(a <= m < a + cnt for m, a in zip(q.index, lo))
+        return all(0 <= i < cnt for i in self.position(q))
 
     # -- counting -----------------------------------------------------------
 
@@ -130,15 +132,26 @@ class Window:
             total += self.index_count(level) ** self.dim
         return total
 
-    # -- cells of a cube ----------------------------------------------------
+    # -- table positions ----------------------------------------------------
+
+    def position(self, q: Cube) -> tuple[int, ...]:
+        """q's entry, per axis, in a table of the window's cubes of its level in index order."""
+        return tuple(m - a for m, a in zip(q.index, self.index_lo(q.level)))
+
+    def block(self, q: Cube, level: int) -> tuple[slice, ...]:
+        """The slices of q's subcubes of a level (<= q.level) in a table of that level."""
+        s = 1 << (q.level - level)
+        return tuple(slice(i * s, (i + 1) * s) for i in self.position(q))
+
+    def subtree(self, q: Cube) -> Window:
+        """The window of the window cube q and its descendants: its tables are q's subtree."""
+        return Window(self.dim, self.level_min, q.level, q.index, 1)
 
     def cell_offsets_of_cube(self, q: Cube) -> tuple[slice, ...]:
         """Array slices (into the finest-cell array) covered by the cube."""
         if not self.contains_cube(q):
             raise ValueError(f"cube {q} not inside window")
-        b = 1 << (q.level - self.level_min)
-        lo = self.cell_index_lo
-        return tuple(slice((m * b) - a, (m + 1) * b - a) for m, a in zip(q.index, lo))
+        return self.block(q, self.level_min)
 
 
 # -- cube relations ----------------------------------------------------------

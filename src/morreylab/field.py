@@ -205,7 +205,7 @@ def _dilated_plan(window: Window, q0: Cube) -> _DilatedPlan:
     """
     n = window.dim
     big = 1 << (q0.level - window.level_min)
-    at = [m - a for m, a in zip(q0.index, window.index_lo(q0.level))]
+    at = window.position(q0)
     c0 = window.index_count(q0.level)
     corner = [max(x - 1, 0) * big for x in at]
     frame = (...,) + tuple(slice(lo, min(x + 2, c0) * big) for lo, x in zip(corner, at))

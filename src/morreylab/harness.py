@@ -403,16 +403,19 @@ def _draw_table(seed: int, window: Window, streams: tuple, trials: range) -> np.
 def _stage_chunks(cfg: ExperimentConfig, window: Window, streams: tuple = (1, 1),
                   members: Mapping = MappingProxyType({})):
     """Yield (trials, label, arrays) per chunk in trial order, arrays batching the chunk's
-    trials on window (a refinement of the base window), one LatticeFunction each.  members
-    maps trial 0 or the last trial to (label, build), a chunk of build(window)'s functions.
-    The other trials are "random", _drawn's arrays for streams prolonged to window: the
-    first from the run's _draw_table, as many as _DRAW_CELLS holds, the rest drawn here at
-    every stage.  The n random trials split into round(n / per) chunks, halves up and at
-    least one, of per = max(1, _BATCH_CELLS // window.n_cells) trials, the last taking the
-    rest: a remainder under half a chunk joins the chunk before it rather than pay one more
-    sweep over the operators, so a chunk of more than one trial has under 1.5 * _BATCH_CELLS
-    cells per array.  expand_level repeats each batch entry, so slice i holds trial i's bits."""
+    trials on window (a refinement of the base window or of a dilation of it), one
+    LatticeFunction each.  members maps trial 0 or the last trial to (label, build), a chunk
+    of build(window)'s functions.  The other trials are "random", _drawn's arrays for
+    streams prolonged to window, each base cell a cube as far below window's level_max as
+    it lies below the base's: the first from the run's _draw_table, as many as _DRAW_CELLS
+    holds, the rest drawn here at every stage.  The n random trials split into round(n / per)
+    chunks, halves up and at least one, of per = max(1, _BATCH_CELLS // window.n_cells)
+    trials, the last taking the rest: a remainder under half a chunk joins the chunk before
+    it rather than pay one more sweep over the operators, so a chunk of more than one trial
+    has under 1.5 * _BATCH_CELLS cells per array.  expand_level repeats each batch entry, so
+    slice i holds trial i's bits."""
     per, base = max(1, _BATCH_CELLS // window.n_cells), cfg.window
+    base_cells = window.level_max - base.level_max + base.level_min  # their level on window
     # the trials that no member takes
     drawn = range(0 in members, cfg.trials - (cfg.trials - 1 in members))
     kept = len(drawn[:_DRAW_CELLS // (len(streams) * base.n_cells)])
@@ -429,7 +432,7 @@ def _stage_chunks(cfg: ExperimentConfig, window: Window, streams: tuple = (1, 1)
             fresh = [_drawn(cfg.seed, base, t, streams) for t in drawn[max(start, kept):stop]]
             arrays = np.concatenate([arrays, np.stack(fresh, axis=1)], axis=1)
         return drawn[start:stop], "random", [
-            LatticeFunction(window, expand_level(a, window, base.level_min)) for a in arrays]
+            LatticeFunction(window, expand_level(a, window, base_cells)) for a in arrays]
 
     yield from (member(slot) for slot in members if slot < drawn.start)
     starts = range(0, len(drawn), per)[:max(1, (2 * len(drawn) + per) // (2 * per))]
@@ -487,10 +490,11 @@ def _times(f: LatticeFunction, w: Weight) -> LatticeFunction:
 
 
 def _q0(params: Mapping, window: Window, key: str = "q0") -> Cube:
-    """The cube of the <key>_level and <key>_index params: level defaults to level_max, index
-    to the window's first cube of the level (a level above level_max needs an index)."""
+    """The cube of the <key>_level and <key>_index params on the window: level defaults to
+    level_max and keeps its distance below the config's level_max, index to the window's
+    first cube of the level (a level above level_max needs an index)."""
     level, index = params[f"{key}_level"], params[f"{key}_index"]
-    level = window.level_max if level is None else level
+    level = window.level_max if level is None else window.level_max - params["level_max"] + level
     return Cube(level, window.index_lo(level) if index is None else index)
 
 
@@ -805,9 +809,7 @@ class _Experiment(NamedTuple):
     win, notes), its variant bound, returns a stage's (chunks, evaluate): chunks yields
     (trials, label, arrays) in trial order, and evaluate(*arrays) gives (lhs, rhs), one value
     per trial of the chunk, and the chunk's violations if it checks any.  A side reaches the
-    library through this module's globals, which a tracer may rebind.  It takes Q0 and Q'
-    from the config's q0_* and qprime_* keys, not from win: to evaluate on a dilated window,
-    move the config's level keys with it, as tests/test_scaling.py does."""
+    library through this module's globals, which a tracer may rebind."""
 
     keys: Mapping
     side: Callable

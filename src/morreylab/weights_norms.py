@@ -32,13 +32,13 @@ window with its window argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .dyadic import Cube, Window
+from .dyadic import Cube, Window, ancestors
 from .errors import ValidationError
 from .exponents import ExponentSet, conjugate, inv, solve_q, validate
 from .field import (
@@ -92,24 +92,19 @@ def rhs_bilinear_morrey_from(f: LatticeFunction, g: LatticeFunction, w1: Weight,
     batched f and g one sup per batch entry (an array of the batch shape)."""
     _require_finite_q(q1, q2)
     window = _same_window(f, g, w1, w2)
-    if not window.contains_cube(q0):
-        raise ValueError(f"cube {q0} not inside window")
+    chain = [q0, *ancestors(q0, window)]  # raises unless q0 is a window cube
     df = (np.abs(f.values) * w1.values) ** q1
     dg = (np.abs(g.values) * w2.values) ** q2
-    lead = np.broadcast_shapes(df.shape, dg.shape)[:-window.dim]
-    # not a level_sup: the powers go on each entry's indexed mean, a numpy scalar, since
-    # numpy's scalar ** and array ** can differ in the last bit (with AVX-512), which would
-    # move the T27 reports
-    best = np.zeros(lead)
-    for level in range(q0.level, window.level_max + 1):
-        shift = level - q0.level
-        at = (..., *((m >> shift) - a for m, a in zip(q0.index, window.index_lo(level))))
-        scale = (2.0 ** (level * window.dim)) ** (1.0 / p)
-        mf, mg = np.broadcast_arrays(level_means(df, window, level)[at],
-                                     level_means(dg, window, level)[at])
-        for i in np.ndindex(lead):
-            best[i] = max(best[i], float(scale * mf[i] ** (1.0 / q1) * mg[i] ** (1.0 / q2)))
-    return best if lead else float(best)
+    # each mean takes numpy's scalar ** (C pow), not its array **, which can differ in the
+    # last bit (with AVX-512) and would move the T27 reports
+    root = np.frompyfunc(lambda m, e: np.float64(m) ** e, 2, 1)
+
+    def table(level):  # the level's one cube that holds q0, as a table of one cube
+        at = (..., *window.block(chain[level - q0.level], level))
+        return ((2.0 ** (level * window.dim)) ** (1.0 / p)
+                * root(level_means(df, window, level)[at], 1.0 / q1).astype(float)
+                * root(level_means(dg, window, level)[at], 1.0 / q2).astype(float))
+    return level_sup(replace(window, level_min=q0.level), table)
 
 
 def weak_morrey_functional(F: LatticeFunction, v: Weight, t: float, s: float,

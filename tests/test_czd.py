@@ -197,6 +197,32 @@ def test_verify_reports_an_exceptional_mask_of_the_wrong_shape():
     assert bad == [f"shape: E of level 1 cube {q} has shape (1,), not (2,)"]
 
 
+def _three_cube_forest():
+    """A forest with three stopping cubes at k = 1, all of whose E masks are full."""
+    w = Window(1, -9, 0)
+    vals = np.ones(w.shape)
+    vals[600] = 1e6
+    f = LatticeFunction(w, vals)
+    d = cz_decompose(f, f, Cube(-1, (0,)), 2.0, 2.0)
+    assert list(d.levels) == [1] and len(d.levels[1]) == 3 and _violations(d, w, f) == []
+    return w, f, d
+
+
+def test_verify_reports_a_level_without_its_masks():
+    # a missing exceptional entry is a violation, not a KeyError
+    w, f, d = _three_cube_forest()
+    bad = _violations(dataclasses.replace(d, exceptional={}), w, f)
+    assert bad == ["shape: level 1 has 0 E masks for its 3 cubes"]
+
+
+def test_verify_reports_a_mask_past_a_level_s_last_cube():
+    # an extra all-False mask would be dropped by zip and pass every other check
+    w, f, d = _three_cube_forest()
+    extra = d.exceptional[1] + (np.zeros(2, dtype=bool),)
+    bad = _violations(dataclasses.replace(d, exceptional={1: extra}), w, f)
+    assert bad == ["shape: level 1 has 4 E masks for its 3 cubes"]
+
+
 @pytest.mark.parametrize("change", [
     {"gamma": lambda d: d.gamma * 1e-3},
     {"factor": lambda d: 1e9},
@@ -236,11 +262,12 @@ def _walked_levels(f, g, q0, t1, t2, alpha=None) -> dict:
     """The stopping levels of a walk at each threshold in turn that ends at the first
     threshold that stops no cube."""
     tables, = czd.functional_tables(f, g, q0, [(t1, t2, alpha)])
-    gamma = czd._table_value(tables, q0, q0)
+    sub = f.window.subtree(q0)
+    gamma = czd._table_value(tables, sub, q0)
     factor = czd._threshold_factor(f.window.dim, t1, t2)
     levels, k = {}, 1
     while gamma != 0.0:
-        cubes, _ = czd._maximal_cubes(tables, f.window, q0, gamma * factor ** k)
+        cubes, _ = czd._maximal_cubes(tables, sub, gamma * factor ** k)
         if not cubes:
             break
         levels[k], k = tuple(cubes), k + 1

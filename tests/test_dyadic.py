@@ -195,6 +195,38 @@ def test_cell_offsets_cover_cube():
         assert cube_contains_point(q, center)
 
 
+@st.composite
+def _window_and_cube(draw):
+    """A window of dims 1-3 with a shifted origin_offset and top_count 1-3, and one of its
+    cubes."""
+    dim = draw(st.integers(1, 3))
+    level_max = draw(st.integers(-2, 2))
+    level_min = draw(st.integers(level_max - (2 if dim == 3 else 3), level_max))
+    offset = draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim))
+    window = Window(dim, level_min, level_max, tuple(offset), draw(st.integers(1, 3)))
+    return window, draw(st.sampled_from(list(all_cubes(window))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_and_cube())
+def test_position_block_and_subtree_match_the_brute_force_cubes(window_and_cube):
+    window, q = window_and_cube
+    # position: q's per-axis rank among its level's cubes in index order, so its entry
+    cubes = list(cubes_at_level(window, q.level))
+    shape = (window.index_count(q.level),) * window.dim
+    assert np.ravel_multi_index(window.position(q), shape) == cubes.index(q)
+    # block: exactly q's descendants among the cubes of each level at or below q's
+    for level in range(window.level_min, q.level + 1):
+        table = np.zeros((window.index_count(level),) * window.dim, dtype=bool)
+        table[window.block(q, level)] = True
+        want = [cube_contains_cube(q, c) for c in cubes_at_level(window, level)]
+        assert table.ravel().tolist() == want
+    # subtree: exactly q and its descendants
+    sub = window.subtree(q)
+    assert set(all_cubes(sub)) == {c for c in all_cubes(window) if cube_contains_cube(q, c)}
+    assert sub.position(q) == (0,) * window.dim
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("top_count, level_max", [(1, 0), (3, 0), (2, 2)])
 def test_touches_origin_at_the_edge_offsets(dim, top_count, level_max):

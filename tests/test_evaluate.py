@@ -59,10 +59,6 @@ def test_evaluate_on_cube_pairs_and_a_dilated_window(experiment, dim):
                              "level_max": "0", **{k: str(x) for k, x in keys.items()},
                              **_WEIGHTS}.items())
     e = build(_EXPERIMENTS[experiment].kind.regime, dim, **keys)
-    # only random chunks, of f and g: no member and no symbol.  The chunks prolong draws on
-    # the config's window, so they are read there, not on the coarser dilated window
-    chunks, _ = _EXPERIMENTS[experiment].side(cfg, 0, cfg.window, {})
-    assert {(label, len(arrays)) for _, label, arrays in chunks} == {("random", 2)}
     ratios = []
     for shift in (0, 1):  # the config's window, then the window dilated by one level
         win = Window(dim, cfg.window.level_min + shift, cfg.window.level_max + shift)
@@ -71,7 +67,10 @@ def test_evaluate_on_cube_pairs_and_a_dilated_window(experiment, dim):
         cubes = [Cube(shift - 1, (i,) * dim) for i in (-1, -2)]
         pairs = [oracles.indicator(win, oracles.cube_box(q)) for q in cubes]
         f = LatticeFunction(win, np.stack([x.values for x in pairs]))
-        _, evaluate = _EXPERIMENTS[experiment].side(cfg, 0, win, {})
+        chunks, evaluate = _EXPERIMENTS[experiment].side(cfg, 0, win, {})
+        # only random chunks, of f and g on win: no member and no symbol
+        assert {(label, len(arrays), arrays[0].window) for _, label, arrays in chunks} == {
+            ("random", 2, win)}
         lhs, rhs = evaluate(f, f)
         q0 = Cube(win.level_max, win.index_lo(win.level_max))
         want = [_expected(experiment, x, e, q0) for x in pairs]

@@ -98,3 +98,30 @@ def test_czd_lays_every_cell_set_on_one_cube():
     assert [node.lineno for node in nodes if node.attr == "cell_offsets_of_cube"] == []
     assert [node.lineno for node in nodes if node.attr == "shape"
             and isinstance(node.value, ast.Name) and node.value.id == "window"] == []
+
+
+def _source(module: str) -> ast.Module:
+    return ast.parse(Path(inspect.getfile(morreylab)).with_name(f"{module}.py").read_text("utf-8"))
+
+
+def test_only_dyadic_places_a_cube_in_a_level_table():
+    # Window.position, block and subtree own the cube -> table position rule: no zip in the
+    # modules that read level tables pairs a cube's index with a window's index_lo
+    def indexing(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "index"
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "index_lo")
+
+    zips = [(module, node) for module in ("czd", "field", "weights_norms")
+            for node in ast.walk(_source(module)) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "zip"]
+    assert [(module, z.lineno) for module, z in zips
+            if any(indexing(n) for arg in z.args for n in ast.walk(arg))] == []
+
+
+def test_rhs_bilinear_morrey_from_runs_no_loop_of_its_own():
+    # a level_sup over the levels from Q0's up; only the nested-pair sweep keeps its own loop
+    fn, = [node for node in _source("weights_norms").body
+           if getattr(node, "name", None) == "rhs_bilinear_morrey_from"]
+    assert [node.lineno for node in ast.walk(fn) if isinstance(node, (ast.For, ast.While))] == []
+    assert "level_sup" in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}

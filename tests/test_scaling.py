@@ -10,11 +10,12 @@ have no ratio to scale.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from morreylab.harness import config_from_pairs, parse_config, run_experiment
+from morreylab.harness import _EXPERIMENTS, config_from_pairs, parse_config, run_experiment
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 _LEVEL_KEYS = ("level_min", "level_max", "q0_level", "qprime_level")
@@ -50,3 +51,21 @@ def test_a_dilated_config_keeps_every_ratio(path, k):
     assert pairs, "no finite, positive row"
     worst = max(abs(math.log2(b / a)) for a, b in pairs)
     assert worst <= 1e-12, f"|log2(ratio'/ratio)| reaches {worst} at k = {k}"
+
+
+def _sides(cfg, win) -> list[tuple]:
+    """Every chunk's (lhs, rhs) of the config's stage-0 side on the window win."""
+    chunks, evaluate = _EXPERIMENTS[cfg.experiment].side(cfg, 0, win, {})
+    return [tuple(map(list, evaluate(*arrays)[:2])) for _, _, arrays in chunks]
+
+
+@pytest.mark.parametrize("name", ["t27_weak_type", "t27_sufficiency", "t28_strong_maximal"])
+def test_a_side_on_a_dilated_window_is_the_dilated_config_s(name):
+    # Q0, Q' and the prolonged draws follow the window the side is given, as far below its
+    # level_max as below the config's: the unmoved config reads the moved one's stage 0
+    cfg = parse_config((CONFIGS[0].parent / f"{name}.cfg").read_text(encoding="utf-8"))
+    win = replace(cfg.window, level_min=cfg.window.level_min + 1,
+                  level_max=cfg.window.level_max + 1)
+    moved = _dilated(cfg, 1)
+    assert moved.window_at(0) == win
+    assert _sides(cfg, win) == _sides(moved, win)
